@@ -19,7 +19,7 @@ use bytes::Bytes;
 use splitbft_app::Application;
 use splitbft_crypto::aead::{open, seal, AeadKey};
 use splitbft_crypto::sig::{dh_public, dh_shared};
-use splitbft_crypto::{client_mac_key, digest_bytes, digest_of, KeyPair, KeyRegistry};
+use splitbft_crypto::{digest_bytes, digest_of, ClientMacKeys, KeyPair, KeyRegistry};
 use splitbft_pbft::verify::verify_signed_from;
 use splitbft_pbft::CheckpointTracker;
 use splitbft_tee::seal::SealingIdentity;
@@ -64,7 +64,8 @@ pub struct ExecutionCompartment<A> {
     signer: SignerId,
     keypair: KeyPair,
     registry: KeyRegistry,
-    auth_seed: u64,
+    /// MAC keys of the clients whose requests verified here before.
+    client_keys: ClientMacKeys,
 
     /// This compartment's copy of the replicated view variable.
     view: View,
@@ -104,7 +105,7 @@ impl<A: Application> ExecutionCompartment<A> {
             signer,
             keypair,
             registry,
-            auth_seed: master_seed,
+            client_keys: ClientMacKeys::new(master_seed),
             view: View::initial(),
             slots: BTreeMap::new(),
             checkpoints: CheckpointTracker::new(),
@@ -165,6 +166,7 @@ impl<A: Application> ExecutionCompartment<A> {
             + self.app.memory_usage()
             + self.last_replies.len() * 128
             + self.session_keys.len() * 96
+            + self.client_keys.memory_usage()
     }
 
     fn in_window(&self, seq: SeqNum) -> bool {
@@ -341,9 +343,11 @@ impl<A: Application> ExecutionCompartment<A> {
         // request into the batch. Corrupt requests execute as no-ops
         // (§4: "the Execution Compartment will detect this and execute a
         // no-op instead").
-        let mac = client_mac_key(self.auth_seed, client);
-        let authentic =
-            mac.verify(&Request::auth_bytes(req.id, &req.op, req.encrypted), &req.auth);
+        let authentic = self.client_keys.verify(
+            client,
+            &Request::auth_bytes(req.id, &req.op, req.encrypted),
+            &req.auth,
+        );
 
         let (plaintext, session) = if !authentic {
             (None, None)
@@ -374,7 +378,10 @@ impl<A: Application> ExecutionCompartment<A> {
             ),
             None => (result, false),
         };
-        let auth = mac.tag(&Reply::auth_bytes(self.view, req.id, self.replica, &result, encrypted));
+        let auth = self
+            .client_keys
+            .key(client)
+            .tag(&Reply::auth_bytes(self.view, req.id, self.replica, &result, encrypted));
         let reply =
             Reply { view: self.view, request: req.id, replica: self.replica, result, encrypted, auth };
         self.last_replies.insert(client, reply.clone());
@@ -416,7 +423,7 @@ impl<A: Application> ExecutionCompartment<A> {
             .into_iter()
             .map(|(client, timestamp, result)| {
                 let request = splitbft_types::RequestId { client, timestamp };
-                let mac = client_mac_key(self.auth_seed, client);
+                let mac = self.client_keys.key(client);
                 // Restored results may be ciphertexts from the encrypted
                 // path; mark them non-encrypted for the resend MAC — the
                 // result bytes are replayed verbatim either way.

@@ -80,6 +80,6 @@ pub use conf::ConfirmationCompartment;
 pub use ecall::{CompartmentInput, CompartmentOutput};
 pub use exec::ExecutionCompartment;
 pub use prep::PreparationCompartment;
-pub use replica::{CompartmentFaults, EcallRecord, ReplicaEvent, SplitBftReplica};
+pub use replica::{CompartmentFaults, ReplicaEvent, SplitBftReplica};
 pub use scheme::{compartment_measurement, enclave_signer, SPLITBFT_SCHEME};
 pub use suffix::{SuffixRing, DEFAULT_SUFFIX_CAP};

@@ -13,7 +13,7 @@
 
 use crate::ecall::{CompartmentInput, CompartmentOutput};
 use crate::scheme::{enclave_signer, SPLITBFT_SCHEME};
-use splitbft_crypto::{client_mac_key, digest_of, KeyPair, KeyRegistry};
+use splitbft_crypto::{digest_of, ClientMacKeys, KeyPair, KeyRegistry};
 use splitbft_pbft::verify::{verify_signed_from, verify_view_change};
 use splitbft_pbft::viewchange::{plan_new_view, validate_new_view};
 use splitbft_pbft::{CheckpointTracker, MessageLog, ViewChangeTracker};
@@ -30,7 +30,8 @@ pub struct PreparationCompartment {
     signer: SignerId,
     keypair: KeyPair,
     registry: KeyRegistry,
-    auth_seed: u64,
+    /// MAC keys of the clients whose requests verified here before.
+    client_keys: ClientMacKeys,
 
     /// This compartment's copy of the replicated view variable.
     view: View,
@@ -59,7 +60,7 @@ impl PreparationCompartment {
             signer,
             keypair,
             registry,
-            auth_seed: master_seed,
+            client_keys: ClientMacKeys::new(master_seed),
             view: View::initial(),
             in_prep,
             checkpoints: CheckpointTracker::new(),
@@ -80,7 +81,9 @@ impl PreparationCompartment {
 
     /// Approximate heap usage for EPC accounting.
     pub fn memory_usage(&self) -> usize {
-        self.in_prep.len() * 512 + self.view_changes.len() * 1024
+        self.in_prep.len() * 512
+            + self.view_changes.len() * 1024
+            + self.client_keys.memory_usage()
     }
 
     /// The single event-handler entry point (P2: handlers run to
@@ -107,19 +110,21 @@ impl PreparationCompartment {
         }
     }
 
-    fn verify_request(&self, req: &Request) -> bool {
-        let key = client_mac_key(self.auth_seed, req.client());
-        key.verify(&Request::auth_bytes(req.id, &req.op, req.encrypted), &req.auth)
+    fn verify_request(&mut self, req: &Request) -> bool {
+        self.client_keys.verify(
+            req.client(),
+            &Request::auth_bytes(req.id, &req.op, req.encrypted),
+            &req.auth,
+        )
     }
 
     /// Authenticates a whole proposed batch with one constant-time
     /// digest comparison ([`splitbft_crypto::verify_tag_batch`]); any
     /// failing member rejects the batch, so per-request verdicts are
     /// unnecessary on this path.
-    fn verify_request_batch(&self, requests: &[Request]) -> bool {
-        splitbft_crypto::verify_tag_batch(requests.iter().map(|req| {
-            let key = client_mac_key(self.auth_seed, req.client());
-            (key.tag(&Request::auth_bytes(req.id, &req.op, req.encrypted)), req.auth)
+    fn verify_request_batch(&mut self, requests: &[Request]) -> bool {
+        self.client_keys.verify_batch(requests.iter().map(|req| {
+            (req.client(), Request::auth_bytes(req.id, &req.op, req.encrypted), req.auth)
         }))
     }
 

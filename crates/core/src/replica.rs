@@ -91,17 +91,6 @@ pub enum ReplicaEvent {
     },
 }
 
-/// One boundary crossing, recorded for the Figure 4 style analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EcallRecord {
-    /// The compartment entered.
-    pub kind: CompartmentKind,
-    /// Bytes copied in.
-    pub bytes_in: usize,
-    /// Virtual boundary cost charged by the host (transition + copies).
-    pub boundary_ns: u64,
-}
-
 /// Per-compartment fault plans for robustness experiments.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompartmentFaults {
@@ -122,7 +111,6 @@ pub struct SplitBftReplica<A: Application> {
     prep: Hosted<PreparationCompartment>,
     conf: Hosted<ConfirmationCompartment>,
     exec: Hosted<ExecutionCompartment<A>>,
-    trace: Vec<EcallRecord>,
     /// Highest not-yet-executed request timestamp per client, kept by the
     /// broker so a request-aware view-change timer can detect a stalled
     /// primary. The broker cannot verify request MACs (it must not hold
@@ -220,7 +208,6 @@ impl<A: Application> SplitBftReplica<A> {
             prep,
             conf,
             exec,
-            trace: Vec::new(),
             pending: BTreeMap::new(),
             seen_batches: BTreeMap::new(),
             durable: Vec::new(),
@@ -278,11 +265,6 @@ impl<A: Application> SplitBftReplica<A> {
                 return;
             }
         };
-        self.trace.push(EcallRecord {
-            kind,
-            bytes_in: bytes.len(),
-            boundary_ns: reply.boundary_ns,
-        });
         for ocall in reply.ocalls {
             if ocall.id != OCALL_OUTPUT {
                 continue;
@@ -625,11 +607,6 @@ impl<A: Application> SplitBftReplica<A> {
             CompartmentKind::Confirmation => self.conf.stats(),
             CompartmentKind::Execution => self.exec.stats(),
         }
-    }
-
-    /// Drains the per-ecall trace (Figure 4 analysis).
-    pub fn drain_trace(&mut self) -> Vec<EcallRecord> {
-        std::mem::take(&mut self.trace)
     }
 
     /// Crash-faults one enclave (host-visible failure; recovery is a

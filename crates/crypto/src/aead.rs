@@ -9,10 +9,12 @@
 //!
 //! Construction: a SHA-256-based stream cipher (keystream block `i` is
 //! `SHA256(enc_key ‖ nonce ‖ i)`) with an HMAC-SHA-256 tag over
-//! `nonce ‖ aad ‖ ciphertext`, with independent sub-keys derived from the
-//! master key. Textbook, simulation-grade — see the crate docs.
+//! `nonce ‖ aad-length ‖ aad ‖ ciphertext`, with independent sub-keys
+//! derived from the master key. Textbook, simulation-grade — see the crate
+//! docs. The tag streams through the MAC sub-key's pre-absorbed
+//! [`Hmac`](crate::hmac::Hmac), so sealing never copies the ciphertext.
 
-use crate::hmac::{ct_eq, hmac_sha256};
+use crate::hmac::{ct_eq, hmac_sha256, MacKey};
 use crate::sha256::Sha256;
 
 /// Tag length appended to every sealed message.
@@ -43,7 +45,7 @@ impl std::error::Error for AeadError {}
 #[derive(Clone, PartialEq, Eq)]
 pub struct AeadKey {
     enc: [u8; 32],
-    mac: [u8; 32],
+    mac: MacKey,
 }
 
 impl std::fmt::Debug for AeadKey {
@@ -57,7 +59,7 @@ impl AeadKey {
     pub fn new(master: &[u8; 32]) -> Self {
         AeadKey {
             enc: hmac_sha256(master, b"splitbft-aead-enc"),
-            mac: hmac_sha256(master, b"splitbft-aead-mac"),
+            mac: MacKey::derive(master, b"splitbft-aead-mac"),
         }
     }
 
@@ -67,31 +69,29 @@ impl AeadKey {
         AeadKey::new(&hmac_sha256(master, context))
     }
 
-    fn keystream_block(&self, nonce: u64, counter: u64) -> [u8; 32] {
-        let mut h = Sha256::new();
-        h.update(&self.enc);
-        h.update(&nonce.to_le_bytes());
-        h.update(&counter.to_le_bytes());
-        h.finalize()
-    }
-
     fn xor_keystream(&self, nonce: u64, data: &mut [u8]) {
+        // Every keystream block hashes `enc ‖ nonce ‖ i`; only `i` differs,
+        // so the shared prefix is absorbed once and cloned per block.
+        let mut prefix = Sha256::new();
+        prefix.update(&self.enc);
+        prefix.update(&nonce.to_le_bytes());
         for (i, chunk) in data.chunks_mut(32).enumerate() {
-            let ks = self.keystream_block(nonce, i as u64);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+            let mut h = prefix.clone();
+            h.update(&(i as u64).to_le_bytes());
+            for (b, k) in chunk.iter_mut().zip(h.finalize()) {
                 *b ^= k;
             }
         }
     }
 
     fn tag(&self, nonce: u64, aad: &[u8], ciphertext: &[u8]) -> [u8; 32] {
-        let mut data = Vec::with_capacity(8 + 8 + aad.len() + ciphertext.len());
-        data.extend_from_slice(&nonce.to_le_bytes());
+        let mut h = self.mac.begin();
+        h.update(&nonce.to_le_bytes());
         // Length-prefix the AAD so (aad, ct) boundaries are unambiguous.
-        data.extend_from_slice(&(aad.len() as u64).to_le_bytes());
-        data.extend_from_slice(aad);
-        data.extend_from_slice(ciphertext);
-        hmac_sha256(&self.mac, &data)
+        h.update(&(aad.len() as u64).to_le_bytes());
+        h.update(aad);
+        h.update(ciphertext);
+        h.finalize()
     }
 }
 
@@ -101,7 +101,10 @@ impl AeadKey {
 /// counter). `aad` is authenticated but not encrypted. Returns
 /// `ciphertext ‖ tag`.
 pub fn seal(key: &AeadKey, nonce: u64, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-    let mut out = plaintext.to_vec();
+    // Room for the tag up front, so appending it never reallocates (and
+    // re-copies) a large ciphertext.
+    let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+    out.extend_from_slice(plaintext);
     key.xor_keystream(nonce, &mut out);
     let tag = key.tag(nonce, aad, &out);
     out.extend_from_slice(&tag);

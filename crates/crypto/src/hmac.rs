@@ -4,37 +4,89 @@
 //! reserving (slower) signatures for inter-replica messages; we reproduce
 //! that split. [`MacKey`] wraps the shared secret between one client and
 //! the Execution compartments.
+//!
+//! There is one implementation, keyed once: a private `Pads` holds the SHA-256
+//! chaining values after the `key ⊕ ipad` and `key ⊕ opad` blocks, so a
+//! tag costs the message's own blocks plus one outer block — two
+//! compressions for a short message instead of four or five. [`MacKey`]
+//! computes its pads at construction; [`hmac_sha256`], [`MacKey::tag`] and
+//! the AEAD tag all run through the incremental [`Hmac`].
 
-use crate::sha256::{sha256, Sha256};
+use crate::sha256::{sha256, Sha256, State, BLOCK};
 
-const BLOCK: usize = 64;
+/// A key's two pre-absorbed pad blocks.
+#[derive(Clone, PartialEq, Eq)]
+struct Pads {
+    inner: State,
+    outer: State,
+}
+
+impl Pads {
+    fn new(key: &[u8]) -> Self {
+        // Keys longer than the block size are hashed first, per RFC 2104.
+        let mut k = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            k[..32].copy_from_slice(&sha256(key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let absorb = |pad: u8| {
+            let mut h = Sha256::new();
+            h.update(&k.map(|b| b ^ pad));
+            h.midstate()
+        };
+        Pads { inner: absorb(0x36), outer: absorb(0x5c) }
+    }
+
+    fn begin(&self) -> Hmac {
+        Hmac { inner: Sha256::resume(self.inner, BLOCK as u64), outer: self.outer }
+    }
+}
+
+/// Incremental HMAC-SHA-256: feed the message in pieces, then
+/// [`finalize`](Hmac::finalize).
+///
+/// # Example
+///
+/// ```
+/// use splitbft_crypto::hmac::{hmac_sha256, Hmac};
+///
+/// let mut h = Hmac::new(b"key");
+/// h.update(b"hello ");
+/// h.update(b"world");
+/// assert_eq!(h.finalize(), hmac_sha256(b"key", b"hello world"));
+/// ```
+#[derive(Clone)]
+pub struct Hmac {
+    inner: Sha256,
+    outer: State,
+}
+
+impl Hmac {
+    /// Starts a MAC under raw key bytes. Holders of a [`MacKey`] use
+    /// [`MacKey::begin`], which skips the two pad blocks.
+    pub fn new(key: &[u8]) -> Self {
+        Pads::new(key).begin()
+    }
+
+    /// Absorbs `data` into the MAC.
+    pub fn update(&mut self, data: &[u8]) {
+        self.inner.update(data);
+    }
+
+    /// Completes the MAC and returns the 32-byte tag.
+    pub fn finalize(self) -> [u8; 32] {
+        let mut outer = Sha256::resume(self.outer, BLOCK as u64);
+        outer.update(&self.inner.finalize());
+        outer.finalize()
+    }
+}
 
 /// Computes `HMAC-SHA256(key, data)`.
 pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
-    // Keys longer than the block size are hashed first, per RFC 2104.
-    let mut k = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        k[..32].copy_from_slice(&sha256(key));
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-
-    let mut ipad = [0x36u8; BLOCK];
-    let mut opad = [0x5cu8; BLOCK];
-    for i in 0..BLOCK {
-        ipad[i] ^= k[i];
-        opad[i] ^= k[i];
-    }
-
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(data);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    let mut h = Hmac::new(key);
+    h.update(data);
+    h.finalize()
 }
 
 /// Constant-time byte-slice comparison.
@@ -74,9 +126,12 @@ pub fn verify_tag_batch(pairs: impl IntoIterator<Item = ([u8; 32], [u8; 32])>) -
 }
 
 /// A symmetric MAC key shared between a client and the Execution
-/// compartments.
+/// compartments, with its HMAC pads pre-absorbed.
 #[derive(Clone, PartialEq, Eq)]
-pub struct MacKey([u8; 32]);
+pub struct MacKey {
+    bytes: [u8; 32],
+    pads: Pads,
+}
 
 impl std::fmt::Debug for MacKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -88,19 +143,26 @@ impl std::fmt::Debug for MacKey {
 impl MacKey {
     /// Wraps raw key bytes.
     pub fn new(bytes: [u8; 32]) -> Self {
-        MacKey(bytes)
+        MacKey { bytes, pads: Pads::new(&bytes) }
     }
 
     /// Derives a per-client key deterministically from a seed — used by the
     /// simulated key-distribution step (in the paper, keys are installed
     /// during attestation).
     pub fn derive(master: &[u8], context: &[u8]) -> Self {
-        MacKey(hmac_sha256(master, context))
+        MacKey::new(hmac_sha256(master, context))
+    }
+
+    /// Starts an incremental MAC under this key.
+    pub fn begin(&self) -> Hmac {
+        self.pads.begin()
     }
 
     /// Tags `data`.
     pub fn tag(&self, data: &[u8]) -> [u8; 32] {
-        hmac_sha256(&self.0, data)
+        let mut h = self.begin();
+        h.update(data);
+        h.finalize()
     }
 
     /// Verifies a tag in constant time.
@@ -111,7 +173,7 @@ impl MacKey {
 
     /// Exposes the raw bytes (needed to seal the key into an enclave).
     pub fn as_bytes(&self) -> &[u8; 32] {
-        &self.0
+        &self.bytes
     }
 }
 
@@ -155,6 +217,22 @@ mod tests {
     }
 
     #[test]
+    fn rfc4231_case_4_counting_key() {
+        let key: Vec<u8> = (1..=25u8).collect();
+        let tag = hmac_sha256(&key, &[0xcdu8; 50]);
+        assert_eq!(
+            hex(&tag),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+        );
+    }
+
+    #[test]
+    fn rfc4231_case_5_truncated() {
+        let tag = hmac_sha256(&[0x0cu8; 20], b"Test With Truncation");
+        assert_eq!(hex(&tag[..16]), "a3b6167473100ee06e0c796c2955552b");
+    }
+
+    #[test]
     fn rfc4231_case_6_long_key() {
         let key = [0xaau8; 131];
         let tag = hmac_sha256(&key, b"Test Using Larger Than Block-Size Key - Hash Key First");
@@ -162,6 +240,37 @@ mod tests {
             hex(&tag),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
+    }
+
+    #[test]
+    fn rfc4231_case_7_long_key_long_data() {
+        let key = [0xaau8; 131];
+        let tag = hmac_sha256(
+            &key,
+            b"This is a test using a larger than block-size key and a larger than \
+              block-size data. The key needs to be hashed before being used by the HMAC \
+              algorithm.",
+        );
+        assert_eq!(
+            hex(&tag),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+        );
+    }
+
+    #[test]
+    fn keyed_state_matches_raw_key_at_every_length_and_split() {
+        let key = MacKey::new([0x5au8; 32]);
+        let data: Vec<u8> = (0..200u8).collect();
+        for len in [0, 1, 55, 56, 63, 64, 65, 119, 120, 128, 200] {
+            let expect = hmac_sha256(key.as_bytes(), &data[..len]);
+            assert_eq!(key.tag(&data[..len]), expect, "len {len}");
+            for split in [0, len / 3, len] {
+                let mut h = key.begin();
+                h.update(&data[..split]);
+                h.update(&data[split..len]);
+                assert_eq!(h.finalize(), expect, "len {len}, split {split}");
+            }
+        }
     }
 
     #[test]

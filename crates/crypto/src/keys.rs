@@ -7,25 +7,23 @@
 //! known to all participants. [`KeyRegistry`] models that public knowledge;
 //! secret keys live inside the enclaves (see `splitbft-tee`).
 
-use crate::sig::{SecretKey, SigPublicKey};
+use crate::hmac::{verify_tag_batch, MacKey};
+use crate::sig::{SecretKey, SigPublicKey, VerifyingKey};
 use splitbft_types::message::MessagePayload;
-use splitbft_types::{ProtocolError, PublicKey, Signature, Signed, SignerId};
+use splitbft_types::{ClientId, ProtocolError, PublicKey, Signature, Signed, SignerId};
 use std::collections::HashMap;
 
 /// A signing key pair.
 #[derive(Debug, Clone)]
 pub struct KeyPair {
     secret: SecretKey,
-    public: SigPublicKey,
 }
 
 impl KeyPair {
     /// Deterministically derives a key pair from a seed (the simulated
     /// provisioning step).
     pub fn from_seed(seed: u64) -> Self {
-        let secret = SecretKey::from_seed(seed);
-        let public = secret.public();
-        KeyPair { secret, public }
+        KeyPair { secret: SecretKey::from_seed(seed) }
     }
 
     /// Derives the canonical key pair for a signer identity under a
@@ -45,7 +43,7 @@ impl KeyPair {
 
     /// This pair's public key in wire form.
     pub fn public_key(&self) -> PublicKey {
-        self.public.to_wire()
+        self.secret.public().to_wire()
     }
 
     /// Signs raw bytes.
@@ -75,10 +73,127 @@ impl KeyPair {
 /// SplitBFT: the Execution compartments). In the paper this key is
 /// installed during attestation; simulated deployments derive it from the
 /// cluster master seed so that both sides can compute it.
-pub fn client_mac_key(master_seed: u64, client: splitbft_types::ClientId) -> crate::hmac::MacKey {
-    let mut context = b"client-mac:".to_vec();
-    context.extend_from_slice(&client.0.to_le_bytes());
-    crate::hmac::MacKey::derive(&master_seed.to_le_bytes(), &context)
+///
+/// A derivation is a full HMAC plus the new key's two pad blocks; parties
+/// that authenticate the same clients over and over keep the result in a
+/// [`ClientMacKeys`].
+pub fn client_mac_key(master_seed: u64, client: ClientId) -> MacKey {
+    const LABEL: &[u8; 11] = b"client-mac:";
+    let mut context = [0u8; LABEL.len() + 4];
+    context[..LABEL.len()].copy_from_slice(LABEL);
+    context[LABEL.len()..].copy_from_slice(&client.0.to_le_bytes());
+    MacKey::derive(&master_seed.to_le_bytes(), &context)
+}
+
+/// One party's memory of the client MAC keys it has seen work.
+///
+/// Every replica-side authenticator (each SplitBFT compartment, a PBFT or
+/// hybrid replica) owns its own instance — there is no shared or global
+/// state, so compartments stay isolated. A key enters the map only after
+/// a MAC from that client verified under it, so forged traffic from made-up
+/// client ids cannot grow it, and it never holds more than
+/// [`CAPACITY`](ClientMacKeys::CAPACITY) keys.
+#[derive(Debug, Clone)]
+pub struct ClientMacKeys {
+    master_seed: u64,
+    verified: HashMap<ClientId, MacKey>,
+}
+
+impl ClientMacKeys {
+    /// Most keys one instance keeps. A verified client arriving at a full
+    /// map empties it first: live clients re-enter on their next request,
+    /// departed ones do not.
+    pub const CAPACITY: usize = 1024;
+
+    /// An empty cache deriving from `master_seed`.
+    pub fn new(master_seed: u64) -> Self {
+        ClientMacKeys { master_seed, verified: HashMap::new() }
+    }
+
+    /// `client`'s key: the remembered one, else derived on the spot (and
+    /// not remembered — only a verified MAC earns a slot).
+    pub fn key(&self, client: ClientId) -> MacKey {
+        match self.verified.get(&client) {
+            Some(key) => key.clone(),
+            None => client_mac_key(self.master_seed, client),
+        }
+    }
+
+    /// Verifies `tag` over `data` under `client`'s key in constant time,
+    /// remembering the key if it verifies.
+    #[must_use]
+    pub fn verify(&mut self, client: ClientId, data: &[u8], tag: &[u8; 32]) -> bool {
+        if let Some(key) = self.verified.get(&client) {
+            return key.verify(data, tag);
+        }
+        let key = client_mac_key(self.master_seed, client);
+        let ok = key.verify(data, tag);
+        if ok {
+            self.remember(client, key);
+        }
+        ok
+    }
+
+    /// Verifies a batch of `(client, data, claimed tag)` with a single
+    /// constant-time comparison ([`verify_tag_batch`]): all or nothing, so
+    /// the keys derived along the way are remembered only if every tag
+    /// matched.
+    #[must_use]
+    pub fn verify_batch<D: AsRef<[u8]>>(
+        &mut self,
+        items: impl IntoIterator<Item = (ClientId, D, [u8; 32])>,
+    ) -> bool {
+        let mut derived: Vec<(ClientId, MacKey)> = Vec::new();
+        let ok = verify_tag_batch(items.into_iter().map(|(client, data, claimed)| {
+            let expected = match self.verified.get(&client) {
+                Some(key) => key.tag(data.as_ref()),
+                None => {
+                    let key = client_mac_key(self.master_seed, client);
+                    let tag = key.tag(data.as_ref());
+                    derived.push((client, key));
+                    tag
+                }
+            };
+            (expected, claimed)
+        }));
+        if ok {
+            for (client, key) in derived {
+                self.remember(client, key);
+            }
+        }
+        ok
+    }
+
+    fn remember(&mut self, client: ClientId, key: MacKey) {
+        if self.verified.len() >= Self::CAPACITY && !self.verified.contains_key(&client) {
+            self.verified.clear();
+        }
+        self.verified.insert(client, key);
+    }
+
+    /// Number of remembered keys.
+    pub fn len(&self) -> usize {
+        self.verified.len()
+    }
+
+    /// `true` if no key is remembered.
+    pub fn is_empty(&self) -> bool {
+        self.verified.is_empty()
+    }
+
+    /// Approximate heap usage, for the owners' EPC accounting.
+    pub fn memory_usage(&self) -> usize {
+        self.verified.capacity() * std::mem::size_of::<(ClientId, MacKey)>()
+    }
+}
+
+/// A registered key: the wire form as registered, and — unless it is
+/// malformed, in which case nothing verifies under it — the parsed key
+/// with its power table, so verification neither re-parses nor squares.
+#[derive(Debug, Clone)]
+struct RegisteredKey {
+    wire: PublicKey,
+    verifying: Option<VerifyingKey>,
 }
 
 /// The cluster-wide registry of public keys, indexed by signer identity.
@@ -87,7 +202,7 @@ pub fn client_mac_key(master_seed: u64, client: splitbft_types::ClientId) -> cra
 /// provisioning time; verification then needs only the registry.
 #[derive(Debug, Clone, Default)]
 pub struct KeyRegistry {
-    keys: HashMap<SignerId, PublicKey>,
+    keys: HashMap<SignerId, RegisteredKey>,
 }
 
 impl KeyRegistry {
@@ -98,12 +213,13 @@ impl KeyRegistry {
 
     /// Registers (or replaces) `signer`'s public key.
     pub fn register(&mut self, signer: SignerId, key: PublicKey) {
-        self.keys.insert(signer, key);
+        let verifying = SigPublicKey::from_wire(&key).map(VerifyingKey::new);
+        self.keys.insert(signer, RegisteredKey { wire: key, verifying });
     }
 
     /// Looks up a signer's public key.
     pub fn get(&self, signer: SignerId) -> Option<&PublicKey> {
-        self.keys.get(&signer)
+        self.keys.get(&signer).map(|k| &k.wire)
     }
 
     /// Number of registered keys.
@@ -127,14 +243,12 @@ impl KeyRegistry {
         &self,
         msg: &Signed<T>,
     ) -> Result<(), ProtocolError> {
-        let pk = self
-            .get(msg.signer)
-            .ok_or(ProtocolError::BadAuthenticator { kind: std::any::type_name::<T>() })?;
-        let bytes = Signed::signing_bytes(&msg.payload);
-        if KeyPair::verify(pk, &bytes, &msg.signature) {
+        let bad = || ProtocolError::BadAuthenticator { kind: std::any::type_name::<T>() };
+        let key = self.keys.get(&msg.signer).and_then(|k| k.verifying.as_ref()).ok_or_else(bad)?;
+        if key.verify(&Signed::signing_bytes(&msg.payload), &msg.signature) {
             Ok(())
         } else {
-            Err(ProtocolError::BadAuthenticator { kind: std::any::type_name::<T>() })
+            Err(bad())
         }
     }
 
@@ -225,6 +339,83 @@ mod tests {
             let kp = KeyPair::for_signer(7, s);
             assert_eq!(reg.get(s), Some(&kp.public_key()));
         }
+    }
+
+    #[test]
+    fn registry_never_verifies_under_a_malformed_key() {
+        let signer = SignerId::Replica(ReplicaId(1));
+        let kp = KeyPair::for_signer(99, signer);
+        let mut reg = KeyRegistry::new();
+        let mut malformed = kp.public_key();
+        malformed.0[20] = 1; // non-canonical padding
+        reg.register(signer, malformed);
+        assert_eq!(reg.get(signer), Some(&malformed));
+        assert!(reg.verify_signed(&kp.sign_payload(prepare(1), signer)).is_err());
+    }
+
+    const SEED: u64 = 5;
+
+    #[test]
+    fn client_keys_are_remembered_only_after_a_verified_mac() {
+        let mut keys = ClientMacKeys::new(SEED);
+        let good = client_mac_key(SEED, ClientId(3)).tag(b"request");
+        assert!(keys.is_empty());
+        assert!(!keys.verify(ClientId(3), b"request", &[0u8; 32]));
+        assert!(!keys.verify(ClientId(4), b"request", &good));
+        assert!(keys.is_empty());
+        assert!(keys.verify(ClientId(3), b"request", &good));
+        assert_eq!(keys.len(), 1);
+        // A remembered key still rejects forgeries, and `key` serves both
+        // remembered and unknown clients without remembering the latter.
+        assert!(!keys.verify(ClientId(3), b"tampered", &good));
+        assert_eq!(keys.key(ClientId(3)), client_mac_key(SEED, ClientId(3)));
+        assert_eq!(keys.key(ClientId(9)), client_mac_key(SEED, ClientId(9)));
+        assert_eq!(keys.len(), 1);
+    }
+
+    #[test]
+    fn forged_requests_from_ten_thousand_client_ids_leave_the_cache_empty() {
+        let mut keys = ClientMacKeys::new(SEED);
+        for id in 0..10_000u32 {
+            assert!(!keys.verify(ClientId(id), b"request", &[id as u8; 32]));
+        }
+        let forged_batch = (0..10_000u32).map(|id| (ClientId(id), b"request", [id as u8; 32]));
+        assert!(!keys.verify_batch(forged_batch));
+        assert!(keys.is_empty());
+        assert_eq!(keys.memory_usage(), 0);
+    }
+
+    #[test]
+    fn client_key_cache_never_exceeds_its_capacity() {
+        let mut keys = ClientMacKeys::new(SEED);
+        for id in 0..3 * ClientMacKeys::CAPACITY as u32 {
+            let tag = client_mac_key(SEED, ClientId(id)).tag(b"request");
+            assert!(keys.verify(ClientId(id), b"request", &tag));
+            assert!(keys.len() <= ClientMacKeys::CAPACITY);
+        }
+        assert!(!keys.is_empty());
+        assert!(keys.memory_usage() >= keys.len() * std::mem::size_of::<MacKey>());
+    }
+
+    #[test]
+    fn batch_verification_is_all_or_nothing() {
+        let request = |id: u32| {
+            let data = id.to_le_bytes();
+            (ClientId(id), data, client_mac_key(SEED, ClientId(id)).tag(&data))
+        };
+        let mut keys = ClientMacKeys::new(SEED);
+        let mut batch: Vec<_> = (0..8).map(request).collect();
+        batch[5].2[0] ^= 1;
+        assert!(!keys.verify_batch(batch.clone()));
+        assert!(keys.is_empty());
+        batch[5] = request(5);
+        assert!(keys.verify_batch(batch.clone()));
+        assert_eq!(keys.len(), 8);
+        // Remembered keys give the same verdicts.
+        assert!(keys.verify_batch(batch.clone()));
+        batch[0].2[31] ^= 0x80;
+        assert!(!keys.verify_batch(batch));
+        assert!(keys.verify_batch(std::iter::empty::<(ClientId, [u8; 4], [u8; 32])>()));
     }
 
     #[test]

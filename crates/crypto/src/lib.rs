@@ -5,14 +5,28 @@
 //! code paths with self-contained implementations:
 //!
 //! - [`sha256`] — a from-scratch FIPS 180-4 SHA-256 (checked against NIST
-//!   test vectors in the unit tests),
-//! - [`hmac`] — HMAC-SHA-256 (RFC 2104),
+//!   test vectors in the unit tests) with two interchangeable compression
+//!   kernels: portable scalar Rust and the x86-64 SHA extensions, picked
+//!   by CPU detection alone,
+//! - [`hmac`] — HMAC-SHA-256 (RFC 2104) with the key's pad blocks absorbed
+//!   once, at key construction,
 //! - [`sig`] — a Schnorr-style signature scheme over a small prime-order
-//!   group,
+//!   group, division-free and table-driven for fixed bases,
 //! - [`aead`] — an encrypt-then-MAC authenticated cipher used for client
 //!   request confidentiality and enclave sealing,
-//! - [`keys`] — key pairs, the public-key registry, and helpers to sign and
-//!   verify [`Signed`](splitbft_types::Signed) protocol messages.
+//! - [`keys`] — key pairs, the public-key registry, the per-party cache of
+//!   verified client MAC keys, and helpers to sign and verify
+//!   [`Signed`](splitbft_types::Signed) protocol messages.
+//!
+//! # `unsafe` policy
+//!
+//! The crate is `#![deny(unsafe_code)]` with exactly one scoped
+//! `#[allow]`: the private `sha256::shani` module, which needs `unsafe`
+//! for the `#[target_feature]` call and the unaligned SIMD loads and
+//! stores. Its safety argument (feature detected before every call,
+//! unaligned accesses only, block length carried by the type) is in that
+//! module's docs. Everything else here, and every other crate of the
+//! workspace, is safe Rust.
 //!
 //! # Security status
 //!
@@ -37,7 +51,7 @@
 //! assert_eq!(d, digest_bytes(b"hello"));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aead;
@@ -50,9 +64,9 @@ use splitbft_types::wire::Encode;
 use splitbft_types::Digest;
 
 pub use aead::{open, seal, AeadError, AeadKey};
-pub use hmac::{hmac_sha256, verify_tag_batch, MacKey};
-pub use keys::{client_mac_key, KeyPair, KeyRegistry};
-pub use sig::{dh_public, dh_shared, SecretKey, SigPublicKey};
+pub use hmac::{hmac_sha256, verify_tag_batch, Hmac, MacKey};
+pub use keys::{client_mac_key, ClientMacKeys, KeyPair, KeyRegistry};
+pub use sig::{dh_public, dh_shared, SecretKey, SigPublicKey, VerifyingKey};
 
 /// SHA-256 digest of raw bytes, as a [`Digest`].
 pub fn digest_bytes(bytes: &[u8]) -> Digest {

@@ -26,24 +26,79 @@ pub const Q: u64 = P - 1;
 /// The generator.
 pub const G: u64 = 3;
 
+/// `a · b mod P` for operands already reduced (`≤ P`).
+///
+/// `P = 2^61 − 1`, so `2^61 ≡ 1`: the 122-bit product folds to its low 61
+/// bits plus its high bits, and one conditional subtraction finishes the
+/// reduction — no division.
 #[inline]
-fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
-    ((a as u128 * b as u128) % m as u128) as u64
+const fn mul_mod(a: u64, b: u64) -> u64 {
+    debug_assert!(a <= P && b <= P);
+    let x = a as u128 * b as u128;
+    // lo ≤ P and hi < P − 1, so the sum is below 2P.
+    let r = (x as u64 & P) + (x >> 61) as u64;
+    if r >= P {
+        r - P
+    } else {
+        r
+    }
 }
 
-/// Modular exponentiation by squaring.
-pub fn pow_mod(mut base: u64, mut exp: u64, m: u64) -> u64 {
+/// `base^exp mod P` by squaring — the variable-base path. Repeated
+/// exponentiation of one base goes through a fixed-base table instead.
+pub fn pow_mod(base: u64, mut exp: u64) -> u64 {
+    let mut base = base % P;
     let mut acc: u64 = 1;
-    base %= m;
     while exp > 0 {
         if exp & 1 == 1 {
-            acc = mul_mod(acc, base, m);
+            acc = mul_mod(acc, base);
         }
-        base = mul_mod(base, base, m);
+        base = mul_mod(base, base);
         exp >>= 1;
     }
     acc
 }
+
+/// A fixed-base exponentiation table: row `i`, column `d` holds
+/// `base^(d · 16^i) mod P`, so any 64-bit power of the base is sixteen
+/// multiplications and no squaring (about a sixth of [`pow_mod`]'s work).
+/// 2 KiB per base: one static table for [`G`], one per registered
+/// verification key.
+#[derive(Clone)]
+struct FixedBase([[u64; 16]; 16]);
+
+impl FixedBase {
+    const fn new(base: u64) -> Self {
+        let mut table = [[1u64; 16]; 16];
+        let mut window_base = base % P; // base^(16^i)
+        let mut i = 0;
+        while i < 16 {
+            // The running power stays in a local: reading it back through
+            // `table[i][d - 1]` sent LLVM into minutes of compile time.
+            let mut power = 1; // window_base^d
+            let mut d = 1;
+            while d < 16 {
+                power = mul_mod(power, window_base);
+                table[i][d] = power;
+                d += 1;
+            }
+            window_base = mul_mod(power, window_base);
+            i += 1;
+        }
+        FixedBase(table)
+    }
+
+    fn pow(&self, exp: u64) -> u64 {
+        let mut acc = 1;
+        for (i, row) in self.0.iter().enumerate() {
+            acc = mul_mod(acc, row[(exp >> (4 * i)) as usize & 15]);
+        }
+        acc
+    }
+}
+
+/// Powers of the generator, built at compile time.
+static G_POWERS: FixedBase = FixedBase::new(G);
 
 fn hash_to_scalar(parts: &[&[u8]]) -> u64 {
     let mut h = Sha256::new();
@@ -65,17 +120,20 @@ fn hash_to_scalar(parts: &[&[u8]]) -> u64 {
 /// shared secret to wrap the session key. Simulation-grade, like the
 /// signatures.
 pub fn dh_public(secret: u64) -> u64 {
-    pow_mod(G, secret % Q, P)
+    G_POWERS.pow(secret % Q)
 }
 
 /// The DH shared secret `other^secret mod p`.
 pub fn dh_shared(secret: u64, other_public: u64) -> u64 {
-    pow_mod(other_public, secret % Q, P)
+    pow_mod(other_public, secret % Q)
 }
 
-/// A secret signing key.
+/// A secret signing key, kept with the public key it determines.
 #[derive(Clone, PartialEq, Eq)]
-pub struct SecretKey(u64);
+pub struct SecretKey {
+    scalar: u64,
+    public: SigPublicKey,
+}
 
 impl std::fmt::Debug for SecretKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -88,28 +146,58 @@ impl SecretKey {
     /// simulated provisioning step (in the paper each enclave generates its
     /// key pair at attestation time).
     pub fn from_seed(seed: u64) -> Self {
-        SecretKey(hash_to_scalar(&[b"splitbft-sk", &seed.to_le_bytes()]))
+        let scalar = hash_to_scalar(&[b"splitbft-sk", &seed.to_le_bytes()]);
+        SecretKey { scalar, public: SigPublicKey(G_POWERS.pow(scalar)) }
     }
 
     /// The matching public key `g^sk mod p`.
     pub fn public(&self) -> SigPublicKey {
-        SigPublicKey(pow_mod(G, self.0, P))
+        self.public
     }
 
     /// Signs `msg`, producing a deterministic Schnorr signature.
     pub fn sign(&self, msg: &[u8]) -> Signature {
-        let pk = self.public();
         // Deterministic nonce: k = H(sk, msg). Reusing k across messages
         // would leak sk in a real scheme, so derive it from both.
-        let k = hash_to_scalar(&[b"splitbft-nonce", &self.0.to_le_bytes(), msg]);
-        let r = pow_mod(G, k, P);
-        let e = hash_to_scalar(&[b"splitbft-chal", &r.to_le_bytes(), &pk.0.to_le_bytes(), msg]);
-        let s = (k as u128 + mul_mod(e, self.0, Q) as u128) % Q as u128;
+        let k = hash_to_scalar(&[b"splitbft-nonce", &self.scalar.to_le_bytes(), msg]);
+        let r = G_POWERS.pow(k);
+        let e = challenge(r, self.public, msg);
+        let s = (k as u128 + e as u128 * self.scalar as u128) % Q as u128;
         let mut out = [0u8; 64];
         out[..8].copy_from_slice(&e.to_le_bytes());
         out[8..16].copy_from_slice(&(s as u64).to_le_bytes());
         Signature(out)
     }
+}
+
+/// The Schnorr challenge `e = H(r, pk, msg)`.
+fn challenge(r: u64, pk: SigPublicKey, msg: &[u8]) -> u64 {
+    hash_to_scalar(&[b"splitbft-chal", &r.to_le_bytes(), &pk.0.to_le_bytes(), msg])
+}
+
+/// Verifies `sig` over `msg` under `pk`, with `pk_pow(x)` computing
+/// `pk^x mod P` — by squaring for a one-off key, from a table for a
+/// [`VerifyingKey`].
+fn verify_with(
+    pk: SigPublicKey,
+    pk_pow: impl FnOnce(u64) -> u64,
+    msg: &[u8],
+    sig: &Signature,
+) -> bool {
+    if pk.0 == 0 || pk.0 >= P {
+        return false;
+    }
+    let e = u64::from_le_bytes(sig.0[..8].try_into().expect("8 bytes"));
+    let s = u64::from_le_bytes(sig.0[8..16].try_into().expect("8 bytes"));
+    if e == 0 || e >= Q || s >= Q {
+        return false;
+    }
+    if sig.0[16..].iter().any(|&b| b != 0) {
+        return false; // non-canonical padding
+    }
+    // r' = g^s * pk^(-e) = g^s * pk^(Q - e)
+    let r = mul_mod(G_POWERS.pow(s), pk_pow(Q - e));
+    e == challenge(r, pk, msg)
 }
 
 /// A public verification key.
@@ -124,21 +212,7 @@ impl SigPublicKey {
     /// input.
     #[must_use]
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
-        if self.0 == 0 || self.0 >= P {
-            return false;
-        }
-        let e = u64::from_le_bytes(sig.0[..8].try_into().expect("8 bytes"));
-        let s = u64::from_le_bytes(sig.0[8..16].try_into().expect("8 bytes"));
-        if e == 0 || e >= Q || s >= Q {
-            return false;
-        }
-        if sig.0[16..].iter().any(|&b| b != 0) {
-            return false; // non-canonical padding
-        }
-        // r' = g^s * pk^(-e) = g^s * pk^(Q - e)
-        let r = mul_mod(pow_mod(G, s, P), pow_mod(self.0, Q - e, P), P);
-        let e2 = hash_to_scalar(&[b"splitbft-chal", &r.to_le_bytes(), &self.0.to_le_bytes(), msg]);
-        e == e2
+        verify_with(*self, |x| pow_mod(self.0, x), msg, sig)
     }
 
     /// Packs into the opaque wire representation.
@@ -161,6 +235,40 @@ impl SigPublicKey {
             return None;
         }
         Some(SigPublicKey(v))
+    }
+}
+
+/// A public key prepared for many verifications: it carries the table of
+/// its own powers, so each [`verify`](VerifyingKey::verify) replaces the
+/// ~90 multiplications of `pk^(Q−e)` by 16. What
+/// [`KeyRegistry`](crate::KeyRegistry) stores.
+#[derive(Clone)]
+pub struct VerifyingKey {
+    key: SigPublicKey,
+    powers: Box<FixedBase>,
+}
+
+impl std::fmt::Debug for VerifyingKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("VerifyingKey").field(&self.key).finish()
+    }
+}
+
+impl VerifyingKey {
+    /// Builds the power table for `key` (≈ 250 multiplications).
+    pub fn new(key: SigPublicKey) -> Self {
+        VerifyingKey { key, powers: Box::new(FixedBase::new(key.0)) }
+    }
+
+    /// The plain public key.
+    pub fn key(&self) -> SigPublicKey {
+        self.key
+    }
+
+    /// Verifies `sig` over `msg`; same verdict as [`SigPublicKey::verify`].
+    #[must_use]
+    pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
+        verify_with(self.key, |x| self.powers.pow(x), msg, sig)
     }
 }
 
@@ -234,12 +342,77 @@ mod tests {
         assert_eq!(SigPublicKey::from_wire(&zero), None);
     }
 
+    /// The parent implementation: `u128 %`, any modulus.
+    fn mul_ref(a: u64, b: u64) -> u64 {
+        ((a as u128 * b as u128) % P as u128) as u64
+    }
+
+    fn pow_ref(mut base: u64, mut exp: u64) -> u64 {
+        let mut acc = 1;
+        base %= P;
+        while exp > 0 {
+            if exp & 1 == 1 {
+                acc = mul_ref(acc, base);
+            }
+            base = mul_ref(base, base);
+            exp >>= 1;
+        }
+        acc
+    }
+
+    fn next(rng: &mut u64) -> u64 {
+        *rng ^= *rng >> 12;
+        *rng ^= *rng << 25;
+        *rng ^= *rng >> 27;
+        rng.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    }
+
     #[test]
-    fn pow_mod_small_cases() {
-        assert_eq!(pow_mod(2, 10, 1_000_000_007), 1024);
-        assert_eq!(pow_mod(3, 0, 97), 1);
-        assert_eq!(pow_mod(5, 96, 97), 1); // Fermat
-        assert_eq!(pow_mod(G, Q, P), 1); // group order
+    fn mul_mod_matches_division_on_edge_and_random_operands() {
+        let edges = [0, 1, 2, P - 2, P - 1, P, 1 << 60, (1 << 60) + 1];
+        for a in edges {
+            for b in edges {
+                assert_eq!(mul_mod(a, b), mul_ref(a, b), "{a} * {b}");
+            }
+        }
+        let mut rng = 0x1234_5678_9abc_def1u64;
+        for _ in 0..100_000 {
+            let (a, b) = (next(&mut rng) % P, next(&mut rng) % P);
+            assert_eq!(mul_mod(a, b), mul_ref(a, b), "{a} * {b}");
+        }
+    }
+
+    #[test]
+    fn pow_mod_and_fixed_base_match_division_reference() {
+        assert_eq!(pow_mod(2, 10), 1024);
+        assert_eq!(pow_mod(3, 0), 1);
+        assert_eq!(pow_mod(G, Q), 1); // group order
+        let g = FixedBase::new(G);
+        let mut rng = 0xfeed_f00d_dead_beefu64;
+        let edges = [0, 1, P - 1, P, u64::MAX];
+        for round in 0..2_000 {
+            let base = if round < 25 { edges[round % 5] } else { next(&mut rng) };
+            let exp = if round < 25 { edges[round / 5] } else { next(&mut rng) };
+            assert_eq!(pow_mod(base, exp), pow_ref(base, exp), "{base}^{exp}");
+            assert_eq!(FixedBase::new(base).pow(exp), pow_ref(base, exp), "table {base}^{exp}");
+            assert_eq!(g.pow(exp), pow_ref(G, exp), "G^{exp}");
+        }
+    }
+
+    #[test]
+    fn verifying_key_gives_the_same_verdicts() {
+        let sk = SecretKey::from_seed(11);
+        let prepared = VerifyingKey::new(sk.public());
+        assert_eq!(prepared.key(), sk.public());
+        let sig = sk.sign(b"message");
+        assert!(prepared.verify(b"message", &sig));
+        assert!(!prepared.verify(b"other", &sig));
+        let mut bad = sig;
+        bad.0[9] ^= 4;
+        assert_eq!(prepared.verify(b"message", &bad), sk.public().verify(b"message", &bad));
+        assert!(!prepared.verify(b"message", &Signature::ZERO));
+        assert!(!VerifyingKey::new(SigPublicKey(0)).verify(b"message", &sig));
+        assert!(!VerifyingKey::new(SigPublicKey(P)).verify(b"message", &sig));
     }
 
     #[test]

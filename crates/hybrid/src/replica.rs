@@ -4,7 +4,7 @@ use crate::config::HybridConfig;
 use crate::message::{HybridCommit, HybridMessage, HybridPrepare};
 use crate::usig::{UsigTrait, UsigVerifier};
 use splitbft_app::Application;
-use splitbft_crypto::{client_mac_key, digest_bytes, digest_of};
+use splitbft_crypto::{digest_bytes, digest_of, ClientMacKeys};
 use splitbft_types::wire::{Decode, Encode, Reader};
 use splitbft_types::{
     ClientId, Digest, DurableCheckpoint, DurableEvent, ProtocolError, ReplicaId, Reply, Request,
@@ -59,7 +59,8 @@ pub struct HybridReplica<A, U> {
     view: View,
     usig: U,
     verifier: UsigVerifier,
-    auth_seed: u64,
+    /// MAC keys of the clients whose requests verified here before.
+    client_keys: ClientMacKeys,
     slots: BTreeMap<u64, HybridSlot>,
     last_exec: u64,
     app: A,
@@ -83,7 +84,7 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
             view: View::initial(),
             usig,
             verifier,
-            auth_seed: master_seed,
+            client_keys: ClientMacKeys::new(master_seed),
             slots: BTreeMap::new(),
             last_exec: 0,
             app,
@@ -127,9 +128,12 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
         splitbft_crypto::digest_bytes(&self.app.snapshot())
     }
 
-    fn verify_request(&self, req: &Request) -> bool {
-        let key = client_mac_key(self.auth_seed, req.client());
-        key.verify(&Request::auth_bytes(req.id, &req.op, req.encrypted), &req.auth)
+    fn verify_request(&mut self, req: &Request) -> bool {
+        self.client_keys.verify(
+            req.client(),
+            &Request::auth_bytes(req.id, &req.op, req.encrypted),
+            &req.auth,
+        )
     }
 
     /// Primary: order a batch of client requests.
@@ -140,11 +144,12 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
         }
         let fresh: Vec<Request> = requests
             .into_iter()
-            .filter(|r| self.verify_request(r))
             .filter(|r| {
-                self.last_replies
-                    .get(&r.client())
-                    .map_or(true, |cached| cached.request.timestamp < r.id.timestamp)
+                self.verify_request(r)
+                    && self
+                        .last_replies
+                        .get(&r.client())
+                        .map_or(true, |cached| cached.request.timestamp < r.id.timestamp)
             })
             .collect();
         if fresh.is_empty() {
@@ -273,7 +278,7 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
                     _ => {}
                 }
                 let result = self.app.execute(&req.op);
-                let key = client_mac_key(self.auth_seed, client);
+                let key = self.client_keys.key(client);
                 let auth =
                     key.tag(&Reply::auth_bytes(self.view, req.id, self.id, &result, false));
                 let reply = Reply {
@@ -351,7 +356,7 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
             .into_iter()
             .map(|(client, timestamp, result)| {
                 let request = RequestId { client, timestamp };
-                let key = client_mac_key(self.auth_seed, client);
+                let key = self.client_keys.key(client);
                 let auth =
                     key.tag(&Reply::auth_bytes(self.view, request, self.id, &result, false));
                 let reply = Reply {
@@ -417,7 +422,7 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
                 continue;
             }
             let result = self.app.execute(&req.op);
-            let key = client_mac_key(self.auth_seed, client);
+            let key = self.client_keys.key(client);
             let auth = key.tag(&Reply::auth_bytes(self.view, req.id, self.id, &result, false));
             let reply = Reply {
                 view: self.view,
@@ -505,7 +510,7 @@ mod tests {
     fn request(client: u32, ts: u64) -> Request {
         let id = splitbft_types::RequestId { client: ClientId(client), timestamp: Timestamp(ts) };
         let op = Bytes::from_static(b"inc");
-        let key = client_mac_key(SEED, ClientId(client));
+        let key = splitbft_crypto::client_mac_key(SEED, ClientId(client));
         let auth = key.tag(&Request::auth_bytes(id, &op, false));
         Request { id, op, encrypted: false, auth }
     }

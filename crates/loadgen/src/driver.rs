@@ -400,17 +400,18 @@ fn record_completion(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use splitbft_crypto::ClientMacKeys;
     use splitbft_net::tcp::{TcpNode, TcpNodeConfig};
     use splitbft_net::transport::{Protocol, ProtocolOutput};
     use splitbft_types::{ReplicaId, View};
 
     /// A single-"replica" protocol that executes nothing but answers
-    /// every request with a correctly MACed reply, so the quorum
-    /// trackers accept with `reply_quorum = 1`. Exercises the driver
-    /// without standing up a consensus cluster.
+    /// every authentic request with a correctly MACed reply, so the
+    /// quorum trackers accept with `reply_quorum = 1`. Exercises the
+    /// driver without standing up a consensus cluster.
     struct MacEcho {
         id: ReplicaId,
-        seed: u64,
+        client_keys: ClientMacKeys,
     }
 
     impl Protocol for MacEcho {
@@ -423,8 +424,12 @@ mod tests {
         fn on_client_requests(&mut self, requests: Vec<Request>) -> Vec<ProtocolOutput<u64>> {
             requests
                 .into_iter()
-                .map(|r| {
-                    let mac = client_mac_key(self.seed, r.client());
+                .filter_map(|r| {
+                    let signed = Request::auth_bytes(r.id, &r.op, r.encrypted);
+                    if !self.client_keys.verify(r.client(), &signed, &r.auth) {
+                        return None;
+                    }
+                    let mac = self.client_keys.key(r.client());
                     let auth = mac.tag(&Reply::auth_bytes(
                         View(0),
                         r.id,
@@ -432,7 +437,7 @@ mod tests {
                         &r.op,
                         false,
                     ));
-                    ProtocolOutput::Reply {
+                    Some(ProtocolOutput::Reply {
                         to: r.client(),
                         reply: Reply {
                             view: View(0),
@@ -442,7 +447,7 @@ mod tests {
                             encrypted: false,
                             auth,
                         },
-                    }
+                    })
                 })
                 .collect()
         }
@@ -455,7 +460,8 @@ mod tests {
     fn echo_node(seed: u64) -> TcpNode {
         let config =
             TcpNodeConfig::new(ReplicaId(0), "127.0.0.1:0".parse().unwrap(), Vec::new());
-        TcpNode::spawn(config, MacEcho { id: ReplicaId(0), seed }).unwrap()
+        let echo = MacEcho { id: ReplicaId(0), client_keys: ClientMacKeys::new(seed) };
+        TcpNode::spawn(config, echo).unwrap()
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::verify::{
 };
 use crate::viewchange::{plan_new_view, validate_new_view, NewViewPlan, ViewChangeTracker};
 use splitbft_app::Application;
-use splitbft_crypto::{client_mac_key, digest_bytes, digest_of, KeyPair, KeyRegistry};
+use splitbft_crypto::{client_mac_key, digest_bytes, digest_of, ClientMacKeys, KeyPair, KeyRegistry};
 use splitbft_types::wire::{decode, encode, Decode, Encode, Reader};
 use splitbft_types::{
     Checkpoint, CheckpointCertificate, ClientId, ClusterConfig, Commit, ConsensusMessage, Digest,
@@ -88,7 +88,8 @@ pub struct Replica<A> {
     signer: SignerId,
     keypair: KeyPair,
     registry: KeyRegistry,
-    auth_seed: u64,
+    /// MAC keys of the clients whose requests verified here before.
+    client_keys: ClientMacKeys,
     scheme: SignerScheme,
 
     view: View,
@@ -155,7 +156,7 @@ impl<A: Application> Replica<A> {
             signer,
             keypair,
             registry,
-            auth_seed: master_seed,
+            client_keys: ClientMacKeys::new(master_seed),
             scheme: REPLICA_SCHEME,
             view: View::initial(),
             status: Status::Normal,
@@ -227,7 +228,10 @@ impl<A: Application> Replica<A> {
 
     /// Approximate memory in use by protocol state (for EPC accounting).
     pub fn memory_usage(&self) -> usize {
-        self.log.len() * 512 + self.app.memory_usage() + self.last_replies.len() * 128
+        self.log.len() * 512
+            + self.app.memory_usage()
+            + self.last_replies.len() * 128
+            + self.client_keys.memory_usage()
     }
 
     /// `true` while an authenticated client request has been accepted
@@ -487,9 +491,12 @@ impl<A: Application> Replica<A> {
 
     // --- normal operation ------------------------------------------------
 
-    fn verify_request(&self, req: &Request) -> bool {
-        let key = client_mac_key(self.auth_seed, req.client());
-        key.verify(&Request::auth_bytes(req.id, &req.op, req.encrypted), &req.auth)
+    fn verify_request(&mut self, req: &Request) -> bool {
+        self.client_keys.verify(
+            req.client(),
+            &Request::auth_bytes(req.id, &req.op, req.encrypted),
+            &req.auth,
+        )
     }
 
     /// Authenticates every request in a proposed batch at once: the
@@ -497,10 +504,9 @@ impl<A: Application> Replica<A> {
     /// to a single constant-time digest comparison
     /// ([`splitbft_crypto::verify_tag_batch`]) — the whole batch is
     /// rejected on any failure, so no per-request verdict is needed.
-    fn verify_request_batch(&self, requests: &[Request]) -> bool {
-        splitbft_crypto::verify_tag_batch(requests.iter().map(|req| {
-            let key = client_mac_key(self.auth_seed, req.client());
-            (key.tag(&Request::auth_bytes(req.id, &req.op, req.encrypted)), req.auth)
+    fn verify_request_batch(&mut self, requests: &[Request]) -> bool {
+        self.client_keys.verify_batch(requests.iter().map(|req| {
+            (req.client(), Request::auth_bytes(req.id, &req.op, req.encrypted), req.auth)
         }))
     }
 
@@ -691,8 +697,9 @@ impl<A: Application> Replica<A> {
             // operation (SplitBFT's confidential mode) is opaque bytes
             // here and will execute as a no-op.
             let result = self.app.execute(&req.op);
-            let auth_key = client_mac_key(self.auth_seed, client);
-            let auth = auth_key
+            let auth = self
+                .client_keys
+                .key(client)
                 .tag(&Reply::auth_bytes(self.view, req.id, self.id, &result, false));
             let reply =
                 Reply { view: self.view, request: req.id, replica: self.id, result, encrypted: false, auth };
@@ -743,8 +750,9 @@ impl<A: Application> Replica<A> {
             .into_iter()
             .map(|(client, timestamp, result)| {
                 let request = splitbft_types::RequestId { client, timestamp };
-                let auth_key = client_mac_key(self.auth_seed, client);
-                let auth = auth_key
+                let auth = self
+                    .client_keys
+                    .key(client)
                     .tag(&Reply::auth_bytes(self.view, request, self.id, &result, false));
                 let reply = Reply {
                     view: self.view,
