@@ -8,7 +8,6 @@
 //! the client port ([`RejoinEvidence::from_events`]); the stderr logs
 //! remain for human post-mortems only.
 
-use splitbft_net::backend::TransportKind;
 use splitbft_types::StatusEvent;
 use std::fs::OpenOptions;
 use std::io;
@@ -39,10 +38,6 @@ pub struct ClusterSpec {
     /// the `shards` key when above one (one keeps the file — and the
     /// replicas' on-disk layout — identical to an unsharded run).
     pub shards: u32,
-    /// Socket backend the replicas serve on; written into the cluster
-    /// file as the `transport` key when not the blocking default (so
-    /// default runs keep their pre-transport-plane cluster files).
-    pub transport: TransportKind,
     /// Scratch root: cluster file, data dirs, and stderr logs live
     /// under it.
     pub root: PathBuf,
@@ -101,9 +96,6 @@ impl ChaosCluster {
         );
         if spec.shards > 1 {
             toml.push_str(&format!("shards = {}\n", spec.shards));
-        }
-        if spec.transport != TransportKind::default() {
-            toml.push_str(&format!("transport = \"{}\"\n", spec.transport));
         }
         for (id, port) in ports.iter().enumerate() {
             toml.push_str(&format!("\n[[replica]]\nid = {id}\naddr = \"127.0.0.1:{port}\"\n"));

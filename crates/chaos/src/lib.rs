@@ -44,7 +44,6 @@ pub use report::{ChaosReport, GroupCommitDelta, GroupCommitSample, PhaseOutcome}
 pub use schedule::{FaultStep, Phase, Schedule};
 
 use splitbft_loadgen::driver::{self, DriverConfig};
-use splitbft_net::backend::TransportKind;
 use splitbft_net::fault::broadcast_fault_command;
 use splitbft_types::{ClientId, FaultCommand, LinkRule, ReplicaId};
 use std::path::PathBuf;
@@ -76,10 +75,6 @@ pub struct ChaosConfig {
     /// that fault recovery and liveness survive with the *other* shards
     /// idle — every shard still recovers its own WAL on restart.
     pub shards: u32,
-    /// Socket backend the replicas serve on (both speak the same wire
-    /// format, so probes, load clients, and FAULT_CONTROL frames are
-    /// backend-agnostic).
-    pub transport: TransportKind,
     /// Scratch root (cluster file, data dirs, stderr logs).
     pub root: PathBuf,
     /// Background-load client threads.
@@ -119,7 +114,6 @@ impl ChaosConfig {
             timeout_ms: 400,
             wal_group_commit_us: 200,
             shards: 1,
-            transport: TransportKind::default(),
             root,
             load_clients: 3,
             load_pipeline: 4,
@@ -313,7 +307,6 @@ pub fn run_scenario(config: &ChaosConfig, schedule: &Schedule) -> Result<ChaosRe
         timeout_ms: config.timeout_ms,
         wal_group_commit_us: config.wal_group_commit_us,
         shards: config.shards,
-        transport: config.transport,
         root: config.root.clone(),
         byzantine: schedule.byzantine.clone(),
     };

@@ -10,7 +10,7 @@
 use bytes::Bytes;
 use splitbft_crypto::client_mac_key;
 use splitbft_loadgen::quorum::{CommitLog, QuorumTracker};
-use splitbft_net::tcp::TcpClient;
+use splitbft_net::TcpClient;
 use splitbft_types::{ClientId, ReplicaId, Request, RequestId, Timestamp};
 use std::io;
 use std::net::SocketAddr;

@@ -219,7 +219,8 @@ impl SuffixRing {
 
     /// The retained catch-up suffix for a peer whose progress is
     /// `have_seq`: for up to [`Self::SERVE_CHUNK_SLOTS`] *committed*
-    /// slots above `max(have_seq, stable)`, the committed proposal
+    /// slots above `max(have_seq, stable)` (every retained one when
+    /// `have_seq` is zero), the committed proposal
     /// followed by its commit votes, in slot order — led by the latest
     /// retained `NewView`, which a view-stranded peer needs before it
     /// will accept anything else. Slots missing their proposal are
@@ -230,9 +231,13 @@ impl SuffixRing {
         if let Some((_, nv)) = &self.latest_new_view {
             msgs.push(nv.clone());
         }
+        // A requester reporting no progress cannot page (see PBFT's
+        // catch-up): it gets everything the ring retains.
+        let chunk =
+            if have_seq == SeqNum::zero() { usize::MAX } else { Self::SERVE_CHUNK_SLOTS };
         let mut served = 0usize;
         for (_, slot) in self.slots.range(SeqNum(from.0 + 1)..) {
-            if served >= Self::SERVE_CHUNK_SLOTS {
+            if served >= chunk {
                 break;
             }
             let Some(digest) = slot.committed else { continue };

@@ -1,7 +1,7 @@
 //! Closed- and open-loop workload drivers.
 //!
 //! A driver runs `clients` concurrent client threads against a deployed
-//! cluster. Each thread owns one [`PipelinedTcpClient`] connection
+//! cluster. Each thread owns one [`TcpClient`] connection
 //! fan-out and keeps up to `pipeline` requests outstanding (closed
 //! loop), or issues on a fixed schedule regardless of completions (open
 //! loop, the offered-load mode that reveals saturation). Completion —
@@ -23,7 +23,7 @@ use crate::workload::Workload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use splitbft_crypto::client_mac_key;
-use splitbft_net::tcp::PipelinedTcpClient;
+use splitbft_net::client::{ReplyHandler, TcpClient};
 use splitbft_types::{ClientId, Reply, Request, RequestId, Timestamp};
 use std::collections::BTreeMap;
 use std::io;
@@ -211,7 +211,7 @@ fn client_loop(config: &DriverConfig, index: usize) -> io::Result<ClientStats> {
     let mut rng = StdRng::seed_from_u64(
         config.master_seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(index as u64 + 1),
     );
-    let mut tcp = PipelinedTcpClient::connect(client, &config.addrs, config.connect_timeout)?;
+    let mut tcp = TcpClient::connect(client, &config.addrs, config.connect_timeout)?;
 
     // Wall-clock timestamps: replicas dedupe requests by each client's
     // last-seen timestamp, so a rerun reusing an id must start above
@@ -255,7 +255,7 @@ fn client_loop(config: &DriverConfig, index: usize) -> io::Result<ClientStats> {
     // completion handler; `issue_all` below coalesces any number of
     // them into a single REQUESTS frame (client-side batching — the
     // mirror of the replicas' send-path batching).
-    let mut build = |sequence: u64| -> (Request, splitbft_net::tcp::ReplyHandler) {
+    let mut build = |sequence: u64| -> (Request, ReplyHandler) {
         let timestamp = Timestamp(next_ts);
         next_ts += 1;
         let (op, shard) = config.workload.next_op_sharded(&mut rng, sequence, config.shards);
@@ -283,7 +283,7 @@ fn client_loop(config: &DriverConfig, index: usize) -> io::Result<ClientStats> {
     };
 
     let mut issue_all = |count: usize,
-                         tcp: &mut PipelinedTcpClient,
+                         tcp: &mut TcpClient,
                          inflight: &mut BTreeMap<u64, Flight>,
                          stats: &mut ClientStats|
      -> io::Result<()> {
@@ -372,7 +372,7 @@ fn client_loop(config: &DriverConfig, index: usize) -> io::Result<ClientStats> {
         let now = Instant::now();
         for flight in inflight.values_mut() {
             if now.duration_since(flight.last_sent) >= config.retry_every {
-                let _ = tcp.resend(&flight.request);
+                let _ = tcp.send_all(std::slice::from_ref(&flight.request));
                 flight.last_sent = now;
             }
         }
@@ -401,7 +401,7 @@ fn record_completion(
 mod tests {
     use super::*;
     use splitbft_crypto::ClientMacKeys;
-    use splitbft_net::tcp::{TcpNode, TcpNodeConfig};
+    use splitbft_net::{EventedNode, NodeConfig};
     use splitbft_net::transport::{Protocol, ProtocolOutput};
     use splitbft_types::{ReplicaId, View};
 
@@ -457,11 +457,10 @@ mod tests {
         }
     }
 
-    fn echo_node(seed: u64) -> TcpNode {
-        let config =
-            TcpNodeConfig::new(ReplicaId(0), "127.0.0.1:0".parse().unwrap(), Vec::new());
+    fn echo_node(seed: u64) -> EventedNode {
+        let config = NodeConfig::new(ReplicaId(0), "127.0.0.1:0".parse().unwrap(), Vec::new());
         let echo = MacEcho { id: ReplicaId(0), client_keys: ClientMacKeys::new(seed) };
-        TcpNode::spawn(config, echo).unwrap()
+        EventedNode::spawn(config, echo).unwrap()
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! - [`driver`]: closed-loop (bounded outstanding per client) and
 //!   open-loop (fixed offered rate) workload drivers over
-//!   `splitbft-net`'s pipelined TCP client.
+//!   `splitbft-net`'s TCP client.
 //! - [`workload`]: operation generators for the counter, key-value
 //!   store (keyspace / value-size / read-ratio knobs) and blockchain
 //!   applications.
@@ -20,7 +20,8 @@
 //!   tracking — the acceptance rule all three protocols share, freed
 //!   from the lock-step client state machines.
 //! - [`hist`]: allocation-light log-bucketed latency histogram and
-//!   windowed throughput tracking.
+//!   windowed throughput tracking (re-exported from `splitbft-obs`, so
+//!   the node-side metrics registry shares the bucket scheme).
 //! - [`report`]: the `BENCH_<name>.json` schema and writer.
 //!
 //! The `splitbft-node bench` subcommand is the command-line entry
@@ -49,7 +50,10 @@
 #![warn(missing_docs)]
 
 pub mod driver;
-pub mod hist;
+/// Latency histogram and per-window throughput series.
+pub mod hist {
+    pub use splitbft_obs::hist::{LatencyHistogram, Windows};
+}
 pub mod quorum;
 pub mod report;
 pub mod workload;

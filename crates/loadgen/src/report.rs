@@ -441,8 +441,6 @@ pub struct RateSweepReport {
     pub name: String,
     /// Protocol under test.
     pub protocol: String,
-    /// Transport backend the replicas ran on (`blocking` / `evented`).
-    pub transport: String,
     /// Cluster size.
     pub n: usize,
     /// Replicated application.
@@ -491,7 +489,8 @@ impl RateSweepReport {
                 "  \"schema\": \"{schema}\",\n",
                 "  \"name\": \"{name}\",\n",
                 "  \"protocol\": \"{protocol}\",\n",
-                "  \"transport\": \"{transport}\",\n",
+                // Kept for readers of the schema: one socket runtime exists.
+                "  \"transport\": \"evented\",\n",
                 "  \"n\": {n},\n",
                 "  \"app\": \"{app}\",\n",
                 "  \"clients\": {clients},\n",
@@ -503,7 +502,6 @@ impl RateSweepReport {
             schema = SWEEP_SCHEMA,
             name = json_escape(&self.name),
             protocol = json_escape(&self.protocol),
-            transport = json_escape(&self.transport),
             n = self.n,
             app = json_escape(&self.app),
             clients = self.clients,
@@ -728,7 +726,6 @@ mod tests {
         let sweep = RateSweepReport {
             name: "knee test".into(),
             protocol: "splitbft".into(),
-            transport: "blocking".into(),
             n: 4,
             app: "counter".into(),
             clients: 4,
@@ -752,7 +749,6 @@ mod tests {
         let sweep = RateSweepReport {
             name: "flat".into(),
             protocol: "pbft".into(),
-            transport: "evented".into(),
             n: 4,
             app: "counter".into(),
             clients: 4,

@@ -4,25 +4,22 @@
 //! [`Protocol`] core; what varies is how bytes move. This module names
 //! that variation point: a [`TransportBackend`] binds listeners, starts
 //! nodes, and connects clients, while [`RunningNode`] /
-//! [`TransportClient`] give the started pieces a uniform surface so
-//! benches, tests, and the CLI can swap backends without code changes.
+//! [`TransportClient`] give the started pieces a uniform surface so a
+//! test can run the same scenario against sockets and against a fake.
 //!
-//! Three backends ship:
+//! Two backends ship:
 //!
-//! - [`BlockingBackend`] — the original thread-per-connection runtime
-//!   ([`crate::tcp::TcpNode`]), kept as the conservative fallback;
-//! - [`EventedBackend`] — the single-threaded readiness loop
-//!   ([`crate::evented::EventedNode`]); same wire format, a fraction of
-//!   the threads and allocations;
+//! - [`EventedBackend`] — the deployable socket runtime
+//!   ([`crate::evented::EventedNode`]): one readiness loop per node;
 //! - [`InProcessBackend`] — a channel bus for tests: no sockets, but
 //!   messages still travel as *framed bytes* through the real frame
 //!   parser, so the conformance suite exercises the identical decode
-//!   path the socket backends use.
+//!   path the socket backend uses.
 
 use crate::evented::{BoundEventedNode, EventedNode};
 use crate::fault::{FaultDecision, FaultPlan};
-use crate::host::{ClientSink, Event, Gauges, Host, PeerSink, MAX_DRAIN_BATCH};
-use crate::tcp::{BoundTcpNode, TcpClient, TcpNode, TcpNodeConfig};
+use crate::client::TcpClient;
+use crate::host::{ClientSink, Event, Gauges, Host, NodeConfig, PeerSink, MAX_DRAIN_BATCH};
 use crate::transport::{frame_kind, Protocol};
 use splitbft_obs::NodeTelemetry;
 use splitbft_types::wire::{encode, frame, parse_frame};
@@ -33,188 +30,14 @@ use splitbft_types::{
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Which socket backend a deployment runs — the value behind the CLI's
-/// `--transport` flag and the cluster file's `transport` key. (The
-/// in-process backend is a test harness and has no CLI spelling.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransportKind {
-    /// Thread-per-connection blocking sockets ([`BlockingBackend`]).
-    #[default]
-    Blocking,
-    /// Single-threaded nonblocking readiness loop ([`EventedBackend`]).
-    Evented,
-}
-
-impl FromStr for TransportKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "blocking" => Ok(TransportKind::Blocking),
-            "evented" => Ok(TransportKind::Evented),
-            other => Err(format!("unknown transport {other:?} (expected blocking|evented)")),
-        }
-    }
-}
-
-impl std::fmt::Display for TransportKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            TransportKind::Blocking => "blocking",
-            TransportKind::Evented => "evented",
-        })
-    }
-}
-
-/// A bound-but-idle listener of either socket backend — the
-/// runtime-dispatched counterpart of [`TransportBackend::Bound`] for
-/// callers that pick the backend from a flag instead of a type
-/// parameter.
-#[derive(Debug)]
-pub enum AnyBound {
-    /// Blocking thread-per-connection listener.
-    Blocking(BoundTcpNode),
-    /// Evented readiness-loop listener.
-    Evented(BoundEventedNode),
-}
-
-impl AnyBound {
-    /// Binds a listener for replica `id` at `listen` with the backend
-    /// `kind` selects.
-    pub fn bind(kind: TransportKind, id: ReplicaId, listen: SocketAddr) -> io::Result<Self> {
-        Ok(match kind {
-            TransportKind::Blocking => AnyBound::Blocking(TcpNode::bind(id, listen)?),
-            TransportKind::Evented => AnyBound::Evented(EventedNode::bind(id, listen)?),
-        })
-    }
-
-    /// This listener's replica id.
-    pub fn id(&self) -> ReplicaId {
-        match self {
-            AnyBound::Blocking(b) => b.id(),
-            AnyBound::Evented(b) => b.id(),
-        }
-    }
-
-    /// The resolved listen address.
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        match self {
-            AnyBound::Blocking(b) => b.local_addr(),
-            AnyBound::Evented(b) => b.local_addr(),
-        }
-    }
-
-    /// Starts the node around `protocol` on whichever backend this
-    /// listener was bound with.
-    pub fn start<P: Protocol>(
-        self,
-        config: TcpNodeConfig,
-        protocol: P,
-    ) -> io::Result<AnyNode> {
-        Ok(match self {
-            AnyBound::Blocking(b) => AnyNode::Blocking(b.start(config, protocol)?),
-            AnyBound::Evented(b) => AnyNode::Evented(b.start(config, protocol)?),
-        })
-    }
-}
-
-/// A running node of either socket backend (see [`AnyBound`]). Same
-/// observable surface as the concrete node types.
-#[derive(Debug)]
-pub enum AnyNode {
-    /// A node served by the blocking backend.
-    Blocking(TcpNode),
-    /// A node served by the evented backend.
-    Evented(EventedNode),
-}
-
-impl AnyNode {
-    /// This node's replica id.
-    pub fn id(&self) -> ReplicaId {
-        match self {
-            AnyNode::Blocking(n) => n.id(),
-            AnyNode::Evented(n) => n.id(),
-        }
-    }
-
-    /// The address peers and clients reach this node at.
-    pub fn local_addr(&self) -> SocketAddr {
-        match self {
-            AnyNode::Blocking(n) => n.local_addr(),
-            AnyNode::Evented(n) => n.local_addr(),
-        }
-    }
-
-    /// The hosted protocol's latest `progress()` gauge.
-    pub fn progress(&self) -> u64 {
-        match self {
-            AnyNode::Blocking(n) => n.progress(),
-            AnyNode::Evented(n) => n.progress(),
-        }
-    }
-
-    /// The hosted protocol's latest `durable_fsyncs()` gauge.
-    pub fn fsyncs(&self) -> u64 {
-        match self {
-            AnyNode::Blocking(n) => n.fsyncs(),
-            AnyNode::Evented(n) => n.fsyncs(),
-        }
-    }
-
-    /// Per-shard breakdown of [`AnyNode::progress`].
-    pub fn shard_progress(&self) -> Vec<u64> {
-        match self {
-            AnyNode::Blocking(n) => n.shard_progress(),
-            AnyNode::Evented(n) => n.shard_progress(),
-        }
-    }
-
-    /// Per-shard breakdown of [`AnyNode::fsyncs`].
-    pub fn shard_fsyncs(&self) -> Vec<u64> {
-        match self {
-            AnyNode::Blocking(n) => n.shard_fsyncs(),
-            AnyNode::Evented(n) => n.shard_fsyncs(),
-        }
-    }
-
-    /// This node's telemetry hub (counters, gauges, event journal).
-    pub fn telemetry(&self) -> Arc<NodeTelemetry> {
-        match self {
-            AnyNode::Blocking(n) => n.telemetry(),
-            AnyNode::Evented(n) => n.telemetry(),
-        }
-    }
-
-    /// Starts a graceful drain (see the concrete nodes' docs): stop
-    /// admitting requests, seal a checkpoint, flush the WAL. Poll
-    /// `telemetry().drained()`, then call [`AnyNode::shutdown`].
-    pub fn request_drain(&self) {
-        match self {
-            AnyNode::Blocking(n) => n.request_drain(),
-            AnyNode::Evented(n) => n.request_drain(),
-        }
-    }
-
-    /// Stops the node and joins its threads.
-    pub fn shutdown(self) {
-        match self {
-            AnyNode::Blocking(n) => n.shutdown(),
-            AnyNode::Evented(n) => n.shutdown(),
-        }
-    }
-}
-
 /// A factory for one transport flavor. All backends speak the same
-/// frame vocabulary over whatever medium they use, so a cluster can be
-/// assembled from any mix (the socket backends even interoperate on
-/// the wire).
+/// frame vocabulary over whatever medium they use.
 pub trait TransportBackend {
     /// A reserved-but-idle listener (its address is already resolved).
     type Bound: Send;
@@ -236,7 +59,7 @@ pub trait TransportBackend {
     fn start<P: Protocol>(
         &self,
         bound: Self::Bound,
-        config: TcpNodeConfig,
+        config: NodeConfig,
         protocol: P,
     ) -> io::Result<Self::Node>;
 
@@ -250,26 +73,8 @@ pub trait TransportBackend {
     ) -> io::Result<Self::Client>;
 }
 
-/// The uniform observable surface of a started replica node.
+/// A started replica node, as far as a backend-generic caller needs it.
 pub trait RunningNode: Send {
-    /// This node's replica id.
-    fn id(&self) -> ReplicaId;
-    /// The address peers and clients reach this node at.
-    fn local_addr(&self) -> SocketAddr;
-    /// The hosted protocol's latest `progress()` gauge.
-    fn progress(&self) -> u64;
-    /// The hosted protocol's latest `durable_fsyncs()` gauge.
-    fn fsyncs(&self) -> u64;
-    /// Per-shard breakdown of [`RunningNode::progress`].
-    fn shard_progress(&self) -> Vec<u64>;
-    /// Per-shard breakdown of [`RunningNode::fsyncs`].
-    fn shard_fsyncs(&self) -> Vec<u64>;
-    /// This node's telemetry hub (counters, gauges, event journal).
-    fn telemetry(&self) -> Arc<NodeTelemetry>;
-    /// Starts a graceful drain: stop admitting client requests, finish
-    /// in-flight batches, seal a checkpoint, flush the WAL. Poll
-    /// `telemetry().drained()` before [`RunningNode::shutdown`].
-    fn request_drain(&self);
     /// Stops the node and joins its threads.
     fn shutdown(self);
 }
@@ -283,13 +88,6 @@ pub trait TransportClient: Send {
     /// When that replica is unreachable.
     fn send_to(&mut self, replica_index: usize, requests: &[Request]) -> io::Result<()>;
 
-    /// Sends a request batch to every reachable replica.
-    ///
-    /// # Errors
-    ///
-    /// When no replica is reachable.
-    fn send_all(&mut self, requests: &[Request]) -> io::Result<()>;
-
     /// The stream of replies from all replicas.
     fn replies(&self) -> &Receiver<Reply>;
 
@@ -297,96 +95,10 @@ pub trait TransportClient: Send {
     fn close(self);
 }
 
-// --- blocking ---------------------------------------------------------------
-
-/// The thread-per-connection blocking-socket backend
-/// ([`crate::tcp::TcpNode`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BlockingBackend;
-
-impl TransportBackend for BlockingBackend {
-    type Bound = BoundTcpNode;
-    type Node = TcpNode;
-    type Client = TcpClient;
-
-    fn bind(&self, id: ReplicaId, listen: SocketAddr) -> io::Result<BoundTcpNode> {
-        TcpNode::bind(id, listen)
-    }
-
-    fn local_addr(&self, bound: &BoundTcpNode) -> io::Result<SocketAddr> {
-        bound.local_addr()
-    }
-
-    fn start<P: Protocol>(
-        &self,
-        bound: BoundTcpNode,
-        config: TcpNodeConfig,
-        protocol: P,
-    ) -> io::Result<TcpNode> {
-        bound.start(config, protocol)
-    }
-
-    fn connect_client(
-        &self,
-        id: ClientId,
-        addrs: &[SocketAddr],
-        timeout: Duration,
-    ) -> io::Result<TcpClient> {
-        TcpClient::connect(id, addrs, timeout)
-    }
-}
-
-impl RunningNode for TcpNode {
-    fn id(&self) -> ReplicaId {
-        TcpNode::id(self)
-    }
-    fn local_addr(&self) -> SocketAddr {
-        TcpNode::local_addr(self)
-    }
-    fn progress(&self) -> u64 {
-        TcpNode::progress(self)
-    }
-    fn fsyncs(&self) -> u64 {
-        TcpNode::fsyncs(self)
-    }
-    fn shard_progress(&self) -> Vec<u64> {
-        TcpNode::shard_progress(self)
-    }
-    fn shard_fsyncs(&self) -> Vec<u64> {
-        TcpNode::shard_fsyncs(self)
-    }
-    fn telemetry(&self) -> Arc<NodeTelemetry> {
-        TcpNode::telemetry(self)
-    }
-    fn request_drain(&self) {
-        TcpNode::request_drain(self)
-    }
-    fn shutdown(self) {
-        TcpNode::shutdown(self)
-    }
-}
-
-impl TransportClient for TcpClient {
-    fn send_to(&mut self, replica_index: usize, requests: &[Request]) -> io::Result<()> {
-        TcpClient::send_to(self, replica_index, requests)
-    }
-    fn send_all(&mut self, requests: &[Request]) -> io::Result<()> {
-        TcpClient::send_all(self, requests)
-    }
-    fn replies(&self) -> &Receiver<Reply> {
-        TcpClient::replies(self)
-    }
-    fn close(self) {
-        TcpClient::close(self)
-    }
-}
-
 // --- evented ----------------------------------------------------------------
 
-/// The nonblocking readiness-loop backend
-/// ([`crate::evented::EventedNode`]). Clients are ordinary
-/// [`TcpClient`]s — the backend choice is a *node-side* concern; the
-/// wire protocol is identical.
+/// The socket backend: nonblocking readiness-loop nodes
+/// ([`crate::evented::EventedNode`]) and [`TcpClient`]s.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EventedBackend;
 
@@ -406,7 +118,7 @@ impl TransportBackend for EventedBackend {
     fn start<P: Protocol>(
         &self,
         bound: BoundEventedNode,
-        config: TcpNodeConfig,
+        config: NodeConfig,
         protocol: P,
     ) -> io::Result<EventedNode> {
         bound.start(config, protocol)
@@ -423,32 +135,20 @@ impl TransportBackend for EventedBackend {
 }
 
 impl RunningNode for EventedNode {
-    fn id(&self) -> ReplicaId {
-        EventedNode::id(self)
-    }
-    fn local_addr(&self) -> SocketAddr {
-        EventedNode::local_addr(self)
-    }
-    fn progress(&self) -> u64 {
-        EventedNode::progress(self)
-    }
-    fn fsyncs(&self) -> u64 {
-        EventedNode::fsyncs(self)
-    }
-    fn shard_progress(&self) -> Vec<u64> {
-        EventedNode::shard_progress(self)
-    }
-    fn shard_fsyncs(&self) -> Vec<u64> {
-        EventedNode::shard_fsyncs(self)
-    }
-    fn telemetry(&self) -> Arc<NodeTelemetry> {
-        EventedNode::telemetry(self)
-    }
-    fn request_drain(&self) {
-        EventedNode::request_drain(self)
-    }
     fn shutdown(self) {
         EventedNode::shutdown(self)
+    }
+}
+
+impl TransportClient for TcpClient {
+    fn send_to(&mut self, replica_index: usize, requests: &[Request]) -> io::Result<()> {
+        TcpClient::send_to(self, replica_index, requests)
+    }
+    fn replies(&self) -> &Receiver<Reply> {
+        TcpClient::replies(self)
+    }
+    fn close(self) {
+        TcpClient::close(self)
     }
 }
 
@@ -466,15 +166,12 @@ enum BusOrigin {
     Client(ClientId, Sender<Reply>),
 }
 
-/// One bus delivery: framed bytes from one origin, or a shutdown nudge.
+/// One bus delivery: framed bytes from one origin, or the stop signal.
 #[derive(Debug)]
 enum BusMsg {
     /// Framed bytes — complete frames, parsed by the receiving node
-    /// through the same [`parse_frame`] path the socket backends use.
+    /// through the same [`parse_frame`] path the socket backend uses.
     Frames(BusOrigin, Arc<Vec<u8>>),
-    /// Force a drain batch (graceful-drain nudge; the draining flag
-    /// itself lives on the node's telemetry).
-    Drain,
     /// Stop the node's loop.
     Shutdown,
 }
@@ -512,12 +209,8 @@ pub struct BoundInProcessNode {
 /// A running in-process replica node.
 #[derive(Debug)]
 pub struct InProcessNode {
-    id: ReplicaId,
-    addr: SocketAddr,
-    bus: Arc<BusMap>,
     tx: Sender<BusMsg>,
     thread: Option<JoinHandle<()>>,
-    gauges: Gauges,
 }
 
 /// A client endpoint on the in-process bus.
@@ -555,18 +248,16 @@ impl TransportBackend for InProcessBackend {
     fn start<P: Protocol>(
         &self,
         bound: BoundInProcessNode,
-        config: TcpNodeConfig,
+        config: NodeConfig,
         protocol: P,
     ) -> io::Result<InProcessNode> {
-        let BoundInProcessNode { id, addr, bus, tx, rx } = bound;
+        let BoundInProcessNode { id, bus, tx, rx, .. } = bound;
         let gauges = Gauges::new(NodeTelemetry::new(id.0));
-        let loop_gauges = gauges.clone();
-        let loop_bus = Arc::clone(&bus);
         let thread = std::thread::Builder::new()
             .name(format!("node-{}-inproc", id.0))
-            .spawn(move || bus_loop(rx, loop_bus, config, protocol, loop_gauges))
+            .spawn(move || bus_loop(rx, bus, config, protocol, gauges))
             .map_err(io::Error::other)?;
-        Ok(InProcessNode { id, addr, bus, tx, thread: Some(thread), gauges })
+        Ok(InProcessNode { tx, thread: Some(thread) })
     }
 
     fn connect_client(
@@ -591,38 +282,10 @@ impl TransportBackend for InProcessBackend {
 }
 
 impl RunningNode for InProcessNode {
-    fn id(&self) -> ReplicaId {
-        self.id
-    }
-    fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-    fn progress(&self) -> u64 {
-        self.gauges.progress.load(Ordering::SeqCst)
-    }
-    fn fsyncs(&self) -> u64 {
-        self.gauges.fsyncs.load(Ordering::SeqCst)
-    }
-    fn shard_progress(&self) -> Vec<u64> {
-        self.gauges.shards.lock().expect("shard gauges").0.clone()
-    }
-    fn shard_fsyncs(&self) -> Vec<u64> {
-        self.gauges.shards.lock().expect("shard gauges").1.clone()
-    }
-    fn telemetry(&self) -> Arc<NodeTelemetry> {
-        Arc::clone(&self.gauges.telemetry)
-    }
-    fn request_drain(&self) {
-        self.gauges.telemetry.request_drain();
-        // Nudge the bus loop so the drain batch (and its seal) runs
-        // even on an otherwise idle node.
-        let _ = self.tx.send(BusMsg::Drain);
-    }
     fn shutdown(mut self) {
         // The bus entry stays: sends to the dead channel fail silently
         // (a lost frame, as on a real network), and a re-bind at the
         // same address replaces the entry.
-        let _ = self.bus;
         let _ = self.tx.send(BusMsg::Shutdown);
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
@@ -634,28 +297,13 @@ impl TransportClient for InProcessClient {
     fn send_to(&mut self, replica_index: usize, requests: &[Request]) -> io::Result<()> {
         let framed = Arc::new(frame(frame_kind::REQUESTS, &encode(&requests.to_vec())));
         let origin = BusOrigin::Client(self.id, self.reply_tx.clone());
-        match &self.nodes[replica_index] {
-            Some(tx) if tx.send(BusMsg::Frames(origin, framed)).is_ok() => Ok(()),
+        match self.nodes.get(replica_index) {
+            Some(Some(tx)) if tx.send(BusMsg::Frames(origin, framed)).is_ok() => Ok(()),
             _ => Err(io::Error::new(
                 io::ErrorKind::NotConnected,
                 format!("replica {replica_index} not connected"),
             )),
         }
-    }
-
-    fn send_all(&mut self, requests: &[Request]) -> io::Result<()> {
-        let framed = Arc::new(frame(frame_kind::REQUESTS, &encode(&requests.to_vec())));
-        let mut delivered = 0;
-        for tx in self.nodes.iter().flatten() {
-            let origin = BusOrigin::Client(self.id, self.reply_tx.clone());
-            if tx.send(BusMsg::Frames(origin, Arc::clone(&framed))).is_ok() {
-                delivered += 1;
-            }
-        }
-        if delivered == 0 {
-            return Err(io::Error::new(io::ErrorKind::NotConnected, "no replica reachable"));
-        }
-        Ok(())
     }
 
     fn replies(&self) -> &Receiver<Reply> {
@@ -758,10 +406,6 @@ fn decode_bus_msg<P: Protocol>(
 ) -> bool {
     let (origin, bytes) = match msg {
         BusMsg::Frames(origin, bytes) => (origin, bytes),
-        BusMsg::Drain => {
-            pending.push_back(Event::Drain);
-            return false;
-        }
         BusMsg::Shutdown => return true,
     };
     if let BusOrigin::Client(id, reply_tx) = &origin {
@@ -819,7 +463,7 @@ fn decode_bus_msg<P: Protocol>(
 fn bus_loop<P: Protocol>(
     rx: Receiver<BusMsg>,
     bus: Arc<BusMap>,
-    config: TcpNodeConfig,
+    config: NodeConfig,
     protocol: P,
     gauges: Gauges,
 ) {
@@ -840,7 +484,7 @@ fn bus_loop<P: Protocol>(
     let mut next_tick = config.timeout_every.map(|period| Instant::now() + period);
     let mut pending: VecDeque<Event<P::Message>> = VecDeque::new();
 
-    // Same drain-batch shape as the blocking core loop: block for the
+    // One drain batch per wake-up: block for the
     // first event (synthesizing timer ticks from the wait), then — with
     // group commit on — keep draining within the linger window so the
     // whole batch shares one flush_durable.

@@ -3,11 +3,11 @@
 //! The chaos plane needs faults *below* the protocols — dropped, delayed,
 //! reordered and duplicated frames, and network partitions — while the
 //! protocols above keep running unmodified. A [`FaultPlan`] is a shared
-//! decision table consulted on the send path of every peer link: the TCP
-//! runtime checks it in [`PeerOutbox::enqueue`] (so protocol traffic and
-//! state transfer are faulted alike) and the in-process
-//! [`ThreadedCluster`] checks it when routing outputs, giving both
-//! runtimes the same fault semantics.
+//! decision table consulted on the send path of every peer link: the
+//! socket runtime checks it whenever a frame is enqueued toward a peer
+//! (so protocol traffic and state transfer are faulted alike) and the
+//! in-process [`ThreadedCluster`] checks it when routing outputs, giving
+//! both runtimes the same fault semantics.
 //!
 //! # Determinism
 //!
@@ -22,7 +22,7 @@
 //! # Runtime control
 //!
 //! Plans are mutable while the node runs: a socket runtime launched
-//! with fault injection enabled (`TcpNodeConfig::fault_injection`, the
+//! with fault injection enabled (`NodeConfig::fault_injection`, the
 //! `--enable-fault-injection` serve flag) accepts [`FaultCommand`]
 //! frames (kind [`frame_kind::FAULT_CONTROL`]) on any inbound
 //! connection and applies them directly, so an orchestrator can open a
@@ -32,7 +32,6 @@
 //! by default and a node without it *closes* any connection that sends
 //! a control frame, keeping the plan unreachable in a real deployment.
 //!
-//! [`PeerOutbox::enqueue`]: crate::transport::PeerOutbox::enqueue
 //! [`ThreadedCluster`]: crate::runtime::ThreadedCluster
 //! [`frame_kind::FAULT_CONTROL`]: crate::transport::frame_kind::FAULT_CONTROL
 

@@ -1,12 +1,13 @@
 //! The transport-independent replica hosting core.
 //!
-//! Every socket backend — blocking thread-per-connection
-//! ([`crate::tcp`]) and the evented readiness loop ([`crate::evented`])
-//! — hosts a [`Protocol`] the same way: decode frames into [`Event`]s,
-//! feed them to the state machine one drain batch at a time, fsync once
-//! per batch, then route the outputs. This module owns that shared core
+//! Every backend — the evented readiness loop ([`crate::evented`]) and
+//! the in-process bus ([`crate::backend::InProcessBackend`]) — hosts a
+//! [`Protocol`] the same way: decode frames into [`Event`]s, feed them
+//! to the state machine one drain batch at a time, fsync once per
+//! batch, then route the outputs. This module owns that shared core
 //! ([`Host`]), including the request-aware view-change timer and the
-//! state-transfer client, so backends differ only in how bytes move.
+//! state-transfer client, plus the [`NodeConfig`] every backend starts
+//! a node from, so backends differ only in how bytes move.
 //!
 //! Backends plug in through two small sinks: [`PeerSink`] (pre-framed
 //! bytes toward other replicas) and [`ClientSink`] (replies toward
@@ -14,7 +15,8 @@
 //! broadcast encodes once regardless of fan-out — and so the core stays
 //! byte-identical on the wire across backends.
 
-use crate::transport::{frame_kind, Protocol, ProtocolOutput, WireMessage};
+use crate::fault::FaultPlan;
+use crate::transport::{frame_kind, BatchPolicy, Protocol, ProtocolOutput, WireMessage};
 use splitbft_obs::NodeTelemetry;
 use splitbft_types::wire::{decode, encode, frame};
 use splitbft_types::{
@@ -22,6 +24,7 @@ use splitbft_types::{
     StatusEvent,
 };
 use std::collections::HashMap;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -40,8 +43,85 @@ pub struct RecoveryPolicy {
     pub agreement: usize,
 }
 
+/// Address book entry: where a replica listens.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PeerAddr {
+    /// The replica.
+    pub id: ReplicaId,
+    /// Its listen address.
+    pub addr: SocketAddr,
+}
+
+/// Configuration for one hosted node, whichever backend starts it.
+#[derive(Debug, Clone)]
+pub struct NodeConfig {
+    /// This replica's id.
+    pub id: ReplicaId,
+    /// The local listen address (use port 0 to let the OS pick).
+    pub listen: SocketAddr,
+    /// The full cluster address book (entries for `id` itself are
+    /// ignored).
+    pub peers: Vec<PeerAddr>,
+    /// Send-path batching limits.
+    pub batch: BatchPolicy,
+    /// If set, fire the protocol's view-change timer at this period.
+    /// `None` (the default) leaves timeouts to explicit triggers, which
+    /// is right for tests and demos that never need a view change.
+    pub timeout_every: Option<Duration>,
+    /// If set, run the state-transfer client (see [`RecoveryPolicy`]).
+    /// Peer `STATE_REQUEST`s are answered regardless, so a cluster can
+    /// mix recovering and never-recovering nodes.
+    pub recovery: Option<RecoveryPolicy>,
+    /// Group-commit linger of the node's loop. `Duration::ZERO` (the
+    /// default) closes a drain batch — one [`Protocol::flush_durable`]
+    /// call, so one fsync for a durable protocol — after every pass
+    /// that handled an event. A non-zero linger keeps the batch open
+    /// for up to that long, so everything arriving meanwhile shares a
+    /// single fsync.
+    pub group_commit: Duration,
+    /// The node's fault plan, consulted on every peer send. Defaults
+    /// to an inert plan; chaos harnesses share one plan across
+    /// in-process nodes or seed it per node for determinism.
+    pub faults: Arc<FaultPlan>,
+    /// Honor inbound `FAULT_CONTROL` frames (chaos-plane steering of
+    /// the fault plan). **Off by default**: the control frame is
+    /// unauthenticated, so a production node must never let an
+    /// arbitrary connecting client install drop rules or partitions.
+    /// Only chaos/bench harnesses opt in; with the flag off, a
+    /// connection sending `FAULT_CONTROL` is closed as protocol
+    /// garbage and the plan stays untouched.
+    pub fault_injection: bool,
+    /// Honor `STATUS` **admin** verbs (graceful drain). **Off by
+    /// default** for the same reason as `fault_injection`: the frame is
+    /// unauthenticated, and an arbitrary connecting client must not be
+    /// able to drain a production node. Read-only `STATUS` verbs
+    /// (snapshot, event journal) are always served; with the flag off,
+    /// an admin verb is answered with `StatusResponse::Refused` and the
+    /// connection is closed.
+    pub status_admin: bool,
+}
+
+impl NodeConfig {
+    /// A config with default batching, no timer, no state-transfer
+    /// client, and no fault injection.
+    pub fn new(id: ReplicaId, listen: SocketAddr, peers: Vec<PeerAddr>) -> Self {
+        NodeConfig {
+            id,
+            listen,
+            peers,
+            batch: BatchPolicy::default(),
+            timeout_every: None,
+            recovery: None,
+            group_commit: Duration::ZERO,
+            faults: FaultPlan::shared(u64::from(id.0)),
+            fault_injection: false,
+            status_admin: false,
+        }
+    }
+}
+
 /// One input to the hosted protocol, already decoded from the wire (or
-/// synthesized by the backend's timer/shutdown machinery).
+/// synthesized by the backend's timer/drain machinery).
 pub(crate) enum Event<M> {
     /// A protocol message from a peer replica.
     Peer(M),
@@ -59,9 +139,6 @@ pub(crate) enum Event<M> {
     /// drain batch through [`Host::finish_batch`], where the drain
     /// epilogue (seal + flush) runs once nothing is pending.
     Drain,
-    /// Stop hosting. Handled by the backend's drive loop, never by
-    /// [`Host::handle`].
-    Shutdown,
 }
 
 /// A backend's outbound path toward peer replicas. Frames are pre-built
@@ -170,6 +247,11 @@ struct Recovery {
     /// immediately, if the round already proved productive and the
     /// guard was cleared.
     requested_at: Option<Instant>,
+    /// The current stall (requests pending, no progress across a whole
+    /// timer period) has already spent one tick asking peers for state
+    /// instead of accusing the primary; see the timer in
+    /// [`Host::handle`]. Cleared by any progress.
+    asked_on_stall: bool,
 }
 
 impl Recovery {
@@ -183,6 +265,7 @@ impl Recovery {
             baseline,
             responses: HashMap::new(),
             requested_at: None,
+            asked_on_stall: false,
         }
     }
 
@@ -277,8 +360,7 @@ impl<P: Protocol> Host<P> {
     }
 
     /// Handles one event, returning the outputs to accumulate for
-    /// [`Host::finish_batch`]. [`Event::Shutdown`] is the drive loop's
-    /// job and never reaches here.
+    /// [`Host::finish_batch`].
     pub(crate) fn handle(
         &mut self,
         event: Event<P::Message>,
@@ -316,6 +398,32 @@ impl<P: Protocol> Host<P> {
             },
             Event::Timeout => {
                 let progress = self.protocol.progress();
+                let pending = self.protocol.has_pending_requests();
+                let stalled = pending && self.armed && progress == self.last_progress;
+                // A stall looks the same from inside whether the primary
+                // is faulty or this replica is stranded behind a gap: it
+                // missed votes while it was down or catching up, nobody
+                // resends them, and an idle cluster produces no
+                // checkpoint to pull it level. A view change entered
+                // alone would only strand it further, so a replica that
+                // can fetch state spends the first stalled tick asking
+                // its peers — reopening the hunt, past the in-flight
+                // guard — and accuses the primary only if the next tick
+                // is stalled too.
+                let mut ask_first = false;
+                if let Some(rec) = &mut self.recovery {
+                    if progress != self.last_progress {
+                        rec.asked_on_stall = false;
+                    }
+                    if stalled && !rec.asked_on_stall {
+                        ask_first = true;
+                        rec.asked_on_stall = true;
+                        rec.active = true;
+                        rec.baseline = progress;
+                        rec.requested_at = None;
+                        self.gauges.telemetry.set_recovering(true);
+                    }
+                }
                 // Recovery retry: progress beyond the baseline means
                 // live traffic is executing again — the hunt is over.
                 // Otherwise re-request (peers answer with ever-newer
@@ -335,8 +443,7 @@ impl<P: Protocol> Host<P> {
                         }
                     }
                 }
-                let pending = self.protocol.has_pending_requests();
-                let fire = pending && self.armed && progress == self.last_progress;
+                let fire = stalled && !ask_first;
                 self.armed = pending && !fire;
                 self.last_progress = progress;
                 if fire {
@@ -345,7 +452,6 @@ impl<P: Protocol> Host<P> {
                     Vec::new()
                 }
             }
-            Event::Shutdown => unreachable!("shutdown handled by the backend's drive loop"),
         }
     }
 
@@ -701,6 +807,52 @@ mod tests {
             Gauges::new(NodeTelemetry::new(0)),
             peers,
         )
+    }
+
+    /// Requests pending forever and no progress: every tick after the
+    /// first is a stall. A fired timeout shows up as a broadcast.
+    struct Stalled;
+
+    impl Protocol for Stalled {
+        type Message = u64;
+
+        fn on_message(&mut self, _msg: u64) -> Vec<ProtocolOutput<u64>> {
+            Vec::new()
+        }
+
+        fn on_client_requests(&mut self, _requests: Vec<Request>) -> Vec<ProtocolOutput<u64>> {
+            Vec::new()
+        }
+
+        fn on_timeout(&mut self) -> Vec<ProtocolOutput<u64>> {
+            vec![ProtocolOutput::Broadcast(0)]
+        }
+    }
+
+    #[test]
+    fn a_stalled_replica_asks_its_peers_before_accusing_the_primary() {
+        let mut peers = Peers::new(&[1, 2]);
+        let gauges = Gauges::new(NodeTelemetry::new(0));
+        let policy = Some(RecoveryPolicy { agreement: 1 });
+        let mut host = Host::new(ReplicaId(0), Stalled, policy, gauges, &mut peers);
+        assert_eq!(peers.state_requests().len(), 1, "startup round");
+
+        // First tick arms the timer; the startup round is in flight.
+        assert!(host.handle(Event::Timeout, &mut peers).is_empty());
+        assert_eq!(peers.state_requests().len(), 1);
+        // First stalled tick: ask again at once — the in-flight guard
+        // is 1.5 s away — and do not accuse yet.
+        assert!(host.handle(Event::Timeout, &mut peers).is_empty());
+        assert_eq!(peers.state_requests().len(), 2);
+        // Still stalled a tick later: now the timeout fires.
+        assert_eq!(host.handle(Event::Timeout, &mut peers).len(), 1);
+
+        // Without a recovery policy nobody can be asked: the second
+        // tick fires, as it always did.
+        let gauges = Gauges::new(NodeTelemetry::new(0));
+        let mut host = Host::new(ReplicaId(0), Stalled, None, gauges, &mut peers);
+        assert!(host.handle(Event::Timeout, &mut peers).is_empty());
+        assert_eq!(host.handle(Event::Timeout, &mut peers).len(), 1);
     }
 
     /// Regression test for the rolling-restart state-transfer livelock:

@@ -12,21 +12,16 @@
 //!   ([`runtime::ThreadedCluster`]) where every replica runs on its own
 //!   OS thread and messages travel over channels, used by the runnable
 //!   examples;
-//! - [`tcp`] — a deployable socket runtime ([`tcp::TcpNode`]) where every
-//!   replica is its own process listening on a TCP address and messages
-//!   travel as length-prefixed frames (see [`splitbft_types::wire`]),
-//!   with per-peer reconnecting outboxes and send-path batching
-//!   ([`transport::PeerOutbox`]);
-//! - [`evented`] — a second deployable socket runtime
-//!   ([`evented::EventedNode`]), wire-compatible with [`tcp`], that
-//!   serves every connection from one readiness loop per node:
-//!   nonblocking sockets, bounded per-peer rings with backpressure
-//!   instead of writer threads, and zero-copy frame decoding.
+//! - [`evented`] — the deployable socket runtime
+//!   ([`evented::EventedNode`]) where every replica is its own process
+//!   listening on a TCP address and messages travel as length-prefixed
+//!   frames (see [`splitbft_types::wire`]): one readiness loop per node
+//!   over nonblocking sockets, bounded per-peer rings with backpressure,
+//!   and zero-copy frame decoding. [`client::TcpClient`] is its client.
 //!
-//! The [`backend`] module erases the choice behind the
-//! [`backend::TransportBackend`] trait (plus a third, in-process bus
-//! backend for tests) and the [`backend::TransportKind`] runtime switch
-//! the `splitbft-node` CLI exposes as `--transport`.
+//! The [`backend`] module puts the socket runtime and an in-process bus
+//! for tests behind the [`backend::TransportBackend`] trait, so one
+//! conformance suite runs against both.
 //!
 //! Both hosting runtimes additionally consult a shared
 //! [`fault::FaultPlan`] on their send paths — a seeded, runtime-mutable
@@ -37,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+pub mod client;
 pub mod evented;
 pub mod fault;
 mod host;
@@ -44,13 +40,12 @@ pub mod link;
 mod ring;
 pub mod runtime;
 pub mod status;
-pub mod tcp;
 pub mod transport;
 
 pub use backend::{
-    AnyBound, AnyNode, BlockingBackend, EventedBackend, InProcessBackend, RunningNode,
-    TransportBackend, TransportClient, TransportKind,
+    EventedBackend, InProcessBackend, RunningNode, TransportBackend, TransportClient,
 };
+pub use client::{ReplyHandler, TcpClient};
 pub use evented::{BoundEventedNode, EventedNode};
 pub use fault::{broadcast_fault_command, send_fault_command, FaultDecision, FaultPlan};
 pub use link::{LinkFate, LinkModel, NetConfig};
@@ -58,5 +53,5 @@ pub use runtime::{NodeHandle, NodeInput, ThreadedCluster};
 pub use status::{
     await_event, fetch_events, fetch_snapshot, request_drain, send_status_request, STATUS_CLIENT,
 };
-pub use tcp::{BoundTcpNode, PeerAddr, TcpClient, TcpNode, TcpNodeConfig};
-pub use transport::{BatchPolicy, PeerOutbox, Protocol, ProtocolOutput, WireMessage};
+pub use host::{NodeConfig, PeerAddr, RecoveryPolicy};
+pub use transport::{BatchPolicy, Protocol, ProtocolOutput, WireMessage};

@@ -1,9 +1,8 @@
 //! Bounded outbound frame rings for the evented backend.
 //!
-//! The blocking backend gives every peer link an unbounded channel plus
-//! a writer thread; the evented backend replaces both with one
-//! [`FrameRing`] per link, drained by the readiness loop itself. The
-//! ring is bounded in frames *and* bytes, and it **refuses new frames
+//! Every peer link and client connection queues its outbound frames in
+//! one [`FrameRing`], drained by the readiness loop itself — no
+//! channels, no writer threads. The ring is bounded in frames *and* bytes, and it **refuses new frames
 //! instead of evicting queued ones** — the same stance as the
 //! suffix-ring in `splitbft-core`: silently dropping something already
 //! accepted would reorder/lose traffic the caller believes is in

@@ -3,7 +3,7 @@
 //! Each node runs on its own OS thread (mirroring the paper's deployment
 //! of one SplitBFT process per VM) and exchanges messages over in-process
 //! channels. The runnable examples use this to demonstrate live clusters
-//! without sockets; the TCP counterpart is [`crate::tcp::TcpNode`], and
+//! without sockets; the TCP counterpart is [`crate::evented::EventedNode`], and
 //! both host the same [`Protocol`] state machines unchanged.
 
 use crate::fault::{FaultDecision, FaultPlan};

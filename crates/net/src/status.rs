@@ -7,7 +7,7 @@
 //! the existing wire format, so the chaos harness and tests can poll a
 //! node without parsing text or grepping stderr. Admin verbs
 //! ([`StatusVerb::Drain`]) mutate node lifecycle and are gated behind
-//! `TcpNodeConfig::status_admin` (the `--enable-status-admin` serve
+//! `NodeConfig::status_admin` (the `--enable-status-admin` serve
 //! flag), exactly like the fault-control plane: an ungated node queues
 //! a [`StatusResponse::Refused`] and closes the connection.
 //!

@@ -1,24 +1,23 @@
 //! Transport-backend conformance battery.
 //!
-//! Every [`TransportBackend`] — the in-process bus, the blocking
-//! thread-per-connection runtime, and the evented readiness-loop
-//! runtime — must host a protocol identically: same delivery and
-//! per-link ordering, same drop-self-send semantics, same client reply
-//! routing. The socket backends additionally share wire-level
-//! obligations the bus cannot express: frames split at arbitrary read
-//! boundaries reassemble, peer outboxes reconnect, one unread client
-//! cannot starve the rest, and `FAULT_CONTROL` frames hang up the
-//! connection unless fault injection was explicitly enabled.
+//! Every [`TransportBackend`] — the in-process bus and the evented
+//! readiness-loop socket runtime — must host a protocol identically:
+//! same delivery and per-link ordering, same drop-self-send semantics,
+//! same client reply routing. The socket backend additionally has
+//! wire-level obligations the bus cannot express: frames split at
+//! arbitrary read boundaries reassemble, peer links reconnect, one
+//! unread client cannot starve the rest, and `FAULT_CONTROL` frames
+//! hang up the connection unless fault injection was explicitly
+//! enabled.
 //!
 //! Each battery case is one generic function; the `#[test]`s below
 //! instantiate it per backend so a failure names the offender.
 
 use bytes::Bytes;
 use splitbft_net::backend::{
-    BlockingBackend, EventedBackend, InProcessBackend, RunningNode, TransportBackend,
-    TransportClient,
+    EventedBackend, InProcessBackend, RunningNode, TransportBackend, TransportClient,
 };
-use splitbft_net::tcp::{PeerAddr, TcpNodeConfig};
+use splitbft_net::{NodeConfig, PeerAddr};
 use splitbft_net::transport::{frame_kind, write_value, Protocol, ProtocolOutput};
 use splitbft_types::wire::{encode, frame};
 use splitbft_types::{
@@ -160,7 +159,7 @@ fn spawn_cluster<B: TransportBackend, P: Protocol>(
         .map(|(i, b)| {
             let id = ReplicaId(i as u32);
             let mut config =
-                TcpNodeConfig::new(id, "127.0.0.1:0".parse().unwrap(), peers.clone());
+                NodeConfig::new(id, "127.0.0.1:0".parse().unwrap(), peers.clone());
             config.fault_injection = fault_injection;
             backend.start(b, config, make(id)).expect("start node")
         })
@@ -181,7 +180,7 @@ fn wait_for(what: &str, check: impl Fn() -> bool) {
 }
 
 // ------------------------------------------------------------------
-// All three backends
+// Both backends
 // ------------------------------------------------------------------
 
 /// A client's requests reach the addressed replica, its broadcasts reach
@@ -240,7 +239,6 @@ fn delivery_and_ordering<B: TransportBackend>(backend: &B, label: &str) {
 
 #[test]
 fn delivery_and_ordering_conform_on_every_backend() {
-    delivery_and_ordering(&BlockingBackend, "blocking");
     delivery_and_ordering(&EventedBackend, "evented");
     delivery_and_ordering(&InProcessBackend::new(), "in-process");
 }
@@ -282,17 +280,16 @@ fn drop_self_send<B: TransportBackend>(backend: &B, label: &str) {
 
 #[test]
 fn self_addressed_sends_are_dropped_on_every_backend() {
-    drop_self_send(&BlockingBackend, "blocking");
     drop_self_send(&EventedBackend, "evented");
     drop_self_send(&InProcessBackend::new(), "in-process");
 }
 
 // ------------------------------------------------------------------
-// Socket backends only
+// Socket backend only
 // ------------------------------------------------------------------
 
 /// A peer that was unreachable when the first send went out is reached
-/// once it comes up: the outbox retries the connection instead of
+/// once it comes up: the link retries the connection instead of
 /// poisoning the link forever. (Frames sent while the peer was down may
 /// be dropped — delivery is at-most-once — but later frames must flow.)
 fn peer_reconnect<B: TransportBackend>(backend: &B, label: &str) {
@@ -309,7 +306,7 @@ fn peer_reconnect<B: TransportBackend>(backend: &B, label: &str) {
         PeerAddr { id: ReplicaId(1), addr: late_addr },
     ];
     let logs: Vec<SeenLog> = (0..2).map(|_| SeenLog::default()).collect();
-    let config0 = TcpNodeConfig::new(ReplicaId(0), addr0, peers.clone());
+    let config0 = NodeConfig::new(ReplicaId(0), addr0, peers.clone());
     let node0 = backend
         .start(bound0, config0, Probe { id: ReplicaId(0), seen: logs[0].clone() })
         .unwrap();
@@ -323,7 +320,7 @@ fn peer_reconnect<B: TransportBackend>(backend: &B, label: &str) {
 
     // Now replica 1 appears at its published address…
     let bound1 = backend.bind(ReplicaId(1), late_addr).expect("rebind the reserved port");
-    let config1 = TcpNodeConfig::new(ReplicaId(1), late_addr, peers);
+    let config1 = NodeConfig::new(ReplicaId(1), late_addr, peers);
     let node1 = backend
         .start(bound1, config1, Probe { id: ReplicaId(1), seen: logs[1].clone() })
         .unwrap();
@@ -340,8 +337,7 @@ fn peer_reconnect<B: TransportBackend>(backend: &B, label: &str) {
 }
 
 #[test]
-fn peer_outbox_reconnects_on_socket_backends() {
-    peer_reconnect(&BlockingBackend, "blocking");
+fn peer_links_reconnect_on_the_socket_backend() {
     peer_reconnect(&EventedBackend, "evented");
 }
 
@@ -385,8 +381,7 @@ fn partial_frame_reads<B: TransportBackend>(backend: &B, label: &str) {
 }
 
 #[test]
-fn partial_frame_reads_reassemble_on_socket_backends() {
-    partial_frame_reads(&BlockingBackend, "blocking");
+fn partial_frame_reads_reassemble_on_the_socket_backend() {
     partial_frame_reads(&EventedBackend, "evented");
 }
 
@@ -435,8 +430,7 @@ fn slow_client_non_starvation<B: TransportBackend>(backend: &B, label: &str) {
 }
 
 #[test]
-fn slow_clients_do_not_starve_responsive_ones_on_socket_backends() {
-    slow_client_non_starvation(&BlockingBackend, "blocking");
+fn slow_clients_do_not_starve_responsive_ones_on_the_socket_backend() {
     slow_client_non_starvation(&EventedBackend, "evented");
 }
 
@@ -481,7 +475,6 @@ fn fault_control_gating<B: TransportBackend>(backend: &B, label: &str) {
 }
 
 #[test]
-fn fault_control_is_gated_on_socket_backends() {
-    fault_control_gating(&BlockingBackend, "blocking");
+fn fault_control_is_gated_on_the_socket_backend() {
     fault_control_gating(&EventedBackend, "evented");
 }

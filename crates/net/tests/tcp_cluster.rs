@@ -10,7 +10,7 @@
 use splitbft_app::CounterApp;
 use splitbft_core::{SplitBftClient, SplitBftReplica, SplitClientEvent};
 use splitbft_hybrid::{HybridClient, HybridClientEvent, HybridConfig, HybridReplica, Usig};
-use splitbft_net::tcp::{PeerAddr, TcpClient, TcpNode, TcpNodeConfig};
+use splitbft_net::{EventedNode, NodeConfig, PeerAddr, TcpClient};
 use splitbft_net::transport::Protocol;
 use splitbft_pbft::{ClientEvent, PbftClient, Replica as PbftReplica};
 use splitbft_tee::{CostModel, ExecMode};
@@ -25,7 +25,7 @@ const N: usize = 4;
 /// starts one node per replica. Returns the nodes and the address book.
 fn spawn_cluster<P: Protocol>(
     make: impl Fn(ReplicaId) -> P,
-) -> (Vec<TcpNode>, Vec<SocketAddr>) {
+) -> (Vec<EventedNode>, Vec<SocketAddr>) {
     spawn_cluster_with(None, make)
 }
 
@@ -33,10 +33,10 @@ fn spawn_cluster<P: Protocol>(
 fn spawn_cluster_with<P: Protocol>(
     timeout: Option<Duration>,
     make: impl Fn(ReplicaId) -> P,
-) -> (Vec<TcpNode>, Vec<SocketAddr>) {
+) -> (Vec<EventedNode>, Vec<SocketAddr>) {
     let bound: Vec<_> = (0..N)
         .map(|i| {
-            TcpNode::bind(ReplicaId(i as u32), "127.0.0.1:0".parse().unwrap())
+            EventedNode::bind(ReplicaId(i as u32), "127.0.0.1:0".parse().unwrap())
                 .expect("bind listener")
         })
         .collect();
@@ -45,12 +45,12 @@ fn spawn_cluster_with<P: Protocol>(
         .map(|b| PeerAddr { id: b.id(), addr: b.local_addr().expect("bound addr") })
         .collect();
     let addrs: Vec<SocketAddr> = peers.iter().map(|p| p.addr).collect();
-    let nodes: Vec<TcpNode> = bound
+    let nodes: Vec<EventedNode> = bound
         .into_iter()
         .map(|b| {
             let id = b.id();
             let mut config =
-                TcpNodeConfig::new(id, "127.0.0.1:0".parse().unwrap(), peers.clone());
+                NodeConfig::new(id, "127.0.0.1:0".parse().unwrap(), peers.clone());
             config.timeout_every = timeout;
             b.start(config, make(id)).expect("start node")
         })

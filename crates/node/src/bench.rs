@@ -22,9 +22,12 @@
 //! highest offered load the cluster still kept up with.
 //!
 //! `--data-dir <dir>` launches self-orchestrated replicas with the
-//! durability plane enabled (WAL + sealed checkpoints under
-//! `<dir>/replica-<i>/` and peer state transfer) — the configuration
-//! the crash-recovery e2e exercises.
+//! durability plane enabled (WAL + sealed checkpoints and peer state
+//! transfer) — the configuration the crash-recovery e2e exercises.
+//! Every measurement starts its cluster from genesis, so each gets a
+//! directory of its own, `<dir>/run-<k>/replica-<i>/` (the first `k`
+//! not on disk yet): a sweep's second point, or a second invocation
+//! over the same `<dir>`, must not recover the previous run's state.
 //!
 //! For counter workloads the harness independently verifies commits: it
 //! reads the counter through a regular closed-loop client before and
@@ -32,9 +35,9 @@
 //! must equal the clients' observed completions when nothing timed out.
 
 use crate::{
-    apply_batch_flags, cli_flag as flag, fault_tolerance_for, parse_cli_flag as parse_flag,
-    parse_cluster_toml, reply_quorum_for, run_client, start_replica_on, validate_cli_flags,
-    AppKind, ClusterFile, NodeOptions, ProtocolKind,
+    apply_batch_flags, check_retired_transport_flag, cli_flag as flag, fault_tolerance_for,
+    parse_cli_flag as parse_flag, parse_cluster_toml, reply_quorum_for, run_client,
+    start_replica_on, validate_cli_flags, AppKind, ClusterFile, NodeOptions, ProtocolKind,
 };
 use splitbft_loadgen::driver::{self, DriverConfig, LoadMode};
 use splitbft_loadgen::report::{
@@ -42,20 +45,18 @@ use splitbft_loadgen::report::{
 };
 use splitbft_obs::{MetricsServer, NodeTelemetry};
 use splitbft_loadgen::workload::Workload;
-use splitbft_net::backend::{AnyBound, AnyNode, TransportKind};
-use splitbft_net::tcp::PeerAddr;
 use splitbft_net::transport::BatchPolicy;
+use splitbft_net::{EventedNode, PeerAddr};
 use splitbft_types::{ClientId, ReplicaId};
 use std::io;
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// A self-orchestrated localhost cluster: every replica is a full
-/// socket node (real sockets, real threads) inside this process, on
-/// whichever backend `options.transport` selects.
+/// socket node (real sockets, real threads) inside this process.
 pub struct LocalCluster {
-    nodes: Vec<AnyNode>,
+    nodes: Vec<EventedNode>,
     replicas: Vec<PeerAddr>,
 }
 
@@ -72,7 +73,7 @@ impl LocalCluster {
         let loopback: SocketAddr = "127.0.0.1:0".parse().expect("loopback literal");
         let mut bound = Vec::with_capacity(n);
         for id in 0..n {
-            bound.push(AnyBound::bind(options.transport, ReplicaId(id as u32), loopback)?);
+            bound.push(EventedNode::bind(ReplicaId(id as u32), loopback)?);
         }
         let replicas: Vec<PeerAddr> = bound
             .iter()
@@ -98,7 +99,7 @@ impl LocalCluster {
     /// Total WAL fsyncs across every node so far (`0` unless the
     /// cluster was launched with a data dir).
     pub fn fsyncs(&self) -> u64 {
-        self.nodes.iter().map(AnyNode::fsyncs).sum()
+        self.nodes.iter().map(EventedNode::fsyncs).sum()
     }
 
     /// Per-shard execution progress: the element-wise **max** across
@@ -203,10 +204,6 @@ pub struct BenchInvocation {
     /// multi-shard report carries a `sharding` section with the scaling
     /// factor and per-shard gauges.
     pub shards: u32,
-    /// Socket backends to run (`--transport`, comma-separated): each
-    /// backend gets its own clusters and reports, so one invocation can
-    /// place `blocking` and `evented` knees side by side.
-    pub transports: Vec<TransportKind>,
     /// Report output directory.
     pub out_dir: PathBuf,
     /// Report name override (suffixed per combination when sweeping).
@@ -364,27 +361,7 @@ pub fn parse_args(args: &[String]) -> Result<BenchInvocation, String> {
         return Err("--shards must be a positive integer".into());
     }
 
-    let transports: Vec<TransportKind> = match flag(args, "--transport") {
-        None => vec![TransportKind::default()],
-        Some(list) => {
-            let mut kinds = Vec::new();
-            for part in list.split(',') {
-                let kind: TransportKind =
-                    part.trim().parse().map_err(|e: String| format!("--transport: {e}"))?;
-                if !kinds.contains(&kind) {
-                    kinds.push(kind);
-                }
-            }
-            if kinds.len() > 1 && config_path.is_some() {
-                return Err(
-                    "--transport with several backends needs a self-orchestrated cluster \
-                     (a --config file's replicas already run one fixed transport)"
-                        .into(),
-                );
-            }
-            kinds
-        }
-    };
+    check_retired_transport_flag(args)?;
 
     Ok(BenchInvocation {
         config_path,
@@ -403,7 +380,6 @@ pub fn parse_args(args: &[String]) -> Result<BenchInvocation, String> {
         data_dir: flag(args, "--data-dir").map(PathBuf::from),
         wal_group_commit: Duration::from_micros(parse_flag(args, "--wal-group-commit-us", 0u64)?),
         shards,
-        transports,
         out_dir: PathBuf::from(flag(args, "--out").unwrap_or_else(|| ".".into())),
         name: flag(args, "--name"),
         window: Duration::from_millis(parse_flag(args, "--window-ms", 1_000u64)?.max(1)),
@@ -434,17 +410,15 @@ pub fn run(args: &[String]) -> Result<Vec<BenchReport>, String> {
     }
     let mut reports = Vec::new();
     let combos: Vec<(ProtocolKind, BatchPolicy)> = resolve_combos(&invocation)?;
-    for &transport in &invocation.transports {
-        for &(protocol, batch) in &combos {
-            let report = run_one(&invocation, protocol, batch, invocation.rate, transport)
-                .map_err(|e| e.to_string())?;
-            println!("{}", report.summary_line());
-            let path = report
-                .write_to(&invocation.out_dir)
-                .map_err(|e| format!("writing report: {e}"))?;
-            println!("  wrote {}", path.display());
-            reports.push(report);
-        }
+    for &(protocol, batch) in &combos {
+        let report =
+            run_one(&invocation, protocol, batch, invocation.rate).map_err(|e| e.to_string())?;
+        println!("{}", report.summary_line());
+        let path = report
+            .write_to(&invocation.out_dir)
+            .map_err(|e| format!("writing report: {e}"))?;
+        println!("  wrote {}", path.display());
+        reports.push(report);
     }
     if let Some(empty) = reports.iter().find(|r| r.completed == 0) {
         return Err(format!("bench {:?} completed zero requests", empty.name));
@@ -468,67 +442,38 @@ fn run_rate_sweep(invocation: &BenchInvocation) -> Result<Vec<BenchReport>, Stri
     };
     let batch = invocation.batch_variants[0];
     let mut all_runs = Vec::new();
-    let mut knees: Vec<(ProtocolKind, TransportKind, Option<f64>)> = Vec::new();
-    for &transport in &invocation.transports {
-        for &protocol in &protocols {
-            let mut points = Vec::new();
-            for &rate in &invocation.sweep_rates {
-                let report = run_one(invocation, protocol, batch, Some(rate), transport)
-                    .map_err(|e| e.to_string())?;
-                println!("{}", report.summary_line());
-                points.push(SweepPoint {
-                    offered_rps: rate,
-                    achieved_rps: report.throughput_rps,
-                    p50_us: report.latency.p50_us,
-                    p99_us: report.latency.p99_us,
-                    timed_out: report.timed_out,
-                });
-                all_runs.push(report);
-            }
-            let base = invocation
+    for &protocol in &protocols {
+        let mut points = Vec::new();
+        for &rate in &invocation.sweep_rates {
+            let report =
+                run_one(invocation, protocol, batch, Some(rate)).map_err(|e| e.to_string())?;
+            println!("{}", report.summary_line());
+            points.push(SweepPoint {
+                offered_rps: rate,
+                achieved_rps: report.throughput_rps,
+                p50_us: report.latency.p50_us,
+                p99_us: report.latency.p99_us,
+                timed_out: report.timed_out,
+            });
+            all_runs.push(report);
+        }
+        let sweep = RateSweepReport {
+            name: invocation
                 .name
                 .clone()
-                .map_or_else(|| protocol.to_string(), |n| format!("{n}_{protocol}"));
-            let sweep = RateSweepReport {
-                name: if invocation.transports.len() > 1 {
-                    format!("{base}_{transport}")
-                } else {
-                    base
-                },
-                protocol: protocol.to_string(),
-                transport: transport.to_string(),
-                n: invocation.replicas,
-                app: invocation.app.to_string(),
-                clients: invocation.clients.max(1),
-                duration: invocation.duration,
-                points,
-            };
-            knees.push((protocol, transport, sweep.knee().map(|p| p.offered_rps)));
-            println!("{}", sweep.summary_line());
-            let path = sweep
-                .write_to(&invocation.out_dir)
-                .map_err(|e| format!("writing sweep report: {e}"))?;
-            println!("  wrote {}", path.display());
-        }
-    }
-    // When one invocation swept both socket backends, state the verdict
-    // the artifacts exist to support: knee vs knee, same host, same run.
-    for &protocol in &protocols {
-        let knee = |kind: TransportKind| {
-            knees
-                .iter()
-                .find(|(p, t, _)| *p == protocol && *t == kind)
-                .and_then(|(_, _, k)| *k)
+                .map_or_else(|| protocol.to_string(), |n| format!("{n}_{protocol}")),
+            protocol: protocol.to_string(),
+            n: invocation.replicas,
+            app: invocation.app.to_string(),
+            clients: invocation.clients.max(1),
+            duration: invocation.duration,
+            points,
         };
-        if let (Some(blocking), Some(evented)) =
-            (knee(TransportKind::Blocking), knee(TransportKind::Evented))
-        {
-            println!(
-                "{protocol}: evented knee {evented:.0} req/s vs blocking {blocking:.0} req/s \
-                 ({:.2}x)",
-                evented / blocking
-            );
-        }
+        println!("{}", sweep.summary_line());
+        let path = sweep
+            .write_to(&invocation.out_dir)
+            .map_err(|e| format!("writing sweep report: {e}"))?;
+        println!("  wrote {}", path.display());
     }
     if let Some(empty) = all_runs.iter().find(|r| r.completed == 0) {
         return Err(format!("bench {:?} completed zero requests", empty.name));
@@ -560,19 +505,13 @@ fn run_one(
     protocol: ProtocolKind,
     batch: BatchPolicy,
     rate: Option<f64>,
-    transport: TransportKind,
 ) -> io::Result<BenchReport> {
     // Multi-shard runs measure their own single-shard baseline first —
     // same invocation, same knobs — so the report's `sharding` section
     // can state the scaling factor rather than leave it to a separate
     // run nobody correlates.
     let baseline_rps = if invocation.shards > 1 && invocation.config_path.is_none() {
-        let mut baseline = invocation.clone();
-        if let Some(dir) = &invocation.data_dir {
-            // Keep the baseline's WAL out of the sharded run's layout.
-            baseline.data_dir = Some(dir.join("baseline-s1"));
-        }
-        let report = run_measurement(&baseline, protocol, batch, rate, 1, None, transport)?;
+        let report = run_measurement(invocation, protocol, batch, rate, 1, None)?;
         println!(
             "  1-shard baseline: {:.1} req/s ({} completed)",
             report.throughput_rps, report.completed
@@ -581,7 +520,23 @@ fn run_one(
     } else {
         None
     };
-    run_measurement(invocation, protocol, batch, rate, invocation.shards, baseline_rps, transport)
+    run_measurement(invocation, protocol, batch, rate, invocation.shards, baseline_rps)
+}
+
+/// Claims the first `<base>/run-<k>` that does not exist yet. A cluster
+/// launched over a previous measurement's directory would recover that
+/// run's checkpoint, WAL and reply cache instead of starting at genesis.
+fn fresh_run_dir(base: &Path) -> io::Result<PathBuf> {
+    std::fs::create_dir_all(base)?;
+    let mut k = 0u32;
+    loop {
+        let dir = base.join(format!("run-{k}"));
+        match std::fs::create_dir(&dir) {
+            Ok(()) => return Ok(dir),
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => k += 1,
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 fn run_measurement(
@@ -591,18 +546,16 @@ fn run_measurement(
     rate: Option<f64>,
     shards: u32,
     baseline_rps: Option<f64>,
-    transport: TransportKind,
 ) -> io::Result<BenchReport> {
-    let options = NodeOptions {
+    let mut options = NodeOptions {
         batch,
         timeout_every: invocation.timeout_every,
-        data_dir: invocation.data_dir.clone(),
+        data_dir: None,
         wal_group_commit: invocation.wal_group_commit,
         byzantine: None,
         shards,
         fault_injection: false,
         status_admin: false,
-        transport,
     };
 
     // A cluster: launched here, or described by the external file.
@@ -614,6 +567,7 @@ fn run_measurement(
             (None, file)
         }
         None => {
+            options.data_dir = invocation.data_dir.as_deref().map(fresh_run_dir).transpose()?;
             let cluster = LocalCluster::launch(
                 invocation.replicas,
                 protocol,
@@ -677,7 +631,7 @@ fn run_measurement(
             None => stats.completed,
         };
 
-        let name = report_name(invocation, protocol, &batch, shards, transport);
+        let name = report_name(invocation, protocol, &batch, shards);
         let report = BenchReport::from_stats(
             name,
             protocol.to_string(),
@@ -774,7 +728,6 @@ fn report_name(
     protocol: ProtocolKind,
     batch: &BatchPolicy,
     shards: u32,
-    transport: TransportKind,
 ) -> String {
     let base = match &invocation.name {
         Some(name) => name.clone(),
@@ -785,9 +738,6 @@ fn report_name(
     };
     let multi_protocol = invocation.protocols.len() > 1 && invocation.name.is_some();
     let base = if multi_protocol { format!("{base}_{protocol}") } else { base };
-    // Single-transport runs keep their pre-transport-plane names.
-    let base =
-        if invocation.transports.len() > 1 { format!("{base}_{transport}") } else { base };
     // Single-shard runs keep their pre-sharding names (and bytes).
     let base = if shards > 1 { format!("{base}_s{shards}") } else { base };
     if invocation.batch_variants.len() > 1 {
@@ -893,22 +843,16 @@ mod tests {
     }
 
     #[test]
-    fn transport_flag_parses_a_comma_list() {
-        let default = parse_args(&args(&["--protocol", "pbft"])).unwrap();
-        assert_eq!(default.transports, vec![TransportKind::Blocking]);
-        let inv = parse_args(&args(&[
-            "--protocol", "pbft", "--transport", "blocking,evented",
-        ]))
-        .unwrap();
-        assert_eq!(inv.transports, vec![TransportKind::Blocking, TransportKind::Evented]);
-        assert!(parse_args(&args(&["--protocol", "pbft", "--transport", "uring"])).is_err());
-        assert!(
-            parse_args(&args(&[
-                "--config", "x.toml", "--transport", "blocking,evented",
-            ]))
-            .is_err(),
-            "a config file's replicas run one fixed transport"
-        );
+    fn transport_flag_is_parsed_for_compatibility_only() {
+        for accepted in ["evented", "blocking"] {
+            parse_args(&args(&["--protocol", "pbft", "--transport", accepted]))
+                .unwrap_or_else(|e| panic!("{accepted}: {e}"));
+        }
+        for rejected in ["blocking,evented", "uring", ""] {
+            let err = parse_args(&args(&["--protocol", "pbft", "--transport", rejected]))
+                .expect_err(rejected);
+            assert!(err.contains("only socket runtime"), "{rejected}: {err}");
+        }
     }
 
     #[test]

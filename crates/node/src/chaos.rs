@@ -28,13 +28,12 @@
 
 use crate::bench::LocalCluster;
 use crate::{
-    cli_flag as flag, parse_cli_flag as parse_flag, reply_quorum_for, validate_cli_flags,
-    AppKind, NodeOptions, ProtocolKind,
+    check_retired_transport_flag, cli_flag as flag, parse_cli_flag as parse_flag, reply_quorum_for,
+    validate_cli_flags, AppKind, NodeOptions, ProtocolKind,
 };
 use splitbft_chaos::report::{ChaosReport, GroupCommitDelta, GroupCommitSample};
 use splitbft_chaos::schedule::Schedule;
 use splitbft_chaos::{run_scenario, ChaosConfig, ChaosError};
-use splitbft_net::backend::TransportKind;
 use splitbft_loadgen::driver::{self, DriverConfig};
 use std::io;
 use std::path::PathBuf;
@@ -66,8 +65,6 @@ pub struct ChaosInvocation {
     pub wal_group_commit_us: u64,
     /// Consensus groups per replica (`1` = unsharded, the default).
     pub shards: u32,
-    /// Socket backend the replicas serve on (`--transport`).
-    pub transport: TransportKind,
     /// Per-victim rejoin budget.
     pub rejoin_timeout: Duration,
     /// Per-probe commit-read budget.
@@ -110,6 +107,7 @@ pub fn parse_args(args: &[String]) -> Result<ChaosInvocation, String> {
             Schedule::NAMES.join(", ")
         ));
     }
+    check_retired_transport_flag(args)?;
     let compare = args.iter().any(|a| a == "--compare");
     let protocols = match (flag(args, "--protocol"), compare) {
         (Some(_), true) => {
@@ -144,10 +142,6 @@ pub fn parse_args(args: &[String]) -> Result<ChaosInvocation, String> {
                 return Err("--shards must be a positive integer".into());
             }
             shards
-        },
-        transport: match flag(args, "--transport") {
-            None => TransportKind::default(),
-            Some(kind) => kind.parse().map_err(|e: String| format!("--transport: {e}"))?,
         },
         rejoin_timeout: Duration::from_secs(parse_flag(args, "--rejoin-secs", 45u64)?.max(1)),
         probe_timeout: Duration::from_secs(parse_flag(args, "--probe-secs", 30u64)?.max(1)),
@@ -226,7 +220,6 @@ fn run_for(
     config.timeout_ms = invocation.timeout_ms;
     config.wal_group_commit_us = invocation.wal_group_commit_us;
     config.shards = invocation.shards;
-    config.transport = invocation.transport;
     config.load_clients = invocation.clients;
     config.load_pipeline = invocation.pipeline;
     config.load_rate = invocation.rate;
@@ -314,7 +307,6 @@ fn measure_group_commit(
     let options = NodeOptions {
         data_dir: Some(dir.clone()),
         wal_group_commit: Duration::from_micros(linger_us),
-        transport: invocation.transport,
         ..NodeOptions::default()
     };
     let cluster =

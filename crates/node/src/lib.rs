@@ -19,13 +19,13 @@
 //! timeout_ms = 2000       # view-change timer period; 0 disables
 //! batch_max_frames = 64   # send-path batching: frames per write
 //! batch_max_bytes = 262144 #   bytes per write
-//! batch_linger_us = 0     #   flush interval (0 = flush when queue dry)
+//! batch_linger_us = 0     #   parsed, ignored: every loop pass flushes
 //! # data_dir = "/var/lib/splitbft"  # durability root (omit = in-memory);
 //! #                                 # replica i persists under
 //! #                                 # <data_dir>/replica-<i>/
 //! wal_group_commit_us = 0  # WAL group-commit linger: 0 = fsync per
-//!                          # event; >0 shares one fsync per core-loop
-//!                          # drain batch (needs data_dir)
+//!                          # loop pass; >0 shares one fsync per drain
+//!                          # batch held open that long (needs data_dir)
 //!
 //! [[replica]]
 //! id = 0
@@ -66,15 +66,15 @@ pub mod byzantine;
 pub mod chaos;
 
 pub use byzantine::{ByzantineMode, ByzantineProtocol};
-pub use splitbft_net::backend::TransportKind;
 
 use bytes::Bytes;
 use splitbft_app::{Application, Blockchain, CounterApp, KeyValueStore};
 use splitbft_core::{SplitBftClient, SplitBftReplica, SplitClientEvent};
 use splitbft_hybrid::{HybridClient, HybridClientEvent, HybridConfig, HybridReplica, Usig};
-use splitbft_net::backend::{AnyBound, AnyNode};
-use splitbft_net::tcp::{PeerAddr, RecoveryPolicy, TcpClient, TcpNodeConfig};
 use splitbft_net::transport::{BatchPolicy, Protocol};
+use splitbft_net::{
+    BoundEventedNode, EventedNode, NodeConfig, PeerAddr, RecoveryPolicy, TcpClient,
+};
 use splitbft_pbft::{ClientEvent, PbftClient, Replica as PbftReplica};
 use splitbft_shard::{ShardMember, ShardRouter, Sharded};
 use splitbft_store::{replica_sealing_identity, DurableProtocol};
@@ -161,7 +161,7 @@ impl fmt::Display for AppKind {
 /// overridable per invocation with CLI flags.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeOptions {
-    /// Send-path batching limits of the peer outboxes.
+    /// Send-path batching limits of the peer links.
     pub batch: BatchPolicy,
     /// Period of the request-aware view-change timer; `None` disables
     /// it (`timeout_ms = 0` in the cluster file).
@@ -173,9 +173,9 @@ pub struct NodeOptions {
     pub data_dir: Option<PathBuf>,
     /// WAL group-commit linger (`wal_group_commit_us` in the cluster
     /// file, `--wal-group-commit-us` on the CLI). Zero — the default —
-    /// fsyncs once per drained core-loop event; a positive linger lets
-    /// the core loop coalesce every queued event plus up to this much
-    /// waiting time into one drain batch sharing a single fsync.
+    /// fsyncs once per loop pass that handled events; a positive linger
+    /// lets the node's loop coalesce everything arriving within that
+    /// much waiting time into one drain batch sharing a single fsync.
     /// Meaningless without `data_dir`.
     pub wal_group_commit: Duration,
     /// Adversarial serve mode (`--byzantine` on the CLI or a per-replica
@@ -205,12 +205,6 @@ pub struct NodeOptions {
     /// otherwise shut the replica down. Read-only `STATUS` queries
     /// (snapshot, events) are always served.
     pub status_admin: bool,
-    /// Which socket backend serves this node (`transport` in the
-    /// cluster file, `--transport` on the CLI): `blocking` — the
-    /// thread-per-connection runtime — or `evented` — the
-    /// single-threaded readiness loop. Both speak the identical wire
-    /// format, so a cluster may mix them.
-    pub transport: TransportKind,
 }
 
 impl Default for NodeOptions {
@@ -224,7 +218,6 @@ impl Default for NodeOptions {
             shards: 1,
             fault_injection: false,
             status_admin: false,
-            transport: TransportKind::default(),
         }
     }
 }
@@ -356,10 +349,7 @@ pub fn parse_cluster_toml(text: &str) -> Result<ClusterFile, ConfigError> {
                 })?;
                 options.wal_group_commit = Duration::from_micros(us);
             }
-            (None, "transport") => {
-                options.transport =
-                    parse_string(value)?.parse().map_err(|e: String| err(e))?;
-            }
+            (None, "transport") => check_retired_transport(&parse_string(value)?).map_err(err)?,
             (None, "shards") => {
                 options.shards = match value.parse::<u32>() {
                     Ok(0) | Err(_) => {
@@ -449,20 +439,19 @@ fn parse_string(value: &str) -> Result<String, ConfigError> {
 /// the given runtime `options` (usually `file.options`, unless CLI
 /// flags override).
 ///
-/// The returned [`AnyNode`] is protocol-erased *and* transport-erased:
-/// all three stacks host behind the same handle on whichever backend
-/// `options.transport` selects, which is what lets one binary serve
+/// The returned [`EventedNode`] is protocol-erased: all three stacks
+/// host behind the same handle, which is what lets one binary serve
 /// every combination.
 pub fn run_replica(
     file: &ClusterFile,
     protocol: ProtocolKind,
     id: ReplicaId,
     options: &NodeOptions,
-) -> io::Result<AnyNode> {
+) -> io::Result<EventedNode> {
     let listen = file.addr_of(id).ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidInput, format!("replica {} not in cluster file", id.0))
     })?;
-    let bound = AnyBound::bind(options.transport, id, listen)?;
+    let bound = EventedNode::bind(id, listen)?;
     // CLI --byzantine wins; otherwise the file's per-replica key applies.
     let mut options = options.clone();
     if options.byzantine.is_none() {
@@ -478,14 +467,14 @@ pub fn run_replica(
 /// known), assemble the full address book, then start each node with
 /// it. `peers` must contain an entry for the bound node itself.
 pub fn start_replica_on(
-    bound: AnyBound,
+    bound: BoundEventedNode,
     peers: Vec<PeerAddr>,
     protocol: ProtocolKind,
     app: AppKind,
     seed: u64,
     options: &NodeOptions,
-) -> io::Result<AnyNode> {
-    let mut config = TcpNodeConfig::new(bound.id(), bound.local_addr()?, peers);
+) -> io::Result<EventedNode> {
+    let mut config = NodeConfig::new(bound.id(), bound.local_addr()?, peers);
     config.batch = options.batch;
     config.timeout_every = options.timeout_every;
     config.fault_injection = options.fault_injection;
@@ -497,7 +486,7 @@ pub fn start_replica_on(
                 agreement: fault_tolerance_for(protocol, config.peers.len())? + 1,
             });
             // The runtime linger and the protocol's group-commit mode
-            // travel together: the core loop batches events, the
+            // travel together: the node's loop batches events, the
             // DurableProtocol withholds outputs until the batch fsync.
             config.group_commit = options.wal_group_commit;
             Some(Durability {
@@ -574,12 +563,12 @@ struct ShardingPlan {
 /// checkpoints a previous incarnation left there, and logging what was
 /// found.
 fn start_durable<P: Protocol>(
-    bound: AnyBound,
-    config: TcpNodeConfig,
+    bound: BoundEventedNode,
+    config: NodeConfig,
     seed: u64,
     protocol: P,
     durability: Option<Durability>,
-) -> io::Result<AnyNode> {
+) -> io::Result<EventedNode> {
     match durability {
         None => bound.start(config, protocol),
         Some(Durability { dir, group_commit }) => {
@@ -645,13 +634,13 @@ fn log_recovery<P: Protocol>(id: ReplicaId, shard: Option<ShardId>, durable: &Du
 /// each [`DurableProtocol`] stamps the log so a recovered directory
 /// self-identifies.
 fn host_shards<P: Protocol>(
-    bound: AnyBound,
-    config: TcpNodeConfig,
+    bound: BoundEventedNode,
+    config: NodeConfig,
     seed: u64,
     sharding: ShardingPlan,
     durability: Option<Durability>,
     make: impl Fn() -> P,
-) -> io::Result<AnyNode> {
+) -> io::Result<EventedNode> {
     if sharding.shards <= 1 {
         return start_durable(bound, config, seed, make(), durability);
     }
@@ -702,15 +691,15 @@ fn host_shards<P: Protocol>(
 }
 
 fn start_with_app<A: Application + 'static>(
-    bound: AnyBound,
-    config: TcpNodeConfig,
+    bound: BoundEventedNode,
+    config: NodeConfig,
     protocol: ProtocolKind,
     seed: u64,
     make_app: impl Fn() -> A,
     durability: Option<Durability>,
     byzantine: Option<ByzantineMode>,
     sharding: ShardingPlan,
-) -> io::Result<AnyNode> {
+) -> io::Result<EventedNode> {
     let id = config.id;
     let n = config.peers.len();
     // Wrap order matters: DurableProtocol wraps ByzantineProtocol wraps
@@ -901,6 +890,48 @@ pub fn apply_durability_flags(args: &[String], options: &mut NodeOptions) -> Res
     Ok(())
 }
 
+/// Checks the retired `--transport` flag of `serve`, `bench` and
+/// `chaos`, if `args` carries it: `evented` is a no-op and `blocking` a
+/// deprecated alias that warns once on stderr.
+///
+/// # Errors
+///
+/// A message naming the single runtime for any value but `evented` and
+/// `blocking`, a comma list included.
+pub fn check_retired_transport_flag(args: &[String]) -> Result<(), String> {
+    match cli_flag(args, "--transport") {
+        Some(value) => check_retired_transport(&value).map_err(|e| format!("--transport: {e}")),
+        None => Ok(()),
+    }
+}
+
+/// Checks a value of the retired `--transport` flag or `transport`
+/// cluster-file key, still parsed so existing command lines and cluster
+/// files keep working. The evented readiness loop is the only socket
+/// runtime: `evented` names it, `blocking` — the thread-per-connection
+/// runtime it replaced — is a deprecated alias that warns once on
+/// stderr, and nothing selects anything.
+fn check_retired_transport(value: &str) -> Result<(), String> {
+    static WARN_ONCE: std::sync::Once = std::sync::Once::new();
+    match value {
+        "evented" => Ok(()),
+        "blocking" => {
+            WARN_ONCE.call_once(|| {
+                eprintln!(
+                    "warning: transport \"blocking\" is deprecated — the thread-per-connection \
+                     runtime was removed; serving on the evented runtime"
+                );
+            });
+            Ok(())
+        }
+        other => Err(format!(
+            "unknown transport {other:?}: the evented readiness loop is the only socket \
+             runtime (accepted for compatibility: \"evented\", or its deprecated alias \
+             \"blocking\")"
+        )),
+    }
+}
+
 fn invalid<E: fmt::Display>(e: E) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, e.to_string())
 }
@@ -985,7 +1016,7 @@ impl AnyClient {
 /// `op` requests to the view-0 primary, awaiting the reply quorum for
 /// each. Returns the result of every completed request.
 ///
-/// The transport is at-most-once (outboxes and reply queues drop under
+/// The transport is at-most-once (peer links and reply rings drop under
 /// failure and explicitly rely on client retransmission to recover), so
 /// while a request lacks its quorum it is *periodically* retransmitted
 /// to every reachable replica — the PBFT client rule. Periodic matters:
@@ -1083,10 +1114,12 @@ addr = "127.0.0.1:7103"
 
     #[test]
     fn defaults_apply() {
+        // The retired `transport` key still parses and selects nothing.
         let file = parse_cluster_toml(
-            "[[replica]]\nid = 0\naddr = \"127.0.0.1:9000\"\n",
+            "transport = \"evented\"\n[[replica]]\nid = 0\naddr = \"127.0.0.1:9000\"\n",
         )
         .unwrap();
+        assert_eq!(file.options, NodeOptions::default());
         assert_eq!(file.protocol, ProtocolKind::SplitBft);
         assert_eq!(file.seed, 42);
         assert_eq!(file.app, AppKind::Counter);
@@ -1097,6 +1130,11 @@ addr = "127.0.0.1:7103"
         assert!(parse_cluster_toml("protocol = pbft\n").is_err(), "unquoted string");
         assert!(parse_cluster_toml("protocol = \"raft\"\n").is_err(), "unknown protocol");
         assert!(parse_cluster_toml("bogus = 1\n").is_err(), "unknown key");
+        assert!(
+            parse_cluster_toml("transport = \"uring\"\n[[replica]]\nid = 0\naddr = \"127.0.0.1:1\"\n")
+                .is_err(),
+            "only the retired key's two compatibility values parse"
+        );
         assert!(parse_cluster_toml("").is_err(), "no replicas");
         assert!(
             parse_cluster_toml("[[replica]]\nid = 1\naddr = \"127.0.0.1:1\"\n").is_err(),

@@ -9,16 +9,17 @@
 //! ```
 //!
 //! `serve` hosts one replica of the cluster over the framed TCP
-//! transport and runs until killed. `client` drives sequential requests
-//! at the view-0 primary and prints each agreed result. `bench`
-//! measures a cluster — self-orchestrated on localhost, or an existing
+//! transport (one readiness-loop thread) and runs until killed.
+//! `client` drives sequential requests at the view-0 primary and
+//! prints each agreed result. `bench` measures a cluster — self-orchestrated on localhost, or an existing
 //! `--config` deployment — and writes `BENCH_<name>.json` reports (see
 //! the `splitbft_node::bench` module docs). See `docs/ARCHITECTURE.md`
 //! and the crate docs of `splitbft_node` for the cluster-file format.
 
 use splitbft_node::{
-    apply_batch_flags, apply_durability_flags, bench, chaos, cli_flag as flag,
-    parse_cluster_toml, run_client, run_replica, ClusterFile, NodeOptions, ProtocolKind,
+    apply_batch_flags, apply_durability_flags, bench, chaos, check_retired_transport_flag,
+    cli_flag as flag, parse_cluster_toml, run_client, run_replica, ClusterFile, NodeOptions,
+    ProtocolKind,
 };
 use splitbft_obs::MetricsServer;
 use splitbft_types::{ClientId, ReplicaId};
@@ -80,7 +81,7 @@ USAGE:
                          [--data-dir <dir>] [--wal-group-commit-us <us>]
                          [--timeout-ms <ms>] [--batch-frames <n>]
                          [--batch-bytes <n>] [--batch-linger-us <us>]
-                         [--shards <n>] [--transport blocking|evented]
+                         [--shards <n>]
                          [--enable-fault-injection] [--enable-status-admin]
                          [--metrics-addr <host:port>]
     splitbft-node client --config <cluster.toml> [--protocol <p>] [--client <id>]
@@ -93,7 +94,7 @@ USAGE:
                          [--read-ratio <f>] [--payload <n>]
                          [--batch-frames <n>] [--sweep-batch-frames <a,b,..>]
                          [--data-dir <dir>] [--wal-group-commit-us <us>]
-                         [--shards <n>] [--transport blocking[,evented]]
+                         [--shards <n>]
                          [--out <dir>] [--name <name>]
     splitbft-node chaos  --scenario rolling-restart|repeated-kill|primary-kill|
                                     staggered-start|partition-primary|asymmetric-link|
@@ -105,16 +106,15 @@ USAGE:
                          [--wal-group-commit-us <us>] [--rejoin-secs <s>]
                          [--probe-secs <s>] [--root <dir>] [--keep-data]
                          [--skip-group-commit] [--shards <n>] [--out <dir>]
-                         [--transport blocking|evented]
 
 The cluster file lists every replica's id and address plus the shared
 seed, protocol, application, and runtime knobs (view-change timer,
-send-path batching, data_dir, wal_group_commit_us, transport); see the
+send-path batching, data_dir, wal_group_commit_us); see the
 splitbft_node crate docs and docs/OPERATIONS.md. `--data-dir` makes the
 replica durable: consensus events are WAL'd and checkpoints sealed
 under <dir>/replica-<id>/, and a restarted replica recovers from them
 plus peer state transfer. `--wal-group-commit-us` shares one WAL fsync
-across each core-loop drain batch. `--enable-fault-injection` lets the
+across each drain batch of the node's loop. `--enable-fault-injection` lets the
 replica honor unauthenticated FAULT_CONTROL frames (partitions, lossy
 links); it is for chaos harnesses only — never pass it in production.
 `--enable-status-admin` likewise gates the STATUS admin verbs (graceful
@@ -123,11 +123,11 @@ serves Prometheus text at /metrics plus /healthz and /readyz on that
 address. SIGTERM drains gracefully: the replica stops admitting client
 requests, finishes in-flight batches, seals a checkpoint, flushes the
 WAL, and exits 0.
-`--transport` picks the socket backend: `blocking` (thread-per-
-connection, the default) or `evented` (one readiness loop per node);
-both speak the same wire format. `bench --transport blocking,evented`
-runs every measurement on each backend and prints the knee-vs-knee
-comparison. `bench` without --config
+Every replica serves on one socket runtime, a readiness loop per node.
+`--transport evented` (serve, bench, chaos, and the cluster file's
+`transport` key) is still accepted and changes nothing; `blocking`, the
+removed thread-per-connection runtime, is a deprecated alias that
+warns; any other value is an error. `bench` without --config
 self-orchestrates a localhost cluster, writes one BENCH_<name>.json per
 run, and exits nonzero if a run completes zero requests. `chaos` drives
 a live subprocess cluster through a scripted fault schedule under load,
@@ -164,9 +164,7 @@ fn options_from(args: &[String], file: &ClusterFile) -> Result<NodeOptions, Stri
             Ok(s) => s,
         };
     }
-    if let Some(kind) = flag(args, "--transport") {
-        options.transport = kind.parse().map_err(|e: String| e)?;
-    }
+    check_retired_transport_flag(args)?;
     if args.iter().any(|a| a == "--enable-fault-injection") {
         options.fault_injection = true;
     }

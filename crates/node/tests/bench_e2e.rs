@@ -111,3 +111,26 @@ fn bench_reports_kvs_workload() {
     assert!(json.contains(r#""value_size":32"#));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Every point of a durable rate sweep launches its cluster from
+/// genesis: a second point started over the first one's WAL would
+/// recover its checkpoint and reply cache and stall the fresh clients.
+#[test]
+fn durable_rate_sweep_completes_every_point() {
+    let dir = out_dir("durable-sweep");
+    let reports = bench::run(&args(&[
+        "--protocol", "splitbft",
+        "--sweep-rate", "200,400",
+        "--clients", "2",
+        "--duration", "1s",
+        "--drain-secs", "5",
+        "--data-dir", dir.join("data").to_str().unwrap(),
+        "--out", dir.to_str().unwrap(),
+    ]))
+    .expect("durable sweep failed");
+    assert_eq!(reports.len(), 2);
+    for report in &reports {
+        assert!(report.completed > 0, "{}: zero completions", report.name);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

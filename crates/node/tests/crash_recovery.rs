@@ -22,7 +22,7 @@
 //! survive — exactly the durability contract under test.
 
 use splitbft_loadgen::driver::{self, DriverConfig};
-use splitbft_net::tcp::TcpClient;
+use splitbft_net::TcpClient;
 use splitbft_node::{reply_quorum_for, run_client, ClusterFile, ProtocolKind};
 use splitbft_types::{ClientId, ReplicaId, Request, RequestId, Timestamp};
 use std::net::{SocketAddr, TcpListener};

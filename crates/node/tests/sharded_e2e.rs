@@ -19,7 +19,7 @@
 
 use splitbft_loadgen::driver::{self, DriverConfig};
 use splitbft_loadgen::workload::Workload;
-use splitbft_net::tcp::TcpClient;
+use splitbft_net::TcpClient;
 use splitbft_node::{reply_quorum_for, ProtocolKind};
 use splitbft_types::{ClientId, ReplicaId, Request, RequestId, Timestamp};
 use std::net::{SocketAddr, TcpListener};

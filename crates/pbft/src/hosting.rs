@@ -2,11 +2,11 @@
 //!
 //! With this impl a PBFT replica drops unchanged into any
 //! `splitbft-net` runtime — the in-process [`ThreadedCluster`] or the
-//! deployable [`TcpNode`] — which is how the socket demo and the
+//! deployable [`EventedNode`] — which is how the socket demo and the
 //! `splitbft-node` binary run the baseline.
 //!
 //! [`ThreadedCluster`]: splitbft_net::runtime::ThreadedCluster
-//! [`TcpNode`]: splitbft_net::tcp::TcpNode
+//! [`EventedNode`]: splitbft_net::evented::EventedNode
 
 use crate::action::Action;
 use crate::replica::Replica;

@@ -352,7 +352,9 @@ impl<A: Application> Replica<A> {
     /// Retained messages that let a peer at `have_seq` catch up through
     /// its normal message handlers: for every slot above
     /// `max(have_seq, stable)` up to the last executed one, the accepted
-    /// proposal plus all collected commit votes.
+    /// proposal plus all collected prepare and commit votes — the
+    /// receiver's committed-local predicate needs both quorums, and in
+    /// an idle cluster nobody else will ever resend them.
     pub fn catch_up_messages(&self, have_seq: SeqNum) -> Vec<ConsensusMessage> {
         let from = have_seq.max(self.checkpoints.stable_seq());
         let mut msgs = Vec::new();
@@ -365,15 +367,24 @@ impl<A: Application> Replica<A> {
         }
         // Chunked: a deeply lagging peer catches up incrementally (its
         // next state-request round carries a higher have_seq) instead
-        // of drowning in one giant suffix.
+        // of drowning in one giant suffix. A requester reporting no
+        // progress cannot page that way — it is at genesis, or it is a
+        // sharded host whose one number cannot say where each group
+        // stands — and is served the whole retained suffix, which the
+        // watermark window bounds.
+        let chunk =
+            if have_seq == SeqNum::zero() { usize::MAX } else { CATCH_UP_CHUNK_SLOTS };
         let mut served = 0usize;
         for seq in (from.0 + 1)..=self.last_exec.0 {
-            if served >= CATCH_UP_CHUNK_SLOTS {
+            if served >= chunk {
                 break;
             }
             let Some(slot) = self.log.slot(SeqNum(seq)) else { continue };
             let Some(pp) = &slot.pre_prepare else { continue };
             msgs.push(ConsensusMessage::PrePrepare(pp.clone()));
+            for prepare in slot.prepares.values() {
+                msgs.push(ConsensusMessage::Prepare(prepare.clone()));
+            }
             for commit in slot.commits.values() {
                 msgs.push(ConsensusMessage::Commit(commit.clone()));
             }

@@ -213,6 +213,33 @@ fn lagging_replica_catches_up_via_state_transfer() {
 }
 
 #[test]
+fn catch_up_suffix_alone_brings_a_lagging_replica_to_the_frontier() {
+    // A checkpoint interval the run never reaches: only the log suffix
+    // can help replica 3. More slots than one catch-up chunk: a
+    // requester reporting no progress must still get all of them.
+    const SLOTS: u64 = splitbft_pbft::CATCH_UP_CHUNK_SLOTS as u64 + 6;
+    let mut cluster = Cluster::new(4, 100, CounterApp::new);
+    cluster.down[3] = true;
+    for i in 0..SLOTS {
+        cluster.submit(0, vec![request(0, i + 1, Bytes::from_static(b"inc"))]);
+    }
+
+    // Replica 3 sees nothing but what one peer's state response carries
+    // (an idle cluster sends it no live traffic to fill in votes).
+    for msg in cluster.replicas[0].catch_up_messages(SeqNum(0)) {
+        let _ = cluster.replicas[3].on_message(msg);
+    }
+    assert_eq!(cluster.replicas[3].last_executed(), SeqNum(SLOTS));
+    assert_eq!(cluster.replicas[3].app().value(), SLOTS);
+
+    // A requester that does report progress pages in chunks.
+    let page = cluster.replicas[0].catch_up_messages(SeqNum(1));
+    let proposals =
+        page.iter().filter(|m| matches!(m, ConsensusMessage::PrePrepare(_))).count();
+    assert_eq!(proposals, splitbft_pbft::CATCH_UP_CHUNK_SLOTS);
+}
+
+#[test]
 fn view_change_elects_next_primary_after_crash() {
     let mut cluster = Cluster::new(4, 128, CounterApp::new);
     cluster.submit(0, vec![request(0, 1, Bytes::from_static(b"inc"))]);

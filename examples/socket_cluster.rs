@@ -26,7 +26,7 @@ fn main() {
     // the complete address book before any traffic flows.
     let bound: Vec<_> = (0..config.n())
         .map(|i| {
-            splitbft::net::TcpNode::bind(ReplicaId(i as u32), "127.0.0.1:0".parse().unwrap())
+            EventedNode::bind(ReplicaId(i as u32), "127.0.0.1:0".parse().unwrap())
                 .expect("bind listener")
         })
         .collect();
@@ -39,16 +39,16 @@ fn main() {
         println!("  replica {} listens on {}", peer.id.0, peer.addr);
     }
 
-    // Step 2: start the nodes. Each one spawns an accept loop, one
-    // reconnecting outbox per peer (batching message bursts into single
-    // writes), and a core thread that owns the replica state machine —
-    // here a full SplitBFT broker with its three compartments.
-    let nodes: Vec<TcpNode> = bound
+    // Step 2: start the nodes. Each one is a single readiness-loop
+    // thread: it accepts connections, keeps one reconnecting link per
+    // peer (batching message bursts into single writes), and owns the
+    // replica state machine — here a full SplitBFT broker with its
+    // three compartments.
+    let nodes: Vec<EventedNode> = bound
         .into_iter()
         .map(|b| {
             let id = b.id();
-            let node_config =
-                TcpNodeConfig::new(id, "127.0.0.1:0".parse().unwrap(), peers.clone());
+            let node_config = NodeConfig::new(id, "127.0.0.1:0".parse().unwrap(), peers.clone());
             b.start(
                 node_config,
                 SplitBftReplica::new(

@@ -68,7 +68,7 @@ pub mod prelude {
     };
     pub use splitbft_hybrid::{HybridClient, HybridClientEvent, HybridConfig, HybridReplica, Usig};
     pub use splitbft_net::{
-        BatchPolicy, PeerAddr, Protocol, ProtocolOutput, TcpClient, TcpNode, TcpNodeConfig,
+        BatchPolicy, EventedNode, NodeConfig, PeerAddr, Protocol, ProtocolOutput, TcpClient,
         ThreadedCluster,
     };
     pub use splitbft_pbft::{make_request, PbftClient, Replica as PbftReplica};
