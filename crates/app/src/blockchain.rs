@@ -11,7 +11,7 @@
 use crate::{AppError, Application, NOOP_RESULT};
 use bytes::Bytes;
 use splitbft_crypto::digest_of;
-use splitbft_types::wire::{encode, Decode, Encode, Reader, WireError};
+use splitbft_types::wire::{encode, Decode, Encode, Reader, Sink, WireError};
 use splitbft_types::Digest;
 
 /// Transactions per block, as in the paper's evaluation.
@@ -36,10 +36,10 @@ impl Block {
 }
 
 impl Encode for Block {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.height.encode(buf);
-        self.parent.encode(buf);
-        self.transactions.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.height.encode_to(out);
+        self.parent.encode_to(out);
+        self.transactions.encode_to(out);
     }
 }
 impl Decode for Block {
@@ -118,8 +118,8 @@ impl Application for Blockchain {
 
         // Receipt: block height this tx will land in, index within it.
         let mut receipt = Vec::with_capacity(16);
-        self.height.encode(&mut receipt);
-        index.encode(&mut receipt);
+        self.height.encode_to(&mut receipt);
+        index.encode_to(&mut receipt);
 
         if self.pending.len() >= BLOCK_SIZE {
             self.close_block();
@@ -129,9 +129,9 @@ impl Application for Blockchain {
 
     fn snapshot(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        self.height.encode(&mut buf);
-        self.head.encode(&mut buf);
-        self.pending.encode(&mut buf);
+        self.height.encode_to(&mut buf);
+        self.head.encode_to(&mut buf);
+        self.pending.encode_to(&mut buf);
         buf
     }
 

@@ -7,7 +7,7 @@
 
 use crate::{AppError, Application, NOOP_RESULT};
 use bytes::Bytes;
-use splitbft_types::wire::{decode, encode, Decode, Encode, Reader, WireError};
+use splitbft_types::wire::{decode, encode, Decode, Encode, Reader, Sink, WireError};
 use std::collections::BTreeMap;
 
 /// A key-value store operation.
@@ -55,20 +55,20 @@ impl KvOp {
 }
 
 impl Encode for KvOp {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode_to<S: Sink>(&self, out: &mut S) {
         match self {
             KvOp::Put { key, value } => {
-                buf.push(0);
-                key.encode(buf);
-                value.encode(buf);
+                out.put(&[0]);
+                key.encode_to(out);
+                value.encode_to(out);
             }
             KvOp::Get { key } => {
-                buf.push(1);
-                key.encode(buf);
+                out.put(&[1]);
+                key.encode_to(out);
             }
             KvOp::Delete { key } => {
-                buf.push(2);
-                key.encode(buf);
+                out.put(&[2]);
+                key.encode_to(out);
             }
         }
     }

@@ -25,10 +25,10 @@ fn bench_boundary(c: &mut Criterion) {
 
     let mut host = EnclaveHost::new(Echo, ExecMode::Hardware, CostModel::paper_calibrated());
     g.bench_function("ecall/64B", |b| {
-        b.iter(|| host.ecall(1, black_box(&small)).unwrap())
+        b.iter(|| host.ecall(1, black_box(&small)).unwrap().output)
     });
     g.bench_function("ecall/16KiB", |b| {
-        b.iter(|| host.ecall(1, black_box(&batch)).unwrap())
+        b.iter(|| host.ecall(1, black_box(&batch)).unwrap().output)
     });
 
     let cost = CostModel::paper_calibrated();

@@ -19,6 +19,7 @@ fn main() {
         let mut c = count(&["crates/types/src", "crates/crypto/src"]);
         c.add(count(&[
             "crates/pbft/src/log.rs",
+            "crates/pbft/src/votes.rs",
             "crates/pbft/src/checkpoint.rs",
             "crates/pbft/src/viewchange.rs",
             "crates/pbft/src/verify.rs",

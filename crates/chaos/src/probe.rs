@@ -11,7 +11,7 @@ use bytes::Bytes;
 use splitbft_crypto::client_mac_key;
 use splitbft_loadgen::quorum::{CommitLog, QuorumTracker};
 use splitbft_net::TcpClient;
-use splitbft_types::{ClientId, ReplicaId, Request, RequestId, Timestamp};
+use splitbft_types::{ClientId, Request, RequestId, Timestamp};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -32,7 +32,7 @@ fn authenticated_op(seed: u64, client: ClientId, ts: u64, op: &'static [u8]) -> 
     let mac = client_mac_key(seed, client);
     let id = RequestId { client, timestamp: Timestamp(ts) };
     let op = Bytes::from_static(op);
-    let auth = mac.tag(&Request::auth_bytes(id, &op, false));
+    let auth = mac.request_tag(id, &op, false);
     Request { id, op, encrypted: false, auth }
 }
 
@@ -93,43 +93,6 @@ pub fn read_counter(
         io::Error::new(io::ErrorKind::InvalidData, "counter read returned a non-u64 result")
     })?;
     Ok(u64::from_le_bytes(bytes))
-}
-
-/// Waits until replica `from` itself executes a *fresh* request,
-/// observed as a reply carrying its id with a timestamp issued here.
-/// Execution is strictly sequential in every protocol, so this proves
-/// the replica caught up (WAL + checkpoint + state transfer) and
-/// rejoined live ordering. Returns `false` on deadline.
-pub fn await_executed_by(
-    addrs: &[SocketAddr],
-    seed: u64,
-    from: ReplicaId,
-    client: ClientId,
-    deadline: Duration,
-) -> bool {
-    let Ok(mut tcp) = TcpClient::connect(client, addrs, Duration::from_secs(10)) else {
-        return false;
-    };
-    let start = Instant::now();
-    let mut ts = wall_clock_ts();
-    let mut rejoined = false;
-    'outer: while start.elapsed() < deadline {
-        ts += 1;
-        let request = authenticated_read(seed, client, ts);
-        let _ = tcp.send_all(std::slice::from_ref(&request));
-        let round_deadline = Instant::now() + Duration::from_millis(1_500);
-        while Instant::now() < round_deadline {
-            match tcp.replies().recv_timeout(Duration::from_millis(200)) {
-                Ok(reply) if reply.replica == from && reply.request.timestamp.0 >= ts => {
-                    rejoined = true;
-                    break 'outer;
-                }
-                _ => {}
-            }
-        }
-    }
-    tcp.close();
-    rejoined
 }
 
 /// How far a victim's execution progress may trail the most advanced

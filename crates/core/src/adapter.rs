@@ -6,6 +6,9 @@
 //! point taking *serialized* input (the host charges copy costs on the
 //! real byte counts) and posting each output as a serialized ocall into
 //! the broker's queue — exactly the structure §5 of the paper describes.
+//! Each output is encoded once, straight into the queue's byte arena
+//! ([`OcallSink::ocall_with`]); the adapter's own list of pending outputs
+//! is reused from one ecall to the next.
 
 use crate::conf::ConfirmationCompartment;
 use crate::ecall::{CompartmentInput, CompartmentOutput, ECALL_HANDLE, OCALL_OUTPUT};
@@ -14,15 +17,20 @@ use crate::prep::PreparationCompartment;
 use crate::scheme::compartment_measurement;
 use splitbft_app::Application;
 use splitbft_tee::enclave::{Enclave, OcallSink};
-use splitbft_types::wire::{decode, encode};
-use splitbft_types::CompartmentKind;
+use splitbft_types::wire::{decode, Encode};
+use splitbft_types::{CompartmentKind, ProtocolError};
 
 /// A compartment state machine that can be loaded into an enclave.
 pub trait Compartment: Send {
     /// Which compartment type this is.
     fn kind(&self) -> CompartmentKind;
-    /// Handles one event to completion (principle P2).
-    fn handle(&mut self, input: CompartmentInput) -> Vec<CompartmentOutput>;
+    /// Handles one event to completion (principle P2), appending its
+    /// effects to `outputs`, or says why it rejected the event.
+    fn handle(
+        &mut self,
+        input: CompartmentInput,
+        outputs: &mut Vec<CompartmentOutput>,
+    ) -> Result<(), ProtocolError>;
     /// Approximate heap usage, for EPC accounting.
     fn memory_usage(&self) -> usize;
 }
@@ -31,8 +39,12 @@ impl Compartment for PreparationCompartment {
     fn kind(&self) -> CompartmentKind {
         CompartmentKind::Preparation
     }
-    fn handle(&mut self, input: CompartmentInput) -> Vec<CompartmentOutput> {
-        PreparationCompartment::handle(self, input)
+    fn handle(
+        &mut self,
+        input: CompartmentInput,
+        outputs: &mut Vec<CompartmentOutput>,
+    ) -> Result<(), ProtocolError> {
+        PreparationCompartment::handle(self, input, outputs)
     }
     fn memory_usage(&self) -> usize {
         PreparationCompartment::memory_usage(self)
@@ -43,8 +55,12 @@ impl Compartment for ConfirmationCompartment {
     fn kind(&self) -> CompartmentKind {
         CompartmentKind::Confirmation
     }
-    fn handle(&mut self, input: CompartmentInput) -> Vec<CompartmentOutput> {
-        ConfirmationCompartment::handle(self, input)
+    fn handle(
+        &mut self,
+        input: CompartmentInput,
+        outputs: &mut Vec<CompartmentOutput>,
+    ) -> Result<(), ProtocolError> {
+        ConfirmationCompartment::handle(self, input, outputs)
     }
     fn memory_usage(&self) -> usize {
         ConfirmationCompartment::memory_usage(self)
@@ -55,8 +71,12 @@ impl<A: Application> Compartment for ExecutionCompartment<A> {
     fn kind(&self) -> CompartmentKind {
         CompartmentKind::Execution
     }
-    fn handle(&mut self, input: CompartmentInput) -> Vec<CompartmentOutput> {
-        ExecutionCompartment::handle(self, input)
+    fn handle(
+        &mut self,
+        input: CompartmentInput,
+        outputs: &mut Vec<CompartmentOutput>,
+    ) -> Result<(), ProtocolError> {
+        ExecutionCompartment::handle(self, input, outputs)
     }
     fn memory_usage(&self) -> usize {
         ExecutionCompartment::memory_usage(self)
@@ -67,12 +87,14 @@ impl<A: Application> Compartment for ExecutionCompartment<A> {
 #[derive(Debug)]
 pub struct EnclaveAdapter<C> {
     inner: C,
+    /// The outputs of the ecall in progress; empty between ecalls.
+    outputs: Vec<CompartmentOutput>,
 }
 
 impl<C: Compartment> EnclaveAdapter<C> {
     /// Loads `compartment` behind the enclave boundary.
     pub fn new(compartment: C) -> Self {
-        EnclaveAdapter { inner: compartment }
+        EnclaveAdapter { inner: compartment, outputs: Vec::new() }
     }
 
     /// Read access to the compartment (inspection by tests and invariant
@@ -94,16 +116,21 @@ impl<C: Compartment> Enclave for EnclaveAdapter<C> {
         // Untrusted input: a malformed event is dropped with a rejection
         // ocall so the broker can account for it; the enclave never
         // panics on garbage.
-        let event = match decode::<CompartmentInput>(input) {
-            Ok(event) => event,
-            Err(e) => {
-                let rejected = CompartmentOutput::Rejected { reason: e.to_string() };
-                env.ocall(OCALL_OUTPUT, &encode(&rejected));
-                return Vec::new();
-            }
-        };
-        for output in self.inner.handle(event) {
-            env.ocall(OCALL_OUTPUT, &encode(&output));
+        let handled = decode::<CompartmentInput>(input)
+            .map_err(|e| e.to_string())
+            .and_then(|event| {
+                self.inner.handle(event, &mut self.outputs).map_err(|e| e.to_string())
+            });
+        if let Err(reason) = handled {
+            // A rejected event has exactly one effect: the rejection.
+            self.outputs.clear();
+            self.outputs.push(CompartmentOutput::Rejected { reason });
+        }
+        for output in self.outputs.drain(..) {
+            env.ocall_with(OCALL_OUTPUT, &mut |arena| {
+                arena.reserve(output.encoded_len());
+                output.encode_to(arena);
+            });
         }
         Vec::new()
     }
@@ -127,9 +154,10 @@ mod tests {
         let mut q = OcallQueue::new();
         let out = adapter.handle_ecall(ECALL_HANDLE, b"\xff\xff\xff", &mut q);
         assert!(out.is_empty());
-        let calls = q.drain();
-        assert_eq!(calls.len(), 1);
-        let output: CompartmentOutput = decode(&calls[0].data).unwrap();
+        let calls: Vec<_> = q.iter().collect();
+        assert_eq!(calls.len(), 1, "exactly one ocall for garbage input");
+        assert_eq!(calls[0].0, OCALL_OUTPUT);
+        let output: CompartmentOutput = decode(calls[0].1).unwrap();
         assert!(matches!(output, CompartmentOutput::Rejected { .. }));
     }
 

@@ -127,7 +127,7 @@ impl SplitBftClient {
         let shared = dh_shared(self.dh_secret, enclave_dh);
         let wrap_key = AeadKey::new(&digest_bytes(&shared.to_le_bytes()).0);
         let mut aad = b"session-key:".to_vec();
-        self.id.encode(&mut aad);
+        self.id.encode_to(&mut aad);
         let wrapped = seal(&wrap_key, WRAP_NONCE, &aad, &self.session_key_bytes);
         Ok((dh_public(self.dh_secret), wrapped))
     }
@@ -147,7 +147,7 @@ impl SplitBftClient {
         } else {
             (Bytes::copy_from_slice(op), false)
         };
-        let auth = self.mac.tag(&Request::auth_bytes(id, &payload, encrypted));
+        let auth = self.mac.request_tag(id, &payload, encrypted);
         self.in_flight = Some((id, BTreeMap::new()));
         Request { id, op: payload, encrypted, auth }
     }
@@ -161,13 +161,7 @@ impl SplitBftClient {
         if reply.request != *request {
             return SplitClientEvent::Ignored;
         }
-        let expected = self.mac.tag(&Reply::auth_bytes(
-            reply.view,
-            reply.request,
-            reply.replica,
-            &reply.result,
-            reply.encrypted,
-        ));
+        let expected = self.mac.reply_tag(reply.view, reply.request, reply.replica, &reply.result, reply.encrypted);
         if !splitbft_crypto::hmac::ct_eq(&expected, &reply.auth) {
             return SplitClientEvent::Ignored;
         }

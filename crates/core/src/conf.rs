@@ -16,7 +16,7 @@ use crate::ecall::{CompartmentInput, CompartmentOutput};
 use crate::scheme::{enclave_signer, SPLITBFT_SCHEME};
 use splitbft_crypto::{KeyPair, KeyRegistry};
 use splitbft_pbft::verify::{verify_signed_from, verify_view_change};
-use splitbft_pbft::CheckpointTracker;
+use splitbft_pbft::{CheckpointTracker, Proposals, VoteSet};
 use splitbft_types::{
     Checkpoint, ClusterConfig, CompartmentKind, Commit, ConsensusMessage, Digest, NewView,
     PrePrepare, Prepare, PrepareCertificate, ProtocolError, ReplicaId, SeqNum, Signed, SignerId,
@@ -30,10 +30,10 @@ use std::collections::BTreeMap;
 /// one of them.
 #[derive(Debug, Default)]
 struct ConfSlot {
-    /// Candidate proposals by digest (forwarded `PrePrepare`s).
-    proposals: BTreeMap<Digest, Signed<PrePrepare>>,
+    /// Candidate proposals (forwarded `PrePrepare`s), sorted by digest.
+    proposals: Proposals,
     /// Prepare votes by sender.
-    prepares: BTreeMap<ReplicaId, Signed<Prepare>>,
+    prepares: VoteSet<Signed<Prepare>>,
     /// This compartment already emitted its `Commit` for the slot.
     commit_sent: bool,
 }
@@ -129,24 +129,37 @@ impl ConfirmationCompartment {
         seq > low && seq.0 <= low.0 + self.config.window
     }
 
-    /// The single event-handler entry point.
-    pub fn handle(&mut self, input: CompartmentInput) -> Vec<CompartmentOutput> {
-        let result = match input {
+    /// The single event-handler entry point. Effects are appended to
+    /// `outputs`.
+    ///
+    /// # Errors
+    ///
+    /// Why the event was rejected; what it appended before that is void
+    /// (the enclave adapter replaces it with one `Rejected` output).
+    pub fn handle(
+        &mut self,
+        input: CompartmentInput,
+        outputs: &mut Vec<CompartmentOutput>,
+    ) -> Result<(), ProtocolError> {
+        match input {
             CompartmentInput::Message(ConsensusMessage::PrePrepare(pp)) => {
-                self.on_pre_prepare(pp)
+                self.on_pre_prepare(pp, outputs)
             }
-            CompartmentInput::Message(ConsensusMessage::Prepare(p)) => self.on_prepare(p),
-            CompartmentInput::Message(ConsensusMessage::Checkpoint(c)) => self.on_checkpoint(c),
-            CompartmentInput::Message(ConsensusMessage::NewView(nv)) => self.on_new_view(nv),
+            CompartmentInput::Message(ConsensusMessage::Prepare(p)) => self.on_prepare(p, outputs),
+            CompartmentInput::Message(ConsensusMessage::Checkpoint(c)) => {
+                self.on_checkpoint(c, outputs)
+            }
+            CompartmentInput::Message(ConsensusMessage::NewView(nv)) => {
+                self.on_new_view(nv, outputs)
+            }
             CompartmentInput::Message(ConsensusMessage::ViewChange(vc)) => {
-                self.on_view_change_vote(vc)
+                self.on_view_change_vote(vc, outputs)
             }
-            CompartmentInput::ViewTimeout => Ok(self.on_view_timeout()),
+            CompartmentInput::ViewTimeout => {
+                self.on_view_timeout(outputs);
+                Ok(())
+            }
             other => Err(ProtocolError::Other(format!("not a Confirmation event: {other:?}"))),
-        };
-        match result {
-            Ok(outputs) => outputs,
-            Err(e) => vec![CompartmentOutput::Rejected { reason: e.to_string() }],
         }
     }
 
@@ -157,7 +170,8 @@ impl ConfirmationCompartment {
     fn on_pre_prepare(
         &mut self,
         pp: Signed<PrePrepare>,
-    ) -> Result<Vec<CompartmentOutput>, ProtocolError> {
+        outputs: &mut Vec<CompartmentOutput>,
+    ) -> Result<(), ProtocolError> {
         let view = pp.payload.view;
         let seq = pp.payload.seq;
         if view != self.view {
@@ -173,13 +187,17 @@ impl ConfirmationCompartment {
                 high: SeqNum(low.0 + self.config.window),
             });
         }
-        let digest = pp.payload.digest;
-        self.slots.entry(seq).or_default().proposals.insert(digest, pp);
-        Ok(self.maybe_commit(seq))
+        self.slots.entry(seq).or_default().proposals.insert(pp);
+        self.maybe_commit(seq, outputs);
+        Ok(())
     }
 
     /// Handler (3): collect prepares toward the certificate.
-    fn on_prepare(&mut self, p: Signed<Prepare>) -> Result<Vec<CompartmentOutput>, ProtocolError> {
+    fn on_prepare(
+        &mut self,
+        p: Signed<Prepare>,
+        outputs: &mut Vec<CompartmentOutput>,
+    ) -> Result<(), ProtocolError> {
         let view = p.payload.view;
         let seq = p.payload.seq;
         if view != self.view {
@@ -189,7 +207,7 @@ impl ConfirmationCompartment {
         // redundant — skip the (expensive) signature verification. This is
         // the optimization that keeps Confirmation ecalls short.
         if self.slots.get(&seq).map_or(false, |s| s.commit_sent) {
-            return Ok(Vec::new());
+            return Ok(());
         }
         verify_signed_from(&self.registry, &p, (SPLITBFT_SCHEME.preparer)(p.payload.replica))?;
         if !self.config.contains(p.payload.replica) {
@@ -203,63 +221,57 @@ impl ConfirmationCompartment {
                 high: SeqNum(low.0 + self.config.window),
             });
         }
-        self.slots.entry(seq).or_default().prepares.insert(p.payload.replica, p);
-        Ok(self.maybe_commit(seq))
+        let n = self.config.n();
+        self.slots.entry(seq).or_default().prepares.insert(p.payload.replica, p, n);
+        self.maybe_commit(seq, outputs);
+        Ok(())
     }
 
-    fn maybe_commit(&mut self, seq: SeqNum) -> Vec<CompartmentOutput> {
+    fn maybe_commit(&mut self, seq: SeqNum, outputs: &mut Vec<CompartmentOutput>) {
         let view = self.view;
         let prepare_quorum = self.config.prepare_quorum();
-        let Some(slot) = self.slots.get(&seq) else { return Vec::new() };
+        let primary = view.primary(&self.config);
+        let Some(slot) = self.slots.get_mut(&seq) else { return };
         if slot.commit_sent {
-            return Vec::new();
+            return;
         }
         // Find a proposal whose digest gathered 2f matching prepares from
         // distinct non-primary Preparation enclaves.
-        let primary = view.primary(&self.config);
-        let mut chosen: Option<(Digest, PrepareCertificate)> = None;
-        for (digest, pp) in &slot.proposals {
-            if pp.payload.view != view {
-                continue;
-            }
-            let matching: Vec<_> = slot
-                .prepares
-                .values()
-                .filter(|p| {
-                    p.payload.view == view
-                        && p.payload.digest == *digest
-                        && p.payload.replica != primary
-                })
-                .take(prepare_quorum)
-                .cloned()
-                .collect();
-            if matching.len() >= prepare_quorum {
-                chosen = Some((
-                    *digest,
-                    PrepareCertificate { pre_prepare: pp.clone(), prepares: matching },
-                ));
-                break;
-            }
-        }
-        let Some((digest, cert)) = chosen else { return Vec::new() };
+        let prepares = &slot.prepares;
+        let matching = |digest: Digest| {
+            prepares.values().filter(move |p| {
+                p.payload.view == view && p.payload.digest == digest && p.payload.replica != primary
+            })
+        };
+        let chosen = slot
+            .proposals
+            .iter()
+            .filter(|pp| pp.payload.view == view)
+            .map(|pp| pp.payload.digest)
+            .find(|digest| matching(*digest).count() >= prepare_quorum);
+        let Some(digest) = chosen else { return };
 
-        self.prepared_certs.insert(seq, cert);
-        let slot = self.slots.get_mut(&seq).expect("slot exists");
+        // The proposal moves from the slot into the certificate: once the
+        // `Commit` is out the slot only ever answers "already sent", and a
+        // view change voids its proposals anyway.
+        let cert = PrepareCertificate {
+            prepares: matching(digest).take(prepare_quorum).cloned().collect(),
+            pre_prepare: slot.proposals.take(digest).expect("chosen among the proposals"),
+        };
         slot.commit_sent = true;
+        self.prepared_certs.insert(seq, cert);
         let commit = self
             .keypair
             .sign_payload(Commit { view, seq, digest, replica: self.replica }, self.signer);
-        vec![
-            CompartmentOutput::Committed { seq, digest },
-            CompartmentOutput::Broadcast(ConsensusMessage::Commit(commit)),
-        ]
+        outputs.push(CompartmentOutput::Committed { seq, digest });
+        outputs.push(CompartmentOutput::Broadcast(ConsensusMessage::Commit(commit)));
     }
 
     /// Handler (5): the environment suspects the primary; this
     /// compartment emits the `ViewChange` and advances its view, after
     /// which it "will no longer process Prepares or send commits in the
     /// old view" (§4).
-    fn on_view_timeout(&mut self) -> Vec<CompartmentOutput> {
+    fn on_view_timeout(&mut self, outputs: &mut Vec<CompartmentOutput>) {
         if self.awaiting_new_view {
             if self.stalled_timeouts < stall_budget(self.view_change_escalations) {
                 // Still waiting for the NewView of the current target:
@@ -268,13 +280,14 @@ impl ConfirmationCompartment {
                 // hopping to yet another view.
                 self.stalled_timeouts += 1;
                 let signed = self.signed_view_change(self.view);
-                return vec![CompartmentOutput::Broadcast(ConsensusMessage::ViewChange(signed))];
+                outputs.push(CompartmentOutput::Broadcast(ConsensusMessage::ViewChange(signed)));
+                return;
             }
             // Budget exhausted: escalate with a doubled budget for the
             // next hop (exponential backoff, as in the PBFT baseline).
             self.view_change_escalations = self.view_change_escalations.saturating_add(1);
         }
-        self.start_view_change(self.view.next())
+        self.start_view_change(self.view.next(), outputs);
     }
 
     /// This compartment's `ViewChange` for `target`, freshly signed.
@@ -301,7 +314,8 @@ impl ConfirmationCompartment {
     fn on_view_change_vote(
         &mut self,
         vc: Signed<ViewChange>,
-    ) -> Result<Vec<CompartmentOutput>, ProtocolError> {
+        outputs: &mut Vec<CompartmentOutput>,
+    ) -> Result<(), ProtocolError> {
         verify_view_change(&self.registry, &vc, &self.config, &SPLITBFT_SCHEME)?;
         let target = vc.payload.new_view;
         if target <= self.view {
@@ -317,16 +331,16 @@ impl ConfirmationCompartment {
             .iter()
             .find(|(view, votes)| **view > self.view && votes.len() > self.config.f())
             .map(|(view, _)| *view);
-        match joinable {
-            Some(target) => Ok(self.start_view_change(target)),
-            None => Ok(Vec::new()),
+        if let Some(target) = joinable {
+            self.start_view_change(target, outputs);
         }
+        Ok(())
     }
 
     /// Emits this compartment's `ViewChange` for `target` and enters it
     /// (handler 5 proper — "will no longer process Prepares or send
     /// commits in the old view", §4).
-    fn start_view_change(&mut self, target: View) -> Vec<CompartmentOutput> {
+    fn start_view_change(&mut self, target: View, outputs: &mut Vec<CompartmentOutput>) {
         let signed = self.signed_view_change(target);
         self.view = target;
         self.awaiting_new_view = true;
@@ -336,10 +350,8 @@ impl ConfirmationCompartment {
         for slot in self.slots.values_mut() {
             slot.commit_sent = false;
         }
-        vec![
-            CompartmentOutput::EnteredView(target),
-            CompartmentOutput::Broadcast(ConsensusMessage::ViewChange(signed)),
-        ]
+        outputs.push(CompartmentOutput::EnteredView(target));
+        outputs.push(CompartmentOutput::Broadcast(ConsensusMessage::ViewChange(signed)));
     }
 
     /// Handler (7'): Confirmation applies only the checkpoint and the
@@ -349,7 +361,8 @@ impl ConfirmationCompartment {
     fn on_new_view(
         &mut self,
         nv: Signed<NewView>,
-    ) -> Result<Vec<CompartmentOutput>, ProtocolError> {
+        outputs: &mut Vec<CompartmentOutput>,
+    ) -> Result<(), ProtocolError> {
         let target = nv.payload.view;
         if target < self.view || (target == self.view && !self.awaiting_new_view) {
             return Err(ProtocolError::WrongView { got: target, current: self.view });
@@ -402,33 +415,30 @@ impl ConfirmationCompartment {
         self.slots.clear();
         for pp in nv.payload.pre_prepares {
             if pp.payload.view == target && self.in_window(pp.payload.seq) {
-                self.slots
-                    .entry(pp.payload.seq)
-                    .or_default()
-                    .proposals
-                    .insert(pp.payload.digest, pp);
+                self.slots.entry(pp.payload.seq).or_default().proposals.insert(pp);
             }
         }
-        Ok(vec![CompartmentOutput::EnteredView(target)])
+        outputs.push(CompartmentOutput::EnteredView(target));
+        Ok(())
     }
 
     /// Duplicated handler (9).
     fn on_checkpoint(
         &mut self,
         c: Signed<Checkpoint>,
-    ) -> Result<Vec<CompartmentOutput>, ProtocolError> {
+        outputs: &mut Vec<CompartmentOutput>,
+    ) -> Result<(), ProtocolError> {
         verify_signed_from(&self.registry, &c, (SPLITBFT_SCHEME.executor)(c.payload.replica))?;
         if !self.config.contains(c.payload.replica) {
             return Err(ProtocolError::UnknownReplica(c.payload.replica));
         }
-        let mut outputs = Vec::new();
         if let Some(cert) = self.checkpoints.insert(c, &self.config) {
             let seq = cert.seq();
             self.slots = self.slots.split_off(&SeqNum(seq.0 + 1));
             self.prepared_certs = self.prepared_certs.split_off(&SeqNum(seq.0 + 1));
             outputs.push(CompartmentOutput::StableCheckpoint { seq });
         }
-        Ok(outputs)
+        Ok(())
     }
 }
 

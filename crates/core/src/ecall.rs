@@ -4,17 +4,25 @@
 //! Everything crossing the enclave boundary is *serialized* — the paper:
 //! "The broker expects the data that it needs to send over the network
 //! serialized" — so inputs and outputs have canonical wire encodings, and
-//! the host charges copy costs for the real byte counts.
+//! the host charges copy costs for the real byte counts. An ecall's
+//! outputs leave the enclave as one ocall each, marshalled back to back
+//! into the host's ocall arena (`splitbft_tee::OcallQueue`).
+//!
+//! `CompartmentInput::Message(m)` and `CompartmentOutput::Broadcast(m)`
+//! deliberately share their encoding (`1 ‖ m`): the broker loops a
+//! broadcast back into the replica's other compartments by handing them
+//! the ocall's bytes as they are.
 
 use bytes::Bytes;
-use splitbft_types::wire::{Decode, Encode, Reader, WireError};
+use splitbft_types::wire::{Decode, Encode, Reader, Sink, WireError};
 use splitbft_types::{
     ClientId, ConsensusMessage, Digest, Reply, Request, RequestBatch, RequestId, SeqNum, View,
 };
 
 /// The single ecall entry point id used by all compartments.
 pub const ECALL_HANDLE: u32 = 1;
-/// The single ocall id: one serialized [`CompartmentOutput`] per ocall.
+/// The single ocall id: each ocall carries one serialized
+/// [`CompartmentOutput`].
 pub const OCALL_OUTPUT: u32 = 1;
 
 /// An event delivered into a compartment.
@@ -48,27 +56,29 @@ pub enum CompartmentInput {
 }
 
 impl Encode for CompartmentInput {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode_to<S: Sink>(&self, out: &mut S) {
         match self {
             CompartmentInput::Message(m) => {
-                buf.push(1);
-                m.encode(buf);
+                out.put(&[1]);
+                m.encode_to(out);
             }
             CompartmentInput::ClientBatch(reqs) => {
-                buf.push(2);
-                reqs.encode(buf);
+                out.put(&[2]);
+                reqs.encode_to(out);
             }
-            CompartmentInput::ViewTimeout => buf.push(3),
+            CompartmentInput::ViewTimeout => out.put(&[3]),
             CompartmentInput::InstallSessionKey { client, client_dh_public, wrapped_key } => {
-                buf.push(4);
-                client.encode(buf);
-                client_dh_public.encode(buf);
-                Bytes::copy_from_slice(wrapped_key).encode(buf);
+                out.put(&[4]);
+                client.encode_to(out);
+                client_dh_public.encode_to(out);
+                // A byte string on the wire, like `Bytes`.
+                (wrapped_key.len() as u32).encode_to(out);
+                out.put(wrapped_key);
             }
             CompartmentInput::ReplayCommitted { seq, batch } => {
-                buf.push(5);
-                seq.encode(buf);
-                batch.encode(buf);
+                out.put(&[5]);
+                seq.encode_to(out);
+                batch.encode_to(out);
             }
         }
     }
@@ -138,42 +148,42 @@ pub enum CompartmentOutput {
 }
 
 impl Encode for CompartmentOutput {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode_to<S: Sink>(&self, out: &mut S) {
         match self {
             CompartmentOutput::Broadcast(m) => {
-                buf.push(1);
-                m.encode(buf);
+                out.put(&[1]);
+                m.encode_to(out);
             }
             CompartmentOutput::SendReply { to, reply } => {
-                buf.push(2);
-                to.encode(buf);
-                reply.encode(buf);
+                out.put(&[2]);
+                to.encode_to(out);
+                reply.encode_to(out);
             }
             CompartmentOutput::Persist(b) => {
-                buf.push(3);
-                b.encode(buf);
+                out.put(&[3]);
+                b.encode_to(out);
             }
             CompartmentOutput::Committed { seq, digest } => {
-                buf.push(4);
-                seq.encode(buf);
-                digest.encode(buf);
+                out.put(&[4]);
+                seq.encode_to(out);
+                digest.encode_to(out);
             }
             CompartmentOutput::Executed { seq, request } => {
-                buf.push(5);
-                seq.encode(buf);
-                request.encode(buf);
+                out.put(&[5]);
+                seq.encode_to(out);
+                request.encode_to(out);
             }
             CompartmentOutput::StableCheckpoint { seq } => {
-                buf.push(6);
-                seq.encode(buf);
+                out.put(&[6]);
+                seq.encode_to(out);
             }
             CompartmentOutput::EnteredView(v) => {
-                buf.push(7);
-                v.encode(buf);
+                out.put(&[7]);
+                v.encode_to(out);
             }
             CompartmentOutput::Rejected { reason } => {
-                buf.push(8);
-                reason.encode(buf);
+                out.put(&[8]);
+                reason.encode_to(out);
             }
         }
     }
@@ -206,7 +216,7 @@ impl Decode for CompartmentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splitbft_types::wire::roundtrip;
+    use splitbft_types::wire::{encode, roundtrip};
     use splitbft_types::{ReplicaId, Signature, Signed, SignerId, Timestamp};
 
     #[test]
@@ -233,6 +243,53 @@ mod tests {
             SignerId::Replica(ReplicaId(1)),
             Signature::ZERO,
         ))));
+    }
+
+    #[test]
+    fn a_broadcast_output_is_byte_for_byte_the_message_input() {
+        // The broker relies on it: it feeds a compartment's `Broadcast`
+        // ocall to the other compartments verbatim.
+        let signer = SignerId::Replica(ReplicaId(2));
+        let prepare = splitbft_types::Prepare {
+            view: View(3),
+            seq: SeqNum(9),
+            digest: Digest::from_bytes([7; 32]),
+            replica: ReplicaId(2),
+        };
+        let checkpoint = splitbft_types::Checkpoint {
+            seq: SeqNum(128),
+            state_digest: Digest::from_bytes([8; 32]),
+            replica: ReplicaId(2),
+            snapshot: Bytes::from_static(b"snapshot"),
+        };
+        let pre_prepare = splitbft_types::PrePrepare {
+            view: View(3),
+            seq: SeqNum(9),
+            digest: Digest::from_bytes([7; 32]),
+            batch: RequestBatch::default(),
+        };
+        for msg in [
+            ConsensusMessage::Prepare(Signed::new(prepare, signer, Signature::ZERO)),
+            ConsensusMessage::Checkpoint(Signed::new(checkpoint, signer, Signature::ZERO)),
+            ConsensusMessage::PrePrepare(Signed::new(pre_prepare, signer, Signature::ZERO)),
+        ] {
+            assert_eq!(
+                encode(&CompartmentOutput::Broadcast(msg.clone())),
+                encode(&CompartmentInput::Message(msg)),
+            );
+        }
+    }
+
+    #[test]
+    fn session_key_bytes_keep_their_length_prefixed_encoding() {
+        let input = CompartmentInput::InstallSessionKey {
+            client: ClientId(3),
+            client_dh_public: 5,
+            wrapped_key: vec![0xAA, 0xBB],
+        };
+        let mut expected = vec![4, 3, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0];
+        expected.extend_from_slice(&[2, 0, 0, 0, 0xAA, 0xBB]);
+        assert_eq!(encode(&input), expected);
     }
 
     #[test]

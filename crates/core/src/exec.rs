@@ -21,7 +21,7 @@ use splitbft_crypto::aead::{open, seal, AeadKey};
 use splitbft_crypto::sig::{dh_public, dh_shared};
 use splitbft_crypto::{digest_bytes, digest_of, ClientMacKeys, KeyPair, KeyRegistry};
 use splitbft_pbft::verify::verify_signed_from;
-use splitbft_pbft::CheckpointTracker;
+use splitbft_pbft::{CheckpointTracker, Proposals, VoteSet};
 use splitbft_tee::seal::SealingIdentity;
 use splitbft_types::wire::{Decode, Encode, Reader};
 use splitbft_types::{
@@ -51,9 +51,9 @@ pub fn exec_dh_secret(master_seed: u64, replica: ReplicaId) -> u64 {
 struct ExecSlot {
     /// Candidate full-request proposals by digest (forwarded
     /// `PrePrepare`s; commits carry only the hash).
-    proposals: BTreeMap<Digest, Signed<PrePrepare>>,
+    proposals: Proposals,
     /// Commit votes by sender.
-    commits: BTreeMap<ReplicaId, Signed<Commit>>,
+    commits: VoteSet<Signed<Commit>>,
 }
 
 /// The Execution compartment state machine, generic over the replicated
@@ -174,24 +174,37 @@ impl<A: Application> ExecutionCompartment<A> {
         seq > low && seq.0 <= low.0 + self.config.window
     }
 
-    /// The single event-handler entry point.
-    pub fn handle(&mut self, input: CompartmentInput) -> Vec<CompartmentOutput> {
-        let result = match input {
+    /// The single event-handler entry point. Effects are appended to
+    /// `outputs`.
+    ///
+    /// # Errors
+    ///
+    /// Why the event was rejected; what it appended before that is void
+    /// (the enclave adapter replaces it with one `Rejected` output).
+    pub fn handle(
+        &mut self,
+        input: CompartmentInput,
+        outputs: &mut Vec<CompartmentOutput>,
+    ) -> Result<(), ProtocolError> {
+        match input {
             CompartmentInput::Message(ConsensusMessage::PrePrepare(pp)) => {
-                self.on_pre_prepare(pp)
+                self.on_pre_prepare(pp, outputs)
             }
-            CompartmentInput::Message(ConsensusMessage::Commit(c)) => self.on_commit(c),
-            CompartmentInput::Message(ConsensusMessage::Checkpoint(c)) => self.on_checkpoint(c),
-            CompartmentInput::Message(ConsensusMessage::NewView(nv)) => self.on_new_view(nv),
+            CompartmentInput::Message(ConsensusMessage::Commit(c)) => self.on_commit(c, outputs),
+            CompartmentInput::Message(ConsensusMessage::Checkpoint(c)) => {
+                self.on_checkpoint(c, outputs)
+            }
+            CompartmentInput::Message(ConsensusMessage::NewView(nv)) => {
+                self.on_new_view(nv, outputs)
+            }
             CompartmentInput::InstallSessionKey { client, client_dh_public, wrapped_key } => {
                 self.on_install_session_key(client, client_dh_public, &wrapped_key)
             }
-            CompartmentInput::ReplayCommitted { seq, batch } => Ok(self.replay_committed(seq, &batch)),
+            CompartmentInput::ReplayCommitted { seq, batch } => {
+                self.replay_committed(seq, &batch, outputs);
+                Ok(())
+            }
             other => Err(ProtocolError::Other(format!("not an Execution event: {other:?}"))),
-        };
-        match result {
-            Ok(outputs) => outputs,
-            Err(e) => vec![CompartmentOutput::Rejected { reason: e.to_string() }],
         }
     }
 
@@ -202,7 +215,8 @@ impl<A: Application> ExecutionCompartment<A> {
     fn on_pre_prepare(
         &mut self,
         pp: Signed<PrePrepare>,
-    ) -> Result<Vec<CompartmentOutput>, ProtocolError> {
+        outputs: &mut Vec<CompartmentOutput>,
+    ) -> Result<(), ProtocolError> {
         let seq = pp.payload.seq;
         if !self.in_window(seq) {
             let low = self.checkpoints.stable_seq();
@@ -215,13 +229,17 @@ impl<A: Application> ExecutionCompartment<A> {
         if digest_of(&pp.payload.batch) != pp.payload.digest {
             return Err(ProtocolError::BadCertificate { kind: "pre-prepare digest" });
         }
-        let digest = pp.payload.digest;
-        self.slots.entry(seq).or_default().proposals.insert(digest, pp);
-        Ok(self.try_execute())
+        self.slots.entry(seq).or_default().proposals.insert(pp);
+        self.try_execute(outputs);
+        Ok(())
     }
 
     /// Handler (4): collect the commit quorum.
-    fn on_commit(&mut self, c: Signed<Commit>) -> Result<Vec<CompartmentOutput>, ProtocolError> {
+    fn on_commit(
+        &mut self,
+        c: Signed<Commit>,
+        outputs: &mut Vec<CompartmentOutput>,
+    ) -> Result<(), ProtocolError> {
         let seq = c.payload.seq;
         if c.payload.view != self.view {
             return Err(ProtocolError::WrongView { got: c.payload.view, current: self.view });
@@ -229,7 +247,7 @@ impl<A: Application> ExecutionCompartment<A> {
         // Early drop: commits for already-executed slots are redundant;
         // skip signature verification.
         if seq <= self.last_exec {
-            return Ok(Vec::new());
+            return Ok(());
         }
         verify_signed_from(&self.registry, &c, (SPLITBFT_SCHEME.confirmer)(c.payload.replica))?;
         if !self.config.contains(c.payload.replica) {
@@ -243,78 +261,60 @@ impl<A: Application> ExecutionCompartment<A> {
                 high: SeqNum(low.0 + self.config.window),
             });
         }
-        self.slots.entry(seq).or_default().commits.insert(c.payload.replica, c);
-        Ok(self.try_execute())
+        let n = self.config.n();
+        self.slots.entry(seq).or_default().commits.insert(c.payload.replica, c, n);
+        self.try_execute(outputs);
+        Ok(())
     }
 
     /// A slot is executable once `2f + 1` commits from distinct
     /// Confirmation enclaves agree on (view, digest) *and* the full batch
-    /// with that digest is present.
+    /// with that digest is present. One vote per replica and
+    /// `2 (2f + 1) > n` mean at most one (view, digest) reaches the quorum.
     fn committed_digest(&self, seq: SeqNum) -> Option<Digest> {
         let slot = self.slots.get(&seq)?;
-        let mut counts: BTreeMap<(View, Digest), usize> = BTreeMap::new();
-        for c in slot.commits.values() {
-            *counts.entry((c.payload.view, c.payload.digest)).or_insert(0) += 1;
-        }
-        counts
-            .into_iter()
-            .find(|(_, n)| *n >= self.config.quorum())
-            .map(|((_, d), _)| d)
-            .filter(|d| slot.proposals.contains_key(d))
+        let agreeing = |with: &Commit| {
+            slot.commits
+                .values()
+                .filter(|c| c.payload.view == with.view && c.payload.digest == with.digest)
+                .count()
+        };
+        slot.commits
+            .values()
+            .find(|c| agreeing(&c.payload) >= self.config.quorum())
+            .map(|c| c.payload.digest)
+            .filter(|d| slot.proposals.contains(*d))
     }
 
-    fn try_execute(&mut self) -> Vec<CompartmentOutput> {
-        let mut outputs = Vec::new();
+    fn try_execute(&mut self, outputs: &mut Vec<CompartmentOutput>) {
         loop {
             let next = self.last_exec.next();
             let Some(digest) = self.committed_digest(next) else { break };
+            // The slot is done: its proposal is consumed, not cloned.
             let batch = self
                 .slots
-                .get(&next)
-                .and_then(|s| s.proposals.get(&digest))
-                .map(|pp| pp.payload.batch.clone())
-                .expect("committed_digest checked presence");
+                .remove(&next)
+                .and_then(|mut slot| slot.proposals.take(digest))
+                .expect("committed_digest checked presence")
+                .payload
+                .batch;
             outputs.push(CompartmentOutput::Committed { seq: next, digest });
 
             for req in &batch.requests {
-                outputs.extend(self.execute_request(next, req));
+                self.execute_request(next, req, outputs);
             }
-            // Sealed persistence of application blobs (blockchain blocks):
-            // one ocall per blob, as in the paper's evaluation.
-            for blob in self.app.drain_persist() {
-                let nonce = self.seal_nonce;
-                self.seal_nonce += 1;
-                let sealed = splitbft_tee::seal::seal_data(
-                    &self.seal_identity,
-                    nonce,
-                    b"splitbft-block",
-                    &blob,
-                );
-                outputs.push(CompartmentOutput::Persist(Bytes::from(sealed)));
-            }
-            self.slots.remove(&next);
+            self.seal_persisted_blobs(outputs);
             self.last_exec = next;
 
             if next.0 % self.config.checkpoint_interval == 0 {
-                outputs.extend(self.emit_checkpoint(next));
+                self.emit_checkpoint(next, outputs);
             }
         }
-        outputs
     }
 
-    /// Crash recovery: re-executes a batch whose commit point was made
-    /// durable before the crash. Strictly sequential and quorum-free —
-    /// the WAL record *is* the evidence the quorum existed — and emits
-    /// only the execution-observability outputs (the broker discards
-    /// them during replay anyway).
-    fn replay_committed(&mut self, seq: SeqNum, batch: &RequestBatch) -> Vec<CompartmentOutput> {
-        if seq != self.last_exec.next() {
-            return Vec::new(); // stale or gapped record: replay skips it
-        }
-        let mut outputs = Vec::new();
-        for req in &batch.requests {
-            outputs.extend(self.execute_request(seq, req));
-        }
+    /// Sealed persistence of application blobs (blockchain blocks): one
+    /// ocall per blob, as in the paper's evaluation.
+    fn seal_persisted_blobs(&mut self, outputs: &mut Vec<CompartmentOutput>) {
         for blob in self.app.drain_persist() {
             let nonce = self.seal_nonce;
             self.seal_nonce += 1;
@@ -322,19 +322,38 @@ impl<A: Application> ExecutionCompartment<A> {
                 splitbft_tee::seal::seal_data(&self.seal_identity, nonce, b"splitbft-block", &blob);
             outputs.push(CompartmentOutput::Persist(Bytes::from(sealed)));
         }
-        self.slots.remove(&seq);
-        self.last_exec = seq;
-        outputs
     }
 
-    fn execute_request(&mut self, seq: SeqNum, req: &Request) -> Vec<CompartmentOutput> {
+    /// Crash recovery: re-executes a batch whose commit point was made
+    /// durable before the crash. Strictly sequential and quorum-free —
+    /// the WAL record *is* the evidence the quorum existed — and emits
+    /// only the execution-observability outputs (the broker discards
+    /// them during replay anyway).
+    fn replay_committed(
+        &mut self,
+        seq: SeqNum,
+        batch: &RequestBatch,
+        outputs: &mut Vec<CompartmentOutput>,
+    ) {
+        if seq != self.last_exec.next() {
+            return; // stale or gapped record: replay skips it
+        }
+        for req in &batch.requests {
+            self.execute_request(seq, req, outputs);
+        }
+        self.seal_persisted_blobs(outputs);
+        self.slots.remove(&seq);
+        self.last_exec = seq;
+    }
+
+    fn execute_request(&mut self, seq: SeqNum, req: &Request, outputs: &mut Vec<CompartmentOutput>) {
         let client = req.client();
-        let mut outputs = Vec::new();
         match self.last_replies.get(&client) {
             Some(cached) if cached.request.timestamp == req.id.timestamp => {
-                return vec![CompartmentOutput::SendReply { to: client, reply: cached.clone() }];
+                outputs.push(CompartmentOutput::SendReply { to: client, reply: cached.clone() });
+                return;
             }
-            Some(cached) if cached.request.timestamp > req.id.timestamp => return outputs,
+            Some(cached) if cached.request.timestamp > req.id.timestamp => return,
             _ => {}
         }
         // Re-verify the client MAC inside the trusted boundary: the
@@ -343,51 +362,33 @@ impl<A: Application> ExecutionCompartment<A> {
         // request into the batch. Corrupt requests execute as no-ops
         // (§4: "the Execution Compartment will detect this and execute a
         // no-op instead").
-        let authentic = self.client_keys.verify(
-            client,
-            &Request::auth_bytes(req.id, &req.op, req.encrypted),
-            &req.auth,
-        );
+        let authentic = self.client_keys.verify_request(req);
 
-        let (plaintext, session) = if !authentic {
-            (None, None)
-        } else if req.encrypted {
-            match self.session_keys.get(&client) {
-                Some(key) => (
-                    open(key, req.id.timestamp.0, REQ_AAD, &req.op).ok(),
-                    Some(key.clone()),
-                ),
-                None => (None, None),
-            }
+        let session = if req.encrypted { self.session_keys.get(&client) } else { None };
+        let result = if !authentic {
+            None
+        } else if !req.encrypted {
+            Some(self.app.execute(&req.op))
         } else {
-            (Some(req.op.to_vec()), None)
+            session
+                .and_then(|key| open(key, req.id.timestamp.0, REQ_AAD, &req.op).ok())
+                .map(|op| self.app.execute(&op))
         };
-
-        let result = match plaintext {
-            Some(op) => self.app.execute(&op),
-            None => Bytes::from_static(splitbft_app::NOOP_RESULT),
-        };
+        let result = result.unwrap_or(Bytes::from_static(splitbft_app::NOOP_RESULT));
 
         // Encrypt the result for the client when a session exists; the
         // deterministic nonce (the request timestamp) makes every correct
         // replica produce the same ciphertext, so reply quorums match.
-        let (result, encrypted) = match session {
-            Some(key) => (
-                Bytes::from(seal(&key, req.id.timestamp.0, REPLY_AAD, &result)),
-                true,
-            ),
+        let (result, encrypted) = match session.filter(|_| authentic) {
+            Some(key) => (Bytes::from(seal(key, req.id.timestamp.0, REPLY_AAD, &result)), true),
             None => (result, false),
         };
-        let auth = self
-            .client_keys
-            .key(client)
-            .tag(&Reply::auth_bytes(self.view, req.id, self.replica, &result, encrypted));
+        let auth = self.client_keys.reply_tag(self.view, req.id, self.replica, &result, encrypted);
         let reply =
             Reply { view: self.view, request: req.id, replica: self.replica, result, encrypted, auth };
         self.last_replies.insert(client, reply.clone());
         outputs.push(CompartmentOutput::Executed { seq, request: req.id });
         outputs.push(CompartmentOutput::SendReply { to: client, reply });
-        outputs
     }
 
     // --- checkpointing -----------------------------------------------------
@@ -395,16 +396,18 @@ impl<A: Application> ExecutionCompartment<A> {
     /// Canonical checkpoint state: application snapshot plus the
     /// replica-independent reply cache (client, timestamp, result).
     fn checkpoint_state_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
         let snapshot = self.app.snapshot();
-        (snapshot.len() as u32).encode(&mut buf);
-        buf.extend_from_slice(&snapshot);
         let replies: Vec<(ClientId, Timestamp, Bytes)> = self
             .last_replies
             .iter()
             .map(|(c, r)| (*c, r.request.timestamp, r.result.clone()))
             .collect();
-        replies.encode(&mut buf);
+        // Sized exactly: a snapshot can be megabytes, and growing into it
+        // would hold twice that.
+        let mut buf = Vec::with_capacity(4 + snapshot.len() + replies.encoded_len());
+        (snapshot.len() as u32).encode_to(&mut buf);
+        buf.extend_from_slice(&snapshot);
+        replies.encode_to(&mut buf);
         buf
     }
 
@@ -423,12 +426,11 @@ impl<A: Application> ExecutionCompartment<A> {
             .into_iter()
             .map(|(client, timestamp, result)| {
                 let request = splitbft_types::RequestId { client, timestamp };
-                let mac = self.client_keys.key(client);
                 // Restored results may be ciphertexts from the encrypted
                 // path; mark them non-encrypted for the resend MAC — the
                 // result bytes are replayed verbatim either way.
                 let auth =
-                    mac.tag(&Reply::auth_bytes(self.view, request, self.replica, &result, false));
+                    self.client_keys.reply_tag(self.view, request, self.replica, &result, false);
                 (
                     client,
                     Reply {
@@ -447,7 +449,7 @@ impl<A: Application> ExecutionCompartment<A> {
 
     /// Handler (8): generate the periodic checkpoint. Only Execution
     /// holds the application state, so only it originates `Checkpoint`s.
-    fn emit_checkpoint(&mut self, seq: SeqNum) -> Vec<CompartmentOutput> {
+    fn emit_checkpoint(&mut self, seq: SeqNum, outputs: &mut Vec<CompartmentOutput>) {
         let state = self.checkpoint_state_bytes();
         let ckpt = Checkpoint {
             seq,
@@ -456,24 +458,22 @@ impl<A: Application> ExecutionCompartment<A> {
             snapshot: state.into(),
         };
         let signed = self.keypair.sign_payload(ckpt, self.signer);
-        let mut outputs = Vec::new();
         if let Some(cert) = self.checkpoints.insert(signed.clone(), &self.config) {
-            outputs.extend(self.apply_stable(cert.seq()));
+            outputs.push(self.apply_stable(cert.seq()));
         }
         outputs.push(CompartmentOutput::Broadcast(ConsensusMessage::Checkpoint(signed)));
-        outputs
     }
 
     /// Duplicated handler (9).
     fn on_checkpoint(
         &mut self,
         c: Signed<Checkpoint>,
-    ) -> Result<Vec<CompartmentOutput>, ProtocolError> {
+        outputs: &mut Vec<CompartmentOutput>,
+    ) -> Result<(), ProtocolError> {
         verify_signed_from(&self.registry, &c, (SPLITBFT_SCHEME.executor)(c.payload.replica))?;
         if !self.config.contains(c.payload.replica) {
             return Err(ProtocolError::UnknownReplica(c.payload.replica));
         }
-        let mut outputs = Vec::new();
         if let Some(cert) = self.checkpoints.insert(c, &self.config) {
             let seq = cert.seq();
             // State transfer if this enclave fell behind.
@@ -484,14 +484,14 @@ impl<A: Application> ExecutionCompartment<A> {
                     }
                 }
             }
-            outputs.extend(self.apply_stable(seq));
+            outputs.push(self.apply_stable(seq));
         }
-        Ok(outputs)
+        Ok(())
     }
 
-    fn apply_stable(&mut self, seq: SeqNum) -> Vec<CompartmentOutput> {
+    fn apply_stable(&mut self, seq: SeqNum) -> CompartmentOutput {
         self.slots = self.slots.split_off(&SeqNum(seq.0 + 1));
-        vec![CompartmentOutput::StableCheckpoint { seq }]
+        CompartmentOutput::StableCheckpoint { seq }
     }
 
     /// Handler (7'): apply the checkpoint and the view from a `NewView`;
@@ -500,7 +500,8 @@ impl<A: Application> ExecutionCompartment<A> {
     fn on_new_view(
         &mut self,
         nv: Signed<NewView>,
-    ) -> Result<Vec<CompartmentOutput>, ProtocolError> {
+        outputs: &mut Vec<CompartmentOutput>,
+    ) -> Result<(), ProtocolError> {
         let target = nv.payload.view;
         if target <= self.view {
             return Err(ProtocolError::WrongView { got: target, current: self.view });
@@ -555,14 +556,11 @@ impl<A: Application> ExecutionCompartment<A> {
                 && self.in_window(pp.payload.seq)
                 && digest_of(&pp.payload.batch) == pp.payload.digest
             {
-                self.slots
-                    .entry(pp.payload.seq)
-                    .or_default()
-                    .proposals
-                    .insert(pp.payload.digest, pp);
+                self.slots.entry(pp.payload.seq).or_default().proposals.insert(pp);
             }
         }
-        Ok(vec![CompartmentOutput::EnteredView(target)])
+        outputs.push(CompartmentOutput::EnteredView(target));
+        Ok(())
     }
 
     // --- attestation / session keys ----------------------------------------
@@ -574,18 +572,18 @@ impl<A: Application> ExecutionCompartment<A> {
         client: ClientId,
         client_dh_public: u64,
         wrapped_key: &[u8],
-    ) -> Result<Vec<CompartmentOutput>, ProtocolError> {
+    ) -> Result<(), ProtocolError> {
         let shared = dh_shared(self.dh_secret, client_dh_public);
         let wrap_key = AeadKey::new(&digest_bytes(&shared.to_le_bytes()).0);
         let mut aad = b"session-key:".to_vec();
-        client.encode(&mut aad);
+        client.encode_to(&mut aad);
         let key_bytes = open(&wrap_key, WRAP_NONCE, &aad, wrapped_key)
             .map_err(|_| ProtocolError::BadAuthenticator { kind: "wrapped session key" })?;
         let key_bytes: [u8; 32] = key_bytes
             .try_into()
             .map_err(|_| ProtocolError::BadAuthenticator { kind: "session key length" })?;
         self.session_keys.insert(client, AeadKey::new(&key_bytes));
-        Ok(Vec::new())
+        Ok(())
     }
 }
 

@@ -13,35 +13,40 @@ use splitbft_types::{
     ConsensusMessage, DurableCheckpoint, DurableEvent, ProtocolError, Request, SeqNum,
 };
 
-fn to_outputs(events: Vec<ReplicaEvent>) -> Vec<ProtocolOutput<ConsensusMessage>> {
-    events
-        .into_iter()
-        .filter_map(|event| match event {
-            ReplicaEvent::Broadcast(msg) => Some(ProtocolOutput::Broadcast(msg)),
-            ReplicaEvent::Reply { to, reply } => Some(ProtocolOutput::Reply { to, reply }),
-            // Persistence, compartment telemetry and rejection events
-            // have no network footprint.
-            _ => None,
-        })
-        .collect()
+/// Drains the broker's event buffer (which it keeps for its next call)
+/// into the outputs the runtime acts on, allocated once at their count.
+fn to_outputs(events: &mut Vec<ReplicaEvent>) -> Vec<ProtocolOutput<ConsensusMessage>> {
+    let on_the_network = events
+        .iter()
+        .filter(|e| matches!(e, ReplicaEvent::Broadcast(_) | ReplicaEvent::Reply { .. }))
+        .count();
+    let mut outputs = Vec::with_capacity(on_the_network);
+    outputs.extend(events.drain(..).filter_map(|event| match event {
+        ReplicaEvent::Broadcast(msg) => Some(ProtocolOutput::Broadcast(msg)),
+        ReplicaEvent::Reply { to, reply } => Some(ProtocolOutput::Reply { to, reply }),
+        // Persistence, compartment telemetry and rejection events
+        // have no network footprint.
+        _ => None,
+    }));
+    outputs
 }
 
 impl<A: Application + 'static> Protocol for SplitBftReplica<A> {
     type Message = ConsensusMessage;
 
     fn on_message(&mut self, msg: ConsensusMessage) -> Vec<ProtocolOutput<ConsensusMessage>> {
-        to_outputs(self.on_network_message(msg))
+        to_outputs(self.deliver_network_message(msg))
     }
 
     fn on_client_requests(
         &mut self,
         requests: Vec<Request>,
     ) -> Vec<ProtocolOutput<ConsensusMessage>> {
-        to_outputs(self.on_client_batch(requests))
+        to_outputs(self.deliver_client_batch(requests))
     }
 
     fn on_timeout(&mut self) -> Vec<ProtocolOutput<ConsensusMessage>> {
-        to_outputs(self.on_view_timeout())
+        to_outputs(self.deliver_view_timeout())
     }
 
     fn progress(&self) -> u64 {

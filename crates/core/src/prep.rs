@@ -87,78 +87,74 @@ impl PreparationCompartment {
     }
 
     /// The single event-handler entry point (P2: handlers run to
-    /// completion inside one compartment).
-    pub fn handle(&mut self, input: CompartmentInput) -> Vec<CompartmentOutput> {
-        let result = match input {
-            CompartmentInput::ClientBatch(requests) => Ok(self.on_client_batch(requests)),
+    /// completion inside one compartment). Effects are appended to
+    /// `outputs`.
+    ///
+    /// # Errors
+    ///
+    /// Why the event was rejected; what it appended before that is void
+    /// (the enclave adapter replaces it with one `Rejected` output).
+    pub fn handle(
+        &mut self,
+        input: CompartmentInput,
+        outputs: &mut Vec<CompartmentOutput>,
+    ) -> Result<(), ProtocolError> {
+        match input {
+            CompartmentInput::ClientBatch(requests) => {
+                self.on_client_batch(requests, outputs);
+                Ok(())
+            }
             CompartmentInput::Message(ConsensusMessage::PrePrepare(pp)) => {
-                self.on_pre_prepare(pp)
+                self.on_pre_prepare(pp, outputs)
             }
-            CompartmentInput::Message(ConsensusMessage::Checkpoint(c)) => self.on_checkpoint(c),
+            CompartmentInput::Message(ConsensusMessage::Checkpoint(c)) => {
+                self.on_checkpoint(c, outputs)
+            }
             CompartmentInput::Message(ConsensusMessage::ViewChange(vc)) => {
-                self.on_view_change(vc)
+                self.on_view_change(vc, outputs)
             }
-            CompartmentInput::Message(ConsensusMessage::NewView(nv)) => self.on_new_view(nv),
+            CompartmentInput::Message(ConsensusMessage::NewView(nv)) => {
+                self.on_new_view(nv, outputs)
+            }
             // Prepares, Commits, timeouts, key installs are not this
             // compartment's events; a correct broker never routes them
             // here, so receiving one is evidence of a faulty environment.
             other => Err(ProtocolError::Other(format!("not a Preparation event: {other:?}"))),
-        };
-        match result {
-            Ok(outputs) => outputs,
-            Err(e) => vec![CompartmentOutput::Rejected { reason: e.to_string() }],
         }
-    }
-
-    fn verify_request(&mut self, req: &Request) -> bool {
-        self.client_keys.verify(
-            req.client(),
-            &Request::auth_bytes(req.id, &req.op, req.encrypted),
-            &req.auth,
-        )
-    }
-
-    /// Authenticates a whole proposed batch with one constant-time
-    /// digest comparison ([`splitbft_crypto::verify_tag_batch`]); any
-    /// failing member rejects the batch, so per-request verdicts are
-    /// unnecessary on this path.
-    fn verify_request_batch(&mut self, requests: &[Request]) -> bool {
-        self.client_keys.verify_batch(requests.iter().map(|req| {
-            (req.client(), Request::auth_bytes(req.id, &req.op, req.encrypted), req.auth)
-        }))
     }
 
     /// Handler (1): the primary orders a batch.
-    fn on_client_batch(&mut self, requests: Vec<Request>) -> Vec<CompartmentOutput> {
+    fn on_client_batch(&mut self, mut requests: Vec<Request>, outputs: &mut Vec<CompartmentOutput>) {
         if !self.is_primary() {
-            return Vec::new();
+            return;
         }
-        let fresh: Vec<Request> =
-            requests.into_iter().filter(|r| self.verify_request(r)).collect();
-        if fresh.is_empty() {
-            return Vec::new();
+        requests.retain(|r| self.client_keys.verify_request(r));
+        if requests.is_empty() {
+            return;
         }
         let seq = self.next_seq.next();
         if !self.in_prep.in_window(seq) {
-            return vec![CompartmentOutput::Rejected {
+            outputs.push(CompartmentOutput::Rejected {
                 reason: "watermark window exhausted; awaiting checkpoint".into(),
-            }];
+            });
+            return;
         }
         self.next_seq = seq;
-        let batch = RequestBatch::new(fresh);
+        let batch = RequestBatch::new(requests);
         let digest = digest_of(&batch);
         let pp = self
             .keypair
             .sign_payload(PrePrepare { view: self.view, seq, digest, batch }, self.signer);
         self.in_prep.insert_pre_prepare(pp.clone()).expect("fresh slot");
-        vec![CompartmentOutput::Broadcast(ConsensusMessage::PrePrepare(pp))]
+        outputs.push(CompartmentOutput::Broadcast(ConsensusMessage::PrePrepare(pp)));
     }
 
     /// Handler (2): a backup validates the proposal and votes `Prepare`.
     fn on_pre_prepare(
         &mut self,
         pp: Signed<PrePrepare>,
-    ) -> Result<Vec<CompartmentOutput>, ProtocolError> {
+        outputs: &mut Vec<CompartmentOutput>,
+    ) -> Result<(), ProtocolError> {
         let view = pp.payload.view;
         let seq = pp.payload.seq;
         if view != self.view {
@@ -170,21 +166,24 @@ impl PreparationCompartment {
         if digest_of(&pp.payload.batch) != pp.payload.digest {
             return Err(ProtocolError::BadCertificate { kind: "pre-prepare digest" });
         }
-        if !self.verify_request_batch(&pp.payload.batch.requests) {
+        // One constant-time digest comparison authenticates the whole
+        // batch ([`splitbft_crypto::verify_tag_batch`]); any failing
+        // member rejects it, so per-request verdicts are unnecessary here.
+        if !self.client_keys.verify_requests(&pp.payload.batch.requests) {
             return Err(ProtocolError::BadAuthenticator { kind: "request in batch" });
         }
-        self.accept_pre_prepare(pp)
+        self.accept_pre_prepare(pp, outputs)
     }
 
     fn accept_pre_prepare(
         &mut self,
         pp: Signed<PrePrepare>,
-    ) -> Result<Vec<CompartmentOutput>, ProtocolError> {
+        outputs: &mut Vec<CompartmentOutput>,
+    ) -> Result<(), ProtocolError> {
         let view = pp.payload.view;
         let seq = pp.payload.seq;
         let digest = pp.payload.digest;
         self.in_prep.insert_pre_prepare(pp)?;
-        let mut outputs = Vec::new();
         if view.primary(&self.config) != self.replica
             && !self.in_prep.slot(seq).map_or(false, |s| s.prepare_sent)
         {
@@ -194,7 +193,7 @@ impl PreparationCompartment {
             self.in_prep.slot_mut(seq).prepare_sent = true;
             outputs.push(CompartmentOutput::Broadcast(ConsensusMessage::Prepare(prepare)));
         }
-        Ok(outputs)
+        Ok(())
     }
 
     /// Duplicated handler (9): collect checkpoints, garbage-collect the
@@ -202,12 +201,12 @@ impl PreparationCompartment {
     fn on_checkpoint(
         &mut self,
         c: Signed<Checkpoint>,
-    ) -> Result<Vec<CompartmentOutput>, ProtocolError> {
+        outputs: &mut Vec<CompartmentOutput>,
+    ) -> Result<(), ProtocolError> {
         verify_signed_from(&self.registry, &c, (SPLITBFT_SCHEME.executor)(c.payload.replica))?;
         if !self.config.contains(c.payload.replica) {
             return Err(ProtocolError::UnknownReplica(c.payload.replica));
         }
-        let mut outputs = Vec::new();
         if let Some(cert) = self.checkpoints.insert(c, &self.config) {
             let seq = cert.seq();
             self.in_prep.collect_garbage(seq);
@@ -216,7 +215,7 @@ impl PreparationCompartment {
             }
             outputs.push(CompartmentOutput::StableCheckpoint { seq });
         }
-        Ok(outputs)
+        Ok(())
     }
 
     /// Handler (6): validate view changes; as the new primary, emit the
@@ -224,7 +223,8 @@ impl PreparationCompartment {
     fn on_view_change(
         &mut self,
         vc: Signed<ViewChange>,
-    ) -> Result<Vec<CompartmentOutput>, ProtocolError> {
+        outputs: &mut Vec<CompartmentOutput>,
+    ) -> Result<(), ProtocolError> {
         verify_view_change(&self.registry, &vc, &self.config, &SPLITBFT_SCHEME)?;
         let target = vc.payload.new_view;
         if target <= self.view {
@@ -232,10 +232,10 @@ impl PreparationCompartment {
         }
         self.view_changes.insert(vc);
         if target.primary(&self.config) != self.replica {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let Some(quorum) = self.view_changes.quorum(target, &self.config) else {
-            return Ok(Vec::new());
+            return Ok(());
         };
         let plan = plan_new_view(target, &quorum);
         let pre_prepares: Vec<Signed<PrePrepare>> = plan
@@ -247,9 +247,8 @@ impl PreparationCompartment {
         let nv = NewView { view: target, view_changes: quorum, pre_prepares: pre_prepares.clone() };
         let signed_nv = self.keypair.sign_payload(nv, self.signer);
 
-        let mut outputs =
-            vec![CompartmentOutput::Broadcast(ConsensusMessage::NewView(signed_nv))];
-        outputs.extend(self.enter_view(target, plan.checkpoint.seq()));
+        outputs.push(CompartmentOutput::Broadcast(ConsensusMessage::NewView(signed_nv)));
+        outputs.push(self.enter_view(target, plan.checkpoint.seq()));
         if self.checkpoints.stable_proof().seq() < plan.checkpoint.seq() {
             self.checkpoints.install_certificate(plan.checkpoint.clone());
         }
@@ -259,7 +258,7 @@ impl PreparationCompartment {
             }
         }
         self.next_seq = SeqNum(plan.max_s.0.max(self.next_seq.0));
-        Ok(outputs)
+        Ok(())
     }
 
     /// Handler (7): full validation of the `NewView` — this compartment
@@ -267,7 +266,8 @@ impl PreparationCompartment {
     fn on_new_view(
         &mut self,
         nv: Signed<NewView>,
-    ) -> Result<Vec<CompartmentOutput>, ProtocolError> {
+        outputs: &mut Vec<CompartmentOutput>,
+    ) -> Result<(), ProtocolError> {
         let target = nv.payload.view;
         if target <= self.view {
             return Err(ProtocolError::WrongView { got: target, current: self.view });
@@ -282,28 +282,27 @@ impl PreparationCompartment {
         )?;
         let plan = validate_new_view(&nv.payload, &self.config)?;
 
-        let mut outputs = self.enter_view(target, plan.checkpoint.seq());
+        outputs.push(self.enter_view(target, plan.checkpoint.seq()));
         if self.checkpoints.stable_proof().seq() < plan.checkpoint.seq() {
             self.checkpoints.install_certificate(plan.checkpoint.clone());
         }
         for pp in nv.payload.pre_prepares {
             if self.in_prep.in_window(pp.payload.seq) {
-                if let Ok(more) = self.accept_pre_prepare(pp) {
-                    outputs.extend(more);
-                }
+                // A refused re-proposal (equivocation) emits nothing.
+                let _ = self.accept_pre_prepare(pp, outputs);
             }
         }
-        Ok(outputs)
+        Ok(())
     }
 
     /// Handler (7'): apply the checkpoint baseline and update the view —
     /// duplicated across all compartments.
-    fn enter_view(&mut self, view: View, stable: SeqNum) -> Vec<CompartmentOutput> {
+    fn enter_view(&mut self, view: View, stable: SeqNum) -> CompartmentOutput {
         self.in_prep.collect_garbage(stable);
         self.in_prep.clear_above(self.in_prep.low());
         self.view = view;
         self.view_changes.collect_garbage(view);
-        vec![CompartmentOutput::EnteredView(view)]
+        CompartmentOutput::EnteredView(view)
     }
 }
 

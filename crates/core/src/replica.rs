@@ -5,7 +5,9 @@
 //! enclave using ecalls", drains the enclaves' ocall queues, and pushes
 //! outbound traffic to the network. It also implements the message
 //! *duplication* of §3.2: every incoming `PrePrepare`, `Checkpoint` and
-//! `NewView` is delivered to multiple compartments' private input logs.
+//! `NewView` is delivered to multiple compartments' private input logs —
+//! serialized once, the same bytes copied into each enclave, which
+//! decodes and verifies them for itself.
 //!
 //! The broker is untrusted: "this layer can be compromised, causing
 //! liveness issues ... However, confidentiality and integrity are not
@@ -22,16 +24,18 @@ use crate::suffix::SuffixRing;
 use bytes::Bytes;
 use splitbft_app::Application;
 use splitbft_tee::attest::{PlatformAuthority, Quote};
+use splitbft_tee::enclave::recycle;
 use splitbft_tee::fault::{FaultPlan, FaultyEnclave};
 use splitbft_tee::host::{EnclaveHost, ExecMode, TransitionStats};
 use splitbft_tee::CostModel;
-use splitbft_types::wire::{decode, encode};
+use splitbft_types::wire::{decode, encode, Encode};
 use splitbft_types::{
     CheckpointCertificate, ClientId, ClusterConfig, CompartmentKind, ConsensusMessage, Digest,
     DurableCheckpoint, DurableEvent, ProtocolError, ReplicaId, Reply, Request, RequestBatch,
     RequestId, SeqNum, View,
 };
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
 /// An event surfaced by the broker to the hosting runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,6 +108,34 @@ pub struct CompartmentFaults {
 
 type Hosted<C> = EnclaveHost<FaultyEnclave<EnclaveAdapter<C>>>;
 
+/// One serialized [`CompartmentInput`] awaiting delivery.
+struct QueuedInput {
+    /// Its bytes in [`Dispatch::bytes`].
+    bytes: Range<usize>,
+    /// The compartments it is for, in delivery order.
+    route: &'static [CompartmentKind],
+    /// The local compartment that produced it, which is skipped (`None`
+    /// for input from outside the replica).
+    origin: Option<CompartmentKind>,
+}
+
+/// The broker's working memory for one handler call, kept between calls
+/// so a steady stream of messages allocates nothing here.
+///
+/// Every input is serialized **once**, into `bytes`, and each routed
+/// compartment is handed that same slice. A message a local compartment
+/// broadcasts is queued by copying its ocall payload: an encoded
+/// `CompartmentOutput::Broadcast(m)` and an encoded
+/// `CompartmentInput::Message(m)` are the same bytes, `1 ‖ m` (pinned by a
+/// test in [`crate::ecall`]).
+#[derive(Default)]
+struct Dispatch {
+    bytes: Vec<u8>,
+    queue: VecDeque<QueuedInput>,
+    /// What the call surfaced to the hosting runtime so far.
+    events: Vec<ReplicaEvent>,
+}
+
 /// A complete SplitBFT replica: three enclaves plus the untrusted broker.
 pub struct SplitBftReplica<A: Application> {
     id: ReplicaId,
@@ -132,6 +164,7 @@ pub struct SplitBftReplica<A: Application> {
     /// was called).
     durable: Vec<DurableEvent>,
     durable_enabled: bool,
+    dispatch: Dispatch,
     /// Committed-certificate suffix ring serving the log path of peer
     /// state transfer (see [`crate::suffix`]). Harvested alongside the
     /// WAL batches, so it is also gated on `durable_enabled` — pure
@@ -212,6 +245,7 @@ impl<A: Application> SplitBftReplica<A> {
             seen_batches: BTreeMap::new(),
             durable: Vec::new(),
             durable_enabled: false,
+            dispatch: Dispatch::default(),
             suffix: SuffixRing::default(),
         }
     }
@@ -245,148 +279,154 @@ impl<A: Application> SplitBftReplica<A> {
         }
     }
 
-    fn ecall_into(
-        &mut self,
-        kind: CompartmentKind,
-        input: &CompartmentInput,
-        events: &mut Vec<ReplicaEvent>,
-        loopback: &mut VecDeque<(CompartmentKind, ConsensusMessage)>,
-    ) {
-        let bytes = encode(input);
-        let reply = match kind {
-            CompartmentKind::Preparation => self.prep.ecall(ECALL_HANDLE, &bytes),
-            CompartmentKind::Confirmation => self.conf.ecall(ECALL_HANDLE, &bytes),
-            CompartmentKind::Execution => self.exec.ecall(ECALL_HANDLE, &bytes),
-        };
-        let reply = match reply {
-            Ok(reply) => reply,
-            Err(_) => {
-                events.push(ReplicaEvent::EnclaveCrashed { kind });
-                return;
+    /// Queues `input` for `route`, serializing it once.
+    fn enqueue(&mut self, input: &CompartmentInput, route: &'static [CompartmentKind]) {
+        let Dispatch { bytes, queue, .. } = &mut self.dispatch;
+        let start = bytes.len();
+        bytes.reserve(input.encoded_len());
+        input.encode_to(bytes);
+        queue.push_back(QueuedInput { bytes: start..bytes.len(), route, origin: None });
+    }
+
+    /// Delivers every queued input to its compartments, and the messages
+    /// they broadcast in response to this replica's other compartments,
+    /// until quiescent. What the enclaves surface is appended to the
+    /// call's events.
+    fn run_to_quiescence(&mut self) {
+        while let Some(QueuedInput { bytes, route, origin }) = self.dispatch.queue.pop_front() {
+            for &kind in route.iter().filter(|kind| Some(**kind) != origin) {
+                self.ecall_into(kind, bytes.clone());
             }
+        }
+        // The queue has drained, so the serialized inputs are dead.
+        recycle(&mut self.dispatch.bytes);
+    }
+
+    /// One ecall: hands `kind` the queued input at `input` and processes
+    /// the ocalls it posted.
+    fn ecall_into(&mut self, kind: CompartmentKind, input: Range<usize>) {
+        let Dispatch { bytes, queue, events } = &mut self.dispatch;
+        let input = &bytes[input];
+        let reply = match kind {
+            CompartmentKind::Preparation => self.prep.ecall(ECALL_HANDLE, input),
+            CompartmentKind::Confirmation => self.conf.ecall(ECALL_HANDLE, input),
+            CompartmentKind::Execution => self.exec.ecall(ECALL_HANDLE, input),
         };
-        for ocall in reply.ocalls {
-            if ocall.id != OCALL_OUTPUT {
+        let Ok(reply) = reply else {
+            events.push(ReplicaEvent::EnclaveCrashed { kind });
+            return;
+        };
+        for (id, data) in reply.ocalls.iter() {
+            if id != OCALL_OUTPUT {
                 continue;
             }
             // Ocall payloads from a possibly-compromised enclave are
             // untrusted bytes; garbage is dropped.
-            let Ok(output) = decode::<CompartmentOutput>(&ocall.data) else { continue };
-            match output {
+            let Ok(output) = decode::<CompartmentOutput>(data) else { continue };
+            events.push(match output {
                 CompartmentOutput::Broadcast(msg) => {
-                    events.push(ReplicaEvent::Broadcast(msg.clone()));
-                    loopback.push_back((kind, msg));
+                    // Loop the message back into this replica's other
+                    // compartments as the bytes the enclave marshalled.
+                    let start = bytes.len();
+                    bytes.extend_from_slice(data);
+                    queue.push_back(QueuedInput {
+                        bytes: start..bytes.len(),
+                        route: Self::route(&msg),
+                        origin: Some(kind),
+                    });
+                    ReplicaEvent::Broadcast(msg)
                 }
-                CompartmentOutput::SendReply { to, reply } => {
-                    events.push(ReplicaEvent::Reply { to, reply });
-                }
-                CompartmentOutput::Persist(blob) => events.push(ReplicaEvent::Persist(blob)),
+                CompartmentOutput::SendReply { to, reply } => ReplicaEvent::Reply { to, reply },
+                CompartmentOutput::Persist(blob) => ReplicaEvent::Persist(blob),
                 CompartmentOutput::Committed { seq, digest } => {
-                    events.push(ReplicaEvent::Committed { kind, seq, digest });
+                    ReplicaEvent::Committed { kind, seq, digest }
                 }
                 CompartmentOutput::Executed { seq, request } => {
-                    events.push(ReplicaEvent::Executed { seq, request });
+                    ReplicaEvent::Executed { seq, request }
                 }
                 CompartmentOutput::StableCheckpoint { seq } => {
-                    events.push(ReplicaEvent::StableCheckpoint { kind, seq });
+                    ReplicaEvent::StableCheckpoint { kind, seq }
                 }
-                CompartmentOutput::EnteredView(view) => {
-                    events.push(ReplicaEvent::EnteredView { kind, view });
-                }
-                CompartmentOutput::Rejected { reason } => {
-                    events.push(ReplicaEvent::Rejected { kind, reason });
-                }
-            }
+                CompartmentOutput::EnteredView(view) => ReplicaEvent::EnteredView { kind, view },
+                CompartmentOutput::Rejected { reason } => ReplicaEvent::Rejected { kind, reason },
+            });
         }
     }
 
-    /// Routes one message (from the network or looped back from a local
-    /// enclave) into every subscribed compartment except its local
-    /// originator, then drains the cascade of follow-up messages.
-    fn dispatch(
-        &mut self,
-        origin: Option<CompartmentKind>,
-        msg: ConsensusMessage,
-    ) -> Vec<ReplicaEvent> {
-        let mut events = Vec::new();
-        let mut loopback: VecDeque<(CompartmentKind, ConsensusMessage)> = VecDeque::new();
-        // First hop: deliver to every routed compartment except the local
-        // originator (none when the message came from the network).
-        let first_targets: Vec<CompartmentKind> = Self::route(&msg)
-            .iter()
-            .copied()
-            .filter(|k| Some(*k) != origin)
-            .collect();
-        let input = CompartmentInput::Message(msg);
-        for kind in first_targets {
-            self.ecall_into(kind, &input, &mut events, &mut loopback);
-        }
-        // Follow-ups produced by local enclaves cascade until quiescent.
-        while let Some((from, m)) = loopback.pop_front() {
-            let targets: Vec<CompartmentKind> =
-                Self::route(&m).iter().copied().filter(|k| *k != from).collect();
-            let input = CompartmentInput::Message(m);
-            for kind in targets {
-                self.ecall_into(kind, &input, &mut events, &mut loopback);
-            }
-        }
-        events
+    /// Routes one message from the network into every subscribed
+    /// compartment, then drains the cascade of follow-up messages.
+    fn route_message(&mut self, msg: ConsensusMessage) {
+        let route = Self::route(&msg);
+        self.enqueue(&CompartmentInput::Message(msg), route);
+        self.run_to_quiescence();
+    }
+
+    /// Bookkeeping after a handler call: pending-request markers and the
+    /// durable plane both read the call's events.
+    fn after_call(&mut self) {
+        let events = std::mem::take(&mut self.dispatch.events);
+        self.observe_execution(&events);
+        self.harvest_durable(&events);
+        self.dispatch.events = events;
     }
 
     /// Delivers a message received from the network.
     pub fn on_network_message(&mut self, msg: ConsensusMessage) -> Vec<ReplicaEvent> {
+        std::mem::take(self.deliver_network_message(msg))
+    }
+
+    /// [`SplitBftReplica::on_network_message`], leaving the events in the
+    /// broker's reusable buffer for the caller to drain.
+    pub(crate) fn deliver_network_message(
+        &mut self,
+        msg: ConsensusMessage,
+    ) -> &mut Vec<ReplicaEvent> {
+        self.dispatch.events.clear();
         self.note_batch_of(&msg);
-        let events = self.dispatch(None, msg);
-        self.observe_execution(&events);
-        self.harvest_durable(&events);
-        events
+        self.route_message(msg);
+        self.after_call();
+        &mut self.dispatch.events
     }
 
     /// Delivers a batch of client requests to the Preparation enclave
     /// (the batcher lives in the runtime, per P1).
     pub fn on_client_batch(&mut self, requests: Vec<Request>) -> Vec<ReplicaEvent> {
+        std::mem::take(self.deliver_client_batch(requests))
+    }
+
+    /// [`SplitBftReplica::on_client_batch`] into the reusable buffer.
+    pub(crate) fn deliver_client_batch(
+        &mut self,
+        requests: Vec<Request>,
+    ) -> &mut Vec<ReplicaEvent> {
+        self.dispatch.events.clear();
         for req in &requests {
             let entry = self.pending.entry(req.client()).or_insert(req.id.timestamp);
             if *entry < req.id.timestamp {
                 *entry = req.id.timestamp;
             }
         }
-        let mut events = Vec::new();
-        let mut loopback = VecDeque::new();
-        let input = CompartmentInput::ClientBatch(requests);
-        self.ecall_into(CompartmentKind::Preparation, &input, &mut events, &mut loopback);
-        while let Some((from, m)) = loopback.pop_front() {
-            let targets: Vec<CompartmentKind> =
-                Self::route(&m).iter().copied().filter(|k| *k != from).collect();
-            let input = CompartmentInput::Message(m);
-            for kind in targets {
-                self.ecall_into(kind, &input, &mut events, &mut loopback);
-            }
-        }
-        self.observe_execution(&events);
-        self.harvest_durable(&events);
-        events
+        self.enqueue(&CompartmentInput::ClientBatch(requests), &[CompartmentKind::Preparation]);
+        self.run_to_quiescence();
+        self.after_call();
+        &mut self.dispatch.events
     }
 
     /// The environment's view-change timer fired: notify Confirmation.
     pub fn on_view_timeout(&mut self) -> Vec<ReplicaEvent> {
+        std::mem::take(self.deliver_view_timeout())
+    }
+
+    /// [`SplitBftReplica::on_view_timeout`] into the reusable buffer.
+    pub(crate) fn deliver_view_timeout(&mut self) -> &mut Vec<ReplicaEvent> {
+        self.dispatch.events.clear();
         // One stall buys one failover attempt; retransmitting clients
         // re-arm the timer if the next primary stalls too.
         self.pending.clear();
-        let mut events = Vec::new();
-        let mut loopback = VecDeque::new();
-        let input = CompartmentInput::ViewTimeout;
-        self.ecall_into(CompartmentKind::Confirmation, &input, &mut events, &mut loopback);
-        while let Some((from, m)) = loopback.pop_front() {
-            let targets: Vec<CompartmentKind> =
-                Self::route(&m).iter().copied().filter(|k| *k != from).collect();
-            let input = CompartmentInput::Message(m);
-            for kind in targets {
-                self.ecall_into(kind, &input, &mut events, &mut loopback);
-            }
-        }
-        self.harvest_durable(&events);
-        events
+        self.enqueue(&CompartmentInput::ViewTimeout, &[CompartmentKind::Confirmation]);
+        self.run_to_quiescence();
+        self.after_call();
+        &mut self.dispatch.events
     }
 
     /// `true` while a client request has been seen by the broker but not
@@ -483,12 +523,16 @@ impl<A: Application> SplitBftReplica<A> {
     /// either hybrid-specific or a GC marker.
     pub fn replay_durable_event(&mut self, event: DurableEvent) {
         if let DurableEvent::Committed { seq, batch } = event {
-            let mut events = Vec::new();
-            let mut loopback = VecDeque::new();
             let input = CompartmentInput::ReplayCommitted { seq, batch };
-            self.ecall_into(CompartmentKind::Execution, &input, &mut events, &mut loopback);
-            // Replay produces no network traffic; local follow-ups
-            // (e.g. a checkpoint vote) are dropped with the events.
+            self.enqueue(&input, &[CompartmentKind::Execution]);
+            // Replay produces no network traffic: one ecall, and the
+            // local follow-ups it queued (e.g. a checkpoint vote) are
+            // dropped along with its events.
+            let queued = self.dispatch.queue.pop_front().expect("just enqueued");
+            self.ecall_into(CompartmentKind::Execution, queued.bytes);
+            self.dispatch.queue.clear();
+            self.dispatch.events.clear();
+            recycle(&mut self.dispatch.bytes);
         }
     }
 
@@ -527,8 +571,9 @@ impl<A: Application> SplitBftReplica<A> {
             return Ok(()); // already at or past the certified state
         }
         for signed in &cert.checkpoints {
-            let _ = self.dispatch(None, ConsensusMessage::Checkpoint(signed.clone()));
+            self.route_message(ConsensusMessage::Checkpoint(signed.clone()));
         }
+        self.dispatch.events.clear();
         if self.last_executed() < cp.seq {
             return Err(ProtocolError::CorruptState(
                 "checkpoint certificate was rejected by the compartments".into(),
@@ -560,11 +605,11 @@ impl<A: Application> SplitBftReplica<A> {
         client_dh_public: u64,
         wrapped_key: Vec<u8>,
     ) -> Vec<ReplicaEvent> {
-        let mut events = Vec::new();
-        let mut loopback = VecDeque::new();
+        self.dispatch.events.clear();
         let input = CompartmentInput::InstallSessionKey { client, client_dh_public, wrapped_key };
-        self.ecall_into(CompartmentKind::Execution, &input, &mut events, &mut loopback);
-        events
+        self.enqueue(&input, &[CompartmentKind::Execution]);
+        self.run_to_quiescence();
+        std::mem::take(&mut self.dispatch.events)
     }
 
     /// Produces the Execution enclave's attestation quote (report data =

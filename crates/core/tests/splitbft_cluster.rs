@@ -350,14 +350,18 @@ fn confirmation_joins_a_view_change_on_f_plus_one_votes() {
             })
             .expect("timeout must broadcast a ViewChange")
     };
-    let vote1 = vote_of(confs[1].handle(CompartmentInput::ViewTimeout));
-    let vote2 = vote_of(confs[2].handle(CompartmentInput::ViewTimeout));
+    let mut handle = |replica: usize, input| {
+        let mut outputs = Vec::new();
+        confs[replica].handle(input, &mut outputs).expect("the event is accepted");
+        (outputs, confs[replica].view())
+    };
+    let vote1 = vote_of(handle(1, CompartmentInput::ViewTimeout).0);
+    let vote2 = vote_of(handle(2, CompartmentInput::ViewTimeout).0);
 
-    assert_eq!(confs[3].view(), View(0));
-    confs[3].handle(CompartmentInput::Message(vote1));
-    assert_eq!(confs[3].view(), View(0), "one vote may be byzantine — no join yet");
-    let outputs = confs[3].handle(CompartmentInput::Message(vote2));
-    assert_eq!(confs[3].view(), View(1), "f + 1 votes must trigger the join");
+    let (_, view) = handle(3, CompartmentInput::Message(vote1));
+    assert_eq!(view, View(0), "one vote may be byzantine — no join yet");
+    let (outputs, view) = handle(3, CompartmentInput::Message(vote2));
+    assert_eq!(view, View(1), "f + 1 votes must trigger the join");
     assert!(
         outputs.iter().any(|o| matches!(
             o,

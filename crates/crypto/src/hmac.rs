@@ -82,6 +82,14 @@ impl Hmac {
     }
 }
 
+/// MACs whatever is encoded into it, without a buffer in between.
+impl splitbft_types::wire::Sink for Hmac {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+}
+
 /// Computes `HMAC-SHA256(key, data)`.
 pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
     let mut h = Hmac::new(key);

@@ -7,10 +7,13 @@
 //! known to all participants. [`KeyRegistry`] models that public knowledge;
 //! secret keys live inside the enclaves (see `splitbft-tee`).
 
-use crate::hmac::{verify_tag_batch, MacKey};
+use crate::hmac::{ct_eq, verify_tag_batch, MacKey};
 use crate::sig::{SecretKey, SigPublicKey, VerifyingKey};
 use splitbft_types::message::MessagePayload;
-use splitbft_types::{ClientId, ProtocolError, PublicKey, Signature, Signed, SignerId};
+use splitbft_types::{
+    ClientId, ProtocolError, PublicKey, ReplicaId, Reply, Request, RequestId, Signature, Signed,
+    SignerId, View,
+};
 use std::collections::HashMap;
 
 /// A signing key pair.
@@ -33,7 +36,7 @@ impl KeyPair {
     pub fn for_signer(master_seed: u64, signer: SignerId) -> Self {
         let mut buf = vec![];
         use splitbft_types::wire::Encode;
-        signer.encode(&mut buf);
+        signer.encode_to(&mut buf);
         let mut acc = master_seed;
         for b in buf {
             acc = acc.wrapping_mul(0x100000001b3).wrapping_add(b as u64);
@@ -61,10 +64,10 @@ impl KeyPair {
     }
 
     /// Signs a protocol payload, producing a [`Signed`] envelope attributed
-    /// to `signer`.
+    /// to `signer`. The signing bytes are encoded straight into the two
+    /// hashes the scheme takes of them.
     pub fn sign_payload<T: MessagePayload>(&self, payload: T, signer: SignerId) -> Signed<T> {
-        let bytes = Signed::signing_bytes(&payload);
-        let signature = self.sign(&bytes);
+        let signature = self.secret.sign_streamed(|h| Signed::write_signing_bytes(&payload, h));
         Signed::new(payload, signer, signature)
     }
 }
@@ -83,6 +86,33 @@ pub fn client_mac_key(master_seed: u64, client: ClientId) -> MacKey {
     context[..LABEL.len()].copy_from_slice(LABEL);
     context[LABEL.len()..].copy_from_slice(&client.0.to_le_bytes());
     MacKey::derive(&master_seed.to_le_bytes(), &context)
+}
+
+/// The two MACs of the client protocol, each streamed into the HMAC field
+/// by field instead of over a materialised `auth_bytes` buffer.
+impl MacKey {
+    /// The tag authenticating a request: the MAC over
+    /// [`Request::auth_bytes`].
+    pub fn request_tag(&self, id: RequestId, op: &[u8], encrypted: bool) -> [u8; 32] {
+        let mut mac = self.begin();
+        Request::write_auth_bytes(id, op, encrypted, &mut mac);
+        mac.finalize()
+    }
+
+    /// The tag authenticating a reply: the MAC over
+    /// [`Reply::auth_bytes`].
+    pub fn reply_tag(
+        &self,
+        view: View,
+        request: RequestId,
+        replica: ReplicaId,
+        result: &[u8],
+        encrypted: bool,
+    ) -> [u8; 32] {
+        let mut mac = self.begin();
+        Reply::write_auth_bytes(view, request, replica, result, encrypted, &mut mac);
+        mac.finalize()
+    }
 }
 
 /// One party's memory of the client MAC keys it has seen work.
@@ -110,51 +140,43 @@ impl ClientMacKeys {
         ClientMacKeys { master_seed, verified: HashMap::new() }
     }
 
-    /// `client`'s key: the remembered one, else derived on the spot (and
-    /// not remembered — only a verified MAC earns a slot).
-    pub fn key(&self, client: ClientId) -> MacKey {
+    /// Runs `f` with `client`'s key — the remembered one, else derived on
+    /// the spot and returned too (not remembered: only a verified MAC
+    /// earns a slot).
+    fn with_key<R>(&self, client: ClientId, f: impl FnOnce(&MacKey) -> R) -> (R, Option<MacKey>) {
         match self.verified.get(&client) {
-            Some(key) => key.clone(),
-            None => client_mac_key(self.master_seed, client),
+            Some(key) => (f(key), None),
+            None => {
+                let key = client_mac_key(self.master_seed, client);
+                (f(&key), Some(key))
+            }
         }
     }
 
-    /// Verifies `tag` over `data` under `client`'s key in constant time,
-    /// remembering the key if it verifies.
+    /// Verifies a request's MAC ([`MacKey::request_tag`]) under its
+    /// client's key in constant time, remembering the key if it verifies.
     #[must_use]
-    pub fn verify(&mut self, client: ClientId, data: &[u8], tag: &[u8; 32]) -> bool {
-        if let Some(key) = self.verified.get(&client) {
-            return key.verify(data, tag);
-        }
-        let key = client_mac_key(self.master_seed, client);
-        let ok = key.verify(data, tag);
-        if ok {
-            self.remember(client, key);
+    pub fn verify_request(&mut self, req: &Request) -> bool {
+        let expected = |key: &MacKey| key.request_tag(req.id, &req.op, req.encrypted);
+        let (expected, derived) = self.with_key(req.client(), expected);
+        let ok = ct_eq(&expected, &req.auth);
+        if let (true, Some(key)) = (ok, derived) {
+            self.remember(req.client(), key);
         }
         ok
     }
 
-    /// Verifies a batch of `(client, data, claimed tag)` with a single
-    /// constant-time comparison ([`verify_tag_batch`]): all or nothing, so
-    /// the keys derived along the way are remembered only if every tag
-    /// matched.
+    /// Verifies the MACs of a whole batch with a single constant-time
+    /// comparison ([`verify_tag_batch`]): all or nothing, so the keys
+    /// derived along the way are remembered only if every tag matched.
     #[must_use]
-    pub fn verify_batch<D: AsRef<[u8]>>(
-        &mut self,
-        items: impl IntoIterator<Item = (ClientId, D, [u8; 32])>,
-    ) -> bool {
+    pub fn verify_requests(&mut self, requests: &[Request]) -> bool {
         let mut derived: Vec<(ClientId, MacKey)> = Vec::new();
-        let ok = verify_tag_batch(items.into_iter().map(|(client, data, claimed)| {
-            let expected = match self.verified.get(&client) {
-                Some(key) => key.tag(data.as_ref()),
-                None => {
-                    let key = client_mac_key(self.master_seed, client);
-                    let tag = key.tag(data.as_ref());
-                    derived.push((client, key));
-                    tag
-                }
-            };
-            (expected, claimed)
+        let ok = verify_tag_batch(requests.iter().map(|req| {
+            let expected = |key: &MacKey| key.request_tag(req.id, &req.op, req.encrypted);
+            let (expected, key) = self.with_key(req.client(), expected);
+            derived.extend(key.map(|key| (req.client(), key)));
+            (expected, req.auth)
         }));
         if ok {
             for (client, key) in derived {
@@ -162,6 +184,20 @@ impl ClientMacKeys {
             }
         }
         ok
+    }
+
+    /// The MAC `replica` puts on its reply to `request`'s client
+    /// ([`MacKey::reply_tag`] under that client's key).
+    pub fn reply_tag(
+        &self,
+        view: View,
+        request: RequestId,
+        replica: ReplicaId,
+        result: &[u8],
+        encrypted: bool,
+    ) -> [u8; 32] {
+        self.with_key(request.client, |key| key.reply_tag(view, request, replica, result, encrypted))
+            .0
     }
 
     fn remember(&mut self, client: ClientId, key: MacKey) {
@@ -245,7 +281,7 @@ impl KeyRegistry {
     ) -> Result<(), ProtocolError> {
         let bad = || ProtocolError::BadAuthenticator { kind: std::any::type_name::<T>() };
         let key = self.keys.get(&msg.signer).and_then(|k| k.verifying.as_ref()).ok_or_else(bad)?;
-        if key.verify(&Signed::signing_bytes(&msg.payload), &msg.signature) {
+        if key.verify_streamed(|h| Signed::write_signing_bytes(&msg.payload, h), &msg.signature) {
             Ok(())
         } else {
             Err(bad())
@@ -267,7 +303,7 @@ impl KeyRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splitbft_types::{Digest, Prepare, ReplicaId, SeqNum, View};
+    use splitbft_types::{Digest, Prepare, SeqNum};
 
     fn prepare(replica: u32) -> Prepare {
         Prepare {
@@ -358,29 +394,28 @@ mod tests {
     #[test]
     fn client_keys_are_remembered_only_after_a_verified_mac() {
         let mut keys = ClientMacKeys::new(SEED);
-        let good = client_mac_key(SEED, ClientId(3)).tag(b"request");
+        let good = request(3);
         assert!(keys.is_empty());
-        assert!(!keys.verify(ClientId(3), b"request", &[0u8; 32]));
-        assert!(!keys.verify(ClientId(4), b"request", &good));
+        assert!(!keys.verify_request(&Request { auth: [0u8; 32], ..good.clone() }));
+        assert!(!keys.verify_request(&Request { auth: good.auth, ..request(4) }));
         assert!(keys.is_empty());
-        assert!(keys.verify(ClientId(3), b"request", &good));
+        assert!(keys.verify_request(&good));
         assert_eq!(keys.len(), 1);
-        // A remembered key still rejects forgeries, and `key` serves both
-        // remembered and unknown clients without remembering the latter.
-        assert!(!keys.verify(ClientId(3), b"tampered", &good));
-        assert_eq!(keys.key(ClientId(3)), client_mac_key(SEED, ClientId(3)));
-        assert_eq!(keys.key(ClientId(9)), client_mac_key(SEED, ClientId(9)));
+        // A remembered key still rejects forgeries.
+        assert!(!keys.verify_request(&Request { op: b"tampered".to_vec().into(), ..good }));
         assert_eq!(keys.len(), 1);
     }
 
     #[test]
     fn forged_requests_from_ten_thousand_client_ids_leave_the_cache_empty() {
         let mut keys = ClientMacKeys::new(SEED);
-        for id in 0..10_000u32 {
-            assert!(!keys.verify(ClientId(id), b"request", &[id as u8; 32]));
+        let forged_batch: Vec<Request> = (0..10_000u32)
+            .map(|id| Request { auth: [id as u8; 32], ..request(id) })
+            .collect();
+        for forged in &forged_batch {
+            assert!(!keys.verify_request(forged));
         }
-        let forged_batch = (0..10_000u32).map(|id| (ClientId(id), b"request", [id as u8; 32]));
-        assert!(!keys.verify_batch(forged_batch));
+        assert!(!keys.verify_requests(&forged_batch));
         assert!(keys.is_empty());
         assert_eq!(keys.memory_usage(), 0);
     }
@@ -389,33 +424,52 @@ mod tests {
     fn client_key_cache_never_exceeds_its_capacity() {
         let mut keys = ClientMacKeys::new(SEED);
         for id in 0..3 * ClientMacKeys::CAPACITY as u32 {
-            let tag = client_mac_key(SEED, ClientId(id)).tag(b"request");
-            assert!(keys.verify(ClientId(id), b"request", &tag));
+            assert!(keys.verify_request(&request(id)));
             assert!(keys.len() <= ClientMacKeys::CAPACITY);
         }
         assert!(!keys.is_empty());
         assert!(keys.memory_usage() >= keys.len() * std::mem::size_of::<MacKey>());
     }
 
+    /// An authentic request from client `id`.
+    fn request(id: u32) -> Request {
+        let rid = RequestId { client: ClientId(id), timestamp: splitbft_types::Timestamp(7) };
+        let op = id.to_le_bytes();
+        let auth = client_mac_key(SEED, ClientId(id)).tag(&Request::auth_bytes(rid, &op, false));
+        Request { id: rid, op: op.to_vec().into(), encrypted: false, auth }
+    }
+
     #[test]
     fn batch_verification_is_all_or_nothing() {
-        let request = |id: u32| {
-            let data = id.to_le_bytes();
-            (ClientId(id), data, client_mac_key(SEED, ClientId(id)).tag(&data))
-        };
         let mut keys = ClientMacKeys::new(SEED);
-        let mut batch: Vec<_> = (0..8).map(request).collect();
-        batch[5].2[0] ^= 1;
-        assert!(!keys.verify_batch(batch.clone()));
+        let mut batch: Vec<Request> = (0..8).map(request).collect();
+        batch[5].auth[0] ^= 1;
+        assert!(!keys.verify_requests(&batch));
         assert!(keys.is_empty());
         batch[5] = request(5);
-        assert!(keys.verify_batch(batch.clone()));
+        assert!(keys.verify_requests(&batch));
         assert_eq!(keys.len(), 8);
         // Remembered keys give the same verdicts.
-        assert!(keys.verify_batch(batch.clone()));
-        batch[0].2[31] ^= 0x80;
-        assert!(!keys.verify_batch(batch));
-        assert!(keys.verify_batch(std::iter::empty::<(ClientId, [u8; 4], [u8; 32])>()));
+        assert!(keys.verify_requests(&batch));
+        batch[0].auth[31] ^= 0x80;
+        assert!(!keys.verify_requests(&batch));
+        assert!(keys.verify_requests(&[]));
+    }
+
+    #[test]
+    fn streamed_macs_equal_the_macs_over_the_materialised_bytes() {
+        let mut keys = ClientMacKeys::new(SEED);
+        let good = request(3);
+        assert!(keys.verify_request(&good));
+        assert_eq!(keys.len(), 1, "a verified request earns its client a slot");
+        assert!(!keys.verify_request(&Request { encrypted: true, ..good.clone() }));
+        for client in [3, 9] {
+            let id = RequestId { client: ClientId(client), ..good.id };
+            let expected = client_mac_key(SEED, ClientId(client))
+                .tag(&Reply::auth_bytes(View(2), id, ReplicaId(1), b"result", true));
+            assert_eq!(keys.reply_tag(View(2), id, ReplicaId(1), b"result", true), expected);
+        }
+        assert_eq!(keys.len(), 1, "tagging a reply remembers nothing");
     }
 
     #[test]

@@ -79,8 +79,13 @@ pub fn digest_bytes(bytes: &[u8]) -> Digest {
 /// `digest_of(&batch)`, checkpoint digests are `digest_of(&snapshot)`, and
 /// so on. Canonical encoding makes the digest deterministic across
 /// replicas.
+///
+/// The encoding is streamed into the hasher field by field; it is never
+/// materialised.
 pub fn digest_of<T: Encode + ?Sized>(value: &T) -> Digest {
-    digest_bytes(&value.to_wire())
+    let mut hasher = sha256::Sha256::new();
+    value.encode_to(&mut hasher);
+    Digest::from_bytes(hasher.finalize())
 }
 
 #[cfg(test)]

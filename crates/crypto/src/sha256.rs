@@ -211,6 +211,14 @@ impl Sha256 {
     }
 }
 
+/// Hashes whatever is encoded into it, without a buffer in between.
+impl splitbft_types::wire::Sink for Sha256 {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+}
+
 /// One-shot SHA-256 of `data`.
 pub fn sha256(data: &[u8]) -> [u8; 32] {
     let mut h = Sha256::new();

@@ -100,11 +100,13 @@ impl FixedBase {
 /// Powers of the generator, built at compile time.
 static G_POWERS: FixedBase = FixedBase::new(G);
 
-fn hash_to_scalar(parts: &[&[u8]]) -> u64 {
+/// Hashes `parts`, then whatever `message` absorbs, to a nonzero scalar.
+fn hash_to_scalar(parts: &[&[u8]], message: impl FnOnce(&mut Sha256)) -> u64 {
     let mut h = Sha256::new();
     for p in parts {
         h.update(p);
     }
+    message(&mut h);
     let d = h.finalize();
     let mut v = u64::from_le_bytes(d[..8].try_into().expect("8 bytes")) % Q;
     if v == 0 {
@@ -146,7 +148,7 @@ impl SecretKey {
     /// simulated provisioning step (in the paper each enclave generates its
     /// key pair at attestation time).
     pub fn from_seed(seed: u64) -> Self {
-        let scalar = hash_to_scalar(&[b"splitbft-sk", &seed.to_le_bytes()]);
+        let scalar = hash_to_scalar(&[b"splitbft-sk", &seed.to_le_bytes()], |_| {});
         SecretKey { scalar, public: SigPublicKey(G_POWERS.pow(scalar)) }
     }
 
@@ -157,11 +159,19 @@ impl SecretKey {
 
     /// Signs `msg`, producing a deterministic Schnorr signature.
     pub fn sign(&self, msg: &[u8]) -> Signature {
+        self.sign_streamed(|h| h.update(msg))
+    }
+
+    /// Signs the bytes `message` feeds into a hasher, without
+    /// materialising them. The scheme hashes the message twice (nonce and
+    /// challenge), so `message` runs twice and must feed the same bytes
+    /// both times.
+    pub fn sign_streamed(&self, message: impl Fn(&mut Sha256)) -> Signature {
         // Deterministic nonce: k = H(sk, msg). Reusing k across messages
         // would leak sk in a real scheme, so derive it from both.
-        let k = hash_to_scalar(&[b"splitbft-nonce", &self.scalar.to_le_bytes(), msg]);
+        let k = hash_to_scalar(&[b"splitbft-nonce", &self.scalar.to_le_bytes()], &message);
         let r = G_POWERS.pow(k);
-        let e = challenge(r, self.public, msg);
+        let e = challenge(r, self.public, &message);
         let s = (k as u128 + e as u128 * self.scalar as u128) % Q as u128;
         let mut out = [0u8; 64];
         out[..8].copy_from_slice(&e.to_le_bytes());
@@ -171,17 +181,17 @@ impl SecretKey {
 }
 
 /// The Schnorr challenge `e = H(r, pk, msg)`.
-fn challenge(r: u64, pk: SigPublicKey, msg: &[u8]) -> u64 {
-    hash_to_scalar(&[b"splitbft-chal", &r.to_le_bytes(), &pk.0.to_le_bytes(), msg])
+fn challenge(r: u64, pk: SigPublicKey, message: impl FnOnce(&mut Sha256)) -> u64 {
+    hash_to_scalar(&[b"splitbft-chal", &r.to_le_bytes(), &pk.0.to_le_bytes()], message)
 }
 
-/// Verifies `sig` over `msg` under `pk`, with `pk_pow(x)` computing
-/// `pk^x mod P` — by squaring for a one-off key, from a table for a
-/// [`VerifyingKey`].
+/// Verifies `sig` over the bytes `message` feeds the hasher under `pk`,
+/// with `pk_pow(x)` computing `pk^x mod P` — by squaring for a one-off
+/// key, from a table for a [`VerifyingKey`].
 fn verify_with(
     pk: SigPublicKey,
     pk_pow: impl FnOnce(u64) -> u64,
-    msg: &[u8],
+    message: impl FnOnce(&mut Sha256),
     sig: &Signature,
 ) -> bool {
     if pk.0 == 0 || pk.0 >= P {
@@ -197,7 +207,7 @@ fn verify_with(
     }
     // r' = g^s * pk^(-e) = g^s * pk^(Q - e)
     let r = mul_mod(G_POWERS.pow(s), pk_pow(Q - e));
-    e == challenge(r, pk, msg)
+    e == challenge(r, pk, message)
 }
 
 /// A public verification key.
@@ -212,7 +222,7 @@ impl SigPublicKey {
     /// input.
     #[must_use]
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
-        verify_with(*self, |x| pow_mod(self.0, x), msg, sig)
+        verify_with(*self, |x| pow_mod(self.0, x), |h| h.update(msg), sig)
     }
 
     /// Packs into the opaque wire representation.
@@ -268,7 +278,14 @@ impl VerifyingKey {
     /// Verifies `sig` over `msg`; same verdict as [`SigPublicKey::verify`].
     #[must_use]
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
-        verify_with(self.key, |x| self.powers.pow(x), msg, sig)
+        self.verify_streamed(|h| h.update(msg), sig)
+    }
+
+    /// Verifies `sig` over the bytes `message` feeds into a hasher,
+    /// without materialising them.
+    #[must_use]
+    pub fn verify_streamed(&self, message: impl FnOnce(&mut Sha256), sig: &Signature) -> bool {
+        verify_with(self.key, |x| self.powers.pow(x), message, sig)
     }
 }
 

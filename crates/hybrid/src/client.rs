@@ -63,7 +63,7 @@ impl HybridClient {
         assert!(self.in_flight.is_none(), "request already in flight");
         let id = RequestId { client: self.id, timestamp: self.next_timestamp };
         self.next_timestamp = self.next_timestamp.next();
-        let auth = self.mac.tag(&Request::auth_bytes(id, &op, false));
+        let auth = self.mac.request_tag(id, &op, false);
         self.in_flight = Some((id, BTreeMap::new()));
         Request { id, op, encrypted: false, auth }
     }
@@ -76,13 +76,7 @@ impl HybridClient {
         if reply.request != *request {
             return HybridClientEvent::Ignored;
         }
-        let expected = self.mac.tag(&Reply::auth_bytes(
-            reply.view,
-            reply.request,
-            reply.replica,
-            &reply.result,
-            reply.encrypted,
-        ));
+        let expected = self.mac.reply_tag(reply.view, reply.request, reply.replica, &reply.result, reply.encrypted);
         if !splitbft_crypto::hmac::ct_eq(&expected, &reply.auth) {
             return HybridClientEvent::Ignored;
         }
@@ -115,7 +109,7 @@ mod tests {
         let mac = client_mac_key(SEED, request.client);
         let result = Bytes::from_static(result);
         let auth =
-            mac.tag(&Reply::auth_bytes(View(0), request, ReplicaId(replica), &result, false));
+            mac.reply_tag(View(0), request, ReplicaId(replica), &result, false);
         Reply { view: View(0), request, replica: ReplicaId(replica), result, encrypted: false, auth }
     }
 

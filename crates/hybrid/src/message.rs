@@ -7,7 +7,7 @@
 
 use crate::usig::UsigUi;
 use splitbft_crypto::digest_of;
-use splitbft_types::wire::{Decode, Encode, Reader, WireError};
+use splitbft_types::wire::{Decode, Encode, Reader, Sink, WireError};
 use splitbft_types::{Digest, ReplicaId, RequestBatch, View};
 
 /// The primary's ordering message: batch plus the UI that fixes its
@@ -30,10 +30,10 @@ impl HybridPrepare {
 }
 
 impl Encode for HybridPrepare {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.view.encode(buf);
-        self.batch.encode(buf);
-        self.ui.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.view.encode_to(out);
+        self.batch.encode_to(out);
+        self.ui.encode_to(out);
     }
 }
 impl Decode for HybridPrepare {
@@ -68,21 +68,21 @@ impl HybridCommit {
     /// contents, *excluding* the UI itself.
     pub fn commit_digest(&self) -> Digest {
         let mut buf = b"hybrid-commit:".to_vec();
-        self.view.encode(&mut buf);
-        self.replica.encode(&mut buf);
-        self.primary_counter.encode(&mut buf);
-        self.batch_digest.encode(&mut buf);
+        self.view.encode_to(&mut buf);
+        self.replica.encode_to(&mut buf);
+        self.primary_counter.encode_to(&mut buf);
+        self.batch_digest.encode_to(&mut buf);
         splitbft_crypto::digest_bytes(&buf)
     }
 }
 
 impl Encode for HybridCommit {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.view.encode(buf);
-        self.replica.encode(buf);
-        self.primary_counter.encode(buf);
-        self.batch_digest.encode(buf);
-        self.ui.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.view.encode_to(out);
+        self.replica.encode_to(out);
+        self.primary_counter.encode_to(out);
+        self.batch_digest.encode_to(out);
+        self.ui.encode_to(out);
     }
 }
 impl Decode for HybridCommit {
@@ -121,15 +121,15 @@ impl HybridMessage {
 }
 
 impl Encode for HybridMessage {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode_to<S: Sink>(&self, out: &mut S) {
         match self {
             HybridMessage::Prepare(p) => {
-                buf.push(1);
-                p.encode(buf);
+                out.put(&[1]);
+                p.encode_to(out);
             }
             HybridMessage::Commit(c) => {
-                buf.push(2);
-                c.encode(buf);
+                out.put(&[2]);
+                c.encode_to(out);
             }
         }
     }

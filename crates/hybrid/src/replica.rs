@@ -129,11 +129,7 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
     }
 
     fn verify_request(&mut self, req: &Request) -> bool {
-        self.client_keys.verify(
-            req.client(),
-            &Request::auth_bytes(req.id, &req.op, req.encrypted),
-            &req.auth,
-        )
+        self.client_keys.verify_request(req)
     }
 
     /// Primary: order a batch of client requests.
@@ -278,9 +274,7 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
                     _ => {}
                 }
                 let result = self.app.execute(&req.op);
-                let key = self.client_keys.key(client);
-                let auth =
-                    key.tag(&Reply::auth_bytes(self.view, req.id, self.id, &result, false));
+                let auth = self.client_keys.reply_tag(self.view, req.id, self.id, &result, false);
                 let reply = Reply {
                     view: self.view,
                     request: req.id,
@@ -328,16 +322,18 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
     /// replica at the same counter value, which is what lets a
     /// recovering replica demand `f + 1` peer agreement on the digest.
     fn checkpoint_state_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
         let snapshot = self.app.snapshot();
-        (snapshot.len() as u32).encode(&mut buf);
-        buf.extend_from_slice(&snapshot);
         let replies: Vec<(ClientId, Timestamp, bytes::Bytes)> = self
             .last_replies
             .iter()
             .map(|(c, r)| (*c, r.request.timestamp, r.result.clone()))
             .collect();
-        replies.encode(&mut buf);
+        // Sized exactly: a snapshot can be megabytes, and growing into it
+        // would hold twice that.
+        let mut buf = Vec::with_capacity(4 + snapshot.len() + replies.encoded_len());
+        (snapshot.len() as u32).encode_to(&mut buf);
+        buf.extend_from_slice(&snapshot);
+        replies.encode_to(&mut buf);
         buf
     }
 
@@ -356,9 +352,7 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
             .into_iter()
             .map(|(client, timestamp, result)| {
                 let request = RequestId { client, timestamp };
-                let key = self.client_keys.key(client);
-                let auth =
-                    key.tag(&Reply::auth_bytes(self.view, request, self.id, &result, false));
+                let auth = self.client_keys.reply_tag(self.view, request, self.id, &result, false);
                 let reply = Reply {
                     view: self.view,
                     request,
@@ -422,8 +416,7 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
                 continue;
             }
             let result = self.app.execute(&req.op);
-            let key = self.client_keys.key(client);
-            let auth = key.tag(&Reply::auth_bytes(self.view, req.id, self.id, &result, false));
+            let auth = self.client_keys.reply_tag(self.view, req.id, self.id, &result, false);
             let reply = Reply {
                 view: self.view,
                 request: req.id,
@@ -511,7 +504,7 @@ mod tests {
         let id = splitbft_types::RequestId { client: ClientId(client), timestamp: Timestamp(ts) };
         let op = Bytes::from_static(b"inc");
         let key = splitbft_crypto::client_mac_key(SEED, ClientId(client));
-        let auth = key.tag(&Request::auth_bytes(id, &op, false));
+        let auth = key.request_tag(id, &op, false);
         Request { id, op, encrypted: false, auth }
     }
 

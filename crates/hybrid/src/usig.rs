@@ -18,7 +18,7 @@
 
 use splitbft_crypto::{digest_bytes, KeyPair};
 use splitbft_tee::enclave::{Enclave, OcallSink};
-use splitbft_types::wire::{Decode, Encode, Reader, WireError};
+use splitbft_types::wire::{Decode, Encode, Reader, Sink, WireError};
 use splitbft_types::{Digest, PublicKey, ReplicaId, Signature};
 use std::collections::BTreeMap;
 
@@ -44,9 +44,9 @@ pub struct UsigUi {
 }
 
 impl Encode for UsigUi {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.counter.encode(buf);
-        self.signature.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.counter.encode_to(out);
+        self.signature.encode_to(out);
     }
 }
 impl Decode for UsigUi {
@@ -57,9 +57,9 @@ impl Decode for UsigUi {
 
 fn ui_bytes(replica: ReplicaId, counter: u64, digest: &Digest) -> Vec<u8> {
     let mut buf = b"usig:".to_vec();
-    replica.encode(&mut buf);
-    counter.encode(&mut buf);
-    digest.encode(&mut buf);
+    replica.encode_to(&mut buf);
+    counter.encode_to(&mut buf);
+    digest.encode_to(&mut buf);
     buf
 }
 

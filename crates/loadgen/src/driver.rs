@@ -260,7 +260,7 @@ fn client_loop(config: &DriverConfig, index: usize) -> io::Result<ClientStats> {
         next_ts += 1;
         let (op, shard) = config.workload.next_op_sharded(&mut rng, sequence, config.shards);
         let id = RequestId { client, timestamp };
-        let auth = mac.tag(&Request::auth_bytes(id, &op, false));
+        let auth = mac.request_tag(id, &op, false);
         let request = Request { id, op, encrypted: false, auth };
 
         let mut tracker = QuorumTracker::new(mac.clone(), config.reply_quorum);
@@ -425,18 +425,10 @@ mod tests {
             requests
                 .into_iter()
                 .filter_map(|r| {
-                    let signed = Request::auth_bytes(r.id, &r.op, r.encrypted);
-                    if !self.client_keys.verify(r.client(), &signed, &r.auth) {
+                    if !self.client_keys.verify_request(&r) {
                         return None;
                     }
-                    let mac = self.client_keys.key(r.client());
-                    let auth = mac.tag(&Reply::auth_bytes(
-                        View(0),
-                        r.id,
-                        self.id,
-                        &r.op,
-                        false,
-                    ));
+                    let auth = self.client_keys.reply_tag(View(0), r.id, self.id, &r.op, false);
                     Some(ProtocolOutput::Reply {
                         to: r.client(),
                         reply: Reply {

@@ -35,13 +35,7 @@ impl QuorumTracker {
     /// (bad MAC) are ignored; a replica re-sending overwrites its own
     /// earlier vote, so duplicates never double-count.
     pub fn on_reply(&mut self, reply: &Reply) -> Option<Bytes> {
-        let expected = self.mac.tag(&Reply::auth_bytes(
-            reply.view,
-            reply.request,
-            reply.replica,
-            &reply.result,
-            reply.encrypted,
-        ));
+        let expected = self.mac.reply_tag(reply.view, reply.request, reply.replica, &reply.result, reply.encrypted);
         if !ct_eq(&expected, &reply.auth) {
             return None;
         }
@@ -149,7 +143,7 @@ mod tests {
         let mac = client_mac_key(seed, request.client);
         let result = Bytes::from_static(result);
         let auth =
-            mac.tag(&Reply::auth_bytes(View(0), request, ReplicaId(replica), &result, false));
+            mac.reply_tag(View(0), request, ReplicaId(replica), &result, false);
         Reply { view: View(0), request, replica: ReplicaId(replica), result, encrypted: false, auth }
     }
 

@@ -50,7 +50,7 @@ impl Adversary {
         let id = RequestId { client: ClientId(666), timestamp: Timestamp(tag as u64) };
         let op = Bytes::from(vec![tag; 10]);
         let key = splitbft_crypto::client_mac_key(self.master_seed, id.client);
-        let auth = key.tag(&Request::auth_bytes(id, &op, false));
+        let auth = key.request_tag(id, &op, false);
         RequestBatch::single(Request { id, op, encrypted: false, auth })
     }
 
@@ -109,7 +109,7 @@ impl Adversary {
         result: Bytes,
     ) -> Reply {
         let key = splitbft_crypto::client_mac_key(self.master_seed, request.client);
-        let auth = key.tag(&Reply::auth_bytes(view, request, replica, &result, false));
+        let auth = key.reply_tag(view, request, replica, &result, false);
         Reply { view, request, replica, result, encrypted: false, auth }
     }
 }

@@ -22,7 +22,7 @@ use crate::client::TcpClient;
 use crate::host::{ClientSink, Event, Gauges, Host, NodeConfig, PeerSink, MAX_DRAIN_BATCH};
 use crate::transport::{frame_kind, Protocol};
 use splitbft_obs::NodeTelemetry;
-use splitbft_types::wire::{encode, frame, parse_frame};
+use splitbft_types::wire::parse_frame;
 use splitbft_types::{
     ClientId, FaultCommand, ReplicaId, Reply, Request, StateTransferRequest,
     StateTransferResponse,
@@ -295,7 +295,7 @@ impl RunningNode for InProcessNode {
 
 impl TransportClient for InProcessClient {
     fn send_to(&mut self, replica_index: usize, requests: &[Request]) -> io::Result<()> {
-        let framed = Arc::new(frame(frame_kind::REQUESTS, &encode(&requests.to_vec())));
+        let framed = Arc::new(crate::client::requests_frame(requests));
         let origin = BusOrigin::Client(self.id, self.reply_tx.clone());
         match self.nodes.get(replica_index) {
             Some(Some(tx)) if tx.send(BusMsg::Frames(origin, framed)).is_ok() => Ok(()),

@@ -15,7 +15,7 @@
 //! registered [`ReplyHandler`] — the pipelined mode load generators use.
 
 use crate::transport::{frame_kind, read_value, write_value};
-use splitbft_types::wire::{encode, frame};
+use splitbft_types::wire::frame_message;
 use splitbft_types::{ClientId, Reply, Request, RequestId};
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
@@ -301,8 +301,14 @@ fn write_requests<'a>(
     streams: impl Iterator<Item = &'a mut TcpStream>,
     requests: &[Request],
 ) -> usize {
-    let framed = frame(frame_kind::REQUESTS, &encode(&requests.to_vec()));
+    let framed = requests_frame(requests);
     streams.filter_map(|stream| stream.write_all(&framed).ok()).count()
+}
+
+/// The `REQUESTS` frame carrying `requests`, encoded from the borrowed
+/// slice (a slice encodes as the `Vec` of the same elements).
+pub(crate) fn requests_frame(requests: &[Request]) -> Vec<u8> {
+    frame_message(frame_kind::REQUESTS, requests)
 }
 
 fn connect_until(
@@ -360,6 +366,17 @@ mod tests {
         assert_eq!(client.outstanding(), 5, "all five handlers registered");
         assert_eq!(accept.join().unwrap(), 5, "one frame, five requests");
         client.close();
+    }
+
+    #[test]
+    fn requests_frame_is_the_frame_of_the_cloned_batch() {
+        use splitbft_types::wire::{encode, frame};
+        for len in [0u64, 1, 16] {
+            let requests: Vec<Request> = (0..len).map(|ts| request(7, ts)).collect();
+            // What the client sent before it could encode a slice.
+            let cloned = frame(frame_kind::REQUESTS, &encode(&requests.to_vec()));
+            assert_eq!(requests_frame(&requests), cloned, "{len} requests");
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ use crate::ring::FrameRing;
 use crate::transport::{frame_kind, write_value, BatchPolicy, Protocol};
 use splitbft_obs::NodeTelemetry;
 use splitbft_types::status::{StatusEvent, StatusRequest, StatusResponse, StatusVerb};
-use splitbft_types::wire::{decode, encode, frame, FrameAssembler};
+use splitbft_types::wire::{decode, frame_message, FrameAssembler};
 use splitbft_types::{
     ClientId, FaultCommand, ReplicaId, Reply, StateTransferRequest, StateTransferResponse,
 };
@@ -441,7 +441,7 @@ impl ClientSink for EventedClients<'_> {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else { return };
         // A full ring refuses the frame: at-most-once reply delivery,
         // the client's retry logic recovers.
-        if !conn.out.push(Arc::new(frame(frame_kind::REPLY, &encode(&reply)))) {
+        if !conn.out.push(Arc::new(frame_message(frame_kind::REPLY, &reply))) {
             self.telemetry.ring_refusals.inc();
         }
     }
@@ -609,15 +609,15 @@ fn drain_conn<P: Protocol>(
                         // once the frame drains (the ungated
                         // fault-control stance, but with an explicit
                         // refusal the caller can decode).
-                        conn.out.push(Arc::new(frame(
+                        conn.out.push(Arc::new(frame_message(
                             frame_kind::STATUS,
-                            &encode(&StatusResponse::Refused),
+                            &StatusResponse::Refused,
                         )));
                         conn.close_when_drained = true;
                         break;
                     }
                 };
-                conn.out.push(Arc::new(frame(frame_kind::STATUS, &encode(&response))));
+                conn.out.push(Arc::new(frame_message(frame_kind::STATUS, &response)));
             }
             Parsed::Fault => {
                 telemetry.record_event(StatusEvent::FaultPlanApplied);

@@ -18,7 +18,7 @@
 use crate::fault::FaultPlan;
 use crate::transport::{frame_kind, BatchPolicy, Protocol, ProtocolOutput, WireMessage};
 use splitbft_obs::NodeTelemetry;
-use splitbft_types::wire::{decode, encode, frame};
+use splitbft_types::wire::{decode, encode, frame_message};
 use splitbft_types::{
     ClientId, ReplicaId, Reply, Request, SeqNum, StateTransferRequest, StateTransferResponse,
     StatusEvent,
@@ -525,7 +525,7 @@ impl<P: Protocol> Host<P> {
 /// Broadcasts a `STATE_REQUEST` to every peer.
 fn request_state(id: ReplicaId, have_seq: u64, peers: &mut impl PeerSink) {
     let req = StateTransferRequest { replica: id, have_seq: SeqNum(have_seq) };
-    peers.broadcast_frame(Arc::new(frame(frame_kind::STATE_REQUEST, &encode(&req))));
+    peers.broadcast_frame(Arc::new(frame_message(frame_kind::STATE_REQUEST, &req)));
 }
 
 /// Serves one peer's `STATE_REQUEST`: current durable checkpoint plus
@@ -550,7 +550,7 @@ fn answer_state_request<P: Protocol>(
         checkpoint,
         suffix: encode(&suffix).into(),
     };
-    peers.send_frame(req.replica, Arc::new(frame(frame_kind::STATE_RESPONSE, &encode(&resp))));
+    peers.send_frame(req.replica, Arc::new(frame_message(frame_kind::STATE_RESPONSE, &resp)));
 }
 
 /// Ingests one peer's state response: its catch-up messages feed the
@@ -683,10 +683,10 @@ pub(crate) fn route<M: WireMessage>(
     match output {
         ProtocolOutput::Broadcast(msg) => {
             // Encode and frame once; every peer link shares the buffer.
-            peers.broadcast_frame(Arc::new(frame(frame_kind::PROTOCOL, &encode(&msg))));
+            peers.broadcast_frame(Arc::new(frame_message(frame_kind::PROTOCOL, &msg)));
         }
         ProtocolOutput::Send { to, msg } => {
-            peers.send_frame(to, Arc::new(frame(frame_kind::PROTOCOL, &encode(&msg))));
+            peers.send_frame(to, Arc::new(frame_message(frame_kind::PROTOCOL, &msg)));
         }
         ProtocolOutput::Reply { to, reply } => clients.reply(to, reply),
     }

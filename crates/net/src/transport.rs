@@ -18,7 +18,7 @@
 //! free of unsafe executor code.
 
 use splitbft_types::wire::{
-    decode, encode, frame, Decode, Encode, FrameHeader, FRAME_HEADER_LEN,
+    decode, frame, frame_message, Decode, Encode, FrameHeader, FRAME_HEADER_LEN,
 };
 use splitbft_types::{
     ClientId, DurableCheckpoint, DurableEvent, ProtocolError, ReplicaId, Reply, Request, SeqNum,
@@ -311,7 +311,7 @@ pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> io::Result<
 
 /// Writes one frame containing a single encoded value.
 pub fn write_value<W: Write, T: Encode>(w: &mut W, kind: u8, value: &T) -> io::Result<()> {
-    write_frame(w, kind, &encode(value))
+    w.write_all(&frame_message(kind, value))
 }
 
 /// Blocking-reads one frame, validating the header invariants

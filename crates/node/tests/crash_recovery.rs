@@ -150,7 +150,7 @@ fn await_rejoin(
         ts += 1;
         let id = RequestId { client, timestamp: Timestamp(ts) };
         let op = bytes::Bytes::from_static(b"read");
-        let auth = mac.tag(&Request::auth_bytes(id, &op, false));
+        let auth = mac.request_tag(id, &op, false);
         let request = Request { id, op, encrypted: false, auth };
         let _ = tcp.send_all(std::slice::from_ref(&request));
         let wait_until = Instant::now() + Duration::from_millis(1500);

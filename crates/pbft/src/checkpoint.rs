@@ -7,16 +7,15 @@
 //! "compartments keep the Checkpoints and discard messages for sequence
 //! numbers before the checkpoint, even if they are received later".
 
-use splitbft_types::{
-    Checkpoint, CheckpointCertificate, ClusterConfig, ReplicaId, SeqNum, Signed,
-};
+use crate::votes::VoteSet;
+use splitbft_types::{Checkpoint, CheckpointCertificate, ClusterConfig, SeqNum, Signed};
 use std::collections::BTreeMap;
 
 /// Collects checkpoint votes and detects stability.
 #[derive(Debug, Clone)]
 pub struct CheckpointTracker {
     /// Votes by sequence number, then sender.
-    pending: BTreeMap<SeqNum, BTreeMap<ReplicaId, Signed<Checkpoint>>>,
+    pending: BTreeMap<SeqNum, VoteSet<Signed<Checkpoint>>>,
     /// Proof of the current stable checkpoint (genesis initially).
     stable: CheckpointCertificate,
 }
@@ -72,22 +71,20 @@ impl CheckpointTracker {
         if seq <= self.stable.seq() {
             return None;
         }
+        let digest = ckpt.payload.state_digest;
         let votes = self.pending.entry(seq).or_default();
-        votes.insert(ckpt.payload.replica, ckpt);
-
-        // Group by state digest: byzantine replicas may vote for a wrong
-        // digest, so we need 2f+1 matching on the *same* digest.
-        let mut by_digest: BTreeMap<_, Vec<&Signed<Checkpoint>>> = BTreeMap::new();
-        for v in votes.values() {
-            by_digest.entry(v.payload.state_digest).or_default().push(v);
+        if !votes.insert(ckpt.payload.replica, ckpt, config.n()) {
+            return None;
         }
-        let quorum = by_digest
-            .into_values()
-            .find(|group| group.len() >= config.quorum())?;
 
-        let cert = CheckpointCertificate {
-            checkpoints: quorum.into_iter().cloned().collect(),
-        };
+        // Byzantine replicas may vote for a wrong digest, so we need 2f+1
+        // matching on the *same* digest — and only the digest this vote
+        // carries can have just reached it.
+        let matching = || votes.values().filter(|v| v.payload.state_digest == digest);
+        if matching().count() < config.quorum() {
+            return None;
+        }
+        let cert = CheckpointCertificate { checkpoints: matching().cloned().collect() };
         debug_assert!(cert.is_structurally_valid(config.f()));
         self.stable = cert.clone();
         self.drop_up_to(seq);
@@ -108,7 +105,7 @@ impl CheckpointTracker {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use splitbft_types::{Digest, Signature, SignerId};
+    use splitbft_types::{Digest, ReplicaId, Signature, SignerId};
 
     fn cfg() -> ClusterConfig {
         ClusterConfig::new(4).unwrap()

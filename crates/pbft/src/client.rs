@@ -89,7 +89,7 @@ impl PbftClient {
         assert!(self.in_flight.is_none(), "client already has a request in flight");
         let id = RequestId { client: self.id, timestamp: self.next_timestamp };
         self.next_timestamp = self.next_timestamp.next();
-        let auth = self.mac.tag(&Request::auth_bytes(id, &op, false));
+        let auth = self.mac.request_tag(id, &op, false);
         self.in_flight = Some(InFlight { request: id, replies: BTreeMap::new() });
         Request { id, op, encrypted: false, auth }
     }
@@ -102,13 +102,7 @@ impl PbftClient {
         if reply.request != flight.request {
             return ClientEvent::Ignored;
         }
-        let expected = self.mac.tag(&Reply::auth_bytes(
-            reply.view,
-            reply.request,
-            reply.replica,
-            &reply.result,
-            reply.encrypted,
-        ));
+        let expected = self.mac.reply_tag(reply.view, reply.request, reply.replica, &reply.result, reply.encrypted);
         if !splitbft_crypto::hmac::ct_eq(&expected, &reply.auth) {
             return ClientEvent::Ignored;
         }
@@ -151,13 +145,7 @@ mod tests {
     fn reply_for(request: RequestId, replica: u32, result: &'static [u8], seed: u64) -> Reply {
         let mac = client_mac_key(seed, request.client);
         let result = Bytes::from_static(result);
-        let auth = mac.tag(&Reply::auth_bytes(
-            View(0),
-            request,
-            ReplicaId(replica),
-            &result,
-            false,
-        ));
+        let auth = mac.reply_tag(View(0), request, ReplicaId(replica), &result, false);
         Reply { view: View(0), request, replica: ReplicaId(replica), result, encrypted: false, auth }
     }
 

@@ -18,8 +18,8 @@
 //!   `f + 1` matching replies.
 //! - [`batcher::Batcher`] — size/timeout request batching (untrusted-side
 //!   logic per principle P1).
-//! - [`log`], [`checkpoint`], [`viewchange`], [`verify`] — the protocol's
-//!   data structures, shared with `splitbft-core`.
+//! - [`log`], [`votes`], [`checkpoint`], [`viewchange`], [`verify`] — the
+//!   protocol's data structures, shared with `splitbft-core`.
 //!
 //! # Example
 //!
@@ -49,14 +49,16 @@ pub mod log;
 pub mod replica;
 pub mod verify;
 pub mod viewchange;
+pub mod votes;
 
 pub use action::{outbound, Action};
 pub use batcher::Batcher;
 pub use checkpoint::CheckpointTracker;
 pub use client::{ClientEvent, PbftClient};
-pub use log::{MessageLog, Slot};
+pub use log::{MessageLog, Proposals, Slot};
 pub use replica::{
     make_request, stall_budget, Replica, Status, CATCH_UP_CHUNK_SLOTS, STALLS_BEFORE_ADVANCE,
 };
 pub use verify::{SignerScheme, REPLICA_SCHEME};
 pub use viewchange::{plan_new_view, validate_new_view, NewViewPlan, ViewChangeTracker};
+pub use votes::VoteSet;

@@ -9,9 +9,10 @@
 //! enclaves — both the baseline replica and the compartments reuse this
 //! type.
 
+use crate::votes::VoteSet;
 use splitbft_types::{
-    ClusterConfig, Commit, Digest, PrePrepare, Prepare, PrepareCertificate, ProtocolError,
-    ReplicaId, SeqNum, Signed, View,
+    ClusterConfig, Commit, Digest, PrePrepare, Prepare, PrepareCertificate, ProtocolError, SeqNum,
+    Signed, View,
 };
 use std::collections::BTreeMap;
 
@@ -22,13 +23,48 @@ pub struct Slot {
     /// The accepted proposal, if any.
     pub pre_prepare: Option<Signed<PrePrepare>>,
     /// Prepare votes by sender.
-    pub prepares: BTreeMap<ReplicaId, Signed<Prepare>>,
+    pub prepares: VoteSet<Signed<Prepare>>,
     /// Commit votes by sender.
-    pub commits: BTreeMap<ReplicaId, Signed<Commit>>,
+    pub commits: VoteSet<Signed<Commit>>,
     /// This replica already broadcast its own `Prepare` for the slot.
     pub prepare_sent: bool,
     /// This replica already broadcast its own `Commit` for the slot.
     pub commit_sent: bool,
+}
+
+/// A slot's *candidate* proposals, at most one per digest, kept sorted by
+/// digest — what a SplitBFT compartment that does not itself validate
+/// proposals (Confirmation, Execution) retains until a quorum picks one.
+/// Honest primaries propose once per slot, so this is a one-entry list on
+/// the hot path; an equivocating primary can add more, which is why it is
+/// a list at all.
+#[derive(Debug, Default)]
+pub struct Proposals(Vec<Signed<PrePrepare>>);
+
+impl Proposals {
+    /// Adds `pp`, replacing a retained proposal with the same digest.
+    pub fn insert(&mut self, pp: Signed<PrePrepare>) {
+        match self.0.binary_search_by_key(&pp.payload.digest, |have| have.payload.digest) {
+            Ok(at) => self.0[at] = pp,
+            Err(at) => self.0.insert(at, pp),
+        }
+    }
+
+    /// Removes and returns the proposal for `digest`.
+    pub fn take(&mut self, digest: Digest) -> Option<Signed<PrePrepare>> {
+        let at = self.0.binary_search_by_key(&digest, |have| have.payload.digest).ok()?;
+        Some(self.0.remove(at))
+    }
+
+    /// `true` if a proposal for `digest` is retained.
+    pub fn contains(&self, digest: Digest) -> bool {
+        self.0.binary_search_by_key(&digest, |have| have.payload.digest).is_ok()
+    }
+
+    /// The proposals in ascending digest order.
+    pub fn iter(&self) -> impl Iterator<Item = &Signed<PrePrepare>> {
+        self.0.iter()
+    }
 }
 
 /// The windowed message log.
@@ -36,6 +72,8 @@ pub struct Slot {
 pub struct MessageLog {
     low: SeqNum,
     window: u64,
+    /// Cluster size: how many voters a slot's vote sets admit.
+    n: usize,
     slots: BTreeMap<SeqNum, Slot>,
 }
 
@@ -43,7 +81,12 @@ impl MessageLog {
     /// A log starting at the genesis watermark (sequence 0) with the
     /// configured window.
     pub fn new(config: &ClusterConfig) -> Self {
-        MessageLog { low: SeqNum::zero(), window: config.window, slots: BTreeMap::new() }
+        MessageLog {
+            low: SeqNum::zero(),
+            window: config.window,
+            n: config.n(),
+            slots: BTreeMap::new(),
+        }
     }
 
     /// The low watermark (last stable checkpoint).
@@ -119,16 +162,17 @@ impl MessageLog {
     }
 
     /// Inserts a `Prepare` vote (last write per sender wins; senders are
-    /// honest-or-detected via signatures upstream).
+    /// honest-or-detected via signatures upstream, and a sender outside
+    /// the cluster is ignored).
     pub fn insert_prepare(&mut self, p: Signed<Prepare>) {
-        let slot = self.slot_mut(p.payload.seq);
-        slot.prepares.insert(p.payload.replica, p);
+        let n = self.n;
+        self.slot_mut(p.payload.seq).prepares.insert(p.payload.replica, p, n);
     }
 
     /// Inserts a `Commit` vote.
     pub fn insert_commit(&mut self, c: Signed<Commit>) {
-        let slot = self.slot_mut(c.payload.seq);
-        slot.commits.insert(c.payload.replica, c);
+        let n = self.n;
+        self.slot_mut(c.payload.seq).commits.insert(c.payload.replica, c, n);
     }
 
     /// The *prepared* predicate of PBFT: an accepted proposal plus `2f`
@@ -245,7 +289,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use splitbft_types::{
-        ClientId, RequestBatch, Request, RequestId, Signature, SignerId, Timestamp,
+        ClientId, ReplicaId, Request, RequestBatch, RequestId, Signature, SignerId, Timestamp,
     };
 
     fn cfg() -> ClusterConfig {
@@ -289,6 +333,25 @@ mod tests {
             SignerId::Replica(ReplicaId(sender)),
             Signature::ZERO,
         )
+    }
+
+    #[test]
+    fn proposals_keep_one_entry_per_digest_in_digest_order() {
+        let mut proposals = Proposals::default();
+        for (d, sender) in [(9, 0), (3, 0), (5, 0), (3, 1)] {
+            proposals.insert(pp(0, 1, digest(d), sender));
+        }
+        let kept: Vec<_> =
+            proposals.iter().map(|p| (p.payload.digest, p.signer.replica())).collect();
+        assert_eq!(
+            kept,
+            [(digest(3), Some(ReplicaId(1))), (digest(5), Some(ReplicaId(0))), (digest(9), Some(ReplicaId(0)))],
+            "sorted by digest; a re-delivery replaces the retained proposal"
+        );
+        assert!(proposals.contains(digest(5)) && !proposals.contains(digest(4)));
+        assert_eq!(proposals.take(digest(5)).map(|p| p.payload.digest), Some(digest(5)));
+        assert!(proposals.take(digest(5)).is_none());
+        assert_eq!(proposals.iter().count(), 2);
     }
 
     #[test]

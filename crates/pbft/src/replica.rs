@@ -503,11 +503,7 @@ impl<A: Application> Replica<A> {
     // --- normal operation ------------------------------------------------
 
     fn verify_request(&mut self, req: &Request) -> bool {
-        self.client_keys.verify(
-            req.client(),
-            &Request::auth_bytes(req.id, &req.op, req.encrypted),
-            &req.auth,
-        )
+        self.client_keys.verify_request(req)
     }
 
     /// Authenticates every request in a proposed batch at once: the
@@ -516,9 +512,7 @@ impl<A: Application> Replica<A> {
     /// ([`splitbft_crypto::verify_tag_batch`]) — the whole batch is
     /// rejected on any failure, so no per-request verdict is needed.
     fn verify_request_batch(&mut self, requests: &[Request]) -> bool {
-        self.client_keys.verify_batch(requests.iter().map(|req| {
-            (req.client(), Request::auth_bytes(req.id, &req.op, req.encrypted), req.auth)
-        }))
+        self.client_keys.verify_requests(requests)
     }
 
     /// Records an accepted-but-unexecuted request for the view-change
@@ -675,14 +669,19 @@ impl<A: Application> Replica<A> {
             if !self.log.committed(next, self.view, &self.config) {
                 break;
             }
+            // Executing borrows the whole replica, so the proposal leaves
+            // its slot for the duration instead of being cloned; the slot
+            // keeps it afterwards for `catch_up_messages`.
             let pp = self
                 .log
-                .slot(next)
-                .and_then(|s| s.pre_prepare.clone())
+                .slot_mut(next)
+                .pre_prepare
+                .take()
                 .expect("committed implies proposal");
             actions.push(Action::CommittedBatch { seq: next, digest: pp.payload.digest });
             self.record(|| DurableEvent::Committed { seq: next, batch: pp.payload.batch.clone() });
             actions.extend(self.execute_batch(next, &pp.payload.batch));
+            self.log.slot_mut(next).pre_prepare = Some(pp);
             self.last_exec = next;
 
             if next.0 % self.config.checkpoint_interval == 0 {
@@ -708,10 +707,7 @@ impl<A: Application> Replica<A> {
             // operation (SplitBFT's confidential mode) is opaque bytes
             // here and will execute as a no-op.
             let result = self.app.execute(&req.op);
-            let auth = self
-                .client_keys
-                .key(client)
-                .tag(&Reply::auth_bytes(self.view, req.id, self.id, &result, false));
+            let auth = self.client_keys.reply_tag(self.view, req.id, self.id, &result, false);
             let reply =
                 Reply { view: self.view, request: req.id, replica: self.id, result, encrypted: false, auth };
             self.last_replies.insert(client, reply.clone());
@@ -732,16 +728,18 @@ impl<A: Application> Replica<A> {
     /// core `(client, timestamp, result)`; replica-specific reply fields
     /// (sender id, MAC, view) are reconstructed on restore.
     fn checkpoint_state_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
         let snapshot = self.app.snapshot();
-        (snapshot.len() as u32).encode(&mut buf);
-        buf.extend_from_slice(&snapshot);
         let replies: Vec<(ClientId, splitbft_types::Timestamp, bytes::Bytes)> = self
             .last_replies
             .iter()
             .map(|(c, r)| (*c, r.request.timestamp, r.result.clone()))
             .collect();
-        replies.encode(&mut buf);
+        // Sized exactly: a snapshot can be megabytes, and growing into it
+        // would hold twice that.
+        let mut buf = Vec::with_capacity(4 + snapshot.len() + replies.encoded_len());
+        (snapshot.len() as u32).encode_to(&mut buf);
+        buf.extend_from_slice(&snapshot);
+        replies.encode_to(&mut buf);
         buf
     }
 
@@ -761,10 +759,8 @@ impl<A: Application> Replica<A> {
             .into_iter()
             .map(|(client, timestamp, result)| {
                 let request = splitbft_types::RequestId { client, timestamp };
-                let auth = self
-                    .client_keys
-                    .key(client)
-                    .tag(&Reply::auth_bytes(self.view, request, self.id, &result, false));
+                let auth =
+                    self.client_keys.reply_tag(self.view, request, self.id, &result, false);
                 let reply = Reply {
                     view: self.view,
                     request,
@@ -1007,7 +1003,7 @@ pub fn make_request(
 ) -> Request {
     let id = splitbft_types::RequestId { client, timestamp };
     let key = client_mac_key(master_seed, client);
-    let auth = key.tag(&Request::auth_bytes(id, &op, false));
+    let auth = key.request_tag(id, &op, false);
     Request { id, op, encrypted: false, auth }
 }
 

@@ -3,8 +3,9 @@
 //! The build environment has no network access to crates.io, so this
 //! workspace vendors the small slice of the `bytes` API it actually uses:
 //! [`Bytes`], an immutable byte container that is cheap to clone. Backed
-//! by either a `&'static [u8]` or an `Arc<Vec<u8>>`, cloning never copies
-//! the payload.
+//! by a `&'static [u8]`, an `Arc<[u8]>` (bytes copied in: one allocation)
+//! or an `Arc<Vec<u8>>` (a buffer adopted without copying it), cloning
+//! never copies the payload.
 //!
 //! Only the constructors and traits exercised by the SplitBFT workspace
 //! are provided; this is not a general replacement for the real crate.
@@ -27,6 +28,9 @@ pub struct Bytes {
 #[derive(Clone)]
 enum Repr {
     Static(&'static [u8]),
+    /// Copied from a slice: header and bytes in one allocation.
+    Copied(Arc<[u8]>),
+    /// Adopted from a `Vec`, whose buffer is kept as it is.
     Shared(Arc<Vec<u8>>),
 }
 
@@ -43,13 +47,14 @@ impl Bytes {
 
     /// Copies `data` into a fresh shared buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes { repr: Repr::Shared(Arc::new(data.to_vec())) }
+        Bytes { repr: Repr::Copied(Arc::from(data)) }
     }
 
     /// The contained bytes as a slice.
     pub fn as_slice(&self) -> &[u8] {
         match &self.repr {
             Repr::Static(s) => s,
+            Repr::Copied(s) => s,
             Repr::Shared(v) => v.as_slice(),
         }
     }

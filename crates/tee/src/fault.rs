@@ -171,7 +171,7 @@ mod tests {
     fn run(e: &mut dyn Enclave, input: &[u8]) -> (Vec<u8>, Vec<Vec<u8>>) {
         let mut q = OcallQueue::new();
         let out = e.handle_ecall(0, input, &mut q);
-        (out, q.drain().into_iter().map(|o| o.data).collect())
+        (out, q.iter().map(|(_, data)| data.to_vec()).collect())
     }
 
     #[test]
@@ -224,6 +224,37 @@ mod tests {
         assert!(e.is_active());
         let (_, ocalls) = run(&mut e, b"3");
         assert!(ocalls.is_empty());
+    }
+
+    /// [`Echo`], marshalling its ocall in place.
+    struct InPlaceEcho;
+    impl Enclave for InPlaceEcho {
+        fn measurement(&self) -> [u8; 32] {
+            [0xAA; 32]
+        }
+        fn handle_ecall(&mut self, _id: u32, input: &[u8], env: &mut dyn OcallSink) -> Vec<u8> {
+            env.ocall_with(1, &mut |buf| buf.extend_from_slice(input));
+            input.to_vec()
+        }
+    }
+
+    #[test]
+    fn every_fault_treats_in_place_ocalls_like_copied_ones() {
+        let kinds = [
+            FaultKind::MuteOcalls,
+            FaultKind::CorruptOcalls { xor: 0x5A },
+            FaultKind::CorruptReturns { xor: 0x01 },
+            FaultKind::DropEcalls,
+        ];
+        for kind in kinds {
+            for plan in [FaultPlan::immediate(kind), FaultPlan::after(kind, 1), FaultPlan::benign()] {
+                let mut copied = FaultyEnclave::new(Echo, plan);
+                let mut in_place = FaultyEnclave::new(InPlaceEcho, plan);
+                for input in [&b""[..], b"\x00\x0f", b"third call"] {
+                    assert_eq!(run(&mut in_place, input), run(&mut copied, input), "{plan:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! paper's Figure 4 and its "ecalls sum up to 841 µs" analysis.
 
 use crate::cost::CostModel;
-use crate::enclave::{Enclave, EnclaveError, Ocall, OcallQueue};
+use crate::enclave::{Enclave, EnclaveError, OcallQueue};
 
 /// Whether the (simulated) enclave pays hardware transition costs.
 ///
@@ -40,12 +40,13 @@ pub struct TransitionStats {
 }
 
 /// The result of one successful ecall.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EcallReply {
+#[derive(Debug)]
+pub struct EcallReply<'a> {
     /// The enclave's return value, copied out.
     pub output: Vec<u8>,
-    /// Ocalls the enclave posted during the call, in order.
-    pub ocalls: Vec<Ocall>,
+    /// Ocalls the enclave posted during the call, in order. The queue is
+    /// the host's and is overwritten by its next ecall.
+    pub ocalls: &'a OcallQueue,
     /// Virtual boundary cost of this call (transition + copies), in
     /// nanoseconds. Handler compute time is charged separately by the
     /// simulator.
@@ -60,6 +61,8 @@ pub struct EnclaveHost<E> {
     cost: CostModel,
     stats: TransitionStats,
     crashed: bool,
+    /// The ocall queue every ecall posts into, reused across ecalls.
+    ocalls: OcallQueue,
 }
 
 impl<E: Enclave> EnclaveHost<E> {
@@ -74,7 +77,14 @@ impl<E: Enclave> EnclaveHost<E> {
                 ..cost
             },
         };
-        EnclaveHost { enclave, mode, cost, stats: TransitionStats::default(), crashed: false }
+        EnclaveHost {
+            enclave,
+            mode,
+            cost,
+            stats: TransitionStats::default(),
+            crashed: false,
+            ocalls: OcallQueue::new(),
+        }
     }
 
     /// The execution mode the host was created with.
@@ -94,28 +104,26 @@ impl<E: Enclave> EnclaveHost<E> {
     /// [`EnclaveError::Crashed`] if the enclave was crashed by fault
     /// injection (see [`EnclaveHost::inject_crash`]); a crashed enclave
     /// stays unavailable until [`EnclaveHost::recover`].
-    pub fn ecall(&mut self, id: u32, input: &[u8]) -> Result<EcallReply, EnclaveError> {
+    pub fn ecall(&mut self, id: u32, input: &[u8]) -> Result<EcallReply<'_>, EnclaveError> {
         if self.crashed {
             return Err(EnclaveError::Crashed);
         }
-        let mut queue = OcallQueue::new();
-        let output = self.enclave.handle_ecall(id, input, &mut queue);
-        let ocalls = queue.drain();
+        self.ocalls.clear();
+        let output = self.enclave.handle_ecall(id, input, &mut self.ocalls);
 
-        let ocall_bytes: usize = ocalls.iter().map(|o| o.data.len()).sum();
         let mut boundary_ns = self.cost.ecall_boundary_ns(input.len(), output.len());
-        for o in &ocalls {
-            boundary_ns += self.cost.ocall_boundary_ns(o.data.len());
+        for (_, data) in self.ocalls.iter() {
+            boundary_ns += self.cost.ocall_boundary_ns(data.len());
         }
 
         self.stats.ecalls += 1;
-        self.stats.ocalls += ocalls.len() as u64;
+        self.stats.ocalls += self.ocalls.len() as u64;
         self.stats.bytes_in += input.len() as u64;
-        self.stats.bytes_out += (output.len() + ocall_bytes) as u64;
+        self.stats.bytes_out += (output.len() + self.ocalls.payload_bytes()) as u64;
         self.stats.boundary_ns += boundary_ns;
         self.stats.peak_memory = self.stats.peak_memory.max(self.enclave.memory_usage() as u64);
 
-        Ok(EcallReply { output, ocalls, boundary_ns })
+        Ok(EcallReply { output, ocalls: &self.ocalls, boundary_ns })
     }
 
     /// Crash-faults the enclave: subsequent ecalls fail until
@@ -203,8 +211,7 @@ mod tests {
         let mut h = host(ExecMode::Hardware);
         let r = h.ecall(9, b"data").unwrap();
         assert_eq!(r.output, b"data");
-        assert_eq!(r.ocalls.len(), 1);
-        assert_eq!(r.ocalls[0].id, 1);
+        assert_eq!(r.ocalls.iter().collect::<Vec<_>>(), [(1, &b"side-effect"[..])]);
         assert!(r.boundary_ns > 0);
     }
 
@@ -241,7 +248,7 @@ mod tests {
         h.ecall(1, b"ok").unwrap();
         h.inject_crash();
         assert!(h.is_crashed());
-        assert_eq!(h.ecall(1, b"x"), Err(EnclaveError::Crashed));
+        assert_eq!(h.ecall(1, b"x").err(), Some(EnclaveError::Crashed));
         h.recover(Echo { mem: 0 });
         assert!(h.ecall(1, b"back").is_ok());
         // Fresh instance: memory was reset.

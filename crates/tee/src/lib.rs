@@ -65,7 +65,7 @@ pub mod seal;
 
 pub use attest::{AttestationError, PlatformAuthority, Quote};
 pub use cost::CostModel;
-pub use enclave::{Enclave, EnclaveError, Ocall, OcallSink};
+pub use enclave::{Enclave, EnclaveError, OcallQueue, OcallSink};
 pub use fault::{FaultKind, FaultPlan, FaultyEnclave};
 pub use host::{EcallReply, EnclaveHost, ExecMode, TransitionStats};
 pub use seal::{seal_data, unseal_data, SealError, SealingIdentity};

@@ -1,6 +1,6 @@
 //! The three compartment types of the SplitBFT partitioning of PBFT.
 
-use crate::wire::{Decode, Encode, Reader, WireError};
+use crate::wire::{Decode, Encode, Reader, Sink, WireError};
 use std::fmt;
 
 /// The compartment types that §3.2 of the paper derives from principles
@@ -68,8 +68,8 @@ impl fmt::Display for CompartmentKind {
 }
 
 impl Encode for CompartmentKind {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(self.index() as u8);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        out.put(&[self.index() as u8]);
     }
 }
 

@@ -4,7 +4,7 @@
 //! depending on the crypto crate; digest *computation* (SHA-256 over the
 //! canonical wire encoding) lives in `splitbft-crypto`.
 
-use crate::wire::{Decode, Encode, Reader, WireError};
+use crate::wire::{Decode, Encode, Reader, Sink, WireError};
 use std::fmt;
 
 /// A 32-byte cryptographic digest.
@@ -65,8 +65,8 @@ impl From<[u8; 32]> for Digest {
 }
 
 impl Encode for Digest {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.0.encode_to(out);
     }
 }
 

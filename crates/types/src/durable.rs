@@ -45,7 +45,7 @@
 use crate::digest::Digest;
 use crate::ids::{ReplicaId, SeqNum, View};
 use crate::message::RequestBatch;
-use crate::wire::{Decode, Encode, Reader, WireError};
+use crate::wire::{Decode, Encode, Reader, Sink, WireError};
 use bytes::Bytes;
 
 /// A consensus event that must be durable *before* the replica acts on
@@ -111,34 +111,34 @@ pub enum DurableEvent {
 }
 
 impl Encode for DurableEvent {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode_to<S: Sink>(&self, out: &mut S) {
         match self {
             DurableEvent::Accepted { view, seq, digest } => {
-                buf.push(1);
-                view.encode(buf);
-                seq.encode(buf);
-                digest.encode(buf);
+                out.put(&[1]);
+                view.encode_to(out);
+                seq.encode_to(out);
+                digest.encode_to(out);
             }
             DurableEvent::Committed { seq, batch } => {
-                buf.push(2);
-                seq.encode(buf);
-                batch.encode(buf);
+                out.put(&[2]);
+                seq.encode_to(out);
+                batch.encode_to(out);
             }
             DurableEvent::EnteredView { view } => {
-                buf.push(3);
-                view.encode(buf);
+                out.put(&[3]);
+                view.encode_to(out);
             }
             DurableEvent::CounterIssued { counter } => {
-                buf.push(4);
-                counter.encode(buf);
+                out.put(&[4]);
+                counter.encode_to(out);
             }
             DurableEvent::StableCheckpoint { seq } => {
-                buf.push(5);
-                seq.encode(buf);
+                out.put(&[5]);
+                seq.encode_to(out);
             }
             DurableEvent::ShardTag { shard } => {
-                buf.push(6);
-                shard.encode(buf);
+                out.put(&[6]);
+                shard.encode_to(out);
             }
         }
     }
@@ -193,10 +193,10 @@ pub struct DurableCheckpoint {
 }
 
 impl Encode for DurableCheckpoint {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.seq.encode(buf);
-        self.digest.encode(buf);
-        self.state.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.seq.encode_to(out);
+        self.digest.encode_to(out);
+        self.state.encode_to(out);
     }
 }
 impl Decode for DurableCheckpoint {
@@ -223,9 +223,9 @@ pub struct StateTransferRequest {
 }
 
 impl Encode for StateTransferRequest {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.replica.encode(buf);
-        self.have_seq.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.replica.encode_to(out);
+        self.have_seq.encode_to(out);
     }
 }
 impl Decode for StateTransferRequest {
@@ -255,10 +255,10 @@ pub struct StateTransferResponse {
 }
 
 impl Encode for StateTransferResponse {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.replica.encode(buf);
-        self.checkpoint.encode(buf);
-        self.suffix.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.replica.encode_to(out);
+        self.checkpoint.encode_to(out);
+        self.suffix.encode_to(out);
     }
 }
 impl Decode for StateTransferResponse {

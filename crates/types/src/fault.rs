@@ -15,7 +15,7 @@
 //! backward-compatible.
 
 use crate::ids::ReplicaId;
-use crate::wire::{Decode, Encode, Reader, WireError};
+use crate::wire::{Decode, Encode, Reader, Sink, WireError};
 
 /// Per-link fault rule for the ordered pair `from → to`.
 ///
@@ -58,13 +58,13 @@ impl LinkRule {
 }
 
 impl Encode for LinkRule {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.from.encode(buf);
-        self.to.encode(buf);
-        buf.push(self.drop_percent);
-        buf.push(self.duplicate_percent);
-        buf.push(self.reorder_percent);
-        self.delay_ms.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.from.encode_to(out);
+        self.to.encode_to(out);
+        out.put(&[self.drop_percent]);
+        out.put(&[self.duplicate_percent]);
+        out.put(&[self.reorder_percent]);
+        self.delay_ms.encode_to(out);
     }
 }
 impl Decode for LinkRule {
@@ -115,25 +115,25 @@ pub enum FaultCommand {
 }
 
 impl Encode for FaultCommand {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode_to<S: Sink>(&self, out: &mut S) {
         match self {
             FaultCommand::SetRule(rule) => {
-                buf.push(1);
-                rule.encode(buf);
+                out.put(&[1]);
+                rule.encode_to(out);
             }
-            FaultCommand::ClearRules => buf.push(2),
+            FaultCommand::ClearRules => out.put(&[2]),
             FaultCommand::Partition { name, side_a, side_b, symmetric } => {
-                buf.push(3);
-                name.encode(buf);
-                side_a.encode(buf);
-                side_b.encode(buf);
-                symmetric.encode(buf);
+                out.put(&[3]);
+                name.encode_to(out);
+                side_a.encode_to(out);
+                side_b.encode_to(out);
+                symmetric.encode_to(out);
             }
             FaultCommand::Heal { name } => {
-                buf.push(4);
-                name.encode(buf);
+                out.put(&[4]);
+                name.encode_to(out);
             }
-            FaultCommand::HealAll => buf.push(5),
+            FaultCommand::HealAll => out.put(&[5]),
         }
     }
 }

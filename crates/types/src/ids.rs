@@ -7,7 +7,7 @@
 
 use crate::compartment::CompartmentKind;
 use crate::config::ClusterConfig;
-use crate::wire::{Decode, Encode, Reader, WireError};
+use crate::wire::{Decode, Encode, Reader, Sink, WireError};
 use std::fmt;
 
 /// Index of a replica in the cluster, in `0..n`.
@@ -204,8 +204,8 @@ impl fmt::Display for SignerId {
 // --- wire impls -----------------------------------------------------------
 
 impl Encode for ReplicaId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.0.encode_to(out);
     }
 }
 impl Decode for ReplicaId {
@@ -215,8 +215,8 @@ impl Decode for ReplicaId {
 }
 
 impl Encode for ClientId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.0.encode_to(out);
     }
 }
 impl Decode for ClientId {
@@ -226,8 +226,8 @@ impl Decode for ClientId {
 }
 
 impl Encode for View {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.0.encode_to(out);
     }
 }
 impl Decode for View {
@@ -237,8 +237,8 @@ impl Decode for View {
 }
 
 impl Encode for SeqNum {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.0.encode_to(out);
     }
 }
 impl Decode for SeqNum {
@@ -248,8 +248,8 @@ impl Decode for SeqNum {
 }
 
 impl Encode for Timestamp {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.0.encode_to(out);
     }
 }
 impl Decode for Timestamp {
@@ -259,9 +259,9 @@ impl Decode for Timestamp {
 }
 
 impl Encode for RequestId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.client.encode(buf);
-        self.timestamp.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.client.encode_to(out);
+        self.timestamp.encode_to(out);
     }
 }
 impl Decode for RequestId {
@@ -271,9 +271,9 @@ impl Decode for RequestId {
 }
 
 impl Encode for EnclaveId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.replica.encode(buf);
-        self.kind.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.replica.encode_to(out);
+        self.kind.encode_to(out);
     }
 }
 impl Decode for EnclaveId {
@@ -283,19 +283,19 @@ impl Decode for EnclaveId {
 }
 
 impl Encode for SignerId {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode_to<S: Sink>(&self, out: &mut S) {
         match self {
             SignerId::Replica(r) => {
-                buf.push(0);
-                r.encode(buf);
+                out.put(&[0]);
+                r.encode_to(out);
             }
             SignerId::Enclave(e) => {
-                buf.push(1);
-                e.encode(buf);
+                out.put(&[1]);
+                e.encode_to(out);
             }
             SignerId::Client(c) => {
-                buf.push(2);
-                c.encode(buf);
+                out.put(&[2]);
+                c.encode_to(out);
             }
         }
     }

@@ -11,7 +11,7 @@
 
 use crate::digest::Digest;
 use crate::ids::{ClientId, ReplicaId, RequestId, SeqNum, SignerId, View};
-use crate::wire::{Decode, Encode, Reader, WireError};
+use crate::wire::{Decode, Encode, Reader, Sink, WireError};
 use bytes::Bytes;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -46,8 +46,8 @@ impl Default for Signature {
 }
 
 impl Encode for Signature {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.0);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        out.put(&self.0);
     }
 }
 impl Decode for Signature {
@@ -67,8 +67,8 @@ impl fmt::Debug for PublicKey {
 }
 
 impl Encode for PublicKey {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.0);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        out.put(&self.0);
     }
 }
 impl Decode for PublicKey {
@@ -105,20 +105,27 @@ impl<T: MessagePayload> Signed<T> {
         Signed { payload, signer, signature }
     }
 
-    /// The canonical bytes the signature must cover: the domain tag followed
-    /// by the canonical encoding of the payload.
+    /// Streams the canonical bytes the signature must cover — the domain
+    /// tag followed by the canonical encoding of the payload — into `out`,
+    /// which may be a hasher: signing and verifying never materialise them.
+    pub fn write_signing_bytes<S: Sink>(payload: &T, out: &mut S) {
+        out.put(&[T::TAG]);
+        payload.encode_to(out);
+    }
+
+    /// [`Signed::write_signing_bytes`] into a fresh buffer.
     pub fn signing_bytes(payload: &T) -> Vec<u8> {
-        let mut buf = vec![T::TAG];
-        payload.encode(&mut buf);
+        let mut buf = Vec::with_capacity(1 + payload.encoded_len());
+        Self::write_signing_bytes(payload, &mut buf);
         buf
     }
 }
 
 impl<T: Encode> Encode for Signed<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.payload.encode(buf);
-        self.signer.encode(buf);
-        self.signature.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.payload.encode_to(out);
+        self.signer.encode_to(out);
+        self.signature.encode_to(out);
     }
 }
 impl<T: Decode> Decode for Signed<T> {
@@ -156,12 +163,18 @@ pub struct Request {
 }
 
 impl Request {
-    /// The bytes covered by the HMAC tag.
+    /// Streams the bytes covered by the HMAC tag into `out` (a MAC in
+    /// progress, on the replicas' hot paths).
+    pub fn write_auth_bytes<S: Sink>(id: RequestId, op: &[u8], encrypted: bool, out: &mut S) {
+        id.encode_to(out);
+        out.put(op);
+        out.put(&[encrypted as u8]);
+    }
+
+    /// [`Request::write_auth_bytes`] into a fresh buffer.
     pub fn auth_bytes(id: RequestId, op: &[u8], encrypted: bool) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(op.len() + 24);
-        id.encode(&mut buf);
-        buf.extend_from_slice(op);
-        buf.push(encrypted as u8);
+        let mut buf = Vec::with_capacity(op.len() + 13);
+        Self::write_auth_bytes(id, op, encrypted, &mut buf);
         buf
     }
 
@@ -173,11 +186,11 @@ impl Request {
 }
 
 impl Encode for Request {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
-        self.op.encode(buf);
-        self.encrypted.encode(buf);
-        self.auth.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.id.encode_to(out);
+        self.op.encode_to(out);
+        self.encrypted.encode_to(out);
+        self.auth.encode_to(out);
     }
 }
 impl Decode for Request {
@@ -230,8 +243,8 @@ impl RequestBatch {
 }
 
 impl Encode for RequestBatch {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.requests.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.requests.encode_to(out);
     }
 }
 impl Decode for RequestBatch {
@@ -260,7 +273,23 @@ pub struct Reply {
 }
 
 impl Reply {
-    /// The bytes covered by the HMAC tag.
+    /// Streams the bytes covered by the HMAC tag into `out`.
+    pub fn write_auth_bytes<S: Sink>(
+        view: View,
+        request: RequestId,
+        replica: ReplicaId,
+        result: &[u8],
+        encrypted: bool,
+        out: &mut S,
+    ) {
+        view.encode_to(out);
+        request.encode_to(out);
+        replica.encode_to(out);
+        out.put(result);
+        out.put(&[encrypted as u8]);
+    }
+
+    /// [`Reply::write_auth_bytes`] into a fresh buffer.
     pub fn auth_bytes(
         view: View,
         request: RequestId,
@@ -268,24 +297,20 @@ impl Reply {
         result: &[u8],
         encrypted: bool,
     ) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(result.len() + 32);
-        view.encode(&mut buf);
-        request.encode(&mut buf);
-        replica.encode(&mut buf);
-        buf.extend_from_slice(result);
-        buf.push(encrypted as u8);
+        let mut buf = Vec::with_capacity(result.len() + 25);
+        Self::write_auth_bytes(view, request, replica, result, encrypted, &mut buf);
         buf
     }
 }
 
 impl Encode for Reply {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.view.encode(buf);
-        self.request.encode(buf);
-        self.replica.encode(buf);
-        self.result.encode(buf);
-        self.encrypted.encode(buf);
-        self.auth.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.view.encode_to(out);
+        self.request.encode_to(out);
+        self.replica.encode_to(out);
+        self.result.encode_to(out);
+        self.encrypted.encode_to(out);
+        self.auth.encode_to(out);
     }
 }
 impl Decode for Reply {
@@ -325,11 +350,11 @@ impl MessagePayload for PrePrepare {
 }
 
 impl Encode for PrePrepare {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.view.encode(buf);
-        self.seq.encode(buf);
-        self.digest.encode(buf);
-        self.batch.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.view.encode_to(out);
+        self.seq.encode_to(out);
+        self.digest.encode_to(out);
+        self.batch.encode_to(out);
     }
 }
 impl Decode for PrePrepare {
@@ -361,11 +386,11 @@ impl MessagePayload for Prepare {
 }
 
 impl Encode for Prepare {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.view.encode(buf);
-        self.seq.encode(buf);
-        self.digest.encode(buf);
-        self.replica.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.view.encode_to(out);
+        self.seq.encode_to(out);
+        self.digest.encode_to(out);
+        self.replica.encode_to(out);
     }
 }
 impl Decode for Prepare {
@@ -398,11 +423,11 @@ impl MessagePayload for Commit {
 }
 
 impl Encode for Commit {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.view.encode(buf);
-        self.seq.encode(buf);
-        self.digest.encode(buf);
-        self.replica.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.view.encode_to(out);
+        self.seq.encode_to(out);
+        self.digest.encode_to(out);
+        self.replica.encode_to(out);
     }
 }
 impl Decode for Commit {
@@ -443,11 +468,11 @@ impl MessagePayload for Checkpoint {
 }
 
 impl Encode for Checkpoint {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.seq.encode(buf);
-        self.state_digest.encode(buf);
-        self.replica.encode(buf);
-        self.snapshot.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.seq.encode_to(out);
+        self.state_digest.encode_to(out);
+        self.replica.encode_to(out);
+        self.snapshot.encode_to(out);
     }
 }
 impl Decode for Checkpoint {
@@ -527,9 +552,9 @@ impl PrepareCertificate {
 }
 
 impl Encode for PrepareCertificate {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.pre_prepare.encode(buf);
-        self.prepares.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.pre_prepare.encode_to(out);
+        self.prepares.encode_to(out);
     }
 }
 impl Decode for PrepareCertificate {
@@ -577,8 +602,8 @@ impl CommitCertificate {
 }
 
 impl Encode for CommitCertificate {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.commits.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.commits.encode_to(out);
     }
 }
 impl Decode for CommitCertificate {
@@ -637,8 +662,8 @@ impl CheckpointCertificate {
 }
 
 impl Encode for CheckpointCertificate {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.checkpoints.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.checkpoints.encode_to(out);
     }
 }
 impl Decode for CheckpointCertificate {
@@ -689,12 +714,12 @@ impl ViewChange {
 }
 
 impl Encode for ViewChange {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.new_view.encode(buf);
-        self.stable_seq.encode(buf);
-        self.checkpoint_proof.encode(buf);
-        self.prepared.encode(buf);
-        self.replica.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.new_view.encode_to(out);
+        self.stable_seq.encode_to(out);
+        self.checkpoint_proof.encode_to(out);
+        self.prepared.encode_to(out);
+        self.replica.encode_to(out);
     }
 }
 impl Decode for ViewChange {
@@ -763,10 +788,10 @@ impl NewView {
 }
 
 impl Encode for NewView {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.view.encode(buf);
-        self.view_changes.encode(buf);
-        self.pre_prepares.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.view.encode_to(out);
+        self.view_changes.encode_to(out);
+        self.pre_prepares.encode_to(out);
     }
 }
 impl Decode for NewView {
@@ -828,31 +853,31 @@ impl ConsensusMessage {
 }
 
 impl Encode for ConsensusMessage {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode_to<S: Sink>(&self, out: &mut S) {
         match self {
             ConsensusMessage::PrePrepare(m) => {
-                buf.push(1);
-                m.encode(buf);
+                out.put(&[1]);
+                m.encode_to(out);
             }
             ConsensusMessage::Prepare(m) => {
-                buf.push(2);
-                m.encode(buf);
+                out.put(&[2]);
+                m.encode_to(out);
             }
             ConsensusMessage::Commit(m) => {
-                buf.push(3);
-                m.encode(buf);
+                out.put(&[3]);
+                m.encode_to(out);
             }
             ConsensusMessage::Checkpoint(m) => {
-                buf.push(4);
-                m.encode(buf);
+                out.put(&[4]);
+                m.encode_to(out);
             }
             ConsensusMessage::ViewChange(m) => {
-                buf.push(5);
-                m.encode(buf);
+                out.put(&[5]);
+                m.encode_to(out);
             }
             ConsensusMessage::NewView(m) => {
-                buf.push(6);
-                m.encode(buf);
+                out.put(&[6]);
+                m.encode_to(out);
             }
         }
     }

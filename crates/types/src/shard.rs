@@ -15,7 +15,7 @@
 //! reduced modulo the shard count. Both sides call it; neither can
 //! drift.
 
-use crate::wire::{Decode, Encode, Reader, WireError};
+use crate::wire::{Decode, Encode, Reader, Sink, WireError};
 use std::fmt;
 
 /// Index of one consensus group in a sharded deployment, in `0..shards`.
@@ -42,8 +42,8 @@ impl fmt::Display for ShardId {
 }
 
 impl Encode for ShardId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.0.encode_to(out);
     }
 }
 impl Decode for ShardId {
@@ -78,9 +78,9 @@ impl<M> ShardEnvelope<M> {
 }
 
 impl<M: Encode> Encode for ShardEnvelope<M> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.shard.encode(buf);
-        self.msg.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.shard.encode_to(out);
+        self.msg.encode_to(out);
     }
 }
 impl<M: Decode> Decode for ShardEnvelope<M> {
@@ -130,7 +130,7 @@ mod tests {
         // The shard id is the leading field: routers can peek at it
         // without decoding the payload.
         let mut prefix = Vec::new();
-        ShardId(3).encode(&mut prefix);
+        ShardId(3).encode_to(&mut prefix);
         assert!(bytes.starts_with(&prefix));
     }
 

@@ -19,7 +19,7 @@
 //! otherwise the node answers [`StatusResponse::Refused`] and closes
 //! the connection.
 
-use crate::wire::{Decode, Encode, Reader, WireError};
+use crate::wire::{Decode, Encode, Reader, Sink, WireError};
 
 /// Version stamp of [`NodeSnapshot`]'s field set. Bump on any layout
 /// change so pollers can reject snapshots they do not understand.
@@ -170,14 +170,14 @@ pub enum StatusResponse {
 }
 
 impl Encode for StatusVerb {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode_to<S: Sink>(&self, out: &mut S) {
         match self {
-            StatusVerb::Snapshot => buf.push(1),
+            StatusVerb::Snapshot => out.put(&[1]),
             StatusVerb::Events { since } => {
-                buf.push(2);
-                since.encode(buf);
+                out.put(&[2]);
+                since.encode_to(out);
             }
-            StatusVerb::Drain => buf.push(3),
+            StatusVerb::Drain => out.put(&[3]),
         }
     }
 }
@@ -193,8 +193,8 @@ impl Decode for StatusVerb {
 }
 
 impl Encode for StatusRequest {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.verb.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.verb.encode_to(out);
     }
 }
 impl Decode for StatusRequest {
@@ -204,34 +204,34 @@ impl Decode for StatusRequest {
 }
 
 impl Encode for StatusEvent {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode_to<S: Sink>(&self, out: &mut S) {
         match self {
             StatusEvent::ViewChange { view } => {
-                buf.push(1);
-                view.encode(buf);
+                out.put(&[1]);
+                view.encode_to(out);
             }
             StatusEvent::CheckpointSealed { seq } => {
-                buf.push(2);
-                seq.encode(buf);
+                out.put(&[2]);
+                seq.encode_to(out);
             }
             StatusEvent::CheckpointRestored { seq, agreeing_peers } => {
-                buf.push(3);
-                seq.encode(buf);
-                agreeing_peers.encode(buf);
+                out.put(&[3]);
+                seq.encode_to(out);
+                agreeing_peers.encode_to(out);
             }
             StatusEvent::StateTransferApplied { messages, from_progress, to_progress } => {
-                buf.push(4);
-                messages.encode(buf);
-                from_progress.encode(buf);
-                to_progress.encode(buf);
+                out.put(&[4]);
+                messages.encode_to(out);
+                from_progress.encode_to(out);
+                to_progress.encode_to(out);
             }
-            StatusEvent::FaultPlanApplied => buf.push(5),
-            StatusEvent::DrainRequested => buf.push(6),
-            StatusEvent::DrainCompleted => buf.push(7),
+            StatusEvent::FaultPlanApplied => out.put(&[5]),
+            StatusEvent::DrainRequested => out.put(&[6]),
+            StatusEvent::DrainCompleted => out.put(&[7]),
             StatusEvent::Recovered { replayed_events, checkpoint_seq } => {
-                buf.push(8);
-                replayed_events.encode(buf);
-                checkpoint_seq.encode(buf);
+                out.put(&[8]);
+                replayed_events.encode_to(out);
+                checkpoint_seq.encode_to(out);
             }
         }
     }
@@ -263,27 +263,27 @@ impl Decode for StatusEvent {
 }
 
 impl Encode for NodeSnapshot {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.version.encode(buf);
-        self.replica.encode(buf);
-        self.progress.encode(buf);
-        self.view.encode(buf);
-        self.view_changes.encode(buf);
-        self.pending_requests.encode(buf);
-        self.fsyncs.encode(buf);
-        self.wal_bytes.encode(buf);
-        self.checkpoint_seals.encode(buf);
-        self.reconnects.encode(buf);
-        self.ring_refusals.encode(buf);
-        self.bytes_in.encode(buf);
-        self.bytes_out.encode(buf);
-        self.queue_depth_high_water.encode(buf);
-        self.shard_progress.encode(buf);
-        self.shard_fsyncs.encode(buf);
-        self.recovering.encode(buf);
-        self.draining.encode(buf);
-        self.drained.encode(buf);
-        self.journal_head.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.version.encode_to(out);
+        self.replica.encode_to(out);
+        self.progress.encode_to(out);
+        self.view.encode_to(out);
+        self.view_changes.encode_to(out);
+        self.pending_requests.encode_to(out);
+        self.fsyncs.encode_to(out);
+        self.wal_bytes.encode_to(out);
+        self.checkpoint_seals.encode_to(out);
+        self.reconnects.encode_to(out);
+        self.ring_refusals.encode_to(out);
+        self.bytes_in.encode_to(out);
+        self.bytes_out.encode_to(out);
+        self.queue_depth_high_water.encode_to(out);
+        self.shard_progress.encode_to(out);
+        self.shard_fsyncs.encode_to(out);
+        self.recovering.encode_to(out);
+        self.draining.encode_to(out);
+        self.drained.encode_to(out);
+        self.journal_head.encode_to(out);
     }
 }
 impl Decode for NodeSnapshot {
@@ -314,19 +314,19 @@ impl Decode for NodeSnapshot {
 }
 
 impl Encode for StatusResponse {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode_to<S: Sink>(&self, out: &mut S) {
         match self {
             StatusResponse::Snapshot(snapshot) => {
-                buf.push(1);
-                snapshot.encode(buf);
+                out.put(&[1]);
+                snapshot.encode_to(out);
             }
             StatusResponse::Events { head, events } => {
-                buf.push(2);
-                head.encode(buf);
-                events.encode(buf);
+                out.put(&[2]);
+                head.encode_to(out);
+                events.encode_to(out);
             }
-            StatusResponse::DrainStarted => buf.push(3),
-            StatusResponse::Refused => buf.push(4),
+            StatusResponse::DrainStarted => out.put(&[3]),
+            StatusResponse::Refused => out.put(&[4]),
         }
     }
 }

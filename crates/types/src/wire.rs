@@ -121,15 +121,51 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// Where an [`Encode`] implementation writes its bytes: a buffer, or a
+/// consumer that never materialises them (`splitbft-crypto` implements it
+/// for its incremental `Sha256` and `Hmac`, so digests, signatures and MACs
+/// over a value hash its fields as they are produced).
+pub trait Sink {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// The sink behind [`Encode::encoded_len`]: counts, copies nothing.
+struct ByteCount(usize);
+
+impl Sink for ByteCount {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
 /// Types that can be canonically serialized.
 pub trait Encode {
-    /// Appends the canonical encoding of `self` to `buf`.
-    fn encode(&self, buf: &mut Vec<u8>);
+    /// Writes the canonical encoding of `self` to `out`.
+    fn encode_to<S: Sink>(&self, out: &mut S);
 
-    /// Returns the canonical encoding as a fresh buffer.
+    /// The exact length of the canonical encoding, computed by walking
+    /// the value with a counting sink — no byte is copied, and it cannot
+    /// disagree with [`Encode::encode_to`].
+    fn encoded_len(&self) -> usize {
+        let mut count = ByteCount(0);
+        self.encode_to(&mut count);
+        count.0
+    }
+
+    /// Returns the canonical encoding as a fresh buffer, allocated once
+    /// at its final size.
     fn to_wire(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        self.encode_to(&mut buf);
         buf
     }
 }
@@ -195,8 +231,9 @@ impl<'a> Reader<'a> {
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Encode for $t {
-            fn encode(&self, buf: &mut Vec<u8>) {
-                buf.extend_from_slice(&self.to_le_bytes());
+            #[inline]
+            fn encode_to<S: Sink>(&self, out: &mut S) {
+                out.put(&self.to_le_bytes());
             }
         }
         impl Decode for $t {
@@ -210,8 +247,8 @@ macro_rules! impl_int {
 impl_int!(u8, u16, u32, u64, u128, i8, i16, i32, i64);
 
 impl Encode for bool {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(*self as u8);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        out.put(&[*self as u8]);
     }
 }
 impl Decode for bool {
@@ -225,8 +262,8 @@ impl Decode for bool {
 }
 
 impl<const N: usize> Encode for [u8; N] {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(self);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        out.put(self);
     }
 }
 impl<const N: usize> Decode for [u8; N] {
@@ -235,9 +272,9 @@ impl<const N: usize> Decode for [u8; N] {
     }
 }
 
-fn encode_len(len: usize, buf: &mut Vec<u8>) {
+fn encode_len<S: Sink>(len: usize, out: &mut S) {
     debug_assert!(len <= MAX_COLLECTION_LEN as usize, "collection too large to encode");
-    (len as u32).encode(buf);
+    (len as u32).encode_to(out);
 }
 
 fn decode_len(r: &mut Reader<'_>) -> Result<usize, WireError> {
@@ -248,12 +285,19 @@ fn decode_len(r: &mut Reader<'_>) -> Result<usize, WireError> {
     Ok(len as usize)
 }
 
-impl<T: Encode> Encode for Vec<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        encode_len(self.len(), buf);
+/// A slice encodes exactly as the `Vec` holding the same elements, so a
+/// borrowed batch goes on the wire without being cloned into one.
+impl<T: Encode> Encode for [T] {
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        encode_len(self.len(), out);
         for item in self {
-            item.encode(buf);
+            item.encode_to(out);
         }
+    }
+}
+impl<T: Encode> Encode for Vec<T> {
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.as_slice().encode_to(out);
     }
 }
 impl<T: Decode> Decode for Vec<T> {
@@ -270,9 +314,9 @@ impl<T: Decode> Decode for Vec<T> {
 }
 
 impl Encode for Bytes {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        encode_len(self.len(), buf);
-        buf.extend_from_slice(self);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        encode_len(self.len(), out);
+        out.put(self);
     }
 }
 impl Decode for Bytes {
@@ -283,9 +327,9 @@ impl Decode for Bytes {
 }
 
 impl Encode for String {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        encode_len(self.len(), buf);
-        buf.extend_from_slice(self.as_bytes());
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        encode_len(self.len(), out);
+        out.put(self.as_bytes());
     }
 }
 impl Decode for String {
@@ -296,12 +340,12 @@ impl Decode for String {
 }
 
 impl<T: Encode> Encode for Option<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode_to<S: Sink>(&self, out: &mut S) {
         match self {
-            None => buf.push(0),
+            None => out.put(&[0]),
             Some(v) => {
-                buf.push(1);
-                v.encode(buf);
+                out.put(&[1]);
+                v.encode_to(out);
             }
         }
     }
@@ -317,9 +361,9 @@ impl<T: Decode> Decode for Option<T> {
 }
 
 impl<A: Encode, B: Encode> Encode for (A, B) {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-        self.1.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.0.encode_to(out);
+        self.1.encode_to(out);
     }
 }
 impl<A: Decode, B: Decode> Decode for (A, B) {
@@ -329,10 +373,10 @@ impl<A: Decode, B: Decode> Decode for (A, B) {
 }
 
 impl<A: Encode, B: Encode, C: Encode> Encode for (A, B, C) {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-        self.1.encode(buf);
-        self.2.encode(buf);
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.0.encode_to(out);
+        self.1.encode_to(out);
+        self.2.encode_to(out);
     }
 }
 impl<A: Decode, B: Decode, C: Decode> Decode for (A, B, C) {
@@ -489,6 +533,28 @@ pub fn frame(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     out.extend_from_slice(&header.encode());
     out.extend_from_slice(payload);
+    out
+}
+
+/// Encodes `msg` and frames it in one buffer, allocated once: the same
+/// bytes as `frame(kind, &encode(msg))` without the intermediate payload.
+///
+/// ```
+/// use splitbft_types::wire::{encode, frame, frame_message};
+///
+/// let msg = vec![1u32, 2, 3];
+/// assert_eq!(frame_message(7, &msg), frame(7, &encode(&msg)));
+/// ```
+///
+/// # Panics
+///
+/// Panics if the encoding exceeds [`MAX_FRAME_LEN`], like [`frame`].
+pub fn frame_message<T: Encode + ?Sized>(kind: u8, msg: &T) -> Vec<u8> {
+    let len = msg.encoded_len();
+    assert!(len <= MAX_FRAME_LEN as usize, "frame payload too large");
+    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + len);
+    out.put(&FrameHeader { kind, len: len as u32 }.encode());
+    msg.encode_to(&mut out);
     out
 }
 
