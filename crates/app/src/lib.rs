@@ -6,6 +6,12 @@
 //! trait, which is what the Execution compartment (and the plain-PBFT /
 //! hybrid baselines) drive.
 //!
+//! The crate also holds the two pieces every stack wraps around an
+//! application, written once: the exactly-once [`ReplyCache`] an
+//! executing replica keeps (and the checkpoint-state format it travels
+//! in), and the client end of the service — [`QuorumTracker`] and the
+//! closed-loop [`LockstepClient`].
+//!
 //! Determinism is the contract: every correct replica executes the same
 //! operations in the same order and must reach bit-identical state, so
 //! applications use ordered containers and canonical encodings throughout.
@@ -26,16 +32,20 @@
 #![warn(missing_docs)]
 
 pub mod blockchain;
+pub mod client;
 pub mod counter;
 pub mod kvs;
+pub mod replies;
 
 use bytes::Bytes;
 use splitbft_types::Digest;
 use std::fmt;
 
 pub use blockchain::{Block, Blockchain};
+pub use client::{ClientEvent, LockstepClient, QuorumTracker};
 pub use counter::CounterApp;
 pub use kvs::{KeyValueStore, KvOp, KvResult};
+pub use replies::{Cached, ReplyCache};
 
 /// Errors surfaced by applications (snapshot restore only; execution never
 /// fails — malformed operations execute as deterministic no-ops, as the

@@ -13,8 +13,9 @@ fn main() {
     };
 
     // Shared in-enclave code: type definitions, wire codec, crypto, and
-    // the protocol data structures (logs, certificates, verification)
-    // that all compartments link against.
+    // the protocol data structures (logs, certificates, verification,
+    // and — in `viewchange.rs` — the replica kit's `ViewTimer` and
+    // `PendingRequests`) that all compartments link against.
     let shared = {
         let mut c = count(&["crates/types/src", "crates/crypto/src"]);
         c.add(count(&[
@@ -30,12 +31,22 @@ fn main() {
     let conf = count(&["crates/core/src/conf.rs"]);
     // The Execution enclave's logic includes the hosted application (the
     // paper: "the LOC of the execution enclave includes the key-value
-    // store").
+    // store") and the replica kit's reply cache, which it shares with the
+    // two baselines but with no other compartment.
+    let reply_cache = count(&["crates/app/src/replies.rs"]);
     let exec = {
         let mut c = count(&["crates/core/src/exec.rs"]);
-        c.add(count(&["crates/app/src"]));
+        c.add(count(&[
+            "crates/app/src/lib.rs",
+            "crates/app/src/kvs.rs",
+            "crates/app/src/blockchain.rs",
+            "crates/app/src/counter.rs",
+        ]));
+        c.add(reply_cache);
         c
     };
+    // The client library runs outside every TCB.
+    let client = count(&["crates/app/src/client.rs", "crates/core/src/client.rs"]);
     let untrusted = count(&[
         "crates/core/src/replica.rs",
         "crates/core/src/adapter.rs",
@@ -72,12 +83,27 @@ fn main() {
     row("Execution Enc.", exec, true);
     row("Untrusted Env.", untrusted, false);
     row("Trusted Counter", counter, false);
+    row("Client library", client, false);
 
     println!();
     println!(
         "Shared in-enclave code: {} code lines across {} files \
          (types, wire codec, crypto, protocol structures).",
         shared.code, shared.files
+    );
+    println!("Shared vs unique, per enclave (what an audit reads once vs once per compartment):");
+    for (name, logic) in [("Preparation", prep), ("Confirmation", conf), ("Execution", exec)] {
+        println!(
+            "  {name:<13} {:>5} shared + {:>5} unique = {:>4.1} % shared",
+            shared.code,
+            logic.code,
+            100.0 * shared.code as f64 / (shared.code + logic.code) as f64,
+        );
+    }
+    println!(
+        "  of Execution's unique lines, {} are the reply cache and checkpoint-state \
+         format it shares with the PBFT and hybrid baselines (app/src/replies.rs).",
+        reply_cache.code
     );
     println!(
         "Observation matching the paper: each individual enclave is far \

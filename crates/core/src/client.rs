@@ -1,5 +1,6 @@
-//! The SplitBFT client: attestation, session-key installation, encrypted
-//! requests, and reply-quorum collection.
+//! The SplitBFT client: attestation, session-key installation and
+//! request/result encryption around the shared [`LockstepClient`], which
+//! authenticates requests and collects the reply quorum.
 //!
 //! Paper §4, step 1: "the client first attests to the execution and
 //! preparation enclave verifying their genuineness and SGX support. When
@@ -11,46 +12,31 @@
 use crate::exec::{REPLY_AAD, REQ_AAD};
 use crate::scheme::compartment_measurement;
 use bytes::Bytes;
+use splitbft_app::{ClientEvent, LockstepClient};
 use splitbft_crypto::aead::{open, seal, AeadKey};
+use splitbft_crypto::digest_bytes;
 use splitbft_crypto::sig::{dh_public, dh_shared};
-use splitbft_crypto::{client_mac_key, digest_bytes, MacKey};
 use splitbft_tee::attest::{AttestationError, PlatformAuthority, Quote};
 use splitbft_types::wire::Encode;
 use splitbft_types::{
-    ClientId, ClusterConfig, CompartmentKind, PublicKey, ReplicaId, Reply, Request, RequestId,
-    Timestamp,
+    ClientId, ClusterConfig, CompartmentKind, PublicKey, Reply, Request, Timestamp,
 };
-use std::collections::BTreeMap;
 
 /// Wrapping nonce for session-key installation (must match the Execution
 /// compartment).
 const WRAP_NONCE: u64 = 0;
 
-/// Outcome of delivering a reply to the client.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SplitClientEvent {
-    /// Waiting for more matching replies.
-    Pending,
-    /// The operation completed with this (decrypted) result.
-    Completed(Bytes),
-    /// The reply was ignored.
-    Ignored,
-}
-
 /// A confidential SplitBFT client.
 #[derive(Debug)]
 pub struct SplitBftClient {
-    id: ClientId,
-    config: ClusterConfig,
-    mac: MacKey,
+    /// Request authentication and the `f + 1` reply quorum.
+    inner: LockstepClient,
     session_key_bytes: [u8; 32],
     session: AeadKey,
     dh_secret: u64,
     /// When `false`, requests are sent in plaintext (the non-confidential
     /// deployment used for like-for-like performance comparison).
     encrypt: bool,
-    next_timestamp: Timestamp,
-    in_flight: Option<(RequestId, BTreeMap<ReplicaId, Bytes>)>,
 }
 
 impl SplitBftClient {
@@ -64,15 +50,11 @@ impl SplitBftClient {
             digest_bytes(&[b"client-dh".as_slice(), &client_seed.to_le_bytes()].concat());
         let dh_secret = u64::from_le_bytes(dh_digest.0[..8].try_into().expect("8 bytes"));
         SplitBftClient {
-            id,
-            config,
-            mac: client_mac_key(master_seed, id),
+            inner: LockstepClient::new(config.reply_quorum(), id, master_seed),
             session: AeadKey::new(&session_key_bytes),
             session_key_bytes,
             dh_secret,
             encrypt: true,
-            next_timestamp: Timestamp(1),
-            in_flight: None,
         }
     }
 
@@ -84,23 +66,17 @@ impl SplitBftClient {
         self
     }
 
-    /// Resumes this client identity at `timestamp`. Replicas suppress
-    /// duplicates by each client's last-seen timestamp, so a *new
-    /// session* of a previously-used client id must start above every
-    /// timestamp it ever issued — deployed clients use wall-clock time.
+    /// Resumes this client identity at `timestamp` (see
+    /// [`LockstepClient::starting_at`]).
+    #[must_use]
     pub fn starting_at(mut self, timestamp: Timestamp) -> Self {
-        self.next_timestamp = timestamp;
+        self.inner = self.inner.starting_at(timestamp);
         self
     }
 
     /// This client's id.
     pub fn id(&self) -> ClientId {
-        self.id
-    }
-
-    /// `true` if a request is outstanding.
-    pub fn has_in_flight(&self) -> bool {
-        self.in_flight.is_some()
+        self.inner.id()
     }
 
     /// Verifies an Execution enclave's attestation quote and produces the
@@ -127,7 +103,7 @@ impl SplitBftClient {
         let shared = dh_shared(self.dh_secret, enclave_dh);
         let wrap_key = AeadKey::new(&digest_bytes(&shared.to_le_bytes()).0);
         let mut aad = b"session-key:".to_vec();
-        self.id.encode_to(&mut aad);
+        self.id().encode_to(&mut aad);
         let wrapped = seal(&wrap_key, WRAP_NONCE, &aad, &self.session_key_bytes);
         Ok((dh_public(self.dh_secret), wrapped))
     }
@@ -139,63 +115,31 @@ impl SplitBftClient {
     ///
     /// Panics if a request is already in flight (closed-loop contract).
     pub fn issue(&mut self, op: &[u8]) -> Request {
-        assert!(self.in_flight.is_none(), "client already has a request in flight");
-        let id = RequestId { client: self.id, timestamp: self.next_timestamp };
-        self.next_timestamp = self.next_timestamp.next();
-        let (payload, encrypted) = if self.encrypt {
-            (Bytes::from(seal(&self.session, id.timestamp.0, REQ_AAD, op)), true)
-        } else {
-            (Bytes::copy_from_slice(op), false)
-        };
-        let auth = self.mac.request_tag(id, &payload, encrypted);
-        self.in_flight = Some((id, BTreeMap::new()));
-        Request { id, op: payload, encrypted, auth }
+        if !self.encrypt {
+            return self.inner.issue(Bytes::copy_from_slice(op));
+        }
+        // The deterministic nonce is the request's own timestamp.
+        let nonce = self.inner.next_request_id().timestamp.0;
+        self.inner.issue_payload(Bytes::from(seal(&self.session, nonce, REQ_AAD, op)), true)
     }
 
     /// Delivers one replica reply; completes on `f + 1` matching results
     /// (decrypting them if the request was confidential).
-    pub fn on_reply(&mut self, reply: &Reply) -> SplitClientEvent {
-        let Some((request, replies)) = self.in_flight.as_mut() else {
-            return SplitClientEvent::Ignored;
-        };
-        if reply.request != *request {
-            return SplitClientEvent::Ignored;
-        }
-        let expected = self.mac.reply_tag(reply.view, reply.request, reply.replica, &reply.result, reply.encrypted);
-        if !splitbft_crypto::hmac::ct_eq(&expected, &reply.auth) {
-            return SplitClientEvent::Ignored;
-        }
-        replies.insert(reply.replica, reply.result.clone());
-
-        let mut counts: BTreeMap<&[u8], usize> = BTreeMap::new();
-        for result in replies.values() {
-            *counts.entry(result.as_ref()).or_insert(0) += 1;
-        }
-        let quorum = self.config.reply_quorum();
-        let Some((&winner, _)) = counts.iter().find(|(_, &n)| n >= quorum) else {
-            return SplitClientEvent::Pending;
-        };
-        let timestamp = request.timestamp.0;
-        let winner = winner.to_vec();
-        self.in_flight = None;
-
-        if reply.encrypted || self.encrypt {
-            match open(&self.session, timestamp, REPLY_AAD, &winner) {
-                Ok(plain) => SplitClientEvent::Completed(Bytes::from(plain)),
-                // A quorum agreed on a result the client cannot decrypt:
-                // this happens when the request was executed as a no-op
-                // (e.g. before the session key was installed) — surface
-                // the raw bytes.
-                Err(_) => SplitClientEvent::Completed(Bytes::from(winner)),
+    pub fn on_reply(&mut self, reply: &Reply) -> ClientEvent {
+        match self.inner.on_reply(reply) {
+            ClientEvent::Completed(winner) if reply.encrypted || self.encrypt => {
+                // A quorum may agree on a result the client cannot
+                // decrypt: the request was executed as a no-op (e.g.
+                // before the session key was installed) — surface the raw
+                // bytes.
+                let nonce = reply.request.timestamp.0;
+                match open(&self.session, nonce, REPLY_AAD, &winner) {
+                    Ok(plain) => ClientEvent::Completed(Bytes::from(plain)),
+                    Err(_) => ClientEvent::Completed(winner),
+                }
             }
-        } else {
-            SplitClientEvent::Completed(Bytes::from(winner))
+            event => event,
         }
-    }
-
-    /// Abandons the in-flight request (client-side timeout path).
-    pub fn abort_in_flight(&mut self) {
-        self.in_flight = None;
     }
 }
 

@@ -15,8 +15,8 @@
 use crate::ecall::{CompartmentInput, CompartmentOutput};
 use crate::scheme::{enclave_signer, SPLITBFT_SCHEME};
 use splitbft_crypto::{KeyPair, KeyRegistry};
-use splitbft_pbft::verify::{verify_signed_from, verify_view_change};
-use splitbft_pbft::{CheckpointTracker, Proposals, VoteSet};
+use splitbft_pbft::verify::{verify_new_view_votes, verify_signed_from, verify_view_change};
+use splitbft_pbft::{CheckpointTracker, Proposals, ViewTimer, VoteSet};
 use splitbft_types::{
     Checkpoint, ClusterConfig, CompartmentKind, Commit, ConsensusMessage, Digest, NewView,
     PrePrepare, Prepare, PrepareCertificate, ProtocolError, ReplicaId, SeqNum, Signed, SignerId,
@@ -59,18 +59,10 @@ pub struct ConfirmationCompartment {
     /// `true` between sending a `ViewChange` for `view` and applying the
     /// matching `NewView`.
     awaiting_new_view: bool,
-    /// Consecutive timeouts spent awaiting the same `NewView`. While
-    /// below the current [`stall_budget`] the compartment
-    /// *re-broadcasts* its current `ViewChange` instead of targeting the
-    /// next view — the backoff that stops one fast-ticking replica from
-    /// leapfrogging a view ahead of the cluster forever (each hop resets
-    /// the others' quorum hunt, so unbounded divergence is a real wedge,
-    /// not a theoretical one).
-    stalled_timeouts: u32,
-    /// Consecutive view hops without applying a `NewView`; exponent of
-    /// the [`stall_budget`], mirroring the PBFT baseline's exponential
-    /// view-change backoff. Resets when a `NewView` lands.
-    view_change_escalations: u32,
+    /// Re-broadcast-or-advance backoff while awaiting a `NewView`, the
+    /// PBFT baseline's (each hop resets the others' quorum hunt, so
+    /// unbounded divergence is a real wedge, not a theoretical one).
+    view_timer: ViewTimer,
     /// Peer `ViewChange` votes by target view — the PBFT *join rule*'s
     /// evidence: once `f + 1` distinct replicas vote for a view above
     /// ours, at least one correct replica timed out, so this
@@ -84,11 +76,6 @@ pub struct ConfirmationCompartment {
 /// replicas advance one view per timeout, so legitimate targets cluster
 /// just above the current view; anything further is byzantine noise.
 const MAX_JOIN_TARGETS: usize = 16;
-
-/// Re-broadcast budget per escalation, imported from the PBFT baseline
-/// so both stacks damp view-change escalation at the same exponential
-/// cadence — convergence under interleaved timeouts depends on it.
-use splitbft_pbft::stall_budget;
 
 impl ConfirmationCompartment {
     /// Creates the Confirmation enclave logic for `replica`.
@@ -108,8 +95,7 @@ impl ConfirmationCompartment {
             checkpoints: CheckpointTracker::new(),
             prepared_certs: BTreeMap::new(),
             awaiting_new_view: false,
-            stalled_timeouts: 0,
-            view_change_escalations: 0,
+            view_timer: ViewTimer::default(),
             join_votes: BTreeMap::new(),
         }
     }
@@ -125,8 +111,7 @@ impl ConfirmationCompartment {
     }
 
     fn in_window(&self, seq: SeqNum) -> bool {
-        let low = self.checkpoints.stable_seq();
-        seq > low && seq.0 <= low.0 + self.config.window
+        self.checkpoints.check_window(seq, self.config.window).is_ok()
     }
 
     /// The single event-handler entry point. Effects are appended to
@@ -179,14 +164,7 @@ impl ConfirmationCompartment {
         }
         let primary = view.primary(&self.config);
         verify_signed_from(&self.registry, &pp, (SPLITBFT_SCHEME.proposer)(primary))?;
-        if !self.in_window(seq) {
-            let low = self.checkpoints.stable_seq();
-            return Err(ProtocolError::OutOfWindow {
-                seq,
-                low,
-                high: SeqNum(low.0 + self.config.window),
-            });
-        }
+        self.checkpoints.check_window(seq, self.config.window)?;
         self.slots.entry(seq).or_default().proposals.insert(pp);
         self.maybe_commit(seq, outputs);
         Ok(())
@@ -213,14 +191,7 @@ impl ConfirmationCompartment {
         if !self.config.contains(p.payload.replica) {
             return Err(ProtocolError::UnknownReplica(p.payload.replica));
         }
-        if !self.in_window(seq) {
-            let low = self.checkpoints.stable_seq();
-            return Err(ProtocolError::OutOfWindow {
-                seq,
-                low,
-                high: SeqNum(low.0 + self.config.window),
-            });
-        }
+        self.checkpoints.check_window(seq, self.config.window)?;
         let n = self.config.n();
         self.slots.entry(seq).or_default().prepares.insert(p.payload.replica, p, n);
         self.maybe_commit(seq, outputs);
@@ -272,20 +243,12 @@ impl ConfirmationCompartment {
     /// which it "will no longer process Prepares or send commits in the
     /// old view" (§4).
     fn on_view_timeout(&mut self, outputs: &mut Vec<CompartmentOutput>) {
-        if self.awaiting_new_view {
-            if self.stalled_timeouts < stall_budget(self.view_change_escalations) {
-                // Still waiting for the NewView of the current target:
-                // re-broadcast the vote (the target's primary may have
-                // missed it — or restarted without it) instead of
-                // hopping to yet another view.
-                self.stalled_timeouts += 1;
-                let signed = self.signed_view_change(self.view);
-                outputs.push(CompartmentOutput::Broadcast(ConsensusMessage::ViewChange(signed)));
-                return;
-            }
-            // Budget exhausted: escalate with a doubled budget for the
-            // next hop (exponential backoff, as in the PBFT baseline).
-            self.view_change_escalations = self.view_change_escalations.saturating_add(1);
+        if self.awaiting_new_view && self.view_timer.rebroadcast_on_timeout() {
+            // Still waiting for the NewView of the current target:
+            // re-broadcast the vote instead of hopping to yet another view.
+            let signed = self.signed_view_change(self.view);
+            outputs.push(CompartmentOutput::Broadcast(ConsensusMessage::ViewChange(signed)));
+            return;
         }
         self.start_view_change(self.view.next(), outputs);
     }
@@ -344,7 +307,7 @@ impl ConfirmationCompartment {
         let signed = self.signed_view_change(target);
         self.view = target;
         self.awaiting_new_view = true;
-        self.stalled_timeouts = 0;
+        self.view_timer.on_vote_sent();
         self.join_votes = self.join_votes.split_off(&target.next());
         // Old-view agreement state is void in the new view.
         for slot in self.slots.values_mut() {
@@ -367,28 +330,7 @@ impl ConfirmationCompartment {
         if target < self.view || (target == self.view && !self.awaiting_new_view) {
             return Err(ProtocolError::WrongView { got: target, current: self.view });
         }
-        let primary = target.primary(&self.config);
-        verify_signed_from(&self.registry, &nv, (SPLITBFT_SCHEME.proposer)(primary))?;
-
-        // Quorum of authentic view-change votes (outer signatures only).
-        let mut voters = std::collections::BTreeSet::new();
-        for vc in &nv.payload.view_changes {
-            if vc.payload.new_view != target {
-                continue;
-            }
-            if verify_signed_from(
-                &self.registry,
-                vc,
-                (SPLITBFT_SCHEME.confirmer)(vc.payload.replica),
-            )
-            .is_ok()
-            {
-                voters.insert(vc.payload.replica);
-            }
-        }
-        if voters.len() < self.config.quorum() {
-            return Err(ProtocolError::BadCertificate { kind: "NewView view-change quorum" });
-        }
+        verify_new_view_votes(&self.registry, &nv, &self.config, &SPLITBFT_SCHEME)?;
 
         // Validate and apply the checkpoint.
         if let Some(ckpt) = nv.payload.max_checkpoint() {
@@ -407,8 +349,7 @@ impl ConfirmationCompartment {
 
         self.view = target;
         self.awaiting_new_view = false;
-        self.stalled_timeouts = 0;
-        self.view_change_escalations = 0;
+        self.view_timer.on_view_entered();
         self.join_votes = self.join_votes.split_off(&target.next());
         // Fresh view: old candidate proposals and votes are view-bound
         // and dead; drop them, then adopt the re-issued proposals.

@@ -16,18 +16,18 @@
 use crate::ecall::{CompartmentInput, CompartmentOutput};
 use crate::scheme::{compartment_measurement, enclave_signer, SPLITBFT_SCHEME};
 use bytes::Bytes;
-use splitbft_app::Application;
+use splitbft_app::{Application, Cached, ReplyCache};
 use splitbft_crypto::aead::{open, seal, AeadKey};
 use splitbft_crypto::sig::{dh_public, dh_shared};
 use splitbft_crypto::{digest_bytes, digest_of, ClientMacKeys, KeyPair, KeyRegistry};
-use splitbft_pbft::verify::verify_signed_from;
+use splitbft_pbft::verify::{verify_new_view_votes, verify_signed_from};
 use splitbft_pbft::{CheckpointTracker, Proposals, VoteSet};
 use splitbft_tee::seal::SealingIdentity;
-use splitbft_types::wire::{Decode, Encode, Reader};
+use splitbft_types::wire::Encode;
 use splitbft_types::{
     Checkpoint, ClientId, ClusterConfig, CompartmentKind, Commit, ConsensusMessage, Digest,
-    NewView, PrePrepare, ProtocolError, ReplicaId, Reply, Request, RequestBatch, SeqNum, Signed,
-    SignerId, Timestamp, View,
+    NewView, PrePrepare, ProtocolError, ReplicaId, Request, RequestBatch, SeqNum, Signed,
+    SignerId, View,
 };
 use std::collections::BTreeMap;
 
@@ -79,7 +79,7 @@ pub struct ExecutionCompartment<A> {
     /// Execution TCB.
     app: A,
     /// Cached last reply per client.
-    last_replies: BTreeMap<ClientId, Reply>,
+    replies: ReplyCache,
     /// Per-client session keys installed through attestation.
     session_keys: BTreeMap<ClientId, AeadKey>,
     /// This enclave's key-exchange secret.
@@ -111,7 +111,7 @@ impl<A: Application> ExecutionCompartment<A> {
             checkpoints: CheckpointTracker::new(),
             last_exec: SeqNum::zero(),
             app,
-            last_replies: BTreeMap::new(),
+            replies: ReplyCache::new(),
             session_keys: BTreeMap::new(),
             dh_secret,
             seal_identity: SealingIdentity {
@@ -164,14 +164,13 @@ impl<A: Application> ExecutionCompartment<A> {
     pub fn memory_usage(&self) -> usize {
         self.slots.len() * 1024
             + self.app.memory_usage()
-            + self.last_replies.len() * 128
+            + self.replies.len() * 128
             + self.session_keys.len() * 96
             + self.client_keys.memory_usage()
     }
 
     fn in_window(&self, seq: SeqNum) -> bool {
-        let low = self.checkpoints.stable_seq();
-        seq > low && seq.0 <= low.0 + self.config.window
+        self.checkpoints.check_window(seq, self.config.window).is_ok()
     }
 
     /// The single event-handler entry point. Effects are appended to
@@ -218,14 +217,7 @@ impl<A: Application> ExecutionCompartment<A> {
         outputs: &mut Vec<CompartmentOutput>,
     ) -> Result<(), ProtocolError> {
         let seq = pp.payload.seq;
-        if !self.in_window(seq) {
-            let low = self.checkpoints.stable_seq();
-            return Err(ProtocolError::OutOfWindow {
-                seq,
-                low,
-                high: SeqNum(low.0 + self.config.window),
-            });
-        }
+        self.checkpoints.check_window(seq, self.config.window)?;
         if digest_of(&pp.payload.batch) != pp.payload.digest {
             return Err(ProtocolError::BadCertificate { kind: "pre-prepare digest" });
         }
@@ -253,14 +245,7 @@ impl<A: Application> ExecutionCompartment<A> {
         if !self.config.contains(c.payload.replica) {
             return Err(ProtocolError::UnknownReplica(c.payload.replica));
         }
-        if !self.in_window(seq) {
-            let low = self.checkpoints.stable_seq();
-            return Err(ProtocolError::OutOfWindow {
-                seq,
-                low,
-                high: SeqNum(low.0 + self.config.window),
-            });
-        }
+        self.checkpoints.check_window(seq, self.config.window)?;
         let n = self.config.n();
         self.slots.entry(seq).or_default().commits.insert(c.payload.replica, c, n);
         self.try_execute(outputs);
@@ -348,13 +333,13 @@ impl<A: Application> ExecutionCompartment<A> {
 
     fn execute_request(&mut self, seq: SeqNum, req: &Request, outputs: &mut Vec<CompartmentOutput>) {
         let client = req.client();
-        match self.last_replies.get(&client) {
-            Some(cached) if cached.request.timestamp == req.id.timestamp => {
-                outputs.push(CompartmentOutput::SendReply { to: client, reply: cached.clone() });
+        match self.replies.lookup(req.id) {
+            Cached::Resend(reply) => {
+                outputs.push(CompartmentOutput::SendReply { to: client, reply: reply.clone() });
                 return;
             }
-            Some(cached) if cached.request.timestamp > req.id.timestamp => return,
-            _ => {}
+            Cached::Stale => return,
+            Cached::Fresh => {}
         }
         // Re-verify the client MAC inside the trusted boundary: the
         // Preparation compartment checked it, but per the fault model a
@@ -383,68 +368,27 @@ impl<A: Application> ExecutionCompartment<A> {
             Some(key) => (Bytes::from(seal(key, req.id.timestamp.0, REPLY_AAD, &result)), true),
             None => (result, false),
         };
-        let auth = self.client_keys.reply_tag(self.view, req.id, self.replica, &result, encrypted);
-        let reply =
-            Reply { view: self.view, request: req.id, replica: self.replica, result, encrypted, auth };
-        self.last_replies.insert(client, reply.clone());
+        let reply = self.replies.record(
+            &self.client_keys,
+            self.view,
+            self.replica,
+            req.id,
+            result,
+            encrypted,
+        );
         outputs.push(CompartmentOutput::Executed { seq, request: req.id });
         outputs.push(CompartmentOutput::SendReply { to: client, reply });
     }
 
     // --- checkpointing -----------------------------------------------------
 
-    /// Canonical checkpoint state: application snapshot plus the
-    /// replica-independent reply cache (client, timestamp, result).
+    /// The canonical checkpoint state (see [`ReplyCache::encode_state`]).
     fn checkpoint_state_bytes(&self) -> Vec<u8> {
-        let snapshot = self.app.snapshot();
-        let replies: Vec<(ClientId, Timestamp, Bytes)> = self
-            .last_replies
-            .iter()
-            .map(|(c, r)| (*c, r.request.timestamp, r.result.clone()))
-            .collect();
-        // Sized exactly: a snapshot can be megabytes, and growing into it
-        // would hold twice that.
-        let mut buf = Vec::with_capacity(4 + snapshot.len() + replies.encoded_len());
-        (snapshot.len() as u32).encode_to(&mut buf);
-        buf.extend_from_slice(&snapshot);
-        replies.encode_to(&mut buf);
-        buf
+        self.replies.encode_state(&self.app.snapshot())
     }
 
     fn restore_checkpoint_state(&mut self, bytes: &[u8]) -> Result<(), ProtocolError> {
-        let mut r = Reader::new(bytes);
-        let len = u32::decode(&mut r)? as usize;
-        let snapshot = r.take(len)?.to_vec();
-        let replies: Vec<(ClientId, Timestamp, Bytes)> = Vec::decode(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(ProtocolError::Other("trailing checkpoint bytes".into()));
-        }
-        self.app
-            .restore(&snapshot)
-            .map_err(|e| ProtocolError::Other(format!("snapshot restore failed: {e}")))?;
-        self.last_replies = replies
-            .into_iter()
-            .map(|(client, timestamp, result)| {
-                let request = splitbft_types::RequestId { client, timestamp };
-                // Restored results may be ciphertexts from the encrypted
-                // path; mark them non-encrypted for the resend MAC — the
-                // result bytes are replayed verbatim either way.
-                let auth =
-                    self.client_keys.reply_tag(self.view, request, self.replica, &result, false);
-                (
-                    client,
-                    Reply {
-                        view: self.view,
-                        request,
-                        replica: self.replica,
-                        result,
-                        encrypted: false,
-                        auth,
-                    },
-                )
-            })
-            .collect();
-        Ok(())
+        self.replies.restore_state(bytes, &mut self.app, &self.client_keys, self.view, self.replica)
     }
 
     /// Handler (8): generate the periodic checkpoint. Only Execution
@@ -506,27 +450,7 @@ impl<A: Application> ExecutionCompartment<A> {
         if target <= self.view {
             return Err(ProtocolError::WrongView { got: target, current: self.view });
         }
-        let primary = target.primary(&self.config);
-        verify_signed_from(&self.registry, &nv, (SPLITBFT_SCHEME.proposer)(primary))?;
-
-        let mut voters = std::collections::BTreeSet::new();
-        for vc in &nv.payload.view_changes {
-            if vc.payload.new_view != target {
-                continue;
-            }
-            if verify_signed_from(
-                &self.registry,
-                vc,
-                (SPLITBFT_SCHEME.confirmer)(vc.payload.replica),
-            )
-            .is_ok()
-            {
-                voters.insert(vc.payload.replica);
-            }
-        }
-        if voters.len() < self.config.quorum() {
-            return Err(ProtocolError::BadCertificate { kind: "NewView view-change quorum" });
-        }
+        verify_new_view_votes(&self.registry, &nv, &self.config, &SPLITBFT_SCHEME)?;
 
         if let Some(ckpt) = nv.payload.max_checkpoint() {
             splitbft_pbft::verify::verify_checkpoint_certificate(

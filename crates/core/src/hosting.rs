@@ -8,7 +8,7 @@
 
 use crate::replica::{ReplicaEvent, SplitBftReplica};
 use splitbft_app::Application;
-use splitbft_net::transport::{Protocol, ProtocolOutput};
+use splitbft_net::transport::{Protocol, ProtocolGauges, ProtocolOutput};
 use splitbft_types::{
     ConsensusMessage, DurableCheckpoint, DurableEvent, ProtocolError, Request, SeqNum,
 };
@@ -57,10 +57,11 @@ impl<A: Application + 'static> Protocol for SplitBftReplica<A> {
         SplitBftReplica::has_pending_requests(self)
     }
 
-    fn current_view(&self) -> u64 {
+    fn probe_gauges(&self, gauges: &mut ProtocolGauges) {
         // The preparation compartment leads view changes; the other two
         // follow, so its view is the replica's externally visible one.
-        self.views().0 .0
+        gauges.add_group(self.last_executed().0, 0, self.views().0 .0);
+        gauges.pending_requests += u64::from(SplitBftReplica::has_pending_requests(self));
     }
 
     fn drain_durable_events(&mut self) -> Vec<DurableEvent> {

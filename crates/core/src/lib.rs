@@ -75,7 +75,8 @@ pub mod scheme;
 pub mod suffix;
 
 pub use adapter::{Compartment, EnclaveAdapter};
-pub use client::{SplitBftClient, SplitClientEvent};
+pub use client::SplitBftClient;
+pub use splitbft_app::ClientEvent;
 pub use conf::ConfirmationCompartment;
 pub use ecall::{CompartmentInput, CompartmentOutput};
 pub use exec::ExecutionCompartment;

@@ -23,6 +23,7 @@ use crate::prep::PreparationCompartment;
 use crate::suffix::SuffixRing;
 use bytes::Bytes;
 use splitbft_app::Application;
+use splitbft_pbft::PendingRequests;
 use splitbft_tee::attest::{PlatformAuthority, Quote};
 use splitbft_tee::enclave::recycle;
 use splitbft_tee::fault::{FaultPlan, FaultyEnclave};
@@ -143,14 +144,14 @@ pub struct SplitBftReplica<A: Application> {
     prep: Hosted<PreparationCompartment>,
     conf: Hosted<ConfirmationCompartment>,
     exec: Hosted<ExecutionCompartment<A>>,
-    /// Highest not-yet-executed request timestamp per client, kept by the
+    /// Not-yet-executed requests, tracked by the
     /// broker so a request-aware view-change timer can detect a stalled
     /// primary. The broker cannot verify request MACs (it must not hold
     /// client keys — a compromised broker with forging power would break
     /// the integrity model), so unauthenticated spam can arm the timer;
     /// that only costs liveness, which a compromised broker may take
     /// anyway per the paper's threat model.
-    pending: BTreeMap<ClientId, splitbft_types::Timestamp>,
+    pending: PendingRequests,
     /// Batches seen in `PrePrepare`s, keyed by slot and then by the
     /// batch's *recomputed* digest, kept until their slot commits so
     /// the broker can WAL the full batch at the commit point. Keying by
@@ -241,7 +242,7 @@ impl<A: Application> SplitBftReplica<A> {
             prep,
             conf,
             exec,
-            pending: BTreeMap::new(),
+            pending: PendingRequests::default(),
             seen_batches: BTreeMap::new(),
             durable: Vec::new(),
             durable_enabled: false,
@@ -401,10 +402,7 @@ impl<A: Application> SplitBftReplica<A> {
     ) -> &mut Vec<ReplicaEvent> {
         self.dispatch.events.clear();
         for req in &requests {
-            let entry = self.pending.entry(req.client()).or_insert(req.id.timestamp);
-            if *entry < req.id.timestamp {
-                *entry = req.id.timestamp;
-            }
+            self.pending.note(req.id);
         }
         self.enqueue(&CompartmentInput::ClientBatch(requests), &[CompartmentKind::Preparation]);
         self.run_to_quiescence();
@@ -439,9 +437,7 @@ impl<A: Application> SplitBftReplica<A> {
     fn observe_execution(&mut self, events: &[ReplicaEvent]) {
         for event in events {
             if let ReplicaEvent::Executed { request, .. } = event {
-                if self.pending.get(&request.client).is_some_and(|t| *t <= request.timestamp) {
-                    self.pending.remove(&request.client);
-                }
+                self.pending.executed(*request);
             }
         }
     }

@@ -83,10 +83,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::HybridClient;
     use crate::config::HybridConfig;
     use crate::usig::Usig;
-    use splitbft_app::CounterApp;
+    use splitbft_app::{CounterApp, LockstepClient};
     use splitbft_types::{ClientId, ReplicaId};
 
     #[test]
@@ -99,7 +98,7 @@ mod tests {
             Usig::new(42, ReplicaId(0)),
             CounterApp::new(),
         );
-        let mut client = HybridClient::new(config, ClientId(1), 42);
+        let mut client = LockstepClient::new(config.reply_quorum(), ClientId(1), 42);
         let request = client.issue(bytes::Bytes::from_static(b"inc"));
         let outputs = Protocol::on_client_requests(&mut primary, vec![request]);
         assert!(

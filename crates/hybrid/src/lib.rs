@@ -29,15 +29,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
 pub mod config;
 pub mod hosting;
 pub mod message;
 pub mod replica;
 pub mod usig;
 
-pub use client::{HybridClient, HybridClientEvent};
 pub use config::HybridConfig;
 pub use message::{HybridMessage, HybridPrepare, HybridCommit};
 pub use replica::{HybridAction, HybridReplica};
+pub use splitbft_app::{ClientEvent, LockstepClient};
 pub use usig::{FaultyUsig, Usig, UsigError, UsigTrait, UsigUi, UsigVerifier};

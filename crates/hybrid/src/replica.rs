@@ -3,12 +3,11 @@
 use crate::config::HybridConfig;
 use crate::message::{HybridCommit, HybridMessage, HybridPrepare};
 use crate::usig::{UsigTrait, UsigVerifier};
-use splitbft_app::Application;
+use splitbft_app::{Application, Cached, ReplyCache};
 use splitbft_crypto::{digest_bytes, digest_of, ClientMacKeys};
-use splitbft_types::wire::{Decode, Encode, Reader};
 use splitbft_types::{
     ClientId, Digest, DurableCheckpoint, DurableEvent, ProtocolError, ReplicaId, Reply, Request,
-    RequestBatch, RequestId, SeqNum, Timestamp, View,
+    RequestBatch, SeqNum, View,
 };
 use std::collections::BTreeMap;
 
@@ -64,7 +63,8 @@ pub struct HybridReplica<A, U> {
     slots: BTreeMap<u64, HybridSlot>,
     last_exec: u64,
     app: A,
-    last_replies: BTreeMap<ClientId, Reply>,
+    /// Cached last reply per client.
+    replies: ReplyCache,
     /// Latest durable snapshot `(counter, state bytes)`, refreshed every
     /// [`HYBRID_CHECKPOINT_INTERVAL`] executions while durable events
     /// are enabled.
@@ -88,7 +88,7 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
             slots: BTreeMap::new(),
             last_exec: 0,
             app,
-            last_replies: BTreeMap::new(),
+            replies: ReplyCache::new(),
             last_snapshot: None,
             durable: Vec::new(),
             durable_enabled: false,
@@ -140,13 +140,7 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
         }
         let fresh: Vec<Request> = requests
             .into_iter()
-            .filter(|r| {
-                self.verify_request(r)
-                    && self
-                        .last_replies
-                        .get(&r.client())
-                        .map_or(true, |cached| cached.request.timestamp < r.id.timestamp)
-            })
+            .filter(|r| self.verify_request(r) && self.replies.lookup(r.id) == Cached::Fresh)
             .collect();
         if fresh.is_empty() {
             return actions;
@@ -263,38 +257,31 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
                 seq: SeqNum(next),
                 batch: batch.clone(),
             });
-            for req in &batch.requests {
-                let client = req.client();
-                match self.last_replies.get(&client) {
-                    Some(cached) if cached.request.timestamp == req.id.timestamp => {
-                        actions.push(HybridAction::SendReply { to: client, reply: cached.clone() });
-                        continue;
-                    }
-                    Some(cached) if cached.request.timestamp > req.id.timestamp => continue,
-                    _ => {}
-                }
-                let result = self.app.execute(&req.op);
-                let auth = self.client_keys.reply_tag(self.view, req.id, self.id, &result, false);
-                let reply = Reply {
-                    view: self.view,
-                    request: req.id,
-                    replica: self.id,
-                    result,
-                    encrypted: false,
-                    auth,
-                };
-                self.last_replies.insert(client, reply.clone());
-                actions.push(HybridAction::SendReply { to: client, reply });
-            }
-            for blob in self.app.drain_persist() {
-                actions.push(HybridAction::Persist(blob));
-            }
+            self.execute_batch(&batch, &mut actions);
             self.slots.remove(&next);
             self.last_exec = next;
             actions.push(HybridAction::Executed { counter: next });
             self.maybe_snapshot(next);
         }
         actions
+    }
+
+    /// Executes `batch` once per fresh request, appending the replies
+    /// (cached ones for retransmissions) and the application's blobs.
+    fn execute_batch(&mut self, batch: &RequestBatch, actions: &mut Vec<HybridAction>) {
+        for req in &batch.requests {
+            let to = req.client();
+            let reply = match self.replies.lookup(req.id) {
+                Cached::Resend(reply) => reply.clone(),
+                Cached::Stale => continue,
+                Cached::Fresh => {
+                    let result = self.app.execute(&req.op);
+                    self.replies.record(&self.client_keys, self.view, self.id, req.id, result, false)
+                }
+            };
+            actions.push(HybridAction::SendReply { to, reply });
+        }
+        actions.extend(self.app.drain_persist().into_iter().map(HybridAction::Persist));
     }
 
     // --- durability --------------------------------------------------------
@@ -312,59 +299,11 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
         if !self.durable_enabled || executed % HYBRID_CHECKPOINT_INTERVAL != 0 {
             return;
         }
-        self.last_snapshot = Some((executed, self.checkpoint_state_bytes()));
+        // Identical on every correct replica at the same counter value,
+        // which is what lets a recovering replica demand `f + 1` peer
+        // agreement on the digest.
+        self.last_snapshot = Some((executed, self.replies.encode_state(&self.app.snapshot())));
         self.durable.push(DurableEvent::StableCheckpoint { seq: SeqNum(executed) });
-    }
-
-    /// Canonical snapshot bytes: application snapshot plus the
-    /// replica-independent core of the reply cache
-    /// `(client, timestamp, result)` — identical on every correct
-    /// replica at the same counter value, which is what lets a
-    /// recovering replica demand `f + 1` peer agreement on the digest.
-    fn checkpoint_state_bytes(&self) -> Vec<u8> {
-        let snapshot = self.app.snapshot();
-        let replies: Vec<(ClientId, Timestamp, bytes::Bytes)> = self
-            .last_replies
-            .iter()
-            .map(|(c, r)| (*c, r.request.timestamp, r.result.clone()))
-            .collect();
-        // Sized exactly: a snapshot can be megabytes, and growing into it
-        // would hold twice that.
-        let mut buf = Vec::with_capacity(4 + snapshot.len() + replies.encoded_len());
-        (snapshot.len() as u32).encode_to(&mut buf);
-        buf.extend_from_slice(&snapshot);
-        replies.encode_to(&mut buf);
-        buf
-    }
-
-    fn restore_checkpoint_state(&mut self, bytes: &[u8]) -> Result<(), ProtocolError> {
-        let mut r = Reader::new(bytes);
-        let len = u32::decode(&mut r)? as usize;
-        let snapshot = r.take(len)?.to_vec();
-        let replies: Vec<(ClientId, Timestamp, bytes::Bytes)> = Vec::decode(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(ProtocolError::CorruptState("trailing snapshot bytes".into()));
-        }
-        self.app
-            .restore(&snapshot)
-            .map_err(|e| ProtocolError::CorruptState(format!("snapshot restore failed: {e}")))?;
-        self.last_replies = replies
-            .into_iter()
-            .map(|(client, timestamp, result)| {
-                let request = RequestId { client, timestamp };
-                let auth = self.client_keys.reply_tag(self.view, request, self.id, &result, false);
-                let reply = Reply {
-                    view: self.view,
-                    request,
-                    replica: self.id,
-                    result,
-                    encrypted: false,
-                    auth,
-                };
-                (client, reply)
-            })
-            .collect();
-        Ok(())
     }
 
     /// Starts recording durable consensus events.
@@ -395,39 +334,14 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
             DurableEvent::CounterIssued { counter } => self.usig.advance_to(counter),
             DurableEvent::Committed { seq, batch } => {
                 if seq.0 == self.last_exec + 1 {
-                    self.execute_batch_quietly(&batch);
+                    // Replies are cached for duplicate suppression, but
+                    // nobody is listening yet.
+                    self.execute_batch(&batch, &mut Vec::new());
                     self.last_exec = seq.0;
                 }
             }
             _ => {}
         }
-    }
-
-    /// Executes a replayed batch without emitting actions (replies are
-    /// cached for duplicate suppression, but nobody is listening yet).
-    fn execute_batch_quietly(&mut self, batch: &RequestBatch) {
-        for req in &batch.requests {
-            let client = req.client();
-            if self
-                .last_replies
-                .get(&client)
-                .is_some_and(|cached| cached.request.timestamp >= req.id.timestamp)
-            {
-                continue;
-            }
-            let result = self.app.execute(&req.op);
-            let auth = self.client_keys.reply_tag(self.view, req.id, self.id, &result, false);
-            let reply = Reply {
-                view: self.view,
-                request: req.id,
-                replica: self.id,
-                result,
-                encrypted: false,
-                auth,
-            };
-            self.last_replies.insert(client, reply);
-        }
-        let _ = self.app.drain_persist();
     }
 
     /// The latest durable snapshot, if one was taken.
@@ -464,7 +378,7 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
         if cp.seq.0 <= self.last_exec {
             return Ok(()); // already at or past the snapshot
         }
-        self.restore_checkpoint_state(&cp.state)?;
+        self.replies.restore_state(&cp.state, &mut self.app, &self.client_keys, self.view, self.id)?;
         self.last_exec = cp.seq.0;
         self.slots = self.slots.split_off(&(cp.seq.0 + 1));
         self.last_snapshot = Some((cp.seq.0, cp.state.to_vec()));
@@ -639,8 +553,8 @@ mod tests {
         // reply bindings rather than the counter value: the slot's batch
         // digests differed.)
         assert_ne!(
-            r1.last_replies.keys().collect::<Vec<_>>(),
-            r2.last_replies.keys().collect::<Vec<_>>(),
+            r1.replies.executed().collect::<Vec<_>>(),
+            r2.replies.executed().collect::<Vec<_>>(),
             "replicas executed different requests at the same slot"
         );
     }

@@ -1,57 +1,15 @@
-//! Per-request reply-quorum tracking for pipelined clients.
+//! Per-request reply-quorum tracking for pipelined clients, and the
+//! cross-client safety check built on it.
 //!
-//! The protocol crates' client state machines (`PbftClient`,
-//! `SplitBftClient`, `HybridClient`) are lock-step: one in-flight
-//! request, `issue` panics otherwise. Pipelined load generation needs
-//! the same acceptance rule — `f + 1` MAC-verified matching replies
-//! from distinct replicas — but *per request*, many at a time. All
-//! three protocols share that rule (they differ only in `n` and
-//! therefore `f`), so one tracker serves every stack.
+//! The lock-step client (`splitbft_app::LockstepClient`) holds one
+//! in-flight request. Pipelined load generation needs the same acceptance
+//! rule — `f + 1` MAC-verified matching replies from distinct replicas —
+//! but *per request*, many at a time: one [`QuorumTracker`] each. It is the
+//! very type the lock-step client counts with, re-exported here because
+//! every load generator and probe reaches for it through this crate.
 
-use bytes::Bytes;
-use splitbft_crypto::hmac::ct_eq;
-use splitbft_crypto::MacKey;
-use splitbft_types::{ReplicaId, Reply};
+pub use splitbft_app::QuorumTracker;
 use std::collections::BTreeMap;
-
-/// Collects replies for one request until a quorum of matching results
-/// from distinct replicas is reached.
-#[derive(Debug, Clone)]
-pub struct QuorumTracker {
-    mac: MacKey,
-    quorum: usize,
-    replies: BTreeMap<ReplicaId, Bytes>,
-}
-
-impl QuorumTracker {
-    /// A tracker accepting on `quorum` (`f + 1`) matching replies,
-    /// verifying authenticity under the client's `mac` key.
-    pub fn new(mac: MacKey, quorum: usize) -> Self {
-        QuorumTracker { mac, quorum: quorum.max(1), replies: BTreeMap::new() }
-    }
-
-    /// Delivers one reply; returns the agreed result once `quorum`
-    /// verified replies from distinct replicas match. Forged replies
-    /// (bad MAC) are ignored; a replica re-sending overwrites its own
-    /// earlier vote, so duplicates never double-count.
-    pub fn on_reply(&mut self, reply: &Reply) -> Option<Bytes> {
-        let expected = self.mac.reply_tag(reply.view, reply.request, reply.replica, &reply.result, reply.encrypted);
-        if !ct_eq(&expected, &reply.auth) {
-            return None;
-        }
-        self.replies.insert(reply.replica, reply.result.clone());
-
-        let mut counts: BTreeMap<&[u8], usize> = BTreeMap::new();
-        for result in self.replies.values() {
-            let n = counts.entry(result.as_ref()).or_insert(0);
-            *n += 1;
-            if *n >= self.quorum {
-                return Some(Bytes::copy_from_slice(result));
-            }
-        }
-        None
-    }
-}
 
 /// A cross-client commit log that turns quorum completions into a
 /// *safety* check.
@@ -134,51 +92,7 @@ impl CommitLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splitbft_crypto::client_mac_key;
-    use splitbft_types::{ClientId, RequestId, Timestamp, View};
-
-    const SEED: u64 = 11;
-
-    fn reply(request: RequestId, replica: u32, result: &'static [u8], seed: u64) -> Reply {
-        let mac = client_mac_key(seed, request.client);
-        let result = Bytes::from_static(result);
-        let auth =
-            mac.reply_tag(View(0), request, ReplicaId(replica), &result, false);
-        Reply { view: View(0), request, replica: ReplicaId(replica), result, encrypted: false, auth }
-    }
-
-    fn request_id() -> RequestId {
-        RequestId { client: ClientId(5), timestamp: Timestamp(9) }
-    }
-
-    #[test]
-    fn completes_on_quorum_of_matching() {
-        let id = request_id();
-        let mut t = QuorumTracker::new(client_mac_key(SEED, id.client), 2);
-        assert_eq!(t.on_reply(&reply(id, 0, b"ok", SEED)), None);
-        assert_eq!(t.on_reply(&reply(id, 1, b"ok", SEED)), Some(Bytes::from_static(b"ok")));
-    }
-
-    #[test]
-    fn conflicting_results_need_matching_quorum() {
-        let id = request_id();
-        let mut t = QuorumTracker::new(client_mac_key(SEED, id.client), 2);
-        assert_eq!(t.on_reply(&reply(id, 0, b"a", SEED)), None);
-        assert_eq!(t.on_reply(&reply(id, 1, b"b", SEED)), None);
-        assert_eq!(t.on_reply(&reply(id, 2, b"a", SEED)), Some(Bytes::from_static(b"a")));
-    }
-
-    #[test]
-    fn duplicates_and_forgeries_do_not_count() {
-        let id = request_id();
-        let mut t = QuorumTracker::new(client_mac_key(SEED, id.client), 2);
-        assert_eq!(t.on_reply(&reply(id, 0, b"ok", SEED)), None);
-        // Same replica again: still one vote.
-        assert_eq!(t.on_reply(&reply(id, 0, b"ok", SEED)), None);
-        // MACed under the wrong key: ignored entirely.
-        assert_eq!(t.on_reply(&reply(id, 1, b"ok", SEED + 1)), None);
-        assert_eq!(t.on_reply(&reply(id, 1, b"ok", SEED)), Some(Bytes::from_static(b"ok")));
-    }
+    use splitbft_types::{ClientId, RequestId, Timestamp};
 
     #[test]
     fn commit_log_flags_distinct_requests_on_one_slot() {

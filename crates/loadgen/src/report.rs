@@ -38,8 +38,6 @@ pub struct BatchSummary {
     pub max_frames: usize,
     /// Bytes coalesced per write at most.
     pub max_bytes: usize,
-    /// Flush interval in microseconds (0 = flush when the queue is dry).
-    pub linger_us: u64,
 }
 
 /// What the durability plane cost during a run (only measurable for
@@ -327,7 +325,7 @@ impl BenchReport {
                 "  \"clients\": {clients},\n",
                 "  \"pipeline\": {pipeline},\n",
                 "  \"duration_secs\": {duration:.3},\n",
-                "  \"batch\": {{\"max_frames\": {max_frames}, \"max_bytes\": {max_bytes}, \"linger_us\": {linger_us}}},\n",
+                "  \"batch\": {{\"max_frames\": {max_frames}, \"max_bytes\": {max_bytes}}},\n",
                 "  \"requests\": {{\"issued\": {issued}, \"completed\": {completed}, \"timed_out\": {timed_out}}},\n",
                 "  \"committed\": {committed},\n",
                 "  \"durability\": {durability},\n",
@@ -353,7 +351,6 @@ impl BenchReport {
             duration = self.duration.as_secs_f64(),
             max_frames = self.batch.max_frames,
             max_bytes = self.batch.max_bytes,
-            linger_us = self.batch.linger_us,
             issued = self.issued,
             completed = self.completed,
             timed_out = self.timed_out,
@@ -599,7 +596,7 @@ mod tests {
             2,
             2,
             Duration::from_secs(2),
-            BatchSummary { max_frames: 64, max_bytes: 262_144, linger_us: 0 },
+            BatchSummary { max_frames: 64, max_bytes: 262_144 },
             &stats,
             4,
         )

@@ -19,7 +19,7 @@
 use crate::evented::{BoundEventedNode, EventedNode};
 use crate::fault::{FaultDecision, FaultPlan};
 use crate::client::TcpClient;
-use crate::host::{ClientSink, Event, Gauges, Host, NodeConfig, PeerSink, MAX_DRAIN_BATCH};
+use crate::host::{ClientSink, Event, Host, NodeConfig, PeerSink, MAX_DRAIN_BATCH};
 use crate::transport::{frame_kind, Protocol};
 use splitbft_obs::NodeTelemetry;
 use splitbft_types::wire::parse_frame;
@@ -252,10 +252,9 @@ impl TransportBackend for InProcessBackend {
         protocol: P,
     ) -> io::Result<InProcessNode> {
         let BoundInProcessNode { id, bus, tx, rx, .. } = bound;
-        let gauges = Gauges::new(NodeTelemetry::new(id.0));
         let thread = std::thread::Builder::new()
             .name(format!("node-{}-inproc", id.0))
-            .spawn(move || bus_loop(rx, bus, config, protocol, gauges))
+            .spawn(move || bus_loop(rx, bus, config, protocol))
             .map_err(io::Error::other)?;
         Ok(InProcessNode { tx, thread: Some(thread) })
     }
@@ -277,6 +276,13 @@ impl TransportBackend for InProcessBackend {
             ));
         }
         let (reply_tx, replies) = channel();
+        // The bus analog of the socket client's hello: an empty delivery
+        // teaches every node where this client's replies go, so replicas
+        // the client never addresses directly can still answer it.
+        for tx in nodes.iter().flatten() {
+            let origin = BusOrigin::Client(id, reply_tx.clone());
+            let _ = tx.send(BusMsg::Frames(origin, Arc::new(Vec::new())));
+        }
         Ok(InProcessClient { id, nodes, reply_tx, replies })
     }
 }
@@ -465,7 +471,6 @@ fn bus_loop<P: Protocol>(
     bus: Arc<BusMap>,
     config: NodeConfig,
     protocol: P,
-    gauges: Gauges,
 ) {
     let id = config.id;
     let mut peers = BusPeers {
@@ -480,7 +485,8 @@ fn bus_loop<P: Protocol>(
             .collect(),
     };
     let mut clients = BusClients { replies: HashMap::new() };
-    let mut host = Host::new(id, protocol, config.recovery, gauges, &mut peers);
+    let mut host =
+        Host::new(id, protocol, config.recovery, NodeTelemetry::new(id.0), &mut peers);
     let mut next_tick = config.timeout_every.map(|period| Instant::now() + period);
     let mut pending: VecDeque<Event<P::Message>> = VecDeque::new();
 

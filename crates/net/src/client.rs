@@ -1,10 +1,10 @@
 //! The socket client: one connection per replica, replies streamed back
 //! or routed to per-request handlers.
 //!
-//! The client is transport only — pair it with the protocol-specific
-//! client state machines (`PbftClient`, `SplitBftClient`, `HybridClient`)
-//! or a `QuorumTracker`, which own authentication, retransmission and
-//! reply-quorum logic.
+//! The client is transport only — pair it with a client state machine
+//! (`splitbft-app`'s `LockstepClient`, `splitbft-core`'s confidential
+//! `SplitBftClient` around it) or a bare `QuorumTracker`, which own
+//! authentication, retransmission and reply-quorum logic.
 //!
 //! # Threads
 //!

@@ -1,7 +1,7 @@
 //! The deployable socket runtime: one readiness loop per node over
 //! nonblocking sockets, hosting one [`Protocol`] replica per process.
 //!
-//! This is the socket counterpart of [`crate::runtime::ThreadedCluster`]:
+//! This is the socket counterpart of [`crate::backend::InProcessBackend`]:
 //! replicas exchange length-prefixed frames (see
 //! [`splitbft_types::wire`]) over real TCP connections, mirroring the
 //! paper's deployment of one SplitBFT process per VM. Every replica
@@ -56,7 +56,7 @@
 //! transfer), not the transport's.
 
 use crate::fault::{FaultDecision, FaultPlan};
-use crate::host::{ClientSink, Event, Gauges, Host, NodeConfig, PeerSink, MAX_DRAIN_BATCH};
+use crate::host::{ClientSink, Event, Host, NodeConfig, PeerSink, MAX_DRAIN_BATCH};
 use crate::ring::FrameRing;
 use crate::transport::{frame_kind, write_value, BatchPolicy, Protocol};
 use splitbft_obs::NodeTelemetry;
@@ -68,8 +68,8 @@ use splitbft_types::{
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -152,9 +152,6 @@ pub struct EventedNode {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
-    progress: Arc<AtomicU64>,
-    fsyncs: Arc<AtomicU64>,
-    shard_gauges: Arc<Mutex<(Vec<u64>, Vec<u64>)>>,
     telemetry: Arc<NodeTelemetry>,
 }
 
@@ -188,26 +185,14 @@ impl EventedNode {
         listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let telemetry = NodeTelemetry::new(config.id.0);
-        let gauges = Gauges::new(Arc::clone(&telemetry));
-        let progress = Arc::clone(&gauges.progress);
-        let fsyncs = Arc::clone(&gauges.fsyncs);
-        let shard_gauges = Arc::clone(&gauges.shards);
         let id = config.id;
         let loop_shutdown = Arc::clone(&shutdown);
+        let loop_telemetry = Arc::clone(&telemetry);
         let thread = std::thread::Builder::new()
             .name(format!("node-{}-evented", id.0))
-            .spawn(move || event_loop(listener, config, protocol, loop_shutdown, gauges))
+            .spawn(move || event_loop(listener, config, protocol, loop_shutdown, loop_telemetry))
             .expect("spawn evented loop");
-        Ok(EventedNode {
-            id,
-            local_addr,
-            shutdown,
-            thread: Some(thread),
-            progress,
-            fsyncs,
-            shard_gauges,
-            telemetry,
-        })
+        Ok(EventedNode { id, local_addr, shutdown, thread: Some(thread), telemetry })
     }
 
     /// This node's replica id.
@@ -223,24 +208,24 @@ impl EventedNode {
     /// The hosted protocol's latest `progress()` value, as observed
     /// after the most recent drain batch. Safe to poll from any thread.
     pub fn progress(&self) -> u64 {
-        self.progress.load(Ordering::SeqCst)
+        self.telemetry.progress.get()
     }
 
     /// The hosted protocol's latest `durable_fsyncs()` value (`0` for
     /// non-durable protocols). Safe to poll from any thread.
     pub fn fsyncs(&self) -> u64 {
-        self.fsyncs.load(Ordering::SeqCst)
+        self.telemetry.fsyncs.get()
     }
 
     /// Per-shard breakdown of [`EventedNode::progress`] (a single entry
     /// for unsharded protocols; empty until the first drain batch).
     pub fn shard_progress(&self) -> Vec<u64> {
-        self.shard_gauges.lock().expect("shard gauges").0.clone()
+        self.telemetry.shard_progress()
     }
 
     /// Per-shard breakdown of [`EventedNode::fsyncs`].
     pub fn shard_fsyncs(&self) -> Vec<u64> {
-        self.shard_gauges.lock().expect("shard gauges").1.clone()
+        self.telemetry.shard_fsyncs()
     }
 
     /// This node's telemetry hub — counters, gauges, and the event
@@ -763,10 +748,9 @@ fn event_loop<P: Protocol>(
     config: NodeConfig,
     protocol: P,
     shutdown: Arc<AtomicBool>,
-    gauges: Gauges,
+    telemetry: Arc<NodeTelemetry>,
 ) {
     let id = config.id;
-    let telemetry = Arc::clone(&gauges.telemetry);
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut client_index: HashMap<ClientId, usize> = HashMap::new();
     let mut peers = EventedPeers {
@@ -781,7 +765,7 @@ fn event_loop<P: Protocol>(
             .collect(),
         delayed: Vec::new(),
     };
-    let mut host = Host::new(id, protocol, config.recovery, gauges, &mut peers);
+    let mut host = Host::new(id, protocol, config.recovery, Arc::clone(&telemetry), &mut peers);
 
     let mut next_tick = config.timeout_every.map(|period| Instant::now() + period);
     let mut events: Vec<Event<P::Message>> = Vec::new();

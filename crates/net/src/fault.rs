@@ -6,8 +6,8 @@
 //! decision table consulted on the send path of every peer link: the
 //! socket runtime checks it whenever a frame is enqueued toward a peer
 //! (so protocol traffic and state transfer are faulted alike) and the
-//! in-process [`ThreadedCluster`] checks it when routing outputs, giving
-//! both runtimes the same fault semantics.
+//! in-process bus ([`InProcessBackend`]) checks it the same way, giving
+//! both backends the same fault semantics.
 //!
 //! # Determinism
 //!
@@ -32,7 +32,7 @@
 //! by default and a node without it *closes* any connection that sends
 //! a control frame, keeping the plan unreachable in a real deployment.
 //!
-//! [`ThreadedCluster`]: crate::runtime::ThreadedCluster
+//! [`InProcessBackend`]: crate::backend::InProcessBackend
 //! [`frame_kind::FAULT_CONTROL`]: crate::transport::frame_kind::FAULT_CONTROL
 
 use crate::transport::{frame_kind, write_value};

@@ -16,7 +16,9 @@
 //! byte-identical on the wire across backends.
 
 use crate::fault::FaultPlan;
-use crate::transport::{frame_kind, BatchPolicy, Protocol, ProtocolOutput, WireMessage};
+use crate::transport::{
+    frame_kind, BatchPolicy, Protocol, ProtocolGauges, ProtocolOutput, WireMessage,
+};
 use splitbft_obs::NodeTelemetry;
 use splitbft_types::wire::{decode, encode, frame_message};
 use splitbft_types::{
@@ -25,8 +27,7 @@ use splitbft_types::{
 };
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// State-transfer policy for a node that hosts a durable (or merely
@@ -163,38 +164,6 @@ pub(crate) trait ClientSink {
     fn reply(&mut self, to: ClientId, reply: Reply);
 }
 
-/// Shared gauges a backend exposes to orchestrators (benches, tests):
-/// mirrors of the hosted protocol's progress/fsync counters, updated by
-/// [`Host::finish_batch`] after every drain batch — plus the node's
-/// [`NodeTelemetry`] bundle, which the same batch epilogue publishes
-/// the full gauge set into.
-#[derive(Debug, Clone)]
-pub(crate) struct Gauges {
-    /// Mirror of [`Protocol::progress`].
-    pub(crate) progress: Arc<AtomicU64>,
-    /// Mirror of [`Protocol::durable_fsyncs`].
-    pub(crate) fsyncs: Arc<AtomicU64>,
-    /// Per-shard mirror of `(shard_progress(), shard_fsyncs())`. Behind
-    /// one lock because readers are occasional orchestrators, not hot
-    /// paths.
-    pub(crate) shards: Arc<Mutex<(Vec<u64>, Vec<u64>)>>,
-    /// The node's telemetry bundle (metrics registry, event journal,
-    /// lifecycle flags), shared with the transport layer and whatever
-    /// serves `/metrics` and `STATUS`.
-    pub(crate) telemetry: Arc<NodeTelemetry>,
-}
-
-impl Gauges {
-    pub(crate) fn new(telemetry: Arc<NodeTelemetry>) -> Self {
-        Gauges {
-            progress: Arc::default(),
-            fsyncs: Arc::default(),
-            shards: Arc::default(),
-            telemetry,
-        }
-    }
-}
-
 /// Upper bound on events coalesced into one group-commit drain batch,
 /// so a flooded queue still flushes (and routes) regularly.
 pub(crate) const MAX_DRAIN_BATCH: usize = 128;
@@ -284,7 +253,9 @@ impl Recovery {
 /// event of a drain batch, accumulates the returned outputs, then calls
 /// [`Host::finish_batch`] once — the group-commit point: a single fsync
 /// covers the batch, outputs are routed strictly after it, deferred
-/// peer state requests are answered after that, and the gauges publish.
+/// peer state requests are answered after that, and the node's
+/// [`NodeTelemetry`] is brought up to date — the one place orchestrators
+/// (benches, tests, `/metrics`, `STATUS`) read a node's numbers from.
 pub(crate) struct Host<P: Protocol> {
     id: ReplicaId,
     protocol: P,
@@ -305,7 +276,12 @@ pub(crate) struct Host<P: Protocol> {
     /// nothing-on-the-wire-before-fsync invariant for state transfer
     /// too.
     state_requests: Vec<StateTransferRequest>,
-    gauges: Gauges,
+    /// The node's telemetry bundle (metrics registry, event journal,
+    /// lifecycle flags), shared with the transport layer and whatever
+    /// serves `/metrics` and `STATUS`.
+    telemetry: Arc<NodeTelemetry>,
+    /// Scratch for [`Protocol::probe_gauges`], reused every batch.
+    gauges: ProtocolGauges,
     /// Last published view / seal count — change detectors for the
     /// view-change counter and the journal's `ViewChange` /
     /// `CheckpointSealed` events, compared once per drain batch.
@@ -321,7 +297,7 @@ impl<P: Protocol> Host<P> {
         id: ReplicaId,
         protocol: P,
         recovery: Option<RecoveryPolicy>,
-        gauges: Gauges,
+        telemetry: Arc<NodeTelemetry>,
         peers: &mut impl PeerSink,
     ) -> Self {
         let baseline = protocol.progress();
@@ -329,10 +305,10 @@ impl<P: Protocol> Host<P> {
         if let Some(rec) = &mut recovery {
             rec.requested_at = Some(Instant::now());
             request_state(id, baseline, peers);
-            gauges.telemetry.set_recovering(true);
+            telemetry.set_recovering(true);
         }
-        let last_view = protocol.current_view();
-        let last_seals = protocol.checkpoint_seal_count();
+        let mut gauges = ProtocolGauges::default();
+        protocol.probe_gauges(&mut gauges);
         Host {
             id,
             protocol,
@@ -340,9 +316,10 @@ impl<P: Protocol> Host<P> {
             armed: false,
             last_progress: baseline,
             state_requests: Vec::new(),
+            telemetry,
+            last_view: gauges.view(),
+            last_seals: gauges.checkpoint_seals,
             gauges,
-            last_view,
-            last_seals,
         }
     }
 
@@ -369,7 +346,7 @@ impl<P: Protocol> Host<P> {
         match event {
             Event::Peer(msg) => self.protocol.on_message(msg),
             Event::Requests(requests) => {
-                if self.gauges.telemetry.draining() {
+                if self.telemetry.draining() {
                     // Draining: stop admitting new client requests. The
                     // client's retry logic finds another replica (or the
                     // restarted one).
@@ -387,12 +364,7 @@ impl<P: Protocol> Host<P> {
                 // f + 1 agreement (the backend already pinned the id to
                 // the connection's hello).
                 Some(rec) if rec.active && peers.is_peer(resp.replica) => {
-                    apply_state_response(
-                        &mut self.protocol,
-                        rec,
-                        resp,
-                        &self.gauges.telemetry,
-                    )
+                    apply_state_response(&mut self.protocol, rec, resp, &self.telemetry)
                 }
                 _ => Vec::new(),
             },
@@ -421,7 +393,7 @@ impl<P: Protocol> Host<P> {
                         rec.active = true;
                         rec.baseline = progress;
                         rec.requested_at = None;
-                        self.gauges.telemetry.set_recovering(true);
+                        self.telemetry.set_recovering(true);
                     }
                 }
                 // Recovery retry: progress beyond the baseline means
@@ -435,7 +407,7 @@ impl<P: Protocol> Host<P> {
                         if progress > rec.baseline {
                             rec.active = false;
                             rec.responses.clear();
-                            self.gauges.telemetry.set_recovering(false);
+                            self.telemetry.set_recovering(false);
                         } else if rec.may_request() {
                             rec.baseline = progress;
                             rec.requested_at = Some(Instant::now());
@@ -458,7 +430,7 @@ impl<P: Protocol> Host<P> {
     /// Completes one drain batch: performs the batch's single fsync
     /// ([`Protocol::flush_durable`]), routes `outputs` plus whatever
     /// the fsync released, answers deferred peer state requests
-    /// strictly after the fsync, and publishes the gauges.
+    /// strictly after the fsync, and publishes the batch's telemetry.
     pub(crate) fn finish_batch(
         &mut self,
         mut outputs: Vec<ProtocolOutput<P::Message>>,
@@ -471,7 +443,7 @@ impl<P: Protocol> Host<P> {
         // that ends with nothing pending seals a final checkpoint and
         // flushes the WAL, then marks the drain complete so the
         // backend's serve loop can exit 0.
-        let telemetry = Arc::clone(&self.gauges.telemetry);
+        let telemetry = &self.telemetry;
         if telemetry.draining()
             && !telemetry.drained()
             && !self.protocol.has_pending_requests()
@@ -486,39 +458,32 @@ impl<P: Protocol> Host<P> {
         for req in self.state_requests.drain(..) {
             answer_state_request(self.id, &self.protocol, &req, peers);
         }
-        let progress = self.protocol.progress();
-        self.gauges.progress.store(progress, Ordering::SeqCst);
-        self.gauges.fsyncs.store(self.protocol.durable_fsyncs(), Ordering::SeqCst);
-        let shard_progress = self.protocol.shard_progress();
-        let shard_fsyncs = self.protocol.shard_fsyncs();
-        {
-            let mut shards = self.gauges.shards.lock().expect("shard gauges");
-            shards.0 = shard_progress.clone();
-            shards.1 = shard_fsyncs.clone();
-        }
 
         // Publish the batch's telemetry: single atomic stores on the
         // pre-registered handles, plus change detection for the
         // view-change counter and the journal events.
+        let gauges = &mut self.gauges;
+        gauges.clear();
+        self.protocol.probe_gauges(gauges);
+        let progress = self.protocol.progress();
         telemetry.progress.set(progress);
         telemetry.fsyncs.set(self.protocol.durable_fsyncs());
-        telemetry.wal_bytes.set(self.protocol.wal_bytes());
-        telemetry.pending_requests.set(self.protocol.pending_request_count());
-        let view = self.protocol.current_view();
+        telemetry.wal_bytes.set(gauges.wal_bytes);
+        telemetry.pending_requests.set(gauges.pending_requests);
+        let view = gauges.view();
         telemetry.view.set(view);
         if view > self.last_view {
             telemetry.view_changes.add(view - self.last_view);
             telemetry.record_event(StatusEvent::ViewChange { view });
             self.last_view = view;
         }
-        let seals = self.protocol.checkpoint_seal_count();
-        telemetry.checkpoint_seals.set(seals);
-        if seals > self.last_seals {
+        telemetry.checkpoint_seals.set(gauges.checkpoint_seals);
+        if gauges.checkpoint_seals > self.last_seals {
             telemetry.record_event(StatusEvent::CheckpointSealed { seq: progress });
-            self.last_seals = seals;
+            self.last_seals = gauges.checkpoint_seals;
         }
-        telemetry.set_shard_gauges(&shard_progress, &shard_fsyncs);
-        telemetry.set_shard_views(&self.protocol.shard_views());
+        telemetry.set_shard_gauges(&gauges.shard_progress, &gauges.shard_fsyncs);
+        telemetry.set_shard_views(&gauges.shard_views);
     }
 }
 
@@ -804,7 +769,7 @@ mod tests {
             ReplicaId(0),
             CatchUp { progress: 0 },
             Some(RecoveryPolicy { agreement }),
-            Gauges::new(NodeTelemetry::new(0)),
+            NodeTelemetry::new(0),
             peers,
         )
     }
@@ -832,9 +797,8 @@ mod tests {
     #[test]
     fn a_stalled_replica_asks_its_peers_before_accusing_the_primary() {
         let mut peers = Peers::new(&[1, 2]);
-        let gauges = Gauges::new(NodeTelemetry::new(0));
         let policy = Some(RecoveryPolicy { agreement: 1 });
-        let mut host = Host::new(ReplicaId(0), Stalled, policy, gauges, &mut peers);
+        let mut host = Host::new(ReplicaId(0), Stalled, policy, NodeTelemetry::new(0), &mut peers);
         assert_eq!(peers.state_requests().len(), 1, "startup round");
 
         // First tick arms the timer; the startup round is in flight.
@@ -849,8 +813,7 @@ mod tests {
 
         // Without a recovery policy nobody can be asked: the second
         // tick fires, as it always did.
-        let gauges = Gauges::new(NodeTelemetry::new(0));
-        let mut host = Host::new(ReplicaId(0), Stalled, None, gauges, &mut peers);
+        let mut host = Host::new(ReplicaId(0), Stalled, None, NodeTelemetry::new(0), &mut peers);
         assert!(host.handle(Event::Timeout, &mut peers).is_empty());
         assert_eq!(host.handle(Event::Timeout, &mut peers).len(), 1);
     }
@@ -946,17 +909,41 @@ mod tests {
         assert_eq!(host.progress(), 50, "cross-round votes must reach agreement");
     }
 
-    /// Gauges publish at batch end, replies route through the client
-    /// sink, and deferred state requests are answered after the flush.
+    /// A protocol that implements no probe reports a single group whose
+    /// progress is its `progress()`, and a 0/1 pending signal — what the
+    /// seven getters this probe replaced used to default to.
+    #[test]
+    fn the_default_probe_reports_one_group_at_the_protocols_progress() {
+        let mut gauges = ProtocolGauges::default();
+        let protocol = CatchUp { progress: 17 };
+        protocol.probe_gauges(&mut gauges);
+        let one_group = ProtocolGauges {
+            shard_progress: vec![protocol.progress()],
+            shard_fsyncs: vec![0],
+            shard_views: vec![0],
+            ..ProtocolGauges::default()
+        };
+        assert_eq!(gauges, one_group, "CatchUp never has requests pending");
+
+        // The probe adds; the host clears between batches.
+        Stalled.probe_gauges(&mut gauges);
+        assert_eq!(gauges.shard_progress, vec![17, 0]);
+        assert_eq!(gauges.pending_requests, 1, "Stalled keeps the always-pending default");
+        gauges.clear();
+        assert_eq!(gauges, ProtocolGauges::default());
+    }
+
+    /// Telemetry publishes at batch end, and deferred state requests are
+    /// answered after the flush.
     #[test]
     fn finish_batch_publishes_gauges_and_answers_deferred_requests() {
         let mut peers = Peers::new(&[1]);
-        let gauges = Gauges::new(NodeTelemetry::new(0));
+        let telemetry = NodeTelemetry::new(0);
         let mut host = Host::new(
             ReplicaId(0),
             CatchUp { progress: 0 },
             None,
-            gauges.clone(),
+            Arc::clone(&telemetry),
             &mut peers,
         );
 
@@ -971,8 +958,9 @@ mod tests {
         assert!(peers.frames.is_empty(), "state requests are deferred to batch end");
 
         host.finish_batch(Vec::new(), &mut peers, &mut NoClients);
-        assert_eq!(gauges.progress.load(Ordering::SeqCst), 42);
-        assert_eq!(gauges.telemetry.progress.get(), 42, "telemetry mirrors the batch");
+        assert_eq!(telemetry.progress.get(), 42, "telemetry mirrors the batch");
+        assert_eq!(telemetry.shard_progress(), vec![42]);
+        assert_eq!(telemetry.shard_fsyncs(), vec![0]);
         // CatchUp has no checkpoint and no suffix to offer, so the
         // deferred request is answered with silence — but a protocol
         // with state would have been consulted only now, after the
@@ -1011,8 +999,9 @@ mod tests {
             self.pending
         }
 
-        fn checkpoint_seal_count(&self) -> u64 {
-            self.seals
+        fn probe_gauges(&self, gauges: &mut ProtocolGauges) {
+            gauges.add_group(0, 0, 0);
+            gauges.checkpoint_seals += self.seals;
         }
 
         fn drain_seal(&mut self) -> Vec<ProtocolOutput<u64>> {
@@ -1040,21 +1029,21 @@ mod tests {
     #[test]
     fn drain_refuses_new_requests_then_seals_and_completes() {
         let mut peers = Peers::new(&[1]);
-        let gauges = Gauges::new(NodeTelemetry::new(0));
+        let telemetry = NodeTelemetry::new(0);
         let protocol =
             Drainable { requests_seen: 0, pending: true, seals: 0, sealed_on_drain: false };
-        let mut host = Host::new(ReplicaId(0), protocol, None, gauges.clone(), &mut peers);
+        let mut host = Host::new(ReplicaId(0), protocol, None, Arc::clone(&telemetry), &mut peers);
 
         host.handle(Event::Requests(vec![request(1)]), &mut peers);
         assert_eq!(host.protocol.requests_seen, 1, "pre-drain requests are admitted");
 
-        gauges.telemetry.request_drain();
+        telemetry.request_drain();
         host.handle(Event::Requests(vec![request(2)]), &mut peers);
         assert_eq!(host.protocol.requests_seen, 1, "post-drain requests are refused");
 
         // Still pending: the batch must NOT complete the drain yet.
         host.finish_batch(Vec::new(), &mut peers, &mut NoClients);
-        assert!(!gauges.telemetry.drained(), "in-flight work holds the drain open");
+        assert!(!telemetry.drained(), "in-flight work holds the drain open");
         assert!(!host.protocol.sealed_on_drain);
 
         // The in-flight batch finishes; the next drain batch seals.
@@ -1062,9 +1051,9 @@ mod tests {
         host.handle(Event::Drain, &mut peers);
         host.finish_batch(Vec::new(), &mut peers, &mut NoClients);
         assert!(host.protocol.sealed_on_drain, "drain epilogue forces a seal");
-        assert!(gauges.telemetry.drained());
+        assert!(telemetry.drained());
         let events: Vec<StatusEvent> =
-            gauges.telemetry.journal.since(0).into_iter().map(|(_, e)| e).collect();
+            telemetry.journal.since(0).into_iter().map(|(_, e)| e).collect();
         assert!(events.contains(&StatusEvent::DrainRequested));
         assert!(events.contains(&StatusEvent::DrainCompleted));
         assert!(

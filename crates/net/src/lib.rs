@@ -2,16 +2,12 @@
 //!
 //! The paper's system model assumes an unreliable network that "may
 //! discard, reorder, and delay messages but not indefinitely". This crate
-//! provides that substrate three ways, all hosting the same sans-I/O
-//! protocol state machines through the [`transport::Protocol`] trait:
+//! provides that substrate, hosting the sans-I/O protocol state machines
+//! through the [`transport::Protocol`] trait:
 //!
 //! - [`link`] — a deterministic, seeded *link model* ([`link::LinkModel`])
 //!   deciding per-message fate (deliver after latency / drop / reorder),
 //!   used by the discrete-event simulator and by adversarial tests;
-//! - [`runtime`] — a threaded in-process cluster
-//!   ([`runtime::ThreadedCluster`]) where every replica runs on its own
-//!   OS thread and messages travel over channels, used by the runnable
-//!   examples;
 //! - [`evented`] — the deployable socket runtime
 //!   ([`evented::EventedNode`]) where every replica is its own process
 //!   listening on a TCP address and messages travel as length-prefixed
@@ -20,10 +16,12 @@
 //!   and zero-copy frame decoding. [`client::TcpClient`] is its client.
 //!
 //! The [`backend`] module puts the socket runtime and an in-process bus
-//! for tests behind the [`backend::TransportBackend`] trait, so one
-//! conformance suite runs against both.
+//! ([`backend::InProcessBackend`]: one thread per replica, framed bytes
+//! over channels — what the examples and socket-free tests run on) behind
+//! the [`backend::TransportBackend`] trait, so one conformance suite runs
+//! against both, and both run the same hosting core.
 //!
-//! Both hosting runtimes additionally consult a shared
+//! Both backends additionally consult a shared
 //! [`fault::FaultPlan`] on their send paths — a seeded, runtime-mutable
 //! decision table for chaos testing (drop/delay/duplicate rules and
 //! named partitions), inert unless the chaos plane installs faults.
@@ -38,7 +36,6 @@ pub mod fault;
 mod host;
 pub mod link;
 mod ring;
-pub mod runtime;
 pub mod status;
 pub mod transport;
 
@@ -49,9 +46,8 @@ pub use client::{ReplyHandler, TcpClient};
 pub use evented::{BoundEventedNode, EventedNode};
 pub use fault::{broadcast_fault_command, send_fault_command, FaultDecision, FaultPlan};
 pub use link::{LinkFate, LinkModel, NetConfig};
-pub use runtime::{NodeHandle, NodeInput, ThreadedCluster};
 pub use status::{
     await_event, fetch_events, fetch_snapshot, request_drain, send_status_request, STATUS_CLIENT,
 };
 pub use host::{NodeConfig, PeerAddr, RecoveryPolicy};
-pub use transport::{BatchPolicy, Protocol, ProtocolOutput, WireMessage};
+pub use transport::{BatchPolicy, Protocol, ProtocolGauges, ProtocolOutput, WireMessage};

@@ -5,9 +5,8 @@
 //! state machine: handlers consume one input and return a list of
 //! outputs. This module turns that convention into a first-class
 //! [`Protocol`] trait so that one runtime implementation can host any of
-//! the three, whether in-process ([`crate::runtime::ThreadedCluster`],
-//! [`crate::backend::InProcessBackend`]) or across real sockets
-//! ([`crate::evented::EventedNode`]).
+//! the three, whether in-process ([`crate::backend::InProcessBackend`])
+//! or across real sockets ([`crate::evented::EventedNode`]).
 //!
 //! It also provides the stream-transport plumbing the socket runtime,
 //! its client and the control-plane helpers share: frame kinds and
@@ -25,7 +24,6 @@ use splitbft_types::{
 };
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::time::Duration;
 
 /// Bound on messages a protocol can put on the wire: canonically
 /// encodable, decodable from untrusted bytes, and cheap to fan out.
@@ -186,71 +184,26 @@ pub trait Protocol: Send + 'static {
     }
 
     /// Monotone count of WAL fsyncs this protocol has performed —
-    /// `0` forever for non-durable protocols. Benchmarks read it (via
-    /// the runtime's gauge) to quantify what group-commit saves.
+    /// `0` forever for non-durable protocols. Benchmarks read it to
+    /// quantify what group-commit saves.
     fn durable_fsyncs(&self) -> u64 {
         0
     }
 
-    // --- sharding hooks -----------------------------------------------------
-    //
-    // A sharded combinator hosts several independent consensus groups
-    // behind one `Protocol` facade; these probes let runtimes expose
-    // per-group gauges without knowing about sharding. Unsharded
-    // protocols keep the defaults: one group, the scalar gauges.
-
-    /// Per-shard breakdown of [`Protocol::progress`]. The default is the
-    /// single-group view; a sharded combinator returns one entry per
-    /// inner instance.
-    fn shard_progress(&self) -> Vec<u64> {
-        vec![self.progress()]
-    }
-
-    /// Per-shard breakdown of [`Protocol::durable_fsyncs`]. The default
-    /// is the single-group view.
-    fn shard_fsyncs(&self) -> Vec<u64> {
-        vec![self.durable_fsyncs()]
-    }
-
-    // --- observability hooks ------------------------------------------------
-    //
-    // Read-only probes feeding the telemetry plane (`splitbft-obs`).
-    // All default to "nothing to report" so existing protocols and the
-    // test doubles in this crate keep compiling unchanged; hosts poll
-    // them once per drain batch, never on a per-message hot path.
-
-    /// The protocol's current view number (the first compartment's view
-    /// for multi-compartment protocols). Protocols without a view notion
-    /// keep the default `0`.
-    fn current_view(&self) -> u64 {
-        0
-    }
-
-    /// Number of client requests accepted but not yet executed. The
-    /// default derives a 0/1 signal from
-    /// [`Protocol::has_pending_requests`]; protocols that track an exact
-    /// count should override.
-    fn pending_request_count(&self) -> u64 {
-        u64::from(self.has_pending_requests())
-    }
-
-    /// Current write-ahead-log length in bytes — `0` for non-durable
-    /// protocols.
-    fn wal_bytes(&self) -> u64 {
-        0
-    }
-
-    /// Monotone count of durable checkpoints sealed to disk — `0` for
-    /// non-durable protocols.
-    fn checkpoint_seal_count(&self) -> u64 {
-        0
-    }
-
-    /// Per-shard breakdown of [`Protocol::current_view`]. The default is
-    /// the single-group view; a sharded combinator returns one entry per
-    /// inner instance.
-    fn shard_views(&self) -> Vec<u64> {
-        vec![self.current_view()]
+    /// The read-only probe feeding the telemetry plane (`splitbft-obs`):
+    /// adds this protocol's consensus groups and scalar gauges to
+    /// `gauges`. Hosts clear one [`ProtocolGauges`] they own and call
+    /// this once per drain batch, never per message.
+    ///
+    /// The default reports one group — [`Protocol::progress`],
+    /// [`Protocol::durable_fsyncs`], view `0` — and a 0/1 pending signal,
+    /// so test doubles need not implement it. Wrappers forward to what
+    /// they wrap and add their own share (a WAL its bytes and seals, a
+    /// sharded combinator one group per inner instance), which is why
+    /// the probe *adds* rather than overwrites.
+    fn probe_gauges(&self, gauges: &mut ProtocolGauges) {
+        gauges.add_group(self.progress(), self.durable_fsyncs(), 0);
+        gauges.pending_requests += u64::from(self.has_pending_requests());
     }
 
     /// Graceful-drain epilogue: force a checkpoint seal and WAL flush so
@@ -260,6 +213,51 @@ pub trait Protocol: Send + 'static {
     /// protocols keep the default no-op.
     fn drain_seal(&mut self) -> Vec<ProtocolOutput<Self::Message>> {
         Vec::new()
+    }
+}
+
+/// What a hosted [`Protocol`] reports to the telemetry plane through
+/// [`Protocol::probe_gauges`]. Owned and reused by the host, so a probe
+/// allocates nothing once the vectors have grown to the group count.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ProtocolGauges {
+    /// Client requests accepted but not yet executed.
+    pub pending_requests: u64,
+    /// Current write-ahead-log length in bytes (`0` if not durable).
+    pub wal_bytes: u64,
+    /// Durable checkpoints sealed to disk so far (`0` if not durable).
+    pub checkpoint_seals: u64,
+    /// Highest executed sequence number of each consensus group.
+    pub shard_progress: Vec<u64>,
+    /// WAL fsyncs performed for each group.
+    pub shard_fsyncs: Vec<u64>,
+    /// Current view of each group (the first compartment's, for
+    /// multi-compartment protocols).
+    pub shard_views: Vec<u64>,
+}
+
+impl ProtocolGauges {
+    /// Resets every gauge, keeping the vectors' capacity.
+    pub fn clear(&mut self) {
+        self.pending_requests = 0;
+        self.wal_bytes = 0;
+        self.checkpoint_seals = 0;
+        self.shard_progress.clear();
+        self.shard_fsyncs.clear();
+        self.shard_views.clear();
+    }
+
+    /// The scalar view gauge: the first group's (the full per-group
+    /// picture is `shard_views`), `0` before any group reported.
+    pub fn view(&self) -> u64 {
+        self.shard_views.first().copied().unwrap_or(0)
+    }
+
+    /// Appends one consensus group.
+    pub fn add_group(&mut self, progress: u64, fsyncs: u64, view: u64) {
+        self.shard_progress.push(progress);
+        self.shard_fsyncs.push(fsyncs);
+        self.shard_views.push(view);
     }
 }
 
@@ -345,12 +343,6 @@ pub struct BatchPolicy {
     pub max_frames: usize,
     /// Flush once the coalesced write reaches this many bytes.
     pub max_bytes: usize,
-    /// How long a non-full batch may wait for more frames before it is
-    /// flushed anyway. The evented loop stages whatever is queued on
-    /// every pass — the zero-linger behaviour — and ignores this value;
-    /// the field (and the `batch_linger_us` key behind it) is kept so
-    /// existing cluster files parse and reports keep their shape.
-    pub linger: Duration,
 }
 
 impl Default for BatchPolicy {
@@ -358,7 +350,7 @@ impl Default for BatchPolicy {
         // One syscall per ~64 messages or ~256 KiB, whichever first: large
         // enough to amortize syscalls under load, small enough to keep
         // per-message latency negligible on a LAN.
-        BatchPolicy { max_frames: 64, max_bytes: 256 * 1024, linger: Duration::ZERO }
+        BatchPolicy { max_frames: 64, max_bytes: 256 * 1024 }
     }
 }
 

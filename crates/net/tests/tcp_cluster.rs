@@ -8,11 +8,11 @@
 //! `splitbft-node` binary deploys it, just inside one test process.
 
 use splitbft_app::CounterApp;
-use splitbft_core::{SplitBftClient, SplitBftReplica, SplitClientEvent};
-use splitbft_hybrid::{HybridClient, HybridClientEvent, HybridConfig, HybridReplica, Usig};
+use splitbft_core::{SplitBftClient, SplitBftReplica};
+use splitbft_hybrid::{HybridConfig, HybridReplica, Usig};
 use splitbft_net::{EventedNode, NodeConfig, PeerAddr, TcpClient};
 use splitbft_net::transport::Protocol;
-use splitbft_pbft::{ClientEvent, PbftClient, Replica as PbftReplica};
+use splitbft_pbft::{ClientEvent, LockstepClient, Replica as PbftReplica};
 use splitbft_tee::{CostModel, ExecMode};
 use splitbft_types::{ClientId, ClusterConfig, ReplicaId, Reply};
 use std::net::SocketAddr;
@@ -86,7 +86,7 @@ fn pbft_cluster_commits_over_tcp() {
     });
 
     let config = ClusterConfig::new(N).unwrap();
-    let mut protocol_client = PbftClient::new(config, ClientId(3), SEED);
+    let mut protocol_client = LockstepClient::new(config.reply_quorum(), ClientId(3), SEED);
     let mut tcp = TcpClient::connect(ClientId(3), &addrs, Duration::from_secs(10)).unwrap();
 
     for expected in 1..=3u64 {
@@ -128,7 +128,7 @@ fn pbft_cluster_tolerates_f_crashed_backups() {
     nodes.pop().unwrap().shutdown();
 
     let config = ClusterConfig::new(N).unwrap();
-    let mut protocol_client = PbftClient::new(config, ClientId(4), SEED);
+    let mut protocol_client = LockstepClient::new(config.reply_quorum(), ClientId(4), SEED);
     let mut tcp = TcpClient::connect(ClientId(4), &addrs, Duration::from_secs(3)).unwrap();
     assert_eq!(tcp.connected(), N - 1, "client should skip the dead replica");
 
@@ -166,7 +166,7 @@ fn pbft_cluster_fails_over_a_crashed_primary() {
     nodes.remove(0).shutdown();
 
     let config = ClusterConfig::new(N).unwrap();
-    let mut protocol_client = PbftClient::new(config, ClientId(6), SEED);
+    let mut protocol_client = LockstepClient::new(config.reply_quorum(), ClientId(6), SEED);
     let mut tcp = TcpClient::connect(ClientId(6), &addrs, Duration::from_secs(3)).unwrap();
     assert_eq!(tcp.connected(), N - 1);
 
@@ -212,7 +212,7 @@ fn pbft_idle_cluster_does_not_churn_views() {
     // Replica 0 must still be primary: a request sent *only* to it (no
     // broadcast fallback, no retransmission) completes only in view 0.
     let config = ClusterConfig::new(N).unwrap();
-    let mut protocol_client = PbftClient::new(config, ClientId(7), SEED);
+    let mut protocol_client = LockstepClient::new(config.reply_quorum(), ClientId(7), SEED);
     let mut tcp = TcpClient::connect(ClientId(7), &addrs, Duration::from_secs(3)).unwrap();
     let request = protocol_client.issue(bytes::Bytes::from_static(b"inc"));
     tcp.send_to(0, &[request]).unwrap();
@@ -259,7 +259,7 @@ fn splitbft_cluster_commits_over_tcp() {
         tcp.send_to(0, &[request]).unwrap();
         await_completion(
             &tcp,
-            |reply| matches!(protocol_client.on_reply(reply), SplitClientEvent::Completed(_)),
+            |reply| matches!(protocol_client.on_reply(reply), ClientEvent::Completed(_)),
             "splitbft request",
         );
     }
@@ -283,7 +283,7 @@ fn minbft_cluster_commits_over_tcp() {
     });
 
     let config = HybridConfig::new(N).unwrap();
-    let mut protocol_client = HybridClient::new(config, ClientId(5), SEED);
+    let mut protocol_client = LockstepClient::new(config.reply_quorum(), ClientId(5), SEED);
     let mut tcp = TcpClient::connect(ClientId(5), &addrs, Duration::from_secs(10)).unwrap();
 
     for expected in 1..=3u64 {
@@ -293,7 +293,7 @@ fn minbft_cluster_commits_over_tcp() {
         await_completion(
             &tcp,
             |reply| match protocol_client.on_reply(reply) {
-                HybridClientEvent::Completed(r) => {
+                ClientEvent::Completed(r) => {
                     result = Some(r);
                     true
                 }

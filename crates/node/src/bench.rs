@@ -242,7 +242,7 @@ pub fn parse_duration(s: &str) -> Result<Duration, String> {
 const KNOWN_FLAGS: &[&str] = &[
     "--config", "--protocol", "--app", "--replicas", "--seed", "--clients", "--pipeline",
     "--duration", "--rate", "--keys", "--value-size", "--read-ratio", "--payload",
-    "--batch-frames", "--batch-bytes", "--batch-linger-us", "--sweep-batch-frames",
+    "--batch-frames", "--batch-bytes", "--sweep-batch-frames",
     "--timeout-ms", "--out", "--name", "--window-ms", "--retry-ms", "--drain-secs",
     "--client-base", "--data-dir", "--sweep-rate", "--wal-group-commit-us", "--shards",
     "--transport", "--metrics-addr",
@@ -646,7 +646,6 @@ fn run_measurement(
             BatchSummary {
                 max_frames: batch.max_frames,
                 max_bytes: batch.max_bytes,
-                linger_us: batch.linger.as_micros() as u64,
             },
             &stats,
             committed,

@@ -34,7 +34,7 @@
 use crate::ConfigError;
 use splitbft_hybrid::HybridMessage;
 use splitbft_model::Adversary;
-use splitbft_net::transport::{Protocol, ProtocolOutput};
+use splitbft_net::transport::{Protocol, ProtocolGauges, ProtocolOutput};
 use splitbft_types::{
     ConsensusMessage, DurableCheckpoint, DurableEvent, ProtocolError, ReplicaId, SeqNum,
 };
@@ -279,24 +279,8 @@ where
         self.inner.durable_fsyncs()
     }
 
-    fn current_view(&self) -> u64 {
-        self.inner.current_view()
-    }
-
-    fn pending_request_count(&self) -> u64 {
-        self.inner.pending_request_count()
-    }
-
-    fn wal_bytes(&self) -> u64 {
-        self.inner.wal_bytes()
-    }
-
-    fn checkpoint_seal_count(&self) -> u64 {
-        self.inner.checkpoint_seal_count()
-    }
-
-    fn shard_views(&self) -> Vec<u64> {
-        self.inner.shard_views()
+    fn probe_gauges(&self, gauges: &mut ProtocolGauges) {
+        self.inner.probe_gauges(gauges);
     }
 
     fn drain_seal(&mut self) -> Vec<ProtocolOutput<P::Message>> {

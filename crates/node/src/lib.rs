@@ -19,7 +19,6 @@
 //! timeout_ms = 2000       # view-change timer period; 0 disables
 //! batch_max_frames = 64   # send-path batching: frames per write
 //! batch_max_bytes = 262144 #   bytes per write
-//! batch_linger_us = 0     #   parsed, ignored: every loop pass flushes
 //! # data_dir = "/var/lib/splitbft"  # durability root (omit = in-memory);
 //! #                                 # replica i persists under
 //! #                                 # <data_dir>/replica-<i>/
@@ -68,18 +67,20 @@ pub mod chaos;
 pub use byzantine::{ByzantineMode, ByzantineProtocol};
 
 use bytes::Bytes;
-use splitbft_app::{Application, Blockchain, CounterApp, KeyValueStore};
-use splitbft_core::{SplitBftClient, SplitBftReplica, SplitClientEvent};
-use splitbft_hybrid::{HybridClient, HybridClientEvent, HybridConfig, HybridReplica, Usig};
+use splitbft_app::{
+    Application, Blockchain, ClientEvent, CounterApp, KeyValueStore, LockstepClient,
+};
+use splitbft_core::SplitBftReplica;
+use splitbft_hybrid::{HybridConfig, HybridReplica, Usig};
 use splitbft_net::transport::{BatchPolicy, Protocol};
 use splitbft_net::{
     BoundEventedNode, EventedNode, NodeConfig, PeerAddr, RecoveryPolicy, TcpClient,
 };
-use splitbft_pbft::{ClientEvent, PbftClient, Replica as PbftReplica};
+use splitbft_pbft::Replica as PbftReplica;
 use splitbft_shard::{ShardMember, ShardRouter, Sharded};
 use splitbft_store::{replica_sealing_identity, DurableProtocol};
 use splitbft_tee::{CostModel, ExecMode};
-use splitbft_types::{ClientId, ClusterConfig, ReplicaId, Reply, ShardId, StatusEvent};
+use splitbft_types::{ClientId, ClusterConfig, ReplicaId, ShardId, StatusEvent};
 use std::fmt;
 use std::io;
 use std::net::SocketAddr;
@@ -333,12 +334,6 @@ pub fn parse_cluster_toml(text: &str) -> Result<ClusterFile, ConfigError> {
             (None, "batch_max_bytes") => {
                 options.batch.max_bytes = parse_positive(value)
                     .map_err(|m| err(format!("batch_max_bytes {m}, got {value:?}")))?;
-            }
-            (None, "batch_linger_us") => {
-                let us: u64 = value
-                    .parse()
-                    .map_err(|_| err(format!("batch_linger_us must be an integer, got {value:?}")))?;
-                options.batch.linger = Duration::from_micros(us);
             }
             (None, "data_dir") => {
                 options.data_dir = Some(PathBuf::from(parse_string(value)?));
@@ -846,7 +841,7 @@ pub(crate) fn validate_cli_flags(
     Ok(())
 }
 
-/// Applies the `--batch-frames` / `--batch-bytes` / `--batch-linger-us`
+/// Applies the `--batch-frames` / `--batch-bytes`
 /// CLI overrides onto `batch`, validating like the cluster-file parser
 /// (the frame and byte limits must be positive).
 ///
@@ -861,11 +856,6 @@ pub fn apply_batch_flags(args: &[String], batch: &mut BatchPolicy) -> Result<(),
     if let Some(bytes) = cli_flag(args, "--batch-bytes") {
         batch.max_bytes =
             parse_positive(&bytes).map_err(|m| format!("--batch-bytes {m}, got {bytes:?}"))?;
-    }
-    if let Some(us) = cli_flag(args, "--batch-linger-us") {
-        let us: u64 =
-            us.parse().map_err(|_| format!("--batch-linger-us must be an integer, got {us:?}"))?;
-        batch.linger = Duration::from_micros(us);
     }
     Ok(())
 }
@@ -936,82 +926,6 @@ fn invalid<E: fmt::Display>(e: E) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, e.to_string())
 }
 
-/// A protocol-dispatching client state machine: issues authenticated
-/// requests and recognizes completed reply quorums for whichever stack
-/// the cluster runs.
-#[derive(Debug)]
-pub enum AnyClient {
-    /// PBFT client (`f + 1` matching replies).
-    Pbft(PbftClient),
-    /// SplitBFT client in plaintext mode (`f + 1` matching replies).
-    SplitBft(SplitBftClient),
-    /// Hybrid client (`f + 1` matching replies of `2f + 1`).
-    MinBft(HybridClient),
-}
-
-impl AnyClient {
-    /// Creates the client for `protocol` against an `n`-replica cluster.
-    ///
-    /// Timestamps start at wall-clock microseconds so that repeated CLI
-    /// invocations reusing one client id keep issuing fresh requests —
-    /// replicas suppress duplicates by last-seen timestamp per client.
-    pub fn new(
-        protocol: ProtocolKind,
-        n: usize,
-        id: ClientId,
-        seed: u64,
-    ) -> io::Result<AnyClient> {
-        let now = splitbft_types::Timestamp(
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_micros() as u64)
-                .unwrap_or(1)
-                .max(1),
-        );
-        Ok(match protocol {
-            ProtocolKind::Pbft => {
-                AnyClient::Pbft(PbftClient::new(cluster_config(n)?, id, seed).starting_at(now))
-            }
-            ProtocolKind::SplitBft => AnyClient::SplitBft(
-                SplitBftClient::new(cluster_config(n)?, id, seed, 1)
-                    .with_plaintext()
-                    .starting_at(now),
-            ),
-            ProtocolKind::MinBft => AnyClient::MinBft(
-                HybridClient::new(HybridConfig::new(n).map_err(invalid)?, id, seed)
-                    .starting_at(now),
-            ),
-        })
-    }
-
-    /// Issues the next request carrying `op`.
-    pub fn issue(&mut self, op: &[u8]) -> splitbft_types::Request {
-        match self {
-            AnyClient::Pbft(c) => c.issue(Bytes::copy_from_slice(op)),
-            AnyClient::SplitBft(c) => c.issue(op),
-            AnyClient::MinBft(c) => c.issue(Bytes::copy_from_slice(op)),
-        }
-    }
-
-    /// Feeds one reply; returns the agreed result once a quorum matches.
-    pub fn on_reply(&mut self, reply: &Reply) -> Option<Bytes> {
-        match self {
-            AnyClient::Pbft(c) => match c.on_reply(reply) {
-                ClientEvent::Completed(r) => Some(r),
-                _ => None,
-            },
-            AnyClient::SplitBft(c) => match c.on_reply(reply) {
-                SplitClientEvent::Completed(r) => Some(r),
-                _ => None,
-            },
-            AnyClient::MinBft(c) => match c.on_reply(reply) {
-                HybridClientEvent::Completed(r) => Some(r),
-                _ => None,
-            },
-        }
-    }
-}
-
 /// Runs a closed-loop client against the cluster: `count` sequential
 /// `op` requests to the view-0 primary, awaiting the reply quorum for
 /// each. Returns the result of every completed request.
@@ -1033,11 +947,22 @@ pub fn run_client(
     count: usize,
     timeout: Duration,
 ) -> io::Result<Vec<Bytes>> {
-    let mut client = AnyClient::new(protocol, file.n(), client_id, file.seed)?;
+    // One client type serves every stack: they share the request/reply
+    // MAC scheme and differ only in the `f + 1` their cluster size
+    // implies. Timestamps start at wall-clock microseconds so that
+    // repeated invocations reusing one client id keep issuing fresh
+    // requests — replicas suppress duplicates by last-seen timestamp.
+    let now = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(1, |d| d.as_micros() as u64)
+        .max(1);
+    let reply_quorum = fault_tolerance_for(protocol, file.n())? + 1;
+    let mut client = LockstepClient::new(reply_quorum, client_id, file.seed)
+        .starting_at(splitbft_types::Timestamp(now));
     let mut tcp = TcpClient::connect(client_id, &file.addrs(), timeout)?;
     let mut results = Vec::with_capacity(count);
     for i in 0..count {
-        let request = client.issue(op);
+        let request = client.issue(Bytes::copy_from_slice(op));
         // Primary first; fall back to broadcast if it was unreachable.
         if tcp.send_to(0, std::slice::from_ref(&request)).is_err() {
             tcp.send_all(std::slice::from_ref(&request))?;
@@ -1060,7 +985,7 @@ pub fn run_client(
             let wait = deadline.min(resend_at);
             match tcp.replies().recv_timeout(wait.saturating_duration_since(now)) {
                 Ok(reply) => {
-                    if let Some(result) = client.on_reply(&reply) {
+                    if let ClientEvent::Completed(result) = client.on_reply(&reply) {
                         break result;
                     }
                 }

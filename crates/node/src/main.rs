@@ -80,8 +80,7 @@ USAGE:
                          [--byzantine equivocating-primary|silent-backup|corrupt-mac]
                          [--data-dir <dir>] [--wal-group-commit-us <us>]
                          [--timeout-ms <ms>] [--batch-frames <n>]
-                         [--batch-bytes <n>] [--batch-linger-us <us>]
-                         [--shards <n>]
+                         [--batch-bytes <n>] [--shards <n>]
                          [--enable-fault-injection] [--enable-status-admin]
                          [--metrics-addr <host:port>]
     splitbft-node client --config <cluster.toml> [--protocol <p>] [--client <id>]

@@ -70,8 +70,6 @@ pub struct NodeTelemetry {
 
     shard_progress: Mutex<Vec<Metric>>,
     shard_fsyncs: Mutex<Vec<Metric>>,
-    shard_progress_values: Mutex<Vec<u64>>,
-    shard_fsync_values: Mutex<Vec<u64>>,
     shard_views: Mutex<Vec<Metric>>,
 }
 
@@ -119,8 +117,6 @@ impl NodeTelemetry {
                 .gauge("splitbft_draining", "1 once a graceful drain was requested"),
             shard_progress: Mutex::new(Vec::new()),
             shard_fsyncs: Mutex::new(Vec::new()),
-            shard_progress_values: Mutex::new(Vec::new()),
-            shard_fsync_values: Mutex::new(Vec::new()),
             shard_views: Mutex::new(Vec::new()),
             journal: EventJournal::default(),
             replica,
@@ -150,28 +146,20 @@ impl NodeTelemetry {
     /// series on first sight of each shard index.
     pub fn set_shard_gauges(&self, progress: &[u64], fsyncs: &[u64]) {
         self.shards.set(progress.len().max(1) as u64);
-        {
-            let mut metrics = self.shard_progress.lock().expect("shard metrics");
-            Self::publish_shard(
-                &self.registry,
-                &mut metrics,
-                "splitbft_shard_progress",
-                "per-shard highest executed sequence number",
-                progress,
-            );
-            *self.shard_progress_values.lock().expect("shard values") = progress.to_vec();
-        }
-        {
-            let mut metrics = self.shard_fsyncs.lock().expect("shard metrics");
-            Self::publish_shard(
-                &self.registry,
-                &mut metrics,
-                "splitbft_shard_fsyncs",
-                "per-shard WAL fsync count",
-                fsyncs,
-            );
-            *self.shard_fsync_values.lock().expect("shard values") = fsyncs.to_vec();
-        }
+        Self::publish_shard(
+            &self.registry,
+            &mut self.shard_progress.lock().expect("shard metrics"),
+            "splitbft_shard_progress",
+            "per-shard highest executed sequence number",
+            progress,
+        );
+        Self::publish_shard(
+            &self.registry,
+            &mut self.shard_fsyncs.lock().expect("shard metrics"),
+            "splitbft_shard_fsyncs",
+            "per-shard WAL fsync count",
+            fsyncs,
+        );
     }
 
     fn publish_shard(
@@ -190,20 +178,25 @@ impl NodeTelemetry {
         }
     }
 
+    /// The per-shard progress last published (one entry when unsharded).
+    pub fn shard_progress(&self) -> Vec<u64> {
+        self.shard_progress.lock().expect("shard metrics").iter().map(Metric::get).collect()
+    }
+
+    /// The per-shard fsync counts last published.
+    pub fn shard_fsyncs(&self) -> Vec<u64> {
+        self.shard_fsyncs.lock().expect("shard metrics").iter().map(Metric::get).collect()
+    }
+
     /// Publishes per-shard view gauges (one labeled series per shard).
     pub fn set_shard_views(&self, views: &[u64]) {
-        let mut metrics = self.shard_views.lock().expect("shard metrics");
-        while metrics.len() < views.len() {
-            let shard = metrics.len().to_string();
-            metrics.push(self.registry.gauge_with(
-                "splitbft_shard_view",
-                &[("shard", &shard)],
-                "per-shard current view",
-            ));
-        }
-        for (metric, value) in metrics.iter().zip(views) {
-            metric.set(*value);
-        }
+        Self::publish_shard(
+            &self.registry,
+            &mut self.shard_views.lock().expect("shard metrics"),
+            "splitbft_shard_view",
+            "per-shard current view",
+            views,
+        );
     }
 
     /// Marks the start/end of startup recovery & catch-up.
@@ -279,8 +272,8 @@ impl NodeTelemetry {
             bytes_in: self.bytes_in.get(),
             bytes_out: self.bytes_out.get(),
             queue_depth_high_water: self.queue_depth_high_water.get(),
-            shard_progress: self.shard_progress_values.lock().expect("shard values").clone(),
-            shard_fsyncs: self.shard_fsync_values.lock().expect("shard values").clone(),
+            shard_progress: self.shard_progress(),
+            shard_fsyncs: self.shard_fsyncs(),
             recovering: self.recovering(),
             draining: self.draining(),
             drained: self.drained(),

@@ -8,7 +8,9 @@
 //! numbers before the checkpoint, even if they are received later".
 
 use crate::votes::VoteSet;
-use splitbft_types::{Checkpoint, CheckpointCertificate, ClusterConfig, SeqNum, Signed};
+use splitbft_types::{
+    Checkpoint, CheckpointCertificate, ClusterConfig, ProtocolError, SeqNum, Signed,
+};
 use std::collections::BTreeMap;
 
 /// Collects checkpoint votes and detects stability.
@@ -40,6 +42,21 @@ impl CheckpointTracker {
     /// The proof of the current stable checkpoint.
     pub fn stable_proof(&self) -> &CheckpointCertificate {
         &self.stable
+    }
+
+    /// Checks `seq` against the watermark window `(stable, stable + window]`.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::OutOfWindow`] when outside it.
+    pub fn check_window(&self, seq: SeqNum, window: u64) -> Result<(), ProtocolError> {
+        let low = self.stable_seq();
+        let high = SeqNum(low.0 + window);
+        if seq > low && seq <= high {
+            Ok(())
+        } else {
+            Err(ProtocolError::OutOfWindow { seq, low, high })
+        }
     }
 
     /// Installs an externally validated certificate (from a `NewView` or a

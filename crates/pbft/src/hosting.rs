@@ -1,17 +1,17 @@
 //! Hosting adapter: [`Replica`] as a [`Protocol`].
 //!
 //! With this impl a PBFT replica drops unchanged into any
-//! `splitbft-net` runtime — the in-process [`ThreadedCluster`] or the
-//! deployable [`EventedNode`] — which is how the socket demo and the
+//! `splitbft-net` runtime — the in-process [`InProcessBackend`] bus or
+//! the deployable [`EventedNode`] — which is how the socket demo and the
 //! `splitbft-node` binary run the baseline.
 //!
-//! [`ThreadedCluster`]: splitbft_net::runtime::ThreadedCluster
+//! [`InProcessBackend`]: splitbft_net::backend::InProcessBackend
 //! [`EventedNode`]: splitbft_net::evented::EventedNode
 
 use crate::action::Action;
 use crate::replica::Replica;
 use splitbft_app::Application;
-use splitbft_net::transport::{Protocol, ProtocolOutput};
+use splitbft_net::transport::{Protocol, ProtocolGauges, ProtocolOutput};
 use splitbft_types::{
     ConsensusMessage, DurableCheckpoint, DurableEvent, ProtocolError, Request, SeqNum,
 };
@@ -59,8 +59,9 @@ impl<A: Application + 'static> Protocol for Replica<A> {
         Replica::has_pending_requests(self)
     }
 
-    fn current_view(&self) -> u64 {
-        self.view().0
+    fn probe_gauges(&self, gauges: &mut ProtocolGauges) {
+        gauges.add_group(self.last_executed().0, 0, self.view().0);
+        gauges.pending_requests += u64::from(Replica::has_pending_requests(self));
     }
 
     fn drain_durable_events(&mut self) -> Vec<DurableEvent> {

@@ -14,8 +14,9 @@
 //! - [`replica::Replica`] — the per-replica state machine; feed it
 //!   messages and timer events, interpret the returned
 //!   [`action::Action`]s.
-//! - [`client::PbftClient`] — issues authenticated requests and collects
-//!   `f + 1` matching replies.
+//! - [`LockstepClient`] (from `splitbft-app`, shared by all three stacks)
+//!   — issues authenticated requests and collects `f + 1` matching
+//!   replies.
 //! - [`batcher::Batcher`] — size/timeout request batching (untrusted-side
 //!   logic per principle P1).
 //! - [`log`], [`votes`], [`checkpoint`], [`viewchange`], [`verify`] — the
@@ -44,7 +45,6 @@ pub mod action;
 pub mod batcher;
 pub mod checkpoint;
 pub mod hosting;
-pub mod client;
 pub mod log;
 pub mod replica;
 pub mod verify;
@@ -54,11 +54,11 @@ pub mod votes;
 pub use action::{outbound, Action};
 pub use batcher::Batcher;
 pub use checkpoint::CheckpointTracker;
-pub use client::{ClientEvent, PbftClient};
 pub use log::{MessageLog, Proposals, Slot};
-pub use replica::{
-    make_request, stall_budget, Replica, Status, CATCH_UP_CHUNK_SLOTS, STALLS_BEFORE_ADVANCE,
-};
+pub use replica::{make_request, Replica, Status, CATCH_UP_CHUNK_SLOTS};
+pub use splitbft_app::{ClientEvent, LockstepClient};
 pub use verify::{SignerScheme, REPLICA_SCHEME};
-pub use viewchange::{plan_new_view, validate_new_view, NewViewPlan, ViewChangeTracker};
+pub use viewchange::{
+    plan_new_view, validate_new_view, NewViewPlan, PendingRequests, ViewChangeTracker, ViewTimer,
+};
 pub use votes::VoteSet;

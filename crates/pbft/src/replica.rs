@@ -28,41 +28,22 @@ use crate::log::MessageLog;
 use crate::verify::{
     self, verify_signed_from, SignerScheme, REPLICA_SCHEME,
 };
-use crate::viewchange::{plan_new_view, validate_new_view, NewViewPlan, ViewChangeTracker};
-use splitbft_app::Application;
+use crate::viewchange::{
+    plan_new_view, validate_new_view, NewViewPlan, PendingRequests, ViewChangeTracker, ViewTimer,
+};
+use splitbft_app::{Application, Cached, ReplyCache};
 use splitbft_crypto::{client_mac_key, digest_bytes, digest_of, ClientMacKeys, KeyPair, KeyRegistry};
-use splitbft_types::wire::{decode, encode, Decode, Encode, Reader};
+use splitbft_types::wire::{decode, encode};
 use splitbft_types::{
     Checkpoint, CheckpointCertificate, ClientId, ClusterConfig, Commit, ConsensusMessage, Digest,
     DurableCheckpoint, DurableEvent, NewView, PrePrepare, Prepare, PrepareCertificate,
-    ProtocolError, ReplicaId, Reply, Request, RequestBatch, SeqNum, Signed, SignerId, Timestamp,
-    View, ViewChange,
+    ProtocolError, ReplicaId, Request, RequestBatch, SeqNum, Signed, SignerId, View, ViewChange,
 };
 use std::collections::BTreeMap;
 
 /// Upper bound on buffered future-view messages (defence against memory
 /// exhaustion by a byzantine peer flooding messages for far-future views).
 const MAX_FUTURE_BUFFER: usize = 4_096;
-
-/// Base number of timeouts spent re-broadcasting the same `ViewChange`
-/// before the target advances anyway (the escape hatch for a dead
-/// target-primary). Public because the SplitBFT Confirmation compartment
-/// implements the same convergence fix and imports this constant — one
-/// damping knob, both stacks in lockstep.
-pub const STALLS_BEFORE_ADVANCE: u32 = 2;
-
-/// Exponential view-change backoff: the re-broadcast budget for the
-/// `escalations`-th consecutive view hop without entering a view.
-///
-/// The first failover keeps the base budget (fast recovery from a single
-/// crashed primary); each further hop doubles it, capped at 8× — PBFT's
-/// doubling view-change timer expressed in timer ticks. Without backoff,
-/// replicas whose timers interleave keep leapfrogging each other's
-/// target views under churn and convergence is only ever accidental.
-/// Entering any view resets the escalation count.
-pub fn stall_budget(escalations: u32) -> u32 {
-    STALLS_BEFORE_ADVANCE << escalations.min(3)
-}
 
 /// Most slots served per catch-up response (state transfer is chunked:
 /// a deeply lagging peer requests again with a higher `have_seq`).
@@ -108,16 +89,8 @@ pub struct Replica<A> {
     /// can only join the view through this (self-certifying) message,
     /// so it leads every served catch-up suffix.
     last_new_view: Option<Signed<NewView>>,
-    /// Consecutive timeouts spent in view-change status awaiting the
-    /// same `NewView`. Below the current [`stall_budget`] the replica
-    /// *re-broadcasts* its current `ViewChange` instead of targeting the
-    /// next view — without this backoff one fast-ticking replica
-    /// leapfrogs a view ahead of the cluster forever and the view change
-    /// never converges.
-    stalled_timeouts: u32,
-    /// Consecutive view hops without entering a view; exponent of the
-    /// [`stall_budget`]. Resets on [`Replica::enter_view`].
-    view_change_escalations: u32,
+    /// Re-broadcast-or-advance backoff while awaiting a `NewView`.
+    view_timer: ViewTimer,
 
     app: A,
     /// Highest sequence number assigned by this replica as primary.
@@ -125,12 +98,11 @@ pub struct Replica<A> {
     /// Highest sequence number executed.
     last_exec: SeqNum,
     /// Cached last reply per client, for duplicate suppression and resend.
-    last_replies: BTreeMap<ClientId, Reply>,
-    /// Highest authenticated-but-not-yet-executed request timestamp per
-    /// client: the evidence a request-aware view-change timer needs.
-    /// Entries clear on execution and on starting a view change (each
-    /// stall buys one failover attempt; client retransmission re-arms).
-    pending_requests: BTreeMap<ClientId, Timestamp>,
+    replies: ReplyCache,
+    /// Authenticated-but-not-yet-executed requests: the evidence a
+    /// request-aware view-change timer needs. Markers clear on execution
+    /// and on starting a view change.
+    pending_requests: PendingRequests,
     /// Durable consensus events buffered for the hosting runtime's WAL.
     /// Only populated when a durable runtime opted in via
     /// [`Replica::enable_durable_events`]; plain in-memory hosting pays
@@ -166,13 +138,12 @@ impl<A: Application> Replica<A> {
             prepared_certs: BTreeMap::new(),
             future_buffer: Vec::new(),
             last_new_view: None,
-            stalled_timeouts: 0,
-            view_change_escalations: 0,
+            view_timer: ViewTimer::default(),
             app,
             next_seq: SeqNum::zero(),
             last_exec: SeqNum::zero(),
-            last_replies: BTreeMap::new(),
-            pending_requests: BTreeMap::new(),
+            replies: ReplyCache::new(),
+            pending_requests: PendingRequests::default(),
             durable: Vec::new(),
             durable_enabled: false,
         }
@@ -230,7 +201,7 @@ impl<A: Application> Replica<A> {
     pub fn memory_usage(&self) -> usize {
         self.log.len() * 512
             + self.app.memory_usage()
-            + self.last_replies.len() * 128
+            + self.replies.len() * 128
             + self.client_keys.memory_usage()
     }
 
@@ -409,13 +380,13 @@ impl<A: Application> Replica<A> {
             if !self.verify_request(&req) {
                 continue;
             }
-            match self.last_replies.get(&req.client()) {
-                Some(cached) if cached.request.timestamp == req.id.timestamp => {
-                    actions.push(Action::SendReply { to: req.client(), reply: cached.clone() });
+            match self.replies.lookup(req.id) {
+                Cached::Resend(reply) => {
+                    actions.push(Action::SendReply { to: req.client(), reply: reply.clone() });
                 }
-                Some(cached) if cached.request.timestamp > req.id.timestamp => {}
-                _ => {
-                    self.note_pending(req.client(), req.id.timestamp);
+                Cached::Stale => {}
+                Cached::Fresh => {
+                    self.pending_requests.note(req.id);
                     fresh.push(req);
                 }
             }
@@ -465,20 +436,11 @@ impl<A: Application> Replica<A> {
     /// The environment's view-change timer fired: vote to depose the
     /// current primary (or escalate to the next view if already changing).
     pub fn on_view_timeout(&mut self) -> Vec<Action> {
-        if self.status == Status::InViewChange {
-            if self.stalled_timeouts < stall_budget(self.view_change_escalations) {
-                // Still awaiting the NewView for the view we already
-                // voted: re-broadcast the vote (the target's primary may
-                // have missed or restarted past it) instead of hopping
-                // onward.
-                self.stalled_timeouts += 1;
-                let signed = self.signed_view_change(self.view);
-                return vec![Action::Broadcast { msg: ConsensusMessage::ViewChange(signed) }];
-            }
-            // Budget exhausted: escalate, doubling the next hop's
-            // budget so repeatedly-failing view changes back off
-            // exponentially instead of racing each other.
-            self.view_change_escalations = self.view_change_escalations.saturating_add(1);
+        if self.status == Status::InViewChange && self.view_timer.rebroadcast_on_timeout() {
+            // Still awaiting the NewView for the view we already voted:
+            // re-broadcast the vote instead of hopping onward.
+            let signed = self.signed_view_change(self.view);
+            return vec![Action::Broadcast { msg: ConsensusMessage::ViewChange(signed) }];
         }
         let target = self.view.next();
         self.start_view_change(target)
@@ -513,23 +475,6 @@ impl<A: Application> Replica<A> {
     /// rejected on any failure, so no per-request verdict is needed.
     fn verify_request_batch(&mut self, requests: &[Request]) -> bool {
         self.client_keys.verify_requests(requests)
-    }
-
-    /// Records an accepted-but-unexecuted request for the view-change
-    /// timer. One entry per client (the highest timestamp seen) bounds
-    /// the map at one entry per live client.
-    fn note_pending(&mut self, client: ClientId, timestamp: Timestamp) {
-        let entry = self.pending_requests.entry(client).or_insert(timestamp);
-        if *entry < timestamp {
-            *entry = timestamp;
-        }
-    }
-
-    /// Clears a client's pending marker once execution caught up to it.
-    fn clear_pending(&mut self, client: ClientId, executed: Timestamp) {
-        if self.pending_requests.get(&client).is_some_and(|t| *t <= executed) {
-            self.pending_requests.remove(&client);
-        }
     }
 
     fn check_active_view(&self, view: View, seq: SeqNum) -> Result<(), ProtocolError> {
@@ -695,23 +640,21 @@ impl<A: Application> Replica<A> {
         let mut actions = Vec::new();
         for req in &batch.requests {
             let client = req.client();
-            match self.last_replies.get(&client) {
-                Some(cached) if cached.request.timestamp == req.id.timestamp => {
-                    actions.push(Action::SendReply { to: client, reply: cached.clone() });
+            match self.replies.lookup(req.id) {
+                Cached::Resend(reply) => {
+                    actions.push(Action::SendReply { to: client, reply: reply.clone() });
                     continue;
                 }
-                Some(cached) if cached.request.timestamp > req.id.timestamp => continue,
-                _ => {}
+                Cached::Stale => continue,
+                Cached::Fresh => {}
             }
             // The baseline executes plaintext operations; an encrypted
             // operation (SplitBFT's confidential mode) is opaque bytes
             // here and will execute as a no-op.
             let result = self.app.execute(&req.op);
-            let auth = self.client_keys.reply_tag(self.view, req.id, self.id, &result, false);
             let reply =
-                Reply { view: self.view, request: req.id, replica: self.id, result, encrypted: false, auth };
-            self.last_replies.insert(client, reply.clone());
-            self.clear_pending(client, req.id.timestamp);
+                self.replies.record(&self.client_keys, self.view, self.id, req.id, result, false);
+            self.pending_requests.executed(req.id);
             actions.push(Action::Executed { seq, request: req.id });
             actions.push(Action::SendReply { to: client, reply });
         }
@@ -723,61 +666,17 @@ impl<A: Application> Replica<A> {
 
     // --- checkpointing ----------------------------------------------------
 
-    /// The canonical checkpoint state. It must be **bit-identical across
-    /// replicas**, so the reply cache is reduced to its replica-independent
-    /// core `(client, timestamp, result)`; replica-specific reply fields
-    /// (sender id, MAC, view) are reconstructed on restore.
+    /// The canonical checkpoint state (see [`ReplyCache::encode_state`]).
     fn checkpoint_state_bytes(&self) -> Vec<u8> {
-        let snapshot = self.app.snapshot();
-        let replies: Vec<(ClientId, splitbft_types::Timestamp, bytes::Bytes)> = self
-            .last_replies
-            .iter()
-            .map(|(c, r)| (*c, r.request.timestamp, r.result.clone()))
-            .collect();
-        // Sized exactly: a snapshot can be megabytes, and growing into it
-        // would hold twice that.
-        let mut buf = Vec::with_capacity(4 + snapshot.len() + replies.encoded_len());
-        (snapshot.len() as u32).encode_to(&mut buf);
-        buf.extend_from_slice(&snapshot);
-        replies.encode_to(&mut buf);
-        buf
+        self.replies.encode_state(&self.app.snapshot())
     }
 
     fn restore_checkpoint_state(&mut self, bytes: &[u8]) -> Result<(), ProtocolError> {
-        let mut r = Reader::new(bytes);
-        let len = u32::decode(&mut r)? as usize;
-        let snapshot = r.take(len)?.to_vec();
-        let replies: Vec<(ClientId, splitbft_types::Timestamp, bytes::Bytes)> =
-            Vec::decode(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(ProtocolError::Other("trailing checkpoint bytes".into()));
-        }
-        self.app
-            .restore(&snapshot)
-            .map_err(|e| ProtocolError::Other(format!("snapshot restore failed: {e}")))?;
-        self.last_replies = replies
-            .into_iter()
-            .map(|(client, timestamp, result)| {
-                let request = splitbft_types::RequestId { client, timestamp };
-                let auth =
-                    self.client_keys.reply_tag(self.view, request, self.id, &result, false);
-                let reply = Reply {
-                    view: self.view,
-                    request,
-                    replica: self.id,
-                    result,
-                    encrypted: false,
-                    auth,
-                };
-                (client, reply)
-            })
-            .collect();
+        self.replies.restore_state(bytes, &mut self.app, &self.client_keys, self.view, self.id)?;
         // State transfer executed (on our behalf) everything up to the
         // checkpoint: drop pending markers the restored replies cover.
-        let executed: Vec<(ClientId, Timestamp)> =
-            self.last_replies.iter().map(|(c, r)| (*c, r.request.timestamp)).collect();
-        for (client, timestamp) in executed {
-            self.clear_pending(client, timestamp);
+        for executed in self.replies.executed() {
+            self.pending_requests.executed(executed);
         }
         Ok(())
     }
@@ -846,11 +745,8 @@ impl<A: Application> Replica<A> {
         let target = target.max(self.view.next());
         self.status = Status::InViewChange;
         self.view = target;
-        self.stalled_timeouts = 0;
+        self.view_timer.on_vote_sent();
         self.record(|| DurableEvent::EnteredView { view: target });
-        // Each stall converts into exactly one failover attempt: clients
-        // that still care keep retransmitting, which re-arms the timer
-        // in the (possibly again faulty) next view.
         self.pending_requests.clear();
 
         let signed = self.signed_view_change(target);
@@ -961,8 +857,7 @@ impl<A: Application> Replica<A> {
         self.log.clear_above(self.checkpoints.stable_seq());
         self.view = view;
         self.status = Status::Normal;
-        self.stalled_timeouts = 0;
-        self.view_change_escalations = 0;
+        self.view_timer.on_view_entered();
         self.view_changes.collect_garbage(view);
         self.record(|| DurableEvent::EnteredView { view });
         actions.push(Action::EnteredView { view });
@@ -994,7 +889,7 @@ impl<A: Application> std::fmt::Debug for Replica<A> {
 }
 
 /// Builds an authenticated request the way a client library would —
-/// shared by tests, benchmarks, and the [`crate::client::PbftClient`].
+/// shared by tests and benchmarks.
 pub fn make_request(
     master_seed: u64,
     client: ClientId,

@@ -139,6 +139,35 @@ pub fn verify_new_view_contents(
     Ok(())
 }
 
+/// The shallow `NewView` check of a compartment that does not re-plan the
+/// view change: the new primary's signature, and `2f + 1` votes for that
+/// view from distinct replicas whose *outer* signatures verify. (What the
+/// votes carry is the Preparation compartment's business; see
+/// [`verify_new_view_contents`].)
+pub fn verify_new_view_votes(
+    registry: &KeyRegistry,
+    nv: &Signed<NewView>,
+    config: &ClusterConfig,
+    scheme: &SignerScheme,
+) -> Result<(), ProtocolError> {
+    let target = nv.payload.view;
+    verify_signed_from(registry, nv, (scheme.proposer)(target.primary(config)))?;
+    let voters: std::collections::BTreeSet<ReplicaId> = nv
+        .payload
+        .view_changes
+        .iter()
+        .filter(|vc| vc.payload.new_view == target)
+        .filter(|vc| {
+            verify_signed_from(registry, vc, (scheme.confirmer)(vc.payload.replica)).is_ok()
+        })
+        .map(|vc| vc.payload.replica)
+        .collect();
+    if voters.len() < config.quorum() {
+        return Err(ProtocolError::BadCertificate { kind: "NewView view-change quorum" });
+    }
+    Ok(())
+}
+
 /// Validates that a checkpoint certificate's embedded snapshot really
 /// hashes to the certified digest, and returns the snapshot bytes to
 /// restore. Byzantine senders can attach arbitrary snapshot bytes to an

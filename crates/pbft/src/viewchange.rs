@@ -11,8 +11,8 @@
 
 use splitbft_crypto::digest_of;
 use splitbft_types::{
-    CheckpointCertificate, ClusterConfig, NewView, PrePrepare, PrepareCertificate, ProtocolError,
-    ReplicaId, RequestBatch, SeqNum, Signed, View, ViewChange,
+    CheckpointCertificate, ClientId, ClusterConfig, NewView, PrePrepare, PrepareCertificate,
+    ProtocolError, ReplicaId, RequestBatch, RequestId, SeqNum, Signed, Timestamp, View, ViewChange,
 };
 use std::collections::BTreeMap;
 
@@ -82,6 +82,100 @@ impl ViewChangeTracker {
     /// `true` if no votes are tracked.
     pub fn is_empty(&self) -> bool {
         self.per_view.is_empty()
+    }
+}
+
+/// Base number of timeouts spent re-broadcasting the same `ViewChange`
+/// before the target advances anyway (the escape hatch for a dead
+/// target-primary).
+const STALLS_BEFORE_ADVANCE: u32 = 2;
+
+/// The re-broadcast budget for the `escalations`-th consecutive view hop
+/// without entering a view: the first failover keeps the base budget (fast
+/// recovery from a single crashed primary); each further hop doubles it,
+/// capped at 8× — PBFT's doubling view-change timer expressed in timer
+/// ticks.
+fn stall_budget(escalations: u32) -> u32 {
+    STALLS_BEFORE_ADVANCE << escalations.min(3)
+}
+
+/// The stall timer of a replica that voted for a view change and is
+/// awaiting the `NewView`: the one damping knob shared by the PBFT
+/// baseline and SplitBFT's Confirmation compartment, so both stacks back
+/// off in lockstep.
+///
+/// While the budget lasts, a timeout *re-broadcasts* the current vote (the
+/// target's primary may have missed it, or restarted past it) instead of
+/// targeting the next view — without that, one fast-ticking replica
+/// leapfrogs a view ahead of the cluster forever and the view change never
+/// converges. Each exhausted budget doubles the next one, so replicas
+/// whose timers interleave stop racing each other under churn.
+#[derive(Debug, Clone, Default)]
+pub struct ViewTimer {
+    /// Consecutive timeouts spent awaiting the same `NewView`.
+    stalled_timeouts: u32,
+    /// Consecutive view hops without entering a view; exponent of the
+    /// re-broadcast budget.
+    view_change_escalations: u32,
+}
+
+impl ViewTimer {
+    /// A timeout fired while awaiting a `NewView`. `true`: re-broadcast
+    /// the current vote. `false`: the budget is spent — move on to the
+    /// next view, with a doubled budget for that hop.
+    pub fn rebroadcast_on_timeout(&mut self) -> bool {
+        if self.stalled_timeouts < stall_budget(self.view_change_escalations) {
+            self.stalled_timeouts += 1;
+            return true;
+        }
+        self.view_change_escalations = self.view_change_escalations.saturating_add(1);
+        false
+    }
+
+    /// A vote for a new target view went out: its budget starts afresh.
+    pub fn on_vote_sent(&mut self) {
+        self.stalled_timeouts = 0;
+    }
+
+    /// A view was entered: the next failover starts from the base budget.
+    pub fn on_view_entered(&mut self) {
+        *self = ViewTimer::default();
+    }
+}
+
+/// Accepted-but-not-yet-executed requests, one marker per client (its
+/// highest timestamp seen, which bounds the map at one entry per live
+/// client): the evidence a request-aware view-change timer needs to tell
+/// a stalled primary from an idle cluster.
+#[derive(Debug, Clone, Default)]
+pub struct PendingRequests {
+    by_client: BTreeMap<ClientId, Timestamp>,
+}
+
+impl PendingRequests {
+    /// Marks `request` as awaiting execution.
+    pub fn note(&mut self, request: RequestId) {
+        let pending = self.by_client.entry(request.client).or_insert(request.timestamp);
+        *pending = (*pending).max(request.timestamp);
+    }
+
+    /// Clears the client's marker if execution caught up to it.
+    pub fn executed(&mut self, request: RequestId) {
+        if self.by_client.get(&request.client).is_some_and(|t| *t <= request.timestamp) {
+            self.by_client.remove(&request.client);
+        }
+    }
+
+    /// Forgets every marker. Each stall buys exactly one failover attempt:
+    /// clients that still care keep retransmitting, which re-arms the
+    /// timer in the (possibly again faulty) next view.
+    pub fn clear(&mut self) {
+        self.by_client.clear();
+    }
+
+    /// `true` while no request awaits execution.
+    pub fn is_empty(&self) -> bool {
+        self.by_client.is_empty()
     }
 }
 
@@ -249,6 +343,42 @@ mod tests {
             SignerId::Replica(ReplicaId(replica)),
             Signature::ZERO,
         )
+    }
+
+    #[test]
+    fn view_timer_budgets_double_up_to_the_cap_and_reset_on_entering_a_view() {
+        // Re-broadcasts granted before each successive hop.
+        let mut timer = ViewTimer::default();
+        for budget in [2, 4, 8, 16, 16] {
+            timer.on_vote_sent();
+            for _ in 0..budget {
+                assert!(timer.rebroadcast_on_timeout(), "within a budget of {budget}");
+            }
+            assert!(!timer.rebroadcast_on_timeout(), "a budget of {budget} is spent");
+        }
+        timer.on_view_entered();
+        timer.on_vote_sent();
+        assert!(timer.rebroadcast_on_timeout());
+        assert!(timer.rebroadcast_on_timeout());
+        assert!(!timer.rebroadcast_on_timeout(), "back to the base budget");
+    }
+
+    #[test]
+    fn pending_requests_keep_one_marker_per_client() {
+        let id = |client, ts| RequestId { client: ClientId(client), timestamp: Timestamp(ts) };
+        let mut pending = PendingRequests::default();
+        assert!(pending.is_empty());
+        pending.note(id(1, 5));
+        pending.note(id(1, 3));
+        pending.note(id(2, 1));
+        pending.executed(id(1, 4));
+        assert!(!pending.is_empty(), "client 1 still waits for timestamp 5");
+        pending.executed(id(1, 5));
+        pending.executed(id(2, 9));
+        assert!(pending.is_empty());
+        pending.note(id(3, 1));
+        pending.clear();
+        assert!(pending.is_empty());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use bytes::Bytes;
 use splitbft_app::{Application, CounterApp, KeyValueStore, KvOp};
-use splitbft_pbft::{make_request, Action, ClientEvent, PbftClient, Replica, Status};
+use splitbft_pbft::{make_request, Action, ClientEvent, LockstepClient, Replica, Status};
 use splitbft_types::{
     ClientId, ClusterConfig, ConsensusMessage, ReplicaId, Reply, Request, SeqNum, Timestamp, View,
 };
@@ -121,7 +121,7 @@ fn single_request_executes_on_all_replicas() {
 fn client_collects_reply_quorum() {
     let cfg = ClusterConfig::new(4).unwrap();
     let mut cluster = Cluster::new(4, 128, KeyValueStore::new);
-    let mut client = PbftClient::new(cfg, ClientId(3), SEED);
+    let mut client = LockstepClient::new(cfg.reply_quorum(), ClientId(3), SEED);
     let req = client.issue(KvOp::put(b"k", b"v").encode_op());
     cluster.submit(0, vec![req]);
 

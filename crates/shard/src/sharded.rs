@@ -19,7 +19,7 @@
 
 use crate::router::ShardRouter;
 use splitbft_crypto::digest_bytes;
-use splitbft_net::transport::{Protocol, ProtocolOutput};
+use splitbft_net::transport::{Protocol, ProtocolGauges, ProtocolOutput};
 use splitbft_types::wire::{decode, encode};
 use splitbft_types::{
     Digest, DurableCheckpoint, DurableEvent, ProtocolError, Request, SeqNum, ShardEnvelope,
@@ -222,34 +222,9 @@ impl<P: Protocol> Protocol for Sharded<P> {
         self.shards.iter().map(Protocol::durable_fsyncs).sum()
     }
 
-    fn shard_progress(&self) -> Vec<u64> {
-        self.shards.iter().map(Protocol::progress).collect()
-    }
-
-    fn shard_fsyncs(&self) -> Vec<u64> {
-        self.shards.iter().map(Protocol::durable_fsyncs).collect()
-    }
-
-    fn current_view(&self) -> u64 {
-        // The scalar gauge reports shard 0; the full per-group picture
-        // is `shard_views`.
-        self.shards.first().map_or(0, |s| s.current_view())
-    }
-
-    fn pending_request_count(&self) -> u64 {
-        self.shards.iter().map(Protocol::pending_request_count).sum()
-    }
-
-    fn wal_bytes(&self) -> u64 {
-        self.shards.iter().map(Protocol::wal_bytes).sum()
-    }
-
-    fn checkpoint_seal_count(&self) -> u64 {
-        self.shards.iter().map(Protocol::checkpoint_seal_count).sum()
-    }
-
-    fn shard_views(&self) -> Vec<u64> {
-        self.shards.iter().map(Protocol::current_view).collect()
+    fn probe_gauges(&self, gauges: &mut ProtocolGauges) {
+        // One group per instance, in shard order; the scalars sum.
+        self.shards.iter().for_each(|instance| instance.probe_gauges(gauges));
     }
 
     fn drain_seal(&mut self) -> Vec<ProtocolOutput<Self::Message>> {
@@ -417,20 +392,8 @@ impl<P: Protocol> Protocol for ShardMember<P> {
         self.inner.durable_fsyncs()
     }
 
-    fn current_view(&self) -> u64 {
-        self.inner.current_view()
-    }
-
-    fn pending_request_count(&self) -> u64 {
-        self.inner.pending_request_count()
-    }
-
-    fn wal_bytes(&self) -> u64 {
-        self.inner.wal_bytes()
-    }
-
-    fn checkpoint_seal_count(&self) -> u64 {
-        self.inner.checkpoint_seal_count()
+    fn probe_gauges(&self, gauges: &mut ProtocolGauges) {
+        self.inner.probe_gauges(gauges);
     }
 
     fn drain_seal(&mut self) -> Vec<ProtocolOutput<Self::Message>> {
@@ -541,8 +504,12 @@ mod tests {
         );
         // Both shards advanced: per-shard progress is 1 commit each,
         // and the facade sums them.
+        let mut gauges = ProtocolGauges::default();
         for node in &nodes {
-            assert_eq!(node.shard_progress(), vec![1, 1]);
+            gauges.clear();
+            node.probe_gauges(&mut gauges);
+            assert_eq!(gauges.shard_progress, vec![1, 1]);
+            assert_eq!(gauges.shard_views, vec![0, 0]);
             assert_eq!(node.progress(), 2);
         }
     }

@@ -105,7 +105,7 @@
 
 use crate::sealed::CheckpointStore;
 use crate::wal::Wal;
-use splitbft_net::transport::{Protocol, ProtocolOutput};
+use splitbft_net::transport::{Protocol, ProtocolGauges, ProtocolOutput};
 use splitbft_tee::seal::SealingIdentity;
 use splitbft_types::wire::{decode, encode};
 use splitbft_types::{
@@ -433,24 +433,14 @@ impl<P: Protocol> Protocol for DurableProtocol<P> {
         self.inner.has_pending_requests()
     }
 
-    fn current_view(&self) -> u64 {
-        self.inner.current_view()
-    }
-
-    fn pending_request_count(&self) -> u64 {
-        self.inner.pending_request_count()
-    }
-
-    fn wal_bytes(&self) -> u64 {
-        self.wal.len()
-    }
-
-    fn checkpoint_seal_count(&self) -> u64 {
-        self.seals
-    }
-
-    fn shard_views(&self) -> Vec<u64> {
-        self.inner.shard_views()
+    fn probe_gauges(&self, gauges: &mut ProtocolGauges) {
+        self.inner.probe_gauges(gauges);
+        // The log belongs to the group the inner protocol just reported.
+        if let Some(fsyncs) = gauges.shard_fsyncs.last_mut() {
+            *fsyncs += self.fsyncs;
+        }
+        gauges.wal_bytes += self.wal.len();
+        gauges.checkpoint_seals += self.seals;
     }
 
     fn drain_seal(&mut self) -> Vec<ProtocolOutput<Self::Message>> {

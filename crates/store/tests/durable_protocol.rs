@@ -4,7 +4,7 @@
 //! synced — falling back gracefully when the checkpoint is corrupt.
 
 use bytes::Bytes;
-use splitbft_net::transport::{Protocol, ProtocolOutput};
+use splitbft_net::transport::{Protocol, ProtocolGauges, ProtocolOutput};
 use splitbft_store::{replica_sealing_identity, DurableProtocol};
 use splitbft_types::{
     ClientId, Digest, DurableCheckpoint, DurableEvent, ProtocolError, ReplicaId, Request,
@@ -313,6 +313,14 @@ fn plain_mode_fsyncs_every_handler_call() {
     assert_eq!(durable.fsyncs(), 3, "plain mode: one fsync per event");
     assert!(durable.flush_durable().is_empty(), "nothing withheld in plain mode");
     assert_eq!(durable.fsyncs(), 3, "an all-clean flush adds no fsync");
+
+    // The wrapper's share of the gauges probe: its fsyncs land on the
+    // group the inner protocol reported, next to the log's length.
+    let mut gauges = ProtocolGauges::default();
+    durable.probe_gauges(&mut gauges);
+    assert_eq!((&gauges.shard_progress, &gauges.shard_fsyncs), (&vec![3], &vec![3]));
+    assert!(gauges.wal_bytes > 0);
+    assert_eq!(gauges.checkpoint_seals, 0, "no checkpoint before the fourth execution");
     let _ = std::fs::remove_dir_all(dir);
 }
 

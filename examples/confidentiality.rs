@@ -108,7 +108,7 @@ fn main() {
     // 4) The client — and only the client — recovers the result.
     let mut completed = false;
     for reply in &replies {
-        if let SplitClientEvent::Completed(result) = client.on_reply(reply) {
+        if let ClientEvent::Completed(result) = client.on_reply(reply) {
             println!("Client decrypted its result ({} bytes): PUT accepted.", result.len());
             completed = true;
             break;

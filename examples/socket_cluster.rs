@@ -5,8 +5,8 @@
 //! cargo run --example socket_cluster
 //! ```
 //!
-//! The in-process [`ThreadedCluster`] examples exchange messages over
-//! channels; here every replica owns a real listener, peers connect over
+//! The `quickstart` example runs its replicas on an in-process bus
+//! (`InProcessBackend`); here every replica owns a real listener, peers connect over
 //! TCP, and every protocol message crosses a socket as a length-prefixed
 //! frame — the same path the `splitbft-node` binary uses when the four
 //! replicas are four separate processes (or VMs, as deployed in the
@@ -94,7 +94,7 @@ fn main() {
                 .replies()
                 .recv_timeout(Duration::from_secs(10))
                 .expect("reply before timeout");
-            if let SplitClientEvent::Completed(result) = protocol_client.on_reply(&reply) {
+            if let ClientEvent::Completed(result) = protocol_client.on_reply(&reply) {
                 break result;
             }
         };

@@ -17,7 +17,7 @@
 //! | [`types`] | `splitbft-types` | ids, messages, wire codec, configuration |
 //! | [`crypto`] | `splitbft-crypto` | SHA-256, HMAC, signatures, AEAD, keys |
 //! | [`tee`] | `splitbft-tee` | simulated SGX: enclaves, sealing, attestation, cost model |
-//! | [`net`] | `splitbft-net` | link models, threaded + TCP cluster runtimes, `Protocol` trait |
+//! | [`net`] | `splitbft-net` | link models, in-process + TCP cluster backends, `Protocol` trait |
 //! | [`app`] | `splitbft-app` | key-value store and blockchain applications |
 //! | [`pbft`] | `splitbft-pbft` | the complete PBFT baseline |
 //! | [`hybrid`] | `splitbft-hybrid` | MinBFT-style trusted-counter baseline |
@@ -62,16 +62,16 @@ pub use splitbft_types as types;
 
 /// The most common imports, for examples and downstream users.
 pub mod prelude {
-    pub use splitbft_app::{Application, Blockchain, CounterApp, KeyValueStore, KvOp};
-    pub use splitbft_core::{
-        ReplicaEvent, SplitBftClient, SplitBftReplica, SplitClientEvent,
+    pub use splitbft_app::{
+        Application, Blockchain, ClientEvent, CounterApp, KeyValueStore, KvOp, LockstepClient,
     };
-    pub use splitbft_hybrid::{HybridClient, HybridClientEvent, HybridConfig, HybridReplica, Usig};
+    pub use splitbft_core::{ReplicaEvent, SplitBftClient, SplitBftReplica};
+    pub use splitbft_hybrid::{HybridConfig, HybridReplica, Usig};
     pub use splitbft_net::{
-        BatchPolicy, EventedNode, NodeConfig, PeerAddr, Protocol, ProtocolOutput, TcpClient,
-        ThreadedCluster,
+        BatchPolicy, EventedNode, InProcessBackend, NodeConfig, PeerAddr, Protocol,
+        ProtocolOutput, RunningNode, TcpClient, TransportBackend, TransportClient,
     };
-    pub use splitbft_pbft::{make_request, PbftClient, Replica as PbftReplica};
+    pub use splitbft_pbft::{make_request, Replica as PbftReplica};
     pub use splitbft_tee::{CostModel, ExecMode, FaultKind, FaultPlan, PlatformAuthority};
     pub use splitbft_types::{
         ClientId, ClusterConfig, CompartmentKind, ReplicaId, SeqNum, Timestamp, View,

@@ -1,44 +1,116 @@
-//! Cross-crate integration: the facade's threaded runtime hosting both
-//! protocol stacks, exercised end to end over real OS threads.
+//! Cross-crate integration: the facade's in-process backend hosting both
+//! protocol stacks, exercised end to end over real OS threads — one per
+//! replica, framed bytes over channels, the same hosting core the socket
+//! runtime runs.
 
+use splitbft::net::backend::{InProcessClient, InProcessNode};
+use splitbft::net::FaultPlan;
 use splitbft::prelude::*;
-use std::time::Duration;
+use splitbft::types::{FaultCommand, Reply, Request};
+use std::net::SocketAddr;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 31337;
+const N: usize = 4;
+
+/// A running 4-replica cluster on one in-process bus, with one connected
+/// client endpoint.
+struct Cluster {
+    nodes: Vec<InProcessNode>,
+    client: InProcessClient,
+}
+
+impl Cluster {
+    /// Starts the replicas `make` builds. Every node shares `faults` and
+    /// ticks its view-change timer at `timeout_every`.
+    fn spawn<P: Protocol>(
+        client: ClientId,
+        timeout_every: Option<Duration>,
+        faults: &Arc<FaultPlan>,
+        make: impl Fn(ReplicaId) -> P,
+    ) -> Self {
+        let backend = InProcessBackend::new();
+        let any: SocketAddr = "127.0.0.1:0".parse().unwrap();
+        let bound: Vec<_> =
+            (0..N as u32).map(|i| backend.bind(ReplicaId(i), any).expect("bind")).collect();
+        let peers: Vec<PeerAddr> = bound
+            .iter()
+            .enumerate()
+            .map(|(i, b)| PeerAddr { id: ReplicaId(i as u32), addr: backend.local_addr(b).unwrap() })
+            .collect();
+        let nodes = bound
+            .into_iter()
+            .zip(&peers)
+            .map(|(bound, me)| {
+                let mut config = NodeConfig::new(me.id, me.addr, peers.clone());
+                config.timeout_every = timeout_every;
+                config.faults = Arc::clone(faults);
+                backend.start(bound, config, make(me.id)).expect("start node")
+            })
+            .collect();
+        let addrs: Vec<SocketAddr> = peers.iter().map(|p| p.addr).collect();
+        let client = backend.connect_client(client, &addrs, Duration::from_secs(1)).unwrap();
+        Cluster { nodes, client }
+    }
+
+    /// Sends `request` to `replicas` and feeds replies to `on_reply` until
+    /// it reports completion. The transport is at-most-once, so the
+    /// request is retransmitted like a real client would (replicas dedup
+    /// by timestamp and re-send the cached reply once executed).
+    fn complete(
+        &mut self,
+        request: &Request,
+        replicas: &[usize],
+        mut on_reply: impl FnMut(&Reply) -> bool,
+    ) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while Instant::now() < deadline {
+            for &replica in replicas {
+                let _ = self.client.send_to(replica, std::slice::from_ref(request));
+            }
+            let resend_at = Instant::now() + Duration::from_millis(500);
+            while let Some(wait) = resend_at.checked_duration_since(Instant::now()) {
+                match self.client.replies().recv_timeout(wait) {
+                    Ok(reply) if on_reply(&reply) => return true,
+                    Ok(_) => {}
+                    Err(_) => break,
+                }
+            }
+        }
+        false
+    }
+
+    fn shutdown(self) {
+        self.nodes.into_iter().for_each(RunningNode::shutdown);
+    }
+}
+
+fn splitbft_replica<A: Application>(id: ReplicaId, app: A) -> SplitBftReplica<A> {
+    SplitBftReplica::new(
+        ClusterConfig::new(N).unwrap(),
+        id,
+        SEED,
+        app,
+        ExecMode::Hardware,
+        CostModel::paper_calibrated(),
+    )
+}
 
 #[test]
 fn splitbft_kvs_over_threads() {
-    let config = ClusterConfig::new(4).unwrap();
-    let cluster = ThreadedCluster::spawn(4, |id| {
-        SplitBftReplica::new(
-            ClusterConfig::new(4).unwrap(),
-            id,
-            SEED,
-            KeyValueStore::new(),
-            ExecMode::Hardware,
-            CostModel::paper_calibrated(),
-        )
-    });
+    let config = ClusterConfig::new(N).unwrap();
     let mut client = SplitBftClient::new(config, ClientId(9), SEED, 1).with_plaintext();
+    let mut cluster = Cluster::spawn(client.id(), None, &FaultPlan::shared(0), |id| {
+        splitbft_replica(id, KeyValueStore::new())
+    });
 
     for i in 0..5u32 {
         let op = KvOp::put(format!("k{i}").as_bytes(), b"v").encode_op();
         let request = client.issue(&op);
-        cluster.submit(ReplicaId(0), vec![request]);
-        let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        let mut done = false;
-        while std::time::Instant::now() < deadline {
-            let Ok((to, reply)) = cluster.replies().recv_timeout(Duration::from_secs(20)) else {
-                break;
-            };
-            if to != client.id() {
-                continue;
-            }
-            if let SplitClientEvent::Completed(_) = client.on_reply(&reply) {
-                done = true;
-                break;
-            }
-        }
+        let done = cluster.complete(&request, &[0], |reply| {
+            matches!(client.on_reply(reply), ClientEvent::Completed(_))
+        });
         assert!(done, "request {i} did not complete");
     }
     cluster.shutdown();
@@ -46,80 +118,52 @@ fn splitbft_kvs_over_threads() {
 
 #[test]
 fn pbft_counter_over_threads() {
-    let config = ClusterConfig::new(4).unwrap();
-    let cluster = ThreadedCluster::spawn(4, |id| {
-        PbftReplica::new(
-            ClusterConfig::new(4).unwrap(),
-            id,
-            SEED,
-            CounterApp::new(),
-        )
+    let config = ClusterConfig::new(N).unwrap();
+    let mut client = LockstepClient::new(config.reply_quorum(), ClientId(2), SEED);
+    let mut cluster = Cluster::spawn(client.id(), None, &FaultPlan::shared(0), |id| {
+        PbftReplica::new(ClusterConfig::new(N).unwrap(), id, SEED, CounterApp::new())
     });
-    let mut client = PbftClient::new(config, ClientId(2), SEED);
     let request = client.issue(bytes::Bytes::from_static(b"inc"));
-    cluster.submit(ReplicaId(0), vec![request]);
 
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
     let mut result = None;
-    while std::time::Instant::now() < deadline {
-        let Ok((to, reply)) = cluster.replies().recv_timeout(Duration::from_secs(20)) else {
-            break;
-        };
-        if to != client.id() {
-            continue;
-        }
-        if let splitbft::pbft::ClientEvent::Completed(r) = client.on_reply(&reply) {
+    cluster.complete(&request, &[0], |reply| {
+        if let ClientEvent::Completed(r) = client.on_reply(reply) {
             result = Some(r);
-            break;
         }
-    }
+        result.is_some()
+    });
     assert_eq!(result, Some(bytes::Bytes::copy_from_slice(&1u64.to_le_bytes())));
     cluster.shutdown();
 }
 
 #[test]
 fn splitbft_survives_view_change_over_threads() {
-    // Crash nobody physically, but fire the timers: the cluster moves to
-    // view 1 where replica 1 is primary, then serves a request.
-    let config = ClusterConfig::new(4).unwrap();
-    let cluster = ThreadedCluster::spawn(4, |id| {
-        SplitBftReplica::new(
-            ClusterConfig::new(4).unwrap(),
-            id,
-            SEED,
-            CounterApp::new(),
-            ExecMode::Hardware,
-            CostModel::paper_calibrated(),
-        )
+    // Cut the view-0 primary off from everyone. The client broadcasts, so
+    // the three connected replicas hold a pending request nobody orders;
+    // their request-aware timers fire, they move to view 1 (or beyond)
+    // without replica 0, and the new primary serves the request.
+    let faults = FaultPlan::shared(0);
+    faults.apply(FaultCommand::Partition {
+        name: "isolate-primary".into(),
+        side_a: vec![ReplicaId(0)],
+        side_b: vec![ReplicaId(1), ReplicaId(2), ReplicaId(3)],
+        symmetric: true,
     });
-    for i in 0..4u32 {
-        cluster.trigger_timeout(ReplicaId(i));
-    }
-    // Give the view change a moment to propagate, then order through the
-    // new primary.
-    std::thread::sleep(Duration::from_millis(300));
+    let config = ClusterConfig::new(N).unwrap();
     let mut client = SplitBftClient::new(config, ClientId(5), SEED, 3).with_plaintext();
-    let request = client.issue(b"inc");
-    cluster.submit(ReplicaId(1), vec![request.clone()]);
+    let tick = Some(Duration::from_millis(250));
+    let mut cluster =
+        Cluster::spawn(client.id(), tick, &faults, |id| splitbft_replica(id, CounterApp::new()));
 
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    let mut done = false;
-    while std::time::Instant::now() < deadline {
-        let Ok((to, reply)) = cluster.replies().recv_timeout(Duration::from_millis(500)) else {
-            // The transport is at-most-once: a submit that landed while
-            // replica 1 was still mid-view-change is simply dropped.
-            // Retransmit like a real client (replicas dedup by timestamp
-            // and re-send the cached reply once executed).
-            cluster.submit(ReplicaId(1), vec![request.clone()]);
-            continue;
-        };
-        if to == client.id() {
-            if let SplitClientEvent::Completed(_) = client.on_reply(&reply) {
-                done = true;
-                break;
-            }
+    let request = client.issue(b"inc");
+    let mut committed_in = None;
+    cluster.complete(&request, &[0, 1, 2, 3], |reply| {
+        if let ClientEvent::Completed(_) = client.on_reply(reply) {
+            committed_in = Some(reply.view);
         }
-    }
-    assert!(done, "request did not complete in the new view");
+        committed_in.is_some()
+    });
+    let view = committed_in.expect("request did not complete after the view change");
+    assert!(view >= View(1), "committed in {view:?}, but view 0's primary is unreachable");
     cluster.shutdown();
 }
