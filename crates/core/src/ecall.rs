@@ -53,6 +53,17 @@ pub enum CompartmentInput {
         /// The batch recorded at the commit point.
         batch: RequestBatch,
     },
+    /// State transfer or recovery: replace the application state with
+    /// `snapshot`, the state after `seq` (Execution). Applied only when
+    /// the enclave's own stable checkpoint certificate is the one at
+    /// `seq`, the enclave has executed less than `seq`, and the snapshot
+    /// hashes to the certified digest; rejected otherwise.
+    InstallSnapshot {
+        /// The checkpoint the snapshot was taken at.
+        seq: SeqNum,
+        /// The checkpoint state.
+        snapshot: Bytes,
+    },
 }
 
 impl Encode for CompartmentInput {
@@ -80,6 +91,11 @@ impl Encode for CompartmentInput {
                 seq.encode_to(out);
                 batch.encode_to(out);
             }
+            CompartmentInput::InstallSnapshot { seq, snapshot } => {
+                out.put(&[6]);
+                seq.encode_to(out);
+                snapshot.encode_to(out);
+            }
         }
     }
 }
@@ -97,6 +113,10 @@ impl Decode for CompartmentInput {
             5 => Ok(CompartmentInput::ReplayCommitted {
                 seq: SeqNum::decode(r)?,
                 batch: RequestBatch::decode(r)?,
+            }),
+            6 => Ok(CompartmentInput::InstallSnapshot {
+                seq: SeqNum::decode(r)?,
+                snapshot: Bytes::decode(r)?,
             }),
             tag => Err(WireError::InvalidTag { ty: "CompartmentInput", tag }),
         }
@@ -231,6 +251,10 @@ mod tests {
         roundtrip(&CompartmentInput::ReplayCommitted {
             seq: SeqNum(7),
             batch: RequestBatch::default(),
+        });
+        roundtrip(&CompartmentInput::InstallSnapshot {
+            seq: SeqNum(128),
+            snapshot: Bytes::from_static(b"state"),
         });
         let prep = splitbft_types::Prepare {
             view: View(0),

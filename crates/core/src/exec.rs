@@ -7,6 +7,12 @@
 //! per principle P3 because both touch the application state — plus the
 //! duplicated checkpoint GC handler (9) and `NewView` application (7').
 //!
+//! A checkpoint vote carries the state digest; the snapshot itself stays
+//! in this enclave, beside its checkpoint tracker. The only way
+//! application state enters from outside is
+//! [`CompartmentInput::InstallSnapshot`], which takes a snapshot just when
+//! this enclave's own stable certificate vouches for its digest.
+//!
 //! This is the *confidentiality* compartment: client operations arrive
 //! encrypted under per-client session keys installed during attestation
 //! and are decrypted only here; results are encrypted before leaving.
@@ -26,8 +32,8 @@ use splitbft_tee::seal::SealingIdentity;
 use splitbft_types::wire::Encode;
 use splitbft_types::{
     Checkpoint, ClientId, ClusterConfig, CompartmentKind, Commit, ConsensusMessage, Digest,
-    NewView, PrePrepare, ProtocolError, ReplicaId, Request, RequestBatch, SeqNum, Signed,
-    SignerId, View,
+    DurableCheckpoint, NewView, PrePrepare, ProtocolError, ReplicaId, Request, RequestBatch,
+    SeqNum, Signed, SignerId, View,
 };
 use std::collections::BTreeMap;
 
@@ -142,12 +148,18 @@ impl<A: Application> ExecutionCompartment<A> {
         digest_bytes(&self.checkpoint_state_bytes())
     }
 
-    /// Proof of the current stable checkpoint (genesis initially). The
-    /// broker serializes this for sealed persistence and peer state
-    /// transfer — only Execution holds the application state, so only
-    /// its certificate carries a restorable snapshot.
-    pub fn stable_proof(&self) -> &splitbft_types::CheckpointCertificate {
-        self.checkpoints.stable_proof()
+    /// The current stable checkpoint — certificate, then this enclave's
+    /// snapshot of the certified state — for the broker to seal and to
+    /// serve to lagging peers. Only Execution holds the application
+    /// state, so only it can produce one. `None` at genesis and while
+    /// this enclave is behind its own stable checkpoint.
+    pub fn durable_checkpoint(&self) -> Option<DurableCheckpoint> {
+        self.checkpoints.durable_checkpoint()
+    }
+
+    /// Sequence number of the current stable checkpoint.
+    pub fn stable_seq(&self) -> SeqNum {
+        self.checkpoints.stable_seq()
     }
 
     /// The enclave's DH public value, placed in its attestation quote.
@@ -169,8 +181,12 @@ impl<A: Application> ExecutionCompartment<A> {
             + self.client_keys.memory_usage()
     }
 
-    fn in_window(&self, seq: SeqNum) -> bool {
-        self.checkpoints.check_window(seq, self.config.window).is_ok()
+    /// The acceptance window hangs off the stable checkpoint — or, while
+    /// this enclave is behind it, off what it has executed, so the
+    /// committed slots it still has to execute stay admissible.
+    fn check_window(&self, seq: SeqNum) -> Result<(), ProtocolError> {
+        let low = self.checkpoints.stable_seq().min(self.last_exec);
+        splitbft_pbft::checkpoint::check_window(low, seq, self.config.window)
     }
 
     /// The single event-handler entry point. Effects are appended to
@@ -203,6 +219,9 @@ impl<A: Application> ExecutionCompartment<A> {
                 self.replay_committed(seq, &batch, outputs);
                 Ok(())
             }
+            CompartmentInput::InstallSnapshot { seq, snapshot } => {
+                self.install_snapshot(seq, &snapshot)
+            }
             other => Err(ProtocolError::Other(format!("not an Execution event: {other:?}"))),
         }
     }
@@ -217,7 +236,7 @@ impl<A: Application> ExecutionCompartment<A> {
         outputs: &mut Vec<CompartmentOutput>,
     ) -> Result<(), ProtocolError> {
         let seq = pp.payload.seq;
-        self.checkpoints.check_window(seq, self.config.window)?;
+        self.check_window(seq)?;
         if digest_of(&pp.payload.batch) != pp.payload.digest {
             return Err(ProtocolError::BadCertificate { kind: "pre-prepare digest" });
         }
@@ -245,7 +264,7 @@ impl<A: Application> ExecutionCompartment<A> {
         if !self.config.contains(c.payload.replica) {
             return Err(ProtocolError::UnknownReplica(c.payload.replica));
         }
-        self.checkpoints.check_window(seq, self.config.window)?;
+        self.check_window(seq)?;
         let n = self.config.n();
         self.slots.entry(seq).or_default().commits.insert(c.payload.replica, c, n);
         self.try_execute(outputs);
@@ -387,20 +406,36 @@ impl<A: Application> ExecutionCompartment<A> {
         self.replies.encode_state(&self.app.snapshot())
     }
 
-    fn restore_checkpoint_state(&mut self, bytes: &[u8]) -> Result<(), ProtocolError> {
-        self.replies.restore_state(bytes, &mut self.app, &self.client_keys, self.view, self.replica)
+    /// The one place application state is replaced wholesale: installs
+    /// `snapshot` as the state after `seq`, if this enclave's own tracker
+    /// admits it ([`CheckpointTracker::admit_snapshot`]: under the stable
+    /// certificate it verified, ahead of what it executed, hashing to the
+    /// certified digest).
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::CorruptState`] when it does not (or the snapshot
+    /// does not parse); nothing has changed then.
+    fn install_snapshot(&mut self, seq: SeqNum, snapshot: &Bytes) -> Result<(), ProtocolError> {
+        let certified = self.checkpoints.admit_snapshot(seq, self.last_exec, snapshot)?;
+        self.replies.restore_state(
+            snapshot,
+            &mut self.app,
+            &self.client_keys,
+            self.view,
+            self.replica,
+        )?;
+        self.last_exec = seq;
+        self.checkpoints.retain_snapshot(seq, certified, snapshot.clone());
+        self.apply_stable(seq);
+        Ok(())
     }
 
     /// Handler (8): generate the periodic checkpoint. Only Execution
     /// holds the application state, so only it originates `Checkpoint`s.
+    /// The snapshot stays here; the vote carries its digest alone.
     fn emit_checkpoint(&mut self, seq: SeqNum, outputs: &mut Vec<CompartmentOutput>) {
-        let state = self.checkpoint_state_bytes();
-        let ckpt = Checkpoint {
-            seq,
-            state_digest: digest_bytes(&state),
-            replica: self.replica,
-            snapshot: state.into(),
-        };
+        let ckpt = self.checkpoints.vote_on(seq, self.replica, self.checkpoint_state_bytes());
         let signed = self.keypair.sign_payload(ckpt, self.signer);
         if let Some(cert) = self.checkpoints.insert(signed.clone(), &self.config) {
             outputs.push(self.apply_stable(cert.seq()));
@@ -419,22 +454,16 @@ impl<A: Application> ExecutionCompartment<A> {
             return Err(ProtocolError::UnknownReplica(c.payload.replica));
         }
         if let Some(cert) = self.checkpoints.insert(c, &self.config) {
-            let seq = cert.seq();
-            // State transfer if this enclave fell behind.
-            if self.last_exec < seq {
-                if let Some(snapshot) = splitbft_pbft::verify::certified_snapshot(&cert) {
-                    if self.restore_checkpoint_state(snapshot).is_ok() {
-                        self.last_exec = seq;
-                    }
-                }
-            }
-            outputs.push(self.apply_stable(seq));
+            outputs.push(self.apply_stable(cert.seq()));
         }
         Ok(())
     }
 
+    /// Garbage-collects at a stable checkpoint — executed slots only: an
+    /// enclave behind the checkpoint keeps the committed slots it still
+    /// has to execute, and what it is missing arrives as a snapshot.
     fn apply_stable(&mut self, seq: SeqNum) -> CompartmentOutput {
-        self.slots = self.slots.split_off(&SeqNum(seq.0 + 1));
+        self.slots = self.slots.split_off(&SeqNum(seq.min(self.last_exec).0 + 1));
         CompartmentOutput::StableCheckpoint { seq }
     }
 
@@ -459,25 +488,14 @@ impl<A: Application> ExecutionCompartment<A> {
                 &self.config,
                 &SPLITBFT_SCHEME,
             )?;
-            let seq = ckpt.seq();
-            if seq > self.checkpoints.stable_seq() {
-                if self.last_exec < seq {
-                    if let Some(snapshot) = splitbft_pbft::verify::certified_snapshot(ckpt) {
-                        if self.restore_checkpoint_state(snapshot).is_ok() {
-                            self.last_exec = seq;
-                        }
-                    }
-                }
-                self.checkpoints.install_certificate(ckpt.clone());
-                self.apply_stable(seq);
-            }
+            self.checkpoints.install_certificate(ckpt.clone());
         }
 
         self.view = target;
         self.slots.clear();
         for pp in nv.payload.pre_prepares {
             if pp.payload.view == target
-                && self.in_window(pp.payload.seq)
+                && self.check_window(pp.payload.seq).is_ok()
                 && digest_of(&pp.payload.batch) == pp.payload.digest
             {
                 self.slots.entry(pp.payload.seq).or_default().proposals.insert(pp);

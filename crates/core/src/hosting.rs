@@ -60,7 +60,7 @@ impl<A: Application + 'static> Protocol for SplitBftReplica<A> {
     fn probe_gauges(&self, gauges: &mut ProtocolGauges) {
         // The preparation compartment leads view changes; the other two
         // follow, so its view is the replica's externally visible one.
-        gauges.add_group(self.last_executed().0, 0, self.views().0 .0);
+        gauges.add_group(self.last_executed().0, 0, self.views().0 .0, self.stable_seq().0);
         gauges.pending_requests += u64::from(SplitBftReplica::has_pending_requests(self));
     }
 
@@ -85,8 +85,8 @@ impl<A: Application + 'static> Protocol for SplitBftReplica<A> {
         // The broker's suffix ring: committed proposals + their commit
         // votes, retained above the stable checkpoint even though the
         // compartments themselves discard executed slots. Lagging peers
-        // recover from this log path like pbft does, instead of riding
-        // the (slow) checkpoint stream.
+        // recover from this log path like pbft does; a stable checkpoint
+        // only covers what lies at or below it.
         SplitBftReplica::catch_up_messages(self, have_seq)
     }
 }

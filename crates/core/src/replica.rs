@@ -23,17 +23,18 @@ use crate::prep::PreparationCompartment;
 use crate::suffix::SuffixRing;
 use bytes::Bytes;
 use splitbft_app::Application;
+use splitbft_pbft::checkpoint::split_durable_checkpoint;
+use splitbft_pbft::verify::certified_snapshot;
 use splitbft_pbft::PendingRequests;
 use splitbft_tee::attest::{PlatformAuthority, Quote};
 use splitbft_tee::enclave::recycle;
 use splitbft_tee::fault::{FaultPlan, FaultyEnclave};
 use splitbft_tee::host::{EnclaveHost, ExecMode, TransitionStats};
 use splitbft_tee::CostModel;
-use splitbft_types::wire::{decode, encode, Encode};
+use splitbft_types::wire::{decode, Encode};
 use splitbft_types::{
-    CheckpointCertificate, ClientId, ClusterConfig, CompartmentKind, ConsensusMessage, Digest,
-    DurableCheckpoint, DurableEvent, ProtocolError, ReplicaId, Reply, Request, RequestBatch,
-    RequestId, SeqNum, View,
+    ClientId, ClusterConfig, CompartmentKind, ConsensusMessage, Digest, DurableCheckpoint,
+    DurableEvent, ProtocolError, ReplicaId, Reply, Request, RequestBatch, RequestId, SeqNum, View,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
@@ -532,20 +533,20 @@ impl<A: Application> SplitBftReplica<A> {
         }
     }
 
-    /// The Execution compartment's stable checkpoint certificate,
-    /// serialized for sealing and peer state transfer. `None` at
-    /// genesis.
+    /// The Execution compartment's stable checkpoint — certificate, then
+    /// its snapshot of the certified state, once — for sealing and peer
+    /// state transfer. `None` at genesis and while Execution is behind
+    /// its own stable checkpoint.
     pub fn durable_checkpoint(&self) -> Option<DurableCheckpoint> {
-        let cert = self.exec.enclave().inner().inner().stable_proof();
-        let digest = cert.state_digest()?;
-        Some(DurableCheckpoint { seq: cert.seq(), digest, state: encode(cert).into() })
+        self.exec.enclave().inner().inner().durable_checkpoint()
     }
 
-    /// Restores compartment state from a checkpoint certificate by
-    /// feeding its `2f + 1` signed `Checkpoint`s through the normal
-    /// message path: every compartment re-verifies them exactly like
-    /// network input, so corrupt or forged certificates cannot take
-    /// effect.
+    /// Restores compartment state from a stable checkpoint: its `2f + 1`
+    /// signed `Checkpoint`s go through the normal message path — every
+    /// compartment re-verifies them exactly like network input — and
+    /// then the snapshot is offered to Execution, which installs it only
+    /// under the certificate it just verified. Corrupt or forged
+    /// checkpoints cannot take effect.
     ///
     /// # Errors
     ///
@@ -556,23 +557,32 @@ impl<A: Application> SplitBftReplica<A> {
         &mut self,
         cp: &DurableCheckpoint,
     ) -> Result<(), ProtocolError> {
-        let cert: CheckpointCertificate = decode(&cp.state)
-            .map_err(|e| ProtocolError::CorruptState(format!("checkpoint decode: {e}")))?;
-        if cert.seq() != cp.seq || cert.state_digest() != Some(cp.digest) {
-            return Err(ProtocolError::CorruptState(
-                "checkpoint certificate does not match its claimed seq/digest".into(),
-            ));
-        }
+        let (cert, snapshot) = split_durable_checkpoint(cp)?;
         if self.last_executed() >= cp.seq {
             return Ok(()); // already at or past the certified state
         }
         for signed in &cert.checkpoints {
             self.route_message(ConsensusMessage::Checkpoint(signed.clone()));
         }
+        // A checkpoint sealed or served by an older build has no bytes
+        // after the certificate: its votes each embed the snapshot. The
+        // broker only picks the candidate; Execution checks it.
+        let snapshot = match snapshot {
+            [] => certified_snapshot(&cert).ok_or_else(|| {
+                ProtocolError::CorruptState("no snapshot matches the certified digest".into())
+            })?,
+            trailing => trailing,
+        };
+        let input = CompartmentInput::InstallSnapshot {
+            seq: cp.seq,
+            snapshot: Bytes::copy_from_slice(snapshot),
+        };
+        self.enqueue(&input, &[CompartmentKind::Execution]);
+        self.run_to_quiescence();
         self.dispatch.events.clear();
         if self.last_executed() < cp.seq {
             return Err(ProtocolError::CorruptState(
-                "checkpoint certificate was rejected by the compartments".into(),
+                "checkpoint was rejected by the compartments".into(),
             ));
         }
         Ok(())
@@ -620,6 +630,11 @@ impl<A: Application> SplitBftReplica<A> {
     /// The Execution compartment's last executed slot.
     pub fn last_executed(&self) -> SeqNum {
         self.exec.enclave().inner().inner().last_executed()
+    }
+
+    /// The Execution compartment's stable checkpoint (0 at genesis).
+    pub fn stable_seq(&self) -> SeqNum {
+        self.exec.enclave().inner().inner().stable_seq()
     }
 
     /// The Execution compartment's state digest (divergence checks).

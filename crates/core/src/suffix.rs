@@ -3,9 +3,10 @@
 //!
 //! The three compartments discard a slot's messages once it executes,
 //! which kept the broker honest about memory but left lagging peers
-//! only the (slow) checkpoint stream to catch up on: a replica a few
-//! dozen slots behind had to wait for the next stable checkpoint even
-//! though every peer had just processed exactly the messages it needs.
+//! only whole checkpoints to catch up on: a replica a few dozen slots
+//! behind had to wait for the next stable checkpoint (and a transfer of
+//! its state) even though every peer had just processed exactly the
+//! messages it needs.
 //!
 //! The ring closes that gap at the broker layer. As consensus traffic
 //! flows through the (untrusted) broker it *harvests* each slot's

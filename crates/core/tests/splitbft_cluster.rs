@@ -6,13 +6,21 @@
 
 use bytes::Bytes;
 use splitbft_app::{Application, CounterApp, KeyValueStore, KvOp};
-use splitbft_core::{ReplicaEvent, SplitBftClient, SplitBftReplica, ClientEvent};
+use splitbft_core::ecall::ECALL_HANDLE;
+use splitbft_core::{
+    enclave_signer, ClientEvent, CompartmentInput, CompartmentOutput, EnclaveAdapter,
+    ExecutionCompartment, ReplicaEvent, SplitBftClient, SplitBftReplica,
+};
+use splitbft_crypto::KeyPair;
+use splitbft_pbft::checkpoint::split_durable_checkpoint;
 use splitbft_tee::attest::PlatformAuthority;
+use splitbft_tee::enclave::{Enclave, OcallQueue};
 use splitbft_tee::fault::{FaultKind, FaultPlan};
 use splitbft_tee::{CostModel, ExecMode};
+use splitbft_types::wire::{decode, encode, frame_message, MAX_FRAME_LEN};
 use splitbft_types::{
-    ClientId, ClusterConfig, CompartmentKind, ConsensusMessage, ReplicaId, Reply, Request, SeqNum,
-    View,
+    Checkpoint, CheckpointCertificate, ClientId, ClusterConfig, CompartmentKind, ConsensusMessage,
+    DurableCheckpoint, ReplicaId, Reply, Request, SeqNum, View,
 };
 use std::collections::VecDeque;
 
@@ -24,6 +32,10 @@ struct Cluster<A: Application> {
     replies: Vec<Reply>,
     persisted: Vec<Bytes>,
     down: Vec<bool>,
+    /// Replicas whose inbound queue fills but is not processed.
+    held: Vec<bool>,
+    /// Framed size of every `ViewChange` and `NewView` broadcast so far.
+    view_change_frames: Vec<usize>,
 }
 
 impl<A: Application> Cluster<A> {
@@ -47,6 +59,8 @@ impl<A: Application> Cluster<A> {
             replies: Vec::new(),
             persisted: Vec::new(),
             down: vec![false; n],
+            held: vec![false; n],
+            view_change_frames: Vec::new(),
         }
     }
 
@@ -58,6 +72,10 @@ impl<A: Application> Cluster<A> {
         for event in events {
             match event {
                 ReplicaEvent::Broadcast(msg) => {
+                    if matches!(msg, ConsensusMessage::ViewChange(_) | ConsensusMessage::NewView(_))
+                    {
+                        self.view_change_frames.push(frame_message(0, &msg).len());
+                    }
                     for to in 0..self.n() {
                         if to != from && !self.down[to] {
                             self.queues[to].push_back(msg.clone());
@@ -77,6 +95,9 @@ impl<A: Application> Cluster<A> {
             for i in 0..self.n() {
                 if self.down[i] {
                     self.queues[i].clear();
+                    continue;
+                }
+                if self.held[i] {
                     continue;
                 }
                 while let Some(msg) = self.queues[i].pop_front() {
@@ -249,6 +270,148 @@ fn checkpoints_garbage_collect_all_compartments() {
     }
 }
 
+/// Replica 3 misses twelve slots behind a partition; the others stabilize
+/// checkpoints at 4, 8 and 12. Returns the healed cluster.
+fn cluster_with_replica_3_behind() -> Cluster<CounterApp> {
+    let mut cluster = Cluster::new(4, 4, CounterApp::new);
+    cluster.down[3] = true;
+    for i in 0..8u64 {
+        cluster.submit(0, vec![plain_request(0, i + 1, Bytes::from_static(b"inc"))]);
+    }
+    cluster.down[3] = false;
+    for i in 8..12u64 {
+        cluster.submit(0, vec![plain_request(0, i + 1, Bytes::from_static(b"inc"))]);
+    }
+    cluster
+}
+
+#[test]
+fn lagging_replica_catches_up_via_state_transfer() {
+    let mut cluster = cluster_with_replica_3_behind();
+    // The votes carry a digest, not the state: every compartment of
+    // replica 3 saw the checkpoint at 12 become stable, and Execution is
+    // behind it with nothing to restore from.
+    let r3 = &cluster.replicas[3];
+    assert_eq!(r3.stable_seq(), SeqNum(12));
+    assert_eq!(r3.last_executed(), SeqNum(0));
+    assert!(r3.durable_checkpoint().is_none(), "no snapshot of a state it never reached");
+
+    // What the state-transfer client does with a peer's answer.
+    let cp = cluster.replicas[0].durable_checkpoint().expect("replica 0 is at its stable point");
+    cluster.replicas[3].restore_durable_checkpoint(&cp).expect("a peer's checkpoint restores");
+    let r3 = &cluster.replicas[3];
+    assert_eq!(r3.last_executed(), SeqNum(12));
+    assert_eq!(r3.app().value(), 12, "state transfer restored the counter");
+    assert_eq!(r3.state_digest(), cluster.replicas[0].state_digest());
+    assert_eq!(r3.durable_checkpoint().map(|cp| cp.digest), Some(cp.digest), "and serves it on");
+
+    // Level again: it executes live traffic with everyone else.
+    cluster.submit(0, vec![plain_request(0, 13, Bytes::from_static(b"inc"))]);
+    assert_eq!(cluster.replicas[3].app().value(), 13);
+}
+
+#[test]
+fn a_checkpoint_in_the_older_layout_still_restores() {
+    let mut cluster = cluster_with_replica_3_behind();
+    let cp = cluster.replicas[0].durable_checkpoint().unwrap();
+    let (cert, snapshot) = split_durable_checkpoint(&cp).unwrap();
+    assert!(cert.checkpoints.iter().all(|vote| vote.payload.snapshot.is_empty()));
+
+    // The layout before votes went by digest: the certificate alone,
+    // each vote signed over its own embedded copy of the snapshot.
+    let v1 = CheckpointCertificate {
+        checkpoints: (0..3u32)
+            .map(|r| {
+                let signer = enclave_signer(ReplicaId(r), CompartmentKind::Execution);
+                let vote = Checkpoint {
+                    seq: cp.seq,
+                    state_digest: cp.digest,
+                    replica: ReplicaId(r),
+                    snapshot: Bytes::copy_from_slice(snapshot),
+                };
+                KeyPair::for_signer(SEED, signer).sign_payload(vote, signer)
+            })
+            .collect(),
+    };
+    let v1 = DurableCheckpoint { seq: cp.seq, digest: cp.digest, state: encode(&v1).into() };
+    assert!(v1.state.len() > 3 * snapshot.len());
+
+    cluster.replicas[3].restore_durable_checkpoint(&v1).expect("the older layout restores");
+    assert_eq!(cluster.replicas[3].app().value(), 12);
+    assert_eq!(cluster.replicas[3].state_digest(), cluster.replicas[0].state_digest());
+}
+
+/// One ecall into `exec`, returning how many of its ocalls were
+/// rejections and how many were anything else.
+fn ecall(
+    exec: &mut EnclaveAdapter<ExecutionCompartment<CounterApp>>,
+    input: &CompartmentInput,
+) -> (usize, usize) {
+    let mut queue = OcallQueue::new();
+    exec.handle_ecall(ECALL_HANDLE, &encode(input), &mut queue);
+    let rejected = queue
+        .iter()
+        .filter(|(_, data)| {
+            matches!(decode::<CompartmentOutput>(data), Ok(CompartmentOutput::Rejected { .. }))
+        })
+        .count();
+    (rejected, queue.len() - rejected)
+}
+
+#[test]
+fn execution_installs_a_snapshot_only_under_its_own_stable_certificate() {
+    let cluster = cluster_with_replica_3_behind();
+    let cp = cluster.replicas[0].durable_checkpoint().unwrap();
+    let (cert, snapshot) = split_durable_checkpoint(&cp).unwrap();
+    let install = |seq: SeqNum, snapshot: &[u8]| CompartmentInput::InstallSnapshot {
+        seq,
+        snapshot: Bytes::copy_from_slice(snapshot),
+    };
+
+    let cfg = ClusterConfig::new(4).unwrap().with_checkpoint_interval(4);
+    let mut exec = EnclaveAdapter::new(ExecutionCompartment::new(
+        cfg,
+        ReplicaId(3),
+        SEED,
+        CounterApp::new(),
+    ));
+    let untouched = exec.inner().state_digest();
+    let assert_untouched = |exec: &EnclaveAdapter<ExecutionCompartment<CounterApp>>, case| {
+        assert_eq!(exec.inner().last_executed(), SeqNum(0), "{case}");
+        assert_eq!(exec.inner().state_digest(), untouched, "{case}");
+    };
+
+    // The right snapshot, but this enclave has verified no certificate.
+    assert_eq!(ecall(&mut exec, &install(cp.seq, snapshot)), (1, 0));
+    assert_untouched(&exec, "no stable certificate");
+
+    // The votes, verified like any network input, make 12 stable here.
+    for vote in &cert.checkpoints {
+        let msg = CompartmentInput::Message(ConsensusMessage::Checkpoint(vote.clone()));
+        assert_eq!(ecall(&mut exec, &msg).0, 0);
+    }
+    assert_eq!(exec.inner().stable_seq(), SeqNum(12));
+
+    let mut wrong = snapshot.to_vec();
+    *wrong.last_mut().unwrap() ^= 1;
+    for (case, input) in [
+        ("wrong digest", install(cp.seq, &wrong)),
+        ("truncated", install(cp.seq, &snapshot[..snapshot.len() - 1])),
+        ("not the stable sequence number", install(SeqNum(8), snapshot)),
+    ] {
+        assert_eq!(ecall(&mut exec, &input), (1, 0), "{case}: exactly one Rejected ocall");
+        assert_untouched(&exec, case);
+    }
+
+    assert_eq!(ecall(&mut exec, &install(cp.seq, snapshot)).0, 0);
+    assert_eq!(exec.inner().last_executed(), SeqNum(12));
+    assert_eq!(exec.inner().state_digest(), cp.digest);
+
+    // Offered again it is no longer ahead of what was executed.
+    assert_eq!(ecall(&mut exec, &install(cp.seq, snapshot)), (1, 0));
+    assert_eq!(exec.inner().state_digest(), cp.digest);
+}
+
 #[test]
 fn view_change_moves_all_compartments_to_view_one() {
     let mut cluster = Cluster::new(4, 128, CounterApp::new);
@@ -269,6 +432,69 @@ fn view_change_moves_all_compartments_to_view_one() {
     for i in 1..4 {
         assert_eq!(cluster.replicas[i].app().value(), 2, "replica {i}");
     }
+}
+
+#[test]
+fn a_replica_a_few_slots_behind_a_stable_checkpoint_executes_its_way_level() {
+    let mut cluster = Cluster::new(4, 4, CounterApp::new);
+    for i in 0..3u64 {
+        cluster.submit(0, vec![plain_request(0, i + 1, Bytes::from_static(b"inc"))]);
+    }
+    // Replica 3's link delivers the checkpoint votes for slot 4 ahead of
+    // the slot's own messages.
+    cluster.held[3] = true;
+    cluster.submit(0, vec![plain_request(0, 4, Bytes::from_static(b"inc"))]);
+    let is_vote = |msg: &ConsensusMessage| matches!(msg, ConsensusMessage::Checkpoint(_));
+    let (votes, slot): (Vec<_>, Vec<_>) = cluster.queues[3].drain(..).partition(is_vote);
+    assert_eq!(votes.len(), 3);
+    cluster.queues[3].extend(votes);
+    cluster.held[3] = false;
+    cluster.run();
+    assert_eq!(cluster.replicas[3].stable_seq(), SeqNum(4));
+    assert_eq!(cluster.replicas[3].last_executed(), SeqNum(3), "behind, and nothing to restore");
+
+    // The slot is still admissible and nothing it needs was collected:
+    // no transfer, it just executes.
+    cluster.queues[3].extend(slot);
+    cluster.run();
+    assert_eq!(cluster.replicas[3].last_executed(), SeqNum(4));
+    assert_eq!(cluster.replicas[3].state_digest(), cluster.replicas[0].state_digest());
+    assert!(cluster.replicas[3].durable_checkpoint().is_some(), "it holds the snapshot it took");
+    cluster.submit(0, vec![plain_request(0, 5, Bytes::from_static(b"inc"))]);
+    assert_eq!(cluster.replicas[3].app().value(), 5);
+}
+
+/// The framed `ViewChange`s and `NewView` of a view change that follows
+/// one stable checkpoint of a store holding `state_bytes`.
+fn view_change_frames_over_a_state_of(state_bytes: usize) -> Vec<usize> {
+    let mut cluster = Cluster::new(4, 4, || {
+        let mut kvs = KeyValueStore::new();
+        kvs.execute(&KvOp::put(b"ballast", &vec![0xAB; state_bytes]).encode_op());
+        kvs
+    });
+    for i in 0..4u64 {
+        cluster.submit(0, vec![plain_request(0, i + 1, KvOp::put(b"k", b"v").encode_op())]);
+    }
+    assert!(cluster.replicas.iter().all(|r| r.stable_seq() == SeqNum(4)));
+    cluster.down[0] = true;
+    cluster.timeout_all_up();
+    assert!(cluster.replicas[1..].iter().all(|r| r.views() == (View(1), View(1), View(1))));
+    cluster.submit(1, vec![plain_request(0, 5, KvOp::put(b"k", b"w").encode_op())]);
+    assert!(cluster.replicas[1..].iter().all(|r| r.last_executed() == SeqNum(5)));
+    cluster.view_change_frames
+}
+
+#[test]
+fn view_change_messages_do_not_grow_with_the_state() {
+    // Three votes and one NewView, each carrying stable-checkpoint
+    // certificates: by digest, so a thousand times the state is not one
+    // byte more on the wire (each vote used to embed the snapshot, and
+    // nine of them put this NewView past MAX_FRAME_LEN).
+    let small = view_change_frames_over_a_state_of(4 << 10);
+    let large = view_change_frames_over_a_state_of(4 << 20);
+    assert_eq!(small.len(), 4);
+    assert_eq!(small, large);
+    assert!(large.iter().all(|len| *len < MAX_FRAME_LEN as usize / 1000));
 }
 
 #[test]

@@ -1163,7 +1163,7 @@ mod tests {
             vec![PeerAddr { id: ReplicaId(1), addr: peer_addr }],
         );
         config.timeout_every = Some(Duration::from_millis(50));
-        config.recovery = Some(RecoveryPolicy { agreement: 1 });
+        config.recovery = RecoveryPolicy { agreement: 1, at_startup: true };
         let node = echo_node(config);
 
         let counted = std::thread::spawn(move || {

@@ -30,18 +30,32 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// State-transfer policy for a node that hosts a durable (or merely
-/// lagging-tolerant) protocol.
+/// State-transfer policy of a node.
 ///
-/// When set, the node broadcasts a `STATE_REQUEST` to every peer at
-/// startup and re-requests on each timer tick while it is making no
-/// progress; peer checkpoints are applied once `agreement` responders
-/// vouch for the same `(seq, digest)` — with `agreement = f + 1` at
-/// least one of them is correct.
+/// Every node runs the state-transfer client: checkpoint votes carry a
+/// digest, not the state, so a replica that falls behind a stable
+/// checkpoint — or stalls behind a gap in its log — can only heal by
+/// asking its peers, which the hosting core's timer does on a stall. Peer
+/// checkpoints are applied once `agreement` responders vouch for the same
+/// `(seq, digest)` — with `agreement = f + 1` at least one of them is
+/// correct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Matching peer checkpoints required before restoring (`f + 1`).
     pub agreement: usize,
+    /// Also broadcast a `STATE_REQUEST` at startup and hunt for peer state
+    /// until live traffic executes: right for a node restarting from a
+    /// data directory, which may have missed anything while it was down.
+    pub at_startup: bool,
+}
+
+impl RecoveryPolicy {
+    /// The policy of a node that starts with its cluster: no startup
+    /// round, and an agreement that is at least `f + 1` under either
+    /// fault model for a cluster of `n` (`n >= 3f + 1` or `n >= 2f + 1`).
+    pub fn for_cluster_of(n: usize) -> Self {
+        RecoveryPolicy { agreement: n.saturating_sub(1) / 2 + 1, at_startup: false }
+    }
 }
 
 /// Address book entry: where a replica listens.
@@ -69,10 +83,8 @@ pub struct NodeConfig {
     /// `None` (the default) leaves timeouts to explicit triggers, which
     /// is right for tests and demos that never need a view change.
     pub timeout_every: Option<Duration>,
-    /// If set, run the state-transfer client (see [`RecoveryPolicy`]).
-    /// Peer `STATE_REQUEST`s are answered regardless, so a cluster can
-    /// mix recovering and never-recovering nodes.
-    pub recovery: Option<RecoveryPolicy>,
+    /// The state-transfer client's policy (see [`RecoveryPolicy`]).
+    pub recovery: RecoveryPolicy,
     /// Group-commit linger of the node's loop. `Duration::ZERO` (the
     /// default) closes a drain batch — one [`Protocol::flush_durable`]
     /// call, so one fsync for a durable protocol — after every pass
@@ -103,16 +115,17 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// A config with default batching, no timer, no state-transfer
-    /// client, and no fault injection.
+    /// A config with default batching, no timer, no startup state
+    /// request, and no fault injection.
     pub fn new(id: ReplicaId, listen: SocketAddr, peers: Vec<PeerAddr>) -> Self {
+        let cluster = peers.iter().filter(|peer| peer.id != id).count() + 1;
         NodeConfig {
             id,
             listen,
             peers,
             batch: BatchPolicy::default(),
             timeout_every: None,
-            recovery: None,
+            recovery: RecoveryPolicy::for_cluster_of(cluster),
             group_commit: Duration::ZERO,
             faults: FaultPlan::shared(u64::from(id.0)),
             fault_injection: false,
@@ -197,10 +210,9 @@ const STATE_TRANSFER_RETRY: Duration = Duration::from_millis(1500);
 ///   matching vote complete the quorum instead of being forgotten.
 struct Recovery {
     policy: RecoveryPolicy,
-    /// Still hunting for peer state. Cleared once progress flows from
-    /// live traffic rather than transfers; a running replica that later
-    /// falls behind catches up through the protocol's own checkpoint
-    /// stream instead.
+    /// Hunting for peer state: from startup (when the policy says so)
+    /// and from every stall, until progress flows from live traffic
+    /// rather than transfers.
     active: bool,
     /// Progress attributable to startup recovery plus state transfer:
     /// anything beyond it was made organically. Raised by exactly the
@@ -216,10 +228,10 @@ struct Recovery {
     /// immediately, if the round already proved productive and the
     /// guard was cleared.
     requested_at: Option<Instant>,
-    /// The current stall (requests pending, no progress across a whole
-    /// timer period) has already spent one tick asking peers for state
-    /// instead of accusing the primary; see the timer in
-    /// [`Host::handle`]. Cleared by any progress.
+    /// The current stall (requests pending or a stable checkpoint ahead,
+    /// no progress across a whole timer period) has already spent one
+    /// tick asking peers for state instead of accusing the primary; see
+    /// the timer in [`Host::handle`]. Cleared by any progress.
     asked_on_stall: bool,
 }
 
@@ -230,7 +242,7 @@ impl Recovery {
     fn new(policy: RecoveryPolicy, baseline: u64) -> Self {
         Recovery {
             policy,
-            active: true,
+            active: policy.at_startup,
             baseline,
             responses: HashMap::new(),
             requested_at: None,
@@ -259,13 +271,13 @@ impl Recovery {
 pub(crate) struct Host<P: Protocol> {
     id: ReplicaId,
     protocol: P,
-    recovery: Option<Recovery>,
-    /// Request-aware view-change timer state: a tick forwards to the
-    /// protocol's timeout handler only when a request has been pending
-    /// across one full period with no commit progress — so the primary
-    /// gets a whole tick to make progress (`armed`), idle clusters
-    /// never churn views, and a genuinely stalled request still fails
-    /// over on the second tick.
+    recovery: Recovery,
+    /// Stall timer state: a tick counts as stalled only when a request
+    /// has been pending — or a stable checkpoint has been ahead of this
+    /// replica — across one full period with no commit progress. So the
+    /// primary gets a whole tick to make progress (`armed`), idle
+    /// clusters never churn views, and a genuinely stalled replica asks
+    /// its peers on the second tick and fails over on the third.
     armed: bool,
     last_progress: u64,
     /// Peer `STATE_REQUEST`s seen this batch, *deferred* to
@@ -290,20 +302,20 @@ pub(crate) struct Host<P: Protocol> {
 }
 
 impl<P: Protocol> Host<P> {
-    /// Wraps `protocol` for hosting. When `recovery` is set, the
+    /// Wraps `protocol` for hosting. When `recovery` asks for it, the
     /// startup `STATE_REQUEST` round goes out through `peers` right
     /// away.
     pub(crate) fn new(
         id: ReplicaId,
         protocol: P,
-        recovery: Option<RecoveryPolicy>,
+        recovery: RecoveryPolicy,
         telemetry: Arc<NodeTelemetry>,
         peers: &mut impl PeerSink,
     ) -> Self {
         let baseline = protocol.progress();
-        let mut recovery = recovery.map(|policy| Recovery::new(policy, baseline));
-        if let Some(rec) = &mut recovery {
-            rec.requested_at = Some(Instant::now());
+        let mut recovery = Recovery::new(recovery, baseline);
+        if recovery.active {
+            recovery.requested_at = Some(Instant::now());
             request_state(id, baseline, peers);
             telemetry.set_recovering(true);
         }
@@ -333,7 +345,7 @@ impl<P: Protocol> Host<P> {
     /// peer state.
     #[cfg(test)]
     pub(crate) fn recovering(&self) -> bool {
-        self.recovery.as_ref().is_some_and(|rec| rec.active)
+        self.recovery.active
     }
 
     /// Handles one event, returning the outputs to accumulate for
@@ -359,42 +371,44 @@ impl<P: Protocol> Host<P> {
                 self.state_requests.push(req);
                 Vec::new()
             }
-            Event::StateResponse(resp) => match &mut self.recovery {
-                // Only cluster members' responses count toward the
-                // f + 1 agreement (the backend already pinned the id to
-                // the connection's hello).
-                Some(rec) if rec.active && peers.is_peer(resp.replica) => {
-                    apply_state_response(&mut self.protocol, rec, resp, &self.telemetry)
-                }
-                _ => Vec::new(),
-            },
+            // Only cluster members' responses count toward the f + 1
+            // agreement (the backend already pinned the id to the
+            // connection's hello).
+            Event::StateResponse(resp) if self.recovery.active && peers.is_peer(resp.replica) => {
+                apply_state_response(&mut self.protocol, &mut self.recovery, resp, &self.telemetry)
+            }
+            Event::StateResponse(_) => Vec::new(),
             Event::Timeout => {
                 let progress = self.protocol.progress();
                 let pending = self.protocol.has_pending_requests();
-                let stalled = pending && self.armed && progress == self.last_progress;
+                // Behind a stable checkpoint: 2f + 1 replicas certified
+                // state this one has not reached. Votes carry only its
+                // digest, so nothing in the message stream closes the gap.
+                self.gauges.clear();
+                self.protocol.probe_gauges(&mut self.gauges);
+                let waiting = pending || self.gauges.behind_stable_checkpoint();
+                let stalled = waiting && self.armed && progress == self.last_progress;
                 // A stall looks the same from inside whether the primary
                 // is faulty or this replica is stranded behind a gap: it
                 // missed votes while it was down or catching up, nobody
                 // resends them, and an idle cluster produces no
                 // checkpoint to pull it level. A view change entered
-                // alone would only strand it further, so a replica that
-                // can fetch state spends the first stalled tick asking
-                // its peers — reopening the hunt, past the in-flight
-                // guard — and accuses the primary only if the next tick
-                // is stalled too.
-                let mut ask_first = false;
-                if let Some(rec) = &mut self.recovery {
-                    if progress != self.last_progress {
-                        rec.asked_on_stall = false;
-                    }
-                    if stalled && !rec.asked_on_stall {
-                        ask_first = true;
-                        rec.asked_on_stall = true;
-                        rec.active = true;
-                        rec.baseline = progress;
-                        rec.requested_at = None;
-                        self.telemetry.set_recovering(true);
-                    }
+                // alone would only strand it further, so the first
+                // stalled tick asks the peers — reopening the hunt, past
+                // the in-flight guard — and only if the next tick is
+                // stalled too, with a request still waiting, is the
+                // primary accused.
+                let rec = &mut self.recovery;
+                if progress != self.last_progress {
+                    rec.asked_on_stall = false;
+                }
+                let ask_first = stalled && !rec.asked_on_stall;
+                if ask_first {
+                    rec.asked_on_stall = true;
+                    rec.active = true;
+                    rec.baseline = progress;
+                    rec.requested_at = None;
+                    self.telemetry.set_recovering(true);
                 }
                 // Recovery retry: progress beyond the baseline means
                 // live traffic is executing again — the hunt is over.
@@ -402,21 +416,19 @@ impl<P: Protocol> Host<P> {
                 // checkpoints until the gap closes) — immediately after
                 // a productive round, else once the in-flight round's
                 // retry deadline passes.
-                if let Some(rec) = &mut self.recovery {
-                    if rec.active {
-                        if progress > rec.baseline {
-                            rec.active = false;
-                            rec.responses.clear();
-                            self.telemetry.set_recovering(false);
-                        } else if rec.may_request() {
-                            rec.baseline = progress;
-                            rec.requested_at = Some(Instant::now());
-                            request_state(self.id, progress, peers);
-                        }
+                if rec.active {
+                    if progress > rec.baseline {
+                        rec.active = false;
+                        rec.responses.clear();
+                        self.telemetry.set_recovering(false);
+                    } else if rec.may_request() {
+                        rec.baseline = progress;
+                        rec.requested_at = Some(Instant::now());
+                        request_state(self.id, progress, peers);
                     }
                 }
-                let fire = stalled && !ask_first;
-                self.armed = pending && !fire;
+                let fire = stalled && pending && !ask_first;
+                self.armed = waiting && !fire;
                 self.last_progress = progress;
                 if fire {
                     self.protocol.on_timeout()
@@ -484,6 +496,7 @@ impl<P: Protocol> Host<P> {
         }
         telemetry.set_shard_gauges(&gauges.shard_progress, &gauges.shard_fsyncs);
         telemetry.set_shard_views(&gauges.shard_views);
+        telemetry.set_stable_checkpoints(&gauges.stable_checkpoint);
     }
 }
 
@@ -768,7 +781,7 @@ mod tests {
         Host::new(
             ReplicaId(0),
             CatchUp { progress: 0 },
-            Some(RecoveryPolicy { agreement }),
+            RecoveryPolicy { agreement, at_startup: true },
             NodeTelemetry::new(0),
             peers,
         )
@@ -794,10 +807,14 @@ mod tests {
         }
     }
 
+    /// A policy with no startup round: what a node without a data
+    /// directory runs.
+    const ON_STALL_ONLY: RecoveryPolicy = RecoveryPolicy { agreement: 1, at_startup: false };
+
     #[test]
     fn a_stalled_replica_asks_its_peers_before_accusing_the_primary() {
         let mut peers = Peers::new(&[1, 2]);
-        let policy = Some(RecoveryPolicy { agreement: 1 });
+        let policy = RecoveryPolicy { agreement: 1, at_startup: true };
         let mut host = Host::new(ReplicaId(0), Stalled, policy, NodeTelemetry::new(0), &mut peers);
         assert_eq!(peers.state_requests().len(), 1, "startup round");
 
@@ -811,11 +828,84 @@ mod tests {
         // Still stalled a tick later: now the timeout fires.
         assert_eq!(host.handle(Event::Timeout, &mut peers).len(), 1);
 
-        // Without a recovery policy nobody can be asked: the second
-        // tick fires, as it always did.
-        let mut host = Host::new(ReplicaId(0), Stalled, None, NodeTelemetry::new(0), &mut peers);
+        // Every node can ask, data directory or not: the same three
+        // ticks, minus the startup round.
+        let mut peers = Peers::new(&[1, 2]);
+        let mut host =
+            Host::new(ReplicaId(0), Stalled, ON_STALL_ONLY, NodeTelemetry::new(0), &mut peers);
+        assert!(!host.recovering());
         assert!(host.handle(Event::Timeout, &mut peers).is_empty());
+        assert!(host.handle(Event::Timeout, &mut peers).is_empty());
+        assert_eq!(peers.state_requests().len(), 1, "asked on the first stalled tick");
         assert_eq!(host.handle(Event::Timeout, &mut peers).len(), 1);
+    }
+
+    /// Nothing pending, but a stable checkpoint at 128 while progress
+    /// moves as the test says.
+    struct Behind {
+        progress: u64,
+    }
+
+    impl Protocol for Behind {
+        type Message = u64;
+
+        fn on_message(&mut self, _msg: u64) -> Vec<ProtocolOutput<u64>> {
+            Vec::new()
+        }
+
+        fn on_client_requests(&mut self, _requests: Vec<Request>) -> Vec<ProtocolOutput<u64>> {
+            Vec::new()
+        }
+
+        fn on_timeout(&mut self) -> Vec<ProtocolOutput<u64>> {
+            vec![ProtocolOutput::Broadcast(0)]
+        }
+
+        fn progress(&self) -> u64 {
+            self.progress
+        }
+
+        fn has_pending_requests(&self) -> bool {
+            false
+        }
+
+        fn probe_gauges(&self, gauges: &mut ProtocolGauges) {
+            gauges.add_group(self.progress, 0, 0, 128);
+        }
+    }
+
+    /// Checkpoint votes carry a digest, not the state: a replica whose
+    /// stable checkpoint is ahead of it can only ask. While it still
+    /// executes slots it holds it is not stalled; once it stops, the
+    /// second stalled tick asks the peers — and with no request waiting,
+    /// nobody is accused however long it lasts.
+    #[test]
+    fn a_replica_behind_a_stable_checkpoint_asks_its_peers_once_it_stops_progressing() {
+        let mut peers = Peers::new(&[1, 2]);
+        let behind = Behind { progress: 100 };
+        let mut host =
+            Host::new(ReplicaId(0), behind, ON_STALL_ONLY, NodeTelemetry::new(0), &mut peers);
+
+        for _ in 0..4 {
+            host.protocol.progress += 1;
+            assert!(host.handle(Event::Timeout, &mut peers).is_empty());
+        }
+        assert!(peers.state_requests().is_empty(), "still executing: nothing to ask for");
+
+        assert!(host.handle(Event::Timeout, &mut peers).is_empty());
+        assert_eq!(peers.state_requests().len(), 1, "one request once a whole period passed without progress");
+        assert_eq!(peers.state_requests()[0].have_seq, SeqNum(104));
+        assert!(host.recovering());
+        for _ in 0..3 {
+            assert!(host.handle(Event::Timeout, &mut peers).is_empty(), "no view change");
+        }
+        assert_eq!(peers.state_requests().len(), 1, "the round in flight is rate-limited");
+
+        // Level with the stable checkpoint: nothing left to wait for.
+        host.protocol.progress = 128;
+        host.handle(Event::Timeout, &mut peers);
+        host.handle(Event::Timeout, &mut peers);
+        assert_eq!(peers.state_requests().len(), 1);
     }
 
     /// Regression test for the rolling-restart state-transfer livelock:
@@ -921,6 +1011,7 @@ mod tests {
             shard_progress: vec![protocol.progress()],
             shard_fsyncs: vec![0],
             shard_views: vec![0],
+            stable_checkpoint: vec![0],
             ..ProtocolGauges::default()
         };
         assert_eq!(gauges, one_group, "CatchUp never has requests pending");
@@ -942,7 +1033,7 @@ mod tests {
         let mut host = Host::new(
             ReplicaId(0),
             CatchUp { progress: 0 },
-            None,
+            ON_STALL_ONLY,
             Arc::clone(&telemetry),
             &mut peers,
         );
@@ -1000,7 +1091,7 @@ mod tests {
         }
 
         fn probe_gauges(&self, gauges: &mut ProtocolGauges) {
-            gauges.add_group(0, 0, 0);
+            gauges.add_group(0, 0, 0, 0);
             gauges.checkpoint_seals += self.seals;
         }
 
@@ -1032,7 +1123,8 @@ mod tests {
         let telemetry = NodeTelemetry::new(0);
         let protocol =
             Drainable { requests_seen: 0, pending: true, seals: 0, sealed_on_drain: false };
-        let mut host = Host::new(ReplicaId(0), protocol, None, Arc::clone(&telemetry), &mut peers);
+        let mut host =
+            Host::new(ReplicaId(0), protocol, ON_STALL_ONLY, Arc::clone(&telemetry), &mut peers);
 
         host.handle(Event::Requests(vec![request(1)]), &mut peers);
         assert_eq!(host.protocol.requests_seen, 1, "pre-drain requests are admitted");

@@ -196,13 +196,13 @@ pub trait Protocol: Send + 'static {
     /// this once per drain batch, never per message.
     ///
     /// The default reports one group — [`Protocol::progress`],
-    /// [`Protocol::durable_fsyncs`], view `0` — and a 0/1 pending signal,
-    /// so test doubles need not implement it. Wrappers forward to what
+    /// [`Protocol::durable_fsyncs`], view `0`, no stable checkpoint — and
+    /// a 0/1 pending signal, so test doubles need not implement it. Wrappers forward to what
     /// they wrap and add their own share (a WAL its bytes and seals, a
     /// sharded combinator one group per inner instance), which is why
     /// the probe *adds* rather than overwrites.
     fn probe_gauges(&self, gauges: &mut ProtocolGauges) {
-        gauges.add_group(self.progress(), self.durable_fsyncs(), 0);
+        gauges.add_group(self.progress(), self.durable_fsyncs(), 0, 0);
         gauges.pending_requests += u64::from(self.has_pending_requests());
     }
 
@@ -234,6 +234,12 @@ pub struct ProtocolGauges {
     /// Current view of each group (the first compartment's, for
     /// multi-compartment protocols).
     pub shard_views: Vec<u64>,
+    /// Latest stable checkpoint of each group, on the scale of its
+    /// `shard_progress` entry (`0` for a protocol whose checkpoints are
+    /// local). A group whose stable checkpoint is ahead of its progress
+    /// has fallen behind what `2f + 1` replicas certified, and only a
+    /// state transfer closes that gap.
+    pub stable_checkpoint: Vec<u64>,
 }
 
 impl ProtocolGauges {
@@ -245,6 +251,7 @@ impl ProtocolGauges {
         self.shard_progress.clear();
         self.shard_fsyncs.clear();
         self.shard_views.clear();
+        self.stable_checkpoint.clear();
     }
 
     /// The scalar view gauge: the first group's (the full per-group
@@ -254,10 +261,17 @@ impl ProtocolGauges {
     }
 
     /// Appends one consensus group.
-    pub fn add_group(&mut self, progress: u64, fsyncs: u64, view: u64) {
+    pub fn add_group(&mut self, progress: u64, fsyncs: u64, view: u64, stable_checkpoint: u64) {
         self.shard_progress.push(progress);
         self.shard_fsyncs.push(fsyncs);
         self.shard_views.push(view);
+        self.stable_checkpoint.push(stable_checkpoint);
+    }
+
+    /// `true` if some group's stable checkpoint is ahead of what the
+    /// group has executed.
+    pub fn behind_stable_checkpoint(&self) -> bool {
+        self.stable_checkpoint.iter().zip(&self.shard_progress).any(|(stable, done)| stable > done)
     }
 }
 

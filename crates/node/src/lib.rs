@@ -474,12 +474,16 @@ pub fn start_replica_on(
     config.timeout_every = options.timeout_every;
     config.fault_injection = options.fault_injection;
     config.status_admin = options.status_admin;
+    // A replica behind a stable checkpoint heals by asking its peers,
+    // data dir or not; one restarting from a data dir also asks at
+    // startup, for whatever it missed while it was down.
+    config.recovery = RecoveryPolicy {
+        agreement: fault_tolerance_for(protocol, config.peers.len())? + 1,
+        at_startup: options.data_dir.is_some(),
+    };
     let durability = match &options.data_dir {
         None => None,
         Some(base) => {
-            config.recovery = Some(RecoveryPolicy {
-                agreement: fault_tolerance_for(protocol, config.peers.len())? + 1,
-            });
             // The runtime linger and the protocol's group-commit mode
             // travel together: the node's loop batches events, the
             // DurableProtocol withholds outputs until the batch fsync.

@@ -71,6 +71,7 @@ pub struct NodeTelemetry {
     shard_progress: Mutex<Vec<Metric>>,
     shard_fsyncs: Mutex<Vec<Metric>>,
     shard_views: Mutex<Vec<Metric>>,
+    shard_stable_checkpoints: Mutex<Vec<Metric>>,
 }
 
 impl NodeTelemetry {
@@ -118,6 +119,7 @@ impl NodeTelemetry {
             shard_progress: Mutex::new(Vec::new()),
             shard_fsyncs: Mutex::new(Vec::new()),
             shard_views: Mutex::new(Vec::new()),
+            shard_stable_checkpoints: Mutex::new(Vec::new()),
             journal: EventJournal::default(),
             replica,
             registry: Arc::clone(&registry),
@@ -196,6 +198,20 @@ impl NodeTelemetry {
             "splitbft_shard_view",
             "per-shard current view",
             views,
+        );
+    }
+
+    /// Publishes each group's latest stable checkpoint (one labeled
+    /// series per shard). Read against `splitbft_shard_progress`: a group
+    /// whose stable checkpoint is ahead of its progress has fallen behind
+    /// what a quorum certified and is waiting on a state transfer.
+    pub fn set_stable_checkpoints(&self, stable: &[u64]) {
+        Self::publish_shard(
+            &self.registry,
+            &mut self.shard_stable_checkpoints.lock().expect("shard metrics"),
+            "splitbft_stable_checkpoint",
+            "per-shard latest stable checkpoint sequence number",
+            stable,
         );
     }
 
@@ -342,6 +358,7 @@ mod tests {
         telemetry.progress.set(7);
         telemetry.set_shard_gauges(&[3, 4], &[1, 1]);
         telemetry.set_shard_views(&[0, 2]);
+        telemetry.set_stable_checkpoints(&[128, 0]);
         let text = telemetry.render_prometheus();
         for series in [
             "splitbft_progress 7",
@@ -352,6 +369,7 @@ mod tests {
             "splitbft_shard_progress{shard=\"0\"} 3",
             "splitbft_shard_progress{shard=\"1\"} 4",
             "splitbft_shard_view{shard=\"1\"} 2",
+            "splitbft_stable_checkpoint{shard=\"0\"} 128",
             "splitbft_replica{replica=\"1\"} 1",
         ] {
             assert!(text.contains(series), "missing {series:?} in:\n{text}");

@@ -1,17 +1,64 @@
 //! Checkpoint collection and stability tracking.
 //!
-//! Replicas periodically broadcast a `Checkpoint` with a digest (and copy)
-//! of their state. Once `2f + 1` matching checkpoints for the same
+//! Replicas periodically broadcast a `Checkpoint` with the digest of
+//! their state. Once `2f + 1` matching checkpoints for the same
 //! sequence number are collected, the checkpoint is *stable*: the proof is
 //! retained, older log entries are discarded, and — per the paper —
 //! "compartments keep the Checkpoints and discard messages for sequence
 //! numbers before the checkpoint, even if they are received later".
+//!
+//! Votes carry the digest only. The snapshot a replica took when it
+//! voted stays beside its tracker ([`CheckpointTracker::retain_snapshot`])
+//! until a newer checkpoint is stable, and moves only when asked for: into
+//! the sealed checkpoint file, or to a lagging peer over `STATE_TRANSFER`.
 
 use crate::votes::VoteSet;
+use bytes::Bytes;
+use splitbft_crypto::digest_bytes;
+use splitbft_types::wire::{Decode, Encode, Reader};
 use splitbft_types::{
-    Checkpoint, CheckpointCertificate, ClusterConfig, ProtocolError, SeqNum, Signed,
+    Checkpoint, CheckpointCertificate, ClusterConfig, Digest, DurableCheckpoint, ProtocolError,
+    ReplicaId, SeqNum, Signed,
 };
 use std::collections::BTreeMap;
+
+/// Checks `seq` against the watermark window `(low, low + window]`.
+///
+/// # Errors
+///
+/// [`ProtocolError::OutOfWindow`] when outside it.
+pub fn check_window(low: SeqNum, seq: SeqNum, window: u64) -> Result<(), ProtocolError> {
+    let high = SeqNum(low.0 + window);
+    if seq > low && seq <= high {
+        Ok(())
+    } else {
+        Err(ProtocolError::OutOfWindow { seq, low, high })
+    }
+}
+
+/// Splits a [`DurableCheckpoint`] built by
+/// [`CheckpointTracker::durable_checkpoint`] into its certificate and the
+/// snapshot bytes that follow it. The snapshot is empty in the older
+/// layout, whose votes each embedded a copy instead.
+///
+/// # Errors
+///
+/// [`ProtocolError::CorruptState`] when the certificate does not decode or
+/// does not match the claimed `(seq, digest)`.
+pub fn split_durable_checkpoint(
+    cp: &DurableCheckpoint,
+) -> Result<(CheckpointCertificate, &[u8]), ProtocolError> {
+    let mut reader = Reader::new(&cp.state);
+    let cert = CheckpointCertificate::decode(&mut reader)
+        .map_err(|e| ProtocolError::CorruptState(format!("checkpoint decode: {e}")))?;
+    if cert.seq() != cp.seq || cert.state_digest() != Some(cp.digest) {
+        return Err(ProtocolError::CorruptState(
+            "checkpoint certificate does not match its claimed seq/digest".into(),
+        ));
+    }
+    let snapshot = &cp.state[cp.state.len() - reader.remaining()..];
+    Ok((cert, snapshot))
+}
 
 /// Collects checkpoint votes and detects stability.
 #[derive(Debug, Clone)]
@@ -20,6 +67,9 @@ pub struct CheckpointTracker {
     pending: BTreeMap<SeqNum, VoteSet<Signed<Checkpoint>>>,
     /// Proof of the current stable checkpoint (genesis initially).
     stable: CheckpointCertificate,
+    /// The holder's own snapshots and their digests, from the stable
+    /// point upward (empty in a compartment that holds no state).
+    snapshots: BTreeMap<SeqNum, (Digest, Bytes)>,
 }
 
 impl Default for CheckpointTracker {
@@ -31,7 +81,11 @@ impl Default for CheckpointTracker {
 impl CheckpointTracker {
     /// A tracker at the genesis checkpoint.
     pub fn new() -> Self {
-        CheckpointTracker { pending: BTreeMap::new(), stable: CheckpointCertificate::genesis() }
+        CheckpointTracker {
+            pending: BTreeMap::new(),
+            stable: CheckpointCertificate::genesis(),
+            snapshots: BTreeMap::new(),
+        }
     }
 
     /// The current stable sequence number.
@@ -50,13 +104,86 @@ impl CheckpointTracker {
     ///
     /// [`ProtocolError::OutOfWindow`] when outside it.
     pub fn check_window(&self, seq: SeqNum, window: u64) -> Result<(), ProtocolError> {
-        let low = self.stable_seq();
-        let high = SeqNum(low.0 + window);
-        if seq > low && seq <= high {
-            Ok(())
-        } else {
-            Err(ProtocolError::OutOfWindow { seq, low, high })
+        check_window(self.stable_seq(), seq, window)
+    }
+
+    /// The holder's vote for its own `state` after `seq`: the state is
+    /// hashed once and kept here ([`CheckpointTracker::retain_snapshot`]);
+    /// the vote carries the digest and an empty `snapshot`.
+    pub fn vote_on(&mut self, seq: SeqNum, replica: ReplicaId, state: Vec<u8>) -> Checkpoint {
+        let state_digest = digest_bytes(&state);
+        self.retain_snapshot(seq, state_digest, state.into());
+        Checkpoint { seq, state_digest, replica, snapshot: Bytes::new() }
+    }
+
+    /// Keeps the holder's own `snapshot` (hashing to `digest`) of the
+    /// state after `seq`, until a checkpoint above `seq` is stable.
+    pub fn retain_snapshot(&mut self, seq: SeqNum, digest: Digest, snapshot: Bytes) {
+        if seq >= self.stable.seq() {
+            self.snapshots.insert(seq, (digest, snapshot));
         }
+    }
+
+    /// The holder's snapshot of the stable checkpoint's state: the one it
+    /// retained at the stable sequence number, if that hashes to the
+    /// certified digest. `None` at genesis, and while the holder has not
+    /// reached (or disagrees with) the stable checkpoint.
+    pub fn stable_snapshot(&self) -> Option<&Bytes> {
+        let certified = self.stable.state_digest()?;
+        let (digest, snapshot) = self.snapshots.get(&self.stable.seq())?;
+        (*digest == certified).then_some(snapshot)
+    }
+
+    /// The one admission rule for state that arrives from outside: a
+    /// holder that has executed up to `last_exec` may replace its state
+    /// with `snapshot`, taken at `seq`, only if its own stable checkpoint
+    /// is the one at `seq` (so `2f + 1` signatures it verified vouch for a
+    /// digest), the snapshot is ahead of what it executed, and the bytes
+    /// hash to that digest. Returns the digest.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::CorruptState`] naming the condition that failed.
+    pub fn admit_snapshot(
+        &self,
+        seq: SeqNum,
+        last_exec: SeqNum,
+        snapshot: &[u8],
+    ) -> Result<Digest, ProtocolError> {
+        let certified = self
+            .stable
+            .state_digest()
+            .filter(|_| self.stable.seq() == seq)
+            .ok_or_else(|| {
+                ProtocolError::CorruptState(format!("no stable certificate at {seq} to install under"))
+            })?;
+        if last_exec >= seq {
+            return Err(ProtocolError::CorruptState(format!(
+                "snapshot at {seq} is not ahead of executed slot {last_exec}"
+            )));
+        }
+        if digest_bytes(snapshot) != certified {
+            return Err(ProtocolError::CorruptState(
+                "snapshot does not hash to the certified digest".into(),
+            ));
+        }
+        Ok(certified)
+    }
+
+    /// The stable checkpoint as it is sealed to disk and served to
+    /// lagging peers: the certificate (`2f + 1` votes by digest)
+    /// followed by the holder's snapshot, once. `None` at genesis and
+    /// while the holder has no snapshot of the stable state.
+    pub fn durable_checkpoint(&self) -> Option<DurableCheckpoint> {
+        let snapshot = self.stable_snapshot()?;
+        let mut state = Vec::with_capacity(self.stable.encoded_len() + snapshot.len());
+        self.stable.encode_to(&mut state);
+        state.extend_from_slice(snapshot);
+        Some(DurableCheckpoint {
+            seq: self.stable.seq(),
+            digest: self.stable.state_digest()?,
+            state: state.into(),
+        })
     }
 
     /// Installs an externally validated certificate (from a `NewView` or a
@@ -110,6 +237,7 @@ impl CheckpointTracker {
 
     fn drop_up_to(&mut self, seq: SeqNum) {
         self.pending = self.pending.split_off(&SeqNum(seq.0 + 1));
+        self.snapshots = self.snapshots.split_off(&seq);
     }
 
     /// Number of sequence numbers with pending votes (memory accounting).
@@ -121,8 +249,7 @@ impl CheckpointTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use splitbft_types::{Digest, ReplicaId, Signature, SignerId};
+    use splitbft_types::{Signature, SignerId};
 
     fn cfg() -> ClusterConfig {
         ClusterConfig::new(4).unwrap()
@@ -134,7 +261,7 @@ mod tests {
                 seq: SeqNum(seq),
                 state_digest: Digest::from_bytes([digest; 32]),
                 replica: ReplicaId(replica),
-                snapshot: Bytes::from_static(b"snapshot"),
+                snapshot: Bytes::new(),
             },
             SignerId::Replica(ReplicaId(replica)),
             Signature::ZERO,
@@ -226,5 +353,78 @@ mod tests {
         assert!(!t.install_certificate(cert10));
         assert!(!t.install_certificate(CheckpointCertificate::genesis()));
         assert_eq!(t.stable_seq(), SeqNum(10));
+    }
+
+    fn stabilize(t: &mut CheckpointTracker, seq: u64, digest: u8) {
+        for r in 0..3 {
+            t.insert(vote(seq, digest, r), &cfg());
+        }
+        assert_eq!(t.stable_seq(), SeqNum(seq));
+    }
+
+    #[test]
+    fn own_snapshots_are_kept_from_the_stable_point_upward() {
+        let digest = |d: u8| Digest::from_bytes([d; 32]);
+        let mut t = CheckpointTracker::new();
+        assert!(t.durable_checkpoint().is_none(), "genesis has nothing to seal");
+        t.retain_snapshot(SeqNum(10), digest(1), Bytes::from_static(b"ten"));
+        t.retain_snapshot(SeqNum(20), digest(2), Bytes::from_static(b"twenty"));
+        assert!(t.stable_snapshot().is_none(), "nothing is stable yet");
+
+        stabilize(&mut t, 10, 1);
+        assert_eq!(t.stable_snapshot().map(|s| &s[..]), Some(&b"ten"[..]));
+
+        // The next stable point drops the older snapshot and keeps its own.
+        stabilize(&mut t, 20, 2);
+        assert_eq!(t.stable_snapshot().map(|s| &s[..]), Some(&b"twenty"[..]));
+        assert_eq!(t.snapshots.len(), 1);
+        // A snapshot from before the stable point is not worth keeping.
+        t.retain_snapshot(SeqNum(10), digest(1), Bytes::from_static(b"ten"));
+        assert_eq!(t.snapshots.len(), 1);
+    }
+
+    #[test]
+    fn a_snapshot_is_admitted_only_under_the_stable_certificate_and_ahead_of_execution() {
+        let state = b"state after ten";
+        let certified = digest_bytes(state);
+        let mut t = CheckpointTracker::new();
+        assert!(t.admit_snapshot(SeqNum(0), SeqNum(0), state).is_err(), "genesis certifies nothing");
+        for r in 0..3 {
+            let mut vote = vote(10, 0, r);
+            vote.payload.state_digest = certified;
+            t.insert(vote, &cfg());
+        }
+        assert_eq!(t.admit_snapshot(SeqNum(10), SeqNum(9), state), Ok(certified));
+        assert!(t.admit_snapshot(SeqNum(10), SeqNum(10), state).is_err(), "not ahead");
+        assert!(t.admit_snapshot(SeqNum(10), SeqNum(9), b"state after nine").is_err());
+        assert!(t.admit_snapshot(SeqNum(20), SeqNum(9), state).is_err(), "not the stable seq");
+    }
+
+    #[test]
+    fn a_holder_that_disagrees_with_the_quorum_has_no_stable_snapshot() {
+        let mut t = CheckpointTracker::new();
+        t.retain_snapshot(SeqNum(10), Digest::from_bytes([9; 32]), Bytes::from_static(b"mine"));
+        stabilize(&mut t, 10, 1);
+        assert!(t.stable_snapshot().is_none());
+        assert!(t.durable_checkpoint().is_none());
+    }
+
+    #[test]
+    fn durable_checkpoint_is_the_certificate_then_the_snapshot() {
+        let mut t = CheckpointTracker::new();
+        t.retain_snapshot(SeqNum(10), Digest::from_bytes([1; 32]), Bytes::from_static(b"state"));
+        stabilize(&mut t, 10, 1);
+        let cp = t.durable_checkpoint().expect("stable and held");
+        assert_eq!((cp.seq, cp.digest), (SeqNum(10), Digest::from_bytes([1; 32])));
+        let (cert, snapshot) = split_durable_checkpoint(&cp).expect("own layout splits");
+        assert_eq!(&cert, t.stable_proof());
+        assert_eq!(snapshot, b"state");
+
+        // The certificate alone — the older layout — splits to no snapshot.
+        let bare = DurableCheckpoint { state: t.stable_proof().to_wire().into(), ..cp.clone() };
+        assert_eq!(split_durable_checkpoint(&bare).map(|(_, s)| s.len()), Ok(0));
+        // A claim the votes do not back is refused before anything else.
+        let relabelled = DurableCheckpoint { seq: SeqNum(11), ..cp };
+        assert!(split_durable_checkpoint(&relabelled).is_err());
     }
 }

@@ -60,7 +60,7 @@ impl<A: Application + 'static> Protocol for Replica<A> {
     }
 
     fn probe_gauges(&self, gauges: &mut ProtocolGauges) {
-        gauges.add_group(self.last_executed().0, 0, self.view().0);
+        gauges.add_group(self.last_executed().0, 0, self.view().0, self.stable_seq().0);
         gauges.pending_requests += u64::from(Replica::has_pending_requests(self));
     }
 

@@ -14,16 +14,17 @@
 //! plus `2f` matching prepares) it votes `Commit`; once it holds `2f + 1`
 //! matching commits the batch is committed and executed in sequence order,
 //! with one authenticated `Reply` per request. Every
-//! `checkpoint_interval` executions the replica broadcasts a `Checkpoint`
-//! carrying its state snapshot; `2f + 1` matching checkpoints advance the
-//! watermark and garbage-collect the log. When the environment's timer
-//! fires ([`Replica::on_view_timeout`]) the replica votes `ViewChange`;
-//! the next primary assembles `2f + 1` votes into a `NewView` that
-//! re-issues every prepared-but-unstable proposal (see
+//! `checkpoint_interval` executions the replica snapshots its state and
+//! broadcasts a `Checkpoint` carrying the snapshot's digest; `2f + 1`
+//! matching checkpoints advance the watermark and garbage-collect the
+//! log. When the environment's timer fires
+//! ([`Replica::on_view_timeout`]) the replica votes `ViewChange`; the
+//! next primary assembles `2f + 1` votes into a `NewView` that re-issues
+//! every prepared-but-unstable proposal (see
 //! [`crate::viewchange::plan_new_view`]).
 
 use crate::action::Action;
-use crate::checkpoint::CheckpointTracker;
+use crate::checkpoint::{split_durable_checkpoint, CheckpointTracker};
 use crate::log::MessageLog;
 use crate::verify::{
     self, verify_signed_from, SignerScheme, REPLICA_SCHEME,
@@ -31,13 +32,13 @@ use crate::verify::{
 use crate::viewchange::{
     plan_new_view, validate_new_view, NewViewPlan, PendingRequests, ViewChangeTracker, ViewTimer,
 };
+use bytes::Bytes;
 use splitbft_app::{Application, Cached, ReplyCache};
 use splitbft_crypto::{client_mac_key, digest_bytes, digest_of, ClientMacKeys, KeyPair, KeyRegistry};
-use splitbft_types::wire::{decode, encode};
 use splitbft_types::{
-    Checkpoint, CheckpointCertificate, ClientId, ClusterConfig, Commit, ConsensusMessage, Digest,
-    DurableCheckpoint, DurableEvent, NewView, PrePrepare, Prepare, PrepareCertificate,
-    ProtocolError, ReplicaId, Request, RequestBatch, SeqNum, Signed, SignerId, View, ViewChange,
+    Checkpoint, ClientId, ClusterConfig, Commit, ConsensusMessage, Digest, DurableCheckpoint,
+    DurableEvent, NewView, PrePrepare, Prepare, PrepareCertificate, ProtocolError, ReplicaId,
+    Request, RequestBatch, SeqNum, Signed, SignerId, View, ViewChange,
 };
 use std::collections::BTreeMap;
 
@@ -273,51 +274,47 @@ impl<A: Application> Replica<A> {
     }
 
     /// The replica's durable state at its latest stable checkpoint: the
-    /// stable [`CheckpointCertificate`] itself, which is
-    /// self-authenticating (`2f + 1` signed `Checkpoint`s carrying the
-    /// snapshot). `None` at genesis.
+    /// stable [`splitbft_types::CheckpointCertificate`] (`2f + 1` signed
+    /// votes for the state digest) followed by this replica's snapshot of
+    /// that state. `None` at genesis, and while this replica is behind its
+    /// own stable checkpoint and so has no snapshot of it.
     pub fn durable_checkpoint(&self) -> Option<DurableCheckpoint> {
-        let cert = self.checkpoints.stable_proof();
-        let digest = cert.state_digest()?;
-        Some(DurableCheckpoint {
-            seq: cert.seq(),
-            digest,
-            state: encode(cert).into(),
-        })
+        self.checkpoints.durable_checkpoint()
     }
 
     /// Restores from a [`DurableCheckpoint`] produced by
     /// [`Replica::durable_checkpoint`] — the sealed local copy or an
     /// `f + 1`-agreed peer copy. The embedded certificate is deep
-    /// verified (structure + every signature + snapshot digest) before
-    /// anything is applied.
+    /// verified (structure + every signature) before it becomes this
+    /// replica's stable checkpoint, and the snapshot is installed only if
+    /// it hashes to the digest that certificate vouches for.
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::CorruptState`] when the bytes do not decode or
-    /// do not match the claimed `(seq, digest)`; certificate validation
-    /// errors pass through.
+    /// [`ProtocolError::CorruptState`] when the bytes do not decode, do
+    /// not match the claimed `(seq, digest)` or carry no matching
+    /// snapshot; certificate validation errors pass through.
     pub fn restore_durable_checkpoint(
         &mut self,
         cp: &DurableCheckpoint,
     ) -> Result<(), ProtocolError> {
-        let cert: CheckpointCertificate = decode(&cp.state)
-            .map_err(|e| ProtocolError::CorruptState(format!("checkpoint decode: {e}")))?;
-        if cert.seq() != cp.seq || cert.state_digest() != Some(cp.digest) {
-            return Err(ProtocolError::CorruptState(
-                "checkpoint certificate does not match its claimed seq/digest".into(),
-            ));
-        }
+        let (cert, snapshot) = split_durable_checkpoint(cp)?;
         verify::verify_checkpoint_certificate(&self.registry, &cert, &self.config, &self.scheme)?;
-        if verify::certified_snapshot(&cert).is_none() {
-            return Err(ProtocolError::CorruptState(
-                "no embedded snapshot matches the certified digest".into(),
-            ));
-        }
         if self.checkpoints.install_certificate(cert.clone()) {
-            let _ = self.apply_stable_checkpoint(cert);
+            let _ = self.apply_stable_checkpoint(cp.seq);
         }
-        Ok(())
+        if self.last_exec >= cp.seq {
+            return Ok(()); // already at or past the certified state
+        }
+        // A checkpoint sealed or served by an older build has no bytes
+        // after the certificate: its votes each embed the snapshot.
+        let snapshot = match snapshot {
+            [] => verify::certified_snapshot(&cert).ok_or_else(|| {
+                ProtocolError::CorruptState("no snapshot matches the certified digest".into())
+            })?,
+            trailing => trailing,
+        };
+        self.install_snapshot(cp.seq, snapshot)
     }
 
     /// Retained messages that let a peer at `have_seq` catch up through
@@ -633,6 +630,7 @@ impl<A: Application> Replica<A> {
                 actions.extend(self.emit_checkpoint(next));
             }
         }
+        self.collect_log_garbage();
         actions
     }
 
@@ -671,28 +669,39 @@ impl<A: Application> Replica<A> {
         self.replies.encode_state(&self.app.snapshot())
     }
 
-    fn restore_checkpoint_state(&mut self, bytes: &[u8]) -> Result<(), ProtocolError> {
-        self.replies.restore_state(bytes, &mut self.app, &self.client_keys, self.view, self.id)?;
-        // State transfer executed (on our behalf) everything up to the
+    /// The one place application state is replaced wholesale: installs
+    /// `snapshot` as the state after `seq`, if the tracker admits it
+    /// ([`CheckpointTracker::admit_snapshot`]).
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::CorruptState`] when it does not (or the snapshot
+    /// does not parse); nothing has changed then.
+    fn install_snapshot(&mut self, seq: SeqNum, snapshot: &[u8]) -> Result<(), ProtocolError> {
+        let certified = self.checkpoints.admit_snapshot(seq, self.last_exec, snapshot)?;
+        self.replies.restore_state(snapshot, &mut self.app, &self.client_keys, self.view, self.id)?;
+        // The transfer executed (on our behalf) everything up to the
         // checkpoint: drop pending markers the restored replies cover.
         for executed in self.replies.executed() {
             self.pending_requests.executed(executed);
         }
+        self.last_exec = seq;
+        if self.next_seq < seq {
+            self.next_seq = seq;
+        }
+        self.checkpoints.retain_snapshot(seq, certified, Bytes::copy_from_slice(snapshot));
+        self.collect_log_garbage();
         Ok(())
     }
 
+    /// Takes the periodic snapshot: it stays here, beside the tracker,
+    /// and the broadcast vote carries its digest alone.
     fn emit_checkpoint(&mut self, seq: SeqNum) -> Vec<Action> {
-        let state = self.checkpoint_state_bytes();
-        let ckpt = Checkpoint {
-            seq,
-            state_digest: digest_bytes(&state),
-            replica: self.id,
-            snapshot: state.into(),
-        };
+        let ckpt = self.checkpoints.vote_on(seq, self.id, self.checkpoint_state_bytes());
         let signed = self.keypair.sign_payload(ckpt, self.signer);
         let mut actions = Vec::new();
         if let Some(cert) = self.checkpoints.insert(signed.clone(), &self.config) {
-            actions.extend(self.apply_stable_checkpoint(cert));
+            actions.extend(self.apply_stable_checkpoint(cert.seq()));
         }
         actions.push(Action::Broadcast { msg: ConsensusMessage::Checkpoint(signed) });
         actions
@@ -708,32 +717,28 @@ impl<A: Application> Replica<A> {
         }
         let mut actions = Vec::new();
         if let Some(cert) = self.checkpoints.insert(c, &self.config) {
-            actions.extend(self.apply_stable_checkpoint(cert));
+            actions.extend(self.apply_stable_checkpoint(cert.seq()));
         }
         Ok(actions)
     }
 
-    fn apply_stable_checkpoint(&mut self, cert: CheckpointCertificate) -> Vec<Action> {
-        let seq = cert.seq();
-        let mut actions = Vec::new();
-        // State transfer: if this replica fell behind the stable point,
-        // adopt the certified snapshot (after checking it hashes to the
-        // certified digest).
-        if self.last_exec < seq {
-            if let Some(snapshot) = verify::certified_snapshot(&cert) {
-                if self.restore_checkpoint_state(snapshot).is_ok() {
-                    self.last_exec = seq;
-                    if self.next_seq < seq {
-                        self.next_seq = seq;
-                    }
-                }
-            }
-        }
-        self.log.collect_garbage(seq);
+    /// Bookkeeping for a checkpoint that just became stable at `seq`. A
+    /// replica that has not executed up to `seq` is now *behind*: it
+    /// keeps executing the slots it holds, and what it is missing reaches
+    /// it as a snapshot through [`Replica::restore_durable_checkpoint`].
+    fn apply_stable_checkpoint(&mut self, seq: SeqNum) -> Vec<Action> {
+        self.collect_log_garbage();
         self.prepared_certs = self.prepared_certs.split_off(&SeqNum(seq.0 + 1));
         self.record(|| DurableEvent::StableCheckpoint { seq });
-        actions.push(Action::StableCheckpoint { seq });
-        actions
+        vec![Action::StableCheckpoint { seq }]
+    }
+
+    /// Discards log slots that are both stable and executed. While the
+    /// replica is behind its stable checkpoint the low watermark trails
+    /// at what it has executed, so committed slots it still has to
+    /// execute stay in the log and in the window.
+    fn collect_log_garbage(&mut self) {
+        self.log.collect_garbage(self.checkpoints.stable_seq().min(self.last_exec));
     }
 
     // --- view changes -----------------------------------------------------
@@ -848,11 +853,8 @@ impl<A: Application> Replica<A> {
     /// stale agreement state, leave view-change status.
     fn enter_view(&mut self, view: View, plan: &NewViewPlan) -> Vec<Action> {
         let mut actions = Vec::new();
-        if plan.checkpoint.seq() > self.checkpoints.stable_seq() {
-            let cert = plan.checkpoint.clone();
-            if self.checkpoints.install_certificate(cert.clone()) {
-                actions.extend(self.apply_stable_checkpoint(cert));
-            }
+        if self.checkpoints.install_certificate(plan.checkpoint.clone()) {
+            actions.extend(self.apply_stable_checkpoint(plan.checkpoint.seq()));
         }
         self.log.clear_above(self.checkpoints.stable_seq());
         self.view = view;

@@ -168,10 +168,13 @@ pub fn verify_new_view_votes(
     Ok(())
 }
 
-/// Validates that a checkpoint certificate's embedded snapshot really
-/// hashes to the certified digest, and returns the snapshot bytes to
-/// restore. Byzantine senders can attach arbitrary snapshot bytes to an
-/// otherwise-valid vote, so receivers must scan for one matching copy.
+/// Finds, among the snapshots embedded in a certificate's votes, one that
+/// hashes to the certified digest. Only a checkpoint in the older durable
+/// layout has any — every vote used to carry the state, and a byzantine
+/// sender could attach arbitrary bytes to an otherwise-valid vote, hence
+/// the scan; since votes go by digest the snapshot follows the certificate
+/// instead. This picks a candidate for the one install path to check; it
+/// restores nothing.
 pub fn certified_snapshot(cert: &CheckpointCertificate) -> Option<&[u8]> {
     let digest = cert.state_digest()?;
     cert.checkpoints

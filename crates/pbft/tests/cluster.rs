@@ -6,8 +6,11 @@
 use bytes::Bytes;
 use splitbft_app::{Application, CounterApp, KeyValueStore, KvOp};
 use splitbft_pbft::{make_request, Action, ClientEvent, LockstepClient, Replica, Status};
+use splitbft_crypto::KeyPair;
+use splitbft_types::wire::{encode, frame_message, MAX_FRAME_LEN};
 use splitbft_types::{
-    ClientId, ClusterConfig, ConsensusMessage, ReplicaId, Reply, Request, SeqNum, Timestamp, View,
+    Checkpoint, CheckpointCertificate, ClientId, ClusterConfig, ConsensusMessage,
+    DurableCheckpoint, ReplicaId, Reply, Request, SeqNum, SignerId, Timestamp, View,
 };
 use std::collections::VecDeque;
 
@@ -20,6 +23,10 @@ struct Cluster<A> {
     queues: Vec<VecDeque<ConsensusMessage>>,
     replies: Vec<Reply>,
     down: Vec<bool>,
+    /// Replicas whose inbound queue fills but is not processed.
+    held: Vec<bool>,
+    /// Framed size of every `ViewChange` and `NewView` broadcast so far.
+    view_change_frames: Vec<usize>,
 }
 
 impl<A: Application> Cluster<A> {
@@ -33,6 +40,8 @@ impl<A: Application> Cluster<A> {
             queues: (0..n).map(|_| VecDeque::new()).collect(),
             replies: Vec::new(),
             down: vec![false; n],
+            held: vec![false; n],
+            view_change_frames: Vec::new(),
         }
     }
 
@@ -44,6 +53,10 @@ impl<A: Application> Cluster<A> {
         for action in actions {
             match action {
                 Action::Broadcast { msg } => {
+                    if matches!(msg, ConsensusMessage::ViewChange(_) | ConsensusMessage::NewView(_))
+                    {
+                        self.view_change_frames.push(frame_message(0, &msg).len());
+                    }
                     for to in 0..self.n() {
                         if to != from && !self.down[to] {
                             self.queues[to].push_back(msg.clone());
@@ -68,6 +81,9 @@ impl<A: Application> Cluster<A> {
             for i in 0..self.n() {
                 if self.down[i] {
                     self.queues[i].clear();
+                    continue;
+                }
+                if self.held[i] {
                     continue;
                 }
                 while let Some(msg) = self.queues[i].pop_front() {
@@ -190,26 +206,112 @@ fn checkpoints_advance_watermark_and_gc() {
     }
 }
 
-#[test]
-fn lagging_replica_catches_up_via_state_transfer() {
+/// Replica 3 misses twelve slots behind a partition; the others stabilize
+/// checkpoints at 4, 8 and 12. Returns the healed cluster.
+fn cluster_with_replica_3_behind() -> Cluster<CounterApp> {
     let mut cluster = Cluster::new(4, 4, CounterApp::new);
-    // Replica 3 is partitioned away; the other three keep the protocol
-    // live (n=4 tolerates one fault).
+    // The other three keep the protocol live (n=4 tolerates one fault).
     cluster.down[3] = true;
     for i in 0..8u64 {
         cluster.submit(0, vec![request(0, i + 1, Bytes::from_static(b"inc"))]);
     }
     assert_eq!(cluster.replicas[3].last_executed(), SeqNum(0));
-
-    // Partition heals; replica 3 receives the next checkpoint quorum and
-    // adopts the certified snapshot.
+    // Partition heals; replica 3 sees the next checkpoint's votes.
     cluster.down[3] = false;
     for i in 8..12u64 {
         cluster.submit(0, vec![request(0, i + 1, Bytes::from_static(b"inc"))]);
     }
+    cluster
+}
+
+#[test]
+fn lagging_replica_catches_up_via_state_transfer() {
+    let mut cluster = cluster_with_replica_3_behind();
+    // The votes carry a digest, not the state: replica 3 knows the
+    // checkpoint at 12 is stable and that it is behind it, no more.
     let r3 = &cluster.replicas[3];
-    assert!(r3.stable_seq() >= SeqNum(12), "stable: {:?}", r3.stable_seq());
+    assert_eq!(r3.stable_seq(), SeqNum(12));
+    assert_eq!(r3.last_executed(), SeqNum(0));
+    assert!(r3.durable_checkpoint().is_none(), "no snapshot of a state it never reached");
+
+    // What the state-transfer client does with a peer's answer.
+    let cp = cluster.replicas[0].durable_checkpoint().expect("replica 0 is at its stable point");
+    cluster.replicas[3].restore_durable_checkpoint(&cp).expect("a peer's checkpoint restores");
+    let r3 = &cluster.replicas[3];
+    assert_eq!(r3.last_executed(), SeqNum(12));
     assert_eq!(r3.app().value(), 12, "state transfer restored the counter");
+    assert_eq!(r3.state_digest(), cluster.replicas[0].state_digest());
+    assert_eq!(r3.durable_checkpoint().map(|cp| cp.digest), Some(cp.digest), "and serves it on");
+
+    // Level again: it executes live traffic with everyone else.
+    cluster.submit(0, vec![request(0, 13, Bytes::from_static(b"inc"))]);
+    assert_eq!(cluster.replicas[3].app().value(), 13);
+}
+
+#[test]
+fn a_checkpoint_in_the_older_layout_still_restores() {
+    let mut cluster = cluster_with_replica_3_behind();
+    let cp = cluster.replicas[0].durable_checkpoint().unwrap();
+    let (cert, snapshot) = splitbft_pbft::checkpoint::split_durable_checkpoint(&cp).unwrap();
+    assert!(cert.checkpoints.iter().all(|vote| vote.payload.snapshot.is_empty()));
+
+    // The layout before votes went by digest: the certificate alone,
+    // each vote signed over its own embedded copy of the snapshot.
+    let v1 = CheckpointCertificate {
+        checkpoints: (0..3u32)
+            .map(|r| {
+                let signer = SignerId::Replica(ReplicaId(r));
+                let vote = Checkpoint {
+                    seq: cp.seq,
+                    state_digest: cp.digest,
+                    replica: ReplicaId(r),
+                    snapshot: Bytes::copy_from_slice(snapshot),
+                };
+                KeyPair::for_signer(SEED, signer).sign_payload(vote, signer)
+            })
+            .collect(),
+    };
+    let v1 = DurableCheckpoint { seq: cp.seq, digest: cp.digest, state: encode(&v1).into() };
+    assert!(v1.state.len() > 3 * snapshot.len());
+
+    cluster.replicas[3].restore_durable_checkpoint(&v1).expect("the older layout restores");
+    assert_eq!(cluster.replicas[3].app().value(), 12);
+    assert_eq!(cluster.replicas[3].state_digest(), cluster.replicas[0].state_digest());
+}
+
+#[test]
+fn a_snapshot_installs_only_under_the_replicas_own_stable_certificate() {
+    let mut cluster = cluster_with_replica_3_behind();
+    let cp = cluster.replicas[0].durable_checkpoint().unwrap();
+    let (cert, snapshot) = splitbft_pbft::checkpoint::split_durable_checkpoint(&cp).unwrap();
+    let with_snapshot = |snapshot: &[u8]| {
+        let mut state = encode(&cert);
+        state.extend_from_slice(snapshot);
+        DurableCheckpoint { seq: cp.seq, digest: cp.digest, state: state.into() }
+    };
+    let untouched = cluster.replicas[3].state_digest();
+
+    let mut wrong = snapshot.to_vec();
+    *wrong.last_mut().unwrap() ^= 1;
+    let truncated = &snapshot[..snapshot.len() - 1];
+    // A certificate for a state nobody certified: forged digest, or a
+    // claim that does not match what the votes say.
+    let mut relabelled = cp.clone();
+    relabelled.seq = SeqNum(8);
+    for bad in [with_snapshot(&wrong), with_snapshot(truncated), relabelled] {
+        assert!(cluster.replicas[3].restore_durable_checkpoint(&bad).is_err());
+        assert_eq!(cluster.replicas[3].last_executed(), SeqNum(0));
+        assert_eq!(cluster.replicas[3].state_digest(), untouched);
+    }
+
+    // The genuine one lands; offered again, it is not ahead any more and
+    // changes nothing.
+    cluster.replicas[3].restore_durable_checkpoint(&cp).unwrap();
+    cluster.submit(0, vec![request(0, 13, Bytes::from_static(b"inc"))]);
+    let level = cluster.replicas[3].state_digest();
+    cluster.replicas[3].restore_durable_checkpoint(&cp).expect("a no-op, not an error");
+    assert_eq!(cluster.replicas[3].state_digest(), level);
+    assert_eq!(cluster.replicas[3].last_executed(), SeqNum(13));
 }
 
 #[test]
@@ -259,6 +361,69 @@ fn view_change_elects_next_primary_after_crash() {
     for i in 1..4 {
         assert_eq!(cluster.replicas[i].app().value(), 2, "replica {i} executed");
     }
+}
+
+#[test]
+fn a_replica_a_few_slots_behind_a_stable_checkpoint_executes_its_way_level() {
+    let mut cluster = Cluster::new(4, 4, CounterApp::new);
+    for i in 0..3u64 {
+        cluster.submit(0, vec![request(0, i + 1, Bytes::from_static(b"inc"))]);
+    }
+    // Replica 3's link delivers the checkpoint votes for slot 4 ahead of
+    // the slot's own messages.
+    cluster.held[3] = true;
+    cluster.submit(0, vec![request(0, 4, Bytes::from_static(b"inc"))]);
+    let is_vote = |msg: &ConsensusMessage| matches!(msg, ConsensusMessage::Checkpoint(_));
+    let (votes, slot): (Vec<_>, Vec<_>) = cluster.queues[3].drain(..).partition(is_vote);
+    assert_eq!(votes.len(), 3);
+    cluster.queues[3].extend(votes);
+    cluster.held[3] = false;
+    cluster.run();
+    assert_eq!(cluster.replicas[3].stable_seq(), SeqNum(4));
+    assert_eq!(cluster.replicas[3].last_executed(), SeqNum(3), "behind, and nothing to restore");
+
+    // The slot is still admissible and nothing it needs was collected:
+    // no transfer, it just executes.
+    cluster.queues[3].extend(slot);
+    cluster.run();
+    assert_eq!(cluster.replicas[3].last_executed(), SeqNum(4));
+    assert_eq!(cluster.replicas[3].state_digest(), cluster.replicas[0].state_digest());
+    assert!(cluster.replicas[3].durable_checkpoint().is_some(), "it holds the snapshot it took");
+    cluster.submit(0, vec![request(0, 5, Bytes::from_static(b"inc"))]);
+    assert_eq!(cluster.replicas[3].app().value(), 5);
+}
+
+/// The framed `ViewChange`s and `NewView` of a view change that follows
+/// one stable checkpoint of a store holding `state_bytes`.
+fn view_change_frames_over_a_state_of(state_bytes: usize) -> Vec<usize> {
+    let mut cluster = Cluster::new(4, 4, || {
+        let mut kvs = KeyValueStore::new();
+        kvs.execute(&KvOp::put(b"ballast", &vec![0xAB; state_bytes]).encode_op());
+        kvs
+    });
+    for i in 0..4u64 {
+        cluster.submit(0, vec![request(0, i + 1, KvOp::put(b"k", b"v").encode_op())]);
+    }
+    assert!(cluster.replicas.iter().all(|r| r.stable_seq() == SeqNum(4)));
+    cluster.down[0] = true;
+    cluster.timeout_all_up();
+    assert!(cluster.replicas[1..].iter().all(|r| r.view() == View(1)));
+    cluster.submit(1, vec![request(0, 5, KvOp::put(b"k", b"w").encode_op())]);
+    assert!(cluster.replicas[1..].iter().all(|r| r.last_executed() == SeqNum(5)));
+    cluster.view_change_frames
+}
+
+#[test]
+fn view_change_messages_do_not_grow_with_the_state() {
+    // Three votes and one NewView, each carrying stable-checkpoint
+    // certificates: by digest, so a thousand times the state is not one
+    // byte more on the wire (each vote used to embed the snapshot, and
+    // nine of them put this NewView past MAX_FRAME_LEN).
+    let small = view_change_frames_over_a_state_of(4 << 10);
+    let large = view_change_frames_over_a_state_of(4 << 20);
+    assert_eq!(small.len(), 4);
+    assert_eq!(small, large);
+    assert!(large.iter().all(|len| *len < MAX_FRAME_LEN as usize / 1000));
 }
 
 #[test]

@@ -294,7 +294,7 @@ impl<P: Protocol> DurableProtocol<P> {
         }
         let mut new_stable: Option<SeqNum> = None;
         for event in &events {
-            self.wal.append(&encode(event)).expect("WAL append failed — cannot continue durably");
+            self.wal.append_value(event).expect("WAL append failed — cannot continue durably");
             if let DurableEvent::StableCheckpoint { seq } = event {
                 new_stable = Some(new_stable.map_or(*seq, |s| s.max(*seq)));
             }

@@ -332,3 +332,68 @@ fn wiped_data_dir_starts_fresh() {
     assert!(!durable.recovery_report().recovered_anything());
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// The sealed file holds the stable checkpoint once — certificate by
+/// digest, then one snapshot — and a restart recovers from it. (It used
+/// to hold `2f + 1` votes each embedding the snapshot: three times the
+/// state to encrypt and sync at every checkpoint.)
+#[test]
+fn a_sealed_checkpoint_holds_the_snapshot_once() {
+    use splitbft_app::{Application, KeyValueStore, KvOp};
+    use splitbft_pbft::{make_request, Replica};
+    use splitbft_types::{ClusterConfig, ConsensusMessage};
+
+    const SEED: u64 = 7;
+    const STATE: usize = 512 << 10;
+    let dir = scenario("sealed-once");
+    let replica = |id: u32| {
+        let config = ClusterConfig::new(4).unwrap().with_checkpoint_interval(4);
+        let mut kvs = KeyValueStore::new();
+        kvs.execute(&KvOp::put(b"ballast", &vec![0xAB; STATE]).encode_op());
+        Replica::new(config, ReplicaId(id), SEED, kvs)
+    };
+    let durable = |id: u32| {
+        let identity = replica_sealing_identity(SEED, ReplicaId(id));
+        DurableProtocol::recover(replica(id), &dir.join(id.to_string()), identity).unwrap()
+    };
+    let mut cluster: Vec<_> = (0..4).map(durable).collect();
+
+    // Four slots through a FIFO pump: the checkpoint at 4 becomes stable
+    // everywhere and every replica seals it.
+    for ts in 1..=4u64 {
+        let op = KvOp::put(&ts.to_le_bytes(), b"v").encode_op();
+        let request = make_request(SEED, ClientId(1), Timestamp(ts), op);
+        let mut queue: Vec<(usize, ConsensusMessage)> = Vec::new();
+        let mut route = |from: usize, outputs: Vec<ProtocolOutput<ConsensusMessage>>| {
+            for output in outputs {
+                if let ProtocolOutput::Broadcast(msg) = output {
+                    queue.extend((0..4).filter(|to| *to != from).map(|to| (to, msg.clone())));
+                }
+            }
+            std::mem::take(&mut queue)
+        };
+        let mut inbox = route(0, cluster[0].on_client_requests(vec![request]));
+        while !inbox.is_empty() {
+            let mut next = Vec::new();
+            for (to, msg) in inbox {
+                next.extend(route(to, cluster[to].on_message(msg)));
+            }
+            inbox = next;
+        }
+    }
+
+    let snapshot_len = cluster[3].inner().app().snapshot().len();
+    assert!(snapshot_len >= STATE);
+    let sealed = std::fs::metadata(dir.join("3").join("checkpoint-4.sealed")).unwrap().len();
+    assert!(
+        sealed <= snapshot_len as u64 + 4096,
+        "sealed {sealed} bytes for a {snapshot_len}-byte snapshot"
+    );
+
+    let digest = cluster[3].inner().state_digest();
+    drop(cluster.pop());
+    let recovered = durable(3);
+    assert_eq!(recovered.recovery_report().restored_checkpoint, Some(SeqNum(4)));
+    assert_eq!(recovered.inner().state_digest(), digest);
+    let _ = std::fs::remove_dir_all(dir);
+}

@@ -171,8 +171,9 @@ impl Decode for DurableEvent {
 /// `state` is protocol-defined and opaque at this layer:
 ///
 /// - the PBFT baseline and the SplitBFT broker encode their stable
-///   [`crate::message::CheckpointCertificate`] (self-authenticating:
-///   `2f + 1` signed `Checkpoint`s carrying the snapshot);
+///   [`crate::message::CheckpointCertificate`] (`2f + 1` signed
+///   `Checkpoint` votes for the state digest) followed by the snapshot
+///   that hashes to it, once;
 /// - the hybrid encodes its application snapshot plus the
 ///   replica-independent core of its reply cache.
 ///

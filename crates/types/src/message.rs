@@ -444,13 +444,21 @@ impl Decode for Commit {
 /// A periodic proof of state: "my application state after executing
 /// everything up to `seq` has digest `state_digest`".
 ///
-/// As in the paper (§3.2), "a checkpoint message includes a snapshot of
-/// the application state": carrying the snapshot lets lagging replicas and
-/// compartments apply a stable checkpoint (state transfer) directly from
-/// the certificate, and lets `NewView` messages distribute the checkpoint.
-/// Receivers must check `digest_of(snapshot) == state_digest` before
-/// restoring — a byzantine sender can attach a snapshot that does not
-/// match its claimed digest.
+/// A vote is `(seq, state_digest, replica)`: `2f + 1` matching ones make
+/// the checkpoint stable, and a certificate of them — in a `ViewChange`,
+/// a `NewView`, a sealed file — stays a few hundred bytes whatever the
+/// state's size. The snapshot itself exists once per replica, beside its
+/// checkpoint tracker, and moves only on request: after the certificate in
+/// a `DurableCheckpoint`, to disk and to a lagging peer over
+/// `STATE_TRANSFER`. Whoever restores it checks it against the digest
+/// their own verified certificate vouches for.
+///
+/// `snapshot` is what is left of the paper's §3.2 form ("a checkpoint
+/// message includes a snapshot of the application state"): replicas send
+/// it empty. It keeps its place in the encoding — and under the signature
+/// — so a certificate sealed or served by an older build, whose votes each
+/// embed the snapshot, still decodes and verifies; nothing hashes or
+/// restores from the field except the recovery of such a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// The last executed sequence number covered by the snapshot.
@@ -459,7 +467,7 @@ pub struct Checkpoint {
     pub state_digest: Digest,
     /// The replica that took the snapshot.
     pub replica: ReplicaId,
-    /// The serialized application snapshot itself.
+    /// Empty. (The snapshot, in votes written by an older build.)
     pub snapshot: Bytes,
 }
 

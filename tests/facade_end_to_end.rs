@@ -167,3 +167,77 @@ fn splitbft_survives_view_change_over_threads() {
     assert!(view >= View(1), "committed in {view:?}, but view 0's primary is unreachable");
     cluster.shutdown();
 }
+
+/// A key-value store already holding one `bytes`-long value, the same on
+/// every replica that builds it.
+fn kvs_holding(bytes: usize) -> KeyValueStore {
+    let mut kvs = KeyValueStore::new();
+    kvs.execute(&KvOp::put(b"ballast", &vec![0xAB; bytes]).encode_op());
+    kvs
+}
+
+/// Drives a cluster holding 4 MiB of state through one stable checkpoint,
+/// cuts the view-0 primary off, and requires the next request to commit
+/// in a later view. A `ViewChange` carries the stable checkpoint's
+/// certificate and a `NewView` carries `2f + 1` of those; while every vote
+/// in a certificate embedded the snapshot, nine copies of this state made
+/// the `NewView` larger than `MAX_FRAME_LEN` and the view change could
+/// not be delivered.
+fn view_change_with_a_large_state<P: Protocol>(
+    mut client: LockstepClient,
+    make: impl Fn(ReplicaId, ClusterConfig, KeyValueStore) -> P,
+) {
+    const STATE: usize = 4 << 20;
+    let faults = FaultPlan::shared(0);
+    let tick = Some(Duration::from_millis(250));
+    let mut cluster = Cluster::spawn(client.id(), tick, &faults, |id| {
+        let config = ClusterConfig::new(N).unwrap().with_checkpoint_interval(4);
+        make(id, config, kvs_holding(STATE))
+    });
+    let mut put = |cluster: &mut Cluster, key: u32, replicas: &[usize]| {
+        let request = client.issue(KvOp::put(&key.to_le_bytes(), b"v").encode_op());
+        let mut committed_in = None;
+        cluster.complete(&request, replicas, |reply| {
+            if let ClientEvent::Completed(_) = client.on_reply(reply) {
+                committed_in = Some(reply.view);
+            }
+            committed_in.is_some()
+        });
+        committed_in.unwrap_or_else(|| panic!("put {key} did not complete"))
+    };
+
+    // Four slots: the checkpoint at 4 becomes stable.
+    for key in 0..4 {
+        assert_eq!(put(&mut cluster, key, &[0]), View(0));
+    }
+    faults.apply(FaultCommand::Partition {
+        name: "isolate-primary".into(),
+        side_a: vec![ReplicaId(0)],
+        side_b: vec![ReplicaId(1), ReplicaId(2), ReplicaId(3)],
+        symmetric: true,
+    });
+    let view = put(&mut cluster, 4, &[0, 1, 2, 3]);
+    assert!(view >= View(1), "committed in {view:?}, but view 0's primary is unreachable");
+    cluster.shutdown();
+}
+
+#[test]
+fn pbft_changes_view_with_a_large_state() {
+    let quorum = ClusterConfig::new(N).unwrap().reply_quorum();
+    view_change_with_a_large_state(
+        LockstepClient::new(quorum, ClientId(11), SEED),
+        |id, config, kvs| PbftReplica::new(config, id, SEED, kvs),
+    );
+}
+
+#[test]
+fn splitbft_changes_view_with_a_large_state() {
+    let quorum = ClusterConfig::new(N).unwrap().reply_quorum();
+    view_change_with_a_large_state(
+        LockstepClient::new(quorum, ClientId(12), SEED),
+        |id, config, kvs| {
+            let (mode, cost) = (ExecMode::Hardware, CostModel::paper_calibrated());
+            SplitBftReplica::new(config, id, SEED, kvs, mode, cost)
+        },
+    );
+}
