@@ -9,7 +9,10 @@
 //! here, in `cargo test --workspace`, without the benchmark.
 //!
 //! One test function on purpose: the counter is global, so nothing else
-//! may allocate while a run is being counted.
+//! may allocate while a run is being counted. And its own delivery loop on
+//! purpose, not `splitbft_net::lockstep`: the budget is a pinned
+//! measurement of the message plane, and a harness's bookkeeping (hosting
+//! cores, telemetry, an observer) must not enter it.
 
 use bytes::Bytes;
 use splitbft_app::CounterApp;

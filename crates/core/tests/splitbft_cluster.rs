@@ -1,10 +1,14 @@
-//! End-to-end tests of SplitBFT over a deterministic in-memory message
-//! pump: normal operation through all three compartments, the
-//! confidential client path with attestation, checkpointing, view
-//! changes, and — the point of the paper — safety under faulty enclaves
-//! and hostile environments.
+//! End-to-end tests of SplitBFT hosted in the deterministic in-memory
+//! cluster (`splitbft_net::lockstep`): normal operation through all
+//! three compartments, the confidential client path with attestation,
+//! checkpointing, view changes, and — the point of the paper — safety
+//! under faulty enclaves and hostile environments.
+
+#[path = "../../pbft/tests/shared/mod.rs"]
+mod shared;
 
 use bytes::Bytes;
+use shared::{heal, isolate, replicas, time_out, Stack};
 use splitbft_app::{Application, CounterApp, KeyValueStore, KvOp};
 use splitbft_core::ecall::ECALL_HANDLE;
 use splitbft_core::{
@@ -12,133 +16,58 @@ use splitbft_core::{
     ExecutionCompartment, ReplicaEvent, SplitBftClient, SplitBftReplica,
 };
 use splitbft_crypto::KeyPair;
+use splitbft_net::lockstep::Cluster;
+use splitbft_net::transport::{frame_kind, Protocol};
 use splitbft_pbft::checkpoint::split_durable_checkpoint;
 use splitbft_tee::attest::PlatformAuthority;
 use splitbft_tee::enclave::{Enclave, OcallQueue};
 use splitbft_tee::fault::{FaultKind, FaultPlan};
 use splitbft_tee::{CostModel, ExecMode};
-use splitbft_types::wire::{decode, encode, frame_message, MAX_FRAME_LEN};
+use splitbft_types::wire::{decode, encode};
 use splitbft_types::{
     Checkpoint, CheckpointCertificate, ClientId, ClusterConfig, CompartmentKind, ConsensusMessage,
-    DurableCheckpoint, ReplicaId, Reply, Request, SeqNum, View,
+    DurableCheckpoint, ReplicaId, Request, SeqNum, View,
 };
-use std::collections::VecDeque;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const SEED: u64 = 2024;
 
-struct Cluster<A: Application> {
-    replicas: Vec<SplitBftReplica<A>>,
-    queues: Vec<VecDeque<ConsensusMessage>>,
-    replies: Vec<Reply>,
-    persisted: Vec<Bytes>,
-    down: Vec<bool>,
-    /// Replicas whose inbound queue fills but is not processed.
-    held: Vec<bool>,
-    /// Framed size of every `ViewChange` and `NewView` broadcast so far.
-    view_change_frames: Vec<usize>,
+fn stack<A: Application + 'static>() -> Stack<A, SplitBftReplica<A>> {
+    Stack {
+        replica: |config, id, app| {
+            let (mode, cost) = (ExecMode::Hardware, CostModel::paper_calibrated());
+            SplitBftReplica::new(config, id, SEED, app, mode, cost)
+        },
+        request: |ts, op| plain_request(0, ts, op),
+        app: SplitBftReplica::app,
+        in_view_one: |r| r.views() == (View(1), View(1), View(1)),
+    }
 }
 
-impl<A: Application> Cluster<A> {
-    fn new(n: usize, interval: u64, mk: impl Fn() -> A) -> Self {
-        let cfg = ClusterConfig::new(n).unwrap().with_checkpoint_interval(interval);
-        let replicas = (0..n as u32)
-            .map(|i| {
-                SplitBftReplica::new(
-                    cfg.clone(),
-                    ReplicaId(i),
-                    SEED,
-                    mk(),
-                    ExecMode::Hardware,
-                    CostModel::paper_calibrated(),
-                )
-            })
-            .collect();
-        Cluster {
-            replicas,
-            queues: (0..n).map(|_| VecDeque::new()).collect(),
-            replies: Vec::new(),
-            persisted: Vec::new(),
-            down: vec![false; n],
-            held: vec![false; n],
-            view_change_frames: Vec::new(),
-        }
-    }
-
-    fn n(&self) -> usize {
-        self.replicas.len()
-    }
-
-    fn handle_events(&mut self, from: usize, events: Vec<ReplicaEvent>) {
-        for event in events {
-            match event {
-                ReplicaEvent::Broadcast(msg) => {
-                    if matches!(msg, ConsensusMessage::ViewChange(_) | ConsensusMessage::NewView(_))
-                    {
-                        self.view_change_frames.push(frame_message(0, &msg).len());
-                    }
-                    for to in 0..self.n() {
-                        if to != from && !self.down[to] {
-                            self.queues[to].push_back(msg.clone());
-                        }
-                    }
-                }
-                ReplicaEvent::Reply { reply, .. } => self.replies.push(reply),
-                ReplicaEvent::Persist(blob) => self.persisted.push(blob),
-                _ => {}
-            }
-        }
-    }
-
-    fn run(&mut self) {
-        loop {
-            let mut progressed = false;
-            for i in 0..self.n() {
-                if self.down[i] {
-                    self.queues[i].clear();
-                    continue;
-                }
-                if self.held[i] {
-                    continue;
-                }
-                while let Some(msg) = self.queues[i].pop_front() {
-                    progressed = true;
-                    let events = self.replicas[i].on_network_message(msg);
-                    self.handle_events(i, events);
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-    }
-
-    fn submit(&mut self, primary: usize, requests: Vec<Request>) {
-        let events = self.replicas[primary].on_client_batch(requests);
-        self.handle_events(primary, events);
-        self.run();
-    }
-
-    fn timeout_all_up(&mut self) {
-        for i in 0..self.n() {
-            if !self.down[i] {
-                let events = self.replicas[i].on_view_timeout();
-                self.handle_events(i, events);
-            }
-        }
-        self.run();
-    }
+/// An `n`-replica cluster checkpointing every `interval` slots.
+fn cluster<A: Application + 'static>(
+    n: usize,
+    interval: u64,
+    app: impl Fn() -> A,
+) -> Cluster<SplitBftReplica<A>> {
+    stack().cluster(n, interval, app)
 }
 
 fn plain_request(client: u32, ts: u64, op: Bytes) -> Request {
     splitbft_pbft::make_request(SEED, ClientId(client), splitbft_types::Timestamp(ts), op)
 }
 
+fn inc(ts: u64) -> Request {
+    plain_request(0, ts, Bytes::from_static(b"inc"))
+}
+
 #[test]
 fn plaintext_request_executes_on_all_replicas() {
-    let mut cluster = Cluster::new(4, 128, CounterApp::new);
-    cluster.submit(0, vec![plain_request(0, 1, Bytes::from_static(b"inc"))]);
+    let mut cluster = cluster(4, 128, CounterApp::new);
+    cluster.submit(0, &[inc(1)]);
 
-    for r in &cluster.replicas {
+    for r in replicas(&cluster) {
         assert_eq!(r.last_executed(), SeqNum(1), "replica {} executed", r.id());
         assert_eq!(r.app().value(), 1);
     }
@@ -147,13 +76,13 @@ fn plaintext_request_executes_on_all_replicas() {
 
 #[test]
 fn state_stays_consistent_across_many_requests() {
-    let mut cluster = Cluster::new(4, 128, KeyValueStore::new);
+    let mut cluster = cluster(4, 128, KeyValueStore::new);
     for i in 0..25u64 {
         let op = KvOp::put(format!("k{}", i % 5).as_bytes(), &i.to_le_bytes()).encode_op();
-        cluster.submit(0, vec![plain_request(0, i + 1, op)]);
+        cluster.submit(0, &[plain_request(0, i + 1, op)]);
     }
-    let digest = cluster.replicas[0].state_digest();
-    for r in &cluster.replicas {
+    let digest = cluster.replica(0).state_digest();
+    for r in replicas(&cluster) {
         assert_eq!(r.last_executed(), SeqNum(25));
         assert_eq!(r.state_digest(), digest, "divergence at {}", r.id());
     }
@@ -161,7 +90,7 @@ fn state_stays_consistent_across_many_requests() {
 
 #[test]
 fn confidential_client_roundtrip_with_attestation() {
-    let mut cluster = Cluster::new(4, 128, KeyValueStore::new);
+    let mut cluster = cluster(4, 128, KeyValueStore::new);
     let authority = PlatformAuthority::from_seed(7);
     let cfg = ClusterConfig::new(4).unwrap();
     let mut client = SplitBftClient::new(cfg, ClientId(5), SEED, 99);
@@ -169,11 +98,11 @@ fn confidential_client_roundtrip_with_attestation() {
     // Attestation: verify each Execution enclave's quote, install the
     // session key.
     for i in 0..4 {
-        let quote = cluster.replicas[i].attestation_quote(&authority);
+        let quote = cluster.replica_mut(i).attestation_quote(&authority);
         let (dh_pub, wrapped) = client
             .attest_execution_enclave(&authority.public_key(), &quote)
             .expect("genuine quote verifies");
-        let events = cluster.replicas[i].install_session_key(ClientId(5), dh_pub, wrapped);
+        let events = cluster.replica_mut(i).install_session_key(ClientId(5), dh_pub, wrapped);
         assert!(
             !events.iter().any(|e| matches!(e, ReplicaEvent::Rejected { .. })),
             "session key install rejected: {events:?}"
@@ -183,7 +112,7 @@ fn confidential_client_roundtrip_with_attestation() {
     // Issue an encrypted PUT, then an encrypted GET.
     let put = client.issue(&KvOp::put(b"secret-key", b"secret-value").encode_op());
     assert!(put.encrypted);
-    cluster.submit(0, vec![put]);
+    cluster.submit(0, &[put]);
     let mut done = false;
     let replies = std::mem::take(&mut cluster.replies);
     for reply in &replies {
@@ -196,7 +125,7 @@ fn confidential_client_roundtrip_with_attestation() {
     assert!(done, "PUT completed");
 
     let get = client.issue(&KvOp::get(b"secret-key").encode_op());
-    cluster.submit(0, vec![get]);
+    cluster.submit(0, &[get]);
     let mut result = None;
     let replies = std::mem::take(&mut cluster.replies);
     for reply in &replies {
@@ -212,15 +141,15 @@ fn confidential_client_roundtrip_with_attestation() {
 fn confidentiality_environment_never_sees_plaintext() {
     // Capture every byte that crosses the network and the broker: the
     // secret must never appear anywhere outside the enclaves.
-    let mut cluster = Cluster::new(4, 128, KeyValueStore::new);
+    let mut cluster = cluster(4, 128, KeyValueStore::new);
     let authority = PlatformAuthority::from_seed(7);
     let cfg = ClusterConfig::new(4).unwrap();
     let mut client = SplitBftClient::new(cfg, ClientId(5), SEED, 99);
     for i in 0..4 {
-        let quote = cluster.replicas[i].attestation_quote(&authority);
+        let quote = cluster.replica_mut(i).attestation_quote(&authority);
         let (dh_pub, wrapped) =
             client.attest_execution_enclave(&authority.public_key(), &quote).unwrap();
-        cluster.replicas[i].install_session_key(ClientId(5), dh_pub, wrapped);
+        cluster.replica_mut(i).install_session_key(ClientId(5), dh_pub, wrapped);
     }
 
     const SECRET: &[u8] = b"TOP-SECRET-PAYLOAD";
@@ -230,7 +159,7 @@ fn confidentiality_environment_never_sees_plaintext() {
     let wire = splitbft_types::wire::encode(&put);
     assert!(!wire.windows(SECRET.len()).any(|w| w == SECRET));
 
-    cluster.submit(0, vec![put]);
+    cluster.submit(0, &[put]);
 
     // Neither do any replies (they are encrypted too).
     for reply in &cluster.replies {
@@ -251,11 +180,11 @@ fn confidentiality_environment_never_sees_plaintext() {
 
 #[test]
 fn checkpoints_garbage_collect_all_compartments() {
-    let mut cluster = Cluster::new(4, 4, CounterApp::new);
+    let mut cluster = cluster(4, 4, CounterApp::new);
     for i in 0..9u64 {
-        cluster.submit(0, vec![plain_request(0, i + 1, Bytes::from_static(b"inc"))]);
+        cluster.submit(0, &[inc(i + 1)]);
     }
-    for r in &cluster.replicas {
+    for r in replicas(&cluster) {
         assert_eq!(r.last_executed(), SeqNum(9));
         assert_eq!(r.app().value(), 9);
     }
@@ -263,24 +192,24 @@ fn checkpoints_garbage_collect_all_compartments() {
     // (verified indirectly: further requests keep executing, and the
     // window has moved — submit enough to cross the old window).
     for i in 9..20u64 {
-        cluster.submit(0, vec![plain_request(0, i + 1, Bytes::from_static(b"inc"))]);
+        cluster.submit(0, &[inc(i + 1)]);
     }
-    for r in &cluster.replicas {
+    for r in replicas(&cluster) {
         assert_eq!(r.app().value(), 20);
     }
 }
 
 /// Replica 3 misses twelve slots behind a partition; the others stabilize
 /// checkpoints at 4, 8 and 12. Returns the healed cluster.
-fn cluster_with_replica_3_behind() -> Cluster<CounterApp> {
-    let mut cluster = Cluster::new(4, 4, CounterApp::new);
-    cluster.down[3] = true;
+fn cluster_with_replica_3_behind() -> Cluster<SplitBftReplica<CounterApp>> {
+    let mut cluster = cluster(4, 4, CounterApp::new);
+    isolate(&cluster, 3);
     for i in 0..8u64 {
-        cluster.submit(0, vec![plain_request(0, i + 1, Bytes::from_static(b"inc"))]);
+        cluster.submit(0, &[inc(i + 1)]);
     }
-    cluster.down[3] = false;
+    heal(&cluster);
     for i in 8..12u64 {
-        cluster.submit(0, vec![plain_request(0, i + 1, Bytes::from_static(b"inc"))]);
+        cluster.submit(0, &[inc(i + 1)]);
     }
     cluster
 }
@@ -291,29 +220,29 @@ fn lagging_replica_catches_up_via_state_transfer() {
     // The votes carry a digest, not the state: every compartment of
     // replica 3 saw the checkpoint at 12 become stable, and Execution is
     // behind it with nothing to restore from.
-    let r3 = &cluster.replicas[3];
+    let r3 = cluster.replica(3);
     assert_eq!(r3.stable_seq(), SeqNum(12));
     assert_eq!(r3.last_executed(), SeqNum(0));
     assert!(r3.durable_checkpoint().is_none(), "no snapshot of a state it never reached");
 
     // What the state-transfer client does with a peer's answer.
-    let cp = cluster.replicas[0].durable_checkpoint().expect("replica 0 is at its stable point");
-    cluster.replicas[3].restore_durable_checkpoint(&cp).expect("a peer's checkpoint restores");
-    let r3 = &cluster.replicas[3];
+    let cp = cluster.replica(0).durable_checkpoint().expect("replica 0 is at its stable point");
+    cluster.replica_mut(3).restore_durable_checkpoint(&cp).expect("a peer's checkpoint restores");
+    let r3 = cluster.replica(3);
     assert_eq!(r3.last_executed(), SeqNum(12));
     assert_eq!(r3.app().value(), 12, "state transfer restored the counter");
-    assert_eq!(r3.state_digest(), cluster.replicas[0].state_digest());
+    assert_eq!(r3.state_digest(), cluster.replica(0).state_digest());
     assert_eq!(r3.durable_checkpoint().map(|cp| cp.digest), Some(cp.digest), "and serves it on");
 
     // Level again: it executes live traffic with everyone else.
-    cluster.submit(0, vec![plain_request(0, 13, Bytes::from_static(b"inc"))]);
-    assert_eq!(cluster.replicas[3].app().value(), 13);
+    cluster.submit(0, &[inc(13)]);
+    assert_eq!(cluster.replica(3).app().value(), 13);
 }
 
 #[test]
 fn a_checkpoint_in_the_older_layout_still_restores() {
     let mut cluster = cluster_with_replica_3_behind();
-    let cp = cluster.replicas[0].durable_checkpoint().unwrap();
+    let cp = cluster.replica(0).durable_checkpoint().unwrap();
     let (cert, snapshot) = split_durable_checkpoint(&cp).unwrap();
     assert!(cert.checkpoints.iter().all(|vote| vote.payload.snapshot.is_empty()));
 
@@ -336,9 +265,9 @@ fn a_checkpoint_in_the_older_layout_still_restores() {
     let v1 = DurableCheckpoint { seq: cp.seq, digest: cp.digest, state: encode(&v1).into() };
     assert!(v1.state.len() > 3 * snapshot.len());
 
-    cluster.replicas[3].restore_durable_checkpoint(&v1).expect("the older layout restores");
-    assert_eq!(cluster.replicas[3].app().value(), 12);
-    assert_eq!(cluster.replicas[3].state_digest(), cluster.replicas[0].state_digest());
+    cluster.replica_mut(3).restore_durable_checkpoint(&v1).expect("the older layout restores");
+    assert_eq!(cluster.replica(3).app().value(), 12);
+    assert_eq!(cluster.replica(3).state_digest(), cluster.replica(0).state_digest());
 }
 
 /// One ecall into `exec`, returning how many of its ocalls were
@@ -361,7 +290,7 @@ fn ecall(
 #[test]
 fn execution_installs_a_snapshot_only_under_its_own_stable_certificate() {
     let cluster = cluster_with_replica_3_behind();
-    let cp = cluster.replicas[0].durable_checkpoint().unwrap();
+    let cp = cluster.replica(0).durable_checkpoint().unwrap();
     let (cert, snapshot) = split_durable_checkpoint(&cp).unwrap();
     let install = |seq: SeqNum, snapshot: &[u8]| CompartmentInput::InstallSnapshot {
         seq,
@@ -414,87 +343,34 @@ fn execution_installs_a_snapshot_only_under_its_own_stable_certificate() {
 
 #[test]
 fn view_change_moves_all_compartments_to_view_one() {
-    let mut cluster = Cluster::new(4, 128, CounterApp::new);
-    cluster.submit(0, vec![plain_request(0, 1, Bytes::from_static(b"inc"))]);
+    let mut cluster = cluster(4, 128, CounterApp::new);
+    cluster.submit(0, &[inc(1)]);
 
-    cluster.down[0] = true;
-    cluster.timeout_all_up();
+    cluster.crash(0);
+    time_out(&mut cluster, 1..4);
 
     for i in 1..4 {
-        let (prep_v, conf_v, exec_v) = cluster.replicas[i].views();
+        let (prep_v, conf_v, exec_v) = cluster.replica(i).views();
         assert_eq!(conf_v, View(1), "replica {i} confirmation view");
         assert_eq!(prep_v, View(1), "replica {i} preparation view");
         assert_eq!(exec_v, View(1), "replica {i} execution view");
     }
 
     // New primary (r1) orders fresh work.
-    cluster.submit(1, vec![plain_request(0, 2, Bytes::from_static(b"inc"))]);
+    cluster.submit(1, &[inc(2)]);
     for i in 1..4 {
-        assert_eq!(cluster.replicas[i].app().value(), 2, "replica {i}");
+        assert_eq!(cluster.replica(i).app().value(), 2, "replica {i}");
     }
 }
 
 #[test]
 fn a_replica_a_few_slots_behind_a_stable_checkpoint_executes_its_way_level() {
-    let mut cluster = Cluster::new(4, 4, CounterApp::new);
-    for i in 0..3u64 {
-        cluster.submit(0, vec![plain_request(0, i + 1, Bytes::from_static(b"inc"))]);
-    }
-    // Replica 3's link delivers the checkpoint votes for slot 4 ahead of
-    // the slot's own messages.
-    cluster.held[3] = true;
-    cluster.submit(0, vec![plain_request(0, 4, Bytes::from_static(b"inc"))]);
-    let is_vote = |msg: &ConsensusMessage| matches!(msg, ConsensusMessage::Checkpoint(_));
-    let (votes, slot): (Vec<_>, Vec<_>) = cluster.queues[3].drain(..).partition(is_vote);
-    assert_eq!(votes.len(), 3);
-    cluster.queues[3].extend(votes);
-    cluster.held[3] = false;
-    cluster.run();
-    assert_eq!(cluster.replicas[3].stable_seq(), SeqNum(4));
-    assert_eq!(cluster.replicas[3].last_executed(), SeqNum(3), "behind, and nothing to restore");
-
-    // The slot is still admissible and nothing it needs was collected:
-    // no transfer, it just executes.
-    cluster.queues[3].extend(slot);
-    cluster.run();
-    assert_eq!(cluster.replicas[3].last_executed(), SeqNum(4));
-    assert_eq!(cluster.replicas[3].state_digest(), cluster.replicas[0].state_digest());
-    assert!(cluster.replicas[3].durable_checkpoint().is_some(), "it holds the snapshot it took");
-    cluster.submit(0, vec![plain_request(0, 5, Bytes::from_static(b"inc"))]);
-    assert_eq!(cluster.replicas[3].app().value(), 5);
-}
-
-/// The framed `ViewChange`s and `NewView` of a view change that follows
-/// one stable checkpoint of a store holding `state_bytes`.
-fn view_change_frames_over_a_state_of(state_bytes: usize) -> Vec<usize> {
-    let mut cluster = Cluster::new(4, 4, || {
-        let mut kvs = KeyValueStore::new();
-        kvs.execute(&KvOp::put(b"ballast", &vec![0xAB; state_bytes]).encode_op());
-        kvs
-    });
-    for i in 0..4u64 {
-        cluster.submit(0, vec![plain_request(0, i + 1, KvOp::put(b"k", b"v").encode_op())]);
-    }
-    assert!(cluster.replicas.iter().all(|r| r.stable_seq() == SeqNum(4)));
-    cluster.down[0] = true;
-    cluster.timeout_all_up();
-    assert!(cluster.replicas[1..].iter().all(|r| r.views() == (View(1), View(1), View(1))));
-    cluster.submit(1, vec![plain_request(0, 5, KvOp::put(b"k", b"w").encode_op())]);
-    assert!(cluster.replicas[1..].iter().all(|r| r.last_executed() == SeqNum(5)));
-    cluster.view_change_frames
+    shared::a_replica_a_few_slots_behind_a_stable_checkpoint_executes_its_way_level(&stack());
 }
 
 #[test]
 fn view_change_messages_do_not_grow_with_the_state() {
-    // Three votes and one NewView, each carrying stable-checkpoint
-    // certificates: by digest, so a thousand times the state is not one
-    // byte more on the wire (each vote used to embed the snapshot, and
-    // nine of them put this NewView past MAX_FRAME_LEN).
-    let small = view_change_frames_over_a_state_of(4 << 10);
-    let large = view_change_frames_over_a_state_of(4 << 20);
-    assert_eq!(small.len(), 4);
-    assert_eq!(small, large);
-    assert!(large.iter().all(|len| *len < MAX_FRAME_LEN as usize / 1000));
+    shared::view_change_messages_do_not_grow_with_the_state(&stack());
 }
 
 #[test]
@@ -506,20 +382,17 @@ fn staggered_timeouts_converge_through_the_join_rule() {
     // wedge: r1's Confirmation refuses view-1 work, leaving only 2f
     // commit voters. With it, the stragglers' next timeout plus r1's
     // retained view-2 vote converge everyone on a common view.
-    let mut cluster = Cluster::new(4, 128, CounterApp::new);
-    cluster.submit(0, vec![plain_request(0, 1, Bytes::from_static(b"inc"))]);
-    cluster.down[0] = true;
+    let mut cluster = cluster(4, 128, CounterApp::new);
+    cluster.submit(0, &[inc(1)]);
+    cluster.crash(0);
 
     // r1 times out twice back to back; nothing is delivered in between
     // (messages sit in the peers' queues until `run`).
-    let events = cluster.replicas[1].on_view_timeout();
-    cluster.handle_events(1, events);
-    let events = cluster.replicas[1].on_view_timeout();
-    cluster.handle_events(1, events);
+    cluster.drive(1, Protocol::on_timeout);
+    cluster.drive(1, Protocol::on_timeout);
     // r2 and r3 time out once.
     for i in [2usize, 3] {
-        let events = cluster.replicas[i].on_view_timeout();
-        cluster.handle_events(i, events);
+        cluster.drive(i, Protocol::on_timeout);
     }
     cluster.run();
 
@@ -528,16 +401,16 @@ fn staggered_timeouts_converge_through_the_join_rule() {
     // into one view rather than letting targets leapfrog forever.
     for _ in 0..2 {
         let views: Vec<View> =
-            (1..4).map(|i| cluster.replicas[i].views().1).collect();
+            (1..4).map(|i| cluster.replica(i).views().1).collect();
         if views.iter().all(|v| *v == views[0])
-            && !cluster.replicas[1].has_pending_requests()
+            && !cluster.replica(1).has_pending_requests()
         {
             break;
         }
-        cluster.timeout_all_up();
+        time_out(&mut cluster, 1..4);
     }
 
-    let conf_views: Vec<View> = (1..4).map(|i| cluster.replicas[i].views().1).collect();
+    let conf_views: Vec<View> = (1..4).map(|i| cluster.replica(i).views().1).collect();
     assert!(
         conf_views.iter().all(|v| *v == conf_views[0]),
         "confirmation views diverged permanently: {conf_views:?}"
@@ -546,10 +419,10 @@ fn staggered_timeouts_converge_through_the_join_rule() {
     // And the converged view is *live*: its primary orders fresh work.
     let primary = (conf_views[0].0 as usize) % 4;
     assert_ne!(primary, 0, "view 0's primary is down");
-    cluster.submit(primary, vec![plain_request(0, 2, Bytes::from_static(b"inc"))]);
+    cluster.submit(primary, &[inc(2)]);
     for i in 1..4 {
         assert_eq!(
-            cluster.replicas[i].app().value(),
+            cluster.replica(i).app().value(),
             2,
             "replica {i} did not execute in the converged view"
         );
@@ -602,27 +475,27 @@ fn confirmation_joins_a_view_change_on_f_plus_one_votes() {
 fn f_muted_prep_enclaves_do_not_stop_the_cluster() {
     // One Preparation enclave (f = 1) goes mute: its replica stops
     // voting Prepare, but 2f prepares from the other backups suffice.
-    let mut cluster = Cluster::new(4, 128, CounterApp::new);
-    cluster.replicas[2].arm_fault(
+    let mut cluster = cluster(4, 128, CounterApp::new);
+    cluster.replica_mut(2).arm_fault(
         CompartmentKind::Preparation,
         FaultPlan::immediate(FaultKind::MuteOcalls),
     );
-    cluster.submit(0, vec![plain_request(0, 1, Bytes::from_static(b"inc"))]);
+    cluster.submit(0, &[inc(1)]);
     for i in [0usize, 1, 3] {
-        assert_eq!(cluster.replicas[i].app().value(), 1, "replica {i} executed");
+        assert_eq!(cluster.replica(i).app().value(), 1, "replica {i} executed");
     }
 }
 
 #[test]
 fn f_muted_conf_enclaves_do_not_stop_the_cluster() {
-    let mut cluster = Cluster::new(4, 128, CounterApp::new);
-    cluster.replicas[3].arm_fault(
+    let mut cluster = cluster(4, 128, CounterApp::new);
+    cluster.replica_mut(3).arm_fault(
         CompartmentKind::Confirmation,
         FaultPlan::immediate(FaultKind::MuteOcalls),
     );
-    cluster.submit(0, vec![plain_request(0, 1, Bytes::from_static(b"inc"))]);
+    cluster.submit(0, &[inc(1)]);
     for i in 0..3 {
-        assert_eq!(cluster.replicas[i].app().value(), 1, "replica {i} executed");
+        assert_eq!(cluster.replica(i).app().value(), 1, "replica {i} executed");
     }
 }
 
@@ -631,28 +504,28 @@ fn one_faulty_enclave_per_compartment_type_on_different_replicas() {
     // The paper's Figure 1 scenario: failures in different compartments
     // on multiple replicas — one faulty enclave of each type, each on a
     // different replica — and the system still makes progress safely.
-    let mut cluster = Cluster::new(4, 128, CounterApp::new);
-    cluster.replicas[1].arm_fault(
+    let mut cluster = cluster(4, 128, CounterApp::new);
+    cluster.replica_mut(1).arm_fault(
         CompartmentKind::Preparation,
         FaultPlan::immediate(FaultKind::MuteOcalls),
     );
-    cluster.replicas[2].arm_fault(
+    cluster.replica_mut(2).arm_fault(
         CompartmentKind::Confirmation,
         FaultPlan::immediate(FaultKind::MuteOcalls),
     );
-    cluster.replicas[3].arm_fault(
+    cluster.replica_mut(3).arm_fault(
         CompartmentKind::Execution,
         FaultPlan::immediate(FaultKind::DropEcalls),
     );
-    cluster.submit(0, vec![plain_request(0, 1, Bytes::from_static(b"inc"))]);
+    cluster.submit(0, &[inc(1)]);
 
     // Replica 0 (fully healthy) must have executed; replicas with a
     // healthy Execution enclave likewise. Replica 3's execution is dead
     // but nobody else is affected.
     for i in 0..3 {
-        assert_eq!(cluster.replicas[i].app().value(), 1, "replica {i} executed");
+        assert_eq!(cluster.replica(i).app().value(), 1, "replica {i} executed");
     }
-    assert_eq!(cluster.replicas[3].app().value(), 0);
+    assert_eq!(cluster.replica(3).app().value(), 0);
 
     // Clients still reach their f+1 reply quorum.
     let matching = cluster
@@ -668,15 +541,15 @@ fn corrupting_exec_enclave_cannot_forge_accepted_replies() {
     // A byzantine Execution enclave flips bits in everything it emits.
     // Clients verify reply MACs, so the corrupted replica's replies are
     // ignored and the quorum comes from the three healthy ones.
-    let mut cluster = Cluster::new(4, 128, CounterApp::new);
-    cluster.replicas[1].arm_fault(
+    let mut cluster = cluster(4, 128, CounterApp::new);
+    cluster.replica_mut(1).arm_fault(
         CompartmentKind::Execution,
         FaultPlan::immediate(FaultKind::CorruptOcalls { xor: 0x55 }),
     );
     let cfg = ClusterConfig::new(4).unwrap();
     let mut client = SplitBftClient::new(cfg, ClientId(0), SEED, 1).with_plaintext();
     let req = client.issue(b"inc");
-    cluster.submit(0, vec![req]);
+    cluster.submit(0, &[req]);
 
     let replies = std::mem::take(&mut cluster.replies);
     let mut completed = None;
@@ -698,58 +571,69 @@ fn hostile_broker_dropping_messages_cannot_break_safety() {
     // A compromised environment on replica 3 delivers only every third
     // message. Liveness for r3 may suffer; safety must not: any replica
     // that executes a slot executes the same batch.
-    let mut cluster = Cluster::new(4, 128, CounterApp::new);
-    let mut drop_counter = 0usize;
-    for i in 0..10u64 {
-        let events =
-            cluster.replicas[0].on_client_batch(vec![plain_request(0, i + 1, Bytes::from_static(b"inc"))]);
-        cluster.handle_events(0, events);
-        // Custom pump: filter r3's deliveries.
-        loop {
-            let mut progressed = false;
-            for r in 0..4 {
-                while let Some(msg) = cluster.queues[r].pop_front() {
-                    progressed = true;
-                    if r == 3 {
-                        drop_counter += 1;
-                        if drop_counter % 3 != 0 {
-                            continue; // hostile broker drops it
-                        }
-                    }
-                    let events = cluster.replicas[r].on_network_message(msg);
-                    cluster.handle_events(r, events);
-                }
-            }
-            if !progressed {
-                break;
-            }
+    let mut cluster = cluster(4, 128, CounterApp::new);
+    let mut deliveries = 0usize;
+    cluster.observe(move |frame| {
+        if frame.to != ReplicaId(3) {
+            return true;
         }
+        deliveries += 1;
+        deliveries % 3 == 0 // the hostile broker drops the other two
+    });
+    for i in 0..10u64 {
+        cluster.submit(0, &[inc(i + 1)]);
     }
     // Healthy replicas executed everything.
     for i in 0..3 {
-        assert_eq!(cluster.replicas[i].app().value(), 10, "replica {i}");
+        assert_eq!(cluster.replica(i).app().value(), 10, "replica {i}");
     }
     // r3 executed a prefix — never a divergent value.
-    let v3 = cluster.replicas[3].app().value();
+    let v3 = cluster.replica(3).app().value();
     assert!(v3 <= 10);
-    let executed3 = cluster.replicas[3].last_executed().0;
+    let executed3 = cluster.replica(3).last_executed().0;
     assert_eq!(v3, executed3, "r3's state matches its executed prefix");
 }
 
 #[test]
 fn blockchain_blocks_are_sealed_before_persistence() {
     use splitbft_app::Blockchain;
-    let mut cluster = Cluster::new(4, 128, Blockchain::new);
-    // 5 transactions close one block on every replica.
-    for i in 0..5u64 {
-        cluster.submit(0, vec![plain_request(0, i + 1, Bytes::from_static(b"tx-data-10"))]);
+    let mut cluster = cluster(4, 128, Blockchain::new);
+    let tx = |ts| plain_request(0, ts, Bytes::from_static(b"tx-data-10"));
+    for ts in 1..=4 {
+        cluster.submit(0, &[tx(ts)]);
     }
-    for r in &cluster.replicas {
+    // The fifth transaction closes a block on every replica, as each
+    // executes the slot. The hosting adapter drops `Persist` (it has no
+    // network footprint), so for this step the commit votes are taken
+    // off the wire and handed to the brokers directly.
+    let commits = Rc::new(RefCell::new(Vec::new()));
+    cluster.observe({
+        let commits = Rc::clone(&commits);
+        move |frame| {
+            if frame.kind == frame_kind::PROTOCOL {
+                if let Ok(vote @ ConsensusMessage::Commit(_)) = decode(frame.payload) {
+                    commits.borrow_mut().push((frame.to.as_usize(), vote));
+                    return false;
+                }
+            }
+            true
+        }
+    });
+    cluster.submit(0, &[tx(5)]);
+    let mut persisted = Vec::new();
+    for (to, vote) in commits.take() {
+        for event in cluster.replica_mut(to).on_network_message(vote) {
+            if let ReplicaEvent::Persist(blob) = event {
+                persisted.push(blob);
+            }
+        }
+    }
+    for r in replicas(&cluster) {
         assert_eq!(r.app().height(), 1, "replica {} built a block", r.id());
     }
     // Four replicas each persisted one sealed block.
-    assert_eq!(cluster.persisted.len(), 4);
-    for blob in &cluster.persisted {
+    assert_eq!(persisted.len(), 4);
+    for blob in &persisted {
         // Sealed: the raw transaction bytes are not visible.
         assert!(!blob.windows(10).any(|w| w == b"tx-data-10"));
     }
@@ -767,26 +651,23 @@ fn exponential_backoff_converges_under_interleaved_timeouts() {
     // leapfrog the stragglers' targets round after round; exponential
     // backoff makes every further hop strictly cheaper to catch, so the
     // views must fold together within a bounded number of rounds.
-    let mut cluster = Cluster::new(4, 128, CounterApp::new);
-    cluster.submit(0, vec![plain_request(0, 1, Bytes::from_static(b"inc"))]);
-    cluster.down[0] = true;
+    let mut cluster = cluster(4, 128, CounterApp::new);
+    cluster.submit(0, &[inc(1)]);
+    cluster.crash(0);
 
     let mut converged = false;
     for round in 0..12 {
         for _ in 0..2 {
-            let events = cluster.replicas[1].on_view_timeout();
-            cluster.handle_events(1, events);
+            cluster.drive(1, Protocol::on_timeout);
         }
-        let events = cluster.replicas[2].on_view_timeout();
-        cluster.handle_events(2, events);
+        cluster.drive(2, Protocol::on_timeout);
         if round % 2 == 0 {
-            let events = cluster.replicas[3].on_view_timeout();
-            cluster.handle_events(3, events);
+            cluster.drive(3, Protocol::on_timeout);
         }
         cluster.run();
 
-        let views: Vec<View> = (1..4).map(|i| cluster.replicas[i].views().1).collect();
-        if views.iter().all(|v| *v == views[0]) && !cluster.replicas[1].has_pending_requests() {
+        let views: Vec<View> = (1..4).map(|i| cluster.replica(i).views().1).collect();
+        if views.iter().all(|v| *v == views[0]) && !cluster.replica(1).has_pending_requests() {
             converged = true;
             break;
         }
@@ -796,19 +677,19 @@ fn exponential_backoff_converges_under_interleaved_timeouts() {
     // The converged view must be live. If its primary happens to be the
     // dead replica 0, the cluster's own timers move it along first.
     for _ in 0..4 {
-        let view = cluster.replicas[1].views().1;
-        if (view.0 as usize) % 4 != 0 && !cluster.replicas[1].has_pending_requests() {
+        let view = cluster.replica(1).views().1;
+        if (view.0 as usize) % 4 != 0 && !cluster.replica(1).has_pending_requests() {
             break;
         }
-        cluster.timeout_all_up();
+        time_out(&mut cluster, 1..4);
     }
-    let view = cluster.replicas[1].views().1;
+    let view = cluster.replica(1).views().1;
     let primary = (view.0 as usize) % 4;
     assert_ne!(primary, 0, "converged view's primary is the dead replica");
-    cluster.submit(primary, vec![plain_request(0, 2, Bytes::from_static(b"inc"))]);
+    cluster.submit(primary, &[inc(2)]);
     for i in 1..4 {
         assert_eq!(
-            cluster.replicas[i].app().value(),
+            cluster.replica(i).app().value(),
             2,
             "replica {i} did not execute in the converged view"
         );

@@ -422,47 +422,19 @@ mod tests {
         Request { id, op, encrypted: false, auth }
     }
 
-    fn pump(replicas: &mut [R], mut inbox: Vec<(usize, HybridMessage)>) -> Vec<Reply> {
-        let mut replies = Vec::new();
-        while let Some((to, msg)) = inbox.pop() {
-            let actions = replicas[to].on_message(msg).unwrap_or_default();
-            for a in actions {
-                match a {
-                    HybridAction::Broadcast(m) => {
-                        for (i, _) in replicas.iter().enumerate() {
-                            if i != to {
-                                inbox.push((i, m.clone()));
-                            }
-                        }
-                    }
-                    HybridAction::SendReply { reply, .. } => replies.push(reply),
-                    _ => {}
-                }
-            }
-        }
-        replies
-    }
-
     #[test]
     fn three_replicas_commit_and_execute() {
-        let mut replicas = cluster(3);
-        let actions = replicas[0].on_client_batch(vec![request(0, 1)]);
-        let prepare = actions
-            .iter()
-            .find_map(|a| match a {
-                HybridAction::Broadcast(m) => Some(m.clone()),
-                _ => None,
-            })
-            .expect("prepare broadcast");
-        let replies = pump(&mut replicas, vec![(1, prepare.clone()), (2, prepare)]);
+        let mut cluster = splitbft_net::lockstep::Cluster::new(cluster(3));
+        cluster.submit(0, &[request(0, 1)]);
 
-        for r in &replicas {
+        for i in 0..3 {
+            let r = cluster.replica(i);
             assert_eq!(r.last_executed(), 1, "replica {} executed", r.id());
             assert_eq!(r.app().value(), 1);
         }
         // Replies from all three replicas (primary executes on quorum of
         // commits arriving back).
-        assert!(replies.len() >= 2);
+        assert!(cluster.replies.len() >= 2);
     }
 
     #[test]

@@ -6,6 +6,13 @@
 //! from the [`Adversary`] — while the [`ExecutionLedger`] checks the
 //! safety invariants. Many independent seeds approximate the interleaving
 //! coverage that the paper's Ivy proof establishes deductively.
+//!
+//! The delivery loop here (and the ones in [`crate::scenarios`]) stays
+//! its own on purpose rather than running on `splitbft_net::lockstep`:
+//! the ledger judges the brokers' native `Committed` events, which the
+//! hosting adapters filter out, under forgeries injected between
+//! deliveries. Folding it in means giving the lockstep cluster a seeded
+//! scheduler policy; see ROADMAP's simulation item.
 
 use crate::adversary::Adversary;
 use crate::invariants::{ExecutionLedger, SafetyViolation};

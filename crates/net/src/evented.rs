@@ -1,9 +1,10 @@
 //! The deployable socket runtime: one readiness loop per node over
 //! nonblocking sockets, hosting one [`Protocol`] replica per process.
 //!
-//! This is the socket counterpart of [`crate::backend::InProcessBackend`]:
-//! replicas exchange length-prefixed frames (see
-//! [`splitbft_types::wire`]) over real TCP connections, mirroring the
+//! This is the socket counterpart of [`crate::lockstep::Cluster`] (same
+//! hosting core, same frame classifier, no sockets): replicas exchange
+//! length-prefixed frames (see [`splitbft_types::wire`]) over real TCP
+//! connections, mirroring the
 //! paper's deployment of one SplitBFT process per VM. Every replica
 //! listens on one address and keeps one outbound link per *other*
 //! replica, so a cluster of `n` nodes forms a full mesh of `n·(n−1)`
@@ -47,24 +48,25 @@
 //! [`ReplicaId`], or `CLIENT_HELLO` carrying a [`ClientId`]); anything
 //! else, a bad magic, or an oversized length closes it. The hello is
 //! unauthenticated — protocol payloads carry their own signatures and
-//! MACs — but it pins the connection: state-transfer frames are honored
-//! only on peer connections and only when their embedded replica id
-//! matches the hello, so one connection cannot speak for several
-//! replicas. Delivery is **at-most-once**: a link that fails drops its
-//! staged batch, a full ring refuses the frame, and recovery is the
+//! MACs — but it pins the connection: protocol messages are honored
+//! only on peer connections, and state-transfer frames only when their
+//! embedded replica id also matches the hello, so one connection cannot
+//! speak for several replicas. Delivery is **at-most-once**: a link
+//! that fails drops its staged batch, a full ring refuses the frame,
+//! and recovery is the
 //! protocols' business (client retransmission, view changes, state
 //! transfer), not the transport's.
 
 use crate::fault::{FaultDecision, FaultPlan};
-use crate::host::{ClientSink, Event, Host, NodeConfig, PeerSink, MAX_DRAIN_BATCH};
+use crate::host::{
+    classify, ClientSink, Event, Host, Identity, NodeConfig, Parsed, PeerSink, MAX_DRAIN_BATCH,
+};
 use crate::ring::FrameRing;
 use crate::transport::{frame_kind, write_value, BatchPolicy, Protocol};
 use splitbft_obs::NodeTelemetry;
-use splitbft_types::status::{StatusEvent, StatusRequest, StatusResponse, StatusVerb};
-use splitbft_types::wire::{decode, frame_message, FrameAssembler};
-use splitbft_types::{
-    ClientId, FaultCommand, ReplicaId, Reply, StateTransferRequest, StateTransferResponse,
-};
+use splitbft_types::status::{StatusEvent, StatusResponse, StatusVerb};
+use splitbft_types::wire::{frame_message, FrameAssembler};
+use splitbft_types::{ClientId, ReplicaId, Reply};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -256,18 +258,6 @@ impl EventedNode {
     }
 }
 
-/// A connection's hello-claimed identity (unauthenticated: protocol
-/// payloads carry their own signatures/MACs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Identity {
-    /// No hello seen yet; only hello frames are legal.
-    Unknown,
-    /// A replica connection, pinned to the hello-claimed id.
-    Peer(ReplicaId),
-    /// A client connection; replies route back here.
-    Client(ClientId),
-}
-
 /// One inbound connection: its nonblocking socket, reassembly buffer,
 /// identity, and (for clients) the bounded reply ring the loop drains.
 struct Conn {
@@ -329,7 +319,7 @@ impl OutLink {
     }
 }
 
-/// The evented backend's [`PeerSink`]: bounded rings toward every other
+/// The socket runtime's [`PeerSink`]: bounded rings toward every other
 /// replica, with the node's fault plan consulted on every enqueue and a
 /// thread-free delay lane for `DeliverAfter` frames.
 struct EventedPeers {
@@ -412,7 +402,7 @@ impl PeerSink for EventedPeers {
     }
 }
 
-/// The evented backend's [`ClientSink`]: frames each reply onto the
+/// The socket runtime's [`ClientSink`]: frames each reply onto the
 /// client connection's bounded ring; the loop's write phase drains it.
 struct EventedClients<'a> {
     conns: &'a mut Vec<Option<Conn>>,
@@ -429,95 +419,6 @@ impl ClientSink for EventedClients<'_> {
         if !conn.out.push(Arc::new(frame_message(frame_kind::REPLY, &reply))) {
             self.telemetry.ring_refusals.inc();
         }
-    }
-}
-
-/// What one decoded frame means for the drive loop.
-enum Parsed<M> {
-    Event(Event<M>),
-    PeerHello(ReplicaId),
-    ClientHello(ClientId),
-    /// A STATUS request: answered inline by `drain_conn`, which owns
-    /// the connection's reply ring and the telemetry hub.
-    Status(StatusRequest),
-    /// A fault command was applied; `drain_conn` journals the event.
-    Fault,
-    Skip,
-    Close,
-}
-
-/// Classifies one frame: hellos first, state-transfer frames pinned to
-/// the hello identity, `FAULT_CONTROL` honored only with fault
-/// injection enabled (and applied immediately, never through the
-/// protocol core — a wedged protocol must not delay a heal), unknown
-/// kinds tolerated.
-fn parse<P: Protocol>(
-    kind: u8,
-    payload: &[u8],
-    identity: Identity,
-    faults: &FaultPlan,
-    fault_injection: bool,
-) -> Parsed<P::Message> {
-    if identity == Identity::Unknown {
-        return match kind {
-            frame_kind::PEER_HELLO => match decode::<ReplicaId>(payload) {
-                Ok(id) => Parsed::PeerHello(id),
-                Err(_) => Parsed::Close,
-            },
-            frame_kind::CLIENT_HELLO => match decode::<ClientId>(payload) {
-                Ok(id) => Parsed::ClientHello(id),
-                Err(_) => Parsed::Close,
-            },
-            _ => Parsed::Close, // connection opened with a non-hello frame
-        };
-    }
-    match kind {
-        frame_kind::PROTOCOL => match decode::<P::Message>(payload) {
-            Ok(msg) => Parsed::Event(Event::Peer(msg)),
-            Err(_) => Parsed::Close,
-        },
-        frame_kind::REQUESTS => match decode(payload) {
-            Ok(requests) => Parsed::Event(Event::Requests(requests)),
-            Err(_) => Parsed::Close,
-        },
-        frame_kind::STATE_REQUEST => match decode::<StateTransferRequest>(payload) {
-            // Peer connections only, and the requester must be who the
-            // connection claims to be.
-            Ok(req) if identity == Identity::Peer(req.replica) => {
-                Parsed::Event(Event::StateRequest(req))
-            }
-            Ok(_) => Parsed::Skip,
-            Err(_) => Parsed::Close,
-        },
-        frame_kind::STATE_RESPONSE => match decode::<StateTransferResponse>(payload) {
-            Ok(resp) if identity == Identity::Peer(resp.replica) => {
-                Parsed::Event(Event::StateResponse(resp))
-            }
-            Ok(_) => Parsed::Skip,
-            Err(_) => Parsed::Close,
-        },
-        frame_kind::FAULT_CONTROL => {
-            if !fault_injection {
-                return Parsed::Close; // unauthenticated: protocol garbage
-            }
-            match decode::<FaultCommand>(payload) {
-                Ok(cmd) => {
-                    faults.apply(cmd);
-                    Parsed::Fault
-                }
-                Err(_) => Parsed::Close,
-            }
-        }
-        frame_kind::STATUS => match identity {
-            // Client connections only: a peer sending STATUS is
-            // protocol garbage.
-            Identity::Client(_) => match decode::<StatusRequest>(payload) {
-                Ok(req) => Parsed::Status(req),
-                Err(_) => Parsed::Close,
-            },
-            _ => Parsed::Close,
-        },
-        _ => Parsed::Skip, // tolerate unknown kinds from newer peers
     }
 }
 
@@ -560,7 +461,7 @@ fn drain_conn<P: Protocol>(
             Ok(None) => break,
             Err(_) => Parsed::Close, // framing garbage: magic/length violation
             Ok(Some(view)) => {
-                parse::<P>(view.kind, view.payload, identity, faults, fault_injection)
+                classify::<P>(view.kind, view.payload, identity, faults, fault_injection)
             }
         };
         match step {
@@ -751,6 +652,8 @@ fn event_loop<P: Protocol>(
     telemetry: Arc<NodeTelemetry>,
 ) {
     let id = config.id;
+    // The host's clock: how long this loop has been up.
+    let started = Instant::now();
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut client_index: HashMap<ClientId, usize> = HashMap::new();
     let mut peers = EventedPeers {
@@ -765,7 +668,14 @@ fn event_loop<P: Protocol>(
             .collect(),
         delayed: Vec::new(),
     };
-    let mut host = Host::new(id, protocol, config.recovery, Arc::clone(&telemetry), &mut peers);
+    let mut host = Host::new(
+        id,
+        protocol,
+        config.recovery,
+        Arc::clone(&telemetry),
+        Duration::ZERO,
+        &mut peers,
+    );
 
     let mut next_tick = config.timeout_every.map(|period| Instant::now() + period);
     let mut events: Vec<Event<P::Message>> = Vec::new();
@@ -838,8 +748,9 @@ fn event_loop<P: Protocol>(
         // Protocol phase: this pass's events join the open drain batch.
         if !events.is_empty() {
             activity = true;
+            let uptime = now.duration_since(started);
             for event in events.drain(..) {
-                batch_outputs.extend(host.handle(event, &mut peers));
+                batch_outputs.extend(host.handle(event, uptime, &mut peers));
                 batch_events += 1;
             }
         }
@@ -940,9 +851,9 @@ fn event_loop<P: Protocol>(
 mod tests {
     use super::*;
     use crate::client::TcpClient;
-    use crate::host::{PeerAddr, RecoveryPolicy};
-    use crate::transport::{read_frame, read_value, ProtocolOutput};
-    use splitbft_types::{Request, RequestId, Timestamp, View};
+    use crate::host::PeerAddr;
+    use crate::transport::{read_value, ProtocolOutput};
+    use splitbft_types::{FaultCommand, Request, RequestId, Timestamp, View};
     use std::sync::mpsc::channel;
 
     /// A trivial protocol echoing request payloads straight back,
@@ -1148,44 +1059,59 @@ mod tests {
         node.shutdown();
     }
 
-    #[test]
-    fn state_transfer_requests_are_rate_limited_by_the_inflight_guard() {
-        // A recovering node that never makes progress, ticking fast
-        // (50 ms) against a peer that never answers. Without the
-        // in-flight guard every tick re-broadcast a STATE_REQUEST
-        // (~24 in 1.2 s); with it only the startup round plus at most
-        // one post-deadline retry may go out.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let peer_addr = listener.local_addr().unwrap();
-        let mut config = NodeConfig::new(
-            ReplicaId(0),
-            "127.0.0.1:0".parse().unwrap(),
-            vec![PeerAddr { id: ReplicaId(1), addr: peer_addr }],
-        );
-        config.timeout_every = Some(Duration::from_millis(50));
-        config.recovery = RecoveryPolicy { agreement: 1, at_startup: true };
-        let node = echo_node(config);
+    /// Records every peer message it is handed, so a test can prove
+    /// one never arrived.
+    struct Recorder {
+        seen: Arc<std::sync::Mutex<Vec<u64>>>,
+    }
 
-        let counted = std::thread::spawn(move || {
-            let (mut conn, _) = listener.accept().unwrap();
-            conn.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
-            let _: ReplicaId = read_value(&mut conn, frame_kind::PEER_HELLO).unwrap();
-            let deadline = Instant::now() + Duration::from_millis(1200);
-            let mut requests = 0u32;
-            while Instant::now() < deadline {
-                match read_frame(&mut conn) {
-                    Ok((kind, _)) if kind == frame_kind::STATE_REQUEST => requests += 1,
-                    Ok(_) => {}
-                    Err(_) => {} // read timeout between frames
-                }
-            }
-            requests
-        });
-        let requests = counted.join().unwrap();
-        assert!(
-            (1..=2).contains(&requests),
-            "expected 1-2 rate-limited state requests, saw {requests}"
+    impl Protocol for Recorder {
+        type Message = u64;
+
+        fn on_message(&mut self, msg: u64) -> Vec<ProtocolOutput<u64>> {
+            self.seen.lock().unwrap().push(msg);
+            Vec::new()
+        }
+
+        fn on_client_requests(&mut self, _requests: Vec<Request>) -> Vec<ProtocolOutput<u64>> {
+            Vec::new()
+        }
+
+        fn on_timeout(&mut self) -> Vec<ProtocolOutput<u64>> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn a_protocol_frame_on_a_client_connection_closes_it_unseen() {
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let node = EventedNode::spawn(solo_config(0), Recorder { seen: Arc::clone(&seen) }).unwrap();
+
+        // Nothing but `host::route` sends PROTOCOL, and only over peer
+        // links: a connection that said CLIENT_HELLO and then speaks the
+        // replicas' vocabulary is hung up on. EOF on our side proves the
+        // loop rejected the frame.
+        let mut stream = TcpStream::connect(node.local_addr()).unwrap();
+        write_value(&mut stream, frame_kind::CLIENT_HELLO, &ClientId(123)).unwrap();
+        write_value(&mut stream, frame_kind::PROTOCOL, &7u64).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut buf = [0u8; 1];
+        assert_eq!(
+            stream.read(&mut buf).unwrap_or(0),
+            0,
+            "the node must close a client connection that sends PROTOCOL"
         );
+
+        // The same frame on a peer-identified connection is delivered;
+        // once it has been, the client's frame would have been too.
+        let mut peer = TcpStream::connect(node.local_addr()).unwrap();
+        write_value(&mut peer, frame_kind::PEER_HELLO, &ReplicaId(1)).unwrap();
+        write_value(&mut peer, frame_kind::PROTOCOL, &8u64).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while seen.lock().unwrap().is_empty() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(*seen.lock().unwrap(), vec![8], "the hosted protocol never saw the client's 7");
         node.shutdown();
     }
 

@@ -6,8 +6,9 @@
 //! decision table consulted on the send path of every peer link: the
 //! socket runtime checks it whenever a frame is enqueued toward a peer
 //! (so protocol traffic and state transfer are faulted alike) and the
-//! in-process bus ([`InProcessBackend`]) checks it the same way, giving
-//! both backends the same fault semantics.
+//! in-memory cluster ([`Cluster`]) checks it the same way — with delays
+//! served against its virtual clock — giving both runtimes the same
+//! fault semantics.
 //!
 //! # Determinism
 //!
@@ -32,7 +33,7 @@
 //! by default and a node without it *closes* any connection that sends
 //! a control frame, keeping the plan unreachable in a real deployment.
 //!
-//! [`InProcessBackend`]: crate::backend::InProcessBackend
+//! [`Cluster`]: crate::lockstep::Cluster
 //! [`frame_kind::FAULT_CONTROL`]: crate::transport::frame_kind::FAULT_CONTROL
 
 use crate::transport::{frame_kind, write_value};

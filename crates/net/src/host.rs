@@ -1,19 +1,24 @@
 //! The transport-independent replica hosting core.
 //!
-//! Every backend — the evented readiness loop ([`crate::evented`]) and
-//! the in-process bus ([`crate::backend::InProcessBackend`]) — hosts a
-//! [`Protocol`] the same way: decode frames into [`Event`]s, feed them
-//! to the state machine one drain batch at a time, fsync once per
-//! batch, then route the outputs. This module owns that shared core
+//! Both runtimes — the evented readiness loop ([`crate::evented`]) and
+//! the deterministic in-memory cluster ([`crate::lockstep::Cluster`]) —
+//! host a [`Protocol`] the same way: classify each inbound frame by its
+//! kind and the sender's identity ([`classify`]), feed the resulting
+//! [`Event`]s to the state machine one drain batch at a time, fsync once
+//! per batch, then route the outputs. This module owns that shared core
 //! ([`Host`]), including the request-aware view-change timer and the
-//! state-transfer client, plus the [`NodeConfig`] every backend starts
-//! a node from, so backends differ only in how bytes move.
+//! state-transfer client, plus the [`NodeConfig`] a socket node starts
+//! from, so the runtimes differ only in how bytes move and in who
+//! supplies the clock: [`Host`] never reads one. Every entry point that
+//! needs the time takes `now` from its caller — how long the node has
+//! been up, on whatever clock the runtime keeps (the socket loop's
+//! monotonic one, the in-memory cluster's virtual one).
 //!
-//! Backends plug in through two small sinks: [`PeerSink`] (pre-framed
+//! Runtimes plug in through two small sinks: [`PeerSink`] (pre-framed
 //! bytes toward other replicas) and [`ClientSink`] (replies toward
 //! connected clients). The sinks speak frames, not typed messages, so a
 //! broadcast encodes once regardless of fan-out — and so the core stays
-//! byte-identical on the wire across backends.
+//! byte-identical on the wire across runtimes.
 
 use crate::fault::FaultPlan;
 use crate::transport::{
@@ -21,14 +26,15 @@ use crate::transport::{
 };
 use splitbft_obs::NodeTelemetry;
 use splitbft_types::wire::{decode, encode, frame_message};
+use splitbft_types::status::StatusRequest;
 use splitbft_types::{
-    ClientId, ReplicaId, Reply, Request, SeqNum, StateTransferRequest, StateTransferResponse,
-    StatusEvent,
+    ClientId, FaultCommand, ReplicaId, Reply, Request, SeqNum, StateTransferRequest,
+    StateTransferResponse, StatusEvent,
 };
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// State-transfer policy of a node.
 ///
@@ -67,7 +73,7 @@ pub struct PeerAddr {
     pub addr: SocketAddr,
 }
 
-/// Configuration for one hosted node, whichever backend starts it.
+/// Configuration for one socket-hosted node.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
     /// This replica's id.
@@ -93,8 +99,8 @@ pub struct NodeConfig {
     /// single fsync.
     pub group_commit: Duration,
     /// The node's fault plan, consulted on every peer send. Defaults
-    /// to an inert plan; chaos harnesses share one plan across
-    /// in-process nodes or seed it per node for determinism.
+    /// to an inert plan; chaos harnesses share one plan across the
+    /// nodes of one process or seed it per node for determinism.
     pub faults: Arc<FaultPlan>,
     /// Honor inbound `FAULT_CONTROL` frames (chaos-plane steering of
     /// the fault plan). **Off by default**: the control frame is
@@ -135,7 +141,7 @@ impl NodeConfig {
 }
 
 /// One input to the hosted protocol, already decoded from the wire (or
-/// synthesized by the backend's timer/drain machinery).
+/// synthesized by the runtime's timer/drain machinery).
 pub(crate) enum Event<M> {
     /// A protocol message from a peer replica.
     Peer(M),
@@ -155,7 +161,122 @@ pub(crate) enum Event<M> {
     Drain,
 }
 
-/// A backend's outbound path toward peer replicas. Frames are pre-built
+/// Who a frame came from: a socket connection's hello-claimed identity,
+/// or the origin the in-memory cluster attaches by construction
+/// (unauthenticated either way: protocol payloads carry their own
+/// signatures/MACs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Identity {
+    /// No hello seen yet; only hello frames are legal.
+    Unknown,
+    /// A replica, pinned to the hello-claimed id.
+    Peer(ReplicaId),
+    /// A client; replies route back to it.
+    Client(ClientId),
+}
+
+/// What one inbound frame means for the runtime that received it.
+pub(crate) enum Parsed<M> {
+    /// Feed it to [`Host::handle`].
+    Event(Event<M>),
+    /// The connection identified itself as a replica.
+    PeerHello(ReplicaId),
+    /// The connection identified itself as a client.
+    ClientHello(ClientId),
+    /// A STATUS request: answered by the socket loop, which owns the
+    /// connection's reply ring and the telemetry hub.
+    Status(StatusRequest),
+    /// A fault command was applied to the plan.
+    Fault,
+    /// Tolerated and ignored.
+    Skip,
+    /// Protocol garbage: hang up on the sender.
+    Close,
+}
+
+/// Classifies one frame by `(kind, identity)` — the only place either
+/// runtime decides what an inbound frame is. Hellos first; `PROTOCOL`
+/// and state-transfer frames only from a peer (nothing but [`route`]
+/// and the state-transfer client ever send them, and only over peer
+/// links), the latter pinned to the identity they claim, so one
+/// connection cannot speak for several replicas; `FAULT_CONTROL` honored
+/// only with fault injection enabled (and applied immediately, never
+/// through the protocol core — a wedged protocol must not delay a
+/// heal); unknown kinds tolerated.
+pub(crate) fn classify<P: Protocol>(
+    kind: u8,
+    payload: &[u8],
+    identity: Identity,
+    faults: &FaultPlan,
+    fault_injection: bool,
+) -> Parsed<P::Message> {
+    if identity == Identity::Unknown {
+        return match kind {
+            frame_kind::PEER_HELLO => match decode::<ReplicaId>(payload) {
+                Ok(id) => Parsed::PeerHello(id),
+                Err(_) => Parsed::Close,
+            },
+            frame_kind::CLIENT_HELLO => match decode::<ClientId>(payload) {
+                Ok(id) => Parsed::ClientHello(id),
+                Err(_) => Parsed::Close,
+            },
+            _ => Parsed::Close, // connection opened with a non-hello frame
+        };
+    }
+    match kind {
+        frame_kind::PROTOCOL => match identity {
+            Identity::Peer(_) => match decode::<P::Message>(payload) {
+                Ok(msg) => Parsed::Event(Event::Peer(msg)),
+                Err(_) => Parsed::Close,
+            },
+            // A client speaking the replicas' vocabulary is garbage.
+            _ => Parsed::Close,
+        },
+        frame_kind::REQUESTS => match decode(payload) {
+            Ok(requests) => Parsed::Event(Event::Requests(requests)),
+            Err(_) => Parsed::Close,
+        },
+        frame_kind::STATE_REQUEST => match decode::<StateTransferRequest>(payload) {
+            // Peers only, and the requester must be who the sender
+            // claims to be.
+            Ok(req) if identity == Identity::Peer(req.replica) => {
+                Parsed::Event(Event::StateRequest(req))
+            }
+            Ok(_) => Parsed::Skip,
+            Err(_) => Parsed::Close,
+        },
+        frame_kind::STATE_RESPONSE => match decode::<StateTransferResponse>(payload) {
+            Ok(resp) if identity == Identity::Peer(resp.replica) => {
+                Parsed::Event(Event::StateResponse(resp))
+            }
+            Ok(_) => Parsed::Skip,
+            Err(_) => Parsed::Close,
+        },
+        frame_kind::FAULT_CONTROL => {
+            if !fault_injection {
+                return Parsed::Close; // unauthenticated: protocol garbage
+            }
+            match decode::<FaultCommand>(payload) {
+                Ok(cmd) => {
+                    faults.apply(cmd);
+                    Parsed::Fault
+                }
+                Err(_) => Parsed::Close,
+            }
+        }
+        frame_kind::STATUS => match identity {
+            // Clients only: a peer sending STATUS is protocol garbage.
+            Identity::Client(_) => match decode::<StatusRequest>(payload) {
+                Ok(req) => Parsed::Status(req),
+                Err(_) => Parsed::Close,
+            },
+            _ => Parsed::Close,
+        },
+        _ => Parsed::Skip, // tolerate unknown kinds from newer peers
+    }
+}
+
+/// A runtime's outbound path toward peer replicas. Frames are pre-built
 /// (header + payload) and `Arc`-shared so broadcasts clone pointers,
 /// not buffers.
 pub(crate) trait PeerSink {
@@ -169,7 +290,7 @@ pub(crate) trait PeerSink {
     fn is_peer(&self, id: ReplicaId) -> bool;
 }
 
-/// A backend's outbound path toward connected clients. Delivery is
+/// A runtime's outbound path toward connected clients. Delivery is
 /// at-most-once: a gone or stalled client loses the reply and its own
 /// retry logic recovers.
 pub(crate) trait ClientSink {
@@ -227,7 +348,7 @@ struct Recovery {
     /// go out once [`STATE_TRANSFER_RETRY`] has elapsed — or
     /// immediately, if the round already proved productive and the
     /// guard was cleared.
-    requested_at: Option<Instant>,
+    requested_at: Option<Duration>,
     /// The current stall (requests pending or a stable checkpoint ahead,
     /// no progress across a whole timer period) has already spent one
     /// tick asking peers for state instead of accusing the primary; see
@@ -252,8 +373,8 @@ impl Recovery {
 
     /// `true` once the current round's retry deadline has passed, no
     /// round was ever sent, or the current round was productive.
-    fn may_request(&self) -> bool {
-        self.requested_at.is_none_or(|at| at.elapsed() >= STATE_TRANSFER_RETRY)
+    fn may_request(&self, now: Duration) -> bool {
+        self.requested_at.is_none_or(|at| now.saturating_sub(at) >= STATE_TRANSFER_RETRY)
     }
 }
 
@@ -261,7 +382,7 @@ impl Recovery {
 /// view-change timer and the state-transfer client, independent of how
 /// frames reach the process.
 ///
-/// A backend's drive loop calls [`Host::handle`] for every decoded
+/// A runtime's drive loop calls [`Host::handle`] for every classified
 /// event of a drain batch, accumulates the returned outputs, then calls
 /// [`Host::finish_batch`] once — the group-commit point: a single fsync
 /// covers the batch, outputs are routed strictly after it, deferred
@@ -304,18 +425,19 @@ pub(crate) struct Host<P: Protocol> {
 impl<P: Protocol> Host<P> {
     /// Wraps `protocol` for hosting. When `recovery` asks for it, the
     /// startup `STATE_REQUEST` round goes out through `peers` right
-    /// away.
+    /// away, in flight since `now`.
     pub(crate) fn new(
         id: ReplicaId,
         protocol: P,
         recovery: RecoveryPolicy,
         telemetry: Arc<NodeTelemetry>,
+        now: Duration,
         peers: &mut impl PeerSink,
     ) -> Self {
         let baseline = protocol.progress();
         let mut recovery = Recovery::new(recovery, baseline);
         if recovery.active {
-            recovery.requested_at = Some(Instant::now());
+            recovery.requested_at = Some(now);
             request_state(id, baseline, peers);
             telemetry.set_recovering(true);
         }
@@ -335,10 +457,15 @@ impl<P: Protocol> Host<P> {
         }
     }
 
-    /// The hosted protocol's current progress.
-    #[cfg(test)]
-    pub(crate) fn progress(&self) -> u64 {
-        self.protocol.progress()
+    /// The hosted protocol.
+    pub(crate) fn protocol(&self) -> &P {
+        &self.protocol
+    }
+
+    /// The hosted protocol, for a runtime that lets its caller invoke a
+    /// handler directly (outputs still go through [`Host::finish_batch`]).
+    pub(crate) fn protocol_mut(&mut self) -> &mut P {
+        &mut self.protocol
     }
 
     /// `true` while the state-transfer client is still hunting for
@@ -348,11 +475,12 @@ impl<P: Protocol> Host<P> {
         self.recovery.active
     }
 
-    /// Handles one event, returning the outputs to accumulate for
-    /// [`Host::finish_batch`].
+    /// Handles one event at the caller's `now`, returning the outputs
+    /// to accumulate for [`Host::finish_batch`].
     pub(crate) fn handle(
         &mut self,
         event: Event<P::Message>,
+        now: Duration,
         peers: &mut impl PeerSink,
     ) -> Vec<ProtocolOutput<P::Message>> {
         match event {
@@ -372,8 +500,8 @@ impl<P: Protocol> Host<P> {
                 Vec::new()
             }
             // Only cluster members' responses count toward the f + 1
-            // agreement (the backend already pinned the id to the
-            // connection's hello).
+            // agreement ([`classify`] already pinned the id to the
+            // sender's identity).
             Event::StateResponse(resp) if self.recovery.active && peers.is_peer(resp.replica) => {
                 apply_state_response(&mut self.protocol, &mut self.recovery, resp, &self.telemetry)
             }
@@ -421,9 +549,9 @@ impl<P: Protocol> Host<P> {
                         rec.active = false;
                         rec.responses.clear();
                         self.telemetry.set_recovering(false);
-                    } else if rec.may_request() {
+                    } else if rec.may_request(now) {
                         rec.baseline = progress;
-                        rec.requested_at = Some(Instant::now());
+                        rec.requested_at = Some(now);
                         request_state(self.id, progress, peers);
                     }
                 }
@@ -454,7 +582,7 @@ impl<P: Protocol> Host<P> {
         // requests are admitted (see [`Host::handle`]); the first batch
         // that ends with nothing pending seals a final checkpoint and
         // flushes the WAL, then marks the drain complete so the
-        // backend's serve loop can exit 0.
+        // socket loop can exit 0.
         let telemetry = &self.telemetry;
         if telemetry.draining()
             && !telemetry.drained()
@@ -652,7 +780,7 @@ fn feed_suffix<P: Protocol>(
     outputs
 }
 
-/// Routes one protocol output through the backend's sinks.
+/// Routes one protocol output through the runtime's sinks.
 pub(crate) fn route<M: WireMessage>(
     output: ProtocolOutput<M>,
     peers: &mut impl PeerSink,
@@ -675,6 +803,12 @@ mod tests {
     use super::*;
     use splitbft_types::wire::parse_frame;
     use splitbft_types::{Digest, DurableCheckpoint, ProtocolError};
+
+    /// Test time: the node has been up `ms`. `Host` sees only what it
+    /// is handed, so most tests stand still at `at(0)`.
+    fn at(ms: u64) -> Duration {
+        Duration::from_millis(ms)
+    }
 
     /// A protocol whose progress is simply the largest message value it
     /// has seen — enough to distinguish organic progress (fed as
@@ -783,6 +917,7 @@ mod tests {
             CatchUp { progress: 0 },
             RecoveryPolicy { agreement, at_startup: true },
             NodeTelemetry::new(0),
+            at(0),
             peers,
         )
     }
@@ -815,29 +950,29 @@ mod tests {
     fn a_stalled_replica_asks_its_peers_before_accusing_the_primary() {
         let mut peers = Peers::new(&[1, 2]);
         let policy = RecoveryPolicy { agreement: 1, at_startup: true };
-        let mut host = Host::new(ReplicaId(0), Stalled, policy, NodeTelemetry::new(0), &mut peers);
+        let mut host = Host::new(ReplicaId(0), Stalled, policy, NodeTelemetry::new(0), at(0), &mut peers);
         assert_eq!(peers.state_requests().len(), 1, "startup round");
 
         // First tick arms the timer; the startup round is in flight.
-        assert!(host.handle(Event::Timeout, &mut peers).is_empty());
+        assert!(host.handle(Event::Timeout, at(0), &mut peers).is_empty());
         assert_eq!(peers.state_requests().len(), 1);
         // First stalled tick: ask again at once — the in-flight guard
         // is 1.5 s away — and do not accuse yet.
-        assert!(host.handle(Event::Timeout, &mut peers).is_empty());
+        assert!(host.handle(Event::Timeout, at(0), &mut peers).is_empty());
         assert_eq!(peers.state_requests().len(), 2);
         // Still stalled a tick later: now the timeout fires.
-        assert_eq!(host.handle(Event::Timeout, &mut peers).len(), 1);
+        assert_eq!(host.handle(Event::Timeout, at(0), &mut peers).len(), 1);
 
         // Every node can ask, data directory or not: the same three
         // ticks, minus the startup round.
         let mut peers = Peers::new(&[1, 2]);
         let mut host =
-            Host::new(ReplicaId(0), Stalled, ON_STALL_ONLY, NodeTelemetry::new(0), &mut peers);
+            Host::new(ReplicaId(0), Stalled, ON_STALL_ONLY, NodeTelemetry::new(0), at(0), &mut peers);
         assert!(!host.recovering());
-        assert!(host.handle(Event::Timeout, &mut peers).is_empty());
-        assert!(host.handle(Event::Timeout, &mut peers).is_empty());
+        assert!(host.handle(Event::Timeout, at(0), &mut peers).is_empty());
+        assert!(host.handle(Event::Timeout, at(0), &mut peers).is_empty());
         assert_eq!(peers.state_requests().len(), 1, "asked on the first stalled tick");
-        assert_eq!(host.handle(Event::Timeout, &mut peers).len(), 1);
+        assert_eq!(host.handle(Event::Timeout, at(0), &mut peers).len(), 1);
     }
 
     /// Nothing pending, but a stable checkpoint at 128 while progress
@@ -884,27 +1019,27 @@ mod tests {
         let mut peers = Peers::new(&[1, 2]);
         let behind = Behind { progress: 100 };
         let mut host =
-            Host::new(ReplicaId(0), behind, ON_STALL_ONLY, NodeTelemetry::new(0), &mut peers);
+            Host::new(ReplicaId(0), behind, ON_STALL_ONLY, NodeTelemetry::new(0), at(0), &mut peers);
 
         for _ in 0..4 {
             host.protocol.progress += 1;
-            assert!(host.handle(Event::Timeout, &mut peers).is_empty());
+            assert!(host.handle(Event::Timeout, at(0), &mut peers).is_empty());
         }
         assert!(peers.state_requests().is_empty(), "still executing: nothing to ask for");
 
-        assert!(host.handle(Event::Timeout, &mut peers).is_empty());
+        assert!(host.handle(Event::Timeout, at(0), &mut peers).is_empty());
         assert_eq!(peers.state_requests().len(), 1, "one request once a whole period passed without progress");
         assert_eq!(peers.state_requests()[0].have_seq, SeqNum(104));
         assert!(host.recovering());
         for _ in 0..3 {
-            assert!(host.handle(Event::Timeout, &mut peers).is_empty(), "no view change");
+            assert!(host.handle(Event::Timeout, at(0), &mut peers).is_empty(), "no view change");
         }
         assert_eq!(peers.state_requests().len(), 1, "the round in flight is rate-limited");
 
         // Level with the stable checkpoint: nothing left to wait for.
         host.protocol.progress = 128;
-        host.handle(Event::Timeout, &mut peers);
-        host.handle(Event::Timeout, &mut peers);
+        host.handle(Event::Timeout, at(0), &mut peers);
+        host.handle(Event::Timeout, at(0), &mut peers);
         assert_eq!(peers.state_requests().len(), 1);
     }
 
@@ -921,13 +1056,13 @@ mod tests {
         assert_eq!(peers.state_requests().len(), 1, "startup round");
 
         // Peer 1's chunk advances progress 0 -> 5: a productive round.
-        let outputs = host.handle(Event::StateResponse(response(1, Some(5), None)), &mut peers);
+        let outputs = host.handle(Event::StateResponse(response(1, Some(5), None)), at(0), &mut peers);
         assert!(outputs.is_empty());
-        assert_eq!(host.progress(), 5);
+        assert_eq!(host.protocol.progress(), 5);
 
         // The next tick fires well within the 1.5 s retry deadline and
         // must still open the next round, at the new offset.
-        host.handle(Event::Timeout, &mut peers);
+        host.handle(Event::Timeout, at(0), &mut peers);
         let requests = peers.state_requests();
         assert_eq!(requests.len(), 2, "productive rounds are not rate-limited");
         assert_eq!(requests[1].have_seq, SeqNum(5), "re-request starts where the chunk ended");
@@ -940,9 +1075,9 @@ mod tests {
         let mut peers = Peers::new(&[1, 2]);
         let mut host = recovering_host(1, &mut peers);
 
-        host.handle(Event::StateResponse(response(1, None, None)), &mut peers);
+        host.handle(Event::StateResponse(response(1, None, None)), at(0), &mut peers);
         for _ in 0..5 {
-            host.handle(Event::Timeout, &mut peers);
+            host.handle(Event::Timeout, at(0), &mut peers);
         }
         assert_eq!(
             peers.state_requests().len(),
@@ -964,12 +1099,12 @@ mod tests {
 
         // Live traffic lands first (organic progress 0 -> 3), then a
         // transfer chunk follows in the same batch (3 -> 10).
-        host.handle(Event::Peer(3), &mut peers);
-        host.handle(Event::StateResponse(response(1, Some(10), None)), &mut peers);
+        host.handle(Event::Peer(3), at(0), &mut peers);
+        host.handle(Event::StateResponse(response(1, Some(10), None)), at(0), &mut peers);
 
-        host.handle(Event::Timeout, &mut peers);
+        host.handle(Event::Timeout, at(0), &mut peers);
         assert!(!host.recovering(), "organic progress ends the hunt");
-        host.handle(Event::Timeout, &mut peers);
+        host.handle(Event::Timeout, at(0), &mut peers);
         assert_eq!(peers.state_requests().len(), 1, "an ended hunt never re-requests");
     }
 
@@ -986,17 +1121,17 @@ mod tests {
 
         // Round 1: peer 1 vouches for checkpoint (50, d) and its chunk
         // nudges progress to 1 — one vote, no restore yet.
-        host.handle(Event::StateResponse(response(1, Some(1), Some((50, 7)))), &mut peers);
-        assert_eq!(host.progress(), 1, "a single vote must not restore");
+        host.handle(Event::StateResponse(response(1, Some(1), Some((50, 7)))), at(0), &mut peers);
+        assert_eq!(host.protocol.progress(), 1, "a single vote must not restore");
 
         // The productive round re-requests immediately (round 2).
-        host.handle(Event::Timeout, &mut peers);
+        host.handle(Event::Timeout, at(0), &mut peers);
         assert_eq!(peers.state_requests().len(), 2);
 
         // Peer 2's matching vote arrives after the round turned over:
         // agreement is reached across rounds and the checkpoint lands.
-        host.handle(Event::StateResponse(response(2, None, Some((50, 7)))), &mut peers);
-        assert_eq!(host.progress(), 50, "cross-round votes must reach agreement");
+        host.handle(Event::StateResponse(response(2, None, Some((50, 7)))), at(0), &mut peers);
+        assert_eq!(host.protocol.progress(), 50, "cross-round votes must reach agreement");
     }
 
     /// A protocol that implements no probe reports a single group whose
@@ -1035,15 +1170,17 @@ mod tests {
             CatchUp { progress: 0 },
             ON_STALL_ONLY,
             Arc::clone(&telemetry),
+            at(0),
             &mut peers,
         );
 
-        host.handle(Event::Peer(42), &mut peers);
+        host.handle(Event::Peer(42), at(0), &mut peers);
         host.handle(
             Event::StateRequest(StateTransferRequest {
                 replica: ReplicaId(1),
                 have_seq: SeqNum(0),
             }),
+            at(0),
             &mut peers,
         );
         assert!(peers.frames.is_empty(), "state requests are deferred to batch end");
@@ -1124,13 +1261,13 @@ mod tests {
         let protocol =
             Drainable { requests_seen: 0, pending: true, seals: 0, sealed_on_drain: false };
         let mut host =
-            Host::new(ReplicaId(0), protocol, ON_STALL_ONLY, Arc::clone(&telemetry), &mut peers);
+            Host::new(ReplicaId(0), protocol, ON_STALL_ONLY, Arc::clone(&telemetry), at(0), &mut peers);
 
-        host.handle(Event::Requests(vec![request(1)]), &mut peers);
+        host.handle(Event::Requests(vec![request(1)]), at(0), &mut peers);
         assert_eq!(host.protocol.requests_seen, 1, "pre-drain requests are admitted");
 
         telemetry.request_drain();
-        host.handle(Event::Requests(vec![request(2)]), &mut peers);
+        host.handle(Event::Requests(vec![request(2)]), at(0), &mut peers);
         assert_eq!(host.protocol.requests_seen, 1, "post-drain requests are refused");
 
         // Still pending: the batch must NOT complete the drain yet.
@@ -1140,7 +1277,7 @@ mod tests {
 
         // The in-flight batch finishes; the next drain batch seals.
         host.protocol.pending = false;
-        host.handle(Event::Drain, &mut peers);
+        host.handle(Event::Drain, at(0), &mut peers);
         host.finish_batch(Vec::new(), &mut peers, &mut NoClients);
         assert!(host.protocol.sealed_on_drain, "drain epilogue forces a seal");
         assert!(telemetry.drained());

@@ -13,35 +13,30 @@
 //!   listening on a TCP address and messages travel as length-prefixed
 //!   frames (see [`splitbft_types::wire`]): one readiness loop per node
 //!   over nonblocking sockets, bounded per-peer rings with backpressure,
-//!   and zero-copy frame decoding. [`client::TcpClient`] is its client.
+//!   and zero-copy frame decoding. [`client::TcpClient`] is its client;
+//! - [`lockstep`] — the deterministic in-memory cluster
+//!   ([`lockstep::Cluster`]): the same hosting core and the same frame
+//!   classifier as the socket runtime, framed bytes through FIFOs on one
+//!   thread, a virtual clock — what the examples and every socket-free
+//!   cluster test run on.
 //!
-//! The [`backend`] module puts the socket runtime and an in-process bus
-//! ([`backend::InProcessBackend`]: one thread per replica, framed bytes
-//! over channels — what the examples and socket-free tests run on) behind
-//! the [`backend::TransportBackend`] trait, so one conformance suite runs
-//! against both, and both run the same hosting core.
-//!
-//! Both backends additionally consult a shared
-//! [`fault::FaultPlan`] on their send paths — a seeded, runtime-mutable
-//! decision table for chaos testing (drop/delay/duplicate rules and
-//! named partitions), inert unless the chaos plane installs faults.
+//! Both consult a [`fault::FaultPlan`] on their send paths — a seeded,
+//! runtime-mutable decision table for chaos testing (drop/delay/duplicate
+//! rules and named partitions), inert unless faults are installed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod client;
 pub mod evented;
 pub mod fault;
 mod host;
 pub mod link;
+pub mod lockstep;
 mod ring;
 pub mod status;
 pub mod transport;
 
-pub use backend::{
-    EventedBackend, InProcessBackend, RunningNode, TransportBackend, TransportClient,
-};
 pub use client::{ReplyHandler, TcpClient};
 pub use evented::{BoundEventedNode, EventedNode};
 pub use fault::{broadcast_fault_command, send_fault_command, FaultDecision, FaultPlan};

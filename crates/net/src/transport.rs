@@ -5,8 +5,8 @@
 //! state machine: handlers consume one input and return a list of
 //! outputs. This module turns that convention into a first-class
 //! [`Protocol`] trait so that one runtime implementation can host any of
-//! the three, whether in-process ([`crate::backend::InProcessBackend`])
-//! or across real sockets ([`crate::evented::EventedNode`]).
+//! the three, whether in memory ([`crate::lockstep::Cluster`]) or
+//! across real sockets ([`crate::evented::EventedNode`]).
 //!
 //! It also provides the stream-transport plumbing the socket runtime,
 //! its client and the control-plane helpers share: frame kinds and

@@ -1,27 +1,22 @@
-//! Transport-backend conformance battery.
+//! Hosting conformance battery.
 //!
-//! Every [`TransportBackend`] — the in-process bus and the evented
-//! readiness-loop socket runtime — must host a protocol identically:
-//! same delivery and per-link ordering, same drop-self-send semantics,
-//! same client reply routing. The socket backend additionally has
-//! wire-level obligations the bus cannot express: frames split at
-//! arbitrary read boundaries reassemble, peer links reconnect, one
-//! unread client cannot starve the rest, and `FAULT_CONTROL` frames
-//! hang up the connection unless fault injection was explicitly
-//! enabled.
-//!
-//! Each battery case is one generic function; the `#[test]`s below
-//! instantiate it per backend so a failure names the offender.
+//! Both runtimes — the evented readiness-loop socket node and the
+//! in-memory [`Cluster`] — must host a protocol identically: same
+//! delivery and per-link ordering, same drop-self-send semantics, same
+//! reply routing. Those cases run against both. The socket runtime
+//! additionally has wire-level obligations the in-memory cluster cannot
+//! express: frames split at arbitrary read boundaries reassemble, peer
+//! links reconnect, one unread client cannot starve the rest, and
+//! `FAULT_CONTROL` frames hang up the connection unless fault injection
+//! was explicitly enabled.
 
 use bytes::Bytes;
-use splitbft_net::backend::{
-    EventedBackend, InProcessBackend, RunningNode, TransportBackend, TransportClient,
-};
-use splitbft_net::{NodeConfig, PeerAddr};
+use splitbft_net::lockstep::Cluster;
+use splitbft_net::{EventedNode, NodeConfig, PeerAddr, TcpClient};
 use splitbft_net::transport::{frame_kind, write_value, Protocol, ProtocolOutput};
 use splitbft_types::wire::{encode, frame};
 use splitbft_types::{
-    ClientId, FaultCommand, ReplicaId, Reply, Request, RequestId, Timestamp, View,
+    ClientId, FaultCommand, LinkRule, ReplicaId, Reply, Request, RequestId, Timestamp, View,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -82,6 +77,12 @@ impl Protocol for Probe {
     fn on_timeout(&mut self) -> Vec<ProtocolOutput<u64>> {
         Vec::new()
     }
+
+    // Replies are produced synchronously, so nothing is ever pending and
+    // the stall timer has nothing to accuse anyone of.
+    fn has_pending_requests(&self) -> bool {
+        false
+    }
 }
 
 /// Like [`Probe`], but answers each request with two *addressed* sends:
@@ -131,40 +132,37 @@ fn request(client: u32, ts: u64, value: u64) -> Request {
 
 /// Binds `n` listeners, collects the address book, starts one node per
 /// replica. Returns the nodes and addresses in replica order.
-fn spawn_cluster<B: TransportBackend, P: Protocol>(
-    backend: &B,
+fn spawn_cluster<P: Protocol>(
     n: usize,
     fault_injection: bool,
     make: impl Fn(ReplicaId) -> P,
-) -> (Vec<B::Node>, Vec<SocketAddr>) {
-    let bound: Vec<B::Bound> = (0..n)
+) -> (Vec<EventedNode>, Vec<SocketAddr>) {
+    let bound: Vec<_> = (0..n)
         .map(|i| {
-            backend
-                .bind(ReplicaId(i as u32), "127.0.0.1:0".parse().unwrap())
+            EventedNode::bind(ReplicaId(i as u32), "127.0.0.1:0".parse().unwrap())
                 .expect("bind listener")
         })
         .collect();
     let peers: Vec<PeerAddr> = bound
         .iter()
-        .enumerate()
-        .map(|(i, b)| PeerAddr {
-            id: ReplicaId(i as u32),
-            addr: backend.local_addr(b).expect("bound addr"),
-        })
+        .map(|b| PeerAddr { id: b.id(), addr: b.local_addr().expect("bound addr") })
         .collect();
     let addrs: Vec<SocketAddr> = peers.iter().map(|p| p.addr).collect();
-    let nodes: Vec<B::Node> = bound
+    let nodes = bound
         .into_iter()
-        .enumerate()
-        .map(|(i, b)| {
-            let id = ReplicaId(i as u32);
+        .map(|b| {
+            let id = b.id();
             let mut config =
                 NodeConfig::new(id, "127.0.0.1:0".parse().unwrap(), peers.clone());
             config.fault_injection = fault_injection;
-            backend.start(b, config, make(id)).expect("start node")
+            b.start(config, make(id)).expect("start node")
         })
         .collect();
     (nodes, addrs)
+}
+
+fn connect(client: u32, addrs: &[SocketAddr]) -> TcpClient {
+    TcpClient::connect(ClientId(client), addrs, Duration::from_secs(10)).expect("connect")
 }
 
 /// Polls `check` until it passes or the deadline expires.
@@ -180,46 +178,41 @@ fn wait_for(what: &str, check: impl Fn() -> bool) {
 }
 
 // ------------------------------------------------------------------
-// Both backends
+// Both runtimes
 // ------------------------------------------------------------------
 
-/// A client's requests reach the addressed replica, its broadcasts reach
-/// every *other* replica in issue order (per-link FIFO), and the echoed
-/// replies come back to the issuing client.
-fn delivery_and_ordering<B: TransportBackend>(backend: &B, label: &str) {
-    const N: usize = 4;
-    const K: u64 = 60;
-    let logs: Vec<SeenLog> = (0..N).map(|_| SeenLog::default()).collect();
-    let (nodes, addrs) = spawn_cluster(backend, N, false, |id| Probe {
-        id,
-        seen: logs[id.0 as usize].clone(),
-    });
+const DELIVERY_N: usize = 4;
+const DELIVERY_K: u64 = 60;
 
-    let mut client =
-        backend.connect_client(ClientId(9), &addrs, Duration::from_secs(10)).expect("connect");
-    for value in 1..=K {
-        client.send_to(0, &[request(9, value, value)]).expect("send");
-    }
-    let mut replies = 0u64;
-    let reply_deadline = Instant::now() + DEADLINE;
-    while replies < K && Instant::now() < reply_deadline {
-        if let Ok(reply) = client.replies().recv_timeout(Duration::from_millis(500)) {
-            assert_eq!(reply.replica, ReplicaId(0), "{label}: reply from addressed replica");
-            assert_eq!(
-                reply.result.as_ref(),
-                reply.request.timestamp.0.to_le_bytes(),
-                "{label}: reply echoes the request op"
-            );
-            replies += 1;
-        }
-    }
-    assert_eq!(replies, K, "{label}: every request must be answered");
+/// One log per replica, and the constructor handing each replica its own.
+fn logged<P>(
+    n: usize,
+    make: impl Fn(ReplicaId, SeenLog) -> P,
+) -> (Vec<SeenLog>, impl Fn(ReplicaId) -> P) {
+    let logs: Vec<SeenLog> = (0..n).map(|_| SeenLog::default()).collect();
+    let handed = logs.clone();
+    (logs, move |id: ReplicaId| make(id, handed[id.0 as usize].clone()))
+}
 
-    let expected: Vec<u64> = (1..=K).collect();
+fn probes(n: usize) -> (Vec<SeenLog>, impl Fn(ReplicaId) -> Probe) {
+    logged(n, |id, seen| Probe { id, seen })
+}
+
+fn assert_echo_from_replica_0(reply: &Reply, label: &str) {
+    assert_eq!(reply.replica, ReplicaId(0), "{label}: reply from addressed replica");
+    assert_eq!(
+        reply.result.as_ref(),
+        reply.request.timestamp.0.to_le_bytes(),
+        "{label}: reply echoes the request op"
+    );
+}
+
+/// What every replica's log must hold once replica 0 has broadcast
+/// `1..=K`: all of them, in issue order (per-link FIFO), at every
+/// *other* replica.
+fn assert_broadcasts_in_issue_order(logs: &[SeenLog], label: &str) {
+    let expected: Vec<u64> = (1..=DELIVERY_K).collect();
     for (i, log) in logs.iter().enumerate().skip(1) {
-        wait_for(&format!("{label}: replica {i} receives all broadcasts"), || {
-            log.lock().unwrap().len() == K as usize
-        });
         assert_eq!(
             *log.lock().unwrap(),
             expected,
@@ -230,104 +223,246 @@ fn delivery_and_ordering<B: TransportBackend>(backend: &B, label: &str) {
         logs[0].lock().unwrap().is_empty(),
         "{label}: a broadcast must not loop back to its sender"
     );
+}
+
+/// A client's requests reach the addressed replica, its broadcasts reach
+/// every *other* replica in issue order, and the echoed replies come
+/// back to the issuing client.
+#[test]
+fn delivery_and_ordering_conform_on_evented() {
+    let label = "evented";
+    let (logs, make) = probes(DELIVERY_N);
+    let (nodes, addrs) = spawn_cluster(DELIVERY_N, false, make);
+
+    let mut client = connect(9, &addrs);
+    for value in 1..=DELIVERY_K {
+        client.send_to(0, &[request(9, value, value)]).expect("send");
+    }
+    let mut replies = 0u64;
+    let reply_deadline = Instant::now() + DEADLINE;
+    while replies < DELIVERY_K && Instant::now() < reply_deadline {
+        if let Ok(reply) = client.replies().recv_timeout(Duration::from_millis(500)) {
+            assert_echo_from_replica_0(&reply, label);
+            replies += 1;
+        }
+    }
+    assert_eq!(replies, DELIVERY_K, "{label}: every request must be answered");
+
+    for (i, log) in logs.iter().enumerate().skip(1) {
+        wait_for(&format!("{label}: replica {i} receives all broadcasts"), || {
+            log.lock().unwrap().len() == DELIVERY_K as usize
+        });
+    }
+    assert_broadcasts_in_issue_order(&logs, label);
 
     client.close();
-    for node in nodes {
-        node.shutdown();
-    }
+    nodes.into_iter().for_each(EventedNode::shutdown);
 }
 
 #[test]
-fn delivery_and_ordering_conform_on_every_backend() {
-    delivery_and_ordering(&EventedBackend, "evented");
-    delivery_and_ordering(&InProcessBackend::new(), "in-process");
+fn delivery_and_ordering_conform_on_lockstep() {
+    let label = "lockstep";
+    let (logs, make) = probes(DELIVERY_N);
+    let mut cluster = Cluster::new((0..DELIVERY_N as u32).map(|i| make(ReplicaId(i))));
+
+    for value in 1..=DELIVERY_K {
+        cluster.submit(0, &[request(9, value, value)]);
+    }
+    // `submit` returned, so the cluster is quiet: nothing left to wait for.
+    assert_eq!(cluster.replies.len() as u64, DELIVERY_K, "{label}: every request must be answered");
+    cluster.replies.iter().for_each(|reply| assert_echo_from_replica_0(reply, label));
+    assert_broadcasts_in_issue_order(&logs, label);
+}
+
+fn self_senders(n: usize) -> (Vec<SeenLog>, impl Fn(ReplicaId) -> SelfSender) {
+    logged(n, move |id, seen| SelfSender { id, n: n as u32, seen })
 }
 
 /// A self-addressed `Send` is silently dropped — never delivered
 /// locally, never a crash — while the sibling send still goes out.
-fn drop_self_send<B: TransportBackend>(backend: &B, label: &str) {
-    const N: usize = 2;
-    let logs: Vec<SeenLog> = (0..N).map(|_| SeenLog::default()).collect();
-    let (nodes, addrs) = spawn_cluster(backend, N, false, |id| SelfSender {
-        id,
-        n: N as u32,
-        seen: logs[id.0 as usize].clone(),
-    });
+#[test]
+fn self_addressed_sends_are_dropped_on_evented() {
+    let (logs, make) = self_senders(2);
+    let (nodes, addrs) = spawn_cluster(2, false, make);
 
-    let mut client =
-        backend.connect_client(ClientId(9), &addrs, Duration::from_secs(10)).expect("connect");
+    let mut client = connect(9, &addrs);
     client.send_to(0, &[request(9, 1, 41)]).expect("send");
     client.replies().recv_timeout(DEADLINE).expect("reply");
 
-    wait_for(&format!("{label}: peer receives the sibling send"), || {
-        *logs[1].lock().unwrap() == vec![42]
-    });
+    wait_for("evented: peer receives the sibling send", || *logs[1].lock().unwrap() == vec![42]);
     // The self-send had strictly less distance to travel than the
     // sibling we just observed; give stragglers a moment, then assert
     // it never surfaced.
     std::thread::sleep(Duration::from_millis(200));
     assert!(
         logs[0].lock().unwrap().is_empty(),
-        "{label}: self-addressed send must be dropped, got {:?}",
+        "evented: self-addressed send must be dropped, got {:?}",
         logs[0].lock().unwrap()
     );
 
     client.close();
-    for node in nodes {
-        node.shutdown();
-    }
+    nodes.into_iter().for_each(EventedNode::shutdown);
 }
 
 #[test]
-fn self_addressed_sends_are_dropped_on_every_backend() {
-    drop_self_send(&EventedBackend, "evented");
-    drop_self_send(&InProcessBackend::new(), "in-process");
+fn self_addressed_sends_are_dropped_on_lockstep() {
+    let (logs, make) = self_senders(2);
+    let mut cluster = Cluster::new((0..2).map(|i| make(ReplicaId(i))));
+
+    cluster.submit(0, &[request(9, 1, 41)]);
+    assert_eq!(cluster.replies.len(), 1);
+    assert_eq!(*logs[1].lock().unwrap(), vec![42], "lockstep: peer receives the sibling send");
+    // No straggler to wait out: the cluster is quiet, so a self-send
+    // that was going to surface already has.
+    assert!(
+        logs[0].lock().unwrap().is_empty(),
+        "lockstep: self-addressed send must be dropped, got {:?}",
+        logs[0].lock().unwrap()
+    );
 }
 
 // ------------------------------------------------------------------
-// Socket backend only
+// Lockstep cluster only
+// ------------------------------------------------------------------
+
+/// Counts the `STATE_REQUEST` frames `cluster` delivers from now on.
+fn count_state_requests<P: Protocol>(cluster: &mut Cluster<P>) -> Arc<Mutex<usize>> {
+    let count = Arc::new(Mutex::new(0));
+    cluster.observe({
+        let count = Arc::clone(&count);
+        move |frame| {
+            *count.lock().unwrap() += usize::from(frame.kind == frame_kind::STATE_REQUEST);
+            true
+        }
+    });
+    count
+}
+
+#[test]
+fn delayed_frames_wait_for_the_virtual_clock_and_undelayed_ones_overtake() {
+    let (logs, make) = probes(2);
+    let mut cluster = Cluster::new((0..2).map(|i| make(ReplicaId(i))));
+    cluster.faults.apply(FaultCommand::SetRule(LinkRule {
+        delay_ms: 400,
+        ..LinkRule::clean(ReplicaId(0), ReplicaId(1))
+    }));
+    let burst: Vec<Request> = (0..20).map(|value| request(9, value, value)).collect();
+    cluster.submit(0, &burst);
+    assert_eq!(cluster.replies.len(), 20);
+    cluster.advance(Duration::from_millis(399));
+    assert!(logs[1].lock().unwrap().is_empty(), "held until the clock says 400 ms");
+
+    cluster.faults.apply(FaultCommand::ClearRules);
+    cluster.submit(0, &[request(9, 99, 99)]);
+    assert_eq!(*logs[1].lock().unwrap(), vec![99], "an undelayed frame overtakes the held burst");
+    cluster.advance(Duration::from_millis(1));
+    let mut expected = vec![99];
+    expected.extend(0..20);
+    assert_eq!(*logs[1].lock().unwrap(), expected, "held frames release in order");
+}
+
+#[test]
+fn staged_calls_and_held_replicas_deliver_on_the_next_run() {
+    let (logs, make) = probes(3);
+    let seen = |i: usize| logs[i].lock().unwrap().clone();
+    let mut cluster = Cluster::new((0..3).map(|i| make(ReplicaId(i))));
+    cluster.drive(0, |_| vec![ProtocolOutput::Broadcast(1)]);
+    cluster.drive(0, |_| vec![ProtocolOutput::Send { to: ReplicaId(2), msg: 2 }]);
+    assert!(seen(1).is_empty() && seen(2).is_empty());
+
+    cluster.hold(2);
+    cluster.run();
+    assert_eq!(seen(1), vec![1]);
+    assert!(seen(2).is_empty(), "held: its inbox only fills");
+    cluster.release(2);
+    cluster.run();
+    assert_eq!(seen(2), vec![1, 2]);
+}
+
+#[test]
+fn a_crashed_replica_loses_its_frames_and_restarts_asking_its_peers() {
+    let (logs, make) = probes(3);
+    let seen = |i: usize| logs[i].lock().unwrap().clone();
+    let mut cluster = Cluster::new((0..3).map(|i| make(ReplicaId(i))));
+    cluster.hold(1);
+    cluster.submit(0, &[request(9, 1, 1)]);
+    cluster.crash(1);
+    cluster.submit(0, &[request(9, 2, 2)]);
+    assert!(seen(1).is_empty());
+    assert_eq!(seen(2), vec![1, 2]);
+
+    let asked = count_state_requests(&mut cluster);
+    cluster.restart(1, make(ReplicaId(1)));
+    cluster.submit(0, &[request(9, 3, 3)]);
+    assert_eq!(seen(1), vec![3], "what it missed is gone; it is back on the links");
+    assert_eq!(*asked.lock().unwrap(), 2, "one startup round, one frame per peer");
+}
+
+/// The retry guard of the state-transfer client, on the cluster's clock:
+/// a recovering node that never makes progress, ticking every 50 ms
+/// against peers with nothing to offer. Without the guard every tick
+/// re-broadcast a `STATE_REQUEST`; with it the startup round stays alone
+/// in flight for 1.5 s of virtual time, and exactly one more goes out on
+/// the first tick after.
+#[test]
+fn state_transfer_requests_are_rate_limited_by_the_inflight_guard() {
+    let (_logs, make) = probes(2);
+    let mut cluster = Cluster::new((0..2).map(|i| make(ReplicaId(i))));
+    let asked = count_state_requests(&mut cluster);
+    cluster.restart(1, make(ReplicaId(1)));
+    let mut tick_50ms_later = || {
+        cluster.advance(Duration::from_millis(50));
+        cluster.tick();
+        *asked.lock().unwrap()
+    };
+    for _ in 0..28 {
+        tick_50ms_later();
+    }
+    assert_eq!(tick_50ms_later(), 1, "1450 ms: the startup round is still the only one");
+    assert_eq!(tick_50ms_later(), 2, "1500 ms: the retry goes out");
+    assert_eq!(tick_50ms_later(), 2, "and opens a guard of its own");
+}
+
+// ------------------------------------------------------------------
+// Socket runtime only
 // ------------------------------------------------------------------
 
 /// A peer that was unreachable when the first send went out is reached
 /// once it comes up: the link retries the connection instead of
 /// poisoning the link forever. (Frames sent while the peer was down may
 /// be dropped — delivery is at-most-once — but later frames must flow.)
-fn peer_reconnect<B: TransportBackend>(backend: &B, label: &str) {
+#[test]
+fn peer_links_reconnect() {
     // Reserve a port for replica 1, then release it so replica 0's
     // first connection attempt is refused.
     let placeholder = TcpListener::bind("127.0.0.1:0").unwrap();
     let late_addr = placeholder.local_addr().unwrap();
     drop(placeholder);
 
-    let bound0 = backend.bind(ReplicaId(0), "127.0.0.1:0".parse().unwrap()).unwrap();
-    let addr0 = backend.local_addr(&bound0).unwrap();
+    let bound0 = EventedNode::bind(ReplicaId(0), "127.0.0.1:0".parse().unwrap()).unwrap();
+    let addr0 = bound0.local_addr().unwrap();
     let peers = vec![
         PeerAddr { id: ReplicaId(0), addr: addr0 },
         PeerAddr { id: ReplicaId(1), addr: late_addr },
     ];
     let logs: Vec<SeenLog> = (0..2).map(|_| SeenLog::default()).collect();
     let config0 = NodeConfig::new(ReplicaId(0), addr0, peers.clone());
-    let node0 = backend
-        .start(bound0, config0, Probe { id: ReplicaId(0), seen: logs[0].clone() })
-        .unwrap();
+    let node0 = bound0.start(config0, Probe { id: ReplicaId(0), seen: logs[0].clone() }).unwrap();
 
-    let mut client =
-        backend.connect_client(ClientId(9), &[addr0], Duration::from_secs(10)).expect("connect");
+    let mut client = connect(9, &[addr0]);
     // Broadcast into the void: replica 1 does not exist yet.
     client.send_to(0, &[request(9, 1, 1)]).expect("send");
     client.replies().recv_timeout(DEADLINE).expect("reply while peer is down");
     std::thread::sleep(Duration::from_millis(100));
 
     // Now replica 1 appears at its published address…
-    let bound1 = backend.bind(ReplicaId(1), late_addr).expect("rebind the reserved port");
+    let bound1 = EventedNode::bind(ReplicaId(1), late_addr).expect("rebind the reserved port");
     let config1 = NodeConfig::new(ReplicaId(1), late_addr, peers);
-    let node1 = backend
-        .start(bound1, config1, Probe { id: ReplicaId(1), seen: logs[1].clone() })
-        .unwrap();
+    let node1 = bound1.start(config1, Probe { id: ReplicaId(1), seen: logs[1].clone() }).unwrap();
 
     // …and a later broadcast must reach it.
     client.send_to(0, &[request(9, 2, 2)]).expect("send");
-    wait_for(&format!("{label}: restarted peer receives post-restart broadcast"), || {
+    wait_for("restarted peer receives post-restart broadcast", || {
         logs[1].lock().unwrap().contains(&2)
     });
 
@@ -336,20 +471,13 @@ fn peer_reconnect<B: TransportBackend>(backend: &B, label: &str) {
     node1.shutdown();
 }
 
-#[test]
-fn peer_links_reconnect_on_the_socket_backend() {
-    peer_reconnect(&EventedBackend, "evented");
-}
-
 /// Raw wire check: frames delivered one to three bytes at a time — the
 /// header itself split mid-magic, the payload split mid-integer —
 /// reassemble into exactly the sent messages, in order.
-fn partial_frame_reads<B: TransportBackend>(backend: &B, label: &str) {
-    let logs: Vec<SeenLog> = (0..2).map(|_| SeenLog::default()).collect();
-    let (nodes, addrs) = spawn_cluster(backend, 2, false, |id| Probe {
-        id,
-        seen: logs[id.0 as usize].clone(),
-    });
+#[test]
+fn partial_frame_reads_reassemble() {
+    let (logs, make) = probes(2);
+    let (nodes, addrs) = spawn_cluster(2, false, make);
 
     // Pose as replica 1 and deliver three protocol messages to replica
     // 0 in a single byte stream, written in 1/2/3-byte slivers.
@@ -370,30 +498,21 @@ fn partial_frame_reads<B: TransportBackend>(backend: &B, label: &str) {
         std::thread::sleep(Duration::from_millis(1));
     }
 
-    wait_for(&format!("{label}: split frames reassemble"), || {
+    wait_for("split frames reassemble", || {
         *logs[0].lock().unwrap() == vec![11, 12, 13]
     });
 
     drop(stream);
-    for node in nodes {
-        node.shutdown();
-    }
-}
-
-#[test]
-fn partial_frame_reads_reassemble_on_the_socket_backend() {
-    partial_frame_reads(&EventedBackend, "evented");
+    nodes.into_iter().for_each(EventedNode::shutdown);
 }
 
 /// One client that never reads its replies must not stall the node:
 /// replies to it are eventually dropped (bounded queue / ring), while a
 /// responsive client keeps completing requests.
-fn slow_client_non_starvation<B: TransportBackend>(backend: &B, label: &str) {
-    let logs: Vec<SeenLog> = (0..2).map(|_| SeenLog::default()).collect();
-    let (nodes, addrs) = spawn_cluster(backend, 2, false, |id| Probe {
-        id,
-        seen: logs[id.0 as usize].clone(),
-    });
+#[test]
+fn slow_clients_do_not_starve_responsive_ones() {
+    let (_logs, make) = probes(2);
+    let (nodes, addrs) = spawn_cluster(2, false, make);
 
     // The slow client: connects raw, pours in requests with 32 KiB ops
     // (each echoed straight back), and never reads a byte.
@@ -412,38 +531,28 @@ fn slow_client_non_starvation<B: TransportBackend>(backend: &B, label: &str) {
 
     // The responsive client must still complete a full round of
     // requests while the slow one's replies back up.
-    let mut client =
-        backend.connect_client(ClientId(8), &addrs, Duration::from_secs(10)).expect("connect");
+    let mut client = connect(8, &addrs);
     for ts in 1..=20u64 {
         client.send_to(0, &[request(8, ts, ts)]).expect("send");
         let reply = client.replies().recv_timeout(DEADLINE).expect("responsive reply");
-        assert_eq!(reply.request.timestamp, Timestamp(ts), "{label}: in-order completion");
+        assert_eq!(reply.request.timestamp, Timestamp(ts), "in-order completion");
     }
 
     // Unblock any writer stuck on the slow client before joining the
     // node's threads.
     drop(slow);
     client.close();
-    for node in nodes {
-        node.shutdown();
-    }
-}
-
-#[test]
-fn slow_clients_do_not_starve_responsive_ones_on_the_socket_backend() {
-    slow_client_non_starvation(&EventedBackend, "evented");
+    nodes.into_iter().for_each(EventedNode::shutdown);
 }
 
 /// `FAULT_CONTROL` frames are a chaos-harness backdoor: a node serving
 /// with fault injection disabled (the default) must hang up on them; a
 /// node serving with it enabled consumes them and keeps the connection.
-fn fault_control_gating<B: TransportBackend>(backend: &B, label: &str) {
+#[test]
+fn fault_control_is_gated() {
     for enabled in [false, true] {
-        let logs: Vec<SeenLog> = (0..2).map(|_| SeenLog::default()).collect();
-        let (nodes, addrs) = spawn_cluster(backend, 2, enabled, |id| Probe {
-            id,
-            seen: logs[id.0 as usize].clone(),
-        });
+        let (logs, make) = probes(2);
+        let (nodes, addrs) = spawn_cluster(2, enabled, make);
 
         let mut stream = TcpStream::connect(addrs[0]).expect("connect raw");
         stream.set_nodelay(true).unwrap();
@@ -454,7 +563,7 @@ fn fault_control_gating<B: TransportBackend>(backend: &B, label: &str) {
             // request on the same stream still gets its echo handled
             // (observed via the broadcast to the peer replica).
             write_value(&mut stream, frame_kind::REQUESTS, &vec![request(6, 1, 99)]).unwrap();
-            wait_for(&format!("{label}: connection survives enabled FAULT_CONTROL"), || {
+            wait_for("connection survives enabled FAULT_CONTROL", || {
                 logs[1].lock().unwrap().contains(&99)
             });
         } else {
@@ -463,18 +572,11 @@ fn fault_control_gating<B: TransportBackend>(backend: &B, label: &str) {
             assert_eq!(
                 stream.read(&mut buf).unwrap_or(0),
                 0,
-                "{label}: node must hang up on FAULT_CONTROL when injection is disabled"
+                "node must hang up on FAULT_CONTROL when injection is disabled"
             );
         }
 
         drop(stream);
-        for node in nodes {
-            node.shutdown();
-        }
+        nodes.into_iter().for_each(EventedNode::shutdown);
     }
-}
-
-#[test]
-fn fault_control_is_gated_on_the_socket_backend() {
-    fault_control_gating(&EventedBackend, "evented");
 }

@@ -1,11 +1,11 @@
 //! Hosting adapter: [`Replica`] as a [`Protocol`].
 //!
 //! With this impl a PBFT replica drops unchanged into any
-//! `splitbft-net` runtime — the in-process [`InProcessBackend`] bus or
-//! the deployable [`EventedNode`] — which is how the socket demo and the
+//! `splitbft-net` runtime — the in-memory [`Cluster`] or the deployable
+//! [`EventedNode`] — which is how the socket demo and the
 //! `splitbft-node` binary run the baseline.
 //!
-//! [`InProcessBackend`]: splitbft_net::backend::InProcessBackend
+//! [`Cluster`]: splitbft_net::lockstep::Cluster
 //! [`EventedNode`]: splitbft_net::evented::EventedNode
 
 use crate::action::Action;

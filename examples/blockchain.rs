@@ -8,11 +8,13 @@
 //! cargo run --example blockchain
 //! ```
 
+use splitbft::net::transport::frame_kind;
 use splitbft::prelude::*;
-use splitbft::types::ConsensusMessage;
 use splitbft::types::wire::decode;
+use splitbft::types::ConsensusMessage;
 use splitbft_app::blockchain::Block;
-use std::collections::VecDeque;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const MASTER_SEED: u64 = 77;
 
@@ -20,49 +22,35 @@ fn main() {
     let config = ClusterConfig::new(4).expect("4 replicas");
     println!("SplitBFT ordering service, {} replicas, blocks of 5 transactions\n", config.n());
 
-    // Deterministic in-process pump (same protocol code as the threaded
-    // runtime; easier to interleave with inspection).
-    let mut replicas: Vec<SplitBftReplica<Blockchain>> = (0..4u32)
-        .map(|i| {
-            SplitBftReplica::new(
-                config.clone(),
-                ReplicaId(i),
-                MASTER_SEED,
-                Blockchain::new(),
-                ExecMode::Hardware,
-                CostModel::paper_calibrated(),
-            )
-        })
-        .collect();
-    let mut queues: Vec<VecDeque<ConsensusMessage>> = (0..4).map(|_| VecDeque::new()).collect();
-    let mut sealed_blocks: Vec<bytes::Bytes> = Vec::new();
+    let mut cluster = Cluster::new(config.replicas().map(|id| {
+        SplitBftReplica::new(
+            config.clone(),
+            id,
+            MASTER_SEED,
+            Blockchain::new(),
+            ExecMode::Hardware,
+            CostModel::paper_calibrated(),
+        )
+    }));
 
-    let pump = |replicas: &mut Vec<SplitBftReplica<Blockchain>>,
-                    queues: &mut Vec<VecDeque<ConsensusMessage>>,
-                    sealed: &mut Vec<bytes::Bytes>| loop {
-        let mut progressed = false;
-        for i in 0..4 {
-            while let Some(msg) = queues[i].pop_front() {
-                progressed = true;
-                for event in replicas[i].on_network_message(msg) {
-                    match event {
-                        ReplicaEvent::Broadcast(m) => {
-                            for (j, q) in queues.iter_mut().enumerate() {
-                                if j != i {
-                                    q.push_back(m.clone());
-                                }
-                            }
-                        }
-                        ReplicaEvent::Persist(blob) if i == 0 => sealed.push(blob),
-                        _ => {}
-                    }
+    // A sealed block leaves the Execution enclave as a `Persist` event,
+    // which has no network footprint and so never reaches the hosting
+    // runtime. To watch replica 0's, its commit votes are taken off the
+    // wire and handed to its broker here, where every event is visible.
+    let votes = Rc::new(RefCell::new(Vec::new()));
+    cluster.observe({
+        let votes = Rc::clone(&votes);
+        move |frame| {
+            if frame.to == ReplicaId(0) && frame.kind == frame_kind::PROTOCOL {
+                if let Ok(vote @ ConsensusMessage::Commit(_)) = decode(frame.payload) {
+                    votes.borrow_mut().push(vote);
+                    return false;
                 }
             }
+            true
         }
-        if !progressed {
-            break;
-        }
-    };
+    });
+    let mut sealed_blocks: Vec<bytes::Bytes> = Vec::new();
 
     // Submit 12 transactions: 2 full blocks + 2 pending.
     for tx in 0..12u64 {
@@ -73,25 +61,28 @@ fn main() {
             Timestamp(tx + 1),
             bytes::Bytes::from(payload.into_bytes()),
         );
-        let events = replicas[0].on_client_batch(vec![request]);
-        for event in events {
-            match event {
-                ReplicaEvent::Broadcast(m) => {
-                    for (j, q) in queues.iter_mut().enumerate() {
-                        if j != 0 {
-                            q.push_back(m.clone());
+        cluster.submit(0, &[request]);
+        for vote in votes.take() {
+            cluster.drive(0, |replica| {
+                let mut outputs = Vec::new();
+                for event in replica.on_network_message(vote) {
+                    match event {
+                        ReplicaEvent::Broadcast(msg) => outputs.push(ProtocolOutput::Broadcast(msg)),
+                        ReplicaEvent::Reply { to, reply } => {
+                            outputs.push(ProtocolOutput::Reply { to, reply })
                         }
+                        ReplicaEvent::Persist(blob) => sealed_blocks.push(blob),
+                        _ => {}
                     }
                 }
-                ReplicaEvent::Persist(blob) => sealed_blocks.push(blob),
-                _ => {}
-            }
+                outputs
+            });
         }
-        pump(&mut replicas, &mut queues, &mut sealed_blocks);
+        cluster.run();
     }
 
     println!("Chain state per replica:");
-    for r in &replicas {
+    for r in (0..4).map(|i| cluster.replica(i)) {
         println!(
             "  {}: height {} | head {} | pending {}",
             r.id(),

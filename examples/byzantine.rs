@@ -10,78 +10,48 @@
 
 use splitbft::model::{run_scenario, Scenario};
 use splitbft::prelude::*;
-use splitbft::types::ConsensusMessage;
-use std::collections::VecDeque;
 
 const MASTER_SEED: u64 = 404;
 
 fn main() {
     let config = ClusterConfig::new(4).expect("4 replicas");
-    let mut replicas: Vec<SplitBftReplica<CounterApp>> = (0..4u32)
-        .map(|i| {
-            SplitBftReplica::new(
-                config.clone(),
-                ReplicaId(i),
-                MASTER_SEED,
-                CounterApp::new(),
-                ExecMode::Hardware,
-                CostModel::paper_calibrated(),
-            )
-        })
-        .collect();
+    let mut cluster = Cluster::new(config.replicas().map(|id| {
+        SplitBftReplica::new(
+            config.clone(),
+            id,
+            MASTER_SEED,
+            CounterApp::new(),
+            ExecMode::Hardware,
+            CostModel::paper_calibrated(),
+        )
+    }));
 
     println!("Arming faults (one enclave per compartment type, different replicas):");
     println!("  r1 Preparation  -> mute (drops all its outputs)");
     println!("  r2 Confirmation -> corrupt (flips bits in every ocall)");
     println!("  r3 Execution    -> dead (swallows every ecall)\n");
-    replicas[1].arm_fault(CompartmentKind::Preparation, FaultPlan::immediate(FaultKind::MuteOcalls));
-    replicas[2].arm_fault(
+    cluster
+        .replica_mut(1)
+        .arm_fault(CompartmentKind::Preparation, FaultPlan::immediate(FaultKind::MuteOcalls));
+    cluster.replica_mut(2).arm_fault(
         CompartmentKind::Confirmation,
         FaultPlan::immediate(FaultKind::CorruptOcalls { xor: 0x5A }),
     );
-    replicas[3].arm_fault(CompartmentKind::Execution, FaultPlan::immediate(FaultKind::DropEcalls));
+    cluster
+        .replica_mut(3)
+        .arm_fault(CompartmentKind::Execution, FaultPlan::immediate(FaultKind::DropEcalls));
 
-    let mut queues: Vec<VecDeque<ConsensusMessage>> = (0..4).map(|_| VecDeque::new()).collect();
     for ts in 1..=5u64 {
         let request =
             make_request(MASTER_SEED, ClientId(0), Timestamp(ts), bytes::Bytes::from_static(b"inc"));
-        let events = replicas[0].on_client_batch(vec![request]);
-        for event in events {
-            if let ReplicaEvent::Broadcast(msg) = event {
-                for (j, q) in queues.iter_mut().enumerate() {
-                    if j != 0 {
-                        q.push_back(msg.clone());
-                    }
-                }
-            }
-        }
-        loop {
-            let mut progressed = false;
-            for i in 0..4 {
-                while let Some(msg) = queues[i].pop_front() {
-                    progressed = true;
-                    for event in replicas[i].on_network_message(msg) {
-                        if let ReplicaEvent::Broadcast(m) = event {
-                            for (j, q) in queues.iter_mut().enumerate() {
-                                if j != i {
-                                    q.push_back(m.clone());
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
+        cluster.submit(0, &[request]);
     }
 
     println!("After 5 requests:");
-    for r in &replicas {
+    for r in (0..4).map(|i| cluster.replica(i)) {
         println!("  {}: counter = {}", r.id(), r.app().value());
     }
-    assert!(replicas[0].app().value() == 5 && replicas[1].app().value() == 5 && replicas[2].app().value() == 5);
+    assert!((0..3).all(|i| cluster.replica(i).app().value() == 5));
     println!("\nReplicas with healthy Execution enclaves executed everything —");
     println!("three byzantine enclaves (one per type) could not stop or split the cluster.\n");
 

@@ -8,8 +8,8 @@
 
 use splitbft::prelude::*;
 use splitbft::types::wire::encode;
-use splitbft::types::ConsensusMessage;
-use std::collections::VecDeque;
+use std::cell::Cell;
+use std::rc::Rc;
 
 const MASTER_SEED: u64 = 2022;
 const SECRET: &[u8] = b"diagnosis: classified";
@@ -17,24 +17,23 @@ const SECRET: &[u8] = b"diagnosis: classified";
 fn main() {
     let config = ClusterConfig::new(4).expect("4 replicas");
     let authority = PlatformAuthority::from_seed(9);
-    let mut replicas: Vec<SplitBftReplica<KeyValueStore>> = (0..4u32)
-        .map(|i| {
-            SplitBftReplica::new(
-                config.clone(),
-                ReplicaId(i),
-                MASTER_SEED,
-                KeyValueStore::new(),
-                ExecMode::Hardware,
-                CostModel::paper_calibrated(),
-            )
-        })
-        .collect();
+    let mut cluster = Cluster::new(config.replicas().map(|id| {
+        SplitBftReplica::new(
+            config.clone(),
+            id,
+            MASTER_SEED,
+            KeyValueStore::new(),
+            ExecMode::Hardware,
+            CostModel::paper_calibrated(),
+        )
+    }));
 
     // 1) Attestation: the client verifies each Execution enclave's quote
     //    against the platform authority before trusting it with a key.
     let mut client = SplitBftClient::new(config.clone(), ClientId(3), MASTER_SEED, 555);
     println!("Attesting the 4 Execution enclaves…");
-    for replica in &mut replicas {
+    for i in 0..4 {
+        let replica = cluster.replica_mut(i);
         let quote = replica.attestation_quote(&authority);
         let (dh_public, wrapped_key) = client
             .attest_execution_enclave(&authority.public_key(), &quote)
@@ -52,54 +51,24 @@ fn main() {
     assert!(!leaked);
 
     // 3) Order it through the cluster, watching every byte that crosses
-    //    the (untrusted) network.
-    let mut queues: Vec<VecDeque<ConsensusMessage>> = (0..4).map(|_| VecDeque::new()).collect();
-    let mut observed_on_wire = 0usize;
-    let mut secret_sightings = 0usize;
-    let mut replies = Vec::new();
-
-    let events = replicas[0].on_client_batch(vec![request]);
-    let fanout = |from: usize,
-                      events: Vec<ReplicaEvent>,
-                      queues: &mut Vec<VecDeque<ConsensusMessage>>,
-                      replies: &mut Vec<splitbft::types::Reply>,
-                      observed: &mut usize,
-                      sightings: &mut usize| {
-        for event in events {
-            match event {
-                ReplicaEvent::Broadcast(msg) => {
-                    let bytes = encode(&msg);
-                    *observed += bytes.len();
-                    *sightings += usize::from(bytes.windows(SECRET.len()).any(|w| w == SECRET));
-                    for (j, q) in queues.iter_mut().enumerate() {
-                        if j != from {
-                            q.push_back(msg.clone());
-                        }
-                    }
-                }
-                ReplicaEvent::Reply { reply, .. } => {
-                    let bytes = encode(&reply);
-                    *sightings += usize::from(bytes.windows(SECRET.len()).any(|w| w == SECRET));
-                    replies.push(reply);
-                }
-                _ => {}
-            }
+    //    the (untrusted) network: each frame as a peer receives it, and
+    //    each reply.
+    let leaks = |bytes: &[u8]| bytes.windows(SECRET.len()).any(|w| w == SECRET);
+    let observed_on_wire = Rc::new(Cell::new(0usize));
+    let sightings_on_wire = Rc::new(Cell::new(0usize));
+    cluster.observe({
+        let (observed, sightings) = (Rc::clone(&observed_on_wire), Rc::clone(&sightings_on_wire));
+        move |frame| {
+            observed.set(observed.get() + frame.payload.len());
+            sightings.set(sightings.get() + usize::from(leaks(frame.payload)));
+            true
         }
-    };
-    fanout(0, events, &mut queues, &mut replies, &mut observed_on_wire, &mut secret_sightings);
-    loop {
-        let mut progressed = false;
-        for i in 0..4 {
-            while let Some(msg) = queues[i].pop_front() {
-                progressed = true;
-                let events = replicas[i].on_network_message(msg);
-                fanout(i, events, &mut queues, &mut replies, &mut observed_on_wire, &mut secret_sightings);
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
+    });
+    cluster.submit(0, &[request]);
+    let replies = std::mem::take(&mut cluster.replies);
+    let observed_on_wire = observed_on_wire.get();
+    let secret_sightings =
+        sightings_on_wire.get() + replies.iter().filter(|reply| leaks(&encode(*reply))).count();
 
     println!("\nAgreement traffic inspected: {observed_on_wire} bytes across all links");
     println!("Plaintext sightings outside the enclaves: {secret_sightings}");

@@ -5,8 +5,8 @@
 //! cargo run --example socket_cluster
 //! ```
 //!
-//! The `quickstart` example runs its replicas on an in-process bus
-//! (`InProcessBackend`); here every replica owns a real listener, peers connect over
+//! The `quickstart` example runs its replicas in the in-memory lockstep
+//! cluster; here every replica owns a real listener, peers connect over
 //! TCP, and every protocol message crosses a socket as a length-prefixed
 //! frame — the same path the `splitbft-node` binary uses when the four
 //! replicas are four separate processes (or VMs, as deployed in the

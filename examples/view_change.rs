@@ -7,96 +7,47 @@
 //! ```
 
 use splitbft::prelude::*;
-use splitbft::types::ConsensusMessage;
-use std::collections::VecDeque;
 
 const MASTER_SEED: u64 = 11;
 
-struct Harness {
-    replicas: Vec<SplitBftReplica<CounterApp>>,
-    queues: Vec<VecDeque<ConsensusMessage>>,
-    down: Vec<bool>,
-}
-
-impl Harness {
-    fn pump(&mut self) {
-        loop {
-            let mut progressed = false;
-            for i in 0..self.replicas.len() {
-                if self.down[i] {
-                    self.queues[i].clear();
-                    continue;
-                }
-                while let Some(msg) = self.queues[i].pop_front() {
-                    progressed = true;
-                    let events = self.replicas[i].on_network_message(msg);
-                    self.route(i, events);
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-    }
-
-    fn route(&mut self, from: usize, events: Vec<ReplicaEvent>) {
-        for event in events {
-            if let ReplicaEvent::Broadcast(msg) = event {
-                for (j, q) in self.queues.iter_mut().enumerate() {
-                    if j != from && !self.down[j] {
-                        q.push_back(msg.clone());
-                    }
-                }
-            }
-        }
-    }
-}
-
 fn main() {
     let config = ClusterConfig::new(4).expect("4 replicas");
-    let mut harness = Harness {
-        replicas: (0..4u32)
-            .map(|i| {
-                SplitBftReplica::new(
-                    config.clone(),
-                    ReplicaId(i),
-                    MASTER_SEED,
-                    CounterApp::new(),
-                    ExecMode::Hardware,
-                    CostModel::paper_calibrated(),
-                )
-            })
-            .collect(),
-        queues: (0..4).map(|_| VecDeque::new()).collect(),
-        down: vec![false; 4],
+    let mut cluster = Cluster::new(config.replicas().map(|id| {
+        SplitBftReplica::new(
+            config.clone(),
+            id,
+            MASTER_SEED,
+            CounterApp::new(),
+            ExecMode::Hardware,
+            CostModel::paper_calibrated(),
+        )
+    }));
+    let inc = |ts| {
+        make_request(MASTER_SEED, ClientId(0), Timestamp(ts), bytes::Bytes::from_static(b"inc"))
     };
 
     // Normal operation under primary r0.
     println!("View 0, primary r0: ordering one request…");
-    let request = make_request(MASTER_SEED, ClientId(0), Timestamp(1), bytes::Bytes::from_static(b"inc"));
-    let events = harness.replicas[0].on_client_batch(vec![request]);
-    harness.route(0, events);
-    harness.pump();
-    for r in &harness.replicas {
+    cluster.submit(0, &[inc(1)]);
+    for r in (0..4).map(|i| cluster.replica(i)) {
         println!("  {}: counter = {}, views (prep/conf/exec) = {:?}", r.id(), r.app().value(), r.views());
     }
 
     // The primary's machine dies.
     println!("\n*** replica 0 (the primary) crashes ***\n");
-    harness.down[0] = true;
+    cluster.crash(0);
 
     // The environments' request timers expire: each surviving replica's
     // Confirmation enclave votes for a view change (timers are untrusted
     // liveness logic, per principle P1).
     println!("Timers expire; Confirmation enclaves send ViewChange for view 1…");
     for i in 1..4 {
-        let events = harness.replicas[i].on_view_timeout();
-        harness.route(i, events);
+        cluster.drive(i, Protocol::on_timeout);
     }
-    harness.pump();
+    cluster.run();
 
     for i in 1..4 {
-        let r = &harness.replicas[i];
+        let r = cluster.replica(i);
         let (prep, conf, exec) = r.views();
         println!("  {}: views prep={prep} conf={conf} exec={exec}", r.id());
         assert_eq!(conf, View(1));
@@ -104,12 +55,9 @@ fn main() {
 
     // The new primary (r1) serves clients.
     println!("\nView 1, primary r1: ordering the next request…");
-    let request = make_request(MASTER_SEED, ClientId(0), Timestamp(2), bytes::Bytes::from_static(b"inc"));
-    let events = harness.replicas[1].on_client_batch(vec![request]);
-    harness.route(1, events);
-    harness.pump();
+    cluster.submit(1, &[inc(2)]);
     for i in 1..4 {
-        let r = &harness.replicas[i];
+        let r = cluster.replica(i);
         println!("  {}: counter = {}", r.id(), r.app().value());
         assert_eq!(r.app().value(), 2);
     }

@@ -17,7 +17,7 @@
 //! | [`types`] | `splitbft-types` | ids, messages, wire codec, configuration |
 //! | [`crypto`] | `splitbft-crypto` | SHA-256, HMAC, signatures, AEAD, keys |
 //! | [`tee`] | `splitbft-tee` | simulated SGX: enclaves, sealing, attestation, cost model |
-//! | [`net`] | `splitbft-net` | link models, in-process + TCP cluster backends, `Protocol` trait |
+//! | [`net`] | `splitbft-net` | link models, the `Protocol` trait, its TCP runtime and its in-memory lockstep cluster |
 //! | [`app`] | `splitbft-app` | key-value store and blockchain applications |
 //! | [`pbft`] | `splitbft-pbft` | the complete PBFT baseline |
 //! | [`hybrid`] | `splitbft-hybrid` | MinBFT-style trusted-counter baseline |
@@ -67,9 +67,9 @@ pub mod prelude {
     };
     pub use splitbft_core::{ReplicaEvent, SplitBftClient, SplitBftReplica};
     pub use splitbft_hybrid::{HybridConfig, HybridReplica, Usig};
+    pub use splitbft_net::lockstep::Cluster;
     pub use splitbft_net::{
-        BatchPolicy, EventedNode, InProcessBackend, NodeConfig, PeerAddr, Protocol,
-        ProtocolOutput, RunningNode, TcpClient, TransportBackend, TransportClient,
+        BatchPolicy, EventedNode, NodeConfig, PeerAddr, Protocol, ProtocolOutput, TcpClient,
     };
     pub use splitbft_pbft::{make_request, Replica as PbftReplica};
     pub use splitbft_tee::{CostModel, ExecMode, FaultKind, FaultPlan, PlatformAuthority};

@@ -1,180 +1,256 @@
 //! The same workload through all three systems — PBFT, the hybrid
 //! baseline, and SplitBFT — must yield the same application state, and
 //! their relative fault tolerance must match the paper's Table 1.
+//!
+//! The first half is one scenario battery: each scenario is a generic
+//! function over [`Protocol`], run on `lockstep::Cluster` for every
+//! [`Stack`].
 
 use bytes::Bytes;
-use splitbft::app::CounterApp;
-use splitbft::hybrid::{HybridAction, HybridConfig, HybridReplica, Usig};
-use splitbft::model::{run_scenario, Scenario};
-use splitbft::prelude::*;
-use splitbft::app::ReplyCache;
+use splitbft::app::{CounterApp, ReplyCache};
 use splitbft::crypto::{digest_bytes, ClientMacKeys};
-use splitbft::types::{ConsensusMessage, DurableEvent, Request, RequestBatch};
-use std::collections::VecDeque;
+use splitbft::hybrid::{HybridConfig, HybridReplica, Usig};
+use splitbft::model::{run_scenario, Scenario};
+use splitbft::net::transport::frame_kind;
+use splitbft::net::FaultPlan;
+use splitbft::prelude::*;
+use splitbft::types::{DurableEvent, FaultCommand, LinkRule, Request, RequestBatch};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::time::Duration;
 
 const SEED: u64 = 808;
 
-/// Drives `increments` through a SplitBFT cluster, returns the final
-/// counter value on replica 0.
-fn run_splitbft(increments: u64) -> u64 {
-    let config = ClusterConfig::new(4).unwrap();
-    let mut replicas: Vec<SplitBftReplica<CounterApp>> = (0..4u32)
-        .map(|i| {
-            SplitBftReplica::new(
-                config.clone(),
-                ReplicaId(i),
-                SEED,
-                CounterApp::new(),
-                ExecMode::Hardware,
-                CostModel::paper_calibrated(),
-            )
-        })
-        .collect();
-    let mut queues: Vec<VecDeque<ConsensusMessage>> = (0..4).map(|_| VecDeque::new()).collect();
+/// One of the three systems, as far as the battery needs to know it.
+struct Stack<P> {
+    name: &'static str,
+    n: usize,
+    /// Replicas that may fail.
+    f: usize,
+    /// Slots between the checkpoints a lagging peer can be served.
+    checkpoint_every: u64,
+    replica: fn(ReplicaId) -> P,
+    counter: fn(&P) -> u64,
+}
+
+impl<P: Protocol> Stack<P> {
+    fn cluster(&self) -> Cluster<P> {
+        Cluster::new((0..self.n as u32).map(|i| (self.replica)(ReplicaId(i))))
+    }
+}
+
+fn pbft() -> Stack<PbftReplica<CounterApp>> {
+    Stack {
+        name: "pbft",
+        n: 4,
+        f: 1,
+        checkpoint_every: 128,
+        replica: |id| PbftReplica::new(ClusterConfig::new(4).unwrap(), id, SEED, CounterApp::new()),
+        counter: |r| r.app().value(),
+    }
+}
+
+fn splitbft() -> Stack<SplitBftReplica<CounterApp>> {
+    Stack {
+        name: "splitbft",
+        n: 4,
+        f: 1,
+        checkpoint_every: 128,
+        replica: |id| {
+            let (mode, cost) = (ExecMode::Hardware, CostModel::paper_calibrated());
+            let config = ClusterConfig::new(4).unwrap();
+            SplitBftReplica::new(config, id, SEED, CounterApp::new(), mode, cost)
+        },
+        counter: |r| r.app().value(),
+    }
+}
+
+fn hybrid() -> Stack<HybridReplica<CounterApp, Usig>> {
+    Stack {
+        name: "hybrid",
+        n: 3,
+        f: 1,
+        checkpoint_every: 64,
+        replica: |id| {
+            let config = HybridConfig::new(3).unwrap();
+            let mut replica =
+                HybridReplica::new(config, id, SEED, Usig::new(SEED, id), CounterApp::new());
+            // The hybrid snapshots only for a runtime that asked.
+            replica.enable_durable_events();
+            replica
+        },
+        counter: |r| r.app().value(),
+    }
+}
+
+fn inc(ts: u64) -> Request {
+    make_request(SEED, ClientId(0), Timestamp(ts), Bytes::from_static(b"inc"))
+}
+
+/// (a) Drives `increments` through the stack's primary; every replica
+/// must end at the same counter, which is returned.
+fn counts_to<P: Protocol>(stack: &Stack<P>, increments: u64) -> u64 {
+    let mut cluster = stack.cluster();
     for ts in 1..=increments {
-        let req = make_request(SEED, ClientId(0), Timestamp(ts), Bytes::from_static(b"inc"));
-        let events = replicas[0].on_client_batch(vec![req]);
-        for e in events {
-            if let ReplicaEvent::Broadcast(m) = e {
-                for (j, q) in queues.iter_mut().enumerate() {
-                    if j != 0 {
-                        q.push_back(m.clone());
-                    }
-                }
-            }
-        }
-        loop {
-            let mut progressed = false;
-            for i in 0..4 {
-                while let Some(m) = queues[i].pop_front() {
-                    progressed = true;
-                    for e in replicas[i].on_network_message(m) {
-                        if let ReplicaEvent::Broadcast(m2) = e {
-                            for (j, q) in queues.iter_mut().enumerate() {
-                                if j != i {
-                                    q.push_back(m2.clone());
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
+        cluster.submit(0, &[inc(ts)]);
     }
-    // All replicas agree.
-    let v = replicas[0].app().value();
-    for r in &replicas {
-        assert_eq!(r.app().value(), v, "divergence at {}", r.id());
+    let value = (stack.counter)(cluster.replica(0));
+    for i in 0..stack.n {
+        assert_eq!((stack.counter)(cluster.replica(i)), value, "{}: divergence at {i}", stack.name);
     }
-    v
-}
-
-fn run_pbft(increments: u64) -> u64 {
-    let config = ClusterConfig::new(4).unwrap();
-    let mut replicas: Vec<PbftReplica<CounterApp>> = (0..4u32)
-        .map(|i| PbftReplica::new(config.clone(), ReplicaId(i), SEED, CounterApp::new()))
-        .collect();
-    let mut queues: Vec<VecDeque<ConsensusMessage>> = (0..4).map(|_| VecDeque::new()).collect();
-    for ts in 1..=increments {
-        let req = make_request(SEED, ClientId(0), Timestamp(ts), Bytes::from_static(b"inc"));
-        let actions = replicas[0].on_client_batch(vec![req]);
-        for a in actions {
-            if let splitbft::pbft::Action::Broadcast { msg } = a {
-                for (j, q) in queues.iter_mut().enumerate() {
-                    if j != 0 {
-                        q.push_back(msg.clone());
-                    }
-                }
-            }
-        }
-        loop {
-            let mut progressed = false;
-            for i in 0..4 {
-                while let Some(m) = queues[i].pop_front() {
-                    progressed = true;
-                    for a in replicas[i].on_message(m).unwrap_or_default() {
-                        if let splitbft::pbft::Action::Broadcast { msg } = a {
-                            for (j, q) in queues.iter_mut().enumerate() {
-                                if j != i {
-                                    q.push_back(msg.clone());
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-    }
-    let v = replicas[0].app().value();
-    for r in &replicas {
-        assert_eq!(r.app().value(), v);
-    }
-    v
-}
-
-fn hybrid_cluster() -> Vec<HybridReplica<CounterApp, Usig>> {
-    let config = HybridConfig::new(3).unwrap();
-    (0..3u32)
-        .map(|i| {
-            HybridReplica::new(
-                config.clone(),
-                ReplicaId(i),
-                SEED,
-                Usig::new(SEED, ReplicaId(i)),
-                CounterApp::new(),
-            )
-        })
-        .collect()
-}
-
-/// Orders `batch` through the hybrid primary and delivers every message
-/// until the cluster is quiet.
-fn pump_hybrid(replicas: &mut [HybridReplica<CounterApp, Usig>], batch: Vec<Request>) {
-    let mut queues: Vec<VecDeque<splitbft::hybrid::HybridMessage>> =
-        (0..3).map(|_| VecDeque::new()).collect();
-    let mut sender = 0;
-    let mut actions = replicas[0].on_client_batch(batch);
-    loop {
-        for a in actions.drain(..) {
-            if let HybridAction::Broadcast(m) = a {
-                for (j, q) in queues.iter_mut().enumerate() {
-                    if j != sender {
-                        q.push_back(m.clone());
-                    }
-                }
-            }
-        }
-        let Some(next) = (0..3).find(|&i| !queues[i].is_empty()) else { break };
-        let m = queues[next].pop_front().expect("non-empty");
-        sender = next;
-        actions = replicas[next].on_message(m).unwrap_or_default();
-    }
-}
-
-fn run_hybrid(increments: u64) -> u64 {
-    let mut replicas = hybrid_cluster();
-    for ts in 1..=increments {
-        let req = make_request(SEED, ClientId(0), Timestamp(ts), Bytes::from_static(b"inc"));
-        pump_hybrid(&mut replicas, vec![req]);
-    }
-    let v = replicas[0].app().value();
-    for r in &replicas {
-        assert_eq!(r.app().value(), v);
-    }
-    v
+    value
 }
 
 #[test]
 fn all_three_systems_compute_the_same_state() {
-    assert_eq!(run_splitbft(7), 7);
-    assert_eq!(run_pbft(7), 7);
-    assert_eq!(run_hybrid(7), 7);
+    assert_eq!(counts_to(&splitbft(), 7), 7);
+    assert_eq!(counts_to(&pbft(), 7), 7);
+    assert_eq!(counts_to(&hybrid(), 7), 7);
+}
+
+/// (b) Peer frames delivered and replies sent while a quiet cluster
+/// commits `requests`, one per batch.
+fn traffic_of<P: Protocol>(stack: &Stack<P>, requests: u64) -> (u64, usize) {
+    let mut cluster = stack.cluster();
+    let frames = Rc::new(RefCell::new(0));
+    cluster.observe({
+        let frames = Rc::clone(&frames);
+        move |_| {
+            *frames.borrow_mut() += 1;
+            true
+        }
+    });
+    for ts in 1..=requests {
+        cluster.submit(0, &[inc(ts)]);
+    }
+    assert_eq!((stack.counter)(cluster.replica(0)), requests, "{}", stack.name);
+    let frames = *frames.borrow();
+    (frames, cluster.replies.len())
+}
+
+#[test]
+fn a_quiet_cluster_moves_24_peer_frames_and_4_replies_per_request() {
+    // One PrePrepare to 3 peers, 3 Prepares and 4 Commits to 3 peers
+    // each, 4 replies; no checkpoint within 100 slots. With the 12
+    // checkpoint votes every 128 slots this is the 28.09375 messages per
+    // request CI pins on the benchmark's `types.msgs_per_req`.
+    assert_eq!(traffic_of(&pbft(), 100), (2400, 400));
+    assert_eq!(traffic_of(&splitbft(), 100), (2400, 400));
+}
+
+/// (c) With `f` backups crashed the rest still commit.
+fn commits_with_f_backups_crashed<P: Protocol>(stack: &Stack<P>) {
+    let mut cluster = stack.cluster();
+    let live = stack.n - stack.f;
+    (live..stack.n).for_each(|i| cluster.crash(i));
+    for ts in 1..=3 {
+        cluster.submit(0, &[inc(ts)]);
+    }
+    for i in 0..live {
+        assert_eq!((stack.counter)(cluster.replica(i)), 3, "{}: replica {i}", stack.name);
+    }
+    assert_eq!(cluster.replies.len(), 3 * live, "{}: every live replica answers", stack.name);
+}
+
+#[test]
+fn every_stack_commits_with_f_backups_crashed() {
+    commits_with_f_backups_crashed(&pbft());
+    commits_with_f_backups_crashed(&splitbft());
+    commits_with_f_backups_crashed(&hybrid());
+}
+
+/// (d) A replica that was down across a whole checkpoint interval comes
+/// back empty and is brought level by its peers' hosting cores: the
+/// `STATE_REQUEST` round its own core opens with, `STATE_RESPONSE`s
+/// carrying the checkpoint, a restore under `f + 1` agreement. (A
+/// replica merely *held* that long needs no transfer here — its inbox
+/// loses nothing — so the scenario crashes it.)
+fn a_restarted_replica_is_brought_level_by_state_transfer<P: Protocol>(stack: &Stack<P>) {
+    let mut cluster = stack.cluster();
+    let last = stack.n - 1;
+    // State-transfer frames the restarted replica sent and received.
+    let transfer = Rc::new(RefCell::new(Vec::new()));
+    cluster.observe({
+        let (transfer, id) = (Rc::clone(&transfer), ReplicaId(last as u32));
+        move |frame| {
+            let asked = frame.from == id && frame.kind == frame_kind::STATE_REQUEST;
+            let answered = frame.to == id && frame.kind == frame_kind::STATE_RESPONSE;
+            if asked || answered {
+                transfer.borrow_mut().push(frame.kind);
+            }
+            true
+        }
+    });
+    cluster.crash(last);
+    for ts in 1..=stack.checkpoint_every {
+        cluster.submit(0, &[inc(ts)]);
+    }
+    assert_eq!(cluster.replica(last).progress(), 0, "{}", stack.name);
+
+    cluster.restart(last, (stack.replica)(ReplicaId(last as u32)));
+    cluster.run();
+    let mut expected = vec![frame_kind::STATE_REQUEST; last];
+    expected.extend(vec![frame_kind::STATE_RESPONSE; last]);
+    assert_eq!(*transfer.borrow(), expected, "{}: one round, every peer answers", stack.name);
+    assert_eq!(cluster.replica(last).progress(), stack.checkpoint_every, "{}", stack.name);
+    assert_eq!((stack.counter)(cluster.replica(last)), stack.checkpoint_every);
+
+    // Level: it executes live traffic with everyone else.
+    cluster.submit(0, &[inc(stack.checkpoint_every + 1)]);
+    for i in 0..stack.n {
+        let counter = (stack.counter)(cluster.replica(i));
+        assert_eq!(counter, stack.checkpoint_every + 1, "{}: replica {i}", stack.name);
+    }
+}
+
+#[test]
+fn a_restarted_replica_catches_up_through_its_peers_on_every_stack() {
+    a_restarted_replica_is_brought_level_by_state_transfer(&pbft());
+    a_restarted_replica_is_brought_level_by_state_transfer(&splitbft());
+    a_restarted_replica_is_brought_level_by_state_transfer(&hybrid());
+}
+
+/// (e) Every peer frame delivered while 20 requests run over a link
+/// that drops, duplicates and delays by the plan seeded with `seed`.
+fn trace_under_faults<P: Protocol>(stack: &Stack<P>, seed: u64) -> Vec<(u32, u32, u8, Vec<u8>)> {
+    let mut cluster = stack.cluster();
+    cluster.faults = FaultPlan::shared(seed);
+    cluster.faults.apply(FaultCommand::SetRule(LinkRule {
+        drop_percent: 15,
+        duplicate_percent: 15,
+        reorder_percent: 30,
+        delay_ms: 5,
+        ..LinkRule::clean(ReplicaId(0), ReplicaId(stack.n as u32 - 1))
+    }));
+    let trace = Rc::new(RefCell::new(Vec::new()));
+    cluster.observe({
+        let trace = Rc::clone(&trace);
+        move |frame| {
+            let delivered = (frame.from.0, frame.to.0, frame.kind, frame.payload.to_vec());
+            trace.borrow_mut().push(delivered);
+            true
+        }
+    });
+    for ts in 1..=20 {
+        cluster.submit(0, &[inc(ts)]);
+        cluster.advance(Duration::from_millis(3));
+    }
+    cluster.advance(Duration::from_millis(5));
+    trace.take()
+}
+
+fn same_seed_same_trace<P: Protocol>(stack: &Stack<P>) {
+    let first = trace_under_faults(stack, 7);
+    assert!(!first.is_empty());
+    assert_eq!(first, trace_under_faults(stack, 7), "{}: same seed, same trace", stack.name);
+    assert_ne!(first, trace_under_faults(stack, 8), "{}: the seed is what decides", stack.name);
+}
+
+#[test]
+fn the_same_fault_seed_reproduces_the_delivered_frame_trace() {
+    same_seed_same_trace(&pbft());
+    same_seed_same_trace(&splitbft());
+    same_seed_same_trace(&hybrid());
 }
 
 /// The canonical checkpoint state of a counter at 3 whose reply cache
@@ -232,16 +308,15 @@ fn checkpoint_state_is_byte_identical_across_the_three_stacks() {
     // The hybrid snapshots every 64 executed slots: 61 reads (each one
     // overwritten in the cache by its client's later `inc`), then the
     // three `inc`s, one slot each.
-    let mut hybrid = hybrid_cluster();
-    hybrid.iter_mut().for_each(HybridReplica::enable_durable_events);
+    let mut hybrid = hybrid().cluster();
     for ts in 1..=61 {
         let read = make_request(SEED, ClientId(1), Timestamp(ts), Bytes::from_static(b"read"));
-        pump_hybrid(&mut hybrid, vec![read]);
+        hybrid.submit(0, &[read]);
     }
     for inc in incs {
-        pump_hybrid(&mut hybrid, vec![inc]);
+        hybrid.submit(0, &[inc]);
     }
-    for replica in &hybrid {
+    for replica in (0..3).map(|i| hybrid.replica(i)) {
         let snapshot = replica.durable_checkpoint().expect("snapshot at slot 64");
         assert_eq!(snapshot.seq, SeqNum(64));
         assert_eq!(hex(&snapshot.state), GOLDEN_STATE, "hybrid replica {}", replica.id());
@@ -261,67 +336,18 @@ fn fault_model_ordering_matches_table_1() {
 
 #[test]
 fn hybrid_client_completes_against_hybrid_cluster() {
-    let config = HybridConfig::new(3).unwrap();
-    let mut replicas: Vec<HybridReplica<CounterApp, Usig>> = (0..3u32)
-        .map(|i| {
-            HybridReplica::new(
-                config.clone(),
-                ReplicaId(i),
-                SEED,
-                Usig::new(SEED, ReplicaId(i)),
-                CounterApp::new(),
-            )
-        })
-        .collect();
-    let mut client = LockstepClient::new(config.reply_quorum(), ClientId(0), SEED);
-    let request = client.issue(Bytes::from_static(b"inc"));
-
-    let mut replies = Vec::new();
-    let actions = replicas[0].on_client_batch(vec![request]);
-    let mut queues: Vec<VecDeque<splitbft::hybrid::HybridMessage>> =
-        (0..3).map(|_| VecDeque::new()).collect();
-    for a in actions {
-        match a {
-            HybridAction::Broadcast(m) => {
-                queues[1].push_back(m.clone());
-                queues[2].push_back(m);
-            }
-            HybridAction::SendReply { reply, .. } => replies.push(reply),
-            _ => {}
-        }
-    }
-    loop {
-        let mut progressed = false;
-        for i in 0..3 {
-            while let Some(m) = queues[i].pop_front() {
-                progressed = true;
-                for a in replicas[i].on_message(m).unwrap_or_default() {
-                    match a {
-                        HybridAction::Broadcast(m2) => {
-                            for (j, q) in queues.iter_mut().enumerate() {
-                                if j != i {
-                                    q.push_back(m2.clone());
-                                }
-                            }
-                        }
-                        HybridAction::SendReply { reply, .. } => replies.push(reply),
-                        _ => {}
-                    }
-                }
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
+    let mut cluster = hybrid().cluster();
+    let quorum = HybridConfig::new(3).unwrap().reply_quorum();
+    let mut client = LockstepClient::new(quorum, ClientId(0), SEED);
+    cluster.submit(0, &[client.issue(Bytes::from_static(b"inc"))]);
 
     let mut completed = false;
-    for reply in &replies {
+    for reply in &cluster.replies {
         if let ClientEvent::Completed(result) = client.on_reply(reply) {
             assert_eq!(&result[..], &1u64.to_le_bytes());
             completed = true;
             break;
         }
     }
-    assert!(completed, "got {} replies", replies.len());
+    assert!(completed, "got {} replies", cluster.replies.len());
 }
