@@ -3,10 +3,14 @@
 //! The paper verifies SplitBFT's safety with an Ivy proof (adapted from
 //! Taube et al.'s PBFT proof). This crate is the executable counterpart:
 //! a randomized schedule explorer that drives the *real* implementations
-//! through adversarial deliveries — reordering, duplication, selective
-//! delivery, byzantine enclaves, and a key-forging adversary that has
+//! through adversarial deliveries — loss, reordering, duplication,
+//! partitions, byzantine enclaves, and a key-forging adversary that has
 //! compromised a chosen set of signing keys — while checking the safety
-//! invariants after every schedule:
+//! invariants after every schedule. It hosts nothing itself: replicas of
+//! all three stacks run behind their `Protocol` impls on
+//! `splitbft_net::lockstep::Cluster`, every message between them travels
+//! as a frame through it, and the hostile environment is the cluster's
+//! own fault vocabulary. The invariants:
 //!
 //! - **Agreement**: no two correct replicas commit different batches at
 //!   the same sequence number.
@@ -29,6 +33,8 @@ pub mod invariants;
 pub mod scenarios;
 
 pub use adversary::Adversary;
-pub use explorer::{ExplorerConfig, ScheduleExplorer};
+pub use explorer::{
+    explore, explore_hybrid, explore_pbft, explore_splitbft, ExplorationReport, ExplorerConfig,
+};
 pub use invariants::{ExecutionLedger, SafetyViolation};
 pub use scenarios::{run_scenario, Scenario, Verdict};

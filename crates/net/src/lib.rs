@@ -5,9 +5,6 @@
 //! provides that substrate, hosting the sans-I/O protocol state machines
 //! through the [`transport::Protocol`] trait:
 //!
-//! - [`link`] — a deterministic, seeded *link model* ([`link::LinkModel`])
-//!   deciding per-message fate (deliver after latency / drop / reorder),
-//!   used by the discrete-event simulator and by adversarial tests;
 //! - [`evented`] — the deployable socket runtime
 //!   ([`evented::EventedNode`]) where every replica is its own process
 //!   listening on a TCP address and messages travel as length-prefixed
@@ -17,8 +14,8 @@
 //! - [`lockstep`] — the deterministic in-memory cluster
 //!   ([`lockstep::Cluster`]): the same hosting core and the same frame
 //!   classifier as the socket runtime, framed bytes through FIFOs on one
-//!   thread, a virtual clock — what the examples and every socket-free
-//!   cluster test run on.
+//!   thread, a virtual clock — what the examples, every socket-free
+//!   cluster test and `splitbft-model`'s safety explorer run on.
 //!
 //! Both consult a [`fault::FaultPlan`] on their send paths — a seeded,
 //! runtime-mutable decision table for chaos testing (drop/delay/duplicate
@@ -31,7 +28,6 @@ pub mod client;
 pub mod evented;
 pub mod fault;
 mod host;
-pub mod link;
 pub mod lockstep;
 mod ring;
 pub mod status;
@@ -40,7 +36,6 @@ pub mod transport;
 pub use client::{ReplyHandler, TcpClient};
 pub use evented::{BoundEventedNode, EventedNode};
 pub use fault::{broadcast_fault_command, send_fault_command, FaultDecision, FaultPlan};
-pub use link::{LinkFate, LinkModel, NetConfig};
 pub use status::{
     await_event, fetch_events, fetch_snapshot, request_drain, send_status_request, STATUS_CLIENT,
 };

@@ -16,6 +16,12 @@
 //! A step that needs a stack-native call (a timeout that bypasses the
 //! stall timer, an event the [`Protocol`] adapter filters out) reaches
 //! the replica through [`Cluster::drive`] or [`Cluster::replica_mut`].
+//!
+//! [`Cluster::run`] is one schedule: round-robin, FIFO. A caller that
+//! wants another — `splitbft-model`'s seeded explorer — picks the next
+//! frame itself with [`Cluster::waiting`] and [`Cluster::deliver`], and
+//! plays a compromised replica with [`Cluster::inject`]; the chosen
+//! frame takes the path every other frame takes.
 
 use crate::client::requests_frame;
 use crate::fault::{FaultDecision, FaultPlan};
@@ -23,9 +29,9 @@ use crate::host::{
     classify, ClientSink, Event, Host, Identity, Parsed, PeerSink, RecoveryPolicy,
     MAX_DRAIN_BATCH,
 };
-use crate::transport::{Protocol, ProtocolOutput};
+use crate::transport::{frame_kind, Protocol, ProtocolOutput};
 use splitbft_obs::NodeTelemetry;
-use splitbft_types::wire::parse_frame;
+use splitbft_types::wire::{frame_message, parse_frame};
 use splitbft_types::{ClientId, ReplicaId, Reply, Request};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -60,7 +66,7 @@ struct Wire {
 }
 
 impl Wire {
-    fn deliver(&mut self, from: ReplicaId, to: ReplicaId, framed: Frame) {
+    fn enqueue(&mut self, from: ReplicaId, to: ReplicaId, framed: Frame) {
         if !self.down[to.as_usize()] {
             self.inboxes[to.as_usize()].push_back((Identity::Peer(from), framed));
         }
@@ -86,11 +92,11 @@ impl PeerSink for Link<'_> {
             return; // self-send or unknown peer: dropped
         }
         match self.faults.decide(self.from, to) {
-            FaultDecision::Deliver => self.wire.deliver(self.from, to, framed),
+            FaultDecision::Deliver => self.wire.enqueue(self.from, to, framed),
             FaultDecision::Drop => {}
             FaultDecision::Duplicate => {
-                self.wire.deliver(self.from, to, Arc::clone(&framed));
-                self.wire.deliver(self.from, to, framed);
+                self.wire.enqueue(self.from, to, Arc::clone(&framed));
+                self.wire.enqueue(self.from, to, framed);
             }
             FaultDecision::DeliverAfter(delay) => {
                 self.wire.delayed.push((self.wire.now + delay, self.from, to, framed));
@@ -224,7 +230,7 @@ impl<P: Protocol> Cluster<P> {
         self.wire.delayed = later;
         due.sort_by_key(|(at, ..)| *at);
         for (_, from, to, framed) in due {
-            self.wire.deliver(from, to, framed);
+            self.wire.enqueue(from, to, framed);
         }
         self.run();
     }
@@ -240,13 +246,40 @@ impl<P: Protocol> Cluster<P> {
             for i in 0..self.n() {
                 if !self.held[i] && !self.wire.inboxes[i].is_empty() {
                     progressed = true;
-                    self.drain(i);
+                    self.drain(i, MAX_DRAIN_BATCH);
                 }
             }
             if !progressed {
                 break;
             }
         }
+    }
+
+    /// The number of frames waiting at replica `i`.
+    pub fn waiting(&self, i: usize) -> usize {
+        self.wire.inboxes[i].len()
+    }
+
+    /// Replica `i` handles its `nth` waiting frame alone, as one drain
+    /// batch; the other waiting frames keep their order.
+    ///
+    /// # Panics
+    ///
+    /// If fewer than `nth + 1` frames are waiting.
+    pub fn deliver(&mut self, i: usize, nth: usize) {
+        let inbox = &mut self.wire.inboxes[i];
+        let chosen = inbox.remove(nth).expect("deliver: nth < waiting(i)");
+        inbox.push_front(chosen);
+        self.drain(i, 1);
+    }
+
+    /// Places `msg` in replica `to`'s inbox as a `PROTOCOL` frame from
+    /// replica `from`, past the fault plan — the frame a compromised (or
+    /// crashed) `from` would have sent. Nothing is delivered until the
+    /// next [`Cluster::run`] or [`Cluster::deliver`].
+    pub fn inject(&mut self, from: usize, to: usize, msg: &P::Message) {
+        let framed = Arc::new(frame_message(frame_kind::PROTOCOL, msg));
+        self.wire.enqueue(ReplicaId(from as u32), ReplicaId(to as u32), framed);
     }
 
     /// Crashes replica `i`: its inbox and every frame sent to it from
@@ -280,11 +313,12 @@ impl<P: Protocol> Cluster<P> {
         self.held[i] = false;
     }
 
-    /// Replica `i` handles up to one drain batch of its inbox.
-    fn drain(&mut self, i: usize) {
+    /// Replica `i` handles the first `limit` frames of its inbox (fewer
+    /// if fewer wait) as one drain batch.
+    fn drain(&mut self, i: usize, limit: usize) {
         let to = ReplicaId(i as u32);
         let mut outputs = Vec::new();
-        for _ in 0..MAX_DRAIN_BATCH {
+        for _ in 0..limit {
             let Some((identity, framed)) = self.wire.inboxes[i].pop_front() else { break };
             let Ok(Some((frame, _))) = parse_frame(&framed) else { continue };
             if let Identity::Peer(from) = identity {

@@ -11,12 +11,15 @@
 //! was explicitly enabled.
 
 use bytes::Bytes;
+use splitbft_app::CounterApp;
 use splitbft_net::lockstep::Cluster;
 use splitbft_net::{EventedNode, NodeConfig, PeerAddr, TcpClient};
 use splitbft_net::transport::{frame_kind, write_value, Protocol, ProtocolOutput};
-use splitbft_types::wire::{encode, frame};
+use splitbft_pbft::{make_request, Replica as PbftReplica};
+use splitbft_types::wire::{encode, frame, Decode, Encode, Reader, Sink, WireError};
 use splitbft_types::{
-    ClientId, FaultCommand, LinkRule, ReplicaId, Reply, Request, RequestId, Timestamp, View,
+    ClientId, ClusterConfig, FaultCommand, LinkRule, ReplicaId, Reply, Request, RequestId,
+    Timestamp, View,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -421,6 +424,126 @@ fn state_transfer_requests_are_rate_limited_by_the_inflight_guard() {
     assert_eq!(tick_50ms_later(), 1, "1450 ms: the startup round is still the only one");
     assert_eq!(tick_50ms_later(), 2, "1500 ms: the retry goes out");
     assert_eq!(tick_50ms_later(), 2, "and opens a guard of its own");
+}
+
+#[test]
+fn deliver_hands_over_exactly_the_chosen_frame_and_keeps_the_rest_in_order() {
+    let (logs, make) = probes(2);
+    let seen = || logs[1].lock().unwrap().clone();
+    let mut cluster = Cluster::new((0..2).map(|i| make(ReplicaId(i))));
+    for value in [1, 2, 3] {
+        cluster.drive(0, |_| vec![ProtocolOutput::Broadcast(value)]);
+    }
+    assert_eq!(cluster.waiting(1), 3);
+
+    cluster.deliver(1, 1);
+    assert_eq!(seen(), vec![2], "the second waiting frame, alone");
+    assert_eq!(cluster.waiting(1), 2);
+    cluster.run();
+    assert_eq!(seen(), vec![2, 1, 3], "the rest, in arrival order");
+}
+
+/// A `u64` that encodes whatever it holds and decodes only when even:
+/// an odd one is a `PROTOCOL` frame of garbage to whoever receives it.
+#[derive(Debug, Clone)]
+struct Even(u64);
+
+impl Encode for Even {
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.0.encode_to(out);
+    }
+}
+
+impl Decode for Even {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match u64::decode(r)? {
+            even if even % 2 == 0 => Ok(Even(even)),
+            _ => Err(WireError::InvalidBool(1)),
+        }
+    }
+}
+
+/// Logs the values its peers send it.
+struct Listener(SeenLog);
+
+impl Protocol for Listener {
+    type Message = Even;
+
+    fn on_message(&mut self, msg: Even) -> Vec<ProtocolOutput<Even>> {
+        self.0.lock().unwrap().push(msg.0);
+        Vec::new()
+    }
+
+    fn on_client_requests(&mut self, _requests: Vec<Request>) -> Vec<ProtocolOutput<Even>> {
+        Vec::new()
+    }
+
+    fn on_timeout(&mut self) -> Vec<ProtocolOutput<Even>> {
+        Vec::new()
+    }
+}
+
+#[test]
+fn injected_frames_arrive_in_a_crashed_replicas_name_and_garbage_is_skipped() {
+    let (logs, make) = logged(2, |_, seen| Listener(seen));
+    let seen = || logs[1].lock().unwrap().clone();
+    let mut cluster = Cluster::new((0..2).map(|i| make(ReplicaId(i))));
+    let from = Arc::new(Mutex::new(Vec::new()));
+    cluster.observe({
+        let from = Arc::clone(&from);
+        move |frame| {
+            from.lock().unwrap().push(frame.from);
+            true
+        }
+    });
+    cluster.crash(0);
+
+    // `run` skips the undecodable frame and handles the one behind it…
+    cluster.inject(0, 1, &Even(7));
+    cluster.inject(0, 1, &Even(8));
+    cluster.run();
+    assert_eq!(seen(), vec![8]);
+    // …and `deliver`, handed the undecodable one, handles nothing.
+    cluster.inject(0, 1, &Even(9));
+    cluster.inject(0, 1, &Even(10));
+    cluster.deliver(1, 0);
+    assert_eq!((seen(), cluster.waiting(1)), (vec![8], 1));
+    cluster.deliver(1, 0);
+    assert_eq!(seen(), vec![8, 10]);
+    assert_eq!(*from.lock().unwrap(), vec![ReplicaId(0); 4], "all four as peer frames from replica 0");
+
+    cluster.inject(1, 0, &Even(2));
+    assert_eq!(cluster.waiting(0), 0, "a crashed replica's inbox stays empty");
+}
+
+/// `deliver` is `run`'s own frame path: a PBFT cluster scheduled only by
+/// `deliver(i, 0)`, round-robin, ends where `run` ends.
+#[test]
+fn round_robin_delivery_of_first_frames_ends_where_run_does() {
+    let config = ClusterConfig::new(4).unwrap();
+    let cluster = || {
+        Cluster::new(config.replicas().map(|id| PbftReplica::new(config.clone(), id, 5, CounterApp::new())))
+    };
+    let incs: Vec<Request> = (1..=5)
+        .map(|ts| make_request(5, ClientId(0), Timestamp(ts), Bytes::from_static(b"inc")))
+        .collect();
+
+    let mut ran = cluster();
+    let mut stepped = cluster();
+    for inc in incs {
+        ran.submit(0, std::slice::from_ref(&inc));
+        stepped.drive(0, |p| p.on_client_requests(vec![inc]));
+        while (0..4).any(|i| stepped.waiting(i) > 0) {
+            for i in (0..4).filter(|&i| stepped.waiting(i) > 0).collect::<Vec<_>>() {
+                stepped.deliver(i, 0);
+            }
+        }
+    }
+    for (a, b) in (0..4).map(|i| (ran.replica(i), stepped.replica(i))) {
+        assert_eq!(b.app().value(), 5);
+        assert_eq!((a.progress(), a.state_digest()), (b.progress(), b.state_digest()));
+    }
+    assert_eq!(ran.replies.len(), stepped.replies.len());
 }
 
 // ------------------------------------------------------------------

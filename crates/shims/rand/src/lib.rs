@@ -1,7 +1,7 @@
 //! Minimal offline stand-in for the `rand` crate.
 //!
 //! The build environment has no network access, so this workspace vendors
-//! the tiny slice of the `rand` 0.8 API that the link model and safety
+//! the tiny slice of the `rand` 0.8 API that the simulator and the safety
 //! explorer use: [`SeedableRng::seed_from_u64`], [`Rng::gen_bool`] and
 //! [`Rng::gen_range`] over integer ranges, backed by a deterministic
 //! xoshiro256** generator seeded through splitmix64.

@@ -17,7 +17,7 @@
 //! | [`types`] | `splitbft-types` | ids, messages, wire codec, configuration |
 //! | [`crypto`] | `splitbft-crypto` | SHA-256, HMAC, signatures, AEAD, keys |
 //! | [`tee`] | `splitbft-tee` | simulated SGX: enclaves, sealing, attestation, cost model |
-//! | [`net`] | `splitbft-net` | link models, the `Protocol` trait, its TCP runtime and its in-memory lockstep cluster |
+//! | [`net`] | `splitbft-net` | the `Protocol` trait, its TCP runtime and its in-memory lockstep cluster |
 //! | [`app`] | `splitbft-app` | key-value store and blockchain applications |
 //! | [`pbft`] | `splitbft-pbft` | the complete PBFT baseline |
 //! | [`hybrid`] | `splitbft-hybrid` | MinBFT-style trusted-counter baseline |

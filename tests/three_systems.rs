@@ -10,11 +10,13 @@ use bytes::Bytes;
 use splitbft::app::{CounterApp, ReplyCache};
 use splitbft::crypto::{digest_bytes, ClientMacKeys};
 use splitbft::hybrid::{HybridConfig, HybridReplica, Usig};
-use splitbft::model::{run_scenario, Scenario};
+use splitbft::model::{
+    explore_hybrid, explore_pbft, explore_splitbft, run_scenario, ExplorerConfig, Scenario,
+};
 use splitbft::net::transport::frame_kind;
 use splitbft::net::FaultPlan;
 use splitbft::prelude::*;
-use splitbft::types::{DurableEvent, FaultCommand, LinkRule, Request, RequestBatch};
+use splitbft::types::{DurableEvent, FaultCommand, LinkRule, Request, RequestBatch, SignerId};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
@@ -251,6 +253,38 @@ fn the_same_fault_seed_reproduces_the_delivered_frame_trace() {
     same_seed_same_trace(&pbft());
     same_seed_same_trace(&splitbft());
     same_seed_same_trace(&hybrid());
+}
+
+/// (f) The model's explorer — one function over [`Protocol`], like the
+/// rest of the battery — on each stack: 50 seeded schedules in which every
+/// link drops a quarter of its frames and duplicates a sixth, and any
+/// waiting frame may be delivered next. No two correct replicas may
+/// commit different batches at one slot, and some must commit.
+#[test]
+fn no_seeded_schedule_under_hostile_environments_splits_any_stack() {
+    let hostile = ExplorerConfig {
+        schedules: 50,
+        requests: 6,
+        drop_percent: 25,
+        duplicate_percent: 15,
+        ..ExplorerConfig::default()
+    };
+    // PBFT's own fault model on top: the primary's key is the
+    // adversary's, which equivocates with it as the schedule runs.
+    let byzantine_primary = ExplorerConfig {
+        compromised: vec![SignerId::Replica(ReplicaId(0))],
+        injection_probability: 0.25,
+        ..hostile.clone()
+    };
+    for (name, report) in [
+        ("pbft", explore_pbft(&hostile)),
+        ("pbft, byzantine primary", explore_pbft(&byzantine_primary)),
+        ("splitbft", explore_splitbft(&hostile)),
+        ("hybrid", explore_hybrid(&hostile)),
+    ] {
+        assert!(report.is_safe(), "{name}: {:?}", report.violations);
+        assert!(report.total_commits > 0, "{name}: no schedule committed anything");
+    }
 }
 
 /// The canonical checkpoint state of a counter at 3 whose reply cache
