@@ -182,7 +182,7 @@ impl ChaosCluster {
     }
 
     /// Gracefully drains replica `id`: sends `SIGTERM` (via `kill(1)` —
-    /// the orchestrator crate forbids unsafe code, so no raw syscall)
+    /// the orchestrator crate forbids `unsafe_code`, so no raw syscall)
     /// and waits for the process to seal its checkpoint, flush its WAL,
     /// and exit 0 within `timeout`.
     ///

@@ -18,15 +18,16 @@
 //!   verified client MAC keys, and helpers to sign and verify
 //!   [`Signed`](splitbft_types::Signed) protocol messages.
 //!
-//! # `unsafe` policy
+//! # `unsafe_code` policy
 //!
 //! The crate is `#![deny(unsafe_code)]` with exactly one scoped
-//! `#[allow]`: the private `sha256::shani` module, which needs `unsafe`
-//! for the `#[target_feature]` call and the unaligned SIMD loads and
+//! `#[allow]`: the private `sha256::shani` module, which needs it for
+//! the `#[target_feature]` call and the unaligned SIMD loads and
 //! stores. Its safety argument (feature detected before every call,
 //! unaligned accesses only, block length carried by the type) is in that
-//! module's docs. Everything else here, and every other crate of the
-//! workspace, is safe Rust.
+//! module's docs. Everything else here is safe Rust; the only other
+//! library module allowed `unsafe_code` is `splitbft-net`'s `readiness`
+//! (one `ppoll(2)` call).
 //!
 //! # Security status
 //!

@@ -119,19 +119,27 @@ pub struct MetricsSummary {
     pub bytes_in: u64,
     /// Bytes sent to peers across every replica.
     pub bytes_out: u64,
+    /// Returns from the socket loops' readiness waits across every
+    /// replica.
+    pub loop_waits: u64,
+    /// Socket reads and accepts that returned `WouldBlock` across every
+    /// replica.
+    pub socket_reads_empty: u64,
 }
 
 impl MetricsSummary {
     /// The section as a JSON object.
     pub fn to_json(&self) -> String {
         format!(
-            r#"{{"fsyncs": {}, "ring_refusals": {}, "reconnects": {}, "queue_depth_high_water": {}, "bytes_in": {}, "bytes_out": {}}}"#,
+            r#"{{"fsyncs": {}, "ring_refusals": {}, "reconnects": {}, "queue_depth_high_water": {}, "bytes_in": {}, "bytes_out": {}, "loop_waits": {}, "socket_reads_empty": {}}}"#,
             self.fsyncs,
             self.ring_refusals,
             self.reconnects,
             self.queue_depth_high_water,
             self.bytes_in,
             self.bytes_out,
+            self.loop_waits,
+            self.socket_reads_empty,
         )
     }
 }
@@ -670,6 +678,8 @@ mod tests {
             queue_depth_high_water: 17,
             bytes_in: 4096,
             bytes_out: 8192,
+            loop_waits: 900,
+            socket_reads_empty: 5,
         });
         let json = with.to_json();
         assert!(json.contains("\"metrics\": {\"fsyncs\": 120"), "{json}");
@@ -678,6 +688,8 @@ mod tests {
         assert!(json.contains("\"queue_depth_high_water\": 17"));
         assert!(json.contains("\"bytes_in\": 4096"));
         assert!(json.contains("\"bytes_out\": 8192"));
+        assert!(json.contains("\"loop_waits\": 900"));
+        assert!(json.contains("\"socket_reads_empty\": 5"));
     }
 
     #[test]

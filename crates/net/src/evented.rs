@@ -12,18 +12,19 @@
 //! [`ClientId`], push request batches, and receive replies on the same
 //! connection.
 //!
-//! Each node is a **single thread** that polls nonblocking sockets in a
-//! round-robin readiness loop (a thread per connection oversubscribes
-//! the host once a bench drives dozens of pipelined clients, and pays a
-//! context switch plus a per-frame `Vec` allocation for every message):
+//! Each node is a **single thread** running a readiness loop over
+//! nonblocking sockets (a thread per connection oversubscribes the host
+//! once a bench drives dozens of pipelined clients, and pays a context
+//! switch plus a per-frame `Vec` allocation for every message):
 //!
 //! ```text
 //!        ┌───────────────────────────── node thread ──────────────────────────────┐
-//!        │  accept ──► read (64 KiB chunks ──► FrameAssembler ──► borrowed frame  │
-//!        │     ▲        views, decoded in place — no per-frame Vec)               │
-//!        │     │                          │                                       │
-//!        │  listener                      ▼                                       │
-//!        │              Host::handle (protocol core, one drain batch)             │
+//!        │  ppoll ──► read (64 KiB chunks ──► FrameAssembler ──► borrowed frame   │
+//!        │  │ ▲         views, decoded in place — no per-frame Vec)               │
+//!        │  │ │                           │                                       │
+//!        │  ▼ listener, readable conns,   ▼                                       │
+//!        │  accept  links with unsent     Host::handle (protocol core, one       │
+//!        │          bytes                 drain batch)                            │
 //!        │                                │                                       │
 //!        │                                ▼                                       │
 //!        │  write ◄── per-peer FrameRing (bounded, refuse-don't-evict)            │
@@ -31,16 +32,24 @@
 //!        └────────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! The build environment has no async reactor and `std` exposes no
-//! `epoll`/`poll` wrapper (and this crate forbids `unsafe`), so
-//! readiness is discovered by attempting the nonblocking syscall and
-//! treating `WouldBlock` as "not ready" — with an adaptive idle backoff
-//! (50 µs doubling to 1 ms) so an idle node costs ~zero CPU while a
-//! loaded node never sleeps. The throughput win comes from what the
-//! loop *amortizes*: one large read feeds many frames, decoded as
-//! borrowed slices out of the [`FrameAssembler`]; outputs coalesce into
-//! one staged write per link per pass; and the whole pass shares a
-//! single `flush_durable` group-commit point.
+//! Every pass starts in one `ppoll(2)` (the crate's `readiness` module)
+//! over the listener, every connection (for reading, and for writing
+//! while it holds unsent reply bytes) and every peer link with unsent
+//! bytes (for writing). It returns at once when the pass already has
+//! work — a drain to feed, a delayed frame due — and otherwise sleeps
+//! in the kernel until a socket is ready or the earliest deadline: the
+//! next tick, the open batch's group-commit linger, a delayed frame, a
+//! link's reconnect, or a 1 ms cap. The cap is what makes
+//! [`EventedNode::shutdown`] and [`EventedNode::request_drain`] prompt
+//! without a wake-up socket. Then the loop accepts only when the
+//! listener is readable (one connection, then the pass starts over so
+//! the newcomer's hello is read before any protocol work) and reads only
+//! connections reported readable or hung up, so an idle socket costs no
+//! syscall; writes stay optimistic, straight after the protocol phase. The throughput win comes from
+//! what the loop *amortizes*: one large read feeds many frames, decoded
+//! as borrowed slices out of the [`FrameAssembler`]; outputs coalesce
+//! into staged writes per link; and the whole pass shares a single
+//! `flush_durable` group-commit point.
 //!
 //! # Framing and delivery
 //!
@@ -61,6 +70,7 @@ use crate::fault::{FaultDecision, FaultPlan};
 use crate::host::{
     classify, ClientSink, Event, Host, Identity, NodeConfig, Parsed, PeerSink, MAX_DRAIN_BATCH,
 };
+use crate::readiness::{self, PollFd, READABLE, WRITABLE};
 use crate::ring::FrameRing;
 use crate::transport::{frame_kind, write_value, BatchPolicy, Protocol};
 use splitbft_obs::NodeTelemetry;
@@ -106,10 +116,9 @@ const CONNECT_TIMEOUT: Duration = Duration::from_millis(50);
 const RECONNECT_MIN: Duration = Duration::from_millis(10);
 const RECONNECT_MAX: Duration = Duration::from_millis(500);
 
-/// Adaptive idle backoff: reset to `IDLE_MIN` on any activity, doubled
-/// up to `IDLE_MAX` while nothing is readable/writable.
-const IDLE_MIN: Duration = Duration::from_micros(50);
-const IDLE_MAX: Duration = Duration::from_millis(1);
+/// The longest a readiness wait blocks: how late the loop may notice a
+/// `shutdown()` or a `request_drain()`, which arrive on no socket.
+const WAIT_CAP: Duration = Duration::from_millis(1);
 
 /// A bound-but-not-yet-started node: the listener exists (so its
 /// ephemeral port is known), but the loop thread is not running and no
@@ -248,8 +257,8 @@ impl EventedNode {
     }
 
     /// Stops the loop thread and joins it; every connection closes with
-    /// it. The loop never blocks for more than its idle backoff, so no
-    /// wake-up connection is needed.
+    /// it. The loop's readiness wait never blocks for more than 1 ms, so
+    /// no wake-up connection is needed.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(thread) = self.thread.take() {
@@ -287,6 +296,11 @@ impl Conn {
             close_when_drained: false,
         }
     }
+
+    /// Reply bytes not yet in the socket: a staged batch or queued frames.
+    fn holds_frames(&self) -> bool {
+        self.staged_pos < self.staged.len() || !self.out.is_empty()
+    }
 }
 
 /// One outbound peer link: bounded ring in, staged coalesced write out,
@@ -317,6 +331,11 @@ impl OutLink {
             backoff: RECONNECT_MIN,
         }
     }
+
+    /// Frames not yet in the socket: a staged batch or queued frames.
+    fn holds_frames(&self) -> bool {
+        self.staged_pos < self.staged.len() || !self.ring.is_empty()
+    }
 }
 
 /// The socket runtime's [`PeerSink`]: bounded rings toward every other
@@ -334,67 +353,70 @@ struct EventedPeers {
     delayed: Vec<(Instant, ReplicaId, Arc<Vec<u8>>)>,
 }
 
+/// Pushes one frame onto a bounded ring, counting a refusal.
+fn push_counted(ring: &mut FrameRing, framed: Arc<Vec<u8>>, telemetry: &NodeTelemetry) {
+    if !ring.push(framed) {
+        telemetry.ring_refusals.inc();
+    }
+}
+
 impl EventedPeers {
-    fn enqueue(&mut self, to: ReplicaId, framed: Arc<Vec<u8>>) {
-        if !self.links.contains_key(&to) {
-            return; // self-send or unknown peer: dropped
-        }
-        match self.faults.decide(self.local, to) {
-            FaultDecision::Deliver => {
-                if let Some(link) = self.links.get_mut(&to) {
-                    if !link.ring.push(framed) {
-                        self.telemetry.ring_refusals.inc();
-                    }
-                }
-            }
+    /// Enqueues one frame toward `to` through the fault plan. Takes the
+    /// fields it needs rather than `&mut self`, so a broadcast can hold
+    /// `links` borrowed while it iterates.
+    fn enqueue(
+        local: ReplicaId,
+        faults: &FaultPlan,
+        telemetry: &NodeTelemetry,
+        delayed: &mut Vec<(Instant, ReplicaId, Arc<Vec<u8>>)>,
+        to: ReplicaId,
+        link: &mut OutLink,
+        framed: Arc<Vec<u8>>,
+    ) {
+        match faults.decide(local, to) {
+            FaultDecision::Deliver => push_counted(&mut link.ring, framed, telemetry),
             FaultDecision::Drop => {}
             FaultDecision::Duplicate => {
-                if let Some(link) = self.links.get_mut(&to) {
-                    if !link.ring.push(Arc::clone(&framed)) {
-                        self.telemetry.ring_refusals.inc();
-                    }
-                    if !link.ring.push(framed) {
-                        self.telemetry.ring_refusals.inc();
-                    }
-                }
+                push_counted(&mut link.ring, Arc::clone(&framed), telemetry);
+                push_counted(&mut link.ring, framed, telemetry);
             }
             FaultDecision::DeliverAfter(delay) => {
-                self.delayed.push((Instant::now() + delay, to, framed));
+                delayed.push((Instant::now() + delay, to, framed));
             }
         }
     }
 
-    /// Moves every due delayed frame into its destination ring.
-    fn release_due(&mut self, now: Instant) -> bool {
-        let mut any = false;
-        let mut index = 0;
-        while index < self.delayed.len() {
-            if self.delayed[index].0 <= now {
-                let (_, to, framed) = self.delayed.remove(index);
-                if let Some(link) = self.links.get_mut(&to) {
-                    if !link.ring.push(framed) {
-                        self.telemetry.ring_refusals.inc();
-                    }
-                }
-                any = true;
-            } else {
-                index += 1;
+    /// Moves every due delayed frame into its destination ring, in one
+    /// pass that keeps the held frames in order.
+    fn release_due(&mut self, now: Instant) {
+        for (_, to, framed) in self.delayed.extract_if(.., |(at, _, _)| *at <= now) {
+            if let Some(link) = self.links.get_mut(&to) {
+                push_counted(&mut link.ring, framed, &self.telemetry);
             }
         }
-        any
+    }
+
+    /// The earliest delayed frame's release time.
+    fn next_release(&self) -> Option<Instant> {
+        self.delayed.iter().map(|(at, _, _)| *at).min()
     }
 }
 
 impl PeerSink for EventedPeers {
     fn broadcast_frame(&mut self, framed: Arc<Vec<u8>>) {
-        let peers: Vec<ReplicaId> = self.links.keys().copied().collect();
-        for to in peers {
-            self.enqueue(to, Arc::clone(&framed));
+        let EventedPeers { local, faults, telemetry, links, delayed } = self;
+        for (&to, link) in links.iter_mut() {
+            Self::enqueue(*local, faults, telemetry, delayed, to, link, Arc::clone(&framed));
         }
     }
 
     fn send_frame(&mut self, to: ReplicaId, framed: Arc<Vec<u8>>) {
-        self.enqueue(to, framed);
+        let EventedPeers { local, faults, telemetry, links, delayed } = self;
+        // A self-send or unknown peer is dropped without consulting the
+        // fault plan.
+        if let Some(link) = links.get_mut(&to) {
+            Self::enqueue(*local, faults, telemetry, delayed, to, link, framed);
+        }
     }
 
     fn is_peer(&self, id: ReplicaId) -> bool {
@@ -416,15 +438,15 @@ impl ClientSink for EventedClients<'_> {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else { return };
         // A full ring refuses the frame: at-most-once reply delivery,
         // the client's retry logic recovers.
-        if !conn.out.push(Arc::new(frame_message(frame_kind::REPLY, &reply))) {
-            self.telemetry.ring_refusals.inc();
-        }
+        let framed = Arc::new(frame_message(frame_kind::REPLY, &reply));
+        push_counted(&mut conn.out, framed, self.telemetry);
     }
 }
 
-/// One bounded read + frame drain for one connection. Frames decode as
-/// borrowed views straight out of the assembler's buffer — no
-/// per-frame allocation between the socket and the typed event.
+/// One bounded read + frame drain for one connection the readiness wait
+/// reported readable. Frames decode as borrowed views straight out of
+/// the assembler's buffer — no per-frame allocation between the socket
+/// and the typed event.
 fn drain_conn<P: Protocol>(
     slot: usize,
     conn: &mut Conn,
@@ -434,8 +456,7 @@ fn drain_conn<P: Protocol>(
     fault_injection: bool,
     status_admin: bool,
     telemetry: &NodeTelemetry,
-) -> bool {
-    let mut activity = false;
+) {
     let space = conn.assembler.read_space(READ_CHUNK);
     match conn.stream.read(space) {
         Ok(0) => {
@@ -445,9 +466,12 @@ fn drain_conn<P: Protocol>(
         Ok(n) => {
             conn.assembler.commit(n);
             telemetry.bytes_in.add(n as u64);
-            activity = true;
         }
-        Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted) => {
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+            conn.assembler.commit(0);
+            telemetry.socket_reads_empty.inc();
+        }
+        Err(e) if e.kind() == io::ErrorKind::Interrupted => {
             conn.assembler.commit(0);
         }
         Err(_) => {
@@ -465,10 +489,7 @@ fn drain_conn<P: Protocol>(
             }
         };
         match step {
-            Parsed::Event(event) => {
-                events.push(event);
-                activity = true;
-            }
+            Parsed::Event(event) => events.push(event),
             Parsed::PeerHello(id) => conn.identity = Identity::Peer(id),
             Parsed::ClientHello(id) => {
                 conn.identity = Identity::Client(id);
@@ -476,7 +497,6 @@ fn drain_conn<P: Protocol>(
                 client_index.insert(id, slot);
             }
             Parsed::Status(req) => {
-                activity = true;
                 let response = match req.verb {
                     StatusVerb::Snapshot => StatusResponse::Snapshot(telemetry.snapshot()),
                     StatusVerb::Events { since } => StatusResponse::Events {
@@ -515,7 +535,6 @@ fn drain_conn<P: Protocol>(
             }
         }
     }
-    activity
 }
 
 /// Connects to a peer and performs the `PEER_HELLO` handshake (written
@@ -548,25 +567,25 @@ fn restage(staged: &mut Vec<u8>, staged_pos: &mut usize, ring: &mut FrameRing, p
     }
 }
 
-/// Pushes one link's staged bytes into its socket, (re)connecting as
-/// needed. A write error drops the connection *and the staged batch* —
-/// resuming a half-written batch on a fresh connection would desync the
-/// peer's frame stream, and the at-most-once contract already covers
-/// the loss.
+/// Writes one link's queued frames into its socket, one staged batch
+/// after another until the ring is empty or the socket is full,
+/// (re)connecting as needed. A write error drops the connection *and
+/// the staged batch* — resuming a half-written batch on a fresh
+/// connection would desync the peer's frame stream, and the
+/// at-most-once contract already covers the loss.
 fn flush_link(
     local: ReplicaId,
     link: &mut OutLink,
     policy: BatchPolicy,
     now: Instant,
     telemetry: &NodeTelemetry,
-) -> bool {
-    restage(&mut link.staged, &mut link.staged_pos, &mut link.ring, policy);
-    if link.staged_pos >= link.staged.len() {
-        return false;
+) {
+    if !link.holds_frames() {
+        return;
     }
     if link.conn.is_none() {
         if now < link.next_attempt {
-            return false;
+            return;
         }
         match connect_with_hello(local, link.addr) {
             Some(stream) => {
@@ -580,68 +599,52 @@ fn flush_link(
             None => {
                 link.next_attempt = now + link.backoff;
                 link.backoff = (link.backoff * 2).min(RECONNECT_MAX);
-                return false;
+                return;
             }
         }
     }
-    let Some(stream) = link.conn.as_mut() else { return false };
-    let mut wrote = false;
+    let Some(stream) = link.conn.as_mut() else { return };
     loop {
+        restage(&mut link.staged, &mut link.staged_pos, &mut link.ring, policy);
+        if link.staged_pos >= link.staged.len() {
+            return;
+        }
         match stream.write(&link.staged[link.staged_pos..]) {
-            Ok(0) => {
-                link.conn = None;
-                link.staged_pos = link.staged.len();
-                break;
-            }
-            Ok(n) => {
+            Ok(n) if n > 0 => {
                 link.staged_pos += n;
                 telemetry.bytes_out.add(n as u64);
-                wrote = true;
-                if link.staged_pos >= link.staged.len() {
-                    break;
-                }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
+            // `Ok(0)` or a hard error: the peer is gone.
+            _ => {
                 link.conn = None;
                 link.staged_pos = link.staged.len();
-                break;
+                return;
             }
         }
     }
-    wrote
 }
 
-/// Drains one client connection's reply ring into its socket.
-fn flush_conn(conn: &mut Conn, policy: BatchPolicy) -> bool {
-    restage(&mut conn.staged, &mut conn.staged_pos, &mut conn.out, policy);
-    if conn.staged_pos >= conn.staged.len() {
-        return false;
-    }
-    let mut wrote = false;
+/// Writes one client connection's reply ring into its socket until the
+/// ring is empty or the socket is full.
+fn flush_conn(conn: &mut Conn, policy: BatchPolicy) {
     loop {
+        restage(&mut conn.staged, &mut conn.staged_pos, &mut conn.out, policy);
+        if conn.staged_pos >= conn.staged.len() {
+            return;
+        }
         match conn.stream.write(&conn.staged[conn.staged_pos..]) {
-            Ok(0) => {
-                conn.dead = true;
-                break;
-            }
-            Ok(n) => {
-                conn.staged_pos += n;
-                wrote = true;
-                if conn.staged_pos >= conn.staged.len() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Ok(n) if n > 0 => conn.staged_pos += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
+            // `Ok(0)` or a hard error: the client is gone.
+            _ => {
                 conn.dead = true;
-                break;
+                return;
             }
         }
     }
-    wrote
 }
 
 fn event_loop<P: Protocol>(
@@ -682,31 +685,96 @@ fn event_loop<P: Protocol>(
     let mut batch_outputs = Vec::new();
     let mut batch_events = 0usize;
     let mut batch_deadline: Option<Instant> = None;
-    let mut idle = IDLE_MIN;
+    let mut wait_list: Vec<PollFd> = Vec::new();
 
     loop {
         if shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let now = Instant::now();
-        let mut activity = false;
 
-        // Accept everything pending.
-        loop {
+        // Wait phase. The list is the listener, then every connection in
+        // slot order (the read phase walks them in the same order), then
+        // the links that still hold bytes — listed only to wake the loop
+        // when their sockets drain, since the write phase tries every
+        // link anyway.
+        wait_list.clear();
+        wait_list.push(PollFd::new(&listener, READABLE));
+        for conn in conns.iter().flatten() {
+            let write = if conn.holds_frames() { WRITABLE } else { 0 };
+            wait_list.push(PollFd::new(&conn.stream, READABLE | write));
+        }
+        for link in peers.links.values().filter(|link| link.holds_frames()) {
+            if let Some(stream) = &link.conn {
+                wait_list.push(PollFd::new(stream, WRITABLE));
+            }
+        }
+        // An active drain self-feeds (below), so it does not wait;
+        // otherwise sleep until a socket is ready or the next deadline.
+        let now = Instant::now();
+        let timeout = if telemetry.draining() && !telemetry.drained() {
+            Duration::ZERO
+        } else {
+            let reconnects = peers
+                .links
+                .values()
+                .filter(|link| link.conn.is_none() && link.holds_frames())
+                .map(|link| link.next_attempt);
+            [next_tick, batch_deadline, peers.next_release()]
+                .into_iter()
+                .flatten()
+                .chain(reconnects)
+                .map(|deadline| deadline.saturating_duration_since(now))
+                .fold(WAIT_CAP, Duration::min)
+        };
+        // A failed wait (`ENOMEM`) reports nothing: probe every socket
+        // this pass rather than stall the node.
+        let failed = readiness::wait(&mut wait_list, timeout).is_err();
+        telemetry.loop_waits.inc();
+        let (listener_ready, conns_ready) =
+            wait_list.split_first().expect("the listener is always listed");
+
+        // A new connection restarts the pass, so that the next wait
+        // lists it and its hello is read before any protocol work: a
+        // replica that executes a request for a client whose connection
+        // still sits in the backlog has nowhere to send the reply. (A
+        // second queued connection keeps the listener readable for that
+        // wait; nothing unread is lost, readiness is level-triggered.)
+        if failed || listener_ready.readable() {
             match listener.accept() {
                 Ok((stream, _)) => {
                     let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
+                    if stream.set_nonblocking(true).is_ok() {
+                        let conn = Conn::new(stream);
+                        match conns.iter().position(Option::is_none) {
+                            Some(slot) => conns[slot] = Some(conn),
+                            None => conns.push(Some(conn)),
+                        }
                     }
-                    let conn = Conn::new(stream);
-                    match conns.iter().position(Option::is_none) {
-                        Some(slot) => conns[slot] = Some(conn),
-                        None => conns.push(Some(conn)),
-                    }
-                    activity = true;
+                    continue;
                 }
-                Err(_) => break, // WouldBlock or transient accept error
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    telemetry.socket_reads_empty.inc();
+                }
+                Err(_) => {} // transient accept error
+            }
+        }
+
+        // Read phase: one bounded read per readable connection, decoded
+        // in place.
+        let now = Instant::now();
+        let live = conns.iter_mut().enumerate().filter_map(|(slot, c)| Some((slot, c.as_mut()?)));
+        for ((slot, conn), ready) in live.zip(conns_ready) {
+            if failed || ready.readable() {
+                drain_conn::<P>(
+                    slot,
+                    conn,
+                    &mut events,
+                    &mut client_index,
+                    &config.faults,
+                    config.fault_injection,
+                    config.status_admin,
+                    &telemetry,
+                );
             }
         }
 
@@ -715,26 +783,6 @@ fn event_loop<P: Protocol>(
             if now >= tick {
                 events.push(Event::Timeout);
                 next_tick = Some(now + period);
-            }
-        }
-
-        // Read phase: one bounded read per connection, decoded in place.
-        for slot in 0..conns.len() {
-            if let Some(conn) = conns[slot].as_mut() {
-                if !conn.dead
-                    && drain_conn::<P>(
-                        slot,
-                        conn,
-                        &mut events,
-                        &mut client_index,
-                        &config.faults,
-                        config.fault_injection,
-                        config.status_admin,
-                        &telemetry,
-                    )
-                {
-                    activity = true;
-                }
             }
         }
 
@@ -747,7 +795,6 @@ fn event_loop<P: Protocol>(
 
         // Protocol phase: this pass's events join the open drain batch.
         if !events.is_empty() {
-            activity = true;
             let uptime = now.duration_since(started);
             for event in events.drain(..) {
                 batch_outputs.extend(host.handle(event, uptime, &mut peers));
@@ -778,29 +825,20 @@ fn event_loop<P: Protocol>(
 
         // Write phase: delayed-fault releases, then peer links, then
         // client reply rings.
-        if peers.release_due(now) {
-            activity = true;
-        }
+        peers.release_due(now);
         for link in peers.links.values_mut() {
-            if flush_link(id, link, config.batch, now, &telemetry) {
-                activity = true;
-            }
+            flush_link(id, link, config.batch, now, &telemetry);
         }
         for conn in conns.iter_mut().flatten() {
-            if flush_conn(conn, config.batch) {
-                activity = true;
-            }
+            flush_conn(conn, config.batch);
         }
 
         // Reap dead connections (dropping the socket closes it), plus
         // refused-admin connections whose final frame has flushed.
         for slot in 0..conns.len() {
-            let reap = conns[slot].as_ref().is_some_and(|c| {
-                c.dead
-                    || (c.close_when_drained
-                        && c.out.is_empty()
-                        && c.staged_pos >= c.staged.len())
-            });
+            let reap = conns[slot]
+                .as_ref()
+                .is_some_and(|c| c.dead || (c.close_when_drained && !c.holds_frames()));
             if reap {
                 let conn = conns[slot].take().expect("checked above");
                 if let Identity::Client(client) = conn.identity {
@@ -811,24 +849,6 @@ fn event_loop<P: Protocol>(
                     }
                 }
             }
-        }
-
-        // Idle backoff, capped so a sleep never overshoots the next
-        // timer tick or the open batch's flush deadline.
-        if activity {
-            idle = IDLE_MIN;
-        } else {
-            let mut nap = idle;
-            for deadline in [next_tick, batch_deadline].into_iter().flatten() {
-                nap = nap.min(deadline.saturating_duration_since(now));
-            }
-            if let Some(next_delay) = peers.delayed.iter().map(|(at, _, _)| *at).min() {
-                nap = nap.min(next_delay.saturating_duration_since(now));
-            }
-            if !nap.is_zero() {
-                std::thread::sleep(nap);
-            }
-            idle = (idle * 2).min(IDLE_MAX);
         }
     }
 
@@ -1182,6 +1202,61 @@ mod tests {
         assert!(delivered >= 2, "got message {delivered} after reconnect");
         client.close();
         node.shutdown();
+    }
+
+    /// Connects to `addr` as replica `id` and then says nothing more.
+    fn idle_peer(addr: SocketAddr, id: u32) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write_value(&mut stream, frame_kind::PEER_HELLO, &ReplicaId(id)).unwrap();
+        stream
+    }
+
+    #[test]
+    fn an_idle_node_makes_no_empty_reads() {
+        let node = echo_node(solo_config(0));
+        let addr = node.local_addr();
+        let _peers: Vec<TcpStream> = (1..=3).map(|id| idle_peer(addr, id)).collect();
+        let mut client = TcpClient::connect(ClientId(7), &[addr], Duration::from_secs(5)).unwrap();
+        std::thread::sleep(Duration::from_millis(300));
+
+        // Four open connections and a listener, 300 ms of silence: the
+        // loop waited in the kernel and read nothing it was not told of.
+        let telemetry = node.telemetry();
+        assert!(telemetry.loop_waits.get() > 0, "the loop must have waited");
+        assert_eq!(telemetry.socket_reads_empty.get(), 0, "an idle socket was read");
+
+        client.send_to(0, &[request(7, 1, b"ping")]).unwrap();
+        let reply = client.replies().recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(&reply.result[..], b"ping");
+        assert_eq!(telemetry.socket_reads_empty.get(), 0, "serving a request read nothing empty");
+        client.close();
+        node.shutdown();
+    }
+
+    #[test]
+    fn shutdown_and_drain_are_prompt_on_a_quiet_node() {
+        let node = echo_node(solo_config(0));
+        let addr = node.local_addr();
+        let _peer = idle_peer(addr, 1);
+        let client = TcpClient::connect(ClientId(7), &[addr], Duration::from_secs(5)).unwrap();
+
+        // The `SIGTERM` path: a drain requested from another thread, and
+        // no socket traffic to wake the loop.
+        let telemetry = node.telemetry();
+        std::thread::scope(|s| {
+            s.spawn(|| node.request_drain());
+        });
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while !telemetry.drained() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(telemetry.drained(), "the drain must complete within 1 s");
+
+        let started = Instant::now();
+        node.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(100), "shutdown took {took:?}");
+        client.close();
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! blocking framed reads/writes over any `Read`/`Write`
 //! (length-prefixed, see [`splitbft_types::wire`] for the header
 //! layout). The build environment cannot fetch an async reactor (tokio)
-//! from crates.io; everything stays on `std::net` and keeps the TCB
-//! free of unsafe executor code.
+//! from crates.io; everything stays on `std::net` and keeps executor
+//! code out of the TCB.
 
 use splitbft_types::wire::{
     decode, frame, frame_message, Decode, Encode, FrameHeader, FRAME_HEADER_LEN,

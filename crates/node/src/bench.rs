@@ -137,11 +137,15 @@ impl LocalCluster {
     /// The cluster's final telemetry snapshot for the report's
     /// `metrics` section: counters summed across replicas, the inbound
     /// queue-depth high-water taken as the max (depths don't add
-    /// meaningfully).
+    /// meaningfully). The socket loop's own counters come from the
+    /// telemetry handles: the `STATUS` snapshot is a pinned wire type.
     pub fn metrics_summary(&self) -> MetricsSummary {
         let mut out = MetricsSummary::default();
         for node in &self.nodes {
-            let snapshot = node.telemetry().snapshot();
+            let telemetry = node.telemetry();
+            out.loop_waits += telemetry.loop_waits.get();
+            out.socket_reads_empty += telemetry.socket_reads_empty.get();
+            let snapshot = telemetry.snapshot();
             out.fsyncs += snapshot.fsyncs;
             out.ring_refusals += snapshot.ring_refusals;
             out.reconnects += snapshot.reconnects;
@@ -153,11 +157,16 @@ impl LocalCluster {
         out
     }
 
-    /// Stops every node and joins their threads.
+    /// Stops every node and joins their threads. The nodes stop
+    /// together: one after another, each would sit out a whole readiness
+    /// wait (up to 1 ms) begun when the previous one's connections
+    /// closed.
     pub fn shutdown(self) {
-        for node in self.nodes {
-            node.shutdown();
-        }
+        std::thread::scope(|s| {
+            for node in self.nodes {
+                s.spawn(move || node.shutdown());
+            }
+        });
     }
 }
 

@@ -39,8 +39,10 @@ extern "C" fn on_sigterm(_signum: i32) {
 
 /// Installs the `SIGTERM` handler via the libc `signal(2)` entry point.
 /// The workspace has no `libc` crate, so the binary declares the symbol
-/// itself; this is the only unsafe-adjacent code in the repo and it
-/// lives in the binary, outside every `#![forbid(unsafe_code)]` crate.
+/// itself; it lives in the binary, outside every
+/// `#![forbid(unsafe_code)]` crate. (The library modules allowed
+/// `unsafe_code` are `splitbft-crypto`'s SHA-NI kernel and
+/// `splitbft-net`'s `readiness` wait.)
 fn install_sigterm_handler() {
     #[cfg(unix)]
     {

@@ -54,6 +54,10 @@ pub struct NodeTelemetry {
     pub bytes_in: Metric,
     /// Bytes written to the network.
     pub bytes_out: Metric,
+    /// Returns from the socket loop's readiness wait.
+    pub loop_waits: Metric,
+    /// Socket reads and accepts that found nothing (`WouldBlock`).
+    pub socket_reads_empty: Metric,
     /// High-water mark of the core event queue depth.
     pub queue_depth_high_water: Metric,
     /// Consensus groups hosted (1 for unsharded).
@@ -100,6 +104,14 @@ impl NodeTelemetry {
             bytes_in: registry.counter("splitbft_bytes_in_total", "bytes read off the network"),
             bytes_out: registry
                 .counter("splitbft_bytes_out_total", "bytes written to the network"),
+            loop_waits: registry.counter(
+                "splitbft_loop_waits_total",
+                "returns from the socket loop's readiness wait",
+            ),
+            socket_reads_empty: registry.counter(
+                "splitbft_socket_reads_empty_total",
+                "socket reads and accepts that returned WouldBlock",
+            ),
             queue_depth_high_water: registry.gauge(
                 "splitbft_queue_depth_high_water",
                 "high-water mark of the core event queue depth",
@@ -365,6 +377,8 @@ mod tests {
             "splitbft_view ",
             "splitbft_fsyncs_total ",
             "splitbft_queue_depth_high_water ",
+            "splitbft_loop_waits_total 0",
+            "splitbft_socket_reads_empty_total 0",
             "splitbft_shards 2",
             "splitbft_shard_progress{shard=\"0\"} 3",
             "splitbft_shard_progress{shard=\"1\"} 4",

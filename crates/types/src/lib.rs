@@ -15,8 +15,8 @@
 //! - [`wire`] — a small deterministic binary codec ([`wire::Encode`] /
 //!   [`wire::Decode`]). SplitBFT compartments exchange *serialized* messages
 //!   across the enclave boundary, so the codec is part of the trusted
-//!   computing base and is kept free of unsafe code and of external
-//!   dependencies.
+//!   computing base and is kept free of external dependencies (the
+//!   crate forbids `unsafe_code`).
 //! - [`message`] — the PBFT/SplitBFT message vocabulary (`Request`,
 //!   `PrePrepare`, `Prepare`, `Commit`, `Reply`, `Checkpoint`, `ViewChange`,
 //!   `NewView`) plus quorum certificates.
