@@ -18,10 +18,11 @@
 //! the replica through [`Cluster::drive`] or [`Cluster::replica_mut`].
 //!
 //! [`Cluster::run`] is one schedule: round-robin, FIFO. A caller that
-//! wants another — `splitbft-model`'s seeded explorer — picks the next
-//! frame itself with [`Cluster::waiting`] and [`Cluster::deliver`], and
-//! plays a compromised replica with [`Cluster::inject`]; the chosen
-//! frame takes the path every other frame takes.
+//! wants another — `splitbft-model`'s seeded explorer, `splitbft-sim`'s
+//! timing policy — picks the next frame itself with [`Cluster::waiting`],
+//! [`Cluster::peek`] and [`Cluster::deliver`], and plays a compromised
+//! replica with [`Cluster::inject`]; the chosen frame takes the path
+//! every other frame takes.
 
 use crate::client::requests_frame;
 use crate::fault::{FaultDecision, FaultPlan};
@@ -258,6 +259,16 @@ impl<P: Protocol> Cluster<P> {
     /// The number of frames waiting at replica `i`.
     pub fn waiting(&self, i: usize) -> usize {
         self.wire.inboxes[i].len()
+    }
+
+    /// Replica `i`'s `nth` waiting peer frame, without delivering it;
+    /// `None` past the end of its inbox, for a client frame and for
+    /// bytes that do not parse as a frame.
+    pub fn peek(&self, i: usize, nth: usize) -> Option<Delivery<'_>> {
+        let (identity, framed) = self.wire.inboxes[i].get(nth)?;
+        let Identity::Peer(from) = *identity else { return None };
+        let (frame, _) = parse_frame(framed).ok()??;
+        Some(Delivery { from, to: ReplicaId(i as u32), kind: frame.kind, payload: frame.payload })
     }
 
     /// Replica `i` handles its `nth` waiting frame alone, as one drain

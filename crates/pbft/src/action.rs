@@ -1,8 +1,8 @@
 //! Outputs of the sans-I/O protocol cores.
 //!
 //! A replica state machine never touches sockets or clocks; every handler
-//! returns a list of [`Action`]s for the surrounding runtime (threaded
-//! cluster, discrete-event simulator, or model checker) to interpret. This
+//! returns a list of [`Action`]s for the surrounding runtime (socket
+//! runtime or in-memory lockstep cluster) to interpret. This
 //! is what lets one protocol implementation serve examples, benchmarks and
 //! verification alike.
 

@@ -1,13 +1,16 @@
-//! A deterministic discrete-event simulator (DES) for the SplitBFT
-//! evaluation.
+//! A timing policy over `lockstep::Cluster` for the SplitBFT evaluation.
 //!
 //! The paper measures SplitBFT and PBFT on a 4-node SGX-enabled Azure
 //! cluster with up to 150 closed-loop clients. This crate reproduces that
-//! testbed in virtual time: the *real* protocol implementations (the
-//! `splitbft-core` broker + enclaves and the `splitbft-pbft` replica) are
-//! driven by a virtual clock, with compute charged according to the
-//! calibrated [`CostModel`](splitbft_tee::CostModel) and thread contention
-//! modeled explicitly:
+//! testbed in virtual time without hosting anything itself: the *real*
+//! replicas (the `splitbft-core` broker + enclaves and the
+//! `splitbft-pbft` replica) run on a `splitbft_net::lockstep::Cluster`
+//! behind their `Protocol` adapters, and the simulator only decides
+//! *when* each waiting frame arrives and what each step costs. Compute is
+//! charged from the calibrated [`CostModel`](splitbft_tee::CostModel) —
+//! for SplitBFT, on top of the ecall counts and boundary time the
+//! enclave hosts themselves recorded — and thread contention is modeled
+//! with busy-until clocks:
 //!
 //! - SplitBFT runs "a dedicated thread for each enclave, which performs
 //!   ecalls" — three serial enclave threads per replica (or one, in the
@@ -32,13 +35,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod des;
 pub mod estimate;
 pub mod experiments;
 pub mod metrics;
-pub mod protocols;
 pub mod workload;
 
-pub use des::{Event, EventQueue, Ns};
 pub use experiments::{run_point, AppKind, SimConfig, SimResult, SystemKind};
-pub use metrics::Metrics;
+
+/// Virtual time in nanoseconds.
+pub type Ns = u64;

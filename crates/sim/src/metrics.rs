@@ -1,6 +1,6 @@
 //! Throughput / latency / ecall-profile collection.
 
-use crate::des::Ns;
+use crate::Ns;
 use splitbft_types::CompartmentKind;
 
 /// Metrics accumulated over a simulation's measurement window.
@@ -12,12 +12,8 @@ pub struct Metrics {
     latencies: Vec<Ns>,
     /// Per-compartment ecall time accumulated on the leader.
     ecall_ns: [u64; 3],
-    /// Ecall counts per compartment on the leader.
-    ecall_count: [u64; 3],
     /// Batches ordered by the leader in the window.
     pub batches: u64,
-    /// Requests executed on the leader in the window.
-    pub executed: u64,
 }
 
 impl Metrics {
@@ -38,11 +34,10 @@ impl Metrics {
         }
     }
 
-    /// Records one leader-side ecall.
+    /// Records `ns` of leader-side ecall time in compartment `kind`.
     pub fn record_ecall(&mut self, t: Ns, kind: CompartmentKind, ns: Ns) {
         if self.in_window(t) {
             self.ecall_ns[kind.index()] += ns;
-            self.ecall_count[kind.index()] += 1;
         }
     }
 
@@ -80,22 +75,16 @@ impl Metrics {
     /// Mean *total* ecall time attributed to each compartment per
     /// completed request on the leader — the Figure 4 bars (µs).
     pub fn ecall_profile_us_per_request(&self) -> [f64; 3] {
-        let n = self.latencies.len().max(1) as f64;
-        [
-            self.ecall_ns[0] as f64 / n / 1e3,
-            self.ecall_ns[1] as f64 / n / 1e3,
-            self.ecall_ns[2] as f64 / n / 1e3,
-        ]
+        self.ecall_us_per(self.latencies.len() as u64)
     }
 
     /// Same, per ordered batch (batched-mode Figure 4 bars, µs).
     pub fn ecall_profile_us_per_batch(&self) -> [f64; 3] {
-        let n = self.batches.max(1) as f64;
-        [
-            self.ecall_ns[0] as f64 / n / 1e3,
-            self.ecall_ns[1] as f64 / n / 1e3,
-            self.ecall_ns[2] as f64 / n / 1e3,
-        ]
+        self.ecall_us_per(self.batches)
+    }
+
+    fn ecall_us_per(&self, n: u64) -> [f64; 3] {
+        self.ecall_ns.map(|ns| ns as f64 / n.max(1) as f64 / 1e3)
     }
 }
 

@@ -5,9 +5,10 @@
 //! give every client one outstanding request; the batched experiment
 //! "allows each client to have 40 outstanding requests in parallel."
 
-use crate::des::Ns;
+use crate::Ns;
 use bytes::Bytes;
-use splitbft_app::KvOp;
+use splitbft_app::{KvOp, QuorumTracker};
+use splitbft_crypto::client_mac_key;
 use splitbft_pbft::make_request;
 use splitbft_types::{ClientId, ClusterConfig, Reply, Request, Timestamp};
 use std::collections::HashMap;
@@ -29,16 +30,10 @@ pub struct SimClient {
     app: AppKind,
     payload: usize,
     next_ts: u64,
-    reply_quorum: usize,
-    in_flight: HashMap<Timestamp, InFlight>,
-}
-
-#[derive(Debug)]
-struct InFlight {
-    issued_at: Ns,
-    first_result: Option<Bytes>,
-    matching: usize,
-    replied: std::collections::BTreeSet<splitbft_types::ReplicaId>,
+    /// An empty tally of reply votes under this client's MAC key.
+    no_votes: QuorumTracker,
+    /// Each in-flight request's issue time and reply votes.
+    in_flight: HashMap<Timestamp, (Ns, QuorumTracker)>,
 }
 
 impl SimClient {
@@ -56,14 +51,12 @@ impl SimClient {
             app,
             payload,
             next_ts: 1,
-            reply_quorum: config.reply_quorum(),
+            no_votes: QuorumTracker::new(
+                client_mac_key(master_seed, ClientId(index as u32)),
+                config.reply_quorum(),
+            ),
             in_flight: HashMap::new(),
         }
-    }
-
-    /// The client id.
-    pub fn id(&self) -> ClientId {
-        self.id
     }
 
     /// Requests currently awaiting their reply quorum.
@@ -94,40 +87,17 @@ impl SimClient {
     pub fn issue(&mut self, now: Ns) -> Request {
         let ts = Timestamp(self.next_ts);
         self.next_ts += 1;
-        self.in_flight.insert(
-            ts,
-            InFlight {
-                issued_at: now,
-                first_result: None,
-                matching: 0,
-                replied: Default::default(),
-            },
-        );
+        self.in_flight.insert(ts, (now, self.no_votes.clone()));
         make_request(self.master_seed, self.id, ts, self.op_bytes(ts.0))
     }
 
-    /// Delivers one reply; returns the request latency when the reply
-    /// quorum completes.
+    /// Delivers one reply; returns the request latency once a reply
+    /// quorum of authentic, matching results completes it.
     pub fn on_reply(&mut self, now: Ns, reply: &Reply) -> Option<Ns> {
-        let flight = self.in_flight.get_mut(&reply.request.timestamp)?;
-        if !flight.replied.insert(reply.replica) {
-            return None;
-        }
-        match &flight.first_result {
-            None => {
-                flight.first_result = Some(reply.result.clone());
-                flight.matching = 1;
-            }
-            Some(first) if *first == reply.result => flight.matching += 1,
-            Some(_) => {}
-        }
-        if flight.matching >= self.reply_quorum {
-            let issued = flight.issued_at;
-            self.in_flight.remove(&reply.request.timestamp);
-            Some(now - issued)
-        } else {
-            None
-        }
+        let (_, votes) = self.in_flight.get_mut(&reply.request.timestamp)?;
+        votes.on_reply(reply)?;
+        let (issued_at, _) = self.in_flight.remove(&reply.request.timestamp)?;
+        Some(now - issued_at)
     }
 }
 
@@ -140,45 +110,24 @@ mod tests {
         ClusterConfig::new(4).unwrap()
     }
 
-    fn reply(request: RequestId, replica: u32, result: &'static [u8]) -> Reply {
+    /// Replica `replica`'s reply to `request`, MAC'd as the replicas do.
+    fn reply(seed: u64, request: RequestId, replica: u32, result: &'static [u8]) -> Reply {
+        let replica = ReplicaId(replica);
+        let auth = client_mac_key(seed, request.client).reply_tag(
+            View(0),
+            request,
+            replica,
+            result,
+            false,
+        );
         Reply {
             view: View(0),
             request,
-            replica: ReplicaId(replica),
+            replica,
             result: Bytes::from_static(result),
             encrypted: false,
-            auth: [0u8; 32],
+            auth,
         }
-    }
-
-    #[test]
-    fn completes_on_reply_quorum() {
-        let c = cfg();
-        let mut client = SimClient::new(&c, 0, 1, AppKind::Kvs, 10);
-        let req = client.issue(1_000);
-        assert_eq!(client.outstanding(), 1);
-        assert_eq!(client.on_reply(2_000, &reply(req.id, 0, b"ok")), None);
-        assert_eq!(client.on_reply(3_000, &reply(req.id, 1, b"ok")), Some(2_000));
-        assert_eq!(client.outstanding(), 0);
-    }
-
-    #[test]
-    fn mismatched_results_do_not_complete() {
-        let c = cfg();
-        let mut client = SimClient::new(&c, 0, 1, AppKind::Kvs, 10);
-        let req = client.issue(0);
-        assert_eq!(client.on_reply(1, &reply(req.id, 0, b"a")), None);
-        assert_eq!(client.on_reply(2, &reply(req.id, 1, b"b")), None);
-        assert_eq!(client.on_reply(3, &reply(req.id, 2, b"a")), Some(3));
-    }
-
-    #[test]
-    fn duplicate_replicas_ignored() {
-        let c = cfg();
-        let mut client = SimClient::new(&c, 0, 1, AppKind::Kvs, 10);
-        let req = client.issue(0);
-        assert_eq!(client.on_reply(1, &reply(req.id, 0, b"ok")), None);
-        assert_eq!(client.on_reply(2, &reply(req.id, 0, b"ok")), None);
     }
 
     #[test]
@@ -189,8 +138,10 @@ mod tests {
         let r2 = client.issue(10);
         assert_eq!(client.outstanding(), 2);
         assert_ne!(r1.id.timestamp, r2.id.timestamp);
-        client.on_reply(20, &reply(r2.id, 0, b"x"));
-        assert_eq!(client.on_reply(30, &reply(r2.id, 1, b"x")), Some(20));
+        assert_eq!(client.on_reply(20, &reply(1, r2.id, 0, b"x")), None);
+        // A reply MAC'd under another seed's key is no vote.
+        assert_eq!(client.on_reply(25, &reply(2, r2.id, 1, b"x")), None);
+        assert_eq!(client.on_reply(30, &reply(1, r2.id, 1, b"x")), Some(20));
         assert_eq!(client.outstanding(), 1);
     }
 
@@ -201,10 +152,7 @@ mod tests {
         let c = cfg();
         let mut client = SimClient::new(&c, 3, 77, AppKind::Kvs, 10);
         let req = client.issue(0);
-        let key = splitbft_crypto::client_mac_key(77, req.client());
-        assert!(key.verify(
-            &Request::auth_bytes(req.id, &req.op, req.encrypted),
-            &req.auth
-        ));
+        let key = client_mac_key(77, req.client());
+        assert!(key.verify(&Request::auth_bytes(req.id, &req.op, req.encrypted), &req.auth));
     }
 }

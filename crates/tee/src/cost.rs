@@ -3,8 +3,8 @@
 //! The paper's overhead analysis (§5, §6) attributes SplitBFT's cost to
 //! (i) enclave transitions (≈ 8,640 cycles each, citing HotCalls, Weisse et al.),
 //! (ii) copying data in and out of enclaves, and (iii) added
-//! serialization. This module turns those into numbers the discrete-event
-//! simulator and the host accounting can charge. The defaults are
+//! serialization. This module turns those into numbers the host accounting
+//! charges and the Figure 3/4 simulator reads back. The defaults are
 //! calibrated against the paper's measurements on a 3.7 GHz Xeon E-2288G:
 //! signature-heavy ecalls in the hundreds of microseconds, an unbatched
 //! Execution ecall total around 340 µs, and a batched Preparation ecall

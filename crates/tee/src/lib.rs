@@ -17,8 +17,8 @@
 //! - [`cost`] — [`cost::CostModel`]: virtual-time costs of
 //!   transitions (≈ 8,640 cycles each, after Weisse et al. (HotCalls)), byte
 //!   copies, cryptographic operations and request execution. Calibrated
-//!   against the paper's measurements; used by the discrete-event
-//!   simulator.
+//!   against the paper's measurements; used by the enclave hosts'
+//!   accounting and the Figure 3/4 simulator.
 //! - [`seal`] — SGX-style sealing: encrypt enclave secrets under a key
 //!   derived from the platform and the enclave *measurement*, so only the
 //!   same enclave code on the same platform can unseal.

@@ -22,7 +22,7 @@
 //! | [`pbft`] | `splitbft-pbft` | the complete PBFT baseline |
 //! | [`hybrid`] | `splitbft-hybrid` | MinBFT-style trusted-counter baseline |
 //! | [`core`] | `splitbft-core` | **SplitBFT itself**: compartments, broker, client |
-//! | [`sim`] | `splitbft-sim` | discrete-event simulator (Figures 3 & 4) |
+//! | [`sim`] | `splitbft-sim` | Figures 3 & 4: a timing policy over the lockstep cluster |
 //! | [`model`] | `splitbft-model` | safety explorer and fault-model scenarios |
 //!
 //! # Quickstart

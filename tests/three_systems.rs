@@ -16,6 +16,7 @@ use splitbft::model::{
 use splitbft::net::transport::frame_kind;
 use splitbft::net::FaultPlan;
 use splitbft::prelude::*;
+use splitbft::tee::TransitionStats;
 use splitbft::types::{DurableEvent, FaultCommand, LinkRule, Request, RequestBatch, SignerId};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -138,6 +139,25 @@ fn a_quiet_cluster_moves_24_peer_frames_and_4_replies_per_request() {
     // request CI pins on the benchmark's `types.msgs_per_req`.
     assert_eq!(traffic_of(&pbft(), 100), (2400, 400));
     assert_eq!(traffic_of(&splitbft(), 100), (2400, 400));
+}
+
+#[test]
+fn the_enclave_counters_the_sim_charges_count_what_the_benchmark_counts() {
+    // `splitbft-sim` charges every SplitBFT step from these counters.
+    // 128 single-request batches — the 12 checkpoint votes included —
+    // must cost the crossings CI pins on the benchmark's lock-step pump:
+    // `tee.ecalls_per_req` 40.34375 and `tee.ocalls_per_req` 24.125.
+    let stack = splitbft();
+    let mut cluster = stack.cluster();
+    for ts in 1..=128 {
+        cluster.submit(0, &[inc(ts)]);
+    }
+    let total = |count: fn(&TransitionStats) -> u64| -> u64 {
+        let replicas = (0..stack.n).map(|i| cluster.replica(i));
+        replicas.flat_map(|r| CompartmentKind::ALL.map(|kind| count(&r.stats(kind)))).sum()
+    };
+    assert_eq!(total(|s| s.ecalls), 5_164, "40.34375 ecalls per request");
+    assert_eq!(total(|s| s.ocalls), 3_088, "24.125 ocalls per request");
 }
 
 /// (c) With `f` backups crashed the rest still commit.
