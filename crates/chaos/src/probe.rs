@@ -77,8 +77,8 @@ pub fn read_counter(
         let round_deadline = (Instant::now() + Duration::from_millis(1_500)).min(deadline);
         let mut agreed = None;
         while Instant::now() < round_deadline && agreed.is_none() {
-            match tcp.replies().recv_timeout(Duration::from_millis(200)) {
-                Ok(reply) if reply.request.timestamp.0 == ts => {
+            match tcp.recv_timeout(Duration::from_millis(200)) {
+                Some(reply) if reply.request.timestamp.0 == ts => {
                     agreed = tracker.on_reply(&reply);
                 }
                 _ => {}
@@ -231,8 +231,8 @@ fn safety_client_loop(
                 let _ = tcp.send_all(std::slice::from_ref(&request));
                 let round_deadline = Instant::now() + Duration::from_millis(1_500);
                 while Instant::now() < round_deadline && agreed.is_none() {
-                    match tcp.replies().recv_timeout(Duration::from_millis(200)) {
-                        Ok(reply) if reply.request.timestamp.0 == ts => {
+                    match tcp.recv_timeout(Duration::from_millis(200)) {
+                        Some(reply) if reply.request.timestamp.0 == ts => {
                             agreed = tracker.on_reply(&reply);
                         }
                         _ => {}

@@ -6,9 +6,15 @@
 //! loop), or issues on a fixed schedule regardless of completions (open
 //! loop, the offered-load mode that reveals saturation). Completion —
 //! `f + 1` MAC-verified matching replies — is detected per request by a
-//! [`QuorumTracker`] running on the connection's dispatcher thread;
-//! latencies land in a per-thread [`LatencyHistogram`] and are merged
-//! when the run ends.
+//! [`QuorumTracker`]; latencies land in a per-thread [`LatencyHistogram`]
+//! and are merged when the run ends.
+//!
+//! # Threads
+//!
+//! One per client. Its loop sends everything due as one `REQUESTS`
+//! frame, then waits in [`TcpClient::poll`] and feeds each reply to its
+//! request's tracker as it is read, so a burst of completions is counted
+//! before the next pass refills the pipeline — with all of them.
 //!
 //! Retransmission follows the PBFT client rule: a request outstanding
 //! longer than `retry_every` is re-broadcast to every reachable replica
@@ -23,12 +29,11 @@ use crate::workload::Workload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use splitbft_crypto::client_mac_key;
-use splitbft_net::client::{ReplyHandler, TcpClient};
-use splitbft_types::{ClientId, Reply, Request, RequestId, Timestamp};
+use splitbft_net::client::TcpClient;
+use splitbft_types::{ClientId, Request, RequestId, Timestamp};
 use std::collections::BTreeMap;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// How load is offered to the cluster.
@@ -200,9 +205,26 @@ struct ClientStats {
     per_shard_completed: Vec<u64>,
 }
 
+/// One request awaiting its reply quorum, filed under its timestamp.
 struct Flight {
     request: Request,
     last_sent: Instant,
+    issued_at: Instant,
+    shard: u32,
+    tracker: QuorumTracker,
+}
+
+impl ClientStats {
+    /// Counts one completion of a request for `shard`, `latency` after
+    /// it was issued and `at` into the run.
+    fn record(&mut self, latency: Duration, at: Duration, shard: u32) {
+        self.completed += 1;
+        self.hist.record(latency);
+        self.windows.record(at);
+        if let Some(count) = self.per_shard_completed.get_mut(shard as usize) {
+            *count += 1;
+        }
+    }
 }
 
 fn client_loop(config: &DriverConfig, index: usize) -> io::Result<ClientStats> {
@@ -221,10 +243,6 @@ fn client_loop(config: &DriverConfig, index: usize) -> io::Result<ClientStats> {
         .map(|d| d.as_micros() as u64)
         .unwrap_or(1)
         .max(1);
-
-    // Completions cross from the dispatcher thread back to this one:
-    // (timestamp, owning shard, latency, elapsed-since-start).
-    let (done_tx, done_rx) = channel::<(u64, u32, Duration, Duration)>();
 
     let pipeline = config.pipeline.max(1);
     let start = Instant::now();
@@ -251,62 +269,39 @@ fn client_loop(config: &DriverConfig, index: usize) -> io::Result<ClientStats> {
     };
     let mut inflight: BTreeMap<u64, Flight> = BTreeMap::new();
 
-    // Builds one authenticated request plus its quorum-tracking
-    // completion handler; `issue_all` below coalesces any number of
-    // them into a single REQUESTS frame (client-side batching — the
-    // mirror of the replicas' send-path batching).
-    let mut build = |sequence: u64| -> (Request, ReplyHandler) {
-        let timestamp = Timestamp(next_ts);
-        next_ts += 1;
-        let (op, shard) = config.workload.next_op_sharded(&mut rng, sequence, config.shards);
-        let id = RequestId { client, timestamp };
-        let auth = mac.request_tag(id, &op, false);
-        let request = Request { id, op, encrypted: false, auth };
-
-        let mut tracker = QuorumTracker::new(mac.clone(), config.reply_quorum);
-        let issued_at = Instant::now();
-        let done = done_tx.clone();
-        let handler = Box::new(move |reply: &Reply| {
-            if tracker.on_reply(reply).is_some() {
-                let _ = done.send((
-                    reply.request.timestamp.0,
-                    shard.0,
-                    issued_at.elapsed(),
-                    start.elapsed(),
-                ));
-                true
-            } else {
-                false
-            }
-        });
-        (request, handler)
-    };
-
-    let mut issue_all = |count: usize,
-                         tcp: &mut TcpClient,
-                         inflight: &mut BTreeMap<u64, Flight>,
-                         stats: &mut ClientStats|
+    // Builds `count` authenticated requests, sends them as one REQUESTS
+    // frame (client-side batching — the mirror of the replicas'
+    // send-path batching), then files each with its quorum tracker.
+    let mut issue = |count: usize,
+                     tcp: &mut TcpClient,
+                     inflight: &mut BTreeMap<u64, Flight>,
+                     stats: &mut ClientStats|
      -> io::Result<()> {
         if count == 0 {
             return Ok(());
         }
-        let mut batch = Vec::with_capacity(count);
-        for offset in 0..count {
-            // Each request in the coalesced frame keeps its own
-            // workload sequence number (blockchain ops embed it to stay
-            // distinct).
-            batch.push(build(stats.issued + offset as u64));
-        }
         let issued_at = Instant::now();
-        let flights: Vec<(u64, Flight)> = batch
-            .iter()
-            .map(|(request, _)| {
-                (request.id.timestamp.0, Flight { request: request.clone(), last_sent: issued_at })
-            })
-            .collect();
-        tcp.submit_batch(config.primary_index, batch)?;
-        for (ts, flight) in flights {
-            inflight.insert(ts, flight);
+        let mut batch = Vec::with_capacity(count);
+        let mut shards = Vec::with_capacity(count);
+        for offset in 0..count {
+            let timestamp = Timestamp(next_ts);
+            next_ts += 1;
+            // Each request in the coalesced frame keeps its own workload
+            // sequence number (blockchain ops embed it to stay distinct).
+            let sequence = stats.issued + offset as u64;
+            let (op, shard) = config.workload.next_op_sharded(&mut rng, sequence, config.shards);
+            let id = RequestId { client, timestamp };
+            let auth = mac.request_tag(id, &op, false);
+            batch.push(Request { id, op, encrypted: false, auth });
+            shards.push(shard.0);
+        }
+        // The primary first; every reachable replica if it cannot be
+        // written or the index names none (the broadcast mode).
+        tcp.send_to(config.primary_index, &batch).or_else(|_| tcp.send_all(&batch))?;
+        for (request, shard) in batch.into_iter().zip(shards) {
+            let tracker = QuorumTracker::new(mac.clone(), config.reply_quorum);
+            let flight = Flight { request, last_sent: issued_at, issued_at, shard, tracker };
+            inflight.insert(flight.request.id.timestamp.0, flight);
         }
         stats.issued += count as u64;
         Ok(())
@@ -318,7 +313,7 @@ fn client_loop(config: &DriverConfig, index: usize) -> io::Result<ClientStats> {
             None => {
                 if Instant::now() < deadline {
                     let want = pipeline.saturating_sub(inflight.len());
-                    issue_all(want, &mut tcp, &mut inflight, &mut stats)?;
+                    issue(want, &mut tcp, &mut inflight, &mut stats)?;
                 }
             }
             Some(period) => {
@@ -327,7 +322,7 @@ fn client_loop(config: &DriverConfig, index: usize) -> io::Result<ClientStats> {
                     due += 1;
                     next_issue += period;
                 }
-                issue_all(due, &mut tcp, &mut inflight, &mut stats)?;
+                issue(due, &mut tcp, &mut inflight, &mut stats)?;
             }
         }
 
@@ -335,37 +330,28 @@ fn client_loop(config: &DriverConfig, index: usize) -> io::Result<ClientStats> {
         if inflight.is_empty() && now >= deadline {
             break;
         }
-        if now >= hard_stop {
-            // Completions already queued on the channel are real — drain
-            // them before declaring the remainder timed out.
-            while let Ok(completion) = done_rx.try_recv() {
-                record_completion(completion, &mut inflight, &mut stats);
-            }
-            for flight in inflight.values() {
-                tcp.cancel(flight.request.id);
-            }
+        // Past the drain window, or with every replica hung up, nothing
+        // in flight will complete.
+        if now >= hard_stop || tcp.connected() == 0 {
             stats.timed_out += inflight.len() as u64;
-            inflight.clear();
             break;
         }
 
-        // Wait for the next completion (bounded so retransmission and
-        // open-loop scheduling stay responsive).
+        // Read whatever replies are ready, feeding each to its request's
+        // tracker (bounded so retransmission and open-loop scheduling
+        // stay responsive). Replies beyond a quorum find no flight.
         let mut wait = Duration::from_millis(20).min(hard_stop - now);
         if open_period.is_some() && now < deadline {
             wait = wait.min(next_issue.saturating_duration_since(now));
         }
-        match done_rx.recv_timeout(wait.max(Duration::from_micros(200))) {
-            Ok(completion) => {
-                record_completion(completion, &mut inflight, &mut stats);
-                // Batch up whatever else already completed.
-                while let Ok(more) = done_rx.try_recv() {
-                    record_completion(more, &mut inflight, &mut stats);
-                }
+        tcp.poll(wait.max(Duration::from_micros(200)), |reply| {
+            let timestamp = reply.request.timestamp.0;
+            let Some(flight) = inflight.get_mut(&timestamp) else { return };
+            if flight.request.id == reply.request && flight.tracker.on_reply(&reply).is_some() {
+                stats.record(flight.issued_at.elapsed(), start.elapsed(), flight.shard);
+                inflight.remove(&timestamp);
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
+        });
 
         // Retransmit stragglers (at-most-once transport: loss recovery
         // is the client's job).
@@ -382,28 +368,13 @@ fn client_loop(config: &DriverConfig, index: usize) -> io::Result<ClientStats> {
     Ok(stats)
 }
 
-fn record_completion(
-    (timestamp, shard, latency, at): (u64, u32, Duration, Duration),
-    inflight: &mut BTreeMap<u64, Flight>,
-    stats: &mut ClientStats,
-) {
-    if inflight.remove(&timestamp).is_some() {
-        stats.completed += 1;
-        stats.hist.record(latency);
-        stats.windows.record(at);
-        if let Some(count) = stats.per_shard_completed.get_mut(shard as usize) {
-            *count += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use splitbft_crypto::ClientMacKeys;
     use splitbft_net::{EventedNode, NodeConfig};
     use splitbft_net::transport::{Protocol, ProtocolOutput};
-    use splitbft_types::{ReplicaId, View};
+    use splitbft_types::{ReplicaId, Reply, View};
 
     /// A single-"replica" protocol that executes nothing but answers
     /// every authentic request with a correctly MACed reply, so the
@@ -469,6 +440,28 @@ mod tests {
         assert_eq!(stats.completed + stats.timed_out, stats.issued);
         assert_eq!(stats.hist.count(), stats.completed);
         assert_eq!(stats.windows.counts().iter().sum::<u64>(), stats.completed);
+        node.shutdown();
+    }
+
+    #[test]
+    fn closed_loop_refills_the_whole_pipeline() {
+        let node = echo_node(79);
+        let mut config = DriverConfig::new(vec![node.local_addr()], 79, 1);
+        config.clients = 1;
+        config.pipeline = 8;
+        config.duration = Duration::from_millis(300);
+
+        let stats = run(&config).unwrap();
+        assert!(stats.completed > 0, "no requests completed");
+        let telemetry = node.telemetry();
+        let (frames, requests) =
+            (telemetry.client_request_frames.get(), telemetry.client_requests.get());
+        assert_eq!(requests, stats.issued, "every issued request reached the node once");
+        let per_frame = requests as f64 / frames as f64;
+        eprintln!("{requests} requests in {frames} frames: {per_frame:.2} per frame");
+        // A burst of replies completes its whole batch before the next
+        // pass refills: frames carry most of the pipeline, not one.
+        assert!(per_frame >= 4.0, "{per_frame:.2} requests per frame at pipeline 8");
         node.shutdown();
     }
 

@@ -125,13 +125,18 @@ pub struct MetricsSummary {
     /// Socket reads and accepts that returned `WouldBlock` across every
     /// replica.
     pub socket_reads_empty: u64,
+    /// Client `REQUESTS` frames admitted across every replica.
+    pub client_request_frames: u64,
+    /// Requests those frames carried; over `client_request_frames` it is
+    /// the mean proposal batch size when clients address the primary.
+    pub client_requests: u64,
 }
 
 impl MetricsSummary {
     /// The section as a JSON object.
     pub fn to_json(&self) -> String {
         format!(
-            r#"{{"fsyncs": {}, "ring_refusals": {}, "reconnects": {}, "queue_depth_high_water": {}, "bytes_in": {}, "bytes_out": {}, "loop_waits": {}, "socket_reads_empty": {}}}"#,
+            r#"{{"fsyncs": {}, "ring_refusals": {}, "reconnects": {}, "queue_depth_high_water": {}, "bytes_in": {}, "bytes_out": {}, "loop_waits": {}, "socket_reads_empty": {}, "client_request_frames": {}, "client_requests": {}}}"#,
             self.fsyncs,
             self.ring_refusals,
             self.reconnects,
@@ -140,6 +145,8 @@ impl MetricsSummary {
             self.bytes_out,
             self.loop_waits,
             self.socket_reads_empty,
+            self.client_request_frames,
+            self.client_requests,
         )
     }
 }
@@ -680,6 +687,8 @@ mod tests {
             bytes_out: 8192,
             loop_waits: 900,
             socket_reads_empty: 5,
+            client_request_frames: 40,
+            client_requests: 640,
         });
         let json = with.to_json();
         assert!(json.contains("\"metrics\": {\"fsyncs\": 120"), "{json}");
@@ -690,6 +699,7 @@ mod tests {
         assert!(json.contains("\"bytes_out\": 8192"));
         assert!(json.contains("\"loop_waits\": 900"));
         assert!(json.contains("\"socket_reads_empty\": 5"));
+        assert!(json.contains("\"client_request_frames\": 40, \"client_requests\": 640}"));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! ```text
 //!        ┌───────────────────────────── node thread ──────────────────────────────┐
-//!        │  ppoll ──► read (64 KiB chunks ──► FrameAssembler ──► borrowed frame   │
+//!        │  ppoll ──► read (16 KiB chunks ──► FrameAssembler ──► borrowed frame   │
 //!        │  │ ▲         views, decoded in place — no per-frame Vec)               │
 //!        │  │ │                           │                                       │
 //!        │  ▼ listener, readable conns,   ▼                                       │
@@ -85,11 +85,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Bytes pulled from one connection per loop pass: large enough to
-/// carry dozens of frames per syscall under load, small enough that one
-/// flooding connection cannot starve the others (each gets one bounded
-/// read per pass).
-const READ_CHUNK: usize = 64 * 1024;
+/// Bytes pulled from one connection per loop pass: ten 16-request
+/// `PrePrepare`s (≈ 1.5 KB each) per syscall under load, small enough
+/// that one flooding connection cannot starve the others (each gets one
+/// bounded read per pass). The assembler zero-fills this much per
+/// connection up front, so it is also each connection's resident floor;
+/// a larger frame reassembles across reads.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// Per-peer outbound ring bounds. Generous — the ring replaces an
 /// unbounded channel, so the cap only bites when a peer is down or
@@ -874,7 +876,6 @@ mod tests {
     use crate::host::PeerAddr;
     use crate::transport::{read_value, ProtocolOutput};
     use splitbft_types::{FaultCommand, Request, RequestId, Timestamp, View};
-    use std::sync::mpsc::channel;
 
     /// A trivial protocol echoing request payloads straight back,
     /// exercising the transport without consensus logic.
@@ -1029,7 +1030,7 @@ mod tests {
         // Commit one request so the snapshot has something to report.
         let mut client = TcpClient::connect(ClientId(7), &[addr], Duration::from_secs(5)).unwrap();
         client.send_to(0, &[request(7, 1, b"ping")]).unwrap();
-        client.replies().recv_timeout(Duration::from_secs(5)).unwrap();
+        client.recv_timeout(Duration::from_secs(5)).unwrap();
 
         let snapshot = crate::status::fetch_snapshot(addr).unwrap();
         assert_eq!(snapshot.version, splitbft_types::status::SNAPSHOT_VERSION);
@@ -1152,7 +1153,7 @@ mod tests {
         let burst: Vec<Request> = (0..20u64).map(|i| request(5, i + 1, &i.to_le_bytes())).collect();
         client.send_to(0, &burst).unwrap();
         for _ in 0..20 {
-            client.replies().recv_timeout(Duration::from_secs(5)).unwrap();
+            client.recv_timeout(Duration::from_secs(5)).unwrap();
         }
         // An undelayed frame enqueued while they are held overtakes them.
         faults.apply(FaultCommand::ClearRules);
@@ -1226,7 +1227,7 @@ mod tests {
         assert_eq!(telemetry.socket_reads_empty.get(), 0, "an idle socket was read");
 
         client.send_to(0, &[request(7, 1, b"ping")]).unwrap();
-        let reply = client.replies().recv_timeout(Duration::from_secs(5)).unwrap();
+        let reply = client.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(&reply.result[..], b"ping");
         assert_eq!(telemetry.socket_reads_empty.get(), 0, "serving a request read nothing empty");
         client.close();
@@ -1264,31 +1265,19 @@ mod tests {
         let node = echo_node(solo_config(0));
         let mut client =
             TcpClient::connect(ClientId(9), &[node.local_addr()], Duration::from_secs(5)).unwrap();
-        let (done_tx, done_rx) = channel();
-        // Submit 8 requests without waiting for any reply.
+        // Send 8 requests, one frame each, without waiting for any reply.
         for i in 1..=8u64 {
-            let done_tx = done_tx.clone();
-            let handler: crate::client::ReplyHandler = Box::new(move |reply| {
-                let _ = done_tx.send(reply.result.clone());
-                true
-            });
-            client.submit_batch(0, vec![(request(9, i, &i.to_le_bytes()), handler)]).unwrap();
+            client.send_to(0, &[request(9, i, &i.to_le_bytes())]).unwrap();
         }
-        let mut echoed: Vec<u64> = (0..8)
-            .map(|_| {
-                let result = done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-                u64::from_le_bytes(result[..].try_into().unwrap())
-            })
-            .collect();
+        let mut echoed = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while echoed.len() < 8 && Instant::now() < deadline {
+            client.poll(Duration::from_millis(100), |reply| {
+                echoed.push(u64::from_le_bytes(reply.result[..].try_into().unwrap()));
+            });
+        }
         echoed.sort_unstable();
         assert_eq!(echoed, (1..=8).collect::<Vec<u64>>());
-        // Completed handlers are deregistered (the dispatcher removes the
-        // entry right after the handler signals completion).
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while client.outstanding() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(client.outstanding(), 0);
         client.close();
         node.shutdown();
     }

@@ -492,6 +492,8 @@ impl<P: Protocol> Host<P> {
                     // restarted one).
                     return Vec::new();
                 }
+                self.telemetry.client_request_frames.inc();
+                self.telemetry.client_requests.add(requests.len() as u64);
                 self.protocol.on_client_requests(requests)
             }
             Event::Drain => Vec::new(),

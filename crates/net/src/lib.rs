@@ -43,7 +43,7 @@ mod ring;
 pub mod status;
 pub mod transport;
 
-pub use client::{ReplyHandler, TcpClient};
+pub use client::TcpClient;
 pub use evented::{BoundEventedNode, EventedNode};
 pub use fault::{broadcast_fault_command, send_fault_command, FaultDecision, FaultPlan};
 pub use status::{

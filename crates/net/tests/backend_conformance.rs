@@ -244,7 +244,7 @@ fn delivery_and_ordering_conform_on_evented() {
     let mut replies = 0u64;
     let reply_deadline = Instant::now() + DEADLINE;
     while replies < DELIVERY_K && Instant::now() < reply_deadline {
-        if let Ok(reply) = client.replies().recv_timeout(Duration::from_millis(500)) {
+        if let Some(reply) = client.recv_timeout(Duration::from_millis(500)) {
             assert_echo_from_replica_0(&reply, label);
             replies += 1;
         }
@@ -290,7 +290,7 @@ fn self_addressed_sends_are_dropped_on_evented() {
 
     let mut client = connect(9, &addrs);
     client.send_to(0, &[request(9, 1, 41)]).expect("send");
-    client.replies().recv_timeout(DEADLINE).expect("reply");
+    client.recv_timeout(DEADLINE).expect("reply");
 
     wait_for("evented: peer receives the sibling send", || *logs[1].lock().unwrap() == vec![42]);
     // The self-send had strictly less distance to travel than the
@@ -575,7 +575,7 @@ fn peer_links_reconnect() {
     let mut client = connect(9, &[addr0]);
     // Broadcast into the void: replica 1 does not exist yet.
     client.send_to(0, &[request(9, 1, 1)]).expect("send");
-    client.replies().recv_timeout(DEADLINE).expect("reply while peer is down");
+    client.recv_timeout(DEADLINE).expect("reply while peer is down");
     std::thread::sleep(Duration::from_millis(100));
 
     // Now replica 1 appears at its published address…
@@ -657,7 +657,7 @@ fn slow_clients_do_not_starve_responsive_ones() {
     let mut client = connect(8, &addrs);
     for ts in 1..=20u64 {
         client.send_to(0, &[request(8, ts, ts)]).expect("send");
-        let reply = client.replies().recv_timeout(DEADLINE).expect("responsive reply");
+        let reply = client.recv_timeout(DEADLINE).expect("responsive reply");
         assert_eq!(reply.request.timestamp, Timestamp(ts), "in-order completion");
     }
 

@@ -61,19 +61,16 @@ fn spawn_cluster_with<P: Protocol>(
 /// Pumps replies from the socket into `on_reply` until it reports
 /// completion or the deadline passes.
 fn await_completion(
-    client: &TcpClient,
+    client: &mut TcpClient,
     mut on_reply: impl FnMut(&Reply) -> bool,
     what: &str,
 ) {
     let deadline = Instant::now() + Duration::from_secs(30);
     while Instant::now() < deadline {
-        match client.replies().recv_timeout(Duration::from_millis(500)) {
-            Ok(reply) => {
-                if on_reply(&reply) {
-                    return;
-                }
+        if let Some(reply) = client.recv_timeout(Duration::from_millis(500)) {
+            if on_reply(&reply) {
+                return;
             }
-            Err(_) => continue,
         }
     }
     panic!("{what}: no completion before deadline");
@@ -94,7 +91,7 @@ fn pbft_cluster_commits_over_tcp() {
         tcp.send_to(0, &[request]).unwrap(); // replica 0 is primary in view 0
         let mut result = None;
         await_completion(
-            &tcp,
+            &mut tcp,
             |reply| match protocol_client.on_reply(reply) {
                 ClientEvent::Completed(r) => {
                     result = Some(r);
@@ -136,7 +133,7 @@ fn pbft_cluster_tolerates_f_crashed_backups() {
     tcp.send_to(0, &[request]).unwrap();
     let mut result = None;
     await_completion(
-        &tcp,
+        &mut tcp,
         |reply| match protocol_client.on_reply(reply) {
             ClientEvent::Completed(r) => {
                 result = Some(r);
@@ -177,13 +174,13 @@ fn pbft_cluster_fails_over_a_crashed_primary() {
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut result = None;
     while Instant::now() < deadline && result.is_none() {
-        match tcp.replies().recv_timeout(Duration::from_millis(500)) {
-            Ok(reply) => {
+        match tcp.recv_timeout(Duration::from_millis(500)) {
+            Some(reply) => {
                 if let ClientEvent::Completed(r) = protocol_client.on_reply(&reply) {
                     result = Some(r);
                 }
             }
-            Err(_) => {
+            None => {
                 let _ = tcp.send_all(std::slice::from_ref(&request));
             }
         }
@@ -219,7 +216,7 @@ fn pbft_idle_cluster_does_not_churn_views() {
     let deadline = Instant::now() + Duration::from_secs(5);
     let mut completed = false;
     while Instant::now() < deadline && !completed {
-        if let Ok(reply) = tcp.replies().recv_timeout(Duration::from_millis(200)) {
+        if let Some(reply) = tcp.recv_timeout(Duration::from_millis(200)) {
             completed =
                 matches!(protocol_client.on_reply(&reply), ClientEvent::Completed(_));
         }
@@ -258,7 +255,7 @@ fn splitbft_cluster_commits_over_tcp() {
         let request = protocol_client.issue(b"inc");
         tcp.send_to(0, &[request]).unwrap();
         await_completion(
-            &tcp,
+            &mut tcp,
             |reply| matches!(protocol_client.on_reply(reply), ClientEvent::Completed(_)),
             "splitbft request",
         );
@@ -291,7 +288,7 @@ fn minbft_cluster_commits_over_tcp() {
         tcp.send_to(0, &[request]).unwrap();
         let mut result = None;
         await_completion(
-            &tcp,
+            &mut tcp,
             |reply| match protocol_client.on_reply(reply) {
                 ClientEvent::Completed(r) => {
                     result = Some(r);

@@ -145,6 +145,8 @@ impl LocalCluster {
             let telemetry = node.telemetry();
             out.loop_waits += telemetry.loop_waits.get();
             out.socket_reads_empty += telemetry.socket_reads_empty.get();
+            out.client_request_frames += telemetry.client_request_frames.get();
+            out.client_requests += telemetry.client_requests.get();
             let snapshot = telemetry.snapshot();
             out.fsyncs += snapshot.fsyncs;
             out.ring_refusals += snapshot.ring_refusals;

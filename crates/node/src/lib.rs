@@ -987,13 +987,10 @@ pub fn run_client(
                 tcp.send_all(std::slice::from_ref(&request))?;
             }
             let wait = deadline.min(resend_at);
-            match tcp.replies().recv_timeout(wait.saturating_duration_since(now)) {
-                Ok(reply) => {
-                    if let ClientEvent::Completed(result) = client.on_reply(&reply) {
-                        break result;
-                    }
+            if let Some(reply) = tcp.recv_timeout(wait.saturating_duration_since(now)) {
+                if let ClientEvent::Completed(result) = client.on_reply(&reply) {
+                    break result;
                 }
-                Err(_) => continue,
             }
         };
         results.push(result);

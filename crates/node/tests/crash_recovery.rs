@@ -155,8 +155,8 @@ fn await_rejoin(
         let _ = tcp.send_all(std::slice::from_ref(&request));
         let wait_until = Instant::now() + Duration::from_millis(1500);
         while Instant::now() < wait_until {
-            match tcp.replies().recv_timeout(Duration::from_millis(200)) {
-                Ok(reply) if reply.replica == from && reply.request.timestamp.0 >= ts => {
+            match tcp.recv_timeout(Duration::from_millis(200)) {
+                Some(reply) if reply.replica == from && reply.request.timestamp.0 >= ts => {
                     rejoined = true;
                     break 'outer;
                 }

@@ -58,6 +58,11 @@ pub struct NodeTelemetry {
     pub loop_waits: Metric,
     /// Socket reads and accepts that found nothing (`WouldBlock`).
     pub socket_reads_empty: Metric,
+    /// Client `REQUESTS` frames admitted to the protocol.
+    pub client_request_frames: Metric,
+    /// Requests those frames carried. On the primary, requests over
+    /// frames is the mean proposal batch size.
+    pub client_requests: Metric,
     /// High-water mark of the core event queue depth.
     pub queue_depth_high_water: Metric,
     /// Consensus groups hosted (1 for unsharded).
@@ -111,6 +116,14 @@ impl NodeTelemetry {
             socket_reads_empty: registry.counter(
                 "splitbft_socket_reads_empty_total",
                 "socket reads and accepts that returned WouldBlock",
+            ),
+            client_request_frames: registry.counter(
+                "splitbft_client_request_frames_total",
+                "client REQUESTS frames admitted to the protocol",
+            ),
+            client_requests: registry.counter(
+                "splitbft_client_requests_total",
+                "client requests admitted to the protocol",
             ),
             queue_depth_high_water: registry.gauge(
                 "splitbft_queue_depth_high_water",
@@ -379,6 +392,8 @@ mod tests {
             "splitbft_queue_depth_high_water ",
             "splitbft_loop_waits_total 0",
             "splitbft_socket_reads_empty_total 0",
+            "splitbft_client_request_frames_total 0",
+            "splitbft_client_requests_total 0",
             "splitbft_shards 2",
             "splitbft_shard_progress{shard=\"0\"} 3",
             "splitbft_shard_progress{shard=\"1\"} 4",

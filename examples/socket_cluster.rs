@@ -90,10 +90,7 @@ fn main() {
         tcp.send_to(0, &[request]).expect("send request");
 
         let result = loop {
-            let reply = tcp
-                .replies()
-                .recv_timeout(Duration::from_secs(10))
-                .expect("reply before timeout");
+            let reply = tcp.recv_timeout(Duration::from_secs(10)).expect("reply before timeout");
             if let ClientEvent::Completed(result) = protocol_client.on_reply(&reply) {
                 break result;
             }
