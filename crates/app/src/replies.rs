@@ -20,7 +20,9 @@ use crate::Application;
 use bytes::Bytes;
 use splitbft_crypto::ClientMacKeys;
 use splitbft_types::wire::{Decode, Encode, Reader, WireError};
-use splitbft_types::{ClientId, ProtocolError, ReplicaId, Reply, RequestId, Timestamp, View};
+use splitbft_types::{
+    ClientId, ProtocolError, ReplicaId, Reply, Request, RequestId, Timestamp, View,
+};
 use std::collections::BTreeMap;
 
 /// The replica-independent core of a cached reply, as checkpoints carry it.
@@ -66,6 +68,35 @@ impl ReplyCache {
             Some(cached) if cached.request.timestamp > request.timestamp => Cached::Stale,
             _ => Cached::Fresh,
         }
+    }
+
+    /// Admits a batch of client requests at a replica, the
+    /// retransmission rule every stack shares: a request `verify`
+    /// rejects is dropped; one already executed as its client's latest
+    /// is answered again from the cache (clients rebroadcast after a
+    /// timeout, and every replica re-sending is what completes the
+    /// reply quorum when the first replies were lost); an older one is
+    /// dropped; the rest come back, in order, as fresh for ordering.
+    pub fn admit(
+        &self,
+        mut requests: Vec<Request>,
+        mut verify: impl FnMut(&Request) -> bool,
+    ) -> (Vec<Reply>, Vec<Request>) {
+        let mut resends = Vec::new();
+        requests.retain(|req| {
+            if !verify(req) {
+                return false;
+            }
+            match self.lookup(req.id) {
+                Cached::Resend(reply) => {
+                    resends.push(reply.clone());
+                    false
+                }
+                Cached::Stale => false,
+                Cached::Fresh => true,
+            }
+        });
+        (resends, requests)
     }
 
     /// The latest executed request of every client, in client order.
@@ -182,6 +213,27 @@ mod tests {
         assert_eq!(cache.lookup(id(1, 4)), Cached::Stale);
         assert_eq!(cache.lookup(id(1, 6)), Cached::Fresh);
         assert_eq!(cache.lookup(id(2, 1)), Cached::Fresh, "another client has its own entry");
+    }
+
+    fn signed(client: u32, timestamp: u64) -> Request {
+        let id = id(client, timestamp);
+        let op = Bytes::from_static(b"inc");
+        let auth = client_mac_key(SEED, id.client).request_tag(id, &op, false);
+        Request { id, op, encrypted: false, auth }
+    }
+
+    #[test]
+    fn admit_resends_the_latest_drops_stale_and_forged_and_keeps_fresh_in_order() {
+        let mut cache = ReplyCache::new();
+        let sent = record(&mut cache, id(1, 5), b"five");
+        let mut forged = signed(3, 1);
+        forged.auth[0] ^= 0xFF;
+        let batch = vec![signed(2, 1), signed(1, 4), signed(1, 5), forged, signed(1, 6)];
+        let mut keys = ClientMacKeys::new(SEED);
+        let (resends, fresh) = cache.admit(batch, |req| keys.verify_request(req));
+        assert_eq!(resends, vec![sent]);
+        let fresh: Vec<RequestId> = fresh.iter().map(|req| req.id).collect();
+        assert_eq!(fresh, vec![id(2, 1), id(1, 6)]);
     }
 
     #[test]

@@ -167,11 +167,6 @@ impl<A: Application> ExecutionCompartment<A> {
         dh_public(self.dh_secret)
     }
 
-    /// Number of installed client session keys.
-    pub fn session_key_count(&self) -> usize {
-        self.session_keys.len()
-    }
-
     /// Approximate heap usage for EPC accounting.
     pub fn memory_usage(&self) -> usize {
         self.slots.len() * 1024

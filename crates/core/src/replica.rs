@@ -598,11 +598,6 @@ impl<A: Application> SplitBftReplica<A> {
         self.suffix.messages_from(have_seq)
     }
 
-    /// Read access to the suffix ring (tests and diagnostics).
-    pub fn suffix_ring(&self) -> &SuffixRing {
-        &self.suffix
-    }
-
     /// Installs a client session key in the Execution enclave (the tail
     /// of the attestation handshake).
     pub fn install_session_key(
@@ -662,16 +657,6 @@ impl<A: Application> SplitBftReplica<A> {
             CompartmentKind::Preparation => self.prep.stats(),
             CompartmentKind::Confirmation => self.conf.stats(),
             CompartmentKind::Execution => self.exec.stats(),
-        }
-    }
-
-    /// Crash-faults one enclave (host-visible failure; recovery is a
-    /// separate reboot path).
-    pub fn crash_enclave(&mut self, kind: CompartmentKind) {
-        match kind {
-            CompartmentKind::Preparation => self.prep.inject_crash(),
-            CompartmentKind::Confirmation => self.conf.inject_crash(),
-            CompartmentKind::Execution => self.exec.inject_crash(),
         }
     }
 

@@ -107,8 +107,8 @@ pub enum HybridMessage {
 }
 
 impl HybridMessage {
-    /// Flips one byte of the message's USIG signature — the chaos
-    /// plane's `corrupt-mac` Byzantine mode. The UI no longer verifies,
+    /// Flips one byte of the message's USIG signature — the fault
+    /// catalog's `corrupt-mac` Byzantine mode. The UI no longer verifies,
     /// so honest receivers must reject the message; a cluster with such
     /// a replica proceeds exactly as if it were silent.
     pub fn corrupt_authenticator(&mut self) {

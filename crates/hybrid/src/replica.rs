@@ -132,17 +132,18 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
         self.client_keys.verify_request(req)
     }
 
-    /// Primary: order a batch of client requests.
+    /// Handles a batch of client requests: every replica re-sends its
+    /// cached reply to a retransmitted request (so a client whose
+    /// replies were lost still gathers `f + 1`), and the primary orders
+    /// the fresh ones.
     pub fn on_client_batch(&mut self, requests: Vec<Request>) -> Vec<HybridAction> {
-        let mut actions = Vec::new();
-        if !self.is_primary() {
-            return actions;
-        }
-        let fresh: Vec<Request> = requests
+        let keys = &mut self.client_keys;
+        let (resends, fresh) = self.replies.admit(requests, |req| keys.verify_request(req));
+        let mut actions: Vec<HybridAction> = resends
             .into_iter()
-            .filter(|r| self.verify_request(r) && self.replies.lookup(r.id) == Cached::Fresh)
+            .map(|reply| HybridAction::SendReply { to: reply.request.client, reply })
             .collect();
-        if fresh.is_empty() {
+        if !self.is_primary() || fresh.is_empty() {
             return actions;
         }
         let batch = RequestBatch::new(fresh);
@@ -435,6 +436,28 @@ mod tests {
         // Replies from all three replicas (primary executes on quorum of
         // commits arriving back).
         assert!(cluster.replies.len() >= 2);
+    }
+
+    #[test]
+    fn a_retransmission_whose_replies_were_lost_is_answered_from_every_cache() {
+        let mut cluster = splitbft_net::lockstep::Cluster::new(cluster(3));
+        let req = request(0, 1);
+        cluster.submit(0, std::slice::from_ref(&req));
+        assert_eq!(cluster.replica(0).last_executed(), 1);
+        // The client saw none of the replies and rebroadcasts.
+        cluster.replies.clear();
+        for i in 0..3 {
+            cluster.submit(i, std::slice::from_ref(&req));
+        }
+        let f = HybridConfig::new(3).unwrap().f();
+        let repliers: std::collections::BTreeSet<u32> =
+            cluster.replies.iter().map(|r| r.replica.0).collect();
+        assert!(repliers.len() > f, "f + 1 = {} replicas must re-send: {repliers:?}", f + 1);
+        let one = 1u64.to_le_bytes();
+        assert!(cluster.replies.iter().all(|r| r.request == req.id && r.result[..] == one));
+        for i in 0..3 {
+            assert_eq!(cluster.replica(i).last_executed(), 1, "replica {i} re-executed");
+        }
     }
 
     #[test]

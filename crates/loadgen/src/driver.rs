@@ -86,8 +86,8 @@ pub struct DriverConfig {
     /// primary by default). A wrong guess still completes through the
     /// retry broadcast, just slower. An **out-of-range** index (e.g.
     /// `usize::MAX`) broadcasts every submission to all reachable
-    /// replicas — the leadership-agnostic mode chaos/failover harnesses
-    /// use when view changes move the primary mid-run.
+    /// replicas — the leadership-agnostic mode failover harnesses use
+    /// when view changes move the primary mid-run.
     pub primary_index: usize,
     /// Consensus groups the target cluster hosts. Above one, KVS key
     /// generation cycles the shards round-robin

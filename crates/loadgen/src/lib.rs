@@ -60,6 +60,6 @@ pub mod workload;
 
 pub use driver::{DriverConfig, LoadMode, LoadStats};
 pub use hist::{LatencyHistogram, Windows};
-pub use quorum::{CommitConflict, CommitLog, QuorumTracker};
+pub use quorum::QuorumTracker;
 pub use report::{BatchSummary, BenchReport, DurabilitySummary, LatencySummary};
 pub use workload::Workload;

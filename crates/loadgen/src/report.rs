@@ -556,9 +556,8 @@ impl RateSweepReport {
     }
 }
 
-/// Keeps report names shell- and filesystem-safe. Shared by every
-/// `BENCH_*.json` writer in the workspace (the chaos reports reuse it).
-pub fn sanitize_name(name: &str) -> String {
+/// Keeps report names shell- and filesystem-safe.
+fn sanitize_name(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() || c == '_' || c == '-' { c } else { '_' })
         .collect()

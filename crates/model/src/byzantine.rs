@@ -1,6 +1,6 @@
-//! Adversarial replica modes for the chaos plane.
+//! Adversarial replica modes.
 //!
-//! A Byzantine serve mode wraps the *honest* replica state machine and
+//! A Byzantine mode wraps the *honest* replica state machine and
 //! mutates its outputs on the way to the runtime — the replica itself
 //! stays correct, which is exactly the paper's threat model for a
 //! compromised host: the protocol logic inside the TEE is intact, the
@@ -9,11 +9,11 @@
 //! - `equivocating-primary` — when the wrapped replica broadcasts a
 //!   `PrePrepare`, the wrapper splits the broadcast: one peer receives
 //!   the honest proposal, a second receives a *conflicting* proposal for
-//!   the same `(view, seq)` forged with [`splitbft_model::Adversary`]
-//!   (well-signed under the replica's own compromised key, carrying an
-//!   authenticated fabricated batch), and the remaining peers receive
-//!   nothing. No prepare quorum can form for either digest, so honest
-//!   replicas view-change past the equivocator — safety holds, liveness
+//!   the same `(view, seq)` forged with [`Adversary`] (well-signed under
+//!   the replica's own compromised key, carrying an authenticated
+//!   fabricated batch), and the remaining peers receive nothing. No
+//!   prepare quorum can form for either digest, so honest replicas
+//!   view-change past the equivocator — safety holds, liveness
 //!   recovers.
 //! - `silent-backup` — every output is swallowed. Equivalent to a crash
 //!   fault that the failure detector cannot distinguish from a slow
@@ -25,15 +25,16 @@
 //!   frames, degrading this replica to silence *through the crypto
 //!   layer* rather than before it.
 //!
-//! The wrapper sits **inside** the durability plane
-//! (`DurableProtocol` wraps `ByzantineProtocol` wraps the replica):
-//! mutations happen before output-withholding, so the WAL-before-network
-//! invariant of group commit is preserved and the WAL records the
-//! honest state machine's events, not the forgeries.
+//! Without a mode the wrapper passes everything through unchanged, so
+//! one cluster type hosts honest and Byzantine replicas side by side
+//! (the fault catalog in [`crate::chaos`] does). It sits **inside** the
+//! durability plane (`DurableProtocol` wraps `ByzantineProtocol` wraps
+//! the replica): mutations happen before output-withholding, so the
+//! WAL-before-network invariant of group commit is preserved and the
+//! WAL records the honest state machine's events, not the forgeries.
 
-use crate::ConfigError;
 use splitbft_hybrid::HybridMessage;
-use splitbft_model::Adversary;
+use crate::Adversary;
 use splitbft_net::transport::{Protocol, ProtocolGauges, ProtocolOutput};
 use splitbft_types::{
     ConsensusMessage, DurableCheckpoint, DurableEvent, ProtocolError, ReplicaId, SeqNum,
@@ -41,7 +42,7 @@ use splitbft_types::{
 use std::fmt;
 use std::str::FromStr;
 
-/// Which adversarial behavior a `--byzantine` replica exhibits.
+/// Which adversarial behavior a Byzantine replica exhibits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ByzantineMode {
     /// Split `PrePrepare` broadcasts into conflicting per-peer sends.
@@ -53,16 +54,16 @@ pub enum ByzantineMode {
 }
 
 impl FromStr for ByzantineMode {
-    type Err = ConfigError;
-    fn from_str(s: &str) -> Result<Self, ConfigError> {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Self, String> {
         match s {
             "equivocating-primary" => Ok(ByzantineMode::EquivocatingPrimary),
             "silent-backup" => Ok(ByzantineMode::SilentBackup),
             "corrupt-mac" => Ok(ByzantineMode::CorruptMac),
-            other => Err(ConfigError::new(format!(
+            other => Err(format!(
                 "unknown byzantine mode {other:?} (expected equivocating-primary, \
                  silent-backup, or corrupt-mac)"
-            ))),
+            )),
         }
     }
 }
@@ -127,8 +128,8 @@ impl ByzantineMessage for HybridMessage {
 
     /// Always `None`: the USIG's monotone counter makes two prepares at
     /// one counter value unforgeable even with the host compromised —
-    /// that is the hybrid's whole point. `equivocating-primary` is
-    /// rejected for minbft at config time.
+    /// that is the hybrid's whole point. The fault catalog rejects
+    /// `equivocating-primary` on the hybrid up front.
     fn equivocate(&self, _seed: u64, _tag: u8) -> Option<Self> {
         None
     }
@@ -138,7 +139,8 @@ impl ByzantineMessage for HybridMessage {
 #[derive(Debug)]
 pub struct ByzantineProtocol<P> {
     inner: P,
-    mode: ByzantineMode,
+    /// `None` serves honestly.
+    mode: Option<ByzantineMode>,
     seed: u64,
     /// The other replicas in id order — the fan-out targets when a
     /// broadcast is split into per-peer sends.
@@ -153,8 +155,8 @@ where
     P::Message: ByzantineMessage,
 {
     /// Wraps `inner`, which serves as replica `id` of an `n`-replica
-    /// cluster keyed from `seed`.
-    pub fn new(inner: P, mode: ByzantineMode, seed: u64, id: ReplicaId, n: usize) -> Self {
+    /// cluster keyed from `seed`, in `mode` (`None`: honestly).
+    pub fn new(inner: P, mode: Option<ByzantineMode>, seed: u64, id: ReplicaId, n: usize) -> Self {
         let peers =
             (0..n as u32).map(ReplicaId).filter(|&p| p != id).collect();
         ByzantineProtocol { inner, mode, seed, peers, forgery_tag: 1 }
@@ -164,7 +166,8 @@ where
         &mut self,
         outputs: Vec<ProtocolOutput<P::Message>>,
     ) -> Vec<ProtocolOutput<P::Message>> {
-        match self.mode {
+        let Some(mode) = self.mode else { return outputs };
+        match mode {
             ByzantineMode::SilentBackup => Vec::new(),
             ByzantineMode::CorruptMac => outputs
                 .into_iter()
@@ -258,15 +261,17 @@ where
 
     fn catch_up_messages(&self, have_seq: SeqNum) -> Vec<P::Message> {
         match self.mode {
-            ByzantineMode::SilentBackup => Vec::new(),
-            ByzantineMode::CorruptMac => {
+            Some(ByzantineMode::SilentBackup) => Vec::new(),
+            Some(ByzantineMode::CorruptMac) => {
                 let mut msgs = self.inner.catch_up_messages(have_seq);
                 for msg in &mut msgs {
                     msg.corrupt_auth();
                 }
                 msgs
             }
-            ByzantineMode::EquivocatingPrimary => self.inner.catch_up_messages(have_seq),
+            Some(ByzantineMode::EquivocatingPrimary) | None => {
+                self.inner.catch_up_messages(have_seq)
+            }
         }
     }
 
@@ -305,7 +310,7 @@ mod tests {
     fn primary(mode: ByzantineMode) -> ByzantineProtocol<PbftReplica<CounterApp>> {
         let config = ClusterConfig::new(4).unwrap();
         let replica = PbftReplica::new(config, ReplicaId(0), SEED, CounterApp::new());
-        ByzantineProtocol::new(replica, mode, SEED, ReplicaId(0), 4)
+        ByzantineProtocol::new(replica, Some(mode), SEED, ReplicaId(0), 4)
     }
 
     fn one_request() -> Vec<splitbft_types::Request> {

@@ -1,28 +1,29 @@
 //! Deterministic fault schedules: the scenario catalog.
 //!
 //! A [`Schedule`] is a fixed list of [`Phase`]s, each a sequence of
-//! [`FaultStep`]s the orchestrator executes verbatim — no randomness,
-//! no timing jitter beyond the OS itself, so a failing run names the
-//! exact phase and step that broke. The catalog mirrors the failure
-//! sequences operators actually perform or fear:
+//! [`FaultStep`]s that [`super::run`] executes verbatim on a
+//! `lockstep::Cluster` — no randomness beyond the fault plan's seed, no
+//! wall clock — so a failing run names the exact phase and step that
+//! broke, and replays. The catalog mirrors the failure sequences
+//! operators actually perform or fear:
 //!
-//! - [`rolling_restart`] — kill + restart every replica in sequence
+//! - [`rolling_restart`] — crash + restart every replica in sequence
 //!   (the "upgrade the whole fleet" drill);
-//! - [`repeated_kill`] — SIGKILL the same replica over and over (a
+//! - [`repeated_kill`] — crash the same replica over and over (a
 //!   crash-looping node must not poison its data dir);
 //! - [`primary_kill`] — target whoever is expected to lead, forcing a
 //!   view change each round;
 //! - [`staggered_start`] — bring the cluster up one replica at a time
 //!   under client traffic that started before quorum existed;
 //! - [`partition_primary`] — cut the primary off bidirectionally (no
-//!   process dies), demand the majority side view-changes and commits,
+//!   replica dies), demand the majority side view-changes and commits,
 //!   then heal;
 //! - [`asymmetric_link`] — break exactly one direction of one backup
 //!   link; redundancy must mask it without a view change;
-//! - [`equivocate_under_load`] — serve replica 0 in
-//!   `equivocating-primary` Byzantine mode the whole run; honest
+//! - [`equivocate_under_load`] — replica 0 runs as an
+//!   [`ByzantineMode::EquivocatingPrimary`] the whole run; honest
 //!   replicas must view-change past it and keep committing, with the
-//!   safety cross-check watching for forks throughout;
+//!   client oracle watching for forks throughout;
 //! - [`concurrent_victim`] — on `n = 7` (`f = 2`), partition *two*
 //!   replicas at once (the full fault budget), then heal and demand
 //!   commits resume;
@@ -35,82 +36,72 @@
 //! - [`duplicate_storm`] — deliver half the primary's frames to two
 //!   backups twice (and one backup's frames to the primary); every
 //!   handler must be idempotent under replayed traffic;
-//! - [`drain_restart`] — gracefully drain (`SIGTERM`) + restart every
-//!   replica in sequence; each victim must seal a checkpoint, flush its
-//!   WAL, exit 0, and rejoin with zero lost committed requests.
+//! - [`drain_restart`] — gracefully drain + restart every replica in
+//!   sequence; each victim must seal a checkpoint, flush its WAL, and
+//!   rejoin with zero lost committed requests;
+//! - [`silent_backup`] and [`corrupt_mac_backup`] — replica 3 swallows
+//!   every output, or flips one authenticator byte on each; the honest
+//!   replicas must mask it within `f`.
 //!
-//! The last three degrade links with [`FaultStep::DegradeLink`] — the
-//! same live `FAULT_CONTROL` plane the partitions ride, but exercising
-//! the per-link drop/duplicate/reorder rules instead of named cuts.
+//! Partitions and link rules are [`FaultCommand`]s on the cluster's
+//! fault plan — the same commands a socket node takes over its
+//! `FAULT_CONTROL` frame. The link-rule rows exercise the per-link
+//! drop/duplicate/reorder rules instead of named cuts.
 
+use crate::byzantine::ByzantineMode;
+use splitbft_types::{FaultCommand, LinkRule, ReplicaId};
 use std::time::Duration;
 
-/// One orchestrator action inside a phase.
+/// One action inside a phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultStep {
-    /// `SIGKILL` the replica's process — no flush, no goodbye.
+    /// Crash the replica — no flush, no goodbye.
     Kill(usize),
-    /// `SIGTERM` the replica and wait for a *graceful* exit: it stops
-    /// admitting client requests, finishes in-flight batches, seals a
-    /// checkpoint, flushes its WAL, and exits 0. The opposite drill to
-    /// [`FaultStep::Kill`] — an upgrade, not a crash — and the safety
-    /// monitor's commit log doubles as the zero-lost-commits assertion
-    /// (a post-drain rollback would re-issue counter values and
-    /// register as a fork).
+    /// Drain the replica gracefully, as `SIGTERM` does, then crash it:
+    /// it stops admitting client requests, finishes in-flight batches,
+    /// seals a checkpoint and flushes its WAL. The opposite drill to
+    /// [`FaultStep::Kill`] — an upgrade, not a crash — and the client
+    /// oracle doubles as the zero-lost-commits assertion (a post-drain
+    /// rollback would re-issue counter values and register as a fork).
     Drain(usize),
-    /// (Re)start the replica's process from its data directory.
+    /// (Re)start the replica from its data directory.
     Start(usize),
-    /// Wait for the replica to execute a *fresh* request (observed by a
-    /// reply carrying its id), proving it caught up and rejoined.
+    /// Wait for the replica to answer a *fresh* request (a reply
+    /// carrying its id), proving it caught up and rejoined.
     AwaitRejoin(usize),
-    /// Wait (bounded by the probe budget) until the live quorum's
-    /// committed counter advances by at least this much. The
-    /// evidence-based kill gap: a fixed sleep proves nothing on a
-    /// loaded machine, but commits made *while the victim is down* are
-    /// exactly what its later log-suffix rejoin must replay.
+    /// Wait (bounded by the step budget) until the client has seen at
+    /// least this many more commits. The evidence-based kill gap:
+    /// commits made *while the victim is down* are exactly what its
+    /// later log-suffix rejoin must replay.
     AwaitCommits(u64),
-    /// Let the cluster run undisturbed.
+    /// Let the cluster run undisturbed (virtual time, stall timers
+    /// ticking, the client still submitting).
     Sleep(Duration),
-    /// Open a named partition on every replica's transport fault plan
-    /// (delivered live over `FAULT_CONTROL` frames — no restarts).
-    Partition {
-        /// Name for the later [`FaultStep::Heal`].
-        name: String,
-        /// One side of the cut.
-        side_a: Vec<usize>,
-        /// The other side.
-        side_b: Vec<usize>,
-        /// `false` blocks only `side_a → side_b` (an asymmetric link
-        /// failure); `true` blocks both directions.
-        symmetric: bool,
-    },
-    /// Close the named partition on every replica.
-    Heal(String),
-    /// Install a per-link degradation rule on every replica's fault
-    /// plan (delivered live, like partitions): the ordered `from → to`
-    /// link drops / duplicates / holds back the given percentage of
-    /// frames. Percentages are drawn from the link's seeded decision
-    /// stream, so a schedule replays identically.
-    DegradeLink {
-        /// Sending replica.
-        from: usize,
-        /// Receiving replica.
-        to: usize,
-        /// Percentage of frames dropped outright (0–100).
-        drop_percent: u8,
-        /// Percentage of frames delivered twice (0–100).
-        duplicate_percent: u8,
-        /// Percentage of frames held back by `delay_ms` so later frames
-        /// overtake them (0–100).
-        reorder_percent: u8,
-        /// Holdback for reordered frames, in milliseconds.
-        delay_ms: u32,
-    },
-    /// Remove every per-link rule on every replica (named partitions
-    /// stay — [`FaultStep::HealAll`] clears both).
-    ClearLinkRules,
-    /// Clear every partition and link rule on every replica.
-    HealAll,
+    /// Apply a partition, heal or link rule to the cluster's fault
+    /// plan. Link rules draw from each link's seeded decision stream,
+    /// so a schedule replays identically.
+    Net(FaultCommand),
+}
+
+/// Cuts `side_a` off from `side_b`; one-way (`side_a → side_b` only)
+/// unless `symmetric`.
+fn cut(
+    name: &str,
+    side_a: impl IntoIterator<Item = u32>,
+    side_b: impl IntoIterator<Item = u32>,
+    symmetric: bool,
+) -> FaultStep {
+    FaultStep::Net(FaultCommand::Partition {
+        name: name.into(),
+        side_a: side_a.into_iter().map(ReplicaId).collect(),
+        side_b: side_b.into_iter().map(ReplicaId).collect(),
+        symmetric,
+    })
+}
+
+/// The `from → to` link rule `rule` makes of a clean one.
+fn degrade(from: u32, to: u32, rule: impl Fn(LinkRule) -> LinkRule) -> FaultStep {
+    FaultStep::Net(FaultCommand::SetRule(rule(LinkRule::clean(ReplicaId(from), ReplicaId(to)))))
 }
 
 /// A named step sequence with its own commit-advance assertion window.
@@ -118,8 +109,8 @@ pub enum FaultStep {
 pub struct Phase {
     /// Phase name (lands in the report).
     pub name: String,
-    /// The replica this phase victimizes, if any (drives the rejoin
-    /// evidence scan of its stderr log).
+    /// The replica this phase victimizes, if any (its event journal is
+    /// read for rejoin evidence).
     pub victim: Option<usize>,
     /// Steps, executed in order.
     pub steps: Vec<FaultStep>,
@@ -132,21 +123,19 @@ pub struct Phase {
 /// A complete scenario.
 #[derive(Debug, Clone)]
 pub struct Schedule {
-    /// Scenario name (lands in the report file name).
+    /// Scenario name.
     pub scenario: String,
     /// Whether the whole cluster starts before phase 1 (`false` for
     /// staggered start, whose phases start the replicas themselves).
     pub start_all: bool,
-    /// Replicas served in a Byzantine mode for the whole run, as
-    /// `(replica, mode)` with the mode spelled the way
-    /// `splitbft-node serve --byzantine` spells it.
-    pub byzantine: Vec<(usize, String)>,
+    /// Replicas hosted in a Byzantine mode for the whole run.
+    pub byzantine: Vec<(usize, ByzantineMode)>,
     /// The phases, in order.
     pub phases: Vec<Phase>,
 }
 
 impl Schedule {
-    /// Looks a scenario up by its CLI name.
+    /// Looks a scenario up by name.
     ///
     /// # Errors
     ///
@@ -165,6 +154,8 @@ impl Schedule {
             "reorder-under-load" => Ok(reorder_under_load(n)),
             "duplicate-storm" => Ok(duplicate_storm(n)),
             "drain-restart" => Ok(drain_restart(n)),
+            "silent-backup" => Ok(silent_backup(n)),
+            "corrupt-mac-backup" => Ok(corrupt_mac_backup(n)),
             other => Err(format!(
                 "unknown scenario {other:?} (expected one of: {})",
                 Schedule::NAMES.join(", ")
@@ -186,7 +177,14 @@ impl Schedule {
         "reorder-under-load",
         "duplicate-storm",
         "drain-restart",
+        "silent-backup",
+        "corrupt-mac-backup",
     ];
+
+    /// The Byzantine mode replica `i` is hosted in, if any.
+    pub fn mode_of(&self, i: usize) -> Option<ByzantineMode> {
+        self.byzantine.iter().find(|(r, _)| *r == i).map(|(_, mode)| *mode)
+    }
 }
 
 /// The pause after killing a *primary*: long enough for the cluster to
@@ -196,10 +194,10 @@ impl Schedule {
 const KILL_GAP: Duration = Duration::from_millis(1_200);
 
 /// Commits the survivors must make while a killed replica is down
-/// before it is restarted. Enough that the victim's log-suffix rejoin
-/// has real work to replay (and to execute — the `suffix_progress`
-/// evidence), with margin against a checkpoint seal covering part of
-/// the window.
+/// before it is restarted. Above the runner's checkpoint interval, so
+/// the gap crosses a sealed checkpoint the victim restores, and enough
+/// past it that the log suffix still has real work to replay (and to
+/// execute — the `suffix_progress` evidence).
 const KILL_GAP_COMMITS: u64 = 5;
 
 /// Kill + restart every replica in id order, awaiting a full rejoin
@@ -221,7 +219,7 @@ pub fn rolling_restart(n: usize) -> Schedule {
     Schedule { scenario: "rolling-restart".into(), start_all: true, byzantine: Vec::new(), phases }
 }
 
-/// SIGKILL the same replica `rounds` times in a row — each round must
+/// Crash the same replica `rounds` times in a row — each round must
 /// recover from a data directory the previous crash left behind.
 pub fn repeated_kill(victim: usize, rounds: usize) -> Schedule {
     let phases = (0..rounds.max(1))
@@ -298,13 +296,12 @@ pub fn staggered_start(n: usize) -> Schedule {
 }
 
 /// Gracefully drain + restart every replica in id order — the
-/// "upgrade the fleet without losing a commit" drill. Each phase
-/// `SIGTERM`s its victim (which must seal a checkpoint, flush its WAL,
-/// and exit 0), lets the survivors commit through the gap, restarts the
-/// victim from its drained data directory, and awaits a full rejoin.
-/// The safety monitor's commit log asserts zero lost committed
-/// requests across every drain: a rollback would re-issue counter
-/// values and register as a fork.
+/// "upgrade the fleet without losing a commit" drill. Each phase drains
+/// its victim (which must seal a checkpoint and flush its WAL), lets
+/// the survivors commit through the gap, restarts the victim from its
+/// drained data directory, and awaits a full rejoin. The client oracle
+/// asserts zero lost committed requests across every drain: a rollback
+/// would re-issue counter values and register as a fork.
 pub fn drain_restart(n: usize) -> Schedule {
     let phases = (0..n)
         .map(|replica| Phase {
@@ -327,24 +324,18 @@ pub fn drain_restart(n: usize) -> Schedule {
 /// change (budgets 2, 4, 8 stalls) completes inside one phase.
 const PARTITION_SETTLE: Duration = Duration::from_secs(6);
 
-/// Cut the primary off from every backup — bidirectionally, processes
+/// Cut the primary off from every backup — bidirectionally, replicas
 /// intact — and demand the majority side view-changes and keeps
 /// committing; then heal and demand commits continue (the healed
 /// ex-primary may lag, but `n − 1` live-and-connected replicas are a
 /// commit quorum regardless).
 pub fn partition_primary(n: usize) -> Schedule {
-    let backups: Vec<usize> = (1..n).collect();
     let phases = vec![
         Phase {
             name: "isolate-primary".into(),
             victim: Some(0),
             steps: vec![
-                FaultStep::Partition {
-                    name: "cut-primary".into(),
-                    side_a: vec![0],
-                    side_b: backups,
-                    symmetric: true,
-                },
+                cut("cut-primary", [0], 1..n as u32, true),
                 FaultStep::Sleep(PARTITION_SETTLE),
             ],
             expect_advance: true,
@@ -352,7 +343,7 @@ pub fn partition_primary(n: usize) -> Schedule {
         Phase {
             name: "heal-and-recover".into(),
             victim: Some(0),
-            steps: vec![FaultStep::HealAll, FaultStep::Sleep(PARTITION_SETTLE)],
+            steps: vec![FaultStep::Net(FaultCommand::HealAll), FaultStep::Sleep(PARTITION_SETTLE)],
             expect_advance: true,
         },
     ];
@@ -370,12 +361,7 @@ pub fn asymmetric_link(n: usize) -> Schedule {
             name: "break-one-direction".into(),
             victim: None,
             steps: vec![
-                FaultStep::Partition {
-                    name: "lossy-link".into(),
-                    side_a: vec![1],
-                    side_b: vec![2],
-                    symmetric: false,
-                },
+                cut("lossy-link", [1], [2], false),
                 FaultStep::Sleep(PARTITION_SETTLE),
             ],
             expect_advance: true,
@@ -383,18 +369,21 @@ pub fn asymmetric_link(n: usize) -> Schedule {
         Phase {
             name: "heal-link".into(),
             victim: None,
-            steps: vec![FaultStep::Heal("lossy-link".into()), FaultStep::Sleep(PARTITION_SETTLE)],
+            steps: vec![
+                FaultStep::Net(FaultCommand::Heal { name: "lossy-link".into() }),
+                FaultStep::Sleep(PARTITION_SETTLE),
+            ],
             expect_advance: true,
         },
     ];
     Schedule { scenario: "asymmetric-link".into(), start_all: true, byzantine: Vec::new(), phases }
 }
 
-/// Serve replica 0 as an `equivocating-primary` for the entire run: in
+/// Host replica 0 as an `equivocating-primary` for the entire run: in
 /// view 0 it sends conflicting proposals to different backups, so no
 /// prepare quorum forms and the honest replicas must view-change past
 /// it — after which commits flow for the rest of the run while the
-/// safety monitor cross-checks every completion for forks. Two phases
+/// client oracle checks every completion for forks. Two phases
 /// split the run so the report shows commits advancing both during the
 /// fail-over window and under sustained load after it.
 pub fn equivocate_under_load(n: usize) -> Schedule {
@@ -416,7 +405,7 @@ pub fn equivocate_under_load(n: usize) -> Schedule {
     Schedule {
         scenario: "equivocate-under-load".into(),
         start_all: true,
-        byzantine: vec![(0, "equivocating-primary".into())],
+        byzantine: vec![(0, ByzantineMode::EquivocatingPrimary)],
         phases,
     }
 }
@@ -425,21 +414,14 @@ pub fn equivocate_under_load(n: usize) -> Schedule {
 /// budget of an `n = 7` cluster — leaving exactly a `2f + 1 = 5` commit
 /// quorum connected; then heal and demand commits keep flowing within
 /// the phase budget. Run with `n < 3f_victims + 1` this leaves no
-/// quorum, which the orchestrator's validation rejects up front.
+/// quorum, which [`super::validate`] rejects up front.
 pub fn concurrent_victim(n: usize) -> Schedule {
-    let victims = vec![1, 2];
-    let rest: Vec<usize> = (0..n).filter(|r| !victims.contains(r)).collect();
     let phases = vec![
         Phase {
             name: "partition-two-victims".into(),
             victim: Some(1),
             steps: vec![
-                FaultStep::Partition {
-                    name: "double-cut".into(),
-                    side_a: victims.clone(),
-                    side_b: rest,
-                    symmetric: true,
-                },
+                cut("double-cut", [1, 2], (0..n as u32).filter(|r| ![1, 2].contains(r)), true),
                 FaultStep::Sleep(PARTITION_SETTLE),
             ],
             expect_advance: true,
@@ -447,7 +429,7 @@ pub fn concurrent_victim(n: usize) -> Schedule {
         Phase {
             name: "heal-both-victims".into(),
             victim: Some(1),
-            steps: vec![FaultStep::HealAll, FaultStep::Sleep(PARTITION_SETTLE)],
+            steps: vec![FaultStep::Net(FaultCommand::HealAll), FaultStep::Sleep(PARTITION_SETTLE)],
             expect_advance: true,
         },
     ];
@@ -465,7 +447,10 @@ fn degrade_then_clear(scenario: &str, phase: &str, rules: Vec<FaultStep>) -> Sch
         Phase {
             name: "clear-link-rules".into(),
             victim: None,
-            steps: vec![FaultStep::ClearLinkRules, FaultStep::Sleep(PARTITION_SETTLE)],
+            steps: vec![
+                FaultStep::Net(FaultCommand::ClearRules),
+                FaultStep::Sleep(PARTITION_SETTLE),
+            ],
             expect_advance: true,
         },
     ];
@@ -478,14 +463,7 @@ fn degrade_then_clear(scenario: &str, phase: &str, rules: Vec<FaultStep>) -> Sch
 /// advancing with no view change, and again after the rules clear.
 pub fn lossy_link(n: usize) -> Schedule {
     assert!(n >= 3, "lossy-link needs two backups");
-    let drop = |from, to| FaultStep::DegradeLink {
-        from,
-        to,
-        drop_percent: 25,
-        duplicate_percent: 0,
-        reorder_percent: 0,
-        delay_ms: 0,
-    };
+    let drop = |from, to| degrade(from, to, |rule| LinkRule { drop_percent: 25, ..rule });
     degrade_then_clear("lossy-link", "degrade-backup-link", vec![drop(1, 2), drop(2, 1)])
 }
 
@@ -495,14 +473,8 @@ pub fn lossy_link(n: usize) -> Schedule {
 /// delivery must be absorbed without a view change or a stall.
 pub fn reorder_under_load(n: usize) -> Schedule {
     assert!(n >= 3, "reorder-under-load needs two backups");
-    let reorder = |from, to| FaultStep::DegradeLink {
-        from,
-        to,
-        drop_percent: 0,
-        duplicate_percent: 0,
-        reorder_percent: 40,
-        delay_ms: 50,
-    };
+    let reorder =
+        |from, to| degrade(from, to, |rule| LinkRule { reorder_percent: 40, delay_ms: 50, ..rule });
     degrade_then_clear(
         "reorder-under-load",
         "reorder-backup-link",
@@ -514,22 +486,42 @@ pub fn reorder_under_load(n: usize) -> Schedule {
 /// half of backup 1's frames to the primary twice. Every protocol
 /// handler must be idempotent — duplicate pre-prepares, prepares, and
 /// commits may not double-count votes or re-execute requests (the
-/// safety monitor cross-checks results for exactly that).
+/// client oracle checks results for exactly that).
 pub fn duplicate_storm(n: usize) -> Schedule {
     assert!(n >= 3, "duplicate-storm needs two backups");
-    let dup = |from, to| FaultStep::DegradeLink {
-        from,
-        to,
-        drop_percent: 0,
-        duplicate_percent: 50,
-        reorder_percent: 0,
-        delay_ms: 0,
-    };
+    let dup = |from, to| degrade(from, to, |rule| LinkRule { duplicate_percent: 50, ..rule });
     degrade_then_clear(
         "duplicate-storm",
         "duplicate-primary-links",
         vec![dup(0, 1), dup(0, 2), dup(1, 0)],
     )
+}
+
+/// Host replica 3 in `mode` for the whole run, one phase: commits must
+/// keep advancing past a faulty backup within `f`, and the client
+/// oracle must see no fork.
+fn faulty_backup(scenario: &str, mode: ByzantineMode) -> Schedule {
+    let phases = vec![Phase {
+        name: format!("mask-{mode}-replica-3"),
+        victim: None,
+        steps: vec![FaultStep::AwaitCommits(KILL_GAP_COMMITS), FaultStep::Sleep(PARTITION_SETTLE)],
+        expect_advance: true,
+    }];
+    Schedule { scenario: scenario.into(), start_all: true, byzantine: vec![(3, mode)], phases }
+}
+
+/// Replica 3 swallows every output: a crash the failure detector
+/// cannot tell from a slow link.
+pub fn silent_backup(n: usize) -> Schedule {
+    assert!(n >= 4, "silent-backup hosts replica 3");
+    faulty_backup("silent-backup", ByzantineMode::SilentBackup)
+}
+
+/// Replica 3 flips one authenticator byte on every message and reply:
+/// honest receivers must reject it through the crypto layer.
+pub fn corrupt_mac_backup(n: usize) -> Schedule {
+    assert!(n >= 4, "corrupt-mac-backup hosts replica 3");
+    faulty_backup("corrupt-mac-backup", ByzantineMode::CorruptMac)
 }
 
 #[cfg(test)]
@@ -569,36 +561,38 @@ mod tests {
     fn partition_scenarios_cut_then_heal() {
         let schedule = partition_primary(4);
         assert!(schedule.byzantine.is_empty());
-        let Some(FaultStep::Partition { side_a, side_b, symmetric, .. }) =
-            schedule.phases[0].steps.first()
-        else {
-            panic!("first step must open the partition");
-        };
-        assert_eq!(side_a, &vec![0]);
-        assert_eq!(side_b, &vec![1, 2, 3]);
-        assert!(symmetric);
-        assert!(schedule.phases[1].steps.contains(&FaultStep::HealAll));
+        assert_eq!(schedule.phases[0].steps[0], cut("cut-primary", [0], [1, 2, 3], true));
+        assert!(schedule.phases[1].steps.contains(&FaultStep::Net(FaultCommand::HealAll)));
         assert!(schedule.phases.iter().all(|p| p.expect_advance));
 
         let link = asymmetric_link(4);
-        let Some(FaultStep::Partition { symmetric, .. }) = link.phases[0].steps.first() else {
-            panic!("first step must break the link");
-        };
-        assert!(!symmetric, "asymmetric-link must declare asymmetry");
-        assert!(link.phases[1].steps.contains(&FaultStep::Heal("lossy-link".into())));
+        assert_eq!(link.phases[0].steps[0], cut("lossy-link", [1], [2], false));
+        let heal = FaultStep::Net(FaultCommand::Heal { name: "lossy-link".into() });
+        assert!(link.phases[1].steps.contains(&heal));
     }
 
     #[test]
     fn equivocate_marks_replica_0_byzantine() {
         let schedule = equivocate_under_load(4);
-        assert_eq!(schedule.byzantine, vec![(0, "equivocating-primary".to_string())]);
+        assert_eq!(schedule.byzantine, vec![(0, ByzantineMode::EquivocatingPrimary)]);
+        assert_eq!(schedule.mode_of(0), Some(ByzantineMode::EquivocatingPrimary));
+        assert_eq!(schedule.mode_of(1), None);
+        for (name, mode) in [
+            ("silent-backup", ByzantineMode::SilentBackup),
+            ("corrupt-mac-backup", ByzantineMode::CorruptMac),
+        ] {
+            let schedule = Schedule::by_name(name, 4, 1).unwrap();
+            assert_eq!(schedule.byzantine, vec![(3, mode)], "{name}");
+            assert_eq!(schedule.phases.len(), 1, "{name}");
+            assert!(schedule.phases[0].expect_advance, "{name}");
+        }
         assert!(schedule.phases.iter().all(|p| p.expect_advance));
     }
 
     #[test]
     fn concurrent_victim_spends_the_full_fault_budget() {
         let schedule = concurrent_victim(7);
-        let Some(FaultStep::Partition { side_a, side_b, symmetric, .. }) =
+        let Some(FaultStep::Net(FaultCommand::Partition { side_a, side_b, symmetric, .. })) =
             schedule.phases[0].steps.first()
         else {
             panic!("first step must open the double cut");
@@ -606,7 +600,7 @@ mod tests {
         assert_eq!(side_a.len(), 2, "two concurrent victims");
         assert_eq!(side_b.len(), 5, "exactly a 2f+1 quorum stays connected");
         assert!(symmetric);
-        assert!(schedule.phases[1].steps.contains(&FaultStep::HealAll));
+        assert!(schedule.phases[1].steps.contains(&FaultStep::Net(FaultCommand::HealAll)));
     }
 
     #[test]
@@ -618,11 +612,11 @@ mod tests {
                 schedule.phases[0]
                     .steps
                     .iter()
-                    .any(|s| matches!(s, FaultStep::DegradeLink { .. })),
+                    .any(|s| matches!(s, FaultStep::Net(FaultCommand::SetRule(_)))),
                 "{name} must install link rules"
             );
             assert!(
-                schedule.phases[1].steps.contains(&FaultStep::ClearLinkRules),
+                schedule.phases[1].steps.contains(&FaultStep::Net(FaultCommand::ClearRules)),
                 "{name} must clear its rules"
             );
             assert!(
@@ -634,30 +628,27 @@ mod tests {
 
     #[test]
     fn lossy_link_degrades_both_directions_of_a_backup_link() {
-        let schedule = lossy_link(4);
-        let degraded: Vec<(usize, usize, u8)> = schedule.phases[0]
-            .steps
-            .iter()
-            .filter_map(|s| match s {
-                FaultStep::DegradeLink { from, to, drop_percent, .. } => {
-                    Some((*from, *to, *drop_percent))
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(degraded, vec![(1, 2, 25), (2, 1, 25)]);
-
-        let reorder = reorder_under_load(4);
-        assert!(reorder.phases[0].steps.iter().all(|s| !matches!(
-            s,
-            FaultStep::DegradeLink { drop_percent: 1.., .. }
-        )), "reorder-under-load must not also drop");
-
-        let storm = duplicate_storm(4);
-        let touches_primary = storm.phases[0].steps.iter().any(|s| {
-            matches!(s, FaultStep::DegradeLink { from: 0, .. } | FaultStep::DegradeLink { to: 0, .. })
-        });
-        assert!(touches_primary, "duplicate-storm must replay primary traffic");
+        let rules = |schedule: Schedule| -> Vec<LinkRule> {
+            schedule.phases[0]
+                .steps
+                .iter()
+                .filter_map(|s| match s {
+                    FaultStep::Net(FaultCommand::SetRule(rule)) => Some(*rule),
+                    _ => None,
+                })
+                .collect()
+        };
+        let lossy: Vec<_> =
+            rules(lossy_link(4)).iter().map(|r| (r.from.0, r.to.0, r.drop_percent)).collect();
+        assert_eq!(lossy, vec![(1, 2, 25), (2, 1, 25)]);
+        assert!(
+            rules(reorder_under_load(4)).iter().all(|r| r.drop_percent == 0),
+            "reorder-under-load must not also drop"
+        );
+        assert!(
+            rules(duplicate_storm(4)).iter().any(|r| r.from.0 == 0 || r.to.0 == 0),
+            "duplicate-storm must replay primary traffic"
+        );
     }
 
     #[test]
@@ -670,7 +661,7 @@ mod tests {
             assert!(phase.steps.contains(&FaultStep::Drain(i)));
             assert!(
                 !phase.steps.contains(&FaultStep::Kill(i)),
-                "a drain drill must never SIGKILL its victim"
+                "a drain drill must never crash its victim unannounced"
             );
             assert!(phase.steps.contains(&FaultStep::Start(i)));
             assert!(phase.steps.contains(&FaultStep::AwaitRejoin(i)));

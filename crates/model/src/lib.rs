@@ -28,11 +28,14 @@
 #![warn(missing_docs)]
 
 pub mod adversary;
+pub mod byzantine;
+pub mod chaos;
 pub mod explorer;
 pub mod invariants;
 pub mod scenarios;
 
 pub use adversary::Adversary;
+pub use byzantine::{ByzantineMessage, ByzantineMode, ByzantineProtocol};
 pub use explorer::{
     explore, explore_hybrid, explore_pbft, explore_splitbft, ExplorationReport, ExplorerConfig,
 };

@@ -1,17 +1,16 @@
-//! Non-vacuity proof for the chaos safety cross-check.
+//! Non-vacuity proof for the fault catalog's client oracle.
 //!
-//! The [`SafetyMonitor`](splitbft_chaos::probe::SafetyMonitor) only
-//! ever reports violations through the `QuorumTracker` → `CommitLog`
-//! pipeline, so these tests hand-forge exactly the trace a forked
-//! cluster would produce — two distinct requests each backed by a full
-//! `f + 1` MAC-verified reply quorum claiming the *same* unique counter
-//! value — and prove the pipeline flags it. Without this, a cross-check
-//! that silently never fires would make every chaos run vacuously
-//! "safe".
+//! The [`Oracle`] only ever sees results that reached an `f + 1`
+//! MAC-verified reply quorum, so these tests hand-forge exactly the
+//! trace a forked cluster would produce — two distinct requests each
+//! backed by a full quorum claiming the *same* counter value — and
+//! prove the pipeline flags it. Without this, an oracle that silently
+//! never fires would make every catalog run vacuously "safe".
 
 use bytes::Bytes;
+use splitbft_app::QuorumTracker;
 use splitbft_crypto::client_mac_key;
-use splitbft_loadgen::{CommitLog, QuorumTracker};
+use splitbft_model::chaos::{Oracle, Violation};
 use splitbft_model::Adversary;
 use splitbft_types::{ClientId, ReplicaId, RequestId, Timestamp, View};
 
@@ -25,8 +24,7 @@ fn request(client: u32, ts: u64) -> RequestId {
 /// Drives `request` through a fresh tracker with `QUORUM` forged
 /// replies all claiming `result`, returning the agreed bytes.
 fn forge_quorum(adversary: &Adversary, request: RequestId, result: &[u8]) -> Bytes {
-    let mut tracker =
-        QuorumTracker::new(client_mac_key(SEED, request.client), QUORUM);
+    let mut tracker = QuorumTracker::new(client_mac_key(SEED, request.client), QUORUM);
     let mut agreed = None;
     for replica in 0..QUORUM as u32 {
         let reply = adversary.forge_reply(
@@ -41,7 +39,7 @@ fn forge_quorum(adversary: &Adversary, request: RequestId, result: &[u8]) -> Byt
 }
 
 #[test]
-fn forged_conflicting_commit_quorums_trip_the_cross_check() {
+fn forged_conflicting_commit_quorums_trip_the_oracle() {
     // The adversary needs no replica signing keys for this: replies are
     // MAC'd under per-client keys it derives from the master seed, the
     // same way a fully compromised replica set could.
@@ -50,42 +48,41 @@ fn forged_conflicting_commit_quorums_trip_the_cross_check() {
 
     let first = request(32, 1);
     let second = request(33, 1);
-    let mut log = CommitLog::new();
+    let mut oracle = Oracle::new();
 
     let result = forge_quorum(&adversary, first, &fork_value);
-    log.record(first, &result).expect("first claim of a slot is clean");
+    oracle.accept(first, result.clone()).expect("first claim of a value is clean");
 
     // A retransmission of the *same* request completing again is not a
     // fork and must stay silent.
-    log.record(first, &result).expect("same request re-completing is benign");
+    oracle.accept(first, result.clone()).expect("same request re-completing is benign");
 
-    let result = forge_quorum(&adversary, second, &fork_value);
-    let conflict = log
-        .record(second, &result)
-        .expect_err("two requests committing one unique counter value is a fork");
-    let msg = conflict.to_string();
-    assert!(msg.contains("safety violation"), "got: {msg}");
-    assert_eq!(log.len(), 1, "the forked slot stays claimed by its first owner");
+    let forked = forge_quorum(&adversary, second, &fork_value);
+    let violation = oracle
+        .accept(second, forked)
+        .expect_err("two requests accepted with one counter value is a fork");
+    assert_eq!(violation, Violation { result: result.clone(), first, second });
+    assert!(violation.to_string().contains("safety violation"), "got: {violation}");
+    oracle.accept(first, result).expect("the forked value stays claimed by its first owner");
 }
 
 #[test]
-fn distinct_results_never_trip_the_cross_check() {
+fn distinct_results_never_trip_the_oracle() {
     let adversary = Adversary::new(SEED, []);
-    let mut log = CommitLog::new();
+    let mut oracle = Oracle::new();
     // An honest history: every inc returns a fresh value.
     for (client, value) in [(32u32, 7u64), (33, 8), (34, 9)] {
         let id = request(client, 1);
         let result = forge_quorum(&adversary, id, &value.to_le_bytes());
-        log.record(id, &result).expect("unique results must all record cleanly");
+        oracle.accept(id, result).expect("unique results must all record cleanly");
     }
-    assert_eq!(log.len(), 3);
 }
 
 #[test]
 fn bad_macs_cannot_reach_a_quorum_at_all() {
     // A fork "observed" through unverified replies would be noise, not
-    // evidence; the tracker must discard them before the log ever sees
-    // a result.
+    // evidence; the tracker must discard them before the oracle ever
+    // sees a result.
     let adversary = Adversary::new(SEED, []);
     let id = request(32, 1);
     let mut tracker = QuorumTracker::new(client_mac_key(SEED, id.client), QUORUM);

@@ -1,6 +1,6 @@
 //! Transport-level fault injection: the [`FaultPlan`].
 //!
-//! The chaos plane needs faults *below* the protocols — dropped, delayed,
+//! Fault testing needs faults *below* the protocols — dropped, delayed,
 //! reordered and duplicated frames, and network partitions — while the
 //! protocols above keep running unmodified. A [`FaultPlan`] is a shared
 //! decision table consulted on the send path of every peer link: the
@@ -28,9 +28,8 @@
 //! frames (kind [`frame_kind::FAULT_CONTROL`]) on any inbound
 //! connection and applies them directly, so an orchestrator can open a
 //! partition mid-schedule with [`send_fault_command`] and heal it
-//! later. The control frame is unauthenticated test tooling — exactly
-//! like the process-kill side of the chaos plane — so the flag is off
-//! by default and a node without it *closes* any connection that sends
+//! later. The control frame is unauthenticated test tooling, so the
+//! flag is off by default and a node without it *closes* any connection that sends
 //! a control frame, keeping the plan unreachable in a real deployment.
 //!
 //! [`Cluster`]: crate::lockstep::Cluster
@@ -209,7 +208,7 @@ pub const FAULT_CONTROL_CLIENT: ClientId = ClientId(u32::MAX);
 ///
 /// Opens a throwaway client connection, pushes the control frame, and
 /// returns once the bytes are handed to the kernel. Delivery is
-/// fire-and-forget (there is no ack lane); schedules follow control
+/// fire-and-forget (there is no ack lane); callers follow control
 /// commands with a settle sleep.
 ///
 /// # Errors
@@ -221,28 +220,6 @@ pub fn send_fault_command(addr: SocketAddr, cmd: &FaultCommand) -> io::Result<()
     write_value(&mut stream, frame_kind::CLIENT_HELLO, &FAULT_CONTROL_CLIENT)?;
     write_value(&mut stream, frame_kind::FAULT_CONTROL, cmd)?;
     stream.flush()
-}
-
-/// Sends one [`FaultCommand`] to *every* replica in `addrs`.
-///
-/// Partitions only hold when both sides enforce them, so the command
-/// goes to all nodes even if some sends fail (a dead replica enforces
-/// any partition trivially).
-///
-/// # Errors
-///
-/// The first send error, after attempting every address.
-pub fn broadcast_fault_command(addrs: &[SocketAddr], cmd: &FaultCommand) -> io::Result<()> {
-    let mut first_err = None;
-    for &addr in addrs {
-        if let Err(e) = send_fault_command(addr, cmd) {
-            first_err.get_or_insert(e);
-        }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
 }
 
 #[cfg(test)]

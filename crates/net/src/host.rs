@@ -99,14 +99,14 @@ pub struct NodeConfig {
     /// single fsync.
     pub group_commit: Duration,
     /// The node's fault plan, consulted on every peer send. Defaults
-    /// to an inert plan; chaos harnesses share one plan across the
+    /// to an inert plan; test harnesses share one plan across the
     /// nodes of one process or seed it per node for determinism.
     pub faults: Arc<FaultPlan>,
-    /// Honor inbound `FAULT_CONTROL` frames (chaos-plane steering of
-    /// the fault plan). **Off by default**: the control frame is
+    /// Honor inbound `FAULT_CONTROL` frames (runtime steering of the
+    /// fault plan). **Off by default**: the control frame is
     /// unauthenticated, so a production node must never let an
     /// arbitrary connecting client install drop rules or partitions.
-    /// Only chaos/bench harnesses opt in; with the flag off, a
+    /// Only test harnesses opt in; with the flag off, a
     /// connection sending `FAULT_CONTROL` is closed as protocol
     /// garbage and the plan stays untouched.
     pub fault_injection: bool,
@@ -311,7 +311,7 @@ const STATE_TRANSFER_RETRY: Duration = Duration::from_millis(1500);
 /// The state-transfer client's bookkeeping inside the hosting core.
 ///
 /// Two rules keep a catching-up replica from livelocking against
-/// sustained load (the chaos-plane rolling-restart stall this design
+/// sustained load (the rolling-restart stall this design
 /// fixes):
 ///
 /// - **Productive rounds retry immediately.** Peers serve the log
@@ -466,6 +466,12 @@ impl<P: Protocol> Host<P> {
     /// handler directly (outputs still go through [`Host::finish_batch`]).
     pub(crate) fn protocol_mut(&mut self) -> &mut P {
         &mut self.protocol
+    }
+
+    /// The node's telemetry bundle (metrics, event journal, lifecycle
+    /// flags).
+    pub(crate) fn telemetry(&self) -> &Arc<NodeTelemetry> {
+        &self.telemetry
     }
 
     /// `true` while the state-transfer client is still hunting for
@@ -668,8 +674,8 @@ fn answer_state_request<P: Protocol>(
 ///
 /// Progress is recorded as typed journal events
 /// ([`StatusEvent::StateTransferApplied`],
-/// [`StatusEvent::CheckpointRestored`]) which fault-injection
-/// orchestrators (`splitbft-chaos`) poll over the `STATUS` frame to
+/// [`StatusEvent::CheckpointRestored`]), which operators poll over the
+/// `STATUS` frame and the fault catalog reads from the journal, to
 /// distinguish a log-suffix rejoin from a checkpoint restore.
 fn apply_state_response<P: Protocol>(
     protocol: &mut P,
@@ -1195,7 +1201,7 @@ mod tests {
         // deferred request is answered with silence — but a protocol
         // with state would have been consulted only now, after the
         // batch's flush point (covered end-to-end by the conformance
-        // and chaos suites).
+        // suite and the fault catalog).
         assert!(peers.frames.is_empty());
     }
 

@@ -18,7 +18,7 @@
 //!   cluster test and `splitbft-model`'s safety explorer run on.
 //!
 //! Both consult a [`fault::FaultPlan`] on their send paths — a seeded,
-//! runtime-mutable decision table for chaos testing (drop/delay/duplicate
+//! runtime-mutable decision table for fault testing (drop/delay/duplicate
 //! rules and named partitions), inert unless faults are installed.
 //!
 //! # `unsafe_code` policy
@@ -45,7 +45,7 @@ pub mod transport;
 
 pub use client::TcpClient;
 pub use evented::{BoundEventedNode, EventedNode};
-pub use fault::{broadcast_fault_command, send_fault_command, FaultDecision, FaultPlan};
+pub use fault::{send_fault_command, FaultDecision, FaultPlan};
 pub use status::{
     await_event, fetch_events, fetch_snapshot, request_drain, send_status_request, STATUS_CLIENT,
 };

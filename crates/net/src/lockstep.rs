@@ -117,6 +117,10 @@ impl ClientSink for Vec<Reply> {
     }
 }
 
+/// Rounds [`Cluster::drain`] waits for a draining replica's pending
+/// requests: each is a batch, a run and a stall-timer tick.
+const DRAIN_ROUNDS: usize = 16;
+
 /// The identity [`Cluster::submit`]'s frames arrive under.
 const CLIENT: Identity = Identity::Client(ClientId(0));
 
@@ -247,7 +251,7 @@ impl<P: Protocol> Cluster<P> {
             for i in 0..self.n() {
                 if !self.held[i] && !self.wire.inboxes[i].is_empty() {
                     progressed = true;
-                    self.drain(i, MAX_DRAIN_BATCH);
+                    self.take_batch(i, MAX_DRAIN_BATCH);
                 }
             }
             if !progressed {
@@ -281,7 +285,7 @@ impl<P: Protocol> Cluster<P> {
         let inbox = &mut self.wire.inboxes[i];
         let chosen = inbox.remove(nth).expect("deliver: nth < waiting(i)");
         inbox.push_front(chosen);
-        self.drain(i, 1);
+        self.take_batch(i, 1);
     }
 
     /// Places `msg` in replica `to`'s inbox as a `PROTOCOL` frame from
@@ -313,6 +317,38 @@ impl<P: Protocol> Cluster<P> {
         *host = Host::new(link.from, protocol, policy, telemetry, link.wire.now, &mut link);
     }
 
+    /// Drains replica `i` gracefully, as `SIGTERM` drains a node: it
+    /// stops admitting client requests, and the first batch that ends
+    /// with nothing pending seals a checkpoint and flushes its WAL
+    /// ([`Protocol::drain_seal`], then [`Protocol::flush_durable`]).
+    /// Runs the cluster, with a stall-timer [`Cluster::tick`] between
+    /// rounds so a pending request can still be ordered, until the
+    /// drain completes or 16 rounds run out. Returns whether it
+    /// completed; the replica keeps running either way, so the caller
+    /// decides when to [`Cluster::crash`] it.
+    pub fn drain(&mut self, i: usize) -> bool {
+        let telemetry = Arc::clone(self.hosts[i].telemetry());
+        telemetry.request_drain();
+        for _ in 0..DRAIN_ROUNDS {
+            let (host, mut link) = self.node(i);
+            let outputs = host.handle(Event::Drain, link.wire.now, &mut link);
+            self.finish(i, outputs);
+            self.run();
+            if telemetry.drained() {
+                return true;
+            }
+            self.tick();
+        }
+        telemetry.drained()
+    }
+
+    /// Replica `i`'s telemetry: its metrics and the event journal its
+    /// hosting core writes (state transfer applied, checkpoint restored,
+    /// view changes, drain). A restart starts a fresh one.
+    pub fn telemetry(&self, i: usize) -> &NodeTelemetry {
+        self.hosts[i].telemetry()
+    }
+
     /// Stops scheduling replica `i`: frames keep arriving in its inbox.
     pub fn hold(&mut self, i: usize) {
         self.held[i] = true;
@@ -326,7 +362,7 @@ impl<P: Protocol> Cluster<P> {
 
     /// Replica `i` handles the first `limit` frames of its inbox (fewer
     /// if fewer wait) as one drain batch.
-    fn drain(&mut self, i: usize, limit: usize) {
+    fn take_batch(&mut self, i: usize, limit: usize) {
         let to = ReplicaId(i as u32);
         let mut outputs = Vec::new();
         for _ in 0..limit {

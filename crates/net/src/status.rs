@@ -4,7 +4,7 @@
 //! client port. Read-only verbs ([`StatusVerb::Snapshot`],
 //! [`StatusVerb::Events`]) are always available — they expose the same
 //! telemetry the Prometheus endpoint renders, but as typed values over
-//! the existing wire format, so the chaos harness and tests can poll a
+//! the existing wire format, so operators and tests can poll a
 //! node without parsing text or grepping stderr. Admin verbs
 //! ([`StatusVerb::Drain`]) mutate node lifecycle and are gated behind
 //! `NodeConfig::status_admin` (the `--enable-status-admin` serve

@@ -294,9 +294,9 @@ pub mod frame_kind {
     /// A peer's checkpoint + log suffix; payload:
     /// `StateTransferResponse`.
     pub const STATE_RESPONSE: u8 = 7;
-    /// A chaos-plane control command mutating the node's fault plan;
-    /// payload: `FaultCommand`. Sent on client connections by the chaos
-    /// orchestrator (see [`crate::fault::send_fault_command`]); honored
+    /// A fault-injection control command mutating the node's fault
+    /// plan; payload: `FaultCommand`. Sent on client connections by a
+    /// test (see [`crate::fault::send_fault_command`]); honored
     /// only by nodes launched with fault injection enabled
     /// (`NodeConfig::fault_injection`) — everyone else closes the
     /// connection.

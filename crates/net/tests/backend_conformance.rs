@@ -668,7 +668,7 @@ fn slow_clients_do_not_starve_responsive_ones() {
     nodes.into_iter().for_each(EventedNode::shutdown);
 }
 
-/// `FAULT_CONTROL` frames are a chaos-harness backdoor: a node serving
+/// `FAULT_CONTROL` frames are a test-harness backdoor: a node serving
 /// with fault injection disabled (the default) must hang up on them; a
 /// node serving with it enabled consumes them and keeps the connection.
 #[test]

@@ -1,6 +1,6 @@
 //! Property tests for [`FaultPlan`] determinism and partition symmetry.
 //!
-//! The chaos plane's value rests on reproducibility: a schedule that
+//! Fault testing's value rests on reproducibility: a schedule that
 //! found a bug must find it again. These properties pin the contract —
 //! same seed + same offered traffic ⇒ identical decisions, regardless of
 //! how other links interleave — and the partition semantics: symmetric

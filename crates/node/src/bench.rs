@@ -563,7 +563,6 @@ fn run_measurement(
         timeout_every: invocation.timeout_every,
         data_dir: None,
         wal_group_commit: invocation.wal_group_commit,
-        byzantine: None,
         shards,
         fault_injection: false,
         status_admin: false,
@@ -592,7 +591,6 @@ fn run_measurement(
                 app: invocation.app,
                 options,
                 replicas: cluster.replicas().to_vec(),
-                byzantine: Vec::new(),
             };
             (Some(cluster), file)
         }

@@ -61,10 +61,6 @@
 #![warn(missing_docs)]
 
 pub mod bench;
-pub mod byzantine;
-pub mod chaos;
-
-pub use byzantine::{ByzantineMode, ByzantineProtocol};
 
 use bytes::Bytes;
 use splitbft_app::{
@@ -179,12 +175,6 @@ pub struct NodeOptions {
     /// much waiting time into one drain batch sharing a single fsync.
     /// Meaningless without `data_dir`.
     pub wal_group_commit: Duration,
-    /// Adversarial serve mode (`--byzantine` on the CLI or a per-replica
-    /// `byzantine` key in the cluster file). `None` — the default —
-    /// serves the honest replica; `Some` wraps it in
-    /// [`byzantine::ByzantineProtocol`]. The chaos plane uses this to
-    /// stand up clusters with a live adversary inside.
-    pub byzantine: Option<ByzantineMode>,
     /// Number of consensus groups this node hosts (`shards` in the
     /// cluster file, `--shards` on the CLI). The default `1` hosts the
     /// protocol exactly as before — unwrapped, byte-compatible on the
@@ -197,8 +187,8 @@ pub struct NodeOptions {
     /// Honor unauthenticated `FAULT_CONTROL` frames steering the
     /// transport fault plan (`--enable-fault-injection` on the CLI).
     /// Off by default — a production replica must not let any
-    /// connecting client install drop rules or partitions; the chaos
-    /// harness passes the flag to the clusters it spawns.
+    /// connecting client install drop rules or partitions; only a test
+    /// harness that steers the faults itself should set it.
     pub fault_injection: bool,
     /// Honor `STATUS` admin verbs — today, graceful drain
     /// (`--enable-status-admin` on the CLI). Off by default for the
@@ -215,7 +205,6 @@ impl Default for NodeOptions {
             timeout_every: Some(Duration::from_millis(2_000)),
             data_dir: None,
             wal_group_commit: Duration::ZERO,
-            byzantine: None,
             shards: 1,
             fault_injection: false,
             status_admin: false,
@@ -257,10 +246,6 @@ pub struct ClusterFile {
     /// The membership: replica ids and their listen addresses, sorted
     /// and validated to be exactly `0..n`.
     pub replicas: Vec<PeerAddr>,
-    /// Replicas the file marks adversarial (per-replica `byzantine`
-    /// key). Usually empty; the chaos plane writes these when standing
-    /// up a cluster with a live adversary inside.
-    pub byzantine: Vec<(ReplicaId, ByzantineMode)>,
 }
 
 impl ClusterFile {
@@ -278,11 +263,6 @@ impl ClusterFile {
     pub fn n(&self) -> usize {
         self.replicas.len()
     }
-
-    /// The file-declared Byzantine mode of replica `id`, if any.
-    pub fn byzantine_of(&self, id: ReplicaId) -> Option<ByzantineMode> {
-        self.byzantine.iter().find(|(r, _)| *r == id).map(|(_, m)| *m)
-    }
 }
 
 /// Parses the TOML subset described in the crate docs.
@@ -291,7 +271,7 @@ pub fn parse_cluster_toml(text: &str) -> Result<ClusterFile, ConfigError> {
     let mut seed: u64 = 42;
     let mut app = AppKind::Counter;
     let mut options = NodeOptions::default();
-    let mut replicas: Vec<(Option<u32>, Option<SocketAddr>, Option<ByzantineMode>)> = Vec::new();
+    let mut replicas: Vec<(Option<u32>, Option<SocketAddr>)> = Vec::new();
     // `None` = top level; `Some(i)` = inside the i-th [[replica]] table.
     let mut current: Option<usize> = None;
 
@@ -302,7 +282,7 @@ pub fn parse_cluster_toml(text: &str) -> Result<ClusterFile, ConfigError> {
         }
         let err = |msg: String| ConfigError::new(format!("line {}: {msg}", lineno + 1));
         if line == "[[replica]]" {
-            replicas.push((None, None, None));
+            replicas.push((None, None));
             current = Some(replicas.len() - 1);
             continue;
         }
@@ -370,23 +350,15 @@ pub fn parse_cluster_toml(text: &str) -> Result<ClusterFile, ConfigError> {
                         .map_err(|_| err(format!("addr must be host:port, got {s:?}")))?,
                 );
             }
-            (Some(i), "byzantine") => {
-                replicas[i].2 =
-                    Some(parse_string(value)?.parse().map_err(|e: ConfigError| err(e.msg))?);
-            }
             (Some(_), other) => return Err(err(format!("unknown replica key {other:?}"))),
         }
     }
 
     let mut peers = Vec::with_capacity(replicas.len());
-    let mut byzantine = Vec::new();
-    for (i, (id, addr, mode)) in replicas.into_iter().enumerate() {
+    for (i, (id, addr)) in replicas.into_iter().enumerate() {
         let id = id.ok_or_else(|| ConfigError::new(format!("replica #{i} missing `id`")))?;
         let addr = addr.ok_or_else(|| ConfigError::new(format!("replica #{i} missing `addr`")))?;
         peers.push(PeerAddr { id: ReplicaId(id), addr });
-        if let Some(mode) = mode {
-            byzantine.push((ReplicaId(id), mode));
-        }
     }
     peers.sort_by_key(|p| p.id.0);
     if peers.is_empty() {
@@ -401,7 +373,7 @@ pub fn parse_cluster_toml(text: &str) -> Result<ClusterFile, ConfigError> {
             )));
         }
     }
-    Ok(ClusterFile { protocol, seed, app, options, replicas: peers, byzantine })
+    Ok(ClusterFile { protocol, seed, app, options, replicas: peers })
 }
 
 fn strip_comment(line: &str) -> &str {
@@ -447,12 +419,7 @@ pub fn run_replica(
         io::Error::new(io::ErrorKind::InvalidInput, format!("replica {} not in cluster file", id.0))
     })?;
     let bound = EventedNode::bind(id, listen)?;
-    // CLI --byzantine wins; otherwise the file's per-replica key applies.
-    let mut options = options.clone();
-    if options.byzantine.is_none() {
-        options.byzantine = file.byzantine_of(id);
-    }
-    start_replica_on(bound, file.replicas.clone(), protocol, file.app, file.seed, &options)
+    start_replica_on(bound, file.replicas.clone(), protocol, file.app, file.seed, options)
 }
 
 /// Starts a replica around an already-bound listener.
@@ -494,14 +461,6 @@ pub fn start_replica_on(
             })
         }
     };
-    let byzantine = options.byzantine;
-    if byzantine == Some(ByzantineMode::EquivocatingPrimary) && protocol == ProtocolKind::MinBft {
-        return Err(invalid(
-            "byzantine mode equivocating-primary is unsupported on minbft: the USIG's \
-             monotone counter makes primary equivocation unforgeable (that is the \
-             hybrid's design point), so the mode would silently serve honestly",
-        ));
-    }
     // Only the KVS carries routable keys; every other application pins
     // to shard 0 (a sharded counter behaves exactly like an unsharded
     // one).
@@ -514,7 +473,6 @@ pub fn start_replica_on(
             seed,
             CounterApp::new,
             durability,
-            byzantine,
             sharding,
         ),
         AppKind::Kvs => start_with_app(
@@ -524,7 +482,6 @@ pub fn start_replica_on(
             seed,
             KeyValueStore::new,
             durability,
-            byzantine,
             sharding,
         ),
         AppKind::Blockchain => start_with_app(
@@ -534,7 +491,6 @@ pub fn start_replica_on(
             seed,
             Blockchain::new,
             durability,
-            byzantine,
             sharding,
         ),
     }
@@ -696,26 +652,16 @@ fn start_with_app<A: Application + 'static>(
     seed: u64,
     make_app: impl Fn() -> A,
     durability: Option<Durability>,
-    byzantine: Option<ByzantineMode>,
     sharding: ShardingPlan,
 ) -> io::Result<EventedNode> {
     let id = config.id;
     let n = config.peers.len();
-    // Wrap order matters: DurableProtocol wraps ByzantineProtocol wraps
-    // the replica, so mutations happen before output-withholding and
-    // the WAL-before-network invariant survives (and the WAL records
-    // the honest state machine, not the forgeries). Sharding stacks
-    // outermost — every shard hosts the full stack, adversary included.
+    // Sharding stacks outermost: every shard hosts the full stack.
     match protocol {
         ProtocolKind::Pbft => {
             let cluster = cluster_config(n)?;
             let make = || PbftReplica::new(cluster.clone(), id, seed, make_app());
-            match byzantine {
-                None => host_shards(bound, config, seed, sharding, durability, make),
-                Some(mode) => host_shards(bound, config, seed, sharding, durability, || {
-                    ByzantineProtocol::new(make(), mode, seed, id, n)
-                }),
-            }
+            host_shards(bound, config, seed, sharding, durability, make)
         }
         ProtocolKind::SplitBft => {
             let cluster = cluster_config(n)?;
@@ -729,23 +675,13 @@ fn start_with_app<A: Application + 'static>(
                     CostModel::paper_calibrated(),
                 )
             };
-            match byzantine {
-                None => host_shards(bound, config, seed, sharding, durability, make),
-                Some(mode) => host_shards(bound, config, seed, sharding, durability, || {
-                    ByzantineProtocol::new(make(), mode, seed, id, n)
-                }),
-            }
+            host_shards(bound, config, seed, sharding, durability, make)
         }
         ProtocolKind::MinBft => {
             let cluster = HybridConfig::new(n).map_err(invalid)?;
             let make =
                 || HybridReplica::new(cluster.clone(), id, seed, Usig::new(seed, id), make_app());
-            match byzantine {
-                None => host_shards(bound, config, seed, sharding, durability, make),
-                Some(mode) => host_shards(bound, config, seed, sharding, durability, || {
-                    ByzantineProtocol::new(make(), mode, seed, id, n)
-                }),
-            }
+            host_shards(bound, config, seed, sharding, durability, make)
         }
     }
 }
@@ -769,7 +705,7 @@ pub fn reply_quorum_for(protocol: ProtocolKind, n: usize) -> io::Result<usize> {
 }
 
 /// Cross-process exclusive lock serializing the heavy subprocess-cluster
-/// e2e suites (crash recovery, chaos, sharded recovery).
+/// e2e suites (crash recovery, sharded recovery).
 ///
 /// Each of those suites stands up a real multi-replica cluster under
 /// sustained load. `cargo test` serializes tests *within* a binary (the
@@ -808,8 +744,8 @@ pub fn cli_flag(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
 
-/// Parses `--name value` with a fallback, shared by the bench and
-/// chaos argument parsers.
+/// Parses `--name value` with a fallback, shared by the binary's
+/// argument parsers.
 pub(crate) fn parse_cli_flag<T: std::str::FromStr>(
     args: &[String],
     name: &str,
@@ -884,8 +820,8 @@ pub fn apply_durability_flags(args: &[String], options: &mut NodeOptions) -> Res
     Ok(())
 }
 
-/// Checks the retired `--transport` flag of `serve`, `bench` and
-/// `chaos`, if `args` carries it: `evented` is a no-op and `blocking` a
+/// Checks the retired `--transport` flag of `serve` and `bench`, if
+/// `args` carries it: `evented` is a no-op and `blocking` a
 /// deprecated alias that warns once on stderr.
 ///
 /// # Errors

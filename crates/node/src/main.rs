@@ -17,7 +17,7 @@
 //! and the crate docs of `splitbft_node` for the cluster-file format.
 
 use splitbft_node::{
-    apply_batch_flags, apply_durability_flags, bench, chaos, check_retired_transport_flag,
+    apply_batch_flags, apply_durability_flags, bench, check_retired_transport_flag,
     cli_flag as flag, parse_cluster_toml, run_client, run_replica, ClusterFile, NodeOptions,
     ProtocolKind,
 };
@@ -62,7 +62,6 @@ fn main() -> ExitCode {
         Some("serve") => serve(&args[1..]),
         Some("client") => client(&args[1..]),
         Some("bench") => run_to_exit(bench::run(&args[1..]).map(|_| ())),
-        Some("chaos") => run_to_exit(chaos::run(&args[1..]).map(|_| ())),
         Some("--help" | "-h" | "help") | None => {
             print!("{USAGE}");
             ExitCode::SUCCESS
@@ -75,11 +74,10 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "\
-splitbft-node — run a PBFT / SplitBFT / MinBFT replica, client, bench, or chaos run over TCP
+splitbft-node — run a PBFT / SplitBFT / MinBFT replica, client, or bench over TCP
 
 USAGE:
     splitbft-node serve  --config <cluster.toml> --replica <id> [--protocol <p>]
-                         [--byzantine equivocating-primary|silent-backup|corrupt-mac]
                          [--data-dir <dir>] [--wal-group-commit-us <us>]
                          [--timeout-ms <ms>] [--batch-frames <n>]
                          [--batch-bytes <n>] [--shards <n>]
@@ -97,16 +95,6 @@ USAGE:
                          [--data-dir <dir>] [--wal-group-commit-us <us>]
                          [--shards <n>]
                          [--out <dir>] [--name <name>]
-    splitbft-node chaos  --scenario rolling-restart|repeated-kill|primary-kill|
-                                    staggered-start|partition-primary|asymmetric-link|
-                                    equivocate-under-load|concurrent-victim|
-                                    lossy-link|reorder-under-load|duplicate-storm|
-                                    drain-restart
-                         (--protocol <p> | --compare) [--replicas <n>] [--rounds <n>]
-                         [--clients <n>] [--pipeline <n>] [--timeout-ms <ms>]
-                         [--wal-group-commit-us <us>] [--rejoin-secs <s>]
-                         [--probe-secs <s>] [--root <dir>] [--keep-data]
-                         [--skip-group-commit] [--shards <n>] [--out <dir>]
 
 The cluster file lists every replica's id and address plus the shared
 seed, protocol, application, and runtime knobs (view-change timer,
@@ -117,7 +105,8 @@ under <dir>/replica-<id>/, and a restarted replica recovers from them
 plus peer state transfer. `--wal-group-commit-us` shares one WAL fsync
 across each drain batch of the node's loop. `--enable-fault-injection` lets the
 replica honor unauthenticated FAULT_CONTROL frames (partitions, lossy
-links); it is for chaos harnesses only — never pass it in production.
+links) from any client; it is for fault-injection tests only — never
+pass it in production.
 `--enable-status-admin` likewise gates the STATUS admin verbs (graceful
 drain) — read-only STATUS queries are always served. `--metrics-addr`
 serves Prometheus text at /metrics plus /healthz and /readyz on that
@@ -125,15 +114,12 @@ address. SIGTERM drains gracefully: the replica stops admitting client
 requests, finishes in-flight batches, seals a checkpoint, flushes the
 WAL, and exits 0.
 Every replica serves on one socket runtime, a readiness loop per node.
-`--transport evented` (serve, bench, chaos, and the cluster file's
+`--transport evented` (serve, bench, and the cluster file's
 `transport` key) is still accepted and changes nothing; `blocking`, the
 removed thread-per-connection runtime, is a deprecated alias that
 warns; any other value is an error. `bench` without --config
 self-orchestrates a localhost cluster, writes one BENCH_<name>.json per
-run, and exits nonzero if a run completes zero requests. `chaos` drives
-a live subprocess cluster through a scripted fault schedule under load,
-asserts commits advance and victims rejoin after every phase, and
-writes one BENCH_chaos_<scenario>_<protocol>.json per run.
+run, and exits nonzero if a run completes zero requests.
 ";
 
 fn load(args: &[String]) -> Result<(ClusterFile, ProtocolKind), String> {
@@ -155,9 +141,10 @@ fn options_from(args: &[String], file: &ClusterFile) -> Result<NodeOptions, Stri
         let ms: u64 = ms.parse().map_err(|_| "--timeout-ms must be an integer".to_string())?;
         options.timeout_every = (ms > 0).then(|| Duration::from_millis(ms));
     }
-    if let Some(mode) = flag(args, "--byzantine") {
-        options.byzantine =
-            Some(mode.parse().map_err(|e: splitbft_node::ConfigError| e.to_string())?);
+    if flag(args, "--byzantine").is_some() {
+        return Err("--byzantine was removed: Byzantine replicas run in the fault catalog \
+                    (splitbft_model::chaos) on the in-memory cluster"
+            .to_string());
     }
     if let Some(shards) = flag(args, "--shards") {
         options.shards = match shards.parse::<u32>() {

@@ -20,6 +20,12 @@
 //! `SIGKILL` (not a graceful shutdown) is the point: nothing gets a
 //! chance to flush, so only what the WAL fsynced before the kill can
 //! survive — exactly the durability contract under test.
+//!
+//! One more leg sends the real `SIGTERM` instead: the backup must drain
+//! gracefully and exit 0, then restart from its data directory without
+//! the counter going backwards, and rejoin. The fault catalog in
+//! `splitbft_model::chaos` drains replicas on the in-memory cluster;
+//! the signal, the exit status and the process restart need this test.
 
 use splitbft_loadgen::driver::{self, DriverConfig};
 use splitbft_net::TcpClient;
@@ -77,9 +83,9 @@ fn spawn_replica(config: &Path, id: usize, data_dir: &Path) -> Child {
         .expect("spawn splitbft-node serve")
 }
 
-fn launch(protocol: ProtocolKind) -> Cluster {
+fn launch(protocol: ProtocolKind, leg: &str) -> Cluster {
     let root = std::env::temp_dir().join(format!(
-        "splitbft-crash-e2e-{protocol}-{}",
+        "splitbft-crash-e2e-{protocol}-{leg}-{}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&root);
@@ -194,7 +200,7 @@ fn crash_recovery_scenario(protocol: ProtocolKind) {
     // Serialize against the other cluster-heavy test binaries (cargo
     // runs test binaries concurrently; clusters starve each other).
     let _lock = splitbft_node::e2e_cluster_lock();
-    let mut cluster = launch(protocol);
+    let mut cluster = launch(protocol, "sigkill");
     let file = parse_file(&cluster);
     let quorum = reply_quorum_for(protocol, N).expect("quorum");
 
@@ -268,6 +274,53 @@ fn crash_recovery_scenario(protocol: ProtocolKind) {
     // TcpClient in run_client-based probes used ids 77-80; nothing else
     // to clean: Cluster::drop kills the children, temp dir stays for
     // post-mortem on failure.
+    let _ = std::fs::remove_dir_all(cluster.data_dir.parent().expect("root"));
+}
+
+#[test]
+fn splitbft_replica_drains_on_sigterm_and_rejoins() {
+    let protocol = ProtocolKind::SplitBft;
+    let _lock = splitbft_node::e2e_cluster_lock();
+    let mut cluster = launch(protocol, "sigterm");
+    let file = parse_file(&cluster);
+    let quorum = reply_quorum_for(protocol, N).expect("quorum");
+    let before = read_counter(&file, protocol, 77);
+
+    let load = spawn_load(cluster.addrs.clone(), quorum, Duration::from_secs(10));
+    std::thread::sleep(Duration::from_secs(3));
+
+    // SIGTERM the backup under load: it must drain and exit 0.
+    let child = cluster.children[KILLED].as_mut().expect("child");
+    let status = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(status.success(), "kill -TERM failed: {status}");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let exit = loop {
+        if let Some(exit) = child.try_wait().expect("wait for the drained replica") {
+            break exit;
+        }
+        assert!(Instant::now() < deadline, "replica {KILLED} did not exit within 20 s of SIGTERM");
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(exit.success(), "a drained replica exits 0, got {exit}");
+    cluster.children[KILLED] = None;
+
+    let mid = read_counter(&file, protocol, 78);
+    assert!(mid >= before, "counter went backwards across the drain ({before} -> {mid})");
+    cluster.children[KILLED] =
+        Some(spawn_replica(&cluster.config_path, KILLED, &cluster.data_dir));
+
+    let stats = load.join().expect("load thread");
+    assert!(stats.completed > 0, "load completed zero requests");
+    let after = read_counter(&file, protocol, 79);
+    assert!(after > mid, "counter did not advance past the drain ({mid} -> {after})");
+    let victim = ReplicaId(KILLED as u32);
+    assert!(
+        await_rejoin(&cluster.addrs, file.seed, victim, 80, Duration::from_secs(30)),
+        "replica {KILLED} never executed a fresh request after restarting from its drain"
+    );
     let _ = std::fs::remove_dir_all(cluster.data_dir.parent().expect("root"));
 }
 

@@ -371,22 +371,14 @@ impl<A: Application> Replica<A> {
     /// and records fresh requests as pending so the request-aware
     /// view-change timer can detect a stalled primary.
     pub fn on_client_batch(&mut self, requests: Vec<Request>) -> Vec<Action> {
-        let mut actions = Vec::new();
-        let mut fresh = Vec::new();
-        for req in requests {
-            if !self.verify_request(&req) {
-                continue;
-            }
-            match self.replies.lookup(req.id) {
-                Cached::Resend(reply) => {
-                    actions.push(Action::SendReply { to: req.client(), reply: reply.clone() });
-                }
-                Cached::Stale => {}
-                Cached::Fresh => {
-                    self.pending_requests.note(req.id);
-                    fresh.push(req);
-                }
-            }
+        let keys = &mut self.client_keys;
+        let (resends, fresh) = self.replies.admit(requests, |req| keys.verify_request(req));
+        let mut actions: Vec<Action> = resends
+            .into_iter()
+            .map(|reply| Action::SendReply { to: reply.request.client, reply })
+            .collect();
+        for req in &fresh {
+            self.pending_requests.note(req.id);
         }
         if !self.is_primary() || self.status != Status::Normal || fresh.is_empty() {
             return actions;
@@ -460,10 +452,6 @@ impl<A: Application> Replica<A> {
     }
 
     // --- normal operation ------------------------------------------------
-
-    fn verify_request(&mut self, req: &Request) -> bool {
-        self.client_keys.verify_request(req)
-    }
 
     /// Authenticates every request in a proposed batch at once: the
     /// per-request tags are still computed, but accept/reject collapses

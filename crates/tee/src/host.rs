@@ -171,11 +171,6 @@ impl<E: Enclave> EnclaveHost<E> {
     pub fn enclave_mut(&mut self) -> &mut E {
         &mut self.enclave
     }
-
-    /// The cost model in effect (after mode adjustment).
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
 }
 
 #[cfg(test)]

@@ -1,16 +1,16 @@
 //! Fault-injection control vocabulary.
 //!
-//! The chaos plane steers transport-level faults at runtime: an
-//! orchestrator (`splitbft-node chaos`) connects to each replica and
-//! sends [`FaultCommand`]s on a dedicated control frame kind
-//! (`frame_kind::FAULT_CONTROL`). Commands mutate the node's
+//! Fault tests steer transport-level faults at runtime: a test
+//! connects to each replica and sends [`FaultCommand`]s on a dedicated
+//! control frame kind (`frame_kind::FAULT_CONTROL`), and the in-memory
+//! cluster applies the same commands directly. Commands mutate the node's
 //! `FaultPlan` (in `splitbft-net`), which sits on the *send path* of
 //! every peer link — so a partition declared here blocks protocol
 //! traffic and state transfer alike, without touching protocol state.
 //!
 //! Commands are plain data in this crate (next to the rest of the wire
 //! vocabulary) so that both the transport that obeys them and the
-//! orchestrator that issues them speak the same encoding. Unknown frame
+//! tooling that issues them speak the same encoding. Unknown frame
 //! kinds are skipped by older receivers, which keeps the control frame
 //! backward-compatible.
 

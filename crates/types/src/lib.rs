@@ -23,7 +23,7 @@
 //! - [`durable`] — the durability plane's vocabulary: WAL records
 //!   ([`DurableEvent`]), sealed checkpoints ([`DurableCheckpoint`]), and
 //!   the `STATE_TRANSFER` request/response pair.
-//! - [`fault`] — the chaos plane's control vocabulary: runtime
+//! - [`fault`] — the fault-injection control vocabulary: runtime
 //!   [`FaultCommand`]s steering per-link fault rules and named
 //!   partitions on the transport.
 //! - [`status`] — the telemetry plane's vocabulary: versioned

@@ -8,7 +8,7 @@
 //! node's gauges, a suffix of its bounded [`StatusEvent`] journal, or
 //! the outcome of an admin verb. Like [`crate::fault::FaultCommand`],
 //! the types live here so the node that answers and the tooling that
-//! asks (chaos harness, benches, operators) share one encoding, and
+//! asks (tests, benches, operators) share one encoding, and
 //! unknown frame kinds are skipped by older receivers so the new frame
 //! stays backward-compatible.
 //!
@@ -49,8 +49,7 @@ pub struct StatusRequest {
 }
 
 /// One entry of the bounded structured event journal — the typed
-/// replacement for the stderr marker lines the chaos harness used to
-/// grep.
+/// replacement for grepping stderr marker lines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StatusEvent {
     /// The replica entered a new view.
