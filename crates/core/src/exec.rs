@@ -533,3 +533,72 @@ impl<A: Application> std::fmt::Debug for ExecutionCompartment<A> {
             .finish_non_exhaustive()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use splitbft_app::blockchain::{Block, Blockchain};
+    use splitbft_pbft::make_request;
+    use splitbft_tee::seal::unseal_data;
+    use splitbft_types::wire::decode;
+    use splitbft_types::Timestamp;
+
+    const SEED: u64 = 5;
+
+    /// `kind`'s enclave on `replica` signs `payload`.
+    fn signed<T: splitbft_types::message::MessagePayload>(
+        replica: u32,
+        kind: CompartmentKind,
+        payload: T,
+    ) -> Signed<T> {
+        let signer = enclave_signer(ReplicaId(replica), kind);
+        KeyPair::for_signer(SEED, signer).sign_payload(payload, signer)
+    }
+
+    #[test]
+    fn a_closed_block_leaves_the_enclave_sealed() {
+        let config = ClusterConfig::new(4).unwrap();
+        let mut exec = ExecutionCompartment::new(config, ReplicaId(1), SEED, Blockchain::new());
+        let txs: Vec<Bytes> = (0..5).map(|i| Bytes::from(format!("tx-data-{i}"))).collect();
+        let requests = (0..5u32)
+            .map(|i| make_request(SEED, ClientId(i), Timestamp(1), txs[i as usize].clone()))
+            .collect();
+        let batch = RequestBatch::new(requests);
+        let (view, seq, digest) = (View::initial(), SeqNum(1), digest_of(&batch));
+
+        // The slot commits: its proposal, then 2f + 1 Confirmation votes.
+        let mut outputs = Vec::new();
+        let pp = signed(0, CompartmentKind::Preparation, PrePrepare { view, seq, digest, batch });
+        exec.handle(CompartmentInput::Message(ConsensusMessage::PrePrepare(pp)), &mut outputs)
+            .unwrap();
+        for voter in 0..3 {
+            let vote = Commit { view, seq, digest, replica: ReplicaId(voter) };
+            let commit = signed(voter, CompartmentKind::Confirmation, vote);
+            exec.handle(CompartmentInput::Message(ConsensusMessage::Commit(commit)), &mut outputs)
+                .unwrap();
+        }
+
+        // The five transactions closed one block, which left by ocall.
+        let sealed: Vec<&Bytes> = outputs
+            .iter()
+            .filter_map(|o| match o {
+                CompartmentOutput::Persist(blob) => Some(blob),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sealed.len(), 1, "one block, one Persist ocall");
+        let blob = sealed[0];
+        for tx in &txs {
+            assert!(!blob.windows(tx.len()).any(|w| w == &tx[..]), "transaction in the clear");
+        }
+        // Only this enclave's sealing identity opens it, and it holds the block.
+        let plain = unseal_data(&exec.seal_identity, 0, b"splitbft-block", blob).expect("unseals");
+        let block: Block = decode(&plain).unwrap();
+        assert_eq!(block, Block { height: 0, parent: Digest::ZERO, transactions: txs });
+        let other = SealingIdentity {
+            measurement: compartment_measurement(CompartmentKind::Preparation),
+            ..exec.seal_identity
+        };
+        assert!(unseal_data(&other, 0, b"splitbft-block", blob).is_err());
+    }
+}

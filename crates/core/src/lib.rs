@@ -43,21 +43,29 @@
 //! # Example
 //!
 //! ```
-//! use splitbft_app::KeyValueStore;
-//! use splitbft_core::{ReplicaEvent, SplitBftReplica};
+//! use bytes::Bytes;
+//! use splitbft_app::CounterApp;
+//! use splitbft_core::SplitBftReplica;
+//! use splitbft_net::transport::{Protocol, ProtocolOutput};
+//! use splitbft_pbft::make_request;
 //! use splitbft_tee::{CostModel, ExecMode};
-//! use splitbft_types::{ClusterConfig, ReplicaId};
+//! use splitbft_types::{ClientId, ClusterConfig, ConsensusMessage, ReplicaId, Timestamp};
 //!
 //! let cfg = ClusterConfig::new(4).unwrap();
-//! let replica = SplitBftReplica::new(
+//! let mut primary = SplitBftReplica::new(
 //!     cfg,
 //!     ReplicaId(0),
 //!     42,
-//!     KeyValueStore::new(),
+//!     CounterApp::new(),
 //!     ExecMode::Hardware,
 //!     CostModel::paper_calibrated(),
 //! );
-//! assert_eq!(replica.id(), ReplicaId(0));
+//! let request = make_request(42, ClientId(0), Timestamp(1), Bytes::from_static(b"inc"));
+//! let outputs = primary.on_client_requests(vec![request]);
+//! // The Preparation enclave orders the batch; the broker broadcasts it.
+//! assert!(outputs
+//!     .iter()
+//!     .any(|o| matches!(o, ProtocolOutput::Broadcast(ConsensusMessage::PrePrepare(_)))));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -68,7 +76,6 @@ pub mod client;
 pub mod conf;
 pub mod ecall;
 pub mod exec;
-pub mod hosting;
 pub mod prep;
 pub mod replica;
 pub mod scheme;
@@ -81,6 +88,6 @@ pub use conf::ConfirmationCompartment;
 pub use ecall::{CompartmentInput, CompartmentOutput};
 pub use exec::ExecutionCompartment;
 pub use prep::PreparationCompartment;
-pub use replica::{CompartmentFaults, ReplicaEvent, SplitBftReplica};
+pub use replica::{CompartmentFaults, SplitBftReplica};
 pub use scheme::{compartment_measurement, enclave_signer, SPLITBFT_SCHEME};
 pub use suffix::{SuffixRing, DEFAULT_SUFFIX_CAP};

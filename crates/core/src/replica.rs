@@ -23,6 +23,7 @@ use crate::prep::PreparationCompartment;
 use crate::suffix::SuffixRing;
 use bytes::Bytes;
 use splitbft_app::Application;
+use splitbft_net::transport::{Protocol, ProtocolGauges, ProtocolOutput};
 use splitbft_pbft::checkpoint::split_durable_checkpoint;
 use splitbft_pbft::verify::certified_snapshot;
 use splitbft_pbft::PendingRequests;
@@ -31,70 +32,30 @@ use splitbft_tee::enclave::recycle;
 use splitbft_tee::fault::{FaultPlan, FaultyEnclave};
 use splitbft_tee::host::{EnclaveHost, ExecMode, TransitionStats};
 use splitbft_tee::CostModel;
-use splitbft_types::wire::{decode, Encode};
+use splitbft_types::wire::{decode, encode, Encode};
 use splitbft_types::{
     ClientId, ClusterConfig, CompartmentKind, ConsensusMessage, Digest, DurableCheckpoint,
-    DurableEvent, ProtocolError, ReplicaId, Reply, Request, RequestBatch, RequestId, SeqNum, View,
+    DurableEvent, ProtocolError, ReplicaId, Request, RequestBatch, RequestId, SeqNum, View,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 
-/// An event surfaced by the broker to the hosting runtime.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplicaEvent {
-    /// Send this message to every other replica.
-    Broadcast(ConsensusMessage),
-    /// Deliver a reply to a client.
-    Reply {
-        /// The destination client.
-        to: ClientId,
-        /// The reply.
-        reply: Reply,
-    },
-    /// Persist a sealed blob to untrusted storage.
-    Persist(Bytes),
-    /// A compartment observed a commit.
-    Committed {
-        /// Which compartment reported it.
-        kind: CompartmentKind,
-        /// The slot.
-        seq: SeqNum,
-        /// The committed digest.
-        digest: Digest,
-    },
-    /// The Execution compartment executed a request.
-    Executed {
-        /// The slot.
-        seq: SeqNum,
-        /// The request.
-        request: RequestId,
-    },
-    /// A compartment stabilized a checkpoint.
-    StableCheckpoint {
-        /// Which compartment.
-        kind: CompartmentKind,
-        /// The stable slot.
-        seq: SeqNum,
-    },
-    /// A compartment moved to a new view.
-    EnteredView {
-        /// Which compartment.
-        kind: CompartmentKind,
-        /// The new view.
-        view: View,
-    },
-    /// A compartment rejected an input (normal under byzantine peers).
-    Rejected {
-        /// Which compartment.
-        kind: CompartmentKind,
-        /// Why.
-        reason: String,
-    },
-    /// An ecall bounced off a crashed enclave.
-    EnclaveCrashed {
-        /// Which compartment.
-        kind: CompartmentKind,
-    },
+/// Where a handler puts what the replica sends.
+type Out = Vec<ProtocolOutput<ConsensusMessage>>;
+
+/// What [`SplitBftReplica::after_call`] reads of one handler call: the
+/// broker's own bookkeeping, in call order.
+enum Noted {
+    /// `Dispatch::out[i]` is a broadcast, for the suffix ring.
+    Broadcast(usize),
+    /// A request executed, so it is no longer pending.
+    Executed(RequestId),
+    /// Execution committed `digest` at `seq`.
+    Committed { seq: SeqNum, digest: Digest },
+    /// Execution's checkpoint at this slot became stable.
+    StableCheckpoint(SeqNum),
+    /// Execution entered this view.
+    EnteredView(View),
 }
 
 /// Per-compartment fault plans for robustness experiments.
@@ -134,8 +95,10 @@ struct QueuedInput {
 struct Dispatch {
     bytes: Vec<u8>,
     queue: VecDeque<QueuedInput>,
-    /// What the call surfaced to the hosting runtime so far.
-    events: Vec<ReplicaEvent>,
+    /// What the call sends so far.
+    out: Out,
+    /// What the call noted for the broker itself so far.
+    noted: Vec<Noted>,
 }
 
 /// A complete SplitBFT replica: three enclaves plus the untrusted broker.
@@ -162,8 +125,8 @@ pub struct SplitBftReplica<A: Application> {
     /// GC'd at each stable checkpoint.
     seen_batches: BTreeMap<SeqNum, BTreeMap<Digest, RequestBatch>>,
     /// Durable consensus events buffered for a durable runtime's WAL
-    /// (empty and free unless [`SplitBftReplica::enable_durable_events`]
-    /// was called).
+    /// (empty and free until it first calls
+    /// [`Protocol::drain_durable_events`]).
     durable: Vec<DurableEvent>,
     durable_enabled: bool,
     dispatch: Dispatch,
@@ -292,8 +255,8 @@ impl<A: Application> SplitBftReplica<A> {
 
     /// Delivers every queued input to its compartments, and the messages
     /// they broadcast in response to this replica's other compartments,
-    /// until quiescent. What the enclaves surface is appended to the
-    /// call's events.
+    /// until quiescent. What the enclaves output is appended to the
+    /// call's outputs and notes.
     fn run_to_quiescence(&mut self) {
         while let Some(QueuedInput { bytes, route, origin }) = self.dispatch.queue.pop_front() {
             for &kind in route.iter().filter(|kind| Some(**kind) != origin) {
@@ -307,17 +270,16 @@ impl<A: Application> SplitBftReplica<A> {
     /// One ecall: hands `kind` the queued input at `input` and processes
     /// the ocalls it posted.
     fn ecall_into(&mut self, kind: CompartmentKind, input: Range<usize>) {
-        let Dispatch { bytes, queue, events } = &mut self.dispatch;
+        let Dispatch { bytes, queue, out, noted } = &mut self.dispatch;
         let input = &bytes[input];
         let reply = match kind {
             CompartmentKind::Preparation => self.prep.ecall(ECALL_HANDLE, input),
             CompartmentKind::Confirmation => self.conf.ecall(ECALL_HANDLE, input),
             CompartmentKind::Execution => self.exec.ecall(ECALL_HANDLE, input),
         };
-        let Ok(reply) = reply else {
-            events.push(ReplicaEvent::EnclaveCrashed { kind });
-            return;
-        };
+        // A crashed enclave has nothing to say.
+        let Ok(reply) = reply else { return };
+        let execution = kind == CompartmentKind::Execution;
         for (id, data) in reply.ocalls.iter() {
             if id != OCALL_OUTPUT {
                 continue;
@@ -325,7 +287,7 @@ impl<A: Application> SplitBftReplica<A> {
             // Ocall payloads from a possibly-compromised enclave are
             // untrusted bytes; garbage is dropped.
             let Ok(output) = decode::<CompartmentOutput>(data) else { continue };
-            events.push(match output {
+            match output {
                 CompartmentOutput::Broadcast(msg) => {
                     // Loop the message back into this replica's other
                     // compartments as the bytes the enclave marshalled.
@@ -336,22 +298,30 @@ impl<A: Application> SplitBftReplica<A> {
                         route: Self::route(&msg),
                         origin: Some(kind),
                     });
-                    ReplicaEvent::Broadcast(msg)
+                    noted.push(Noted::Broadcast(out.len()));
+                    out.push(ProtocolOutput::Broadcast(msg));
                 }
-                CompartmentOutput::SendReply { to, reply } => ReplicaEvent::Reply { to, reply },
-                CompartmentOutput::Persist(blob) => ReplicaEvent::Persist(blob),
-                CompartmentOutput::Committed { seq, digest } => {
-                    ReplicaEvent::Committed { kind, seq, digest }
+                CompartmentOutput::SendReply { to, reply } => {
+                    out.push(ProtocolOutput::Reply { to, reply })
                 }
-                CompartmentOutput::Executed { seq, request } => {
-                    ReplicaEvent::Executed { seq, request }
+                CompartmentOutput::Executed { request, .. } => {
+                    noted.push(Noted::Executed(request))
                 }
-                CompartmentOutput::StableCheckpoint { seq } => {
-                    ReplicaEvent::StableCheckpoint { kind, seq }
+                CompartmentOutput::Committed { seq, digest } if execution => {
+                    noted.push(Noted::Committed { seq, digest })
                 }
-                CompartmentOutput::EnteredView(view) => ReplicaEvent::EnteredView { kind, view },
-                CompartmentOutput::Rejected { reason } => ReplicaEvent::Rejected { kind, reason },
-            });
+                CompartmentOutput::StableCheckpoint { seq } if execution => {
+                    noted.push(Noted::StableCheckpoint(seq))
+                }
+                CompartmentOutput::EnteredView(view) if execution => {
+                    noted.push(Noted::EnteredView(view))
+                }
+                // Sealed blocks (`Persist`) have nowhere to go: no
+                // runtime stores them (see ARCHITECTURE.md). The other
+                // compartments' progress reports and every rejection
+                // are nothing the broker acts on.
+                _ => {}
+            }
         }
     }
 
@@ -363,84 +333,60 @@ impl<A: Application> SplitBftReplica<A> {
         self.run_to_quiescence();
     }
 
-    /// Bookkeeping after a handler call: pending-request markers and the
-    /// durable plane both read the call's events.
-    fn after_call(&mut self) {
-        let events = std::mem::take(&mut self.dispatch.events);
-        self.observe_execution(&events);
-        self.harvest_durable(&events);
-        self.dispatch.events = events;
-    }
-
-    /// Delivers a message received from the network.
-    pub fn on_network_message(&mut self, msg: ConsensusMessage) -> Vec<ReplicaEvent> {
-        std::mem::take(self.deliver_network_message(msg))
-    }
-
-    /// [`SplitBftReplica::on_network_message`], leaving the events in the
-    /// broker's reusable buffer for the caller to drain.
-    pub(crate) fn deliver_network_message(
-        &mut self,
-        msg: ConsensusMessage,
-    ) -> &mut Vec<ReplicaEvent> {
-        self.dispatch.events.clear();
-        self.note_batch_of(&msg);
-        self.route_message(msg);
-        self.after_call();
-        &mut self.dispatch.events
-    }
-
-    /// Delivers a batch of client requests to the Preparation enclave
-    /// (the batcher lives in the runtime, per P1).
-    pub fn on_client_batch(&mut self, requests: Vec<Request>) -> Vec<ReplicaEvent> {
-        std::mem::take(self.deliver_client_batch(requests))
-    }
-
-    /// [`SplitBftReplica::on_client_batch`] into the reusable buffer.
-    pub(crate) fn deliver_client_batch(
-        &mut self,
-        requests: Vec<Request>,
-    ) -> &mut Vec<ReplicaEvent> {
-        self.dispatch.events.clear();
-        for req in &requests {
-            self.pending.note(req.id);
+    /// Ends a handler call: pending-request markers and the durable
+    /// plane read the call's notes, then its outputs leave in a vector
+    /// allocated once at their count (the broker keeps its own buffers
+    /// for the next call).
+    fn after_call(&mut self) -> Out {
+        let mut noted = std::mem::take(&mut self.dispatch.noted);
+        let mut out = std::mem::take(&mut self.dispatch.out);
+        for note in noted.drain(..) {
+            self.observe(note, &out);
         }
-        self.enqueue(&CompartmentInput::ClientBatch(requests), &[CompartmentKind::Preparation]);
-        self.run_to_quiescence();
-        self.after_call();
-        &mut self.dispatch.events
+        self.dispatch.noted = noted;
+        let mut outputs = Vec::with_capacity(out.len());
+        outputs.append(&mut out);
+        self.dispatch.out = out;
+        outputs
     }
 
-    /// The environment's view-change timer fired: notify Confirmation.
-    pub fn on_view_timeout(&mut self) -> Vec<ReplicaEvent> {
-        std::mem::take(self.deliver_view_timeout())
-    }
-
-    /// [`SplitBftReplica::on_view_timeout`] into the reusable buffer.
-    pub(crate) fn deliver_view_timeout(&mut self) -> &mut Vec<ReplicaEvent> {
-        self.dispatch.events.clear();
-        // One stall buys one failover attempt; retransmitting clients
-        // re-arm the timer if the next primary stalls too.
-        self.pending.clear();
-        self.enqueue(&CompartmentInput::ViewTimeout, &[CompartmentKind::Confirmation]);
-        self.run_to_quiescence();
-        self.after_call();
-        &mut self.dispatch.events
-    }
-
-    /// `true` while a client request has been seen by the broker but not
-    /// yet reported executed by the Execution compartment.
-    pub fn has_pending_requests(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
-    /// Drops pending markers covered by `Executed` events in `events`.
-    fn observe_execution(&mut self, events: &[ReplicaEvent]) {
-        for event in events {
-            if let ReplicaEvent::Executed { request, .. } = event {
-                self.pending.executed(*request);
+    /// Acts on one note. Execution is the durable plane's authority: its
+    /// commit points carry the replayable batches, its stable
+    /// checkpoints set the GC point, and its view entries track the
+    /// replicated view variable.
+    fn observe(&mut self, note: Noted, out: &Out) {
+        match note {
+            Noted::Executed(request) => self.pending.executed(request),
+            _ if !self.durable_enabled => {}
+            Noted::Broadcast(i) => {
+                if let ProtocolOutput::Broadcast(msg) = &out[i] {
+                    self.note_batch_of(msg);
+                }
             }
+            Noted::Committed { seq, digest } => {
+                // Only the batch whose bytes hash to the committed
+                // digest may enter the WAL for this slot; the suffix
+                // ring freezes to the same digest.
+                self.suffix.mark_committed(seq, digest);
+                let batch =
+                    self.seen_batches.remove(&seq).and_then(|mut by_digest| by_digest.remove(&digest));
+                if let Some(batch) = batch {
+                    self.durable.push(DurableEvent::Committed { seq, batch });
+                }
+            }
+            Noted::StableCheckpoint(seq) => {
+                self.seen_batches = self.seen_batches.split_off(&SeqNum(seq.0 + 1));
+                self.suffix.gc(seq);
+                self.durable.push(DurableEvent::StableCheckpoint { seq });
+            }
+            Noted::EnteredView(view) => self.durable.push(DurableEvent::EnteredView { view }),
         }
+    }
+
+    /// Forgets what a call that leaves no trace produced.
+    fn discard_call(&mut self) {
+        self.dispatch.out.clear();
+        self.dispatch.noted.clear();
     }
 
     // --- durability --------------------------------------------------------
@@ -467,150 +413,30 @@ impl<A: Application> SplitBftReplica<A> {
         }
     }
 
-    /// Translates compartment events into durable WAL records. The
-    /// Execution compartment is the authority: its commit points carry
-    /// the replayable batches, its stable checkpoints set the GC point,
-    /// and its view entries track the replicated view variable.
-    fn harvest_durable(&mut self, events: &[ReplicaEvent]) {
-        if !self.durable_enabled {
-            return;
-        }
-        for event in events {
-            match event {
-                ReplicaEvent::Broadcast(msg) => self.note_batch_of(msg),
-                ReplicaEvent::Committed { kind: CompartmentKind::Execution, seq, digest } => {
-                    // Only the batch whose bytes hash to the committed
-                    // digest may enter the WAL for this slot; the suffix
-                    // ring freezes to the same digest.
-                    self.suffix.mark_committed(*seq, *digest);
-                    let batch = self
-                        .seen_batches
-                        .remove(seq)
-                        .and_then(|mut by_digest| by_digest.remove(digest));
-                    if let Some(batch) = batch {
-                        self.durable.push(DurableEvent::Committed { seq: *seq, batch });
-                    }
-                }
-                ReplicaEvent::StableCheckpoint { kind: CompartmentKind::Execution, seq } => {
-                    self.seen_batches = self.seen_batches.split_off(&SeqNum(seq.0 + 1));
-                    self.suffix.gc(*seq);
-                    self.durable.push(DurableEvent::StableCheckpoint { seq: *seq });
-                }
-                ReplicaEvent::EnteredView { kind: CompartmentKind::Execution, view } => {
-                    self.durable.push(DurableEvent::EnteredView { view: *view });
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Starts recording durable consensus events (see
-    /// [`SplitBftReplica::drain_durable_events`]).
-    pub fn enable_durable_events(&mut self) {
-        self.durable_enabled = true;
-    }
-
-    /// Drains the durable events recorded since the last drain.
-    pub fn drain_durable_events(&mut self) -> Vec<DurableEvent> {
-        std::mem::take(&mut self.durable)
-    }
-
-    /// Replays one WAL event during crash recovery: committed batches
-    /// are re-executed inside the Execution enclave; everything else is
-    /// either hybrid-specific or a GC marker.
-    pub fn replay_durable_event(&mut self, event: DurableEvent) {
-        if let DurableEvent::Committed { seq, batch } = event {
-            let input = CompartmentInput::ReplayCommitted { seq, batch };
-            self.enqueue(&input, &[CompartmentKind::Execution]);
-            // Replay produces no network traffic: one ecall, and the
-            // local follow-ups it queued (e.g. a checkpoint vote) are
-            // dropped along with its events.
-            let queued = self.dispatch.queue.pop_front().expect("just enqueued");
-            self.ecall_into(CompartmentKind::Execution, queued.bytes);
-            self.dispatch.queue.clear();
-            self.dispatch.events.clear();
-            recycle(&mut self.dispatch.bytes);
-        }
-    }
-
-    /// The Execution compartment's stable checkpoint — certificate, then
-    /// its snapshot of the certified state, once — for sealing and peer
-    /// state transfer. `None` at genesis and while Execution is behind
-    /// its own stable checkpoint.
-    pub fn durable_checkpoint(&self) -> Option<DurableCheckpoint> {
-        self.exec.enclave().inner().inner().durable_checkpoint()
-    }
-
-    /// Restores compartment state from a stable checkpoint: its `2f + 1`
-    /// signed `Checkpoint`s go through the normal message path — every
-    /// compartment re-verifies them exactly like network input — and
-    /// then the snapshot is offered to Execution, which installs it only
-    /// under the certificate it just verified. Corrupt or forged
-    /// checkpoints cannot take effect.
+    /// Installs a client session key in the Execution enclave (the tail
+    /// of the attestation handshake).
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::CorruptState`] when the bytes do not decode,
-    /// do not match the claimed `(seq, digest)`, or fail to move the
-    /// Execution compartment to the certified state.
-    pub fn restore_durable_checkpoint(
-        &mut self,
-        cp: &DurableCheckpoint,
-    ) -> Result<(), ProtocolError> {
-        let (cert, snapshot) = split_durable_checkpoint(cp)?;
-        if self.last_executed() >= cp.seq {
-            return Ok(()); // already at or past the certified state
-        }
-        for signed in &cert.checkpoints {
-            self.route_message(ConsensusMessage::Checkpoint(signed.clone()));
-        }
-        // A checkpoint sealed or served by an older build has no bytes
-        // after the certificate: its votes each embed the snapshot. The
-        // broker only picks the candidate; Execution checks it.
-        let snapshot = match snapshot {
-            [] => certified_snapshot(&cert).ok_or_else(|| {
-                ProtocolError::CorruptState("no snapshot matches the certified digest".into())
-            })?,
-            trailing => trailing,
-        };
-        let input = CompartmentInput::InstallSnapshot {
-            seq: cp.seq,
-            snapshot: Bytes::copy_from_slice(snapshot),
-        };
-        self.enqueue(&input, &[CompartmentKind::Execution]);
-        self.run_to_quiescence();
-        self.dispatch.events.clear();
-        if self.last_executed() < cp.seq {
-            return Err(ProtocolError::CorruptState(
-                "checkpoint was rejected by the compartments".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Retained messages letting a peer at `have_seq` catch up above
-    /// the stable checkpoint through its normal verifying message path:
-    /// for every committed slot the suffix ring still holds, the
-    /// committed `PrePrepare` plus its `Commit` votes (see
-    /// [`crate::suffix`]). Empty until durable hosting enables
-    /// harvesting.
-    pub fn catch_up_messages(&self, have_seq: SeqNum) -> Vec<ConsensusMessage> {
-        self.suffix.messages_from(have_seq)
-    }
-
-    /// Installs a client session key in the Execution enclave (the tail
-    /// of the attestation handshake).
+    /// Why the enclave refused the key (a wrapped key that does not
+    /// unwrap under this enclave's key exchange), or that it crashed.
     pub fn install_session_key(
         &mut self,
         client: ClientId,
         client_dh_public: u64,
         wrapped_key: Vec<u8>,
-    ) -> Vec<ReplicaEvent> {
-        self.dispatch.events.clear();
+    ) -> Result<(), ProtocolError> {
         let input = CompartmentInput::InstallSessionKey { client, client_dh_public, wrapped_key };
-        self.enqueue(&input, &[CompartmentKind::Execution]);
-        self.run_to_quiescence();
-        std::mem::take(&mut self.dispatch.events)
+        let reply = self
+            .exec
+            .ecall(ECALL_HANDLE, &encode(&input))
+            .map_err(|e| ProtocolError::Other(e.to_string()))?;
+        for (id, data) in reply.ocalls.iter() {
+            if let (OCALL_OUTPUT, Ok(CompartmentOutput::Rejected { reason })) = (id, decode(data)) {
+                return Err(ProtocolError::Other(reason));
+            }
+        }
+        Ok(())
     }
 
     /// Produces the Execution enclave's attestation quote (report data =
@@ -667,6 +493,146 @@ impl<A: Application> SplitBftReplica<A> {
             CompartmentKind::Confirmation => self.conf.enclave_mut().set_plan(plan),
             CompartmentKind::Execution => self.exec.enclave_mut().set_plan(plan),
         }
+    }
+}
+
+/// The broker is exactly the paper's untrusted host process: it owns
+/// batching, timers and network I/O around the three enclaves, so the
+/// whole three-compartment replica drops into any `splitbft-net`
+/// runtime, including the TCP socket runtime used by `splitbft-node`.
+impl<A: Application + 'static> Protocol for SplitBftReplica<A> {
+    type Message = ConsensusMessage;
+
+    fn on_message(&mut self, msg: ConsensusMessage) -> Out {
+        self.note_batch_of(&msg);
+        self.route_message(msg);
+        self.after_call()
+    }
+
+    /// Hands the batch to the Preparation enclave (the batcher lives in
+    /// the runtime, per P1).
+    fn on_client_requests(&mut self, requests: Vec<Request>) -> Out {
+        for req in &requests {
+            self.pending.note(req.id);
+        }
+        self.enqueue(&CompartmentInput::ClientBatch(requests), &[CompartmentKind::Preparation]);
+        self.run_to_quiescence();
+        self.after_call()
+    }
+
+    /// Notifies Confirmation, which votes for the next view.
+    fn on_timeout(&mut self) -> Out {
+        // One stall buys one failover attempt; retransmitting clients
+        // re-arm the timer if the next primary stalls too.
+        self.pending.clear();
+        self.enqueue(&CompartmentInput::ViewTimeout, &[CompartmentKind::Confirmation]);
+        self.run_to_quiescence();
+        self.after_call()
+    }
+
+    fn progress(&self) -> u64 {
+        self.last_executed().0
+    }
+
+    /// `true` while a client request has been seen by the broker but not
+    /// yet reported executed by the Execution compartment.
+    fn has_pending_requests(&self) -> bool {
+        !self.pending.is_empty()
+    }
+
+    fn probe_gauges(&self, gauges: &mut ProtocolGauges) {
+        // The preparation compartment leads view changes; the other two
+        // follow, so its view is the replica's externally visible one.
+        gauges.add_group(self.last_executed().0, 0, self.views().0 .0, self.stable_seq().0);
+        gauges.pending_requests += u64::from(self.has_pending_requests());
+    }
+
+    /// The first drain opts in: only then does the broker harvest WAL
+    /// records and fill the suffix ring, so pure in-memory hosting pays
+    /// nothing for either.
+    fn drain_durable_events(&mut self) -> Vec<DurableEvent> {
+        self.durable_enabled = true;
+        std::mem::take(&mut self.durable)
+    }
+
+    /// Committed batches are re-executed inside the Execution enclave;
+    /// everything else is either hybrid-specific or a GC marker.
+    fn replay_durable_event(&mut self, event: DurableEvent) {
+        if let DurableEvent::Committed { seq, batch } = event {
+            let input = CompartmentInput::ReplayCommitted { seq, batch };
+            self.enqueue(&input, &[CompartmentKind::Execution]);
+            // Replay produces no network traffic: one ecall, and the
+            // local follow-ups it queued (e.g. a checkpoint vote) are
+            // dropped along with its outputs.
+            let queued = self.dispatch.queue.pop_front().expect("just enqueued");
+            self.ecall_into(CompartmentKind::Execution, queued.bytes);
+            self.dispatch.queue.clear();
+            self.discard_call();
+            recycle(&mut self.dispatch.bytes);
+        }
+    }
+
+    /// The Execution compartment's stable checkpoint — certificate, then
+    /// its snapshot of the certified state, once. `None` at genesis and
+    /// while Execution is behind its own stable checkpoint.
+    fn durable_checkpoint(&self) -> Option<DurableCheckpoint> {
+        self.exec.enclave().inner().inner().durable_checkpoint()
+    }
+
+    /// The checkpoint's `2f + 1` signed `Checkpoint`s go through the
+    /// normal message path — every compartment re-verifies them exactly
+    /// like network input — and then the snapshot is offered to
+    /// Execution, which installs it only under the certificate it just
+    /// verified. Corrupt or forged checkpoints cannot take effect.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::CorruptState`] when the bytes do not decode,
+    /// do not match the claimed `(seq, digest)`, or fail to move the
+    /// Execution compartment to the certified state.
+    fn restore_checkpoint(&mut self, cp: &DurableCheckpoint) -> Result<(), ProtocolError> {
+        let (cert, snapshot) = split_durable_checkpoint(cp)?;
+        if self.last_executed() >= cp.seq {
+            return Ok(()); // already at or past the certified state
+        }
+        for signed in &cert.checkpoints {
+            self.route_message(ConsensusMessage::Checkpoint(signed.clone()));
+        }
+        // A checkpoint sealed or served by an older build has no bytes
+        // after the certificate: its votes each embed the snapshot. The
+        // broker only picks the candidate; Execution checks it.
+        let snapshot = match snapshot {
+            [] => certified_snapshot(&cert),
+            trailing => Some(trailing),
+        };
+        let Some(snapshot) = snapshot else {
+            self.discard_call();
+            return Err(ProtocolError::CorruptState(
+                "no snapshot matches the certified digest".into(),
+            ));
+        };
+        let input = CompartmentInput::InstallSnapshot {
+            seq: cp.seq,
+            snapshot: Bytes::copy_from_slice(snapshot),
+        };
+        self.enqueue(&input, &[CompartmentKind::Execution]);
+        self.run_to_quiescence();
+        self.discard_call();
+        if self.last_executed() < cp.seq {
+            return Err(ProtocolError::CorruptState(
+                "checkpoint was rejected by the compartments".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// The broker's suffix ring: for every committed slot it still
+    /// holds, the committed `PrePrepare` plus its `Commit` votes,
+    /// retained above the stable checkpoint even though the compartments
+    /// themselves discard executed slots (see [`crate::suffix`]). Empty
+    /// until a durable runtime drains events.
+    fn catch_up_messages(&self, have_seq: SeqNum) -> Vec<ConsensusMessage> {
+        self.suffix.messages_from(have_seq)
     }
 }
 

@@ -13,11 +13,11 @@ use splitbft_app::{Application, CounterApp, KeyValueStore, KvOp};
 use splitbft_core::ecall::ECALL_HANDLE;
 use splitbft_core::{
     enclave_signer, ClientEvent, CompartmentInput, CompartmentOutput, EnclaveAdapter,
-    ExecutionCompartment, ReplicaEvent, SplitBftClient, SplitBftReplica,
+    ExecutionCompartment, SplitBftClient, SplitBftReplica,
 };
 use splitbft_crypto::KeyPair;
 use splitbft_net::lockstep::Cluster;
-use splitbft_net::transport::{frame_kind, Protocol};
+use splitbft_net::transport::Protocol;
 use splitbft_pbft::checkpoint::split_durable_checkpoint;
 use splitbft_tee::attest::PlatformAuthority;
 use splitbft_tee::enclave::{Enclave, OcallQueue};
@@ -28,8 +28,6 @@ use splitbft_types::{
     Checkpoint, CheckpointCertificate, ClientId, ClusterConfig, CompartmentKind, ConsensusMessage,
     DurableCheckpoint, ReplicaId, Request, SeqNum, View,
 };
-use std::cell::RefCell;
-use std::rc::Rc;
 
 const SEED: u64 = 2024;
 
@@ -102,11 +100,10 @@ fn confidential_client_roundtrip_with_attestation() {
         let (dh_pub, wrapped) = client
             .attest_execution_enclave(&authority.public_key(), &quote)
             .expect("genuine quote verifies");
-        let events = cluster.replica_mut(i).install_session_key(ClientId(5), dh_pub, wrapped);
-        assert!(
-            !events.iter().any(|e| matches!(e, ReplicaEvent::Rejected { .. })),
-            "session key install rejected: {events:?}"
-        );
+        cluster
+            .replica_mut(i)
+            .install_session_key(ClientId(5), dh_pub, wrapped)
+            .expect("session key installs");
     }
 
     // Issue an encrypted PUT, then an encrypted GET.
@@ -135,6 +132,26 @@ fn confidential_client_roundtrip_with_attestation() {
         }
     }
     assert_eq!(result, Some(Bytes::from_static(b"secret-value")));
+
+    // A wrapped key that does not unwrap is refused, and that client's
+    // request then gets no real reply: Execution cannot open it and
+    // answers every copy with the plaintext no-op result.
+    let mut refused = SplitBftClient::new(ClusterConfig::new(4).unwrap(), ClientId(6), SEED, 98);
+    for i in 0..4 {
+        let quote = cluster.replica_mut(i).attestation_quote(&authority);
+        let (dh_pub, mut wrapped) =
+            refused.attest_execution_enclave(&authority.public_key(), &quote).unwrap();
+        wrapped[0] ^= 1;
+        assert!(cluster.replica_mut(i).install_session_key(ClientId(6), dh_pub, wrapped).is_err());
+    }
+    let get = refused.issue(&KvOp::get(b"secret-key").encode_op());
+    cluster.submit(0, std::slice::from_ref(&get));
+    let replies = std::mem::take(&mut cluster.replies);
+    assert!(replies.iter().any(|r| r.request == get.id), "every replica answers");
+    for reply in replies.iter().filter(|r| r.request == get.id) {
+        assert!(!reply.encrypted);
+        assert_eq!(&reply.result[..], splitbft_app::NOOP_RESULT);
+    }
 }
 
 #[test]
@@ -149,7 +166,7 @@ fn confidentiality_environment_never_sees_plaintext() {
         let quote = cluster.replica_mut(i).attestation_quote(&authority);
         let (dh_pub, wrapped) =
             client.attest_execution_enclave(&authority.public_key(), &quote).unwrap();
-        cluster.replica_mut(i).install_session_key(ClientId(5), dh_pub, wrapped);
+        cluster.replica_mut(i).install_session_key(ClientId(5), dh_pub, wrapped).unwrap();
     }
 
     const SECRET: &[u8] = b"TOP-SECRET-PAYLOAD";
@@ -227,7 +244,7 @@ fn lagging_replica_catches_up_via_state_transfer() {
 
     // What the state-transfer client does with a peer's answer.
     let cp = cluster.replica(0).durable_checkpoint().expect("replica 0 is at its stable point");
-    cluster.replica_mut(3).restore_durable_checkpoint(&cp).expect("a peer's checkpoint restores");
+    cluster.replica_mut(3).restore_checkpoint(&cp).expect("a peer's checkpoint restores");
     let r3 = cluster.replica(3);
     assert_eq!(r3.last_executed(), SeqNum(12));
     assert_eq!(r3.app().value(), 12, "state transfer restored the counter");
@@ -265,7 +282,7 @@ fn a_checkpoint_in_the_older_layout_still_restores() {
     let v1 = DurableCheckpoint { seq: cp.seq, digest: cp.digest, state: encode(&v1).into() };
     assert!(v1.state.len() > 3 * snapshot.len());
 
-    cluster.replica_mut(3).restore_durable_checkpoint(&v1).expect("the older layout restores");
+    cluster.replica_mut(3).restore_checkpoint(&v1).expect("the older layout restores");
     assert_eq!(cluster.replica(3).app().value(), 12);
     assert_eq!(cluster.replica(3).state_digest(), cluster.replica(0).state_digest());
 }
@@ -592,51 +609,6 @@ fn hostile_broker_dropping_messages_cannot_break_safety() {
     assert!(v3 <= 10);
     let executed3 = cluster.replica(3).last_executed().0;
     assert_eq!(v3, executed3, "r3's state matches its executed prefix");
-}
-
-#[test]
-fn blockchain_blocks_are_sealed_before_persistence() {
-    use splitbft_app::Blockchain;
-    let mut cluster = cluster(4, 128, Blockchain::new);
-    let tx = |ts| plain_request(0, ts, Bytes::from_static(b"tx-data-10"));
-    for ts in 1..=4 {
-        cluster.submit(0, &[tx(ts)]);
-    }
-    // The fifth transaction closes a block on every replica, as each
-    // executes the slot. The hosting adapter drops `Persist` (it has no
-    // network footprint), so for this step the commit votes are taken
-    // off the wire and handed to the brokers directly.
-    let commits = Rc::new(RefCell::new(Vec::new()));
-    cluster.observe({
-        let commits = Rc::clone(&commits);
-        move |frame| {
-            if frame.kind == frame_kind::PROTOCOL {
-                if let Ok(vote @ ConsensusMessage::Commit(_)) = decode(frame.payload) {
-                    commits.borrow_mut().push((frame.to.as_usize(), vote));
-                    return false;
-                }
-            }
-            true
-        }
-    });
-    cluster.submit(0, &[tx(5)]);
-    let mut persisted = Vec::new();
-    for (to, vote) in commits.take() {
-        for event in cluster.replica_mut(to).on_network_message(vote) {
-            if let ReplicaEvent::Persist(blob) = event {
-                persisted.push(blob);
-            }
-        }
-    }
-    for r in replicas(&cluster) {
-        assert_eq!(r.app().height(), 1, "replica {} built a block", r.id());
-    }
-    // Four replicas each persisted one sealed block.
-    assert_eq!(persisted.len(), 4);
-    for blob in &persisted {
-        // Sealed: the raw transaction bytes are not visible.
-        assert!(!blob.windows(10).any(|w| w == b"tx-data-10"));
-    }
 }
 
 #[test]

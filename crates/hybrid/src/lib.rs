@@ -30,13 +30,12 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod hosting;
 pub mod message;
 pub mod replica;
 pub mod usig;
 
 pub use config::HybridConfig;
 pub use message::{HybridMessage, HybridPrepare, HybridCommit};
-pub use replica::{HybridAction, HybridReplica};
+pub use replica::HybridReplica;
 pub use splitbft_app::{ClientEvent, LockstepClient};
 pub use usig::{FaultyUsig, Usig, UsigError, UsigTrait, UsigUi, UsigVerifier};

@@ -5,9 +5,10 @@ use crate::message::{HybridCommit, HybridMessage, HybridPrepare};
 use crate::usig::{UsigTrait, UsigVerifier};
 use splitbft_app::{Application, Cached, ReplyCache};
 use splitbft_crypto::{digest_bytes, digest_of, ClientMacKeys};
+use splitbft_net::transport::{Protocol, ProtocolOutput};
 use splitbft_types::{
-    ClientId, Digest, DurableCheckpoint, DurableEvent, ProtocolError, ReplicaId, Reply, Request,
-    RequestBatch, SeqNum, View,
+    Digest, DurableCheckpoint, DurableEvent, ProtocolError, ReplicaId, Request, RequestBatch,
+    SeqNum, View,
 };
 use std::collections::BTreeMap;
 
@@ -19,26 +20,8 @@ use std::collections::BTreeMap;
 /// counter values).
 const HYBRID_CHECKPOINT_INTERVAL: u64 = 64;
 
-/// Effects requested by a [`HybridReplica`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HybridAction {
-    /// Send to every other replica.
-    Broadcast(HybridMessage),
-    /// Deliver a reply to a client.
-    SendReply {
-        /// Destination client.
-        to: ClientId,
-        /// The authenticated reply.
-        reply: Reply,
-    },
-    /// Persist an application blob.
-    Persist(bytes::Bytes),
-    /// Observability: the batch at this primary counter executed.
-    Executed {
-        /// The agreement slot (primary counter value).
-        counter: u64,
-    },
-}
+/// Where a handler puts what the replica sends.
+type Out = Vec<ProtocolOutput<HybridMessage>>;
 
 #[derive(Debug, Default)]
 struct HybridSlot {
@@ -132,54 +115,21 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
         self.client_keys.verify_request(req)
     }
 
-    /// Handles a batch of client requests: every replica re-sends its
-    /// cached reply to a retransmitted request (so a client whose
-    /// replies were lost still gathers `f + 1`), and the primary orders
-    /// the fresh ones.
-    pub fn on_client_batch(&mut self, requests: Vec<Request>) -> Vec<HybridAction> {
-        let keys = &mut self.client_keys;
-        let (resends, fresh) = self.replies.admit(requests, |req| keys.verify_request(req));
-        let mut actions: Vec<HybridAction> = resends
-            .into_iter()
-            .map(|reply| HybridAction::SendReply { to: reply.request.client, reply })
-            .collect();
-        if !self.is_primary() || fresh.is_empty() {
-            return actions;
-        }
-        let batch = RequestBatch::new(fresh);
-        let digest = digest_of(&batch);
-        let ui = self.usig.create_ui(&digest);
-        let counter = ui.counter;
-        self.record(|| DurableEvent::CounterIssued { counter });
-
-        let slot = self.slots.entry(counter).or_default();
-        slot.batch = Some(batch.clone());
-        slot.digest = Some(digest);
-        slot.committers.insert(self.id, ());
-
-        actions.push(HybridAction::Broadcast(HybridMessage::Prepare(HybridPrepare {
-            view: self.view,
-            batch,
-            ui,
-        })));
-        actions.extend(self.try_execute());
-        actions
-    }
-
     /// Handles one protocol message.
     ///
     /// # Errors
     ///
     /// Any [`ProtocolError`]; USIG violations surface as
-    /// [`ProtocolError::BadAuthenticator`].
-    pub fn on_message(&mut self, msg: HybridMessage) -> Result<Vec<HybridAction>, ProtocolError> {
+    /// [`ProtocolError::BadAuthenticator`]. What the call pushed to `out`
+    /// before failing is void.
+    fn handle(&mut self, msg: HybridMessage, out: &mut Out) -> Result<(), ProtocolError> {
         match msg {
-            HybridMessage::Prepare(p) => self.handle_prepare(p),
-            HybridMessage::Commit(c) => self.handle_commit(c),
+            HybridMessage::Prepare(p) => self.handle_prepare(p, out),
+            HybridMessage::Commit(c) => self.handle_commit(c, out),
         }
     }
 
-    fn handle_prepare(&mut self, p: HybridPrepare) -> Result<Vec<HybridAction>, ProtocolError> {
+    fn handle_prepare(&mut self, p: HybridPrepare, out: &mut Out) -> Result<(), ProtocolError> {
         if p.view != self.view {
             return Err(ProtocolError::WrongView { got: p.view, current: self.view });
         }
@@ -214,12 +164,12 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
         self.record(|| DurableEvent::CounterIssued { counter: issued });
         self.slots.entry(counter).or_default().committers.insert(self.id, ());
 
-        let mut actions = vec![HybridAction::Broadcast(HybridMessage::Commit(commit))];
-        actions.extend(self.try_execute());
-        Ok(actions)
+        out.push(ProtocolOutput::Broadcast(HybridMessage::Commit(commit)));
+        self.try_execute(out);
+        Ok(())
     }
 
-    fn handle_commit(&mut self, c: HybridCommit) -> Result<Vec<HybridAction>, ProtocolError> {
+    fn handle_commit(&mut self, c: HybridCommit, out: &mut Out) -> Result<(), ProtocolError> {
         if c.view != self.view {
             return Err(ProtocolError::WrongView { got: c.view, current: self.view });
         }
@@ -240,11 +190,11 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
             _ => {}
         }
         slot.committers.insert(c.replica, ());
-        Ok(self.try_execute())
+        self.try_execute(out);
+        Ok(())
     }
 
-    fn try_execute(&mut self) -> Vec<HybridAction> {
-        let mut actions = Vec::new();
+    fn try_execute(&mut self, out: &mut Out) {
         loop {
             let next = self.last_exec + 1;
             let ready = self.slots.get(&next).map_or(false, |s| {
@@ -258,18 +208,16 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
                 seq: SeqNum(next),
                 batch: batch.clone(),
             });
-            self.execute_batch(&batch, &mut actions);
+            self.execute_batch(&batch, out);
             self.slots.remove(&next);
             self.last_exec = next;
-            actions.push(HybridAction::Executed { counter: next });
             self.maybe_snapshot(next);
         }
-        actions
     }
 
-    /// Executes `batch` once per fresh request, appending the replies
-    /// (cached ones for retransmissions) and the application's blobs.
-    fn execute_batch(&mut self, batch: &RequestBatch, actions: &mut Vec<HybridAction>) {
+    /// Executes `batch` once per fresh request, pushing the replies
+    /// (cached ones for retransmissions).
+    fn execute_batch(&mut self, batch: &RequestBatch, out: &mut Out) {
         for req in &batch.requests {
             let to = req.client();
             let reply = match self.replies.lookup(req.id) {
@@ -280,9 +228,11 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
                     self.replies.record(&self.client_keys, self.view, self.id, req.id, result, false)
                 }
             };
-            actions.push(HybridAction::SendReply { to, reply });
+            out.push(ProtocolOutput::Reply { to, reply });
         }
-        actions.extend(self.app.drain_persist().into_iter().map(HybridAction::Persist));
+        // No enclave seals an application's blobs (blockchain blocks)
+        // here, and no runtime stores them: dropped.
+        self.app.drain_persist();
     }
 
     // --- durability --------------------------------------------------------
@@ -306,25 +256,92 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
         self.last_snapshot = Some((executed, self.replies.encode_state(&self.app.snapshot())));
         self.durable.push(DurableEvent::StableCheckpoint { seq: SeqNum(executed) });
     }
+}
 
-    /// Starts recording durable consensus events.
-    pub fn enable_durable_events(&mut self) {
-        self.durable_enabled = true;
+/// The hybrid speaks its own two-phase message vocabulary
+/// ([`HybridMessage`]), which is why [`Protocol::Message`] is an
+/// associated type rather than a fixed `ConsensusMessage`: the same
+/// runtimes host MinBFT-style clusters without any enum-wrapping.
+impl<A, U> Protocol for HybridReplica<A, U>
+where
+    A: Application + 'static,
+    U: UsigTrait + Send + 'static,
+{
+    type Message = HybridMessage;
+
+    fn on_message(&mut self, msg: HybridMessage) -> Out {
+        // Unverifiable USIG certificates and malformed messages are
+        // ignored, not fatal — byzantine peers may send anything.
+        let mut out = Vec::new();
+        if self.handle(msg, &mut out).is_err() {
+            out.clear();
+        }
+        out
     }
 
-    /// Drains the durable events recorded since the last drain.
-    pub fn drain_durable_events(&mut self) -> Vec<DurableEvent> {
+    /// Every replica re-sends its cached reply to a retransmitted request
+    /// (so a client whose replies were lost still gathers `f + 1`), and
+    /// the primary orders the fresh ones.
+    fn on_client_requests(&mut self, requests: Vec<Request>) -> Out {
+        let keys = &mut self.client_keys;
+        let (resends, fresh) = self.replies.admit(requests, |req| keys.verify_request(req));
+        let mut out: Out = resends
+            .into_iter()
+            .map(|reply| ProtocolOutput::Reply { to: reply.request.client, reply })
+            .collect();
+        if !self.is_primary() || fresh.is_empty() {
+            return out;
+        }
+        let batch = RequestBatch::new(fresh);
+        let digest = digest_of(&batch);
+        let ui = self.usig.create_ui(&digest);
+        let counter = ui.counter;
+        self.record(|| DurableEvent::CounterIssued { counter });
+
+        let slot = self.slots.entry(counter).or_default();
+        slot.batch = Some(batch.clone());
+        slot.digest = Some(digest);
+        slot.committers.insert(self.id, ());
+
+        out.push(ProtocolOutput::Broadcast(HybridMessage::Prepare(HybridPrepare {
+            view: self.view,
+            batch,
+            ui,
+        })));
+        self.try_execute(&mut out);
+        out
+    }
+
+    fn on_timeout(&mut self) -> Out {
+        // The MinBFT view change is out of scope (see the crate docs);
+        // timeouts are a no-op rather than an error.
+        Vec::new()
+    }
+
+    fn progress(&self) -> u64 {
+        self.last_exec
+    }
+
+    fn has_pending_requests(&self) -> bool {
+        // With no view change to fire, reporting pending requests would
+        // only make runtimes call the no-op timeout handler; keep the
+        // timer permanently quiet instead.
+        false
+    }
+
+    /// The first drain opts in: only then does the replica record events
+    /// and take periodic snapshots.
+    fn drain_durable_events(&mut self) -> Vec<DurableEvent> {
+        self.durable_enabled = true;
         std::mem::take(&mut self.durable)
     }
 
-    /// Replays one WAL event during crash recovery.
-    ///
-    /// `CounterIssued` is the safety-critical one: it advances the
+    /// `CounterIssued` is the safety-critical event: it advances the
     /// restored trusted counter past every value the pre-crash replica
     /// ever signed with, so the restart cannot equivocate — the paper's
     /// sealed-counter recovery. `Committed` re-executes batches beyond
     /// the last snapshot.
-    pub fn replay_durable_event(&mut self, event: DurableEvent) {
+    fn replay_durable_event(&mut self, event: DurableEvent) {
         // Replay only happens during crash recovery, and recovery means
         // this replica's verifier windows are stale: re-anchor them on
         // the first live message from each peer (see
@@ -346,7 +363,7 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
     }
 
     /// The latest durable snapshot, if one was taken.
-    pub fn durable_checkpoint(&self) -> Option<DurableCheckpoint> {
+    fn durable_checkpoint(&self) -> Option<DurableCheckpoint> {
         let (seq, state) = self.last_snapshot.as_ref()?;
         Some(DurableCheckpoint {
             seq: SeqNum(*seq),
@@ -355,22 +372,17 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
         })
     }
 
-    /// Restores from a snapshot produced by
-    /// [`HybridReplica::durable_checkpoint`] — locally unsealed, or
-    /// agreed on by `f + 1` peers (the hybrid has no self-authenticating
-    /// checkpoint certificates, so peer agreement *is* the trust
-    /// anchor). Re-anchors the USIG verifier windows afterwards: the
-    /// counters this replica saw before crashing are gone with its
-    /// memory.
+    /// Restores a snapshot locally unsealed or agreed on by `f + 1`
+    /// peers (the hybrid has no self-authenticating checkpoint
+    /// certificates, so peer agreement *is* the trust anchor).
+    /// Re-anchors the USIG verifier windows afterwards: the counters this
+    /// replica saw before crashing are gone with its memory.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::CorruptState`] when the bytes do not hash to the
     /// claimed digest or fail to decode.
-    pub fn restore_durable_checkpoint(
-        &mut self,
-        cp: &DurableCheckpoint,
-    ) -> Result<(), ProtocolError> {
+    fn restore_checkpoint(&mut self, cp: &DurableCheckpoint) -> Result<(), ProtocolError> {
         if digest_bytes(&cp.state) != cp.digest {
             return Err(ProtocolError::CorruptState(
                 "snapshot bytes do not hash to the claimed digest".into(),
@@ -386,6 +398,10 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
         self.verifier.resync();
         Ok(())
     }
+
+    // `catch_up_messages` keeps the empty default: executed slots are
+    // discarded, so lagging peers recover from the snapshot plus the
+    // live message stream (re-requesting until they reconnect to it).
 }
 
 #[cfg(test)]
@@ -394,7 +410,7 @@ mod tests {
     use crate::usig::{FaultyUsig, Usig};
     use bytes::Bytes;
     use splitbft_app::CounterApp;
-    use splitbft_types::Timestamp;
+    use splitbft_types::{ClientId, Timestamp};
 
     const SEED: u64 = 77;
 
@@ -460,13 +476,27 @@ mod tests {
         }
     }
 
+    /// The `Prepare` a primary broadcast.
+    fn prepare_in(outputs: &[ProtocolOutput<HybridMessage>]) -> HybridPrepare {
+        outputs
+            .iter()
+            .find_map(|o| match o {
+                ProtocolOutput::Broadcast(HybridMessage::Prepare(p)) => Some(p.clone()),
+                _ => None,
+            })
+            .expect("a Prepare")
+    }
+
+    fn has_commit(outputs: &[ProtocolOutput<HybridMessage>]) -> bool {
+        outputs.iter().any(|o| matches!(o, ProtocolOutput::Broadcast(HybridMessage::Commit(_))))
+    }
+
     #[test]
     fn forged_request_rejected() {
         let mut replicas = cluster(3);
         let mut req = request(0, 1);
         req.auth = [0; 32];
-        let actions = replicas[0].on_client_batch(vec![req]);
-        assert!(actions.is_empty());
+        assert!(replicas[0].on_client_requests(vec![req]).is_empty());
     }
 
     #[test]
@@ -475,22 +505,15 @@ mod tests {
         // two prepares with the same counter: the second create_ui call
         // advances the counter, and backups reject the gap/out-of-order.
         let mut replicas = cluster(3);
-        let a1 = replicas[0].on_client_batch(vec![request(0, 1)]);
-        let p1 = a1.iter().find_map(|a| match a {
-            HybridAction::Broadcast(HybridMessage::Prepare(p)) => Some(p.clone()),
-            _ => None,
-        }).unwrap();
-        let a2 = replicas[0].on_client_batch(vec![request(1, 1)]);
-        let p2 = a2.iter().find_map(|a| match a {
-            HybridAction::Broadcast(HybridMessage::Prepare(p)) => Some(p.clone()),
-            _ => None,
-        }).unwrap();
+        let p1 = prepare_in(&replicas[0].on_client_requests(vec![request(0, 1)]));
+        let p2 = prepare_in(&replicas[0].on_client_requests(vec![request(1, 1)]));
         assert_ne!(p1.ui.counter, p2.ui.counter, "counters are unique");
 
-        // Delivering p2 before p1 is rejected (gap); p1 then p2 is fine.
-        assert!(replicas[1].on_message(HybridMessage::Prepare(p2.clone())).is_err());
-        assert!(replicas[1].on_message(HybridMessage::Prepare(p1)).is_ok());
-        assert!(replicas[1].on_message(HybridMessage::Prepare(p2)).is_ok());
+        // Delivering p2 before p1 is rejected (gap): no outputs. Once p1
+        // fills the gap, p2 earns this backup's Commit.
+        assert!(replicas[1].on_message(HybridMessage::Prepare(p2.clone())).is_empty());
+        assert!(has_commit(&replicas[1].on_message(HybridMessage::Prepare(p1))));
+        assert!(has_commit(&replicas[1].on_message(HybridMessage::Prepare(p2))));
     }
 
     #[test]
@@ -520,27 +543,19 @@ mod tests {
         let mut r1 = mk_backup(1);
         let mut r2 = mk_backup(2);
 
-        let a1 = evil_primary.on_client_batch(vec![request(0, 1)]);
-        let p_a = a1.iter().find_map(|a| match a {
-            HybridAction::Broadcast(HybridMessage::Prepare(p)) => Some(p.clone()),
-            _ => None,
-        }).unwrap();
+        let p_a = prepare_in(&evil_primary.on_client_requests(vec![request(0, 1)]));
 
         // Roll the counter back and order a *different* batch under the
         // same counter value.
         evil_primary.usig.rollback(1);
-        let a2 = evil_primary.on_client_batch(vec![request(1, 1)]);
-        let p_b = a2.iter().find_map(|a| match a {
-            HybridAction::Broadcast(HybridMessage::Prepare(p)) => Some(p.clone()),
-            _ => None,
-        }).unwrap();
+        let p_b = prepare_in(&evil_primary.on_client_requests(vec![request(1, 1)]));
         assert_eq!(p_a.ui.counter, p_b.ui.counter);
         assert_ne!(p_a.batch_digest(), p_b.batch_digest());
 
         // r1 sees batch A, r2 sees batch B; both execute immediately
         // (own commit + primary's prepare = f+1 = 2).
-        r1.on_message(HybridMessage::Prepare(p_a)).unwrap();
-        r2.on_message(HybridMessage::Prepare(p_b)).unwrap();
+        assert!(has_commit(&r1.on_message(HybridMessage::Prepare(p_a))));
+        assert!(has_commit(&r2.on_message(HybridMessage::Prepare(p_b))));
         assert_eq!(r1.last_executed(), 1);
         assert_eq!(r2.last_executed(), 1);
         // Divergent state at the same slot: safety violated.
@@ -557,21 +572,16 @@ mod tests {
     #[test]
     fn five_replica_cluster_needs_three_commits() {
         let mut replicas = cluster(5);
-        let actions = replicas[0].on_client_batch(vec![request(0, 1)]);
-        let prepare = actions.iter().find_map(|a| match a {
-            HybridAction::Broadcast(m) => Some(m.clone()),
-            _ => None,
-        }).unwrap();
+        let prepare =
+            HybridMessage::Prepare(prepare_in(&replicas[0].on_client_requests(vec![request(0, 1)])));
 
         // Deliver the prepare to one backup only: primary+r1 = 2 < 3.
-        let HybridMessage::Prepare(_) = &prepare else { panic!() };
-        let acts = replicas[1].on_message(prepare.clone()).unwrap();
+        // r1's commit reaches nobody.
+        assert!(has_commit(&replicas[1].on_message(prepare.clone())));
         assert_eq!(replicas[1].last_executed(), 0, "2 of 3 commits is not enough");
 
-        // Deliver r1's commit to nobody; give the prepare to r2: now r2
-        // has primary+own = 2 < 3 as well.
-        let _ = acts;
-        replicas[2].on_message(prepare).unwrap();
+        // Give the prepare to r2: now r2 has primary+own = 2 < 3 as well.
+        assert!(has_commit(&replicas[2].on_message(prepare)));
         assert_eq!(replicas[2].last_executed(), 0);
     }
 }

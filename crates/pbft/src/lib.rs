@@ -11,9 +11,9 @@
 //!
 //! # Architecture
 //!
-//! - [`replica::Replica`] — the per-replica state machine; feed it
-//!   messages and timer events, interpret the returned
-//!   [`action::Action`]s.
+//! - [`replica::Replica`] — the per-replica state machine, driven
+//!   through its `Protocol` impl (from `splitbft-net`): feed it messages,
+//!   client requests and timer events, route the returned outputs.
 //! - [`LockstepClient`] (from `splitbft-app`, shared by all three stacks)
 //!   — issues authenticated requests and collects `f + 1` matching
 //!   replies.
@@ -26,32 +26,30 @@
 //!
 //! ```
 //! use splitbft_app::CounterApp;
-//! use splitbft_pbft::{Action, Replica, make_request};
-//! use splitbft_types::{ClusterConfig, ClientId, ReplicaId, Timestamp};
+//! use splitbft_net::transport::{Protocol, ProtocolOutput};
+//! use splitbft_pbft::{Replica, make_request};
+//! use splitbft_types::{ClusterConfig, ClientId, ConsensusMessage, ReplicaId, Timestamp};
 //! use bytes::Bytes;
 //!
 //! let cfg = ClusterConfig::new(4).unwrap();
 //! let mut primary = Replica::new(cfg.clone(), ReplicaId(0), 42, CounterApp::new());
 //! let request = make_request(42, ClientId(0), Timestamp(1), Bytes::from_static(b"inc"));
-//! let actions = primary.on_client_batch(vec![request]);
+//! let outputs = primary.on_client_requests(vec![request]);
 //! // The primary broadcasts a PrePrepare for the new batch.
-//! assert!(matches!(actions[0], Action::Broadcast { .. }));
+//! assert!(matches!(outputs[0], ProtocolOutput::Broadcast(ConsensusMessage::PrePrepare(_))));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod action;
 pub mod batcher;
 pub mod checkpoint;
-pub mod hosting;
 pub mod log;
 pub mod replica;
 pub mod verify;
 pub mod viewchange;
 pub mod votes;
 
-pub use action::{outbound, Action};
 pub use batcher::Batcher;
 pub use checkpoint::CheckpointTracker;
 pub use log::{MessageLog, Proposals, Slot};

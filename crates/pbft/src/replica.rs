@@ -3,8 +3,8 @@
 //! This is the baseline the paper evaluates SplitBFT against: a complete
 //! PBFT replica — normal operation, checkpointing, and view changes — as a
 //! deterministic state machine. All I/O, timers, and batching live in the
-//! surrounding runtime, which feeds events in and interprets the returned
-//! [`Action`]s.
+//! surrounding runtime, which drives it through its [`Protocol`] impl and
+//! routes the returned [`ProtocolOutput`]s.
 //!
 //! # Protocol summary
 //!
@@ -18,12 +18,11 @@
 //! broadcasts a `Checkpoint` carrying the snapshot's digest; `2f + 1`
 //! matching checkpoints advance the watermark and garbage-collect the
 //! log. When the environment's timer fires
-//! ([`Replica::on_view_timeout`]) the replica votes `ViewChange`; the
+//! ([`Protocol::on_timeout`]) the replica votes `ViewChange`; the
 //! next primary assembles `2f + 1` votes into a `NewView` that re-issues
 //! every prepared-but-unstable proposal (see
 //! [`crate::viewchange::plan_new_view`]).
 
-use crate::action::Action;
 use crate::checkpoint::{split_durable_checkpoint, CheckpointTracker};
 use crate::log::MessageLog;
 use crate::verify::{
@@ -35,12 +34,16 @@ use crate::viewchange::{
 use bytes::Bytes;
 use splitbft_app::{Application, Cached, ReplyCache};
 use splitbft_crypto::{client_mac_key, digest_bytes, digest_of, ClientMacKeys, KeyPair, KeyRegistry};
+use splitbft_net::transport::{Protocol, ProtocolGauges, ProtocolOutput};
 use splitbft_types::{
     Checkpoint, ClientId, ClusterConfig, Commit, ConsensusMessage, Digest, DurableCheckpoint,
     DurableEvent, NewView, PrePrepare, Prepare, PrepareCertificate, ProtocolError, ReplicaId,
     Request, RequestBatch, SeqNum, Signed, SignerId, View, ViewChange,
 };
 use std::collections::BTreeMap;
+
+/// Where a handler puts what the replica sends.
+type Out = Vec<ProtocolOutput<ConsensusMessage>>;
 
 /// Upper bound on buffered future-view messages (defence against memory
 /// exhaustion by a byzantine peer flooding messages for far-future views).
@@ -105,8 +108,8 @@ pub struct Replica<A> {
     /// and on starting a view change.
     pending_requests: PendingRequests,
     /// Durable consensus events buffered for the hosting runtime's WAL.
-    /// Only populated when a durable runtime opted in via
-    /// [`Replica::enable_durable_events`]; plain in-memory hosting pays
+    /// Only populated once a durable runtime opted in by draining them
+    /// ([`Protocol::drain_durable_events`]); plain in-memory hosting pays
     /// nothing.
     durable: Vec<DurableEvent>,
     /// Whether durable events are being recorded.
@@ -206,233 +209,35 @@ impl<A: Application> Replica<A> {
             + self.client_keys.memory_usage()
     }
 
-    /// `true` while an authenticated client request has been accepted
-    /// but not yet executed. Request-aware view-change timers fire only
-    /// when this holds across a full period with no execution progress.
-    pub fn has_pending_requests(&self) -> bool {
-        !self.pending_requests.is_empty()
-    }
-
     // --- durability --------------------------------------------------------
 
-    /// Records `event` if a durable runtime opted in. Takes a closure so
-    /// disabled replicas do not even build the event (the `Committed`
-    /// variant clones the whole batch).
+    /// Records `event` if a durable runtime opted in (by draining the
+    /// events once). Takes a closure so disabled replicas do not even
+    /// build the event (the `Committed` variant clones the whole batch).
     fn record(&mut self, event: impl FnOnce() -> DurableEvent) {
         if self.durable_enabled {
             self.durable.push(event());
         }
     }
 
-    /// Starts recording durable consensus events for
-    /// [`Replica::drain_durable_events`]. Called once by durable
-    /// runtimes; in-memory hosting leaves it off and pays nothing.
-    pub fn enable_durable_events(&mut self) {
-        self.durable_enabled = true;
-    }
-
-    /// Drains the durable events recorded since the last drain.
-    pub fn drain_durable_events(&mut self) -> Vec<DurableEvent> {
-        std::mem::take(&mut self.durable)
-    }
-
-    /// Replays one WAL event during crash recovery. Replay is idempotent
-    /// (`Committed` below the current execution point is skipped) and
-    /// produces no outputs.
-    pub fn replay_durable_event(&mut self, event: DurableEvent) {
-        match event {
-            DurableEvent::Accepted { seq, .. } => {
-                // Never reuse a slot this replica already proposed or
-                // accepted — a restarted primary re-proposing a used
-                // sequence number would equivocate.
-                if self.next_seq < seq {
-                    self.next_seq = seq;
-                }
-            }
-            DurableEvent::Committed { seq, batch } => {
-                if seq == self.last_exec.next() {
-                    let _ = self.execute_batch(seq, &batch);
-                    self.last_exec = seq;
-                    if self.next_seq < seq {
-                        self.next_seq = seq;
-                    }
-                }
-            }
-            DurableEvent::EnteredView { view } => {
-                if self.view < view {
-                    self.view = view;
-                    self.status = Status::Normal;
-                }
-            }
-            // Trusted counters are the hybrid's concern, the stable
-            // marker only matters to the WAL's garbage collector, and
-            // the shard tag to the sharding shim above this replica.
-            DurableEvent::CounterIssued { .. }
-            | DurableEvent::StableCheckpoint { .. }
-            | DurableEvent::ShardTag { .. } => {}
-        }
-    }
-
-    /// The replica's durable state at its latest stable checkpoint: the
-    /// stable [`splitbft_types::CheckpointCertificate`] (`2f + 1` signed
-    /// votes for the state digest) followed by this replica's snapshot of
-    /// that state. `None` at genesis, and while this replica is behind its
-    /// own stable checkpoint and so has no snapshot of it.
-    pub fn durable_checkpoint(&self) -> Option<DurableCheckpoint> {
-        self.checkpoints.durable_checkpoint()
-    }
-
-    /// Restores from a [`DurableCheckpoint`] produced by
-    /// [`Replica::durable_checkpoint`] — the sealed local copy or an
-    /// `f + 1`-agreed peer copy. The embedded certificate is deep
-    /// verified (structure + every signature) before it becomes this
-    /// replica's stable checkpoint, and the snapshot is installed only if
-    /// it hashes to the digest that certificate vouches for.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::CorruptState`] when the bytes do not decode, do
-    /// not match the claimed `(seq, digest)` or carry no matching
-    /// snapshot; certificate validation errors pass through.
-    pub fn restore_durable_checkpoint(
-        &mut self,
-        cp: &DurableCheckpoint,
-    ) -> Result<(), ProtocolError> {
-        let (cert, snapshot) = split_durable_checkpoint(cp)?;
-        verify::verify_checkpoint_certificate(&self.registry, &cert, &self.config, &self.scheme)?;
-        if self.checkpoints.install_certificate(cert.clone()) {
-            let _ = self.apply_stable_checkpoint(cp.seq);
-        }
-        if self.last_exec >= cp.seq {
-            return Ok(()); // already at or past the certified state
-        }
-        // A checkpoint sealed or served by an older build has no bytes
-        // after the certificate: its votes each embed the snapshot.
-        let snapshot = match snapshot {
-            [] => verify::certified_snapshot(&cert).ok_or_else(|| {
-                ProtocolError::CorruptState("no snapshot matches the certified digest".into())
-            })?,
-            trailing => trailing,
-        };
-        self.install_snapshot(cp.seq, snapshot)
-    }
-
-    /// Retained messages that let a peer at `have_seq` catch up through
-    /// its normal message handlers: for every slot above
-    /// `max(have_seq, stable)` up to the last executed one, the accepted
-    /// proposal plus all collected prepare and commit votes — the
-    /// receiver's committed-local predicate needs both quorums, and in
-    /// an idle cluster nobody else will ever resend them.
-    pub fn catch_up_messages(&self, have_seq: SeqNum) -> Vec<ConsensusMessage> {
-        let from = have_seq.max(self.checkpoints.stable_seq());
-        let mut msgs = Vec::new();
-        // The latest NewView leads: a peer that was down during the
-        // view-change broadcast rejects everything from the current
-        // view until it processes this (a receiver already in the view
-        // simply drops it).
-        if let Some(nv) = &self.last_new_view {
-            msgs.push(ConsensusMessage::NewView(nv.clone()));
-        }
-        // Chunked: a deeply lagging peer catches up incrementally (its
-        // next state-request round carries a higher have_seq) instead
-        // of drowning in one giant suffix. A requester reporting no
-        // progress cannot page that way — it is at genesis, or it is a
-        // sharded host whose one number cannot say where each group
-        // stands — and is served the whole retained suffix, which the
-        // watermark window bounds.
-        let chunk =
-            if have_seq == SeqNum::zero() { usize::MAX } else { CATCH_UP_CHUNK_SLOTS };
-        let mut served = 0usize;
-        for seq in (from.0 + 1)..=self.last_exec.0 {
-            if served >= chunk {
-                break;
-            }
-            let Some(slot) = self.log.slot(SeqNum(seq)) else { continue };
-            let Some(pp) = &slot.pre_prepare else { continue };
-            msgs.push(ConsensusMessage::PrePrepare(pp.clone()));
-            for prepare in slot.prepares.values() {
-                msgs.push(ConsensusMessage::Prepare(prepare.clone()));
-            }
-            for commit in slot.commits.values() {
-                msgs.push(ConsensusMessage::Commit(commit.clone()));
-            }
-            served += 1;
-        }
-        msgs
-    }
-
     // --- event handlers ------------------------------------------------
-
-    /// Handles a batch of client requests. The primary orders fresh,
-    /// authenticated requests; *every* replica re-sends its cached reply
-    /// for an already-executed timestamp (the PBFT retransmission rule —
-    /// clients broadcast after a timeout, and backups answering from
-    /// cache is what completes the reply quorum when the reply was lost)
-    /// and records fresh requests as pending so the request-aware
-    /// view-change timer can detect a stalled primary.
-    pub fn on_client_batch(&mut self, requests: Vec<Request>) -> Vec<Action> {
-        let keys = &mut self.client_keys;
-        let (resends, fresh) = self.replies.admit(requests, |req| keys.verify_request(req));
-        let mut actions: Vec<Action> = resends
-            .into_iter()
-            .map(|reply| Action::SendReply { to: reply.request.client, reply })
-            .collect();
-        for req in &fresh {
-            self.pending_requests.note(req.id);
-        }
-        if !self.is_primary() || self.status != Status::Normal || fresh.is_empty() {
-            return actions;
-        }
-
-        let seq = SeqNum(self.next_seq.0.max(self.last_exec.0) + 1);
-        if !self.log.in_window(seq) {
-            // Watermark exhausted: wait for a checkpoint to stabilize.
-            // The runtime will retry the batch.
-            return actions;
-        }
-        self.next_seq = seq;
-        let batch = RequestBatch::new(fresh);
-        let digest = digest_of(&batch);
-        let pp = self.keypair.sign_payload(
-            PrePrepare { view: self.view, seq, digest, batch },
-            self.signer,
-        );
-        self.log
-            .insert_pre_prepare(pp.clone())
-            .expect("own fresh slot cannot conflict");
-        self.record(|| DurableEvent::Accepted { view: pp.payload.view, seq, digest });
-        actions.push(Action::Broadcast { msg: ConsensusMessage::PrePrepare(pp) });
-        actions
-    }
 
     /// Handles one verified-on-arrival protocol message.
     ///
     /// # Errors
     ///
     /// Any [`ProtocolError`]: rejected messages are normal in a byzantine
-    /// system; the runtime typically just logs them.
-    pub fn on_message(&mut self, msg: ConsensusMessage) -> Result<Vec<Action>, ProtocolError> {
+    /// system. Whatever the call pushed to `out` before failing is void,
+    /// and the callers truncate it away.
+    fn handle(&mut self, msg: ConsensusMessage, out: &mut Out) -> Result<(), ProtocolError> {
         match msg {
-            ConsensusMessage::PrePrepare(pp) => self.handle_pre_prepare(pp),
-            ConsensusMessage::Prepare(p) => self.handle_prepare(p),
-            ConsensusMessage::Commit(c) => self.handle_commit(c),
+            ConsensusMessage::PrePrepare(pp) => self.handle_pre_prepare(pp, out),
+            ConsensusMessage::Prepare(p) => self.handle_prepare(p, out),
+            ConsensusMessage::Commit(c) => self.handle_commit(c, out),
             ConsensusMessage::Checkpoint(c) => self.handle_checkpoint(c),
-            ConsensusMessage::ViewChange(vc) => self.handle_view_change(vc),
-            ConsensusMessage::NewView(nv) => self.handle_new_view(nv),
+            ConsensusMessage::ViewChange(vc) => self.handle_view_change(vc, out),
+            ConsensusMessage::NewView(nv) => self.handle_new_view(nv, out),
         }
-    }
-
-    /// The environment's view-change timer fired: vote to depose the
-    /// current primary (or escalate to the next view if already changing).
-    pub fn on_view_timeout(&mut self) -> Vec<Action> {
-        if self.status == Status::InViewChange && self.view_timer.rebroadcast_on_timeout() {
-            // Still awaiting the NewView for the view we already voted:
-            // re-broadcast the vote instead of hopping onward.
-            let signed = self.signed_view_change(self.view);
-            return vec![Action::Broadcast { msg: ConsensusMessage::ViewChange(signed) }];
-        }
-        let target = self.view.next();
-        self.start_view_change(target)
     }
 
     /// This replica's `ViewChange` for `target`, freshly signed.
@@ -481,12 +286,13 @@ impl<A: Application> Replica<A> {
     fn handle_pre_prepare(
         &mut self,
         pp: Signed<PrePrepare>,
-    ) -> Result<Vec<Action>, ProtocolError> {
+        out: &mut Out,
+    ) -> Result<(), ProtocolError> {
         let view = pp.payload.view;
         let seq = pp.payload.seq;
         if view > self.view {
             self.buffer_future(ConsensusMessage::PrePrepare(pp));
-            return Ok(Vec::new());
+            return Ok(());
         }
         let primary = view.primary(&self.config);
         verify_signed_from(&self.registry, &pp, (self.scheme.proposer)(primary))?;
@@ -500,7 +306,7 @@ impl<A: Application> Replica<A> {
         if !self.verify_request_batch(&pp.payload.batch.requests) {
             return Err(ProtocolError::BadAuthenticator { kind: "request in batch" });
         }
-        self.accept_pre_prepare(pp)
+        self.accept_pre_prepare(pp, out)
     }
 
     /// Inserts an already-validated proposal and emits this backup's
@@ -509,14 +315,14 @@ impl<A: Application> Replica<A> {
     fn accept_pre_prepare(
         &mut self,
         pp: Signed<PrePrepare>,
-    ) -> Result<Vec<Action>, ProtocolError> {
+        out: &mut Out,
+    ) -> Result<(), ProtocolError> {
         let view = pp.payload.view;
         let seq = pp.payload.seq;
         let digest = pp.payload.digest;
         self.log.insert_pre_prepare(pp)?;
         self.record(|| DurableEvent::Accepted { view, seq, digest });
 
-        let mut actions = Vec::new();
         if !self.is_primary() && !self.log.slot(seq).map_or(false, |s| s.prepare_sent) {
             let prepare = self.keypair.sign_payload(
                 Prepare { view, seq, digest, replica: self.id },
@@ -524,18 +330,18 @@ impl<A: Application> Replica<A> {
             );
             self.log.insert_prepare(prepare.clone());
             self.log.slot_mut(seq).prepare_sent = true;
-            actions.push(Action::Broadcast { msg: ConsensusMessage::Prepare(prepare) });
+            out.push(ProtocolOutput::Broadcast(ConsensusMessage::Prepare(prepare)));
         }
-        actions.extend(self.maybe_prepared(seq));
-        Ok(actions)
+        self.maybe_prepared(seq, out);
+        Ok(())
     }
 
-    fn handle_prepare(&mut self, p: Signed<Prepare>) -> Result<Vec<Action>, ProtocolError> {
+    fn handle_prepare(&mut self, p: Signed<Prepare>, out: &mut Out) -> Result<(), ProtocolError> {
         let view = p.payload.view;
         let seq = p.payload.seq;
         if view > self.view {
             self.buffer_future(ConsensusMessage::Prepare(p));
-            return Ok(Vec::new());
+            return Ok(());
         }
         verify_signed_from(&self.registry, &p, (self.scheme.preparer)(p.payload.replica))?;
         if !self.config.contains(p.payload.replica) {
@@ -543,13 +349,13 @@ impl<A: Application> Replica<A> {
         }
         self.check_active_view(view, seq)?;
         self.log.insert_prepare(p);
-        Ok(self.maybe_prepared(seq))
+        self.maybe_prepared(seq, out);
+        Ok(())
     }
 
-    fn maybe_prepared(&mut self, seq: SeqNum) -> Vec<Action> {
-        let mut actions = Vec::new();
+    fn maybe_prepared(&mut self, seq: SeqNum, out: &mut Out) {
         if !self.log.prepared(seq, self.view, &self.config) {
-            return actions;
+            return;
         }
         // Remember the certificate for future view changes.
         if let Some(cert) = self.log.prepare_certificate(seq, self.view, &self.config) {
@@ -568,18 +374,17 @@ impl<A: Application> Replica<A> {
             );
             self.log.insert_commit(commit.clone());
             self.log.slot_mut(seq).commit_sent = true;
-            actions.push(Action::Broadcast { msg: ConsensusMessage::Commit(commit) });
+            out.push(ProtocolOutput::Broadcast(ConsensusMessage::Commit(commit)));
         }
-        actions.extend(self.try_execute());
-        actions
+        self.try_execute(out);
     }
 
-    fn handle_commit(&mut self, c: Signed<Commit>) -> Result<Vec<Action>, ProtocolError> {
+    fn handle_commit(&mut self, c: Signed<Commit>, out: &mut Out) -> Result<(), ProtocolError> {
         let view = c.payload.view;
         let seq = c.payload.seq;
         if view > self.view {
             self.buffer_future(ConsensusMessage::Commit(c));
-            return Ok(Vec::new());
+            return Ok(());
         }
         verify_signed_from(&self.registry, &c, (self.scheme.confirmer)(c.payload.replica))?;
         if !self.config.contains(c.payload.replica) {
@@ -587,13 +392,12 @@ impl<A: Application> Replica<A> {
         }
         self.check_active_view(view, seq)?;
         self.log.insert_commit(c);
-        let mut actions = self.maybe_prepared(seq);
-        actions.extend(self.try_execute());
-        Ok(actions)
+        self.maybe_prepared(seq, out);
+        self.try_execute(out);
+        Ok(())
     }
 
-    fn try_execute(&mut self) -> Vec<Action> {
-        let mut actions = Vec::new();
+    fn try_execute(&mut self, out: &mut Out) {
         loop {
             let next = self.last_exec.next();
             if !self.log.committed(next, self.view, &self.config) {
@@ -608,27 +412,26 @@ impl<A: Application> Replica<A> {
                 .pre_prepare
                 .take()
                 .expect("committed implies proposal");
-            actions.push(Action::CommittedBatch { seq: next, digest: pp.payload.digest });
             self.record(|| DurableEvent::Committed { seq: next, batch: pp.payload.batch.clone() });
-            actions.extend(self.execute_batch(next, &pp.payload.batch));
+            self.execute_batch(&pp.payload.batch, out);
             self.log.slot_mut(next).pre_prepare = Some(pp);
             self.last_exec = next;
 
             if next.0 % self.config.checkpoint_interval == 0 {
-                actions.extend(self.emit_checkpoint(next));
+                self.emit_checkpoint(next, out);
             }
         }
         self.collect_log_garbage();
-        actions
     }
 
-    fn execute_batch(&mut self, seq: SeqNum, batch: &RequestBatch) -> Vec<Action> {
-        let mut actions = Vec::new();
+    /// Executes `batch` once per fresh request, pushing the replies
+    /// (cached ones for retransmissions).
+    fn execute_batch(&mut self, batch: &RequestBatch, out: &mut Out) {
         for req in &batch.requests {
             let client = req.client();
             match self.replies.lookup(req.id) {
                 Cached::Resend(reply) => {
-                    actions.push(Action::SendReply { to: client, reply: reply.clone() });
+                    out.push(ProtocolOutput::Reply { to: client, reply: reply.clone() });
                     continue;
                 }
                 Cached::Stale => continue,
@@ -641,13 +444,11 @@ impl<A: Application> Replica<A> {
             let reply =
                 self.replies.record(&self.client_keys, self.view, self.id, req.id, result, false);
             self.pending_requests.executed(req.id);
-            actions.push(Action::Executed { seq, request: req.id });
-            actions.push(Action::SendReply { to: client, reply });
+            out.push(ProtocolOutput::Reply { to: client, reply });
         }
-        for blob in self.app.drain_persist() {
-            actions.push(Action::Persist { blob });
-        }
-        actions
+        // The baseline has no enclave to seal an application's blobs
+        // (blockchain blocks) in, and no runtime stores them: dropped.
+        self.app.drain_persist();
     }
 
     // --- checkpointing ----------------------------------------------------
@@ -684,41 +485,34 @@ impl<A: Application> Replica<A> {
 
     /// Takes the periodic snapshot: it stays here, beside the tracker,
     /// and the broadcast vote carries its digest alone.
-    fn emit_checkpoint(&mut self, seq: SeqNum) -> Vec<Action> {
+    fn emit_checkpoint(&mut self, seq: SeqNum, out: &mut Out) {
         let ckpt = self.checkpoints.vote_on(seq, self.id, self.checkpoint_state_bytes());
         let signed = self.keypair.sign_payload(ckpt, self.signer);
-        let mut actions = Vec::new();
         if let Some(cert) = self.checkpoints.insert(signed.clone(), &self.config) {
-            actions.extend(self.apply_stable_checkpoint(cert.seq()));
+            self.apply_stable_checkpoint(cert.seq());
         }
-        actions.push(Action::Broadcast { msg: ConsensusMessage::Checkpoint(signed) });
-        actions
+        out.push(ProtocolOutput::Broadcast(ConsensusMessage::Checkpoint(signed)));
     }
 
-    fn handle_checkpoint(
-        &mut self,
-        c: Signed<Checkpoint>,
-    ) -> Result<Vec<Action>, ProtocolError> {
+    fn handle_checkpoint(&mut self, c: Signed<Checkpoint>) -> Result<(), ProtocolError> {
         verify_signed_from(&self.registry, &c, (self.scheme.executor)(c.payload.replica))?;
         if !self.config.contains(c.payload.replica) {
             return Err(ProtocolError::UnknownReplica(c.payload.replica));
         }
-        let mut actions = Vec::new();
         if let Some(cert) = self.checkpoints.insert(c, &self.config) {
-            actions.extend(self.apply_stable_checkpoint(cert.seq()));
+            self.apply_stable_checkpoint(cert.seq());
         }
-        Ok(actions)
+        Ok(())
     }
 
     /// Bookkeeping for a checkpoint that just became stable at `seq`. A
     /// replica that has not executed up to `seq` is now *behind*: it
     /// keeps executing the slots it holds, and what it is missing reaches
-    /// it as a snapshot through [`Replica::restore_durable_checkpoint`].
-    fn apply_stable_checkpoint(&mut self, seq: SeqNum) -> Vec<Action> {
+    /// it as a snapshot through [`Protocol::restore_checkpoint`].
+    fn apply_stable_checkpoint(&mut self, seq: SeqNum) {
         self.collect_log_garbage();
         self.prepared_certs = self.prepared_certs.split_off(&SeqNum(seq.0 + 1));
         self.record(|| DurableEvent::StableCheckpoint { seq });
-        vec![Action::StableCheckpoint { seq }]
     }
 
     /// Discards log slots that are both stable and executed. While the
@@ -731,9 +525,9 @@ impl<A: Application> Replica<A> {
 
     // --- view changes -----------------------------------------------------
 
-    fn start_view_change(&mut self, target: View) -> Vec<Action> {
+    fn start_view_change(&mut self, target: View, out: &mut Out) {
         if target <= self.view && self.status == Status::InViewChange {
-            return Vec::new();
+            return;
         }
         let target = target.max(self.view.next());
         self.status = Status::InViewChange;
@@ -744,16 +538,15 @@ impl<A: Application> Replica<A> {
 
         let signed = self.signed_view_change(target);
         self.view_changes.insert(signed.clone());
-        let mut actions =
-            vec![Action::Broadcast { msg: ConsensusMessage::ViewChange(signed) }];
-        actions.extend(self.maybe_new_view(target));
-        actions
+        out.push(ProtocolOutput::Broadcast(ConsensusMessage::ViewChange(signed)));
+        self.maybe_new_view(target, out);
     }
 
     fn handle_view_change(
         &mut self,
         vc: Signed<ViewChange>,
-    ) -> Result<Vec<Action>, ProtocolError> {
+        out: &mut Out,
+    ) -> Result<(), ProtocolError> {
         verify::verify_view_change(&self.registry, &vc, &self.config, &self.scheme)?;
         let target = vc.payload.new_view;
         if target <= self.view && !(target == self.view && self.status == Status::InViewChange) {
@@ -761,32 +554,26 @@ impl<A: Application> Replica<A> {
         }
         self.view_changes.insert(vc);
 
-        let mut actions = Vec::new();
         // Join rule: f + 1 replicas already want a higher view.
-        let effective = match self.status {
-            Status::InViewChange => self.view, // already voted up to self.view
-            Status::Normal => self.view,
-        };
-        if let Some(join) = self.view_changes.join_view(effective, &self.config) {
+        if let Some(join) = self.view_changes.join_view(self.view, &self.config) {
             if join > self.view || self.status == Status::Normal {
-                actions.extend(self.start_view_change(join));
-                return Ok(actions);
+                self.start_view_change(join, out);
+                return Ok(());
             }
         }
-        actions.extend(self.maybe_new_view(target));
-        Ok(actions)
+        self.maybe_new_view(target, out);
+        Ok(())
     }
 
-    fn maybe_new_view(&mut self, target: View) -> Vec<Action> {
-        let mut actions = Vec::new();
+    fn maybe_new_view(&mut self, target: View, out: &mut Out) {
         if target.primary(&self.config) != self.id {
-            return actions;
+            return;
         }
         if !(self.status == Status::InViewChange && self.view == target) {
-            return actions;
+            return;
         }
         let Some(quorum) = self.view_changes.quorum(target, &self.config) else {
-            return actions;
+            return;
         };
         let plan = plan_new_view(target, &quorum);
         let pre_prepares: Vec<Signed<PrePrepare>> = plan
@@ -798,9 +585,9 @@ impl<A: Application> Replica<A> {
         let nv = NewView { view: target, view_changes: quorum, pre_prepares: pre_prepares.clone() };
         let signed_nv = self.keypair.sign_payload(nv, self.signer);
         self.last_new_view = Some(signed_nv.clone());
-        actions.push(Action::Broadcast { msg: ConsensusMessage::NewView(signed_nv) });
+        out.push(ProtocolOutput::Broadcast(ConsensusMessage::NewView(signed_nv)));
 
-        actions.extend(self.enter_view(target, &plan));
+        self.enter_view(target, &plan);
         // The new primary installs its own re-issued proposals; backups
         // will Prepare them on receipt of the NewView.
         for pp in pre_prepares {
@@ -809,11 +596,10 @@ impl<A: Application> Replica<A> {
             }
         }
         self.next_seq = SeqNum(plan.max_s.0.max(self.next_seq.0).max(self.last_exec.0));
-        actions.extend(self.drain_future_buffer());
-        actions
+        self.drain_future_buffer(out);
     }
 
-    fn handle_new_view(&mut self, nv: Signed<NewView>) -> Result<Vec<Action>, ProtocolError> {
+    fn handle_new_view(&mut self, nv: Signed<NewView>, out: &mut Out) -> Result<(), ProtocolError> {
         let target = nv.payload.view;
         if target < self.view || (target == self.view && self.status == Status::Normal) {
             return Err(ProtocolError::WrongView { got: target, current: self.view });
@@ -824,25 +610,23 @@ impl<A: Application> Replica<A> {
         let plan = validate_new_view(&nv.payload, &self.config)?;
         self.last_new_view = Some(nv.clone());
 
-        let mut actions = self.enter_view(target, &plan);
+        self.enter_view(target, &plan);
         for pp in nv.payload.pre_prepares {
             if self.log.in_window(pp.payload.seq) {
-                match self.accept_pre_prepare(pp) {
-                    Ok(more) => actions.extend(more),
-                    Err(_) => {}
-                }
+                // A re-issued proposal that does not insert pushed
+                // nothing: it fails before its `Prepare`.
+                let _ = self.accept_pre_prepare(pp, out);
             }
         }
-        actions.extend(self.drain_future_buffer());
-        Ok(actions)
+        self.drain_future_buffer(out);
+        Ok(())
     }
 
     /// Common view-entry bookkeeping: apply the plan's checkpoint, clear
     /// stale agreement state, leave view-change status.
-    fn enter_view(&mut self, view: View, plan: &NewViewPlan) -> Vec<Action> {
-        let mut actions = Vec::new();
+    fn enter_view(&mut self, view: View, plan: &NewViewPlan) {
         if self.checkpoints.install_certificate(plan.checkpoint.clone()) {
-            actions.extend(self.apply_stable_checkpoint(plan.checkpoint.seq()));
+            self.apply_stable_checkpoint(plan.checkpoint.seq());
         }
         self.log.clear_above(self.checkpoints.stable_seq());
         self.view = view;
@@ -850,19 +634,226 @@ impl<A: Application> Replica<A> {
         self.view_timer.on_view_entered();
         self.view_changes.collect_garbage(view);
         self.record(|| DurableEvent::EnteredView { view });
-        actions.push(Action::EnteredView { view });
-        actions
     }
 
-    fn drain_future_buffer(&mut self) -> Vec<Action> {
-        let buffered = std::mem::take(&mut self.future_buffer);
-        let mut actions = Vec::new();
-        for msg in buffered {
-            if let Ok(more) = self.on_message(msg) {
-                actions.extend(more);
+    /// Re-handles the messages buffered for the view just entered; one
+    /// that fails contributes nothing to `out`.
+    fn drain_future_buffer(&mut self, out: &mut Out) {
+        for msg in std::mem::take(&mut self.future_buffer) {
+            let len = out.len();
+            if self.handle(msg, out).is_err() {
+                out.truncate(len);
             }
         }
-        actions
+    }
+}
+
+impl<A: Application + 'static> Protocol for Replica<A> {
+    type Message = ConsensusMessage;
+
+    fn on_message(&mut self, msg: ConsensusMessage) -> Out {
+        // A malformed or unverifiable message yields no outputs — the
+        // byzantine-tolerant stance is to ignore it, not to crash.
+        let mut out = Vec::new();
+        if self.handle(msg, &mut out).is_err() {
+            out.clear();
+        }
+        out
+    }
+
+    /// The primary orders fresh, authenticated requests; *every* replica
+    /// re-sends its cached reply for an already-executed timestamp (the
+    /// PBFT retransmission rule — clients broadcast after a timeout, and
+    /// backups answering from cache is what completes the reply quorum
+    /// when the reply was lost) and records fresh requests as pending so
+    /// the request-aware view-change timer can detect a stalled primary.
+    fn on_client_requests(&mut self, requests: Vec<Request>) -> Out {
+        let keys = &mut self.client_keys;
+        let (resends, fresh) = self.replies.admit(requests, |req| keys.verify_request(req));
+        let mut out: Out = resends
+            .into_iter()
+            .map(|reply| ProtocolOutput::Reply { to: reply.request.client, reply })
+            .collect();
+        for req in &fresh {
+            self.pending_requests.note(req.id);
+        }
+        if !self.is_primary() || self.status != Status::Normal || fresh.is_empty() {
+            return out;
+        }
+
+        let seq = SeqNum(self.next_seq.0.max(self.last_exec.0) + 1);
+        if !self.log.in_window(seq) {
+            // Watermark exhausted: wait for a checkpoint to stabilize.
+            // The runtime will retry the batch.
+            return out;
+        }
+        self.next_seq = seq;
+        let batch = RequestBatch::new(fresh);
+        let digest = digest_of(&batch);
+        let pp = self.keypair.sign_payload(
+            PrePrepare { view: self.view, seq, digest, batch },
+            self.signer,
+        );
+        self.log
+            .insert_pre_prepare(pp.clone())
+            .expect("own fresh slot cannot conflict");
+        self.record(|| DurableEvent::Accepted { view: pp.payload.view, seq, digest });
+        out.push(ProtocolOutput::Broadcast(ConsensusMessage::PrePrepare(pp)));
+        out
+    }
+
+    /// Votes to depose the current primary (or escalates to the next
+    /// view if already changing).
+    fn on_timeout(&mut self) -> Out {
+        let mut out = Vec::new();
+        if self.status == Status::InViewChange && self.view_timer.rebroadcast_on_timeout() {
+            // Still awaiting the NewView for the view we already voted:
+            // re-broadcast the vote instead of hopping onward.
+            let signed = self.signed_view_change(self.view);
+            out.push(ProtocolOutput::Broadcast(ConsensusMessage::ViewChange(signed)));
+        } else {
+            self.start_view_change(self.view.next(), &mut out);
+        }
+        out
+    }
+
+    fn progress(&self) -> u64 {
+        self.last_exec.0
+    }
+
+    /// `true` while an authenticated client request has been accepted
+    /// but not yet executed.
+    fn has_pending_requests(&self) -> bool {
+        !self.pending_requests.is_empty()
+    }
+
+    fn probe_gauges(&self, gauges: &mut ProtocolGauges) {
+        gauges.add_group(self.last_exec.0, 0, self.view.0, self.stable_seq().0);
+        gauges.pending_requests += u64::from(self.has_pending_requests());
+    }
+
+    /// The first drain opts in: in-memory hosting never drains, never
+    /// records, and pays nothing.
+    fn drain_durable_events(&mut self) -> Vec<DurableEvent> {
+        self.durable_enabled = true;
+        std::mem::take(&mut self.durable)
+    }
+
+    /// Replay is idempotent (`Committed` below the current execution
+    /// point is skipped) and produces no outputs.
+    fn replay_durable_event(&mut self, event: DurableEvent) {
+        match event {
+            DurableEvent::Accepted { seq, .. } => {
+                // Never reuse a slot this replica already proposed or
+                // accepted — a restarted primary re-proposing a used
+                // sequence number would equivocate.
+                if self.next_seq < seq {
+                    self.next_seq = seq;
+                }
+            }
+            DurableEvent::Committed { seq, batch } => {
+                if seq == self.last_exec.next() {
+                    self.execute_batch(&batch, &mut Vec::new());
+                    self.last_exec = seq;
+                    if self.next_seq < seq {
+                        self.next_seq = seq;
+                    }
+                }
+            }
+            DurableEvent::EnteredView { view } => {
+                if self.view < view {
+                    self.view = view;
+                    self.status = Status::Normal;
+                }
+            }
+            // Trusted counters are the hybrid's concern, the stable
+            // marker only matters to the WAL's garbage collector, and
+            // the shard tag to the sharding shim above this replica.
+            DurableEvent::CounterIssued { .. }
+            | DurableEvent::StableCheckpoint { .. }
+            | DurableEvent::ShardTag { .. } => {}
+        }
+    }
+
+    /// The stable [`splitbft_types::CheckpointCertificate`] (`2f + 1`
+    /// signed votes for the state digest) followed by this replica's
+    /// snapshot of that state. `None` at genesis, and while this replica
+    /// is behind its own stable checkpoint and so has no snapshot of it.
+    fn durable_checkpoint(&self) -> Option<DurableCheckpoint> {
+        self.checkpoints.durable_checkpoint()
+    }
+
+    /// The embedded certificate is deep verified (structure + every
+    /// signature) before it becomes this replica's stable checkpoint,
+    /// and the snapshot is installed only if it hashes to the digest
+    /// that certificate vouches for.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::CorruptState`] when the bytes do not decode, do
+    /// not match the claimed `(seq, digest)` or carry no matching
+    /// snapshot; certificate validation errors pass through.
+    fn restore_checkpoint(&mut self, cp: &DurableCheckpoint) -> Result<(), ProtocolError> {
+        let (cert, snapshot) = split_durable_checkpoint(cp)?;
+        verify::verify_checkpoint_certificate(&self.registry, &cert, &self.config, &self.scheme)?;
+        if self.checkpoints.install_certificate(cert.clone()) {
+            self.apply_stable_checkpoint(cp.seq);
+        }
+        if self.last_exec >= cp.seq {
+            return Ok(()); // already at or past the certified state
+        }
+        // A checkpoint sealed or served by an older build has no bytes
+        // after the certificate: its votes each embed the snapshot.
+        let snapshot = match snapshot {
+            [] => verify::certified_snapshot(&cert).ok_or_else(|| {
+                ProtocolError::CorruptState("no snapshot matches the certified digest".into())
+            })?,
+            trailing => trailing,
+        };
+        self.install_snapshot(cp.seq, snapshot)
+    }
+
+    /// For every slot above `max(have_seq, stable)` up to the last
+    /// executed one, the accepted proposal plus all collected prepare
+    /// and commit votes — the receiver's committed-local predicate needs
+    /// both quorums, and in an idle cluster nobody else will ever resend
+    /// them.
+    fn catch_up_messages(&self, have_seq: SeqNum) -> Vec<ConsensusMessage> {
+        let from = have_seq.max(self.checkpoints.stable_seq());
+        let mut msgs = Vec::new();
+        // The latest NewView leads: a peer that was down during the
+        // view-change broadcast rejects everything from the current
+        // view until it processes this (a receiver already in the view
+        // simply drops it).
+        if let Some(nv) = &self.last_new_view {
+            msgs.push(ConsensusMessage::NewView(nv.clone()));
+        }
+        // Chunked: a deeply lagging peer catches up incrementally (its
+        // next state-request round carries a higher have_seq) instead
+        // of drowning in one giant suffix. A requester reporting no
+        // progress cannot page that way — it is at genesis, or it is a
+        // sharded host whose one number cannot say where each group
+        // stands — and is served the whole retained suffix, which the
+        // watermark window bounds.
+        let chunk =
+            if have_seq == SeqNum::zero() { usize::MAX } else { CATCH_UP_CHUNK_SLOTS };
+        let mut served = 0usize;
+        for seq in (from.0 + 1)..=self.last_exec.0 {
+            if served >= chunk {
+                break;
+            }
+            let Some(slot) = self.log.slot(SeqNum(seq)) else { continue };
+            let Some(pp) = &slot.pre_prepare else { continue };
+            msgs.push(ConsensusMessage::PrePrepare(pp.clone()));
+            for prepare in slot.prepares.values() {
+                msgs.push(ConsensusMessage::Prepare(prepare.clone()));
+            }
+            for commit in slot.commits.values() {
+                msgs.push(ConsensusMessage::Commit(commit.clone()));
+            }
+            served += 1;
+        }
+        msgs
     }
 }
 

@@ -11,11 +11,11 @@ use splitbft_app::{Application, CounterApp, KeyValueStore, KvOp};
 use splitbft_crypto::KeyPair;
 use splitbft_net::lockstep::Cluster;
 use splitbft_net::transport::{Protocol, ProtocolOutput};
-use splitbft_pbft::{make_request, Action, ClientEvent, LockstepClient, Replica, Status};
+use splitbft_pbft::{make_request, ClientEvent, LockstepClient, Replica, Status};
 use splitbft_types::wire::encode;
 use splitbft_types::{
-    Checkpoint, CheckpointCertificate, ClientId, ClusterConfig, DurableCheckpoint, ReplicaId,
-    Request, SeqNum, SignerId, Timestamp, View,
+    Checkpoint, CheckpointCertificate, ClientId, ClusterConfig, ConsensusMessage,
+    DurableCheckpoint, ReplicaId, Request, SeqNum, SignerId, Timestamp, View,
 };
 
 const SEED: u64 = 1234;
@@ -162,7 +162,7 @@ fn lagging_replica_catches_up_via_state_transfer() {
 
     // What the state-transfer client does with a peer's answer.
     let cp = cluster.replica(0).durable_checkpoint().expect("replica 0 is at its stable point");
-    cluster.replica_mut(3).restore_durable_checkpoint(&cp).expect("a peer's checkpoint restores");
+    cluster.replica_mut(3).restore_checkpoint(&cp).expect("a peer's checkpoint restores");
     let r3 = cluster.replica(3);
     assert_eq!(r3.last_executed(), SeqNum(12));
     assert_eq!(r3.app().value(), 12, "state transfer restored the counter");
@@ -200,7 +200,7 @@ fn a_checkpoint_in_the_older_layout_still_restores() {
     let v1 = DurableCheckpoint { seq: cp.seq, digest: cp.digest, state: encode(&v1).into() };
     assert!(v1.state.len() > 3 * snapshot.len());
 
-    cluster.replica_mut(3).restore_durable_checkpoint(&v1).expect("the older layout restores");
+    cluster.replica_mut(3).restore_checkpoint(&v1).expect("the older layout restores");
     assert_eq!(cluster.replica(3).app().value(), 12);
     assert_eq!(cluster.replica(3).state_digest(), cluster.replica(0).state_digest());
 }
@@ -225,17 +225,17 @@ fn a_snapshot_installs_only_under_the_replicas_own_stable_certificate() {
     let mut relabelled = cp.clone();
     relabelled.seq = SeqNum(8);
     for bad in [with_snapshot(&wrong), with_snapshot(truncated), relabelled] {
-        assert!(cluster.replica_mut(3).restore_durable_checkpoint(&bad).is_err());
+        assert!(cluster.replica_mut(3).restore_checkpoint(&bad).is_err());
         assert_eq!(cluster.replica(3).last_executed(), SeqNum(0));
         assert_eq!(cluster.replica(3).state_digest(), untouched);
     }
 
     // The genuine one lands; offered again, it is not ahead any more and
     // changes nothing.
-    cluster.replica_mut(3).restore_durable_checkpoint(&cp).unwrap();
+    cluster.replica_mut(3).restore_checkpoint(&cp).unwrap();
     cluster.submit(0, &[inc(13)]);
     let level = cluster.replica(3).state_digest();
-    cluster.replica_mut(3).restore_durable_checkpoint(&cp).expect("a no-op, not an error");
+    cluster.replica_mut(3).restore_checkpoint(&cp).expect("a no-op, not an error");
     assert_eq!(cluster.replica(3).state_digest(), level);
     assert_eq!(cluster.replica(3).last_executed(), SeqNum(13));
 }
@@ -264,7 +264,7 @@ fn catch_up_suffix_alone_brings_a_lagging_replica_to_the_frontier() {
     let page = cluster.replica(0).catch_up_messages(SeqNum(1));
     let proposals = page
         .iter()
-        .filter(|m| matches!(m, splitbft_types::ConsensusMessage::PrePrepare(_)))
+        .filter(|m| matches!(m, ConsensusMessage::PrePrepare(_)))
         .count();
     assert_eq!(proposals, splitbft_pbft::CATCH_UP_CHUNK_SLOTS);
 }
@@ -352,6 +352,17 @@ fn cascading_timeouts_reach_view_two() {
     }
 }
 
+/// The message a primary broadcast for a client batch.
+fn proposal_in(outputs: Vec<ProtocolOutput<ConsensusMessage>>) -> ConsensusMessage {
+    outputs
+        .into_iter()
+        .find_map(|o| match o {
+            ProtocolOutput::Broadcast(msg) => Some(msg),
+            _ => None,
+        })
+        .expect("pre-prepare")
+}
+
 #[test]
 fn equivocating_primary_cannot_split_the_cluster() {
     // A byzantine primary sends different batches to different backups.
@@ -359,15 +370,13 @@ fn equivocating_primary_cannot_split_the_cluster() {
     // delivering the resulting PrePrepares selectively.
     let mut cluster = cluster(4, 128, CounterApp::new);
 
-    let a1 = cluster.replica_mut(0).on_client_batch(vec![inc(1)]);
-    let pp1 = a1.iter().find_map(Action::message).cloned().expect("pre-prepare");
+    let pp1 = proposal_in(cluster.replica_mut(0).on_client_requests(vec![inc(1)]));
 
     // Reset replica 0 by building a second, different proposal at the
     // same sequence from a fresh twin (same keys — byzantine behaviour).
     let cfg = ClusterConfig::new(4).unwrap();
     let mut twin = Replica::new(cfg, ReplicaId(0), SEED, CounterApp::new());
-    let a2 = twin.on_client_batch(vec![request(1, 1, Bytes::from_static(b"inc"))]);
-    let pp2 = a2.iter().find_map(Action::message).cloned().expect("pre-prepare");
+    let pp2 = proposal_in(twin.on_client_requests(vec![request(1, 1, Bytes::from_static(b"inc"))]));
 
     // r1 gets proposal A; r2 and r3 get proposal B.
     cluster.drive(0, |_| {

@@ -38,7 +38,9 @@ fn main() {
         let (dh_public, wrapped_key) = client
             .attest_execution_enclave(&authority.public_key(), &quote)
             .expect("genuine Execution enclave");
-        replica.install_session_key(ClientId(3), dh_public, wrapped_key);
+        replica
+            .install_session_key(ClientId(3), dh_public, wrapped_key)
+            .expect("the key unwraps inside the enclave");
     }
     println!("Session key installed in all Execution enclaves.\n");
 

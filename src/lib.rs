@@ -65,7 +65,7 @@ pub mod prelude {
     pub use splitbft_app::{
         Application, Blockchain, ClientEvent, CounterApp, KeyValueStore, KvOp, LockstepClient,
     };
-    pub use splitbft_core::{ReplicaEvent, SplitBftClient, SplitBftReplica};
+    pub use splitbft_core::{SplitBftClient, SplitBftReplica};
     pub use splitbft_hybrid::{HybridConfig, HybridReplica, Usig};
     pub use splitbft_net::lockstep::Cluster;
     pub use splitbft_net::{

@@ -78,8 +78,9 @@ fn hybrid() -> Stack<HybridReplica<CounterApp, Usig>> {
             let config = HybridConfig::new(3).unwrap();
             let mut replica =
                 HybridReplica::new(config, id, SEED, Usig::new(SEED, id), CounterApp::new());
-            // The hybrid snapshots only for a runtime that asked.
-            replica.enable_durable_events();
+            // The hybrid snapshots only for a runtime that drains its
+            // durable events; the first drain opts in.
+            replica.drain_durable_events();
             replica
         },
         counter: |r| r.app().value(),
