@@ -88,6 +88,6 @@ pub use conf::ConfirmationCompartment;
 pub use ecall::{CompartmentInput, CompartmentOutput};
 pub use exec::ExecutionCompartment;
 pub use prep::PreparationCompartment;
-pub use replica::{CompartmentFaults, SplitBftReplica};
+pub use replica::SplitBftReplica;
 pub use scheme::{compartment_measurement, enclave_signer, SPLITBFT_SCHEME};
 pub use suffix::{SuffixRing, DEFAULT_SUFFIX_CAP};

@@ -15,7 +15,7 @@
 //! in hostile variants (dropping, duplicating, cross-wiring messages)
 //! and checking that safety invariants still hold.
 
-use crate::adapter::EnclaveAdapter;
+use crate::adapter::{Compartment, EnclaveAdapter};
 use crate::conf::ConfirmationCompartment;
 use crate::ecall::{CompartmentInput, CompartmentOutput, ECALL_HANDLE, OCALL_OUTPUT};
 use crate::exec::ExecutionCompartment;
@@ -58,18 +58,13 @@ enum Noted {
     EnteredView(View),
 }
 
-/// Per-compartment fault plans for robustness experiments.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CompartmentFaults {
-    /// Fault plan for the Preparation enclave.
-    pub preparation: Option<FaultPlan>,
-    /// Fault plan for the Confirmation enclave.
-    pub confirmation: Option<FaultPlan>,
-    /// Fault plan for the Execution enclave.
-    pub execution: Option<FaultPlan>,
-}
-
 type Hosted<C> = EnclaveHost<FaultyEnclave<EnclaveAdapter<C>>>;
+
+/// Hosts `compartment` as an enclave that starts benign.
+fn hosted<C: Compartment>(compartment: C, mode: ExecMode, cost: &CostModel) -> Hosted<C> {
+    let enclave = FaultyEnclave::new(EnclaveAdapter::new(compartment), FaultPlan::benign());
+    EnclaveHost::new(enclave, mode, cost.clone())
+}
 
 /// One serialized [`CompartmentInput`] awaiting delivery.
 struct QueuedInput {
@@ -138,7 +133,8 @@ pub struct SplitBftReplica<A: Application> {
 }
 
 impl<A: Application> SplitBftReplica<A> {
-    /// Assembles replica `id` in the given execution mode.
+    /// Assembles replica `id` in the given execution mode. Every enclave
+    /// starts benign; [`SplitBftReplica::arm_fault`] makes one misbehave.
     pub fn new(
         config: ClusterConfig,
         id: ReplicaId,
@@ -147,65 +143,15 @@ impl<A: Application> SplitBftReplica<A> {
         mode: ExecMode,
         cost: CostModel,
     ) -> Self {
-        Self::with_faults(config, id, master_seed, app, mode, cost, CompartmentFaults::default())
-    }
-
-    /// Assembles a replica whose enclaves misbehave per `faults` — the
-    /// Table 1 robustness scenarios.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_faults(
-        config: ClusterConfig,
-        id: ReplicaId,
-        master_seed: u64,
-        app: A,
-        mode: ExecMode,
-        cost: CostModel,
-        faults: CompartmentFaults,
-    ) -> Self {
-        let wrap = |plan: Option<FaultPlan>| plan.unwrap_or_else(FaultPlan::benign);
-        let prep = EnclaveHost::new(
-            FaultyEnclave::new(
-                EnclaveAdapter::new(PreparationCompartment::new(
-                    config.clone(),
-                    id,
-                    master_seed,
-                )),
-                wrap(faults.preparation),
-            ),
-            mode,
-            cost.clone(),
-        );
-        let conf = EnclaveHost::new(
-            FaultyEnclave::new(
-                EnclaveAdapter::new(ConfirmationCompartment::new(
-                    config.clone(),
-                    id,
-                    master_seed,
-                )),
-                wrap(faults.confirmation),
-            ),
-            mode,
-            cost.clone(),
-        );
-        let exec = EnclaveHost::new(
-            FaultyEnclave::new(
-                EnclaveAdapter::new(ExecutionCompartment::new(
-                    config.clone(),
-                    id,
-                    master_seed,
-                    app,
-                )),
-                wrap(faults.execution),
-            ),
-            mode,
-            cost,
-        );
+        let prep = PreparationCompartment::new(config.clone(), id, master_seed);
+        let conf = ConfirmationCompartment::new(config.clone(), id, master_seed);
+        let exec = ExecutionCompartment::new(config.clone(), id, master_seed, app);
         SplitBftReplica {
             id,
             config,
-            prep,
-            conf,
-            exec,
+            prep: hosted(prep, mode, &cost),
+            conf: hosted(conf, mode, &cost),
+            exec: hosted(exec, mode, &cost),
             pending: PendingRequests::default(),
             seen_batches: BTreeMap::new(),
             durable: Vec::new(),

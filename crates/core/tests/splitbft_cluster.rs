@@ -220,11 +220,11 @@ fn checkpoints_garbage_collect_all_compartments() {
 /// checkpoints at 4, 8 and 12. Returns the healed cluster.
 fn cluster_with_replica_3_behind() -> Cluster<SplitBftReplica<CounterApp>> {
     let mut cluster = cluster(4, 4, CounterApp::new);
-    isolate(&cluster, 3);
+    isolate(&mut cluster, 3);
     for i in 0..8u64 {
         cluster.submit(0, &[inc(i + 1)]);
     }
-    heal(&cluster);
+    heal(&mut cluster);
     for i in 8..12u64 {
         cluster.submit(0, &[inc(i + 1)]);
     }

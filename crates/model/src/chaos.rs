@@ -543,7 +543,7 @@ fn drive<Q: Protocol>(
 ) -> io::Result<RunReport> {
     let n = deployment.n;
     let mut cluster = Cluster::new((0..n).map(&make).collect::<io::Result<Vec<_>>>()?);
-    cluster.faults = FaultPlan::shared(SEED);
+    cluster.faults = FaultPlan::new(SEED);
     if !schedule.start_all {
         // Not started yet, rather than crashed: a node's outbound ring
         // holds frames for a peer that has never connected, so a late

@@ -44,9 +44,8 @@
 //!   replicas must mask it within `f`.
 //!
 //! Partitions and link rules are [`FaultCommand`]s on the cluster's
-//! fault plan — the same commands a socket node takes over its
-//! `FAULT_CONTROL` frame. The link-rule rows exercise the per-link
-//! drop/duplicate/reorder rules instead of named cuts.
+//! fault plan (`Cluster::faults`). The link-rule rows exercise the
+//! per-link drop/duplicate/reorder rules instead of named cuts.
 
 use crate::byzantine::ByzantineMode;
 use splitbft_types::{FaultCommand, LinkRule, ReplicaId};

@@ -226,7 +226,7 @@ fn run_schedule<P: Protocol>(
     let adversary = Adversary::new(MASTER_SEED, compromised.iter().copied());
 
     // The hostile environment controls every link.
-    cluster.faults = FaultPlan::shared(seed);
+    cluster.faults = FaultPlan::new(seed);
     for (from, to) in (0..n as u32).flat_map(|a| (0..n as u32).map(move |b| (a, b))) {
         cluster.faults.apply(FaultCommand::SetRule(LinkRule {
             drop_percent: config.drop_percent,

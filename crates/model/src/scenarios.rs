@@ -144,7 +144,7 @@ fn inc(seed: u64, client: u32) -> Request {
 }
 
 /// Cuts every link between `side_a` and `side_b`, both ways.
-fn partition<P: Protocol>(cluster: &Cluster<P>, side_a: &[u32], side_b: &[u32]) {
+fn partition<P: Protocol>(cluster: &mut Cluster<P>, side_a: &[u32], side_b: &[u32]) {
     cluster.faults.apply(FaultCommand::Partition {
         name: "hostile-network".into(),
         side_a: side_a.iter().map(|&r| ReplicaId(r)).collect(),
@@ -204,7 +204,7 @@ fn pbft_scenario(seed: u64, compromised: u32) -> Verdict {
     // the attacker — it controls scheduling too — cuts the first victim
     // off so the divergence sticks.
     if compromised >= 2 {
-        partition(&cluster, &[compromised], &[compromised + 1]);
+        partition(&mut cluster, &[compromised], &[compromised + 1]);
     }
 
     // The equivocation: proposal A to the first victim, proposal B to the
@@ -241,10 +241,10 @@ fn hybrid_compromised_tee(seed: u64) -> Verdict {
     let mut cluster = hybrid_cluster(seed, FaultyUsig::new);
 
     // Prepare A reaches only r1, prepare B — same counter value — only r2.
-    partition(&cluster, &[0], &[2]);
+    partition(&mut cluster, &[0], &[2]);
     cluster.drive(0, |p| p.on_client_requests(vec![inc(seed, 0)]));
     cluster.replica_mut(0).usig_mut().rollback(1);
-    partition(&cluster, &[0], &[1]);
+    partition(&mut cluster, &[0], &[1]);
     cluster.drive(0, |p| p.on_client_requests(vec![inc(seed, 1)]));
     cluster.run();
 
@@ -268,7 +268,7 @@ fn splitbft_beyond_model(seed: u64) -> Verdict {
 
     // Honest run on replicas 0..3; the hostile environment partitions
     // the victim r3 off.
-    partition(&cluster, &[0, 1, 2], &[3]);
+    partition(&mut cluster, &[0, 1, 2], &[3]);
     cluster.submit(0, &[inc(seed, 0)]);
 
     // The attack on victim r3: a forged proposal (Execution accepts any

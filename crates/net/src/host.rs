@@ -20,7 +20,6 @@
 //! broadcast encodes once regardless of fan-out — and so the core stays
 //! byte-identical on the wire across runtimes.
 
-use crate::fault::FaultPlan;
 use crate::transport::{
     frame_kind, BatchPolicy, Protocol, ProtocolGauges, ProtocolOutput, WireMessage,
 };
@@ -28,8 +27,8 @@ use splitbft_obs::NodeTelemetry;
 use splitbft_types::wire::{decode, encode, frame_message};
 use splitbft_types::status::StatusRequest;
 use splitbft_types::{
-    ClientId, FaultCommand, ReplicaId, Reply, Request, SeqNum, StateTransferRequest,
-    StateTransferResponse, StatusEvent,
+    ClientId, ReplicaId, Reply, Request, SeqNum, StateTransferRequest, StateTransferResponse,
+    StatusEvent,
 };
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -98,31 +97,11 @@ pub struct NodeConfig {
     /// for up to that long, so everything arriving meanwhile shares a
     /// single fsync.
     pub group_commit: Duration,
-    /// The node's fault plan, consulted on every peer send. Defaults
-    /// to an inert plan; test harnesses share one plan across the
-    /// nodes of one process or seed it per node for determinism.
-    pub faults: Arc<FaultPlan>,
-    /// Honor inbound `FAULT_CONTROL` frames (runtime steering of the
-    /// fault plan). **Off by default**: the control frame is
-    /// unauthenticated, so a production node must never let an
-    /// arbitrary connecting client install drop rules or partitions.
-    /// Only test harnesses opt in; with the flag off, a
-    /// connection sending `FAULT_CONTROL` is closed as protocol
-    /// garbage and the plan stays untouched.
-    pub fault_injection: bool,
-    /// Honor `STATUS` **admin** verbs (graceful drain). **Off by
-    /// default** for the same reason as `fault_injection`: the frame is
-    /// unauthenticated, and an arbitrary connecting client must not be
-    /// able to drain a production node. Read-only `STATUS` verbs
-    /// (snapshot, event journal) are always served; with the flag off,
-    /// an admin verb is answered with `StatusResponse::Refused` and the
-    /// connection is closed.
-    pub status_admin: bool,
 }
 
 impl NodeConfig {
-    /// A config with default batching, no timer, no startup state
-    /// request, and no fault injection.
+    /// A config with default batching, no timer, and no startup state
+    /// request.
     pub fn new(id: ReplicaId, listen: SocketAddr, peers: Vec<PeerAddr>) -> Self {
         let cluster = peers.iter().filter(|peer| peer.id != id).count() + 1;
         NodeConfig {
@@ -133,9 +112,6 @@ impl NodeConfig {
             timeout_every: None,
             recovery: RecoveryPolicy::for_cluster_of(cluster),
             group_commit: Duration::ZERO,
-            faults: FaultPlan::shared(u64::from(id.0)),
-            fault_injection: false,
-            status_admin: false,
         }
     }
 }
@@ -153,11 +129,12 @@ pub(crate) enum Event<M> {
     StateResponse(StateTransferResponse),
     /// View-change timer tick.
     Timeout,
-    /// A graceful drain was requested (SIGTERM or the STATUS admin
-    /// verb). The request itself is recorded on the node's telemetry
-    /// before this event is queued; the event exists only to force a
-    /// drain batch through [`Host::finish_batch`], where the drain
-    /// epilogue (seal + flush) runs once nothing is pending.
+    /// A graceful drain was requested (`SIGTERM` on a socket node,
+    /// [`crate::lockstep::Cluster::drain`] in memory). The request
+    /// itself is recorded on the node's telemetry before this event is
+    /// queued; the event exists only to force a drain batch through
+    /// [`Host::finish_batch`], where the drain epilogue (seal + flush)
+    /// runs once nothing is pending.
     Drain,
 }
 
@@ -186,8 +163,6 @@ pub(crate) enum Parsed<M> {
     /// A STATUS request: answered by the socket loop, which owns the
     /// connection's reply ring and the telemetry hub.
     Status(StatusRequest),
-    /// A fault command was applied to the plan.
-    Fault,
     /// Tolerated and ignored.
     Skip,
     /// Protocol garbage: hang up on the sender.
@@ -199,16 +174,13 @@ pub(crate) enum Parsed<M> {
 /// and state-transfer frames only from a peer (nothing but [`route`]
 /// and the state-transfer client ever send them, and only over peer
 /// links), the latter pinned to the identity they claim, so one
-/// connection cannot speak for several replicas; `FAULT_CONTROL` honored
-/// only with fault injection enabled (and applied immediately, never
-/// through the protocol core — a wedged protocol must not delay a
-/// heal); unknown kinds tolerated.
+/// connection cannot speak for several replicas; `STATUS` only from a
+/// client; unknown kinds — the retired `FAULT_CONTROL` kind 8 among
+/// them — tolerated and skipped.
 pub(crate) fn classify<P: Protocol>(
     kind: u8,
     payload: &[u8],
     identity: Identity,
-    faults: &FaultPlan,
-    fault_injection: bool,
 ) -> Parsed<P::Message> {
     if identity == Identity::Unknown {
         return match kind {
@@ -252,18 +224,6 @@ pub(crate) fn classify<P: Protocol>(
             Ok(_) => Parsed::Skip,
             Err(_) => Parsed::Close,
         },
-        frame_kind::FAULT_CONTROL => {
-            if !fault_injection {
-                return Parsed::Close; // unauthenticated: protocol garbage
-            }
-            match decode::<FaultCommand>(payload) {
-                Ok(cmd) => {
-                    faults.apply(cmd);
-                    Parsed::Fault
-                }
-                Err(_) => Parsed::Close,
-            }
-        }
         frame_kind::STATUS => match identity {
             // Clients only: a peer sending STATUS is protocol garbage.
             Identity::Client(_) => match decode::<StatusRequest>(payload) {

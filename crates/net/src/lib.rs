@@ -17,9 +17,10 @@
 //!   thread, a virtual clock — what the examples, every socket-free
 //!   cluster test and `splitbft-model`'s safety explorer run on.
 //!
-//! Both consult a [`fault::FaultPlan`] on their send paths — a seeded,
-//! runtime-mutable decision table for fault testing (drop/delay/duplicate
-//! rules and named partitions), inert unless faults are installed.
+//! The in-memory cluster consults a [`fault::FaultPlan`] on its send
+//! path — a seeded decision table for fault testing
+//! (drop/delay/duplicate rules and named partitions), inert unless
+//! faults are installed. The socket runtime has none.
 //!
 //! # `unsafe_code` policy
 //!
@@ -45,9 +46,7 @@ pub mod transport;
 
 pub use client::TcpClient;
 pub use evented::{BoundEventedNode, EventedNode};
-pub use fault::{send_fault_command, FaultDecision, FaultPlan};
-pub use status::{
-    await_event, fetch_events, fetch_snapshot, request_drain, send_status_request, STATUS_CLIENT,
-};
+pub use fault::{FaultDecision, FaultPlan};
+pub use status::{await_event, fetch_events, fetch_snapshot, send_status_request, STATUS_CLIENT};
 pub use host::{NodeConfig, PeerAddr, RecoveryPolicy};
 pub use transport::{BatchPolicy, Protocol, ProtocolGauges, ProtocolOutput, WireMessage};

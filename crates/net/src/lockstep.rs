@@ -77,7 +77,7 @@ impl Wire {
 /// The sending side of one replica: its [`PeerSink`].
 struct Link<'a> {
     from: ReplicaId,
-    faults: &'a FaultPlan,
+    faults: &'a mut FaultPlan,
     wire: &'a mut Wire,
 }
 
@@ -128,7 +128,7 @@ const CLIENT: Identity = Identity::Client(ClientId(0));
 pub struct Cluster<P: Protocol> {
     /// The fault plan every send consults. Inert until rules or
     /// partitions are applied; replace it to pick the decision seed.
-    pub faults: Arc<FaultPlan>,
+    pub faults: FaultPlan,
     /// Every reply any replica has sent to any client, oldest first.
     pub replies: Vec<Reply>,
     hosts: Vec<Host<P>>,
@@ -143,7 +143,7 @@ impl<P: Protocol> Cluster<P> {
     pub fn new(replicas: impl IntoIterator<Item = P>) -> Self {
         let replicas: Vec<P> = replicas.into_iter().collect();
         let n = replicas.len();
-        let faults = FaultPlan::shared(0);
+        let mut faults = FaultPlan::new(0);
         let mut wire = Wire {
             inboxes: (0..n).map(|_| VecDeque::new()).collect(),
             down: vec![false; n],
@@ -155,7 +155,7 @@ impl<P: Protocol> Cluster<P> {
             .enumerate()
             .map(|(i, protocol)| {
                 let id = ReplicaId(i as u32);
-                let mut link = Link { from: id, faults: &faults, wire: &mut wire };
+                let mut link = Link { from: id, faults: &mut faults, wire: &mut wire };
                 let policy = RecoveryPolicy::for_cluster_of(n);
                 Host::new(id, protocol, policy, NodeTelemetry::new(id.0), link.wire.now, &mut link)
             })
@@ -374,8 +374,7 @@ impl<P: Protocol> Cluster<P> {
                     continue;
                 }
             }
-            let parsed = classify::<P>(frame.kind, frame.payload, identity, &self.faults, false);
-            if let Parsed::Event(event) = parsed {
+            if let Parsed::Event(event) = classify::<P>(frame.kind, frame.payload, identity) {
                 let (host, mut link) = self.node(i);
                 outputs.extend(host.handle(event, link.wire.now, &mut link));
             }
@@ -385,13 +384,15 @@ impl<P: Protocol> Cluster<P> {
 
     /// Closes replica `i`'s batch: fsync point, routing, telemetry.
     fn finish(&mut self, i: usize, outputs: Vec<ProtocolOutput<P::Message>>) {
-        let mut link = Link { from: ReplicaId(i as u32), faults: &self.faults, wire: &mut self.wire };
+        let from = ReplicaId(i as u32);
+        let mut link = Link { from, faults: &mut self.faults, wire: &mut self.wire };
         self.hosts[i].finish_batch(outputs, &mut link, &mut self.replies);
     }
 
     /// Replica `i`'s hosting core and its sending side.
     fn node(&mut self, i: usize) -> (&mut Host<P>, Link<'_>) {
-        let link = Link { from: ReplicaId(i as u32), faults: &self.faults, wire: &mut self.wire };
+        let from = ReplicaId(i as u32);
+        let link = Link { from, faults: &mut self.faults, wire: &mut self.wire };
         (&mut self.hosts[i], link)
     }
 }

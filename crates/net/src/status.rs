@@ -1,21 +1,15 @@
 //! Client-side STATUS helpers: snapshot and event-journal polling.
 //!
 //! Every socket replica answers [`frame_kind::STATUS`] requests on its
-//! client port. Read-only verbs ([`StatusVerb::Snapshot`],
-//! [`StatusVerb::Events`]) are always available — they expose the same
+//! client port. Both verbs ([`StatusVerb::Snapshot`],
+//! [`StatusVerb::Events`]) are read-only — they expose the same
 //! telemetry the Prometheus endpoint renders, but as typed values over
-//! the existing wire format, so operators and tests can poll a
-//! node without parsing text or grepping stderr. Admin verbs
-//! ([`StatusVerb::Drain`]) mutate node lifecycle and are gated behind
-//! `NodeConfig::status_admin` (the `--enable-status-admin` serve
-//! flag), exactly like the fault-control plane: an ungated node queues
-//! a [`StatusResponse::Refused`] and closes the connection.
+//! the existing wire format, so operators and tests can poll a node
+//! without parsing text or grepping stderr. Nothing here changes a
+//! node: a deployed node drains on `SIGTERM` only.
 //!
-//! Unlike [`send_fault_command`], STATUS is request/response: each call
-//! opens a throwaway connection, writes one request, and blocks for the
-//! reply frame.
-//!
-//! [`send_fault_command`]: crate::fault::send_fault_command
+//! Each call opens a throwaway connection, writes one request, and
+//! blocks for the reply frame.
 
 use crate::transport::{frame_kind, read_value, write_value};
 use splitbft_types::status::{StatusEvent, StatusRequest, StatusResponse, StatusVerb};
@@ -24,8 +18,8 @@ use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-/// Client id announced by STATUS connections. Reserved alongside the
-/// fault-control lane (`u32::MAX`): real clients use small ids.
+/// Client id announced by STATUS connections. Reserved: real clients
+/// use small ids.
 pub const STATUS_CLIENT: ClientId = ClientId(u32::MAX - 1);
 
 /// Sends one [`StatusRequest`] to the replica at `addr` and waits for
@@ -33,10 +27,7 @@ pub const STATUS_CLIENT: ClientId = ClientId(u32::MAX - 1);
 ///
 /// # Errors
 ///
-/// Connection, write, or decode failures — including the replica
-/// closing the connection because an admin verb was sent to an ungated
-/// node (the queued [`StatusResponse::Refused`] is decoded and returned
-/// as `Ok` when it arrives before the close races the read).
+/// Connection, write, or decode failures.
 pub fn send_status_request(
     addr: SocketAddr,
     request: &StatusRequest,
@@ -77,28 +68,6 @@ pub fn fetch_events(
 ) -> io::Result<(u64, Vec<(u64, StatusEvent)>)> {
     match send_status_request(addr, &StatusRequest { verb: StatusVerb::Events { since } })? {
         StatusResponse::Events { head, events } => Ok((head, events)),
-        other => Err(unexpected(&other)),
-    }
-}
-
-/// Asks the node to drain: stop admitting client requests, finish
-/// in-flight batches, seal a checkpoint, and flush the WAL.
-///
-/// Requires the node to run with status admin verbs enabled; an
-/// ungated node answers [`StatusResponse::Refused`] and closes the
-/// connection, which this helper surfaces as `PermissionDenied`.
-///
-/// # Errors
-///
-/// I/O failures, `PermissionDenied` when refused, or an unexpected
-/// response variant.
-pub fn request_drain(addr: SocketAddr) -> io::Result<()> {
-    match send_status_request(addr, &StatusRequest { verb: StatusVerb::Drain })? {
-        StatusResponse::DrainStarted => Ok(()),
-        StatusResponse::Refused => Err(io::Error::new(
-            io::ErrorKind::PermissionDenied,
-            "status admin verbs are not enabled on this node",
-        )),
         other => Err(unexpected(&other)),
     }
 }

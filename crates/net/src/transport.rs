@@ -276,7 +276,8 @@ impl ProtocolGauges {
 }
 
 /// Frame discriminators used by the socket transport (the `kind` byte of
-/// [`FrameHeader`]).
+/// [`FrameHeader`]). Kind 8, the retired `FAULT_CONTROL` frame, is never
+/// reused: a node skips it like any unknown kind.
 pub mod frame_kind {
     /// First frame on a replica→replica connection; payload: `ReplicaId`.
     pub const PEER_HELLO: u8 = 1;
@@ -294,21 +295,11 @@ pub mod frame_kind {
     /// A peer's checkpoint + log suffix; payload:
     /// `StateTransferResponse`.
     pub const STATE_RESPONSE: u8 = 7;
-    /// A fault-injection control command mutating the node's fault
-    /// plan; payload: `FaultCommand`. Sent on client connections by a
-    /// test (see [`crate::fault::send_fault_command`]); honored
-    /// only by nodes launched with fault injection enabled
-    /// (`NodeConfig::fault_injection`) — everyone else closes the
-    /// connection.
-    pub const FAULT_CONTROL: u8 = 8;
-    /// An observability query or admin verb on a client connection;
+    /// A read-only observability query on a client connection;
     /// payload: `StatusRequest`, answered with one `StatusResponse`
-    /// frame of the same kind (see [`crate::status`]). Read-only verbs
-    /// (snapshot, event-journal suffix) are always served; admin verbs
-    /// (drain) are honored only by nodes launched with
-    /// `NodeConfig::status_admin` — everyone else answers
-    /// `StatusResponse::Refused` and closes the connection, mirroring
-    /// the `FAULT_CONTROL` gate.
+    /// frame of the same kind (see [`crate::status`]): a snapshot of the
+    /// node's gauges or a suffix of its event journal. No verb changes
+    /// the node; a request that does not decode closes the connection.
     pub const STATUS: u8 = 9;
 }
 

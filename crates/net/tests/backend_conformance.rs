@@ -6,9 +6,7 @@
 //! reply routing. Those cases run against both. The socket runtime
 //! additionally has wire-level obligations the in-memory cluster cannot
 //! express: frames split at arbitrary read boundaries reassemble, peer
-//! links reconnect, one unread client cannot starve the rest, and
-//! `FAULT_CONTROL` frames hang up the connection unless fault injection
-//! was explicitly enabled.
+//! links reconnect, and one unread client cannot starve the rest.
 
 use bytes::Bytes;
 use splitbft_app::CounterApp;
@@ -21,7 +19,7 @@ use splitbft_types::{
     ClientId, ClusterConfig, FaultCommand, LinkRule, ReplicaId, Reply, Request, RequestId,
     Timestamp, View,
 };
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -137,7 +135,6 @@ fn request(client: u32, ts: u64, value: u64) -> Request {
 /// replica. Returns the nodes and addresses in replica order.
 fn spawn_cluster<P: Protocol>(
     n: usize,
-    fault_injection: bool,
     make: impl Fn(ReplicaId) -> P,
 ) -> (Vec<EventedNode>, Vec<SocketAddr>) {
     let bound: Vec<_> = (0..n)
@@ -155,9 +152,7 @@ fn spawn_cluster<P: Protocol>(
         .into_iter()
         .map(|b| {
             let id = b.id();
-            let mut config =
-                NodeConfig::new(id, "127.0.0.1:0".parse().unwrap(), peers.clone());
-            config.fault_injection = fault_injection;
+            let config = NodeConfig::new(id, "127.0.0.1:0".parse().unwrap(), peers.clone());
             b.start(config, make(id)).expect("start node")
         })
         .collect();
@@ -235,7 +230,7 @@ fn assert_broadcasts_in_issue_order(logs: &[SeenLog], label: &str) {
 fn delivery_and_ordering_conform_on_evented() {
     let label = "evented";
     let (logs, make) = probes(DELIVERY_N);
-    let (nodes, addrs) = spawn_cluster(DELIVERY_N, false, make);
+    let (nodes, addrs) = spawn_cluster(DELIVERY_N, make);
 
     let mut client = connect(9, &addrs);
     for value in 1..=DELIVERY_K {
@@ -286,7 +281,7 @@ fn self_senders(n: usize) -> (Vec<SeenLog>, impl Fn(ReplicaId) -> SelfSender) {
 #[test]
 fn self_addressed_sends_are_dropped_on_evented() {
     let (logs, make) = self_senders(2);
-    let (nodes, addrs) = spawn_cluster(2, false, make);
+    let (nodes, addrs) = spawn_cluster(2, make);
 
     let mut client = connect(9, &addrs);
     client.send_to(0, &[request(9, 1, 41)]).expect("send");
@@ -600,7 +595,7 @@ fn peer_links_reconnect() {
 #[test]
 fn partial_frame_reads_reassemble() {
     let (logs, make) = probes(2);
-    let (nodes, addrs) = spawn_cluster(2, false, make);
+    let (nodes, addrs) = spawn_cluster(2, make);
 
     // Pose as replica 1 and deliver three protocol messages to replica
     // 0 in a single byte stream, written in 1/2/3-byte slivers.
@@ -635,7 +630,7 @@ fn partial_frame_reads_reassemble() {
 #[test]
 fn slow_clients_do_not_starve_responsive_ones() {
     let (_logs, make) = probes(2);
-    let (nodes, addrs) = spawn_cluster(2, false, make);
+    let (nodes, addrs) = spawn_cluster(2, make);
 
     // The slow client: connects raw, pours in requests with 32 KiB ops
     // (each echoed straight back), and never reads a byte.
@@ -666,40 +661,4 @@ fn slow_clients_do_not_starve_responsive_ones() {
     drop(slow);
     client.close();
     nodes.into_iter().for_each(EventedNode::shutdown);
-}
-
-/// `FAULT_CONTROL` frames are a test-harness backdoor: a node serving
-/// with fault injection disabled (the default) must hang up on them; a
-/// node serving with it enabled consumes them and keeps the connection.
-#[test]
-fn fault_control_is_gated() {
-    for enabled in [false, true] {
-        let (logs, make) = probes(2);
-        let (nodes, addrs) = spawn_cluster(2, enabled, make);
-
-        let mut stream = TcpStream::connect(addrs[0]).expect("connect raw");
-        stream.set_nodelay(true).unwrap();
-        write_value(&mut stream, frame_kind::CLIENT_HELLO, &ClientId(6)).unwrap();
-        write_value(&mut stream, frame_kind::FAULT_CONTROL, &FaultCommand::HealAll).unwrap();
-        if enabled {
-            // The frame is consumed and the connection lives on: a
-            // request on the same stream still gets its echo handled
-            // (observed via the broadcast to the peer replica).
-            write_value(&mut stream, frame_kind::REQUESTS, &vec![request(6, 1, 99)]).unwrap();
-            wait_for("connection survives enabled FAULT_CONTROL", || {
-                logs[1].lock().unwrap().contains(&99)
-            });
-        } else {
-            stream.set_read_timeout(Some(DEADLINE)).unwrap();
-            let mut buf = [0u8; 1];
-            assert_eq!(
-                stream.read(&mut buf).unwrap_or(0),
-                0,
-                "node must hang up on FAULT_CONTROL when injection is disabled"
-            );
-        }
-
-        drop(stream);
-        nodes.into_iter().for_each(EventedNode::shutdown);
-    }
 }

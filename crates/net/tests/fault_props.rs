@@ -36,7 +36,7 @@ proptest! {
         offers in 1usize..300,
     ) {
         let run = || -> Vec<FaultDecision> {
-            let plan = FaultPlan::new(seed);
+            let mut plan = FaultPlan::new(seed);
             plan.apply(FaultCommand::SetRule(rule(0, 1, params)));
             (0..offers).map(|_| plan.decide(ReplicaId(0), ReplicaId(1))).collect()
         };
@@ -52,12 +52,12 @@ proptest! {
         interleave in collection::vec((0u32..4, 0u32..4), 0..200),
     ) {
         let isolated = {
-            let plan = FaultPlan::new(seed);
+            let mut plan = FaultPlan::new(seed);
             plan.apply(FaultCommand::SetRule(rule(0, 1, params)));
             (0..50).map(|_| plan.decide(ReplicaId(0), ReplicaId(1))).collect::<Vec<_>>()
         };
         let interleaved = {
-            let plan = FaultPlan::new(seed);
+            let mut plan = FaultPlan::new(seed);
             plan.apply(FaultCommand::SetRule(rule(0, 1, params)));
             let mut decisions = Vec::new();
             for (i, &(from, to)) in interleave.iter().enumerate() {
@@ -85,7 +85,7 @@ proptest! {
         seed in any::<u64>(),
         drop in 10u8..91,
     ) {
-        let plan = FaultPlan::new(seed);
+        let mut plan = FaultPlan::new(seed);
         plan.apply(FaultCommand::SetRule(rule(0, 1, (drop, 0, 0, 0))));
         let offers = 2000usize;
         let dropped = (0..offers)
@@ -109,7 +109,7 @@ proptest! {
         let n = 7usize;
         let side_a: Vec<ReplicaId> = (0..split).map(|i| ReplicaId(i as u32)).collect();
         let side_b: Vec<ReplicaId> = (split..n).map(|i| ReplicaId(i as u32)).collect();
-        let plan = FaultPlan::new(seed);
+        let mut plan = FaultPlan::new(seed);
         plan.apply(FaultCommand::Partition {
             name: "cut".into(),
             side_a: side_a.clone(),
@@ -147,7 +147,7 @@ proptest! {
         seed in any::<u64>(),
         symmetric in any::<bool>(),
     ) {
-        let plan = FaultPlan::new(seed);
+        let mut plan = FaultPlan::new(seed);
         plan.apply(FaultCommand::Partition {
             name: "link".into(),
             side_a: vec![ReplicaId(2)],

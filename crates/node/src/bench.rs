@@ -564,8 +564,6 @@ fn run_measurement(
         data_dir: None,
         wal_group_commit: invocation.wal_group_commit,
         shards,
-        fault_injection: false,
-        status_admin: false,
     };
 
     // A cluster: launched here, or described by the external file.

@@ -184,18 +184,6 @@ pub struct NodeOptions {
     /// applications pin to shard 0, and a durable replica keeps one WAL
     /// per group under `<data_dir>/replica-<id>/shard-<s>/`.
     pub shards: u32,
-    /// Honor unauthenticated `FAULT_CONTROL` frames steering the
-    /// transport fault plan (`--enable-fault-injection` on the CLI).
-    /// Off by default — a production replica must not let any
-    /// connecting client install drop rules or partitions; only a test
-    /// harness that steers the faults itself should set it.
-    pub fault_injection: bool,
-    /// Honor `STATUS` admin verbs — today, graceful drain
-    /// (`--enable-status-admin` on the CLI). Off by default for the
-    /// same reason as `fault_injection`: any connecting client could
-    /// otherwise shut the replica down. Read-only `STATUS` queries
-    /// (snapshot, events) are always served.
-    pub status_admin: bool,
 }
 
 impl Default for NodeOptions {
@@ -206,8 +194,6 @@ impl Default for NodeOptions {
             data_dir: None,
             wal_group_commit: Duration::ZERO,
             shards: 1,
-            fault_injection: false,
-            status_admin: false,
         }
     }
 }
@@ -439,8 +425,6 @@ pub fn start_replica_on(
     let mut config = NodeConfig::new(bound.id(), bound.local_addr()?, peers);
     config.batch = options.batch;
     config.timeout_every = options.timeout_every;
-    config.fault_injection = options.fault_injection;
-    config.status_admin = options.status_admin;
     // A replica behind a stable checkpoint heals by asking its peers,
     // data dir or not; one restarting from a data dir also asks at
     // startup, for whatever it missed while it was down.
@@ -759,7 +743,12 @@ pub(crate) fn parse_cli_flag<T: std::str::FromStr>(
 
 /// Rejects unknown flags and value-flags missing their value, given the
 /// subcommand's vocabulary (value-taking flags and bare switches).
-pub(crate) fn validate_cli_flags(
+///
+/// # Errors
+///
+/// A message naming the first unknown flag, or the flag missing its
+/// value.
+pub fn validate_cli_flags(
     args: &[String],
     value_flags: &[&str],
     bare_flags: &[&str],

@@ -18,8 +18,8 @@
 
 use splitbft_node::{
     apply_batch_flags, apply_durability_flags, bench, check_retired_transport_flag,
-    cli_flag as flag, parse_cluster_toml, run_client, run_replica, ClusterFile, NodeOptions,
-    ProtocolKind,
+    cli_flag as flag, parse_cluster_toml, run_client, run_replica, validate_cli_flags,
+    ClusterFile, NodeOptions, ProtocolKind,
 };
 use splitbft_obs::MetricsServer;
 use splitbft_types::{ClientId, ReplicaId};
@@ -81,7 +81,6 @@ USAGE:
                          [--data-dir <dir>] [--wal-group-commit-us <us>]
                          [--timeout-ms <ms>] [--batch-frames <n>]
                          [--batch-bytes <n>] [--shards <n>]
-                         [--enable-fault-injection] [--enable-status-admin]
                          [--metrics-addr <host:port>]
     splitbft-node client --config <cluster.toml> [--protocol <p>] [--client <id>]
                          [--op <bytes>] [--requests <n>] [--timeout-secs <s>]
@@ -103,16 +102,12 @@ splitbft_node crate docs and docs/OPERATIONS.md. `--data-dir` makes the
 replica durable: consensus events are WAL'd and checkpoints sealed
 under <dir>/replica-<id>/, and a restarted replica recovers from them
 plus peer state transfer. `--wal-group-commit-us` shares one WAL fsync
-across each drain batch of the node's loop. `--enable-fault-injection` lets the
-replica honor unauthenticated FAULT_CONTROL frames (partitions, lossy
-links) from any client; it is for fault-injection tests only — never
-pass it in production.
-`--enable-status-admin` likewise gates the STATUS admin verbs (graceful
-drain) — read-only STATUS queries are always served. `--metrics-addr`
-serves Prometheus text at /metrics plus /healthz and /readyz on that
-address. SIGTERM drains gracefully: the replica stops admitting client
-requests, finishes in-flight batches, seals a checkpoint, flushes the
-WAL, and exits 0.
+across each drain batch of the node's loop. `--metrics-addr` serves
+Prometheus text at /metrics plus /healthz and /readyz on that address;
+read-only STATUS queries are served on the replica's own port. SIGTERM
+is the one way to drain a replica: it stops admitting client requests,
+finishes in-flight batches, seals a checkpoint, flushes the WAL, and
+exits 0. An unknown or mistyped flag is an error naming it.
 Every replica serves on one socket runtime, a readiness loop per node.
 `--transport evented` (serve, bench, and the cluster file's
 `transport` key) is still accepted and changes nothing; `blocking`, the
@@ -121,6 +116,18 @@ warns; any other value is an error. `bench` without --config
 self-orchestrates a localhost cluster, writes one BENCH_<name>.json per
 run, and exits nonzero if a run completes zero requests.
 ";
+
+/// The `serve` subcommand's flags, all value-taking. The retired
+/// `--transport` stays for compatibility.
+const SERVE_FLAGS: &[&str] = &[
+    "--config", "--replica", "--protocol", "--data-dir", "--wal-group-commit-us",
+    "--timeout-ms", "--batch-frames", "--batch-bytes", "--shards", "--metrics-addr",
+    "--transport",
+];
+
+/// The `client` subcommand's flags, all value-taking.
+const CLIENT_FLAGS: &[&str] =
+    &["--config", "--protocol", "--client", "--op", "--requests", "--timeout-secs"];
 
 fn load(args: &[String]) -> Result<(ClusterFile, ProtocolKind), String> {
     let path = flag(args, "--config").ok_or("missing --config <cluster.toml>")?;
@@ -141,11 +148,6 @@ fn options_from(args: &[String], file: &ClusterFile) -> Result<NodeOptions, Stri
         let ms: u64 = ms.parse().map_err(|_| "--timeout-ms must be an integer".to_string())?;
         options.timeout_every = (ms > 0).then(|| Duration::from_millis(ms));
     }
-    if flag(args, "--byzantine").is_some() {
-        return Err("--byzantine was removed: Byzantine replicas run in the fault catalog \
-                    (splitbft_model::chaos) on the in-memory cluster"
-            .to_string());
-    }
     if let Some(shards) = flag(args, "--shards") {
         options.shards = match shards.parse::<u32>() {
             Ok(0) | Err(_) => return Err("--shards must be a positive integer".to_string()),
@@ -153,12 +155,6 @@ fn options_from(args: &[String], file: &ClusterFile) -> Result<NodeOptions, Stri
         };
     }
     check_retired_transport_flag(args)?;
-    if args.iter().any(|a| a == "--enable-fault-injection") {
-        options.fault_injection = true;
-    }
-    if args.iter().any(|a| a == "--enable-status-admin") {
-        options.status_admin = true;
-    }
     apply_durability_flags(args, &mut options)?;
     apply_batch_flags(args, &mut options.batch)?;
     Ok(options)
@@ -166,6 +162,7 @@ fn options_from(args: &[String], file: &ClusterFile) -> Result<NodeOptions, Stri
 
 fn serve(args: &[String]) -> ExitCode {
     let run = || -> Result<(), String> {
+        validate_cli_flags(args, SERVE_FLAGS, &[]).map_err(|e| format!("serve: {e}"))?;
         let (file, protocol) = load(args)?;
         let id: u32 = flag(args, "--replica")
             .ok_or("missing --replica <id>")?
@@ -198,9 +195,8 @@ fn serve(args: &[String]) -> ExitCode {
             file.app,
         );
         install_sigterm_handler();
-        // Serve until SIGTERM (or an admin drain over STATUS): the
-        // node's own threads do all the work; this loop only watches
-        // for the drain-and-exit conditions.
+        // Serve until SIGTERM: the node's own thread does all the work;
+        // this loop only watches for the drain-and-exit conditions.
         let telemetry = node.telemetry();
         loop {
             std::thread::sleep(Duration::from_millis(50));
@@ -219,6 +215,7 @@ fn serve(args: &[String]) -> ExitCode {
 
 fn client(args: &[String]) -> ExitCode {
     let run = || -> Result<(), String> {
+        validate_cli_flags(args, CLIENT_FLAGS, &[]).map_err(|e| format!("client: {e}"))?;
         let (file, protocol) = load(args)?;
         let client_id: u32 = flag(args, "--client")
             .unwrap_or_else(|| "1".into())

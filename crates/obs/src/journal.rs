@@ -127,7 +127,7 @@ mod tests {
                 let journal = Arc::clone(&journal);
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        journal.record(StatusEvent::FaultPlanApplied);
+                        journal.record(StatusEvent::DrainRequested);
                     }
                 });
             }

@@ -137,13 +137,13 @@ fn checkpoints_advance_watermark_and_gc() {
 fn cluster_with_replica_3_behind() -> Cluster<Replica<CounterApp>> {
     let mut cluster = cluster(4, 4, CounterApp::new);
     // The other three keep the protocol live (n=4 tolerates one fault).
-    isolate(&cluster, 3);
+    isolate(&mut cluster, 3);
     for ts in 1..=8 {
         cluster.submit(0, &[inc(ts)]);
     }
     assert_eq!(cluster.replica(3).last_executed(), SeqNum(0));
     // Partition heals; replica 3 sees the next checkpoint's votes.
-    heal(&cluster);
+    heal(&mut cluster);
     for ts in 9..=12 {
         cluster.submit(0, &[inc(ts)]);
     }

@@ -52,7 +52,7 @@ pub fn time_out<P: Protocol>(cluster: &mut Cluster<P>, replicas: impl IntoIterat
 const ISOLATED: &str = "isolated";
 
 /// Cuts `replica` off from the rest of the cluster, both ways.
-pub fn isolate<P: Protocol>(cluster: &Cluster<P>, replica: u32) {
+pub fn isolate<P: Protocol>(cluster: &mut Cluster<P>, replica: u32) {
     let rest = (0..cluster.n() as u32).filter(|i| *i != replica).map(ReplicaId).collect();
     cluster.faults.apply(FaultCommand::Partition {
         name: ISOLATED.into(),
@@ -63,7 +63,7 @@ pub fn isolate<P: Protocol>(cluster: &Cluster<P>, replica: u32) {
 }
 
 /// Undoes [`isolate`].
-pub fn heal<P: Protocol>(cluster: &Cluster<P>) {
+pub fn heal<P: Protocol>(cluster: &mut Cluster<P>) {
     cluster.faults.apply(FaultCommand::Heal { name: ISOLATED.into() });
 }
 

@@ -1,21 +1,13 @@
-//! Fault-injection control vocabulary.
+//! Fault-injection vocabulary of the in-memory cluster.
 //!
-//! Fault tests steer transport-level faults at runtime: a test
-//! connects to each replica and sends [`FaultCommand`]s on a dedicated
-//! control frame kind (`frame_kind::FAULT_CONTROL`), and the in-memory
-//! cluster applies the same commands directly. Commands mutate the node's
-//! `FaultPlan` (in `splitbft-net`), which sits on the *send path* of
-//! every peer link — so a partition declared here blocks protocol
-//! traffic and state transfer alike, without touching protocol state.
-//!
-//! Commands are plain data in this crate (next to the rest of the wire
-//! vocabulary) so that both the transport that obeys them and the
-//! tooling that issues them speak the same encoding. Unknown frame
-//! kinds are skipped by older receivers, which keeps the control frame
-//! backward-compatible.
+//! Fault schedules steer transport-level faults with [`FaultCommand`]s,
+//! which `lockstep::Cluster` (in `splitbft-net`) applies to its
+//! `FaultPlan`. The plan sits on the *send path* of every peer link — so
+//! a partition declared here blocks protocol traffic and state transfer
+//! alike, without touching protocol state. Commands are plain values:
+//! they never travel on the wire, and no socket node accepts them.
 
 use crate::ids::ReplicaId;
-use crate::wire::{Decode, Encode, Reader, Sink, WireError};
 
 /// Per-link fault rule for the ordered pair `from → to`.
 ///
@@ -57,30 +49,7 @@ impl LinkRule {
     }
 }
 
-impl Encode for LinkRule {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.from.encode_to(out);
-        self.to.encode_to(out);
-        out.put(&[self.drop_percent]);
-        out.put(&[self.duplicate_percent]);
-        out.put(&[self.reorder_percent]);
-        self.delay_ms.encode_to(out);
-    }
-}
-impl Decode for LinkRule {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(LinkRule {
-            from: ReplicaId::decode(r)?,
-            to: ReplicaId::decode(r)?,
-            drop_percent: u8::decode(r)?,
-            duplicate_percent: u8::decode(r)?,
-            reorder_percent: u8::decode(r)?,
-            delay_ms: u32::decode(r)?,
-        })
-    }
-}
-
-/// A runtime command against a node's fault plan.
+/// A command against the in-memory cluster's fault plan.
 ///
 /// Partitions are named so a schedule can layer several (e.g. isolate
 /// the primary *and* degrade one backup link) and heal them
@@ -112,77 +81,4 @@ pub enum FaultCommand {
     },
     /// Close every partition and remove every rule.
     HealAll,
-}
-
-impl Encode for FaultCommand {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        match self {
-            FaultCommand::SetRule(rule) => {
-                out.put(&[1]);
-                rule.encode_to(out);
-            }
-            FaultCommand::ClearRules => out.put(&[2]),
-            FaultCommand::Partition { name, side_a, side_b, symmetric } => {
-                out.put(&[3]);
-                name.encode_to(out);
-                side_a.encode_to(out);
-                side_b.encode_to(out);
-                symmetric.encode_to(out);
-            }
-            FaultCommand::Heal { name } => {
-                out.put(&[4]);
-                name.encode_to(out);
-            }
-            FaultCommand::HealAll => out.put(&[5]),
-        }
-    }
-}
-impl Decode for FaultCommand {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            1 => Ok(FaultCommand::SetRule(LinkRule::decode(r)?)),
-            2 => Ok(FaultCommand::ClearRules),
-            3 => Ok(FaultCommand::Partition {
-                name: String::decode(r)?,
-                side_a: Vec::decode(r)?,
-                side_b: Vec::decode(r)?,
-                symmetric: bool::decode(r)?,
-            }),
-            4 => Ok(FaultCommand::Heal { name: String::decode(r)? }),
-            5 => Ok(FaultCommand::HealAll),
-            tag => Err(WireError::InvalidTag { ty: "FaultCommand", tag }),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::wire::roundtrip;
-
-    #[test]
-    fn commands_roundtrip() {
-        roundtrip(&FaultCommand::SetRule(LinkRule {
-            drop_percent: 30,
-            duplicate_percent: 5,
-            reorder_percent: 10,
-            delay_ms: 40,
-            ..LinkRule::clean(ReplicaId(0), ReplicaId(3))
-        }));
-        roundtrip(&FaultCommand::ClearRules);
-        roundtrip(&FaultCommand::Partition {
-            name: "primary-cut".into(),
-            side_a: vec![ReplicaId(0)],
-            side_b: vec![ReplicaId(1), ReplicaId(2), ReplicaId(3)],
-            symmetric: true,
-        });
-        roundtrip(&FaultCommand::Heal { name: "primary-cut".into() });
-        roundtrip(&FaultCommand::HealAll);
-    }
-
-    #[test]
-    fn unknown_tag_is_rejected() {
-        let err = crate::wire::decode::<FaultCommand>(&[9]).unwrap_err();
-        assert!(matches!(err, WireError::InvalidTag { ty: "FaultCommand", .. }));
-    }
 }

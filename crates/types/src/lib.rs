@@ -23,9 +23,9 @@
 //! - [`durable`] — the durability plane's vocabulary: WAL records
 //!   ([`DurableEvent`]), sealed checkpoints ([`DurableCheckpoint`]), and
 //!   the `STATE_TRANSFER` request/response pair.
-//! - [`fault`] — the fault-injection control vocabulary: runtime
-//!   [`FaultCommand`]s steering per-link fault rules and named
-//!   partitions on the transport.
+//! - [`fault`] — the fault-injection vocabulary: [`FaultCommand`]s
+//!   steering per-link fault rules and named partitions on the
+//!   in-memory cluster's transport (plain values, never on the wire).
 //! - [`status`] — the telemetry plane's vocabulary: versioned
 //!   [`NodeSnapshot`]s, typed journal [`StatusEvent`]s, and the
 //!   [`StatusRequest`]/[`StatusResponse`] pair served on the `STATUS`

@@ -1,23 +1,22 @@
-//! Operator status vocabulary: snapshots, journal events, and admin
-//! verbs.
+//! Operator status vocabulary: snapshots and journal events.
 //!
-//! The telemetry plane (`splitbft-obs` + the socket runtimes in
+//! The telemetry plane (`splitbft-obs` + the socket runtime in
 //! `splitbft-net`) answers `frame_kind::STATUS` requests on the client
 //! port: tooling connects like a client, sends a [`StatusRequest`], and
 //! receives a [`StatusResponse`] — a versioned [`NodeSnapshot`] of the
-//! node's gauges, a suffix of its bounded [`StatusEvent`] journal, or
-//! the outcome of an admin verb. Like [`crate::fault::FaultCommand`],
-//! the types live here so the node that answers and the tooling that
-//! asks (tests, benches, operators) share one encoding, and
-//! unknown frame kinds are skipped by older receivers so the new frame
-//! stays backward-compatible.
+//! node's gauges, or a suffix of its bounded [`StatusEvent`] journal.
+//! The types live here so the node that answers and the tooling that
+//! asks (tests, benches, operators) share one encoding, and unknown
+//! frame kinds are skipped by older receivers so the frame stays
+//! backward-compatible.
 //!
-//! Read-only verbs ([`StatusVerb::Snapshot`], [`StatusVerb::Events`])
-//! are always served. Admin verbs ([`StatusVerb::Drain`]) mutate the
-//! node and are honored only when the node was launched with the status
-//! admin gate enabled — the same opt-in stance as `FAULT_CONTROL` —
-//! otherwise the node answers [`StatusResponse::Refused`] and closes
-//! the connection.
+//! Every verb is read-only: STATUS cannot change a node. A deployed
+//! node drains on `SIGTERM` only.
+//!
+//! Retired tags are never reused: `StatusVerb` tag 3 (a drain verb),
+//! `StatusEvent` tag 5 (a fault-plan change) and `StatusResponse` tags
+//! 3 and 4 (that verb's answers) now fail to decode, which closes the
+//! connection that sent them.
 
 use crate::wire::{Decode, Encode, Reader, Sink, WireError};
 
@@ -25,7 +24,8 @@ use crate::wire::{Decode, Encode, Reader, Sink, WireError};
 /// change so pollers can reject snapshots they do not understand.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
-/// What a STATUS connection asks of a node.
+/// What a STATUS connection asks of a node. Tag 3 is retired and
+/// never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StatusVerb {
     /// Return the current [`NodeSnapshot`].
@@ -36,9 +36,6 @@ pub enum StatusVerb {
         /// Lowest journal sequence number of interest.
         since: u64,
     },
-    /// Admin: stop admitting client requests, finish in-flight batches,
-    /// seal a checkpoint, flush the WAL, and let the process exit 0.
-    Drain,
 }
 
 /// A STATUS request frame: one verb per frame.
@@ -49,7 +46,8 @@ pub struct StatusRequest {
 }
 
 /// One entry of the bounded structured event journal — the typed
-/// replacement for grepping stderr marker lines.
+/// replacement for grepping stderr marker lines. Tag 5 is retired and
+/// never reused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StatusEvent {
     /// The replica entered a new view.
@@ -79,9 +77,8 @@ pub enum StatusEvent {
         /// Progress after the suffix was applied.
         to_progress: u64,
     },
-    /// A `FAULT_CONTROL` command mutated the node's fault plan.
-    FaultPlanApplied,
-    /// A drain was requested (SIGTERM or the STATUS admin verb).
+    /// A drain was requested (`SIGTERM` on a socket node,
+    /// `lockstep::Cluster::drain` in memory).
     DrainRequested,
     /// The drain finished: checkpoint sealed, WAL flushed, no pending
     /// requests; the process exits after emitting this.
@@ -147,7 +144,8 @@ pub struct NodeSnapshot {
     pub journal_head: u64,
 }
 
-/// A node's answer to one [`StatusRequest`].
+/// A node's answer to one [`StatusRequest`]. Tags 3 and 4 are retired
+/// and never reused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StatusResponse {
     /// Answer to [`StatusVerb::Snapshot`].
@@ -161,11 +159,6 @@ pub enum StatusResponse {
         /// The matching events, oldest first.
         events: Vec<(u64, StatusEvent)>,
     },
-    /// The admin verb was accepted and the drain has begun.
-    DrainStarted,
-    /// The verb requires the status admin gate, which this node was not
-    /// launched with.
-    Refused,
 }
 
 impl Encode for StatusVerb {
@@ -176,7 +169,6 @@ impl Encode for StatusVerb {
                 out.put(&[2]);
                 since.encode_to(out);
             }
-            StatusVerb::Drain => out.put(&[3]),
         }
     }
 }
@@ -185,7 +177,6 @@ impl Decode for StatusVerb {
         match u8::decode(r)? {
             1 => Ok(StatusVerb::Snapshot),
             2 => Ok(StatusVerb::Events { since: u64::decode(r)? }),
-            3 => Ok(StatusVerb::Drain),
             tag => Err(WireError::InvalidTag { ty: "StatusVerb", tag }),
         }
     }
@@ -224,7 +215,6 @@ impl Encode for StatusEvent {
                 from_progress.encode_to(out);
                 to_progress.encode_to(out);
             }
-            StatusEvent::FaultPlanApplied => out.put(&[5]),
             StatusEvent::DrainRequested => out.put(&[6]),
             StatusEvent::DrainCompleted => out.put(&[7]),
             StatusEvent::Recovered { replayed_events, checkpoint_seq } => {
@@ -249,7 +239,6 @@ impl Decode for StatusEvent {
                 from_progress: u64::decode(r)?,
                 to_progress: u64::decode(r)?,
             }),
-            5 => Ok(StatusEvent::FaultPlanApplied),
             6 => Ok(StatusEvent::DrainRequested),
             7 => Ok(StatusEvent::DrainCompleted),
             8 => Ok(StatusEvent::Recovered {
@@ -324,8 +313,6 @@ impl Encode for StatusResponse {
                 head.encode_to(out);
                 events.encode_to(out);
             }
-            StatusResponse::DrainStarted => out.put(&[3]),
-            StatusResponse::Refused => out.put(&[4]),
         }
     }
 }
@@ -337,8 +324,6 @@ impl Decode for StatusResponse {
                 head: u64::decode(r)?,
                 events: Vec::decode(r)?,
             }),
-            3 => Ok(StatusResponse::DrainStarted),
-            4 => Ok(StatusResponse::Refused),
             tag => Err(WireError::InvalidTag { ty: "StatusResponse", tag }),
         }
     }
@@ -353,7 +338,6 @@ mod tests {
     fn requests_roundtrip() {
         roundtrip(&StatusRequest { verb: StatusVerb::Snapshot });
         roundtrip(&StatusRequest { verb: StatusVerb::Events { since: 17 } });
-        roundtrip(&StatusRequest { verb: StatusVerb::Drain });
     }
 
     #[test]
@@ -367,7 +351,6 @@ mod tests {
                 from_progress: 100,
                 to_progress: 140,
             },
-            StatusEvent::FaultPlanApplied,
             StatusEvent::DrainRequested,
             StatusEvent::DrainCompleted,
             StatusEvent::Recovered { replayed_events: 12, checkpoint_seq: 100 },
@@ -408,8 +391,6 @@ mod tests {
                 (8, StatusEvent::CheckpointSealed { seq: 300 }),
             ],
         });
-        roundtrip(&StatusResponse::DrainStarted);
-        roundtrip(&StatusResponse::Refused);
     }
 
     #[test]
@@ -425,6 +406,24 @@ mod tests {
             ));
             assert!(matches!(
                 crate::wire::decode::<StatusResponse>(bytes),
+                Err(WireError::InvalidTag { ty: "StatusResponse", .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn retired_tags_are_rejected() {
+        assert!(matches!(
+            crate::wire::decode::<StatusVerb>(&[3]),
+            Err(WireError::InvalidTag { ty: "StatusVerb", tag: 3 })
+        ));
+        assert!(matches!(
+            crate::wire::decode::<StatusEvent>(&[5]),
+            Err(WireError::InvalidTag { ty: "StatusEvent", tag: 5 })
+        ));
+        for tag in [3, 4] {
+            assert!(matches!(
+                crate::wire::decode::<StatusResponse>(&[tag]),
                 Err(WireError::InvalidTag { ty: "StatusResponse", .. })
             ));
         }

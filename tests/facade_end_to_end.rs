@@ -16,7 +16,7 @@ fn cluster<P: Protocol>(make: impl Fn(ReplicaId) -> P) -> Cluster<P> {
 
 /// Cuts the view-0 primary off from every other replica (clients still
 /// reach it).
-fn isolate_primary<P: Protocol>(cluster: &Cluster<P>) {
+fn isolate_primary<P: Protocol>(cluster: &mut Cluster<P>) {
     cluster.faults.apply(FaultCommand::Partition {
         name: "isolate-primary".into(),
         side_a: vec![ReplicaId(0)],
@@ -102,7 +102,7 @@ fn splitbft_survives_view_change_over_threads() {
     let config = ClusterConfig::new(N).unwrap();
     let mut client = SplitBftClient::new(config, ClientId(5), SEED, 3).with_plaintext();
     let mut cluster = cluster(|id| splitbft_replica(id, CounterApp::new()));
-    isolate_primary(&cluster);
+    isolate_primary(&mut cluster);
 
     let request = client.issue(b"inc");
     let mut committed_in = None;
@@ -156,7 +156,7 @@ fn view_change_with_a_large_state<P: Protocol>(
     for key in 0..4 {
         assert_eq!(put(&mut cluster, key, &[0]), View(0));
     }
-    isolate_primary(&cluster);
+    isolate_primary(&mut cluster);
     let view = put(&mut cluster, 4, &[0, 1, 2, 3]);
     assert!(view >= View(1), "committed in {view:?}, but view 0's primary is unreachable");
 }

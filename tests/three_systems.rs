@@ -237,7 +237,7 @@ fn a_restarted_replica_catches_up_through_its_peers_on_every_stack() {
 /// that drops, duplicates and delays by the plan seeded with `seed`.
 fn trace_under_faults<P: Protocol>(stack: &Stack<P>, seed: u64) -> Vec<(u32, u32, u8, Vec<u8>)> {
     let mut cluster = stack.cluster();
-    cluster.faults = FaultPlan::shared(seed);
+    cluster.faults = FaultPlan::new(seed);
     cluster.faults.apply(FaultCommand::SetRule(LinkRule {
         drop_percent: 15,
         duplicate_percent: 15,
