@@ -52,6 +52,44 @@ pub enum LoadMode {
     },
 }
 
+/// Client `i` of a run uses id `CLIENT_ID_BASE + i`.
+pub const CLIENT_ID_BASE: u32 = 1_000;
+
+/// Window length of the throughput series.
+const WINDOW: Duration = Duration::from_secs(1);
+
+/// Connection-establishment budget per client.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The open-loop periods a client can keep. Below a microsecond the
+/// schedule outruns the client's catch-up loop (at zero it counts up to
+/// the deadline); above a day it offers no load, and far above it
+/// overflows the clock.
+const OPEN_PERIODS: std::ops::RangeInclusive<Duration> =
+    Duration::from_micros(1)..=Duration::from_secs(86_400);
+
+/// The open-loop schedule's per-client period: each of `clients`
+/// clients issues one request every `clients / rate` seconds, so the
+/// aggregate offered load is `rate` requests per second.
+///
+/// # Errors
+///
+/// A message naming the value, not the flag that carried it, when
+/// `rate` is not positive and finite or its period is out of range.
+pub fn open_loop_period(rate: f64, clients: usize) -> Result<Duration, String> {
+    if !(rate.is_finite() && rate > 0.0) {
+        return Err(format!("must be a positive, finite rate, got {rate}"));
+    }
+    match Duration::try_from_secs_f64(clients.max(1) as f64 / rate) {
+        Ok(period) if OPEN_PERIODS.contains(&period) => Ok(period),
+        _ => Err(format!(
+            "{rate} req/s over {} client(s) is not a schedule: each client must issue \
+             between once a microsecond and once a day",
+            clients.max(1)
+        )),
+    }
+}
+
 /// Configuration for one load-generation run.
 #[derive(Debug, Clone)]
 pub struct DriverConfig {
@@ -71,24 +109,11 @@ pub struct DriverConfig {
     pub mode: LoadMode,
     /// The operation stream.
     pub workload: Workload,
-    /// Window length of the throughput series.
-    pub window: Duration,
     /// Re-broadcast requests outstanding longer than this.
     pub retry_every: Duration,
     /// After the measurement window, wait at most this long for
     /// stragglers before counting them as timed out.
     pub drain_timeout: Duration,
-    /// Connection-establishment budget per client.
-    pub connect_timeout: Duration,
-    /// First client id; client `i` uses `client_id_base + i`.
-    pub client_id_base: u32,
-    /// Address-book index requests are first submitted to (the view-0
-    /// primary by default). A wrong guess still completes through the
-    /// retry broadcast, just slower. An **out-of-range** index (e.g.
-    /// `usize::MAX`) broadcasts every submission to all reachable
-    /// replicas — the leadership-agnostic mode failover harnesses use
-    /// when view changes move the primary mid-run.
-    pub primary_index: usize,
     /// Consensus groups the target cluster hosts. Above one, KVS key
     /// generation cycles the shards round-robin
     /// ([`Workload::next_op_sharded`]) and completions are tracked per
@@ -109,12 +134,8 @@ impl DriverConfig {
             duration: Duration::from_secs(5),
             mode: LoadMode::Closed,
             workload: Workload::Counter,
-            window: Duration::from_secs(1),
             retry_every: Duration::from_secs(1),
-            drain_timeout: Duration::from_secs(30),
-            connect_timeout: Duration::from_secs(10),
-            client_id_base: 1_000,
-            primary_index: 0,
+            drain_timeout: Duration::from_secs(15),
             shards: 1,
         }
     }
@@ -130,8 +151,6 @@ pub struct LoadStats {
     pub completed: u64,
     /// Requests still incomplete when the drain window closed.
     pub timed_out: u64,
-    /// Wall time of the whole run including connect and drain.
-    pub elapsed: Duration,
     /// Completion latencies.
     pub hist: LatencyHistogram,
     /// Completions per window since the measurement started.
@@ -148,24 +167,31 @@ pub struct LoadStats {
 ///
 /// # Errors
 ///
-/// `InvalidInput` for a zero-client or zero-duration config; connection
-/// errors if a client cannot reach any replica.
+/// `InvalidInput` for a zero-client or zero-duration config, an
+/// open-loop rate [`open_loop_period`] rejects, or a run too long for
+/// the clock; connection errors if a client cannot reach any replica.
 pub fn run(config: &DriverConfig) -> io::Result<LoadStats> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
     if config.clients == 0 {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "need at least one client"));
+        return Err(invalid("need at least one client".into()));
     }
     if config.duration.is_zero() {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "duration must be positive"));
+        return Err(invalid("duration must be positive".into()));
     }
-    if let LoadMode::Open { rate } = config.mode {
-        if !(rate > 0.0) {
-            return Err(io::Error::new(io::ErrorKind::InvalidInput, "open-loop rate must be > 0"));
-        }
+    let open_period = match config.mode {
+        LoadMode::Closed => None,
+        LoadMode::Open { rate } => Some(
+            open_loop_period(rate, config.clients)
+                .map_err(|e| invalid(format!("open-loop rate {e}")))?,
+        ),
+    };
+    let run_time = config.duration.checked_add(config.drain_timeout);
+    if run_time.and_then(|t| Instant::now().checked_add(t)).is_none() {
+        return Err(invalid("duration and drain timeout overflow the clock".into()));
     }
-    let started = Instant::now();
     let results: Vec<io::Result<ClientStats>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..config.clients)
-            .map(|index| scope.spawn(move || client_loop(config, index)))
+            .map(|index| scope.spawn(move || client_loop(config, open_period, index)))
             .collect();
         handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
     });
@@ -175,9 +201,8 @@ pub fn run(config: &DriverConfig) -> io::Result<LoadStats> {
         issued: 0,
         completed: 0,
         timed_out: 0,
-        elapsed: started.elapsed(),
         hist: LatencyHistogram::new(),
-        windows: Windows::new(config.window),
+        windows: Windows::new(WINDOW),
         per_shard_completed: vec![0; shards],
     };
     for result in results {
@@ -227,13 +252,19 @@ impl ClientStats {
     }
 }
 
-fn client_loop(config: &DriverConfig, index: usize) -> io::Result<ClientStats> {
-    let client = ClientId(config.client_id_base + index as u32);
+/// One client's run. `open_period` is its open-loop schedule (`None`
+/// in a closed loop).
+fn client_loop(
+    config: &DriverConfig,
+    open_period: Option<Duration>,
+    index: usize,
+) -> io::Result<ClientStats> {
+    let client = ClientId(CLIENT_ID_BASE + index as u32);
     let mac = client_mac_key(config.master_seed, client);
     let mut rng = StdRng::seed_from_u64(
         config.master_seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(index as u64 + 1),
     );
-    let mut tcp = TcpClient::connect(client, &config.addrs, config.connect_timeout)?;
+    let mut tcp = TcpClient::connect(client, &config.addrs, CONNECT_TIMEOUT)?;
 
     // Wall-clock timestamps: replicas dedupe requests by each client's
     // last-seen timestamp, so a rerun reusing an id must start above
@@ -250,12 +281,6 @@ fn client_loop(config: &DriverConfig, index: usize) -> io::Result<ClientStats> {
     let hard_stop = deadline + config.drain_timeout;
     // Open loop: this client covers every `period`, staggered so the
     // aggregate stream is evenly spaced, not `clients`-sized bursts.
-    let open_period = match config.mode {
-        LoadMode::Closed => None,
-        LoadMode::Open { rate } => {
-            Some(Duration::from_secs_f64(config.clients as f64 / rate))
-        }
-    };
     let mut next_issue =
         start + open_period.map_or(Duration::ZERO, |p| p.mul_f64(index as f64 / config.clients as f64));
 
@@ -264,7 +289,7 @@ fn client_loop(config: &DriverConfig, index: usize) -> io::Result<ClientStats> {
         completed: 0,
         timed_out: 0,
         hist: LatencyHistogram::new(),
-        windows: Windows::new(config.window),
+        windows: Windows::new(WINDOW),
         per_shard_completed: vec![0; config.shards.max(1) as usize],
     };
     let mut inflight: BTreeMap<u64, Flight> = BTreeMap::new();
@@ -295,9 +320,9 @@ fn client_loop(config: &DriverConfig, index: usize) -> io::Result<ClientStats> {
             batch.push(Request { id, op, encrypted: false, auth });
             shards.push(shard.0);
         }
-        // The primary first; every reachable replica if it cannot be
-        // written or the index names none (the broadcast mode).
-        tcp.send_to(config.primary_index, &batch).or_else(|_| tcp.send_all(&batch))?;
+        // The view-0 primary first; every reachable replica if it cannot
+        // be written.
+        tcp.send_to(0, &batch).or_else(|_| tcp.send_all(&batch))?;
         for (request, shard) in batch.into_iter().zip(shards) {
             let tracker = QuorumTracker::new(mac.clone(), config.reply_quorum);
             let flight = Flight { request, last_sent: issued_at, issued_at, shard, tracker };
@@ -433,7 +458,6 @@ mod tests {
         config.clients = 2;
         config.pipeline = 4;
         config.duration = Duration::from_millis(300);
-        config.window = Duration::from_millis(100);
 
         let stats = run(&config).unwrap();
         assert!(stats.completed > 0, "no requests completed");
@@ -472,7 +496,6 @@ mod tests {
         config.clients = 2;
         config.duration = Duration::from_millis(500);
         config.mode = LoadMode::Open { rate: 200.0 };
-        config.window = Duration::from_millis(100);
 
         let stats = run(&config).unwrap();
         // 200/s over 0.5 s ≈ 100 requests; allow generous scheduling slop.
@@ -490,5 +513,29 @@ mod tests {
         let mut config = DriverConfig::new(vec!["127.0.0.1:1".parse().unwrap()], 1, 1);
         config.clients = 0;
         assert_eq!(run(&config).unwrap_err().kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn out_of_range_rates_are_rejected_before_any_connection() {
+        // Nothing listens on port 1: a connection attempt would fail
+        // with another kind.
+        let mut config = DriverConfig::new(vec!["127.0.0.1:1".parse().unwrap()], 1, 1);
+        for rate in [f64::INFINITY, f64::NAN, 0.0, -5.0, 1e-300, 1e300] {
+            config.mode = LoadMode::Open { rate };
+            let err = run(&config).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{rate}: {err}");
+        }
+        config.mode = LoadMode::Closed;
+        config.duration = Duration::MAX;
+        assert_eq!(run(&config).unwrap_err().kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn open_loop_period_spans_a_microsecond_to_a_day() {
+        assert_eq!(open_loop_period(200.0, 2), Ok(Duration::from_millis(10)));
+        assert_eq!(open_loop_period(4e6, 4), Ok(Duration::from_micros(1)));
+        assert_eq!(open_loop_period(1.0 / 86_400.0, 1), Ok(Duration::from_secs(86_400)));
+        assert!(open_loop_period(2e6, 1).is_err(), "faster than once a microsecond");
+        assert!(open_loop_period(1.0 / 86_401.0, 1).is_err(), "slower than once a day");
     }
 }

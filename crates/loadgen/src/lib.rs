@@ -25,8 +25,8 @@
 //! - [`report`]: the `BENCH_<name>.json` schema and writer.
 //!
 //! The `splitbft-node bench` subcommand is the command-line entry
-//! point: it self-orchestrates a localhost cluster (or targets an
-//! existing cluster file) and feeds this crate's driver.
+//! point: it self-orchestrates a localhost cluster and feeds this
+//! crate's driver.
 //!
 //! # Example
 //!

@@ -8,7 +8,7 @@
 
 use crate::driver::{LoadMode, LoadStats};
 use crate::workload::Workload;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -40,9 +40,8 @@ pub struct BatchSummary {
     pub max_bytes: usize,
 }
 
-/// What the durability plane cost during a run (only measurable for
-/// self-orchestrated clusters, whose in-process nodes expose fsync
-/// gauges).
+/// What the durability plane cost during a run (attached to runs whose
+/// replicas had a data dir).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DurabilitySummary {
     /// The WAL group-commit linger the replicas ran with
@@ -72,9 +71,8 @@ pub struct ShardingSummary {
     /// dir).
     pub per_shard_fsyncs: Vec<u64>,
     /// Throughput of the single-shard baseline run the same invocation
-    /// measured first (`None` when no baseline ran, e.g. external
-    /// clusters).
-    pub baseline_rps: Option<f64>,
+    /// measured first.
+    pub baseline_rps: f64,
     /// `throughput_rps / baseline_rps` — the scaling factor the shard
     /// count bought.
     pub scaling_x: Option<f64>,
@@ -87,22 +85,21 @@ impl ShardingSummary {
             v.iter().map(u64::to_string).collect::<Vec<_>>().join(", ")
         };
         format!(
-            r#"{{"shards": {}, "per_shard_completed": [{}], "per_shard_progress": [{}], "per_shard_fsyncs": [{}], "baseline_rps": {}, "scaling_x": {}}}"#,
+            r#"{{"shards": {}, "per_shard_completed": [{}], "per_shard_progress": [{}], "per_shard_fsyncs": [{}], "baseline_rps": {:.3}, "scaling_x": {}}}"#,
             self.shards,
             join(&self.per_shard_completed),
             join(&self.per_shard_progress),
             join(&self.per_shard_fsyncs),
-            self.baseline_rps.map_or("null".into(), |v| format!("{v:.3}")),
+            self.baseline_rps,
             self.scaling_x.map_or("null".into(), |v| format!("{v:.3}")),
         )
     }
 }
 
-/// The cluster's final telemetry snapshot, summed across replicas
-/// (only measurable for self-orchestrated clusters, whose in-process
-/// nodes expose their metrics registries). Attached as the report's
-/// `metrics` section so a `BENCH_*.json` is self-contained: the
-/// observability story of the run travels with its numbers.
+/// The cluster's final telemetry snapshot, summed across replicas.
+/// Every report carries it as its `metrics` section, so a
+/// `BENCH_*.json` is self-contained: the observability story of the
+/// run travels with its numbers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricsSummary {
     /// Total WAL fsyncs across every replica (`0` without a data dir).
@@ -202,10 +199,8 @@ pub struct BenchReport {
     /// (the key is omitted from the JSON otherwise, keeping
     /// single-shard reports byte-identical to the pre-sharding schema).
     pub sharding: Option<ShardingSummary>,
-    /// Final node-telemetry snapshot, attached to self-orchestrated
-    /// runs (the key is omitted from the JSON otherwise — same
-    /// byte-compatibility rule as `sharding`).
-    pub metrics: Option<MetricsSummary>,
+    /// Final node-telemetry snapshot.
+    pub metrics: MetricsSummary,
 }
 
 impl BenchReport {
@@ -213,7 +208,8 @@ impl BenchReport {
     /// fault tolerance at size `n` (`(n-1)/3` for the `3f+1` stacks,
     /// `(n-1)/2` for the hybrid — the caller knows which). `committed`
     /// should carry the cluster-side commit probe where one exists
-    /// (pass `stats.completed` otherwise).
+    /// (pass `stats.completed` otherwise); `metrics` is the cluster's
+    /// telemetry at the end of the run.
     #[allow(clippy::too_many_arguments)]
     pub fn from_stats(
         name: impl Into<String>,
@@ -229,6 +225,7 @@ impl BenchReport {
         batch: BatchSummary,
         stats: &LoadStats,
         committed: u64,
+        metrics: MetricsSummary,
     ) -> Self {
         BenchReport {
             name: sanitize_name(&name.into()),
@@ -258,7 +255,7 @@ impl BenchReport {
             window_counts: stats.windows.counts().to_vec(),
             durability: None,
             sharding: None,
-            metrics: None,
+            metrics,
         }
     }
 
@@ -273,13 +270,6 @@ impl BenchReport {
     #[must_use]
     pub fn with_sharding(mut self, sharding: ShardingSummary) -> Self {
         self.sharding = Some(sharding);
-        self
-    }
-
-    /// Attaches the final node-telemetry snapshot (builder style).
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: MetricsSummary) -> Self {
-        self.metrics = Some(metrics);
         self
     }
 
@@ -321,10 +311,6 @@ impl BenchReport {
             None => String::new(),
             Some(s) => format!("  \"sharding\": {},\n", s.to_json()),
         };
-        let metrics = match &self.metrics {
-            None => String::new(),
-            Some(m) => format!("  \"metrics\": {},\n", m.to_json()),
-        };
         format!(
             concat!(
                 "{{\n",
@@ -345,7 +331,7 @@ impl BenchReport {
                 "  \"committed\": {committed},\n",
                 "  \"durability\": {durability},\n",
                 "{sharding}",
-                "{metrics}",
+                "  \"metrics\": {metrics},\n",
                 "  \"throughput_rps\": {throughput:.3},\n",
                 "  \"latency_us\": {{\"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}, \"max\": {max}, \"mean\": {mean:.1}}},\n",
                 "  \"window_secs\": {window_secs:.3},\n",
@@ -372,7 +358,7 @@ impl BenchReport {
             committed = self.committed,
             durability = durability,
             sharding = sharding,
-            metrics = metrics,
+            metrics = self.metrics.to_json(),
             throughput = self.throughput_rps,
             p50 = self.latency.p50_us,
             p95 = self.latency.p95_us,
@@ -396,12 +382,11 @@ impl BenchReport {
     /// Propagates filesystem errors.
     pub fn write_to(&self, dir: &Path) -> io::Result<PathBuf> {
         let path = dir.join(self.file_name());
-        let mut file = std::fs::File::create(&path)?;
-        file.write_all(self.to_json().as_bytes())?;
+        std::fs::write(&path, self.to_json())?;
         Ok(path)
     }
 
-    /// One human-readable summary line (used by the sweep mode's table).
+    /// One human-readable summary line.
     pub fn summary_line(&self) -> String {
         format!(
             "{:<9} {:<10} n={} c={} p={} | {:>9.1} req/s | p50 {:>7} µs | p99 {:>7} µs | {} issued / {} completed / {} timed out",
@@ -535,8 +520,7 @@ impl RateSweepReport {
     /// Propagates filesystem errors.
     pub fn write_to(&self, dir: &Path) -> io::Result<PathBuf> {
         let path = dir.join(self.file_name());
-        let mut file = std::fs::File::create(&path)?;
-        file.write_all(self.to_json().as_bytes())?;
+        std::fs::write(&path, self.to_json())?;
         Ok(path)
     }
 
@@ -588,13 +572,12 @@ mod tests {
         let mut windows = Windows::new(Duration::from_secs(1));
         for us in [100u64, 200, 300, 400] {
             hist.record(Duration::from_micros(us));
-            windows.record(Duration::from_millis(us));
+            windows.record(Duration::from_millis(us * 3));
         }
         let stats = LoadStats {
             issued: 4,
             completed: 4,
             timed_out: 0,
-            elapsed: Duration::from_secs(2),
             hist,
             windows,
             per_shard_completed: vec![4],
@@ -613,114 +596,143 @@ mod tests {
             BatchSummary { max_frames: 64, max_bytes: 262_144 },
             &stats,
             4,
+            MetricsSummary {
+                fsyncs: 120,
+                ring_refusals: 3,
+                reconnects: 2,
+                queue_depth_high_water: 17,
+                bytes_in: 4096,
+                bytes_out: 8192,
+                loop_waits: 900,
+                socket_reads_empty: 5,
+                client_request_frames: 40,
+                client_requests: 640,
+            },
         )
     }
 
-    #[test]
-    fn json_contains_every_schema_key() {
-        let json = sample_report().to_json();
-        for key in [
-            "\"schema\"", "\"name\"", "\"protocol\"", "\"n\"", "\"f\"", "\"app\"",
-            "\"workload\"", "\"mode\"", "\"offered_rps\"", "\"clients\"", "\"pipeline\"",
-            "\"duration_secs\"", "\"batch\"", "\"requests\"", "\"issued\"", "\"completed\"",
-            "\"timed_out\"", "\"committed\"", "\"throughput_rps\"", "\"latency_us\"",
-            "\"p50\"", "\"p95\"", "\"p99\"", "\"max\"", "\"mean\"", "\"window_secs\"",
-            "\"windows\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert!(json.contains(SCHEMA));
+    fn sample_durability() -> DurabilitySummary {
+        DurabilitySummary { wal_group_commit_us: 200, fsyncs: 120, fsyncs_per_completed: Some(0.4) }
     }
 
-    #[test]
-    fn durability_section_serializes_when_present() {
-        let json = sample_report().to_json();
-        assert!(json.contains("\"durability\": null"), "absent by default:\n{json}");
-        let with = sample_report().with_durability(DurabilitySummary {
-            wal_group_commit_us: 200,
-            fsyncs: 120,
-            fsyncs_per_completed: Some(0.4),
-        });
-        let json = with.to_json();
-        assert!(json.contains("\"wal_group_commit_us\": 200"), "{json}");
-        assert!(json.contains("\"fsyncs\": 120"));
-        assert!(json.contains("\"fsyncs_per_completed\": 0.400"));
-    }
-
-    #[test]
-    fn sharding_section_is_omitted_until_attached() {
-        let json = sample_report().to_json();
-        assert!(
-            !json.contains("sharding"),
-            "single-shard reports must stay byte-identical to the pre-sharding schema:\n{json}"
-        );
-        let with = sample_report().with_sharding(ShardingSummary {
+    fn sample_sharding() -> ShardingSummary {
+        ShardingSummary {
             shards: 2,
             per_shard_completed: vec![2, 2],
             per_shard_progress: vec![3, 2],
-            per_shard_fsyncs: vec![0, 0],
-            baseline_rps: Some(1.5),
+            per_shard_fsyncs: vec![5, 4],
+            baseline_rps: 1.5,
             scaling_x: Some(1.333),
-        });
-        let json = with.to_json();
-        assert!(json.contains("\"sharding\": {\"shards\": 2"), "{json}");
-        assert!(json.contains("\"per_shard_completed\": [2, 2]"));
-        assert!(json.contains("\"per_shard_progress\": [3, 2]"));
-        assert!(json.contains("\"baseline_rps\": 1.500"));
-        assert!(json.contains("\"scaling_x\": 1.333"));
+        }
+    }
+
+    fn sample_sweep() -> RateSweepReport {
+        RateSweepReport {
+            name: "knee test".into(),
+            protocol: "splitbft".into(),
+            n: 4,
+            app: "counter".into(),
+            clients: 4,
+            duration: Duration::from_secs(5),
+            points: vec![
+                sweep_point(100.0, 99.0),      // keeping up
+                sweep_point(1_000.0, 980.0),   // keeping up
+                sweep_point(5_000.0, 3_100.0), // saturated
+            ],
+        }
+    }
+
+    /// The bytes of [`sample_report`]: a closed-loop counter run with
+    /// neither a durability nor a sharding section.
+    const SAMPLE_JSON: &str = r#"{
+  "schema": "splitbft-bench/v1",
+  "name": "unit_test",
+  "protocol": "pbft",
+  "n": 4,
+  "f": 1,
+  "app": "counter",
+  "workload": {"kind":"counter"},
+  "mode": "closed",
+  "offered_rps": null,
+  "clients": 2,
+  "pipeline": 2,
+  "duration_secs": 2.000,
+  "batch": {"max_frames": 64, "max_bytes": 262144},
+  "requests": {"issued": 4, "completed": 4, "timed_out": 0},
+  "committed": 4,
+  "durability": null,
+  "metrics": {"fsyncs": 120, "ring_refusals": 3, "reconnects": 2, "queue_depth_high_water": 17, "bytes_in": 4096, "bytes_out": 8192, "loop_waits": 900, "socket_reads_empty": 5, "client_request_frames": 40, "client_requests": 640},
+  "throughput_rps": 2.000,
+  "latency_us": {"p50": 200, "p95": 400, "p99": 400, "max": 400, "mean": 250.0},
+  "window_secs": 1.000,
+  "windows": [{"t_secs":0.000,"completed":3,"rps":3.000}, {"t_secs":1.000,"completed":1,"rps":1.000}]
+}
+"#;
+
+    const DURABILITY_LINE: &str = "  \"durability\": {\"wal_group_commit_us\": 200, \"fsyncs\": 120, \"fsyncs_per_completed\": 0.400},\n";
+
+    const SHARDING_LINE: &str = "  \"sharding\": {\"shards\": 2, \"per_shard_completed\": [2, 2], \"per_shard_progress\": [3, 2], \"per_shard_fsyncs\": [5, 4], \"baseline_rps\": 1.500, \"scaling_x\": 1.333},\n";
+
+    #[test]
+    fn report_json_is_pinned() {
+        assert_eq!(sample_report().to_json(), SAMPLE_JSON);
     }
 
     #[test]
-    fn metrics_section_is_omitted_until_attached() {
-        let json = sample_report().to_json();
-        assert!(
-            !json.contains("metrics"),
-            "reports without telemetry must stay byte-identical to the pre-metrics schema:\n{json}"
+    fn durable_report_json_is_pinned() {
+        let json = sample_report().with_durability(sample_durability()).to_json();
+        assert_eq!(json, SAMPLE_JSON.replace("  \"durability\": null,\n", DURABILITY_LINE));
+    }
+
+    /// A sharded open-loop KVS run, without and with a data dir: the
+    /// `sharding` section sits between `durability` and `metrics`.
+    #[test]
+    fn sharded_report_json_is_pinned() {
+        let mut report = sample_report().with_sharding(sample_sharding());
+        report.mode = LoadMode::Open { rate: 250.0 };
+        report.workload = Workload::Kvs { keys: 64, value_size: 32, read_ratio: 0.5 };
+        let expected = SAMPLE_JSON
+            .replace(
+                r#""workload": {"kind":"counter"}"#,
+                r#""workload": {"kind":"kvs","keys":64,"value_size":32,"read_ratio":0.5}"#,
+            )
+            .replace(r#""mode": "closed""#, r#""mode": "open""#)
+            .replace(r#""offered_rps": null"#, r#""offered_rps": 250.000"#)
+            .replace("  \"metrics\"", &format!("{SHARDING_LINE}  \"metrics\""));
+        assert_eq!(report.to_json(), expected);
+        let durable = report.with_durability(sample_durability());
+        let expected = expected.replace("  \"durability\": null,\n", DURABILITY_LINE);
+        assert_eq!(durable.to_json(), expected);
+    }
+
+    #[test]
+    fn rate_sweep_json_is_pinned() {
+        assert_eq!(
+            sample_sweep().to_json(),
+            r#"{
+  "schema": "splitbft-bench-rate-sweep/v1",
+  "name": "knee test",
+  "protocol": "splitbft",
+  "transport": "evented",
+  "n": 4,
+  "app": "counter",
+  "clients": 4,
+  "duration_secs": 5.000,
+  "knee_offered_rps": 1000.000,
+  "points": [{"offered_rps":100.000,"achieved_rps":99.000,"p50_us":500,"p99_us":2000,"timed_out":0,"keeping_up":true}, {"offered_rps":1000.000,"achieved_rps":980.000,"p50_us":500,"p99_us":2000,"timed_out":0,"keeping_up":true}, {"offered_rps":5000.000,"achieved_rps":3100.000,"p50_us":500,"p99_us":2000,"timed_out":0,"keeping_up":false}]
+}
+"#
         );
-        let with = sample_report().with_metrics(MetricsSummary {
-            fsyncs: 120,
-            ring_refusals: 3,
-            reconnects: 2,
-            queue_depth_high_water: 17,
-            bytes_in: 4096,
-            bytes_out: 8192,
-            loop_waits: 900,
-            socket_reads_empty: 5,
-            client_request_frames: 40,
-            client_requests: 640,
-        });
-        let json = with.to_json();
-        assert!(json.contains("\"metrics\": {\"fsyncs\": 120"), "{json}");
-        assert!(json.contains("\"ring_refusals\": 3"));
-        assert!(json.contains("\"reconnects\": 2"));
-        assert!(json.contains("\"queue_depth_high_water\": 17"));
-        assert!(json.contains("\"bytes_in\": 4096"));
-        assert!(json.contains("\"bytes_out\": 8192"));
-        assert!(json.contains("\"loop_waits\": 900"));
-        assert!(json.contains("\"socket_reads_empty\": 5"));
-        assert!(json.contains("\"client_request_frames\": 40, \"client_requests\": 640}"));
-    }
-
-    #[test]
-    fn name_is_sanitized_into_file_name() {
-        let report = sample_report();
-        assert_eq!(report.name, "unit_test");
-        assert_eq!(report.file_name(), "BENCH_unit_test.json");
-    }
-
-    #[test]
-    fn throughput_reflects_duration() {
-        let report = sample_report();
-        assert!((report.throughput_rps - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn write_and_read_back() {
         let dir = std::env::temp_dir().join("splitbft-loadgen-report-test");
         std::fs::create_dir_all(&dir).unwrap();
+        // The name "unit test" is sanitized into the file name.
         let path = sample_report().write_to(&dir).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"protocol\": \"pbft\""));
+        assert_eq!(path, dir.join("BENCH_unit_test.json"));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), SAMPLE_JSON);
         std::fs::remove_file(path).unwrap();
     }
 
@@ -741,24 +753,8 @@ mod tests {
 
     #[test]
     fn sweep_knee_is_last_rate_the_cluster_keeps_up_with() {
-        let sweep = RateSweepReport {
-            name: "knee test".into(),
-            protocol: "splitbft".into(),
-            n: 4,
-            app: "counter".into(),
-            clients: 4,
-            duration: Duration::from_secs(5),
-            points: vec![
-                sweep_point(100.0, 99.0),   // keeping up
-                sweep_point(1_000.0, 980.0), // keeping up
-                sweep_point(5_000.0, 3_100.0), // saturated
-            ],
-        };
+        let sweep = sample_sweep();
         assert_eq!(sweep.knee().unwrap().offered_rps, 1_000.0);
-        let json = sweep.to_json();
-        assert!(json.contains(SWEEP_SCHEMA));
-        assert!(json.contains("\"knee_offered_rps\": 1000.000"));
-        assert!(json.contains("\"keeping_up\":false"));
         assert_eq!(sweep.file_name(), "BENCH_rate_sweep_knee_test.json");
     }
 

@@ -741,24 +741,18 @@ pub(crate) fn parse_cli_flag<T: std::str::FromStr>(
     }
 }
 
-/// Rejects unknown flags and value-flags missing their value, given the
-/// subcommand's vocabulary (value-taking flags and bare switches).
+/// Rejects unknown flags and flags missing their value, given the
+/// subcommand's vocabulary (every flag takes a value).
 ///
 /// # Errors
 ///
 /// A message naming the first unknown flag, or the flag missing its
 /// value.
-pub fn validate_cli_flags(
-    args: &[String],
-    value_flags: &[&str],
-    bare_flags: &[&str],
-) -> Result<(), String> {
+pub fn validate_cli_flags(args: &[String], value_flags: &[&str]) -> Result<(), String> {
     let mut i = 0;
     while i < args.len() {
         let arg = &args[i];
-        if bare_flags.contains(&arg.as_str()) {
-            i += 1;
-        } else if value_flags.contains(&arg.as_str()) {
+        if value_flags.contains(&arg.as_str()) {
             if i + 1 >= args.len() {
                 return Err(format!("{arg} needs a value"));
             }

@@ -5,15 +5,16 @@
 //! splitbft-node client --config cluster.toml [--protocol ...] [--client 1]
 //!                      [--op inc] [--requests 5] [--timeout-secs 30]
 //! splitbft-node bench  --protocol splitbft --clients 8 --pipeline 4 --duration 5s
-//! splitbft-node bench  --compare --sweep-batch-frames 1,64 --out bench-out
+//! splitbft-node bench  --protocol pbft --sweep-rate 500,2000,8000 --out bench-out
 //! ```
 //!
 //! `serve` hosts one replica of the cluster over the framed TCP
 //! transport (one readiness-loop thread) and runs until killed.
 //! `client` drives sequential requests at the view-0 primary and
-//! prints each agreed result. `bench` measures a cluster — self-orchestrated on localhost, or an existing
-//! `--config` deployment — and writes `BENCH_<name>.json` reports (see
-//! the `splitbft_node::bench` module docs). See `docs/ARCHITECTURE.md`
+//! prints each agreed result. `bench` launches a localhost cluster of
+//! one protocol inside its own process, measures it and writes
+//! `BENCH_<name>.json` reports (see the `splitbft_node::bench` module
+//! docs). See `docs/ARCHITECTURE.md`
 //! and the crate docs of `splitbft_node` for the cluster-file format.
 
 use splitbft_node::{
@@ -84,15 +85,16 @@ USAGE:
                          [--metrics-addr <host:port>]
     splitbft-node client --config <cluster.toml> [--protocol <p>] [--client <id>]
                          [--op <bytes>] [--requests <n>] [--timeout-secs <s>]
-    splitbft-node bench  (--protocol <p> | --compare) [--config <cluster.toml>]
-                         [--app counter|kvs|blockchain] [--replicas <n>]
-                         [--clients <n>] [--pipeline <n>] [--duration <5s>]
+    splitbft-node bench  --protocol <p> [--app counter|kvs|blockchain]
+                         [--replicas <n>] [--seed <n>] [--clients <n>]
+                         [--pipeline <n>] [--duration <5s>]
                          [--rate <req/s>] [--sweep-rate <a,b,..>]
                          [--keys <n>] [--value-size <n>]
                          [--read-ratio <f>] [--payload <n>]
-                         [--batch-frames <n>] [--sweep-batch-frames <a,b,..>]
-                         [--data-dir <dir>] [--wal-group-commit-us <us>]
-                         [--shards <n>]
+                         [--batch-frames <n>] [--batch-bytes <n>]
+                         [--timeout-ms <ms>] [--data-dir <dir>]
+                         [--wal-group-commit-us <us>] [--shards <n>]
+                         [--metrics-addr <host:port>]
                          [--out <dir>] [--name <name>]
 
 The cluster file lists every replica's id and address plus the shared
@@ -112,9 +114,9 @@ Every replica serves on one socket runtime, a readiness loop per node.
 `--transport evented` (serve, bench, and the cluster file's
 `transport` key) is still accepted and changes nothing; `blocking`, the
 removed thread-per-connection runtime, is a deprecated alias that
-warns; any other value is an error. `bench` without --config
-self-orchestrates a localhost cluster, writes one BENCH_<name>.json per
-run, and exits nonzero if a run completes zero requests.
+warns; any other value is an error. `bench` launches a localhost
+cluster in its own process, writes one BENCH_<name>.json per run, and
+exits nonzero if a run completes zero requests.
 ";
 
 /// The `serve` subcommand's flags, all value-taking. The retired
@@ -162,7 +164,7 @@ fn options_from(args: &[String], file: &ClusterFile) -> Result<NodeOptions, Stri
 
 fn serve(args: &[String]) -> ExitCode {
     let run = || -> Result<(), String> {
-        validate_cli_flags(args, SERVE_FLAGS, &[]).map_err(|e| format!("serve: {e}"))?;
+        validate_cli_flags(args, SERVE_FLAGS).map_err(|e| format!("serve: {e}"))?;
         let (file, protocol) = load(args)?;
         let id: u32 = flag(args, "--replica")
             .ok_or("missing --replica <id>")?
@@ -215,7 +217,7 @@ fn serve(args: &[String]) -> ExitCode {
 
 fn client(args: &[String]) -> ExitCode {
     let run = || -> Result<(), String> {
-        validate_cli_flags(args, CLIENT_FLAGS, &[]).map_err(|e| format!("client: {e}"))?;
+        validate_cli_flags(args, CLIENT_FLAGS).map_err(|e| format!("client: {e}"))?;
         let (file, protocol) = load(args)?;
         let client_id: u32 = flag(args, "--client")
             .unwrap_or_else(|| "1".into())

@@ -25,7 +25,6 @@ fn run_bench_for(protocol: &str) {
         "--clients", "4",
         "--pipeline", "2",
         "--duration", "1500ms",
-        "--window-ms", "500",
         "--out", dir.to_str().unwrap(),
     ]))
     .expect("bench run failed");
@@ -62,7 +61,7 @@ fn run_bench_for(protocol: &str) {
         "\"offered_rps\"", "\"clients\"", "\"pipeline\"", "\"duration_secs\"", "\"batch\"",
         "\"max_frames\"", "\"requests\"", "\"issued\"", "\"completed\"", "\"timed_out\"",
         "\"committed\"", "\"throughput_rps\"", "\"latency_us\"", "\"p50\"", "\"p95\"",
-        "\"p99\"", "\"max\"", "\"mean\"", "\"window_secs\"", "\"windows\"",
+        "\"p99\"", "\"max\"", "\"mean\"", "\"window_secs\"", "\"windows\"", "\"metrics\"",
     ] {
         assert!(json.contains(key), "{protocol}: report missing {key}:\n{json}");
     }
@@ -123,7 +122,6 @@ fn durable_rate_sweep_completes_every_point() {
         "--sweep-rate", "200,400",
         "--clients", "2",
         "--duration", "1s",
-        "--drain-secs", "5",
         "--data-dir", dir.join("data").to_str().unwrap(),
         "--out", dir.to_str().unwrap(),
     ]))

@@ -1,6 +1,6 @@
 //! The binary's flag check: each subcommand knows its flags, and a
 //! mistyped or removed one exits 1 naming it before any cluster file is
-//! read.
+//! read or any node binds.
 
 use std::process::Command;
 
@@ -26,6 +26,16 @@ fn unknown_flags_exit_1_naming_the_flag() {
     let (code, stderr) = run(&["client", "--config", "absent.toml", "--requets", "3"]);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("client: unknown flag \"--requets\""), "{stderr}");
+    // The flags `bench` no longer takes, and a mistyped one: the bench
+    // would otherwise launch a cluster and measure it for 5 s.
+    for flag in [
+        "--compare", "--config", "--sweep-batch-frames", "--window-ms", "--retry-ms",
+        "--drain-secs", "--client-base", "--pipelin",
+    ] {
+        let (code, stderr) = run(&["bench", "--protocol", "pbft", flag, "1"]);
+        assert_eq!(code, Some(1), "{flag}: {stderr}");
+        assert!(stderr.contains(&format!("bench: unknown flag {flag:?}")), "{flag}: {stderr}");
+    }
 }
 
 #[test]

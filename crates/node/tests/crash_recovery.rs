@@ -43,7 +43,7 @@ const KILLED: usize = 3; // a backup: the primary (0) keeps ordering
 /// processes into the test runner.
 struct Cluster {
     children: Vec<Option<Child>>,
-    config_path: PathBuf,
+    cluster_toml: PathBuf,
     data_dir: PathBuf,
     addrs: Vec<SocketAddr>,
 }
@@ -100,19 +100,19 @@ fn launch(protocol: ProtocolKind, leg: &str) -> Cluster {
     for (id, port) in ports.iter().enumerate() {
         toml.push_str(&format!("\n[[replica]]\nid = {id}\naddr = \"127.0.0.1:{port}\"\n"));
     }
-    let config_path = root.join("cluster.toml");
-    std::fs::write(&config_path, toml).expect("write cluster.toml");
+    let cluster_toml = root.join("cluster.toml");
+    std::fs::write(&cluster_toml, toml).expect("write cluster.toml");
 
     let data_dir = root.join("data");
     let children = (0..N)
-        .map(|id| Some(spawn_replica(&config_path, id, &data_dir)))
+        .map(|id| Some(spawn_replica(&cluster_toml, id, &data_dir)))
         .collect();
-    Cluster { children, config_path, data_dir, addrs }
+    Cluster { children, cluster_toml, data_dir, addrs }
 }
 
 fn parse_file(cluster: &Cluster) -> ClusterFile {
     splitbft_node::parse_cluster_toml(
-        &std::fs::read_to_string(&cluster.config_path).expect("read cluster.toml"),
+        &std::fs::read_to_string(&cluster.cluster_toml).expect("read cluster.toml"),
     )
     .expect("parse cluster.toml")
 }
@@ -225,7 +225,7 @@ fn crash_recovery_scenario(protocol: ProtocolKind) {
 
     std::thread::sleep(Duration::from_secs(1));
     cluster.children[KILLED] =
-        Some(spawn_replica(&cluster.config_path, KILLED, &cluster.data_dir));
+        Some(spawn_replica(&cluster.cluster_toml, KILLED, &cluster.data_dir));
 
     // The cluster never stopped committing...
     let stats = load.join().expect("load thread");
@@ -310,7 +310,7 @@ fn splitbft_replica_drains_on_sigterm_and_rejoins() {
     let mid = read_counter(&file, protocol, 78);
     assert!(mid >= before, "counter went backwards across the drain ({before} -> {mid})");
     cluster.children[KILLED] =
-        Some(spawn_replica(&cluster.config_path, KILLED, &cluster.data_dir));
+        Some(spawn_replica(&cluster.cluster_toml, KILLED, &cluster.data_dir));
 
     let stats = load.join().expect("load thread");
     assert!(stats.completed > 0, "load completed zero requests");

@@ -33,7 +33,7 @@ const KILLED: usize = 3; // a backup: every shard's primary (0) keeps ordering
 
 struct Cluster {
     children: Vec<Option<Child>>,
-    config_path: PathBuf,
+    cluster_toml: PathBuf,
     root: PathBuf,
     data_dir: PathBuf,
     addrs: Vec<SocketAddr>,
@@ -68,7 +68,7 @@ fn spawn_replica(cluster: &Cluster, id: usize) -> Child {
         .args([
             "serve",
             "--config",
-            cluster.config_path.to_str().expect("utf8 path"),
+            cluster.cluster_toml.to_str().expect("utf8 path"),
             "--replica",
             &id.to_string(),
             "--data-dir",
@@ -97,12 +97,12 @@ fn launch(protocol: ProtocolKind) -> Cluster {
     for (id, port) in ports.iter().enumerate() {
         toml.push_str(&format!("\n[[replica]]\nid = {id}\naddr = \"127.0.0.1:{port}\"\n"));
     }
-    let config_path = root.join("cluster.toml");
-    std::fs::write(&config_path, toml).expect("write cluster.toml");
+    let cluster_toml = root.join("cluster.toml");
+    std::fs::write(&cluster_toml, toml).expect("write cluster.toml");
 
     let data_dir = root.join("data");
     let mut cluster =
-        Cluster { children: (0..N).map(|_| None).collect(), config_path, root, data_dir, addrs };
+        Cluster { children: (0..N).map(|_| None).collect(), cluster_toml, root, data_dir, addrs };
     for id in 0..N {
         cluster.children[id] = Some(spawn_replica(&cluster, id));
     }
