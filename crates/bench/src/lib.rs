@@ -12,11 +12,16 @@
 //! | `cargo run -p splitbft-bench --bin fig4` | Figure 4 (ecall latencies) |
 //! | `cargo run -p splitbft-bench --bin limits` | §6 throughput upper-bound analysis |
 //! | `cargo run -p splitbft-bench --bin ablations` | batch-size & checkpoint-interval sweeps |
+//!
+//! The `trajectory` binary is not a figure: it appends a parent/change
+//! comparison of the repository benchmark to `BENCH_trajectory.json`
+//! ([`trajectory`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod loc;
+pub mod trajectory;
 
 /// Prints a row of cells padded to the given widths.
 pub fn print_row(cells: &[String], widths: &[usize]) {

@@ -112,25 +112,24 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
 }
 
 /// Verifies many `(expected, claimed)` tag pairs as one batch with a
-/// **single** constant-time comparison: each side is folded into one
-/// SHA-256 digest and only the two digests are compared.
+/// **single** data-independent decision: every byte difference of every
+/// pair is OR-folded into one accumulator, and only that is tested.
 ///
 /// Agreement paths that authenticate a whole request batch before
 /// accepting it ([`crate`] callers reject the entire batch when any
 /// member fails) use this instead of one `ct_eq` per request: the
 /// decision — and therefore the timing surface — collapses to one
-/// comparison per batch. Soundness rides on SHA-256 collision
-/// resistance, and the fold is unambiguous because every tag has a
-/// fixed 32-byte width. An empty batch verifies vacuously, matching
-/// `iter().all(..)`.
+/// comparison per batch. The fold is exact (the accumulator is zero iff
+/// every pair is equal), so it rests on no hash property. An empty batch
+/// verifies vacuously, matching `iter().all(..)`.
 pub fn verify_tag_batch(pairs: impl IntoIterator<Item = ([u8; 32], [u8; 32])>) -> bool {
-    let mut expected = Sha256::new();
-    let mut claimed = Sha256::new();
+    let mut acc = 0u8;
     for (exp, got) in pairs {
-        expected.update(&exp);
-        claimed.update(&got);
+        for (x, y) in exp.iter().zip(&got) {
+            acc |= x ^ y;
+        }
     }
-    ct_eq(&expected.finalize(), &claimed.finalize())
+    acc == 0
 }
 
 /// A symmetric MAC key shared between a client and the Execution
@@ -322,6 +321,19 @@ mod tests {
         }
         // Empty batches verify vacuously, like `iter().all(..)`.
         assert!(verify_tag_batch(std::iter::empty()));
+    }
+
+    #[test]
+    fn one_flipped_bit_in_the_last_tag_fails_the_batch() {
+        let key = MacKey::new([3u8; 32]);
+        let tags: Vec<[u8; 32]> = (0u8..16).map(|i| key.tag(&[i; 24])).collect();
+        let pairs = |claimed: &[[u8; 32]]| tags.iter().copied().zip(claimed.to_vec());
+        assert!(verify_tag_batch(pairs(&tags)));
+        for bit in 0..8 {
+            let mut bad = tags.clone();
+            bad[15][31] ^= 1 << bit;
+            assert!(!verify_tag_batch(pairs(&bad)), "bit {bit} of the last byte");
+        }
     }
 
     #[test]

@@ -260,7 +260,7 @@ impl<A: Application> Replica<A> {
 
     /// Authenticates every request in a proposed batch at once: the
     /// per-request tags are still computed, but accept/reject collapses
-    /// to a single constant-time digest comparison
+    /// to a single constant-time comparison
     /// ([`splitbft_crypto::verify_tag_batch`]) — the whole batch is
     /// rejected on any failure, so no per-request verdict is needed.
     fn verify_request_batch(&mut self, requests: &[Request]) -> bool {

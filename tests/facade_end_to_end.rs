@@ -1,8 +1,7 @@
 //! Cross-crate integration: the facade's in-memory cluster hosting both
 //! protocol stacks end to end — framed bytes between real hosting cores,
 //! the same stall timer and state-transfer client the socket runtime
-//! runs, on one thread and a virtual clock. (The `_over_threads` names
-//! date from the thread bus these scenarios first ran on.)
+//! runs, on one thread and a virtual clock.
 
 use splitbft::prelude::*;
 use splitbft::types::{FaultCommand, Reply, Request};
@@ -60,7 +59,7 @@ fn splitbft_replica<A: Application>(id: ReplicaId, app: A) -> SplitBftReplica<A>
 }
 
 #[test]
-fn splitbft_kvs_over_threads() {
+fn splitbft_kvs_on_lockstep() {
     let config = ClusterConfig::new(N).unwrap();
     let mut client = SplitBftClient::new(config, ClientId(9), SEED, 1).with_plaintext();
     let mut cluster = cluster(|id| splitbft_replica(id, KeyValueStore::new()));
@@ -76,7 +75,7 @@ fn splitbft_kvs_over_threads() {
 }
 
 #[test]
-fn pbft_counter_over_threads() {
+fn pbft_counter_on_lockstep() {
     let config = ClusterConfig::new(N).unwrap();
     let mut client = LockstepClient::new(config.reply_quorum(), ClientId(2), SEED);
     let mut cluster =
@@ -94,7 +93,7 @@ fn pbft_counter_over_threads() {
 }
 
 #[test]
-fn splitbft_survives_view_change_over_threads() {
+fn splitbft_survives_view_change_on_lockstep() {
     // Cut the view-0 primary off from everyone. The client broadcasts, so
     // the three connected replicas hold a pending request nobody orders;
     // their request-aware timers fire, they move to view 1 (or beyond)
