@@ -11,7 +11,7 @@
 use crate::{AppError, Application, NOOP_RESULT};
 use bytes::Bytes;
 use splitbft_crypto::digest_of;
-use splitbft_types::wire::{encode, Decode, Encode, Reader, Sink, WireError};
+use splitbft_types::wire::{encode, Decode, Encode, Reader};
 use splitbft_types::Digest;
 
 /// Transactions per block, as in the paper's evaluation.
@@ -35,22 +35,7 @@ impl Block {
     }
 }
 
-impl Encode for Block {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.height.encode_to(out);
-        self.parent.encode_to(out);
-        self.transactions.encode_to(out);
-    }
-}
-impl Decode for Block {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Block {
-            height: u64::decode(r)?,
-            parent: Digest::decode(r)?,
-            transactions: Vec::decode(r)?,
-        })
-    }
-}
+splitbft_types::wire_struct!(Block { height, parent, transactions });
 
 /// The ledger state machine.
 ///

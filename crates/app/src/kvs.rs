@@ -7,7 +7,7 @@
 
 use crate::{AppError, Application, NOOP_RESULT};
 use bytes::Bytes;
-use splitbft_types::wire::{decode, encode, Decode, Encode, Reader, Sink, WireError};
+use splitbft_types::wire::{decode, encode};
 use std::collections::BTreeMap;
 
 /// A key-value store operation.
@@ -54,36 +54,11 @@ impl KvOp {
     }
 }
 
-impl Encode for KvOp {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        match self {
-            KvOp::Put { key, value } => {
-                out.put(&[0]);
-                key.encode_to(out);
-                value.encode_to(out);
-            }
-            KvOp::Get { key } => {
-                out.put(&[1]);
-                key.encode_to(out);
-            }
-            KvOp::Delete { key } => {
-                out.put(&[2]);
-                key.encode_to(out);
-            }
-        }
-    }
-}
-
-impl Decode for KvOp {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(KvOp::Put { key: Bytes::decode(r)?, value: Bytes::decode(r)? }),
-            1 => Ok(KvOp::Get { key: Bytes::decode(r)? }),
-            2 => Ok(KvOp::Delete { key: Bytes::decode(r)? }),
-            tag => Err(WireError::InvalidTag { ty: "KvOp", tag }),
-        }
-    }
-}
+splitbft_types::wire_enum!(KvOp {
+    0 => Put { key, value },
+    1 => Get { key },
+    2 => Delete { key },
+});
 
 /// The decoded result of a KVS operation (a thin helper over the raw
 /// result bytes).

@@ -27,12 +27,73 @@ impl LocCount {
     }
 }
 
-/// Counts one Rust source string.
+/// The item after a `#[cfg(test)]` attribute, being skipped: test code
+/// is compiled out of every enclave, so it is no part of a TCB.
+#[derive(Default)]
+struct TestItem {
+    depth: usize,
+    opened: bool,
+    in_str: bool,
+}
+
+impl TestItem {
+    /// Scans one line of the item; `true` once the item has ended — at
+    /// the brace closing its body, or at a `;` before any body opened.
+    /// Braces in string and char literals and in `//` comments do not
+    /// count.
+    fn ends_on(&mut self, line: &str) -> bool {
+        let chars: Vec<char> = line.chars().collect();
+        let mut i = 0;
+        while i < chars.len() {
+            match chars[i] {
+                '\\' if self.in_str => i += 1,
+                '"' => self.in_str = !self.in_str,
+                _ if self.in_str => {}
+                '/' if chars.get(i + 1) == Some(&'/') => break,
+                '\'' if chars.get(i + 2) == Some(&'\'') => i += 2,
+                '{' => {
+                    self.depth += 1;
+                    self.opened = true;
+                }
+                '}' => {
+                    self.depth = self.depth.saturating_sub(1);
+                    if self.depth == 0 {
+                        return true;
+                    }
+                }
+                ';' if !self.opened => return true,
+                _ => {}
+            }
+            i += 1;
+        }
+        false
+    }
+}
+
+/// Counts one Rust source string. The item following each
+/// `#[cfg(test)]` attribute (a test module, a test-only helper) is
+/// skipped: its lines count as nothing.
 pub fn count_source(source: &str) -> LocCount {
     let mut count = LocCount { files: 1, ..Default::default() };
     let mut in_block_comment = false;
+    let mut test_item: Option<TestItem> = None;
     for line in source.lines() {
         let trimmed = line.trim();
+        if let Some(item) = &mut test_item {
+            if item.ends_on(line) {
+                test_item = None;
+            }
+            continue;
+        }
+        if !in_block_comment {
+            if let Some(rest) = trimmed.strip_prefix("#[cfg(test)]") {
+                let mut item = TestItem::default();
+                if !item.ends_on(rest) {
+                    test_item = Some(item);
+                }
+                continue;
+            }
+        }
         if in_block_comment {
             count.comments += 1;
             if trimmed.contains("*/") {
@@ -113,6 +174,34 @@ fn main() {
         let c = count_source(src);
         assert_eq!(c.code, 3, "{c:?}"); // fn, let, closing brace
         assert_eq!(c.comments, 3);
+        assert_eq!(c.blank, 1);
+    }
+
+    #[test]
+    fn skips_the_item_after_a_cfg_test_attribute() {
+        let src = r#"
+fn kept() {}
+#[cfg(test)]
+use helper::thing;
+#[cfg(test)]
+#[allow(dead_code)]
+mod tests {
+    // A brace in a comment: {
+    fn f() -> char {
+        let s = "}}} not a brace {";
+        let q = '"';
+        let _ = (s, q);
+        '}'
+    }
+}
+fn also_kept() {
+    let x = 1;
+}
+#[cfg(test)] fn one_line() { }
+"#;
+        let c = count_source(src);
+        assert_eq!(c.code, 4, "{c:?}"); // kept, also_kept's three lines
+        assert_eq!(c.comments, 0);
         assert_eq!(c.blank, 1);
     }
 

@@ -14,7 +14,6 @@
 //! the ocall's bytes as they are.
 
 use bytes::Bytes;
-use splitbft_types::wire::{Decode, Encode, Reader, Sink, WireError};
 use splitbft_types::{
     ClientId, ConsensusMessage, Digest, Reply, Request, RequestBatch, RequestId, SeqNum, View,
 };
@@ -66,62 +65,14 @@ pub enum CompartmentInput {
     },
 }
 
-impl Encode for CompartmentInput {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        match self {
-            CompartmentInput::Message(m) => {
-                out.put(&[1]);
-                m.encode_to(out);
-            }
-            CompartmentInput::ClientBatch(reqs) => {
-                out.put(&[2]);
-                reqs.encode_to(out);
-            }
-            CompartmentInput::ViewTimeout => out.put(&[3]),
-            CompartmentInput::InstallSessionKey { client, client_dh_public, wrapped_key } => {
-                out.put(&[4]);
-                client.encode_to(out);
-                client_dh_public.encode_to(out);
-                // A byte string on the wire, like `Bytes`.
-                (wrapped_key.len() as u32).encode_to(out);
-                out.put(wrapped_key);
-            }
-            CompartmentInput::ReplayCommitted { seq, batch } => {
-                out.put(&[5]);
-                seq.encode_to(out);
-                batch.encode_to(out);
-            }
-            CompartmentInput::InstallSnapshot { seq, snapshot } => {
-                out.put(&[6]);
-                seq.encode_to(out);
-                snapshot.encode_to(out);
-            }
-        }
-    }
-}
-impl Decode for CompartmentInput {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            1 => Ok(CompartmentInput::Message(ConsensusMessage::decode(r)?)),
-            2 => Ok(CompartmentInput::ClientBatch(Vec::decode(r)?)),
-            3 => Ok(CompartmentInput::ViewTimeout),
-            4 => Ok(CompartmentInput::InstallSessionKey {
-                client: ClientId::decode(r)?,
-                client_dh_public: u64::decode(r)?,
-                wrapped_key: Bytes::decode(r)?.to_vec(),
-            }),
-            5 => Ok(CompartmentInput::ReplayCommitted {
-                seq: SeqNum::decode(r)?,
-                batch: RequestBatch::decode(r)?,
-            }),
-            6 => Ok(CompartmentInput::InstallSnapshot {
-                seq: SeqNum::decode(r)?,
-                snapshot: Bytes::decode(r)?,
-            }),
-            tag => Err(WireError::InvalidTag { ty: "CompartmentInput", tag }),
-        }
-    }
-}
+splitbft_types::wire_enum!(CompartmentInput {
+    1 => Message { 0: message },
+    2 => ClientBatch { 0: requests },
+    3 => ViewTimeout {},
+    4 => InstallSessionKey { client, client_dh_public, wrapped_key },
+    5 => ReplayCommitted { seq, batch },
+    6 => InstallSnapshot { seq, snapshot },
+});
 
 /// An effect posted by a compartment through the ocall queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,71 +118,16 @@ pub enum CompartmentOutput {
     },
 }
 
-impl Encode for CompartmentOutput {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        match self {
-            CompartmentOutput::Broadcast(m) => {
-                out.put(&[1]);
-                m.encode_to(out);
-            }
-            CompartmentOutput::SendReply { to, reply } => {
-                out.put(&[2]);
-                to.encode_to(out);
-                reply.encode_to(out);
-            }
-            CompartmentOutput::Persist(b) => {
-                out.put(&[3]);
-                b.encode_to(out);
-            }
-            CompartmentOutput::Committed { seq, digest } => {
-                out.put(&[4]);
-                seq.encode_to(out);
-                digest.encode_to(out);
-            }
-            CompartmentOutput::Executed { seq, request } => {
-                out.put(&[5]);
-                seq.encode_to(out);
-                request.encode_to(out);
-            }
-            CompartmentOutput::StableCheckpoint { seq } => {
-                out.put(&[6]);
-                seq.encode_to(out);
-            }
-            CompartmentOutput::EnteredView(v) => {
-                out.put(&[7]);
-                v.encode_to(out);
-            }
-            CompartmentOutput::Rejected { reason } => {
-                out.put(&[8]);
-                reason.encode_to(out);
-            }
-        }
-    }
-}
-impl Decode for CompartmentOutput {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            1 => Ok(CompartmentOutput::Broadcast(ConsensusMessage::decode(r)?)),
-            2 => Ok(CompartmentOutput::SendReply {
-                to: ClientId::decode(r)?,
-                reply: Reply::decode(r)?,
-            }),
-            3 => Ok(CompartmentOutput::Persist(Bytes::decode(r)?)),
-            4 => Ok(CompartmentOutput::Committed {
-                seq: SeqNum::decode(r)?,
-                digest: Digest::decode(r)?,
-            }),
-            5 => Ok(CompartmentOutput::Executed {
-                seq: SeqNum::decode(r)?,
-                request: RequestId::decode(r)?,
-            }),
-            6 => Ok(CompartmentOutput::StableCheckpoint { seq: SeqNum::decode(r)? }),
-            7 => Ok(CompartmentOutput::EnteredView(View::decode(r)?)),
-            8 => Ok(CompartmentOutput::Rejected { reason: String::decode(r)? }),
-            tag => Err(WireError::InvalidTag { ty: "CompartmentOutput", tag }),
-        }
-    }
-}
+splitbft_types::wire_enum!(CompartmentOutput {
+    1 => Broadcast { 0: message },
+    2 => SendReply { to, reply },
+    3 => Persist { 0: blob },
+    4 => Committed { seq, digest },
+    5 => Executed { seq, request },
+    6 => StableCheckpoint { seq },
+    7 => EnteredView { 0: view },
+    8 => Rejected { reason },
+});
 
 #[cfg(test)]
 mod tests {

@@ -7,7 +7,7 @@
 
 use crate::usig::UsigUi;
 use splitbft_crypto::digest_of;
-use splitbft_types::wire::{Decode, Encode, Reader, Sink, WireError};
+use splitbft_types::wire::Encode;
 use splitbft_types::{Digest, ReplicaId, RequestBatch, View};
 
 /// The primary's ordering message: batch plus the UI that fixes its
@@ -29,22 +29,7 @@ impl HybridPrepare {
     }
 }
 
-impl Encode for HybridPrepare {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.view.encode_to(out);
-        self.batch.encode_to(out);
-        self.ui.encode_to(out);
-    }
-}
-impl Decode for HybridPrepare {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(HybridPrepare {
-            view: View::decode(r)?,
-            batch: RequestBatch::decode(r)?,
-            ui: UsigUi::decode(r)?,
-        })
-    }
-}
+splitbft_types::wire_struct!(HybridPrepare { view, batch, ui });
 
 /// A backup's acknowledgement: it accepted the primary's prepare with
 /// counter `primary_counter` and binds its own UI to it.
@@ -76,26 +61,7 @@ impl HybridCommit {
     }
 }
 
-impl Encode for HybridCommit {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.view.encode_to(out);
-        self.replica.encode_to(out);
-        self.primary_counter.encode_to(out);
-        self.batch_digest.encode_to(out);
-        self.ui.encode_to(out);
-    }
-}
-impl Decode for HybridCommit {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(HybridCommit {
-            view: View::decode(r)?,
-            replica: ReplicaId::decode(r)?,
-            primary_counter: u64::decode(r)?,
-            batch_digest: Digest::decode(r)?,
-            ui: UsigUi::decode(r)?,
-        })
-    }
-}
+splitbft_types::wire_struct!(HybridCommit { view, replica, primary_counter, batch_digest, ui });
 
 /// Any hybrid-protocol message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,29 +86,10 @@ impl HybridMessage {
     }
 }
 
-impl Encode for HybridMessage {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        match self {
-            HybridMessage::Prepare(p) => {
-                out.put(&[1]);
-                p.encode_to(out);
-            }
-            HybridMessage::Commit(c) => {
-                out.put(&[2]);
-                c.encode_to(out);
-            }
-        }
-    }
-}
-impl Decode for HybridMessage {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            1 => Ok(HybridMessage::Prepare(HybridPrepare::decode(r)?)),
-            2 => Ok(HybridMessage::Commit(HybridCommit::decode(r)?)),
-            tag => Err(WireError::InvalidTag { ty: "HybridMessage", tag }),
-        }
-    }
-}
+splitbft_types::wire_enum!(HybridMessage {
+    1 => Prepare { 0: prepare },
+    2 => Commit { 0: commit },
+});
 
 #[cfg(test)]
 mod tests {

@@ -18,7 +18,7 @@
 
 use splitbft_crypto::{digest_bytes, KeyPair};
 use splitbft_tee::enclave::{Enclave, OcallSink};
-use splitbft_types::wire::{Decode, Encode, Reader, Sink, WireError};
+use splitbft_types::wire::Encode;
 use splitbft_types::{Digest, PublicKey, ReplicaId, Signature};
 use std::collections::BTreeMap;
 
@@ -43,17 +43,7 @@ pub struct UsigUi {
     pub signature: Signature,
 }
 
-impl Encode for UsigUi {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.counter.encode_to(out);
-        self.signature.encode_to(out);
-    }
-}
-impl Decode for UsigUi {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(UsigUi { counter: u64::decode(r)?, signature: Signature::decode(r)? })
-    }
-}
+splitbft_types::wire_struct!(UsigUi { counter, signature });
 
 fn ui_bytes(replica: ReplicaId, counter: u64, digest: &Digest) -> Vec<u8> {
     let mut buf = b"usig:".to_vec();

@@ -16,6 +16,8 @@
 //! generator feeds its quorum trackers inline. [`TcpClient::recv_timeout`]
 //! is the one-reply-at-a-time form for lock-step callers.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::readiness::{self, PollFd, READABLE};
 use crate::transport::{frame_kind, write_value};
 use splitbft_types::wire::{decode, frame_message, FrameAssembler};

@@ -66,6 +66,8 @@
 //! protocols' business (client retransmission, view changes, state
 //! transfer), not the transport's.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::host::{
     classify, ClientSink, Event, Host, Identity, NodeConfig, Parsed, PeerSink, MAX_DRAIN_BATCH,
 };
@@ -202,8 +204,7 @@ impl EventedNode {
         let loop_telemetry = Arc::clone(&telemetry);
         let thread = std::thread::Builder::new()
             .name(format!("node-{}-evented", id.0))
-            .spawn(move || event_loop(listener, config, protocol, loop_shutdown, loop_telemetry))
-            .expect("spawn evented loop");
+            .spawn(move || event_loop(listener, config, protocol, loop_shutdown, loop_telemetry))?;
         Ok(EventedNode { id, local_addr, shutdown, thread: Some(thread), telemetry })
     }
 
@@ -643,8 +644,8 @@ fn event_loop<P: Protocol>(
         // this pass rather than stall the node.
         let failed = readiness::wait(&mut wait_list, timeout).is_err();
         telemetry.loop_waits.inc();
-        let (listener_ready, conns_ready) =
-            wait_list.split_first().expect("the listener is always listed");
+        let listener_ready = wait_list.first().is_some_and(PollFd::readable);
+        let conns_ready = wait_list.get(1..).unwrap_or_default();
 
         // A new connection restarts the pass, so that the next wait
         // lists it and its hello is read before any protocol work: a
@@ -652,7 +653,7 @@ fn event_loop<P: Protocol>(
         // still sits in the backlog has nowhere to send the reply. (A
         // second queued connection keeps the listener readable for that
         // wait; nothing unread is lost, readiness is level-triggered.)
-        if failed || listener_ready.readable() {
+        if failed || listener_ready {
             match listener.accept() {
                 Ok((stream, _)) => {
                     let _ = stream.set_nodelay(true);

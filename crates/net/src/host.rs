@@ -20,6 +20,8 @@
 //! broadcast encodes once regardless of fan-out — and so the core stays
 //! byte-identical on the wire across runtimes.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::transport::{
     frame_kind, BatchPolicy, Protocol, ProtocolGauges, ProtocolOutput, WireMessage,
 };
@@ -27,8 +29,8 @@ use splitbft_obs::NodeTelemetry;
 use splitbft_types::wire::{decode, encode, frame_message};
 use splitbft_types::status::StatusRequest;
 use splitbft_types::{
-    ClientId, ReplicaId, Reply, Request, SeqNum, StateTransferRequest, StateTransferResponse,
-    StatusEvent,
+    ClientId, Digest, DurableCheckpoint, ReplicaId, Reply, Request, SeqNum, StateTransferRequest,
+    StateTransferResponse, StatusEvent,
 };
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -655,39 +657,23 @@ fn apply_state_response<P: Protocol>(
 
     // Checkpoint agreement: group by (seq, digest), newest qualifying
     // group first.
-    let mut groups: HashMap<(u64, splitbft_types::Digest), usize> = HashMap::new();
+    let mut groups: HashMap<(u64, Digest), (usize, &DurableCheckpoint)> = HashMap::new();
     for r in rec.responses.values() {
         if let Some(cp) = &r.checkpoint {
             if cp.seq.0 > protocol.progress() {
-                *groups.entry((cp.seq.0, cp.digest)).or_insert(0) += 1;
+                groups.entry((cp.seq.0, cp.digest)).or_insert((0, cp)).0 += 1;
             }
         }
     }
     let agreed = groups
         .into_iter()
-        .filter(|(_, n)| *n >= rec.policy.agreement)
-        .max_by_key(|((seq, _), _)| *seq);
-    if let Some(((seq, digest), _)) = agreed {
-        let agreed = rec
-            .responses
-            .values()
-            .find(|r| {
-                r.checkpoint
-                    .as_ref()
-                    .is_some_and(|cp| cp.seq.0 == seq && cp.digest == digest)
-            })
-            .and_then(|r| r.checkpoint.clone())
-            .expect("group was built from these responses");
-        let agreeing = rec
-            .responses
-            .values()
-            .filter(|r| {
-                r.checkpoint.as_ref().is_some_and(|cp| cp.seq.0 == seq && cp.digest == digest)
-            })
-            .count();
+        .filter(|(_, (n, _))| *n >= rec.policy.agreement)
+        .max_by_key(|((seq, _), _)| *seq)
+        .map(|(_, (agreeing, cp))| (agreeing, cp.clone()));
+    if let Some((agreeing, agreed)) = agreed {
         if protocol.restore_checkpoint(&agreed).is_ok() {
             telemetry.record_event(StatusEvent::CheckpointRestored {
-                seq,
+                seq: agreed.seq.0,
                 agreeing_peers: agreeing as u64,
             });
             // Replay every stored suffix on top of the restored state:

@@ -18,6 +18,8 @@
 //! null (left unchanged). The call touches no other memory; a descriptor
 //! that is not open is reported in `revents` (`POLLNVAL`), not acted on.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::ffi::{c_int, c_long, c_short, c_ulong};
 use std::io;
 use std::os::fd::{AsRawFd, RawFd};

@@ -294,6 +294,7 @@ impl<P: Protocol> DurableProtocol<P> {
         }
         let mut new_stable: Option<SeqNum> = None;
         for event in &events {
+            #[allow(clippy::expect_used)] // fail-stop, see `# Panics`
             self.wal.append_value(event).expect("WAL append failed — cannot continue durably");
             if let DurableEvent::StableCheckpoint { seq } = event {
                 new_stable = Some(new_stable.map_or(*seq, |s| s.max(*seq)));
@@ -316,6 +317,7 @@ impl<P: Protocol> DurableProtocol<P> {
     /// events the log could still lose.
     fn sync_and_seal(&mut self) {
         if self.dirty {
+            #[allow(clippy::expect_used)] // fail-stop, like a failed append in `persist`
             self.wal.sync().expect("WAL fsync failed — cannot continue durably");
             self.fsyncs += 1;
             self.dirty = false;

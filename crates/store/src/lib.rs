@@ -26,6 +26,7 @@
 //! USIG) survive, which no peer can supply.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod durable;

@@ -153,16 +153,17 @@ pub fn encode_record(payload: &[u8]) -> Vec<u8> {
 pub fn scan(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
     let mut records = Vec::new();
     let mut pos = 0usize;
-    while bytes.len() - pos >= RECORD_HEADER_LEN {
-        let header = &bytes[pos..pos + RECORD_HEADER_LEN];
-        if header[0] != RECORD_MAGIC {
+    while let Some(&[magic, l0, l1, l2, l3, c0, c1, c2, c3]) =
+        bytes[pos..].first_chunk::<RECORD_HEADER_LEN>()
+    {
+        if magic != RECORD_MAGIC {
             break;
         }
-        let len = u32::from_le_bytes(header[1..5].try_into().expect("4 bytes")) as usize;
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
         if len > MAX_RECORD_LEN as usize || bytes.len() - pos - RECORD_HEADER_LEN < len {
             break; // corrupt length or torn tail
         }
-        let expected_crc = u32::from_le_bytes(header[5..9].try_into().expect("4 bytes"));
+        let expected_crc = u32::from_le_bytes([c0, c1, c2, c3]);
         let payload = &bytes[pos + RECORD_HEADER_LEN..pos + RECORD_HEADER_LEN + len];
         if crc32(payload) != expected_crc {
             break; // bit rot or torn overwrite

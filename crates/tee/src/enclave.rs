@@ -1,5 +1,7 @@
 //! The enclave abstraction: code that runs inside the trusted boundary.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::fmt;
 
 /// The enclave side's handle to the untrusted world during an ecall.

@@ -4,7 +4,6 @@
 //! depending on the crypto crate; digest *computation* (SHA-256 over the
 //! canonical wire encoding) lives in `splitbft-crypto`.
 
-use crate::wire::{Decode, Encode, Reader, Sink, WireError};
 use std::fmt;
 
 /// A 32-byte cryptographic digest.
@@ -64,17 +63,7 @@ impl From<[u8; 32]> for Digest {
     }
 }
 
-impl Encode for Digest {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.0.encode_to(out);
-    }
-}
-
-impl Decode for Digest {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Digest(r.take_array()?))
-    }
-}
+crate::wire_struct!(Digest { 0 });
 
 #[cfg(test)]
 mod tests {

@@ -45,7 +45,6 @@
 use crate::digest::Digest;
 use crate::ids::{ReplicaId, SeqNum, View};
 use crate::message::RequestBatch;
-use crate::wire::{Decode, Encode, Reader, Sink, WireError};
 use bytes::Bytes;
 
 /// A consensus event that must be durable *before* the replica acts on
@@ -110,59 +109,14 @@ pub enum DurableEvent {
     },
 }
 
-impl Encode for DurableEvent {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        match self {
-            DurableEvent::Accepted { view, seq, digest } => {
-                out.put(&[1]);
-                view.encode_to(out);
-                seq.encode_to(out);
-                digest.encode_to(out);
-            }
-            DurableEvent::Committed { seq, batch } => {
-                out.put(&[2]);
-                seq.encode_to(out);
-                batch.encode_to(out);
-            }
-            DurableEvent::EnteredView { view } => {
-                out.put(&[3]);
-                view.encode_to(out);
-            }
-            DurableEvent::CounterIssued { counter } => {
-                out.put(&[4]);
-                counter.encode_to(out);
-            }
-            DurableEvent::StableCheckpoint { seq } => {
-                out.put(&[5]);
-                seq.encode_to(out);
-            }
-            DurableEvent::ShardTag { shard } => {
-                out.put(&[6]);
-                shard.encode_to(out);
-            }
-        }
-    }
-}
-impl Decode for DurableEvent {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            1 => Ok(DurableEvent::Accepted {
-                view: View::decode(r)?,
-                seq: SeqNum::decode(r)?,
-                digest: Digest::decode(r)?,
-            }),
-            2 => Ok(DurableEvent::Committed {
-                seq: SeqNum::decode(r)?,
-                batch: RequestBatch::decode(r)?,
-            }),
-            3 => Ok(DurableEvent::EnteredView { view: View::decode(r)? }),
-            4 => Ok(DurableEvent::CounterIssued { counter: u64::decode(r)? }),
-            5 => Ok(DurableEvent::StableCheckpoint { seq: SeqNum::decode(r)? }),
-            6 => Ok(DurableEvent::ShardTag { shard: crate::shard::ShardId::decode(r)? }),
-            tag => Err(WireError::InvalidTag { ty: "DurableEvent", tag }),
-        }
-    }
-}
+crate::wire_enum!(DurableEvent {
+    1 => Accepted { view, seq, digest },
+    2 => Committed { seq, batch },
+    3 => EnteredView { view },
+    4 => CounterIssued { counter },
+    5 => StableCheckpoint { seq },
+    6 => ShardTag { shard },
+});
 
 /// A protocol's durable state at a stable checkpoint: the unit that is
 /// sealed to disk locally and offered to lagging peers over
@@ -193,22 +147,7 @@ pub struct DurableCheckpoint {
     pub state: Bytes,
 }
 
-impl Encode for DurableCheckpoint {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.seq.encode_to(out);
-        self.digest.encode_to(out);
-        self.state.encode_to(out);
-    }
-}
-impl Decode for DurableCheckpoint {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(DurableCheckpoint {
-            seq: SeqNum::decode(r)?,
-            digest: Digest::decode(r)?,
-            state: Bytes::decode(r)?,
-        })
-    }
-}
+crate::wire_struct!(DurableCheckpoint { seq, digest, state });
 
 /// A recovering (or lagging) replica's request for peer state.
 ///
@@ -223,20 +162,7 @@ pub struct StateTransferRequest {
     pub have_seq: SeqNum,
 }
 
-impl Encode for StateTransferRequest {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.replica.encode_to(out);
-        self.have_seq.encode_to(out);
-    }
-}
-impl Decode for StateTransferRequest {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(StateTransferRequest {
-            replica: ReplicaId::decode(r)?,
-            have_seq: SeqNum::decode(r)?,
-        })
-    }
-}
+crate::wire_struct!(StateTransferRequest { replica, have_seq });
 
 /// A peer's answer to a [`StateTransferRequest`]: its latest stable
 /// checkpoint plus the log suffix above it.
@@ -255,22 +181,7 @@ pub struct StateTransferResponse {
     pub suffix: Bytes,
 }
 
-impl Encode for StateTransferResponse {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.replica.encode_to(out);
-        self.checkpoint.encode_to(out);
-        self.suffix.encode_to(out);
-    }
-}
-impl Decode for StateTransferResponse {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(StateTransferResponse {
-            replica: ReplicaId::decode(r)?,
-            checkpoint: Option::decode(r)?,
-            suffix: Bytes::decode(r)?,
-        })
-    }
-}
+crate::wire_struct!(StateTransferResponse { replica, checkpoint, suffix });
 
 #[cfg(test)]
 mod tests {

@@ -7,7 +7,6 @@
 
 use crate::compartment::CompartmentKind;
 use crate::config::ClusterConfig;
-use crate::wire::{Decode, Encode, Reader, Sink, WireError};
 use std::fmt;
 
 /// Index of a replica in the cluster, in `0..n`.
@@ -201,115 +200,20 @@ impl fmt::Display for SignerId {
     }
 }
 
-// --- wire impls -----------------------------------------------------------
+// --- wire format ------------------------------------------------------------
 
-impl Encode for ReplicaId {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.0.encode_to(out);
-    }
-}
-impl Decode for ReplicaId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ReplicaId(u32::decode(r)?))
-    }
-}
-
-impl Encode for ClientId {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.0.encode_to(out);
-    }
-}
-impl Decode for ClientId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ClientId(u32::decode(r)?))
-    }
-}
-
-impl Encode for View {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.0.encode_to(out);
-    }
-}
-impl Decode for View {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(View(u64::decode(r)?))
-    }
-}
-
-impl Encode for SeqNum {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.0.encode_to(out);
-    }
-}
-impl Decode for SeqNum {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(SeqNum(u64::decode(r)?))
-    }
-}
-
-impl Encode for Timestamp {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.0.encode_to(out);
-    }
-}
-impl Decode for Timestamp {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Timestamp(u64::decode(r)?))
-    }
-}
-
-impl Encode for RequestId {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.client.encode_to(out);
-        self.timestamp.encode_to(out);
-    }
-}
-impl Decode for RequestId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(RequestId { client: ClientId::decode(r)?, timestamp: Timestamp::decode(r)? })
-    }
-}
-
-impl Encode for EnclaveId {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.replica.encode_to(out);
-        self.kind.encode_to(out);
-    }
-}
-impl Decode for EnclaveId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(EnclaveId { replica: ReplicaId::decode(r)?, kind: CompartmentKind::decode(r)? })
-    }
-}
-
-impl Encode for SignerId {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        match self {
-            SignerId::Replica(r) => {
-                out.put(&[0]);
-                r.encode_to(out);
-            }
-            SignerId::Enclave(e) => {
-                out.put(&[1]);
-                e.encode_to(out);
-            }
-            SignerId::Client(c) => {
-                out.put(&[2]);
-                c.encode_to(out);
-            }
-        }
-    }
-}
-impl Decode for SignerId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(SignerId::Replica(ReplicaId::decode(r)?)),
-            1 => Ok(SignerId::Enclave(EnclaveId::decode(r)?)),
-            2 => Ok(SignerId::Client(ClientId::decode(r)?)),
-            tag => Err(WireError::InvalidTag { ty: "SignerId", tag }),
-        }
-    }
-}
+crate::wire_struct!(ReplicaId { 0 });
+crate::wire_struct!(ClientId { 0 });
+crate::wire_struct!(View { 0 });
+crate::wire_struct!(SeqNum { 0 });
+crate::wire_struct!(Timestamp { 0 });
+crate::wire_struct!(RequestId { client, timestamp });
+crate::wire_struct!(EnclaveId { replica, kind });
+crate::wire_enum!(SignerId {
+    0 => Replica { 0: replica },
+    1 => Enclave { 0: enclave },
+    2 => Client { 0: client },
+});
 
 #[cfg(test)]
 mod tests {

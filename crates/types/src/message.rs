@@ -11,7 +11,7 @@
 
 use crate::digest::Digest;
 use crate::ids::{ClientId, ReplicaId, RequestId, SeqNum, SignerId, View};
-use crate::wire::{Decode, Encode, Reader, Sink, WireError};
+use crate::wire::{Encode, Sink};
 use bytes::Bytes;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -45,16 +45,7 @@ impl Default for Signature {
     }
 }
 
-impl Encode for Signature {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        out.put(&self.0);
-    }
-}
-impl Decode for Signature {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Signature(r.take_array()?))
-    }
-}
+crate::wire_struct!(Signature { 0 });
 
 /// An opaque 32-byte public key.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -66,16 +57,7 @@ impl fmt::Debug for PublicKey {
     }
 }
 
-impl Encode for PublicKey {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        out.put(&self.0);
-    }
-}
-impl Decode for PublicKey {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PublicKey(r.take_array()?))
-    }
-}
+crate::wire_struct!(PublicKey { 0 });
 
 /// Payloads that can be wrapped in [`Signed`]. The `TAG` provides domain
 /// separation between message types in the bytes-to-sign.
@@ -121,22 +103,7 @@ impl<T: MessagePayload> Signed<T> {
     }
 }
 
-impl<T: Encode> Encode for Signed<T> {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.payload.encode_to(out);
-        self.signer.encode_to(out);
-        self.signature.encode_to(out);
-    }
-}
-impl<T: Decode> Decode for Signed<T> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Signed {
-            payload: T::decode(r)?,
-            signer: SignerId::decode(r)?,
-            signature: Signature::decode(r)?,
-        })
-    }
-}
+crate::wire_struct!(Signed<T> { payload, signer, signature });
 
 // --------------------------------------------------------------------------
 // Client-facing messages
@@ -185,24 +152,7 @@ impl Request {
     }
 }
 
-impl Encode for Request {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.id.encode_to(out);
-        self.op.encode_to(out);
-        self.encrypted.encode_to(out);
-        self.auth.encode_to(out);
-    }
-}
-impl Decode for Request {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Request {
-            id: RequestId::decode(r)?,
-            op: Bytes::decode(r)?,
-            encrypted: bool::decode(r)?,
-            auth: r.take_array()?,
-        })
-    }
-}
+crate::wire_struct!(Request { id, op, encrypted, auth });
 
 /// An ordered batch of client requests, the unit of agreement.
 ///
@@ -242,16 +192,7 @@ impl RequestBatch {
     }
 }
 
-impl Encode for RequestBatch {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.requests.encode_to(out);
-    }
-}
-impl Decode for RequestBatch {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(RequestBatch { requests: Vec::decode(r)? })
-    }
-}
+crate::wire_struct!(RequestBatch { requests });
 
 /// A reply sent by (the Execution compartment of) a replica to a client.
 ///
@@ -303,28 +244,7 @@ impl Reply {
     }
 }
 
-impl Encode for Reply {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.view.encode_to(out);
-        self.request.encode_to(out);
-        self.replica.encode_to(out);
-        self.result.encode_to(out);
-        self.encrypted.encode_to(out);
-        self.auth.encode_to(out);
-    }
-}
-impl Decode for Reply {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Reply {
-            view: View::decode(r)?,
-            request: RequestId::decode(r)?,
-            replica: ReplicaId::decode(r)?,
-            result: Bytes::decode(r)?,
-            encrypted: bool::decode(r)?,
-            auth: r.take_array()?,
-        })
-    }
-}
+crate::wire_struct!(Reply { view, request, replica, result, encrypted, auth });
 
 // --------------------------------------------------------------------------
 // Agreement messages
@@ -349,24 +269,7 @@ impl MessagePayload for PrePrepare {
     const TAG: u8 = 1;
 }
 
-impl Encode for PrePrepare {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.view.encode_to(out);
-        self.seq.encode_to(out);
-        self.digest.encode_to(out);
-        self.batch.encode_to(out);
-    }
-}
-impl Decode for PrePrepare {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PrePrepare {
-            view: View::decode(r)?,
-            seq: SeqNum::decode(r)?,
-            digest: Digest::decode(r)?,
-            batch: RequestBatch::decode(r)?,
-        })
-    }
-}
+crate::wire_struct!(PrePrepare { view, seq, digest, batch });
 
 /// A backup's vote that it accepted the primary's proposal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -385,24 +288,7 @@ impl MessagePayload for Prepare {
     const TAG: u8 = 2;
 }
 
-impl Encode for Prepare {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.view.encode_to(out);
-        self.seq.encode_to(out);
-        self.digest.encode_to(out);
-        self.replica.encode_to(out);
-    }
-}
-impl Decode for Prepare {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Prepare {
-            view: View::decode(r)?,
-            seq: SeqNum::decode(r)?,
-            digest: Digest::decode(r)?,
-            replica: ReplicaId::decode(r)?,
-        })
-    }
-}
+crate::wire_struct!(Prepare { view, seq, digest, replica });
 
 /// A replica's vote that the proposal is *prepared* (backed by a prepare
 /// certificate) and may be committed.
@@ -422,24 +308,7 @@ impl MessagePayload for Commit {
     const TAG: u8 = 3;
 }
 
-impl Encode for Commit {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.view.encode_to(out);
-        self.seq.encode_to(out);
-        self.digest.encode_to(out);
-        self.replica.encode_to(out);
-    }
-}
-impl Decode for Commit {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Commit {
-            view: View::decode(r)?,
-            seq: SeqNum::decode(r)?,
-            digest: Digest::decode(r)?,
-            replica: ReplicaId::decode(r)?,
-        })
-    }
-}
+crate::wire_struct!(Commit { view, seq, digest, replica });
 
 /// A periodic proof of state: "my application state after executing
 /// everything up to `seq` has digest `state_digest`".
@@ -475,24 +344,7 @@ impl MessagePayload for Checkpoint {
     const TAG: u8 = 4;
 }
 
-impl Encode for Checkpoint {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.seq.encode_to(out);
-        self.state_digest.encode_to(out);
-        self.replica.encode_to(out);
-        self.snapshot.encode_to(out);
-    }
-}
-impl Decode for Checkpoint {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Checkpoint {
-            seq: SeqNum::decode(r)?,
-            state_digest: Digest::decode(r)?,
-            replica: ReplicaId::decode(r)?,
-            snapshot: Bytes::decode(r)?,
-        })
-    }
-}
+crate::wire_struct!(Checkpoint { seq, state_digest, replica, snapshot });
 
 // --------------------------------------------------------------------------
 // Certificates
@@ -559,20 +411,7 @@ impl PrepareCertificate {
     }
 }
 
-impl Encode for PrepareCertificate {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.pre_prepare.encode_to(out);
-        self.prepares.encode_to(out);
-    }
-}
-impl Decode for PrepareCertificate {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PrepareCertificate {
-            pre_prepare: Signed::<PrePrepare>::decode(r)?,
-            prepares: Vec::decode(r)?,
-        })
-    }
-}
+crate::wire_struct!(PrepareCertificate { pre_prepare, prepares });
 
 /// A commit certificate: `2f + 1` matching `Commit`s from distinct replicas.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -609,16 +448,7 @@ impl CommitCertificate {
     }
 }
 
-impl Encode for CommitCertificate {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.commits.encode_to(out);
-    }
-}
-impl Decode for CommitCertificate {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(CommitCertificate { commits: Vec::decode(r)? })
-    }
-}
+crate::wire_struct!(CommitCertificate { commits });
 
 /// A checkpoint certificate: `2f + 1` matching `Checkpoint`s from distinct
 /// replicas. The genesis certificate (sequence 0) is allowed to be empty.
@@ -669,16 +499,7 @@ impl CheckpointCertificate {
     }
 }
 
-impl Encode for CheckpointCertificate {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.checkpoints.encode_to(out);
-    }
-}
-impl Decode for CheckpointCertificate {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(CheckpointCertificate { checkpoints: Vec::decode(r)? })
-    }
-}
+crate::wire_struct!(CheckpointCertificate { checkpoints });
 
 // --------------------------------------------------------------------------
 // View change
@@ -721,26 +542,7 @@ impl ViewChange {
     }
 }
 
-impl Encode for ViewChange {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.new_view.encode_to(out);
-        self.stable_seq.encode_to(out);
-        self.checkpoint_proof.encode_to(out);
-        self.prepared.encode_to(out);
-        self.replica.encode_to(out);
-    }
-}
-impl Decode for ViewChange {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ViewChange {
-            new_view: View::decode(r)?,
-            stable_seq: SeqNum::decode(r)?,
-            checkpoint_proof: CheckpointCertificate::decode(r)?,
-            prepared: Vec::decode(r)?,
-            replica: ReplicaId::decode(r)?,
-        })
-    }
-}
+crate::wire_struct!(ViewChange { new_view, stable_seq, checkpoint_proof, prepared, replica });
 
 /// The new primary's announcement of view `view`, carrying `2f + 1`
 /// `ViewChange`s and the re-issued `PrePrepare`s for requests that were
@@ -795,22 +597,7 @@ impl NewView {
     }
 }
 
-impl Encode for NewView {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.view.encode_to(out);
-        self.view_changes.encode_to(out);
-        self.pre_prepares.encode_to(out);
-    }
-}
-impl Decode for NewView {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(NewView {
-            view: View::decode(r)?,
-            view_changes: Vec::decode(r)?,
-            pre_prepares: Vec::decode(r)?,
-        })
-    }
-}
+crate::wire_struct!(NewView { view, view_changes, pre_prepares });
 
 // --------------------------------------------------------------------------
 // Top-level envelope
@@ -860,49 +647,14 @@ impl ConsensusMessage {
     }
 }
 
-impl Encode for ConsensusMessage {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        match self {
-            ConsensusMessage::PrePrepare(m) => {
-                out.put(&[1]);
-                m.encode_to(out);
-            }
-            ConsensusMessage::Prepare(m) => {
-                out.put(&[2]);
-                m.encode_to(out);
-            }
-            ConsensusMessage::Commit(m) => {
-                out.put(&[3]);
-                m.encode_to(out);
-            }
-            ConsensusMessage::Checkpoint(m) => {
-                out.put(&[4]);
-                m.encode_to(out);
-            }
-            ConsensusMessage::ViewChange(m) => {
-                out.put(&[5]);
-                m.encode_to(out);
-            }
-            ConsensusMessage::NewView(m) => {
-                out.put(&[6]);
-                m.encode_to(out);
-            }
-        }
-    }
-}
-impl Decode for ConsensusMessage {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            1 => Ok(ConsensusMessage::PrePrepare(Signed::decode(r)?)),
-            2 => Ok(ConsensusMessage::Prepare(Signed::decode(r)?)),
-            3 => Ok(ConsensusMessage::Commit(Signed::decode(r)?)),
-            4 => Ok(ConsensusMessage::Checkpoint(Signed::decode(r)?)),
-            5 => Ok(ConsensusMessage::ViewChange(Signed::decode(r)?)),
-            6 => Ok(ConsensusMessage::NewView(Signed::decode(r)?)),
-            tag => Err(WireError::InvalidTag { ty: "ConsensusMessage", tag }),
-        }
-    }
-}
+crate::wire_enum!(ConsensusMessage {
+    1 => PrePrepare { 0: m },
+    2 => Prepare { 0: m },
+    3 => Commit { 0: m },
+    4 => Checkpoint { 0: m },
+    5 => ViewChange { 0: m },
+    6 => NewView { 0: m },
+});
 
 #[cfg(test)]
 mod tests {

@@ -15,7 +15,6 @@
 //! reduced modulo the shard count. Both sides call it; neither can
 //! drift.
 
-use crate::wire::{Decode, Encode, Reader, Sink, WireError};
 use std::fmt;
 
 /// Index of one consensus group in a sharded deployment, in `0..shards`.
@@ -41,16 +40,7 @@ impl fmt::Display for ShardId {
     }
 }
 
-impl Encode for ShardId {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.0.encode_to(out);
-    }
-}
-impl Decode for ShardId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ShardId(u32::decode(r)?))
-    }
-}
+crate::wire_struct!(ShardId { 0 });
 
 /// A protocol message tagged with the consensus group it belongs to.
 ///
@@ -77,17 +67,7 @@ impl<M> ShardEnvelope<M> {
     }
 }
 
-impl<M: Encode> Encode for ShardEnvelope<M> {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.shard.encode_to(out);
-        self.msg.encode_to(out);
-    }
-}
-impl<M: Decode> Decode for ShardEnvelope<M> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ShardEnvelope { shard: ShardId::decode(r)?, msg: M::decode(r)? })
-    }
-}
+crate::wire_struct!(ShardEnvelope<M> { shard, msg });
 
 /// Maps a key to the shard that owns it: FNV-1a over the key bytes,
 /// reduced modulo `shards`.
@@ -120,7 +100,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::roundtrip;
+    use crate::wire::{roundtrip, Encode};
 
     #[test]
     fn envelope_roundtrips_and_prefixes_the_shard() {

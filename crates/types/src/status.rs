@@ -18,7 +18,6 @@
 //! 3 and 4 (that verb's answers) now fail to decode, which closes the
 //! connection that sent them.
 
-use crate::wire::{Decode, Encode, Reader, Sink, WireError};
 
 /// Version stamp of [`NodeSnapshot`]'s field set. Bump on any layout
 /// change so pollers can reject snapshots they do not understand.
@@ -161,178 +160,55 @@ pub enum StatusResponse {
     },
 }
 
-impl Encode for StatusVerb {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        match self {
-            StatusVerb::Snapshot => out.put(&[1]),
-            StatusVerb::Events { since } => {
-                out.put(&[2]);
-                since.encode_to(out);
-            }
-        }
-    }
-}
-impl Decode for StatusVerb {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            1 => Ok(StatusVerb::Snapshot),
-            2 => Ok(StatusVerb::Events { since: u64::decode(r)? }),
-            tag => Err(WireError::InvalidTag { ty: "StatusVerb", tag }),
-        }
-    }
-}
+crate::wire_enum!(StatusVerb {
+    1 => Snapshot {},
+    2 => Events { since },
+});
 
-impl Encode for StatusRequest {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.verb.encode_to(out);
-    }
-}
-impl Decode for StatusRequest {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(StatusRequest { verb: StatusVerb::decode(r)? })
-    }
-}
+crate::wire_struct!(StatusRequest { verb });
 
-impl Encode for StatusEvent {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        match self {
-            StatusEvent::ViewChange { view } => {
-                out.put(&[1]);
-                view.encode_to(out);
-            }
-            StatusEvent::CheckpointSealed { seq } => {
-                out.put(&[2]);
-                seq.encode_to(out);
-            }
-            StatusEvent::CheckpointRestored { seq, agreeing_peers } => {
-                out.put(&[3]);
-                seq.encode_to(out);
-                agreeing_peers.encode_to(out);
-            }
-            StatusEvent::StateTransferApplied { messages, from_progress, to_progress } => {
-                out.put(&[4]);
-                messages.encode_to(out);
-                from_progress.encode_to(out);
-                to_progress.encode_to(out);
-            }
-            StatusEvent::DrainRequested => out.put(&[6]),
-            StatusEvent::DrainCompleted => out.put(&[7]),
-            StatusEvent::Recovered { replayed_events, checkpoint_seq } => {
-                out.put(&[8]);
-                replayed_events.encode_to(out);
-                checkpoint_seq.encode_to(out);
-            }
-        }
-    }
-}
-impl Decode for StatusEvent {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            1 => Ok(StatusEvent::ViewChange { view: u64::decode(r)? }),
-            2 => Ok(StatusEvent::CheckpointSealed { seq: u64::decode(r)? }),
-            3 => Ok(StatusEvent::CheckpointRestored {
-                seq: u64::decode(r)?,
-                agreeing_peers: u64::decode(r)?,
-            }),
-            4 => Ok(StatusEvent::StateTransferApplied {
-                messages: u64::decode(r)?,
-                from_progress: u64::decode(r)?,
-                to_progress: u64::decode(r)?,
-            }),
-            6 => Ok(StatusEvent::DrainRequested),
-            7 => Ok(StatusEvent::DrainCompleted),
-            8 => Ok(StatusEvent::Recovered {
-                replayed_events: u64::decode(r)?,
-                checkpoint_seq: u64::decode(r)?,
-            }),
-            tag => Err(WireError::InvalidTag { ty: "StatusEvent", tag }),
-        }
-    }
-}
+crate::wire_enum!(StatusEvent {
+    1 => ViewChange { view },
+    2 => CheckpointSealed { seq },
+    3 => CheckpointRestored { seq, agreeing_peers },
+    4 => StateTransferApplied { messages, from_progress, to_progress },
+    6 => DrainRequested {},
+    7 => DrainCompleted {},
+    8 => Recovered { replayed_events, checkpoint_seq },
+});
 
-impl Encode for NodeSnapshot {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        self.version.encode_to(out);
-        self.replica.encode_to(out);
-        self.progress.encode_to(out);
-        self.view.encode_to(out);
-        self.view_changes.encode_to(out);
-        self.pending_requests.encode_to(out);
-        self.fsyncs.encode_to(out);
-        self.wal_bytes.encode_to(out);
-        self.checkpoint_seals.encode_to(out);
-        self.reconnects.encode_to(out);
-        self.ring_refusals.encode_to(out);
-        self.bytes_in.encode_to(out);
-        self.bytes_out.encode_to(out);
-        self.queue_depth_high_water.encode_to(out);
-        self.shard_progress.encode_to(out);
-        self.shard_fsyncs.encode_to(out);
-        self.recovering.encode_to(out);
-        self.draining.encode_to(out);
-        self.drained.encode_to(out);
-        self.journal_head.encode_to(out);
-    }
-}
-impl Decode for NodeSnapshot {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(NodeSnapshot {
-            version: u32::decode(r)?,
-            replica: u32::decode(r)?,
-            progress: u64::decode(r)?,
-            view: u64::decode(r)?,
-            view_changes: u64::decode(r)?,
-            pending_requests: u64::decode(r)?,
-            fsyncs: u64::decode(r)?,
-            wal_bytes: u64::decode(r)?,
-            checkpoint_seals: u64::decode(r)?,
-            reconnects: u64::decode(r)?,
-            ring_refusals: u64::decode(r)?,
-            bytes_in: u64::decode(r)?,
-            bytes_out: u64::decode(r)?,
-            queue_depth_high_water: u64::decode(r)?,
-            shard_progress: Vec::decode(r)?,
-            shard_fsyncs: Vec::decode(r)?,
-            recovering: bool::decode(r)?,
-            draining: bool::decode(r)?,
-            drained: bool::decode(r)?,
-            journal_head: u64::decode(r)?,
-        })
-    }
-}
+crate::wire_struct!(NodeSnapshot {
+    version,
+    replica,
+    progress,
+    view,
+    view_changes,
+    pending_requests,
+    fsyncs,
+    wal_bytes,
+    checkpoint_seals,
+    reconnects,
+    ring_refusals,
+    bytes_in,
+    bytes_out,
+    queue_depth_high_water,
+    shard_progress,
+    shard_fsyncs,
+    recovering,
+    draining,
+    drained,
+    journal_head,
+});
 
-impl Encode for StatusResponse {
-    fn encode_to<S: Sink>(&self, out: &mut S) {
-        match self {
-            StatusResponse::Snapshot(snapshot) => {
-                out.put(&[1]);
-                snapshot.encode_to(out);
-            }
-            StatusResponse::Events { head, events } => {
-                out.put(&[2]);
-                head.encode_to(out);
-                events.encode_to(out);
-            }
-        }
-    }
-}
-impl Decode for StatusResponse {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            1 => Ok(StatusResponse::Snapshot(NodeSnapshot::decode(r)?)),
-            2 => Ok(StatusResponse::Events {
-                head: u64::decode(r)?,
-                events: Vec::decode(r)?,
-            }),
-            tag => Err(WireError::InvalidTag { ty: "StatusResponse", tag }),
-        }
-    }
-}
+crate::wire_enum!(StatusResponse {
+    1 => Snapshot { 0: snapshot },
+    2 => Events { head, events },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::roundtrip;
+    use crate::wire::{roundtrip, WireError};
 
     #[test]
     fn requests_roundtrip() {

@@ -15,7 +15,14 @@
 //! - `bool`: one byte, `0` or `1` (other values are a decode error)
 //! - `Vec<T>`, `Bytes`, `String`: `u32` length prefix followed by elements
 //! - `Option<T>`: one-byte discriminant then the payload
-//! - enums: one-byte tag chosen by each type's manual implementation
+//! - structs: their fields in the order declared in the type's
+//!   [`wire_struct!`](crate::wire_struct), with nothing between them
+//! - enums: a one-byte tag, then the variant's fields, both declared in
+//!   the type's [`wire_enum!`](crate::wire_enum)
+//!
+//! The primitives and containers above are implemented by hand in this
+//! module; every message, WAL record and ecall type names its fields
+//! once, in one of the two macros, which generate both directions.
 //!
 //! # Framing
 //!
@@ -53,6 +60,8 @@
 //! let back: Vec<u32> = decode(&bytes).unwrap();
 //! assert_eq!(v, back);
 //! ```
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use bytes::Bytes;
 use std::fmt;
@@ -741,12 +750,115 @@ impl FrameAssembler {
     }
 }
 
+/// Implements [`Encode`] and [`Decode`] for a struct from one list of its
+/// fields, in wire order. Each field encodes in turn and decodes with its
+/// own type's [`Decode`], so the list is the whole format. A tuple struct
+/// names its fields by position, and type parameters (one list, no
+/// bounds) get `Encode`/`Decode` bounds on the respective impl.
+///
+/// ```
+/// use splitbft_types::wire::{decode, encode};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Vote { round: u8, weight: u32 }
+/// splitbft_types::wire_struct!(Vote { round, weight });
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Tagged<M>(u8, M);
+/// splitbft_types::wire_struct!(Tagged<M> { 0, 1 });
+///
+/// let vote = Tagged(7, Vote { round: 1, weight: 2 });
+/// assert_eq!(encode(&vote), [7, 1, 2, 0, 0, 0]);
+/// assert_eq!(decode::<Tagged<Vote>>(&encode(&vote)), Ok(vote));
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($name:ident $(<$($param:ident),+>)? { $($field:tt),+ $(,)? }) => {
+        impl$(<$($param: $crate::wire::Encode),+>)? $crate::wire::Encode
+            for $name$(<$($param),+>)?
+        {
+            fn encode_to<S: $crate::wire::Sink>(&self, out: &mut S) {
+                $($crate::wire::Encode::encode_to(&self.$field, out);)+
+            }
+        }
+        impl$(<$($param: $crate::wire::Decode),+>)? $crate::wire::Decode
+            for $name$(<$($param),+>)?
+        {
+            fn decode(
+                r: &mut $crate::wire::Reader<'_>,
+            ) -> ::core::result::Result<Self, $crate::wire::WireError> {
+                ::core::result::Result::Ok(Self { $($field: $crate::wire::Decode::decode(r)?),+ })
+            }
+        }
+    };
+}
+
+/// Implements [`Encode`] and [`Decode`] for an enum from one list of its
+/// variants: each variant's one-byte tag, then its fields in wire order.
+/// A tuple variant binds its fields by position (`{ 0: x }`), a unit
+/// variant lists none (`{}`). Every variant must be listed; a tag that is
+/// not (a retired one, say) fails to decode with
+/// [`WireError::InvalidTag`] naming the type.
+///
+/// ```
+/// use splitbft_types::wire::{decode, encode, WireError};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Op { Inc { by: u32 }, Set(u8), Reset }
+/// splitbft_types::wire_enum!(Op {
+///     1 => Inc { by },
+///     2 => Set { 0: value },
+///     4 => Reset {},
+/// });
+///
+/// assert_eq!(encode(&Op::Set(9)), [2, 9]);
+/// assert_eq!(decode::<Op>(&[4]), Ok(Op::Reset));
+/// assert_eq!(decode::<Op>(&[3]), Err(WireError::InvalidTag { ty: "Op", tag: 3 }));
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($name:ident {
+        $($tag:literal => $variant:ident { $($field:tt $(: $binding:ident)?),* $(,)? }),+ $(,)?
+    }) => {
+        impl $crate::wire::Encode for $name {
+            fn encode_to<S: $crate::wire::Sink>(&self, out: &mut S) {
+                match self {
+                    $(Self::$variant { $($field $(: $binding)?),* } => {
+                        $crate::wire::Sink::put(out, &[$tag]);
+                        $($crate::wire::Encode::encode_to(
+                            $crate::wire_enum!(@binding $field $($binding)?),
+                            out,
+                        );)*
+                    })+
+                }
+            }
+        }
+        impl $crate::wire::Decode for $name {
+            fn decode(
+                r: &mut $crate::wire::Reader<'_>,
+            ) -> ::core::result::Result<Self, $crate::wire::WireError> {
+                match <u8 as $crate::wire::Decode>::decode(r)? {
+                    $($tag => ::core::result::Result::Ok(
+                        Self::$variant { $($field: $crate::wire::Decode::decode(r)?),* },
+                    ),)+
+                    tag => ::core::result::Result::Err(
+                        $crate::wire::WireError::InvalidTag { ty: stringify!($name), tag },
+                    ),
+                }
+            }
+        }
+    };
+    (@binding $field:ident) => { $field };
+    (@binding $position:tt $binding:ident) => { $binding };
+}
+
 /// Asserts that a value encodes and decodes back to itself. Used pervasively
 /// in unit tests across the workspace.
 ///
 /// # Panics
 ///
 /// Panics if the round-trip fails or yields a different value.
+#[allow(clippy::expect_used)] // a test helper: panicking is how it reports
 pub fn roundtrip<T: Encode + Decode + PartialEq + fmt::Debug>(value: &T) {
     let bytes = encode(value);
     let back: T = decode(&bytes).expect("decode of freshly-encoded value");

@@ -31,7 +31,9 @@ use splitbft_types::{
     RequestId, SeqNum, ShardEnvelope, ShardId, Signature, Signed, SignerId,
     StateTransferRequest, StateTransferResponse, Timestamp, View, ViewChange,
 };
+use std::collections::BTreeSet;
 use std::fmt::Debug;
+use std::panic::catch_unwind;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -718,6 +720,74 @@ impl Visit for Fold {
         self.0.update(&(bytes.len() as u64).to_le_bytes());
         self.0.update(&bytes);
     }
+}
+
+/// Throws damaged copies of each encoding at its decoder. The codec is
+/// prefix-free, so every strict prefix must fail; a single flipped bit
+/// must fail or decode to a value whose encoding is the flipped bytes
+/// (no non-canonical accept); and no input may panic. Encodings up to
+/// 256 bytes have every bit flipped, longer ones every bit of 256 evenly
+/// spaced bytes.
+#[derive(Default)]
+struct Hostile {
+    types: BTreeSet<&'static str>,
+    values: usize,
+    inputs: usize,
+}
+
+impl Hostile {
+    /// Decodes `input` as a `T`, failing the test on a panic or on an
+    /// accepted value that is not canonical.
+    fn try_decode<T: Encode + Decode>(&mut self, input: &[u8], what: &str) -> bool {
+        self.inputs += 1;
+        let name = std::any::type_name::<T>();
+        match catch_unwind(|| decode::<T>(input)) {
+            Err(_) => panic!("{name}: decoding a {what} panicked on {input:02x?}"),
+            Ok(Err(_)) => false,
+            Ok(Ok(value)) => {
+                assert_eq!(encode(&value), input, "{name}: a {what} decoded non-canonically");
+                true
+            }
+        }
+    }
+}
+
+impl Visit for Hostile {
+    fn visit<T: Encode + Decode + PartialEq + Debug>(&mut self, value: &T) {
+        self.types.insert(std::any::type_name::<T>());
+        self.values += 1;
+        let mut bytes = encode(value);
+        for cut in 0..bytes.len() {
+            let accepted = self.try_decode::<T>(&bytes[..cut], "strict prefix");
+            assert!(!accepted, "{value:?}: its first {cut} bytes decoded");
+        }
+        let positions: Vec<usize> = if bytes.len() <= 256 {
+            (0..bytes.len()).collect()
+        } else {
+            (0..256).map(|i| i * bytes.len() / 256).collect()
+        };
+        for at in positions {
+            for bit in 0..8 {
+                bytes[at] ^= 1 << bit;
+                self.try_decode::<T>(&bytes, "bit flip");
+                bytes[at] ^= 1 << bit;
+            }
+        }
+    }
+}
+
+#[test]
+fn damaged_encodings_of_every_wire_type_fail_cleanly() {
+    let mut hostile = Hostile::default();
+    for seed in 0..8 {
+        every_wire_type(&mut Gen::new(seed, seed as usize), &mut hostile);
+    }
+    println!(
+        "hostile battery: {} wire types, {} values, {} damaged inputs decoded",
+        hostile.types.len(),
+        hostile.values,
+        hostile.inputs,
+    );
 }
 
 fn hex(bytes: &[u8]) -> String {
