@@ -4,10 +4,17 @@
 //! A client accepts a result only once enough replicas — `f + 1`, so at
 //! least one of them correct — report the same bytes under a valid MAC.
 //! The three stacks share that rule and differ only in `n`, hence in `f`:
-//! [`QuorumTracker`] is the rule for one request, and [`LockstepClient`]
-//! is the closed-loop client of the paper's workload ("clients constantly
-//! issue synchronous requests ... and measure the time it takes to collect
-//! the replies") built on it, parameterised by the reply quorum.
+//! [`QuorumTracker`] is the rule for one request, and [`Client`] is the
+//! client of the paper's workload ("clients constantly issue synchronous
+//! requests ... and measure the time it takes to collect the replies")
+//! built on the same counting code.
+//!
+//! [`Client`] does no I/O and reads no clock. Each runtime — lock-step
+//! tests and fault catalog, simulator, socket load generator,
+//! `splitbft-node client` — sends what it returns, feeds it every reply
+//! and passes `now` in its own unit (ns, virtual ns, timer periods).
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use bytes::Bytes;
 use splitbft_crypto::hmac::ct_eq;
@@ -15,20 +22,49 @@ use splitbft_crypto::{client_mac_key, MacKey};
 use splitbft_types::{ClientId, ReplicaId, Reply, Request, RequestId, Timestamp};
 use std::collections::BTreeMap;
 
+/// `true` if `reply` carries a valid MAC under the client's key `mac`.
+fn authentic(mac: &MacKey, reply: &Reply) -> bool {
+    let expected =
+        mac.reply_tag(reply.view, reply.request, reply.replica, &reply.result, reply.encrypted);
+    ct_eq(&expected, &reply.auth)
+}
+
+/// The replies one request collected: one vote per replica.
+#[derive(Debug, Clone, Default)]
+struct Votes(BTreeMap<ReplicaId, Bytes>);
+
+impl Votes {
+    /// Counts an authentic reply as its replica's vote; returns the
+    /// result once `quorum` votes match.
+    fn count(&mut self, reply: &Reply, quorum: usize) -> Option<Bytes> {
+        self.0.insert(reply.replica, reply.result.clone());
+
+        let mut counts: BTreeMap<&[u8], usize> = BTreeMap::new();
+        for result in self.0.values() {
+            let n = counts.entry(result.as_ref()).or_insert(0);
+            *n += 1;
+            if *n >= quorum {
+                return Some(Bytes::copy_from_slice(result));
+            }
+        }
+        None
+    }
+}
+
 /// Collects replies for one request until a quorum of matching results
 /// from distinct replicas is reached.
 #[derive(Debug, Clone)]
 pub struct QuorumTracker {
     mac: MacKey,
     quorum: usize,
-    replies: BTreeMap<ReplicaId, Bytes>,
+    votes: Votes,
 }
 
 impl QuorumTracker {
     /// A tracker accepting on `quorum` (`f + 1`) matching replies,
     /// verifying authenticity under the client's `mac` key.
     pub fn new(mac: MacKey, quorum: usize) -> Self {
-        QuorumTracker { mac, quorum: quorum.max(1), replies: BTreeMap::new() }
+        QuorumTracker { mac, quorum: quorum.max(1), votes: Votes::default() }
     }
 
     /// Delivers one reply; returns the agreed result once `quorum`
@@ -36,77 +72,99 @@ impl QuorumTracker {
     /// (bad MAC) are ignored; a replica re-sending overwrites its own
     /// earlier vote, so duplicates never double-count.
     pub fn on_reply(&mut self, reply: &Reply) -> Option<Bytes> {
-        if !self.authentic(reply) {
+        if !authentic(&self.mac, reply) {
             return None;
         }
-        self.count(reply)
-    }
-
-    /// `true` if `reply` carries a valid MAC under the client's key.
-    fn authentic(&self, reply: &Reply) -> bool {
-        let expected = self.mac.reply_tag(
-            reply.view,
-            reply.request,
-            reply.replica,
-            &reply.result,
-            reply.encrypted,
-        );
-        ct_eq(&expected, &reply.auth)
-    }
-
-    /// Counts an authentic reply as its replica's vote.
-    fn count(&mut self, reply: &Reply) -> Option<Bytes> {
-        self.replies.insert(reply.replica, reply.result.clone());
-
-        let mut counts: BTreeMap<&[u8], usize> = BTreeMap::new();
-        for result in self.replies.values() {
-            let n = counts.entry(result.as_ref()).or_insert(0);
-            *n += 1;
-            if *n >= self.quorum {
-                return Some(Bytes::copy_from_slice(result));
-            }
-        }
-        None
-    }
-
-    /// Forgets every vote, ready for the next request.
-    fn clear(&mut self) {
-        self.replies.clear();
+        self.votes.count(reply, self.quorum)
     }
 }
 
-/// The outcome of delivering a reply to a [`LockstepClient`].
+/// The outcome of delivering a reply to a client.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientEvent {
     /// Still waiting for more matching replies.
     Pending,
     /// The operation completed with this result.
     Completed(Bytes),
-    /// The reply was ignored (bad MAC, or not for the in-flight request).
+    /// A reply quorum agreed on bytes a confidential client cannot
+    /// decrypt — say, the no-op result of a request executed without
+    /// its session key. They are no result of the operation sent.
+    Undecryptable(Bytes),
+    /// The reply was ignored (bad MAC, or not for a request in flight).
     Ignored,
 }
 
-/// A closed-loop service client: one request in flight at a time.
-#[derive(Debug)]
-pub struct LockstepClient {
-    id: ClientId,
-    next_timestamp: Timestamp,
-    in_flight: Option<RequestId>,
-    /// The in-flight request's votes; also holds the client's MAC key.
-    votes: QuorumTracker,
+/// A request its reply quorum completed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Completion {
+    /// The result `f + 1` replicas agreed on.
+    pub result: Bytes,
+    /// When it was issued, in the runtime's unit.
+    pub issued_at: u64,
+    /// The caller's tag, as given to [`Client::issue_at`].
+    pub tag: u32,
 }
 
-impl LockstepClient {
+/// One request awaiting its reply quorum.
+#[derive(Debug)]
+struct Flight {
+    request: Request,
+    issued_at: u64,
+    last_sent: u64,
+    votes: Votes,
+    tag: u32,
+}
+
+/// The service client: up to `depth` requests in flight, each completing
+/// on `f + 1` matching authentic replies, each due again for every
+/// replica once `resend_after` passes without its quorum (the PBFT
+/// client rule), and each first sent to the replica it believes leads.
+///
+/// Each request carries one caller tag, handed back on completion (the
+/// load generator's shard).
+#[derive(Debug)]
+pub struct Client {
+    id: ClientId,
+    mac: MacKey,
+    quorum: usize,
+    depth: usize,
+    resend_after: u64,
+    next_timestamp: Timestamp,
+    /// The highest view an authentic reply to one of its requests named.
+    view: u64,
+    flights: BTreeMap<Timestamp, Flight>,
+}
+
+impl Client {
     /// Creates client `id` of a cluster whose keys derive from
     /// `master_seed`, completing on `reply_quorum` (`f + 1`) matching
-    /// replies.
+    /// replies: one request in flight, never due again.
     pub fn new(reply_quorum: usize, id: ClientId, master_seed: u64) -> Self {
-        LockstepClient {
+        Client {
             id,
+            mac: client_mac_key(master_seed, id),
+            quorum: reply_quorum.max(1),
+            depth: 1,
+            resend_after: u64::MAX,
             next_timestamp: Timestamp(1),
-            in_flight: None,
-            votes: QuorumTracker::new(client_mac_key(master_seed, id), reply_quorum),
+            view: 0,
+            flights: BTreeMap::new(),
         }
+    }
+
+    /// Keeps up to `depth` requests in flight.
+    #[must_use]
+    pub fn with_depth(mut self, depth: usize) -> Self {
+        self.depth = depth.max(1);
+        self
+    }
+
+    /// Makes a request due again once `resend_after` units of the
+    /// runtime's clock pass since it was last sent.
+    #[must_use]
+    pub fn resending_after(mut self, resend_after: u64) -> Self {
+        self.resend_after = resend_after;
+        self
     }
 
     /// Resumes this client identity at `timestamp`. Replicas suppress
@@ -124,60 +182,116 @@ impl LockstepClient {
         self.id
     }
 
-    /// `true` if a request is awaiting its reply quorum.
-    pub fn has_in_flight(&self) -> bool {
-        self.in_flight.is_some()
-    }
-
     /// The id the next issued request will carry. A confidential client
     /// needs it first: the timestamp is its encryption nonce.
     pub fn next_request_id(&self) -> RequestId {
         RequestId { client: self.id, timestamp: self.next_timestamp }
     }
 
-    /// Builds and tracks the next request, with a plaintext operation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a request is still in flight — the closed-loop contract.
-    pub fn issue(&mut self, op: Bytes) -> Request {
-        self.issue_payload(op, false)
+    /// Requests awaiting their reply quorum.
+    pub fn in_flight(&self) -> usize {
+        self.flights.len()
     }
 
-    /// [`LockstepClient::issue`] for a payload the caller already
-    /// encrypted (or not), authenticated as such.
+    /// Requests it may issue before its pipeline is full.
+    pub fn room(&self) -> usize {
+        self.depth.saturating_sub(self.flights.len())
+    }
+
+    /// The replica a new request goes to in a cluster of `n`: the
+    /// primary of the highest view an authentic reply named.
+    pub fn primary(&self, n: usize) -> usize {
+        (self.view % n.max(1) as u64) as usize
+    }
+
+    /// `true` if `reply` carries a valid MAC under this client's key.
+    pub fn authentic(&self, reply: &Reply) -> bool {
+        authentic(&self.mac, reply)
+    }
+
+    /// Issues a plaintext operation, copied from `op`, for a caller
+    /// that keeps no clock.
     ///
     /// # Panics
     ///
-    /// Panics if a request is still in flight.
-    pub fn issue_payload(&mut self, op: Bytes, encrypted: bool) -> Request {
-        assert!(self.in_flight.is_none(), "client already has a request in flight");
+    /// Panics if the pipeline is full.
+    pub fn issue(&mut self, op: impl AsRef<[u8]>) -> Request {
+        self.issue_at(Bytes::copy_from_slice(op.as_ref()), false, 0, 0)
+    }
+
+    /// Builds and tracks the next request at `now`, for an operation
+    /// the caller already encrypted (or not), authenticated as such.
+    /// The caller sends it to [`Client::primary`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pipeline is full — the closed-loop contract.
+    pub fn issue_at(&mut self, op: Bytes, encrypted: bool, now: u64, tag: u32) -> Request {
+        assert!(self.room() > 0, "client already has {} request(s) in flight", self.depth);
         let id = self.next_request_id();
         self.next_timestamp = self.next_timestamp.next();
-        let auth = self.votes.mac.request_tag(id, &op, encrypted);
-        self.votes.clear();
-        self.in_flight = Some(id);
-        Request { id, op, encrypted, auth }
+        let auth = self.mac.request_tag(id, &op, encrypted);
+        let request = Request { id, op, encrypted, auth };
+        let flight = Flight {
+            request: request.clone(),
+            issued_at: now,
+            last_sent: now,
+            votes: Votes::default(),
+            tag,
+        };
+        self.flights.insert(id.timestamp, flight);
+        request
+    }
+
+    /// The requests due again at `now`, for every replica: each one in
+    /// flight and last sent `resend_after` or more ago. Marks them sent.
+    pub fn due(&mut self, now: u64) -> Vec<Request> {
+        let resend_after = self.resend_after;
+        self.flights
+            .values_mut()
+            .filter(|flight| now.saturating_sub(flight.last_sent) >= resend_after)
+            .map(|flight| {
+                flight.last_sent = now;
+                flight.request.clone()
+            })
+            .collect()
+    }
+
+    /// When the next request falls due, if any is in flight.
+    pub fn next_due(&self) -> Option<u64> {
+        let last_sent = self.flights.values().map(|flight| flight.last_sent).min()?;
+        Some(last_sent.saturating_add(self.resend_after))
     }
 
     /// Delivers one replica reply.
     pub fn on_reply(&mut self, reply: &Reply) -> ClientEvent {
-        if self.in_flight != Some(reply.request) || !self.votes.authentic(reply) {
-            return ClientEvent::Ignored;
-        }
-        match self.votes.count(reply) {
-            Some(result) => {
-                self.in_flight = None;
-                ClientEvent::Completed(result)
-            }
-            None => ClientEvent::Pending,
+        match self.vote(reply) {
+            None => ClientEvent::Ignored,
+            Some(None) => ClientEvent::Pending,
+            Some(Some(done)) => ClientEvent::Completed(done.result),
         }
     }
 
-    /// Abandons the in-flight request (client-side timeout path; runtimes
-    /// that retransmit simply re-send the same request instead).
-    pub fn abort_in_flight(&mut self) {
-        self.in_flight = None;
+    /// Delivers one replica reply; returns the whole request once it
+    /// completes.
+    pub fn complete(&mut self, reply: &Reply) -> Option<Completion> {
+        self.vote(reply).flatten()
+    }
+
+    /// Counts `reply` as a vote: `None` if it is none (forged, or for
+    /// no request in flight), then the completion if it is the last.
+    fn vote(&mut self, reply: &Reply) -> Option<Option<Completion>> {
+        let timestamp = reply.request.timestamp;
+        let flight = self.flights.get_mut(&timestamp)?;
+        if flight.request.id != reply.request || !authentic(&self.mac, reply) {
+            return None;
+        }
+        self.view = self.view.max(reply.view.0);
+        let Some(result) = flight.votes.count(reply, self.quorum) else {
+            return Some(None);
+        };
+        let Flight { issued_at, tag, .. } = self.flights.remove(&timestamp)?;
+        Some(Some(Completion { result, issued_at, tag }))
     }
 }
 
@@ -192,30 +306,37 @@ mod tests {
     /// hybrid at `n = 2f + 1 = 3`, both `f = 1`, so both accept on two.
     const SHAPES: [(u32, usize); 2] = [(4, 2), (3, 2)];
 
-    fn reply(request: RequestId, replica: u32, result: &'static [u8], seed: u64) -> Reply {
-        let mac = client_mac_key(seed, request.client);
-        let result = Bytes::from_static(result);
-        let auth = mac.reply_tag(View(0), request, ReplicaId(replica), &result, false);
-        Reply { view: View(0), request, replica: ReplicaId(replica), result, encrypted: false, auth }
+    fn reply_in(view: u64, id: RequestId, replica: u32, result: &'static [u8], seed: u64) -> Reply {
+        let (view, replica, result) = (View(view), ReplicaId(replica), Bytes::from_static(result));
+        let auth = client_mac_key(seed, id.client).reply_tag(view, id, replica, &result, false);
+        Reply { view, request: id, replica, result, encrypted: false, auth }
     }
 
-    fn client(quorum: usize) -> LockstepClient {
-        LockstepClient::new(quorum, ClientId(1), SEED)
+    fn reply(request: RequestId, replica: u32, result: &'static [u8], seed: u64) -> Reply {
+        reply_in(0, request, replica, result, seed)
+    }
+
+    fn client(quorum: usize) -> Client {
+        Client::new(quorum, ClientId(1), SEED)
     }
 
     #[test]
     fn completes_on_f_plus_1_matching_replies() {
         for (n, quorum) in SHAPES {
             let mut client = client(quorum);
-            let req = client.issue(Bytes::from_static(b"op"));
-            assert!(client.has_in_flight());
+            let req = client.issue(b"op");
+            assert_eq!(client.in_flight(), 1);
+            // A plaintext request the replicas can verify.
+            assert!(!req.encrypted && &req.op[..] == b"op");
+            let auth_bytes = Request::auth_bytes(req.id, &req.op, req.encrypted);
+            assert!(client_mac_key(SEED, req.id.client).verify(&auth_bytes, &req.auth));
 
             assert_eq!(client.on_reply(&reply(req.id, n - 1, b"ok", SEED)), ClientEvent::Pending);
             assert_eq!(
                 client.on_reply(&reply(req.id, 0, b"ok", SEED)),
                 ClientEvent::Completed(Bytes::from_static(b"ok"))
             );
-            assert!(!client.has_in_flight());
+            assert_eq!(client.in_flight(), 0);
         }
     }
 
@@ -223,7 +344,7 @@ mod tests {
     fn conflicting_replies_do_not_complete() {
         for (_, quorum) in SHAPES {
             let mut client = client(quorum);
-            let req = client.issue(Bytes::from_static(b"op"));
+            let req = client.issue(b"op");
             assert_eq!(client.on_reply(&reply(req.id, 0, b"a", SEED)), ClientEvent::Pending);
             assert_eq!(client.on_reply(&reply(req.id, 1, b"b", SEED)), ClientEvent::Pending);
             // A third, matching one of them, completes.
@@ -238,7 +359,7 @@ mod tests {
     fn duplicate_replica_counts_once() {
         for (_, quorum) in SHAPES {
             let mut client = client(quorum);
-            let req = client.issue(Bytes::from_static(b"op"));
+            let req = client.issue(b"op");
             assert_eq!(client.on_reply(&reply(req.id, 0, b"ok", SEED)), ClientEvent::Pending);
             assert_eq!(client.on_reply(&reply(req.id, 0, b"ok", SEED)), ClientEvent::Pending);
         }
@@ -248,14 +369,16 @@ mod tests {
     fn forged_reply_ignored() {
         for (_, quorum) in SHAPES {
             let mut client = client(quorum);
-            let req = client.issue(Bytes::from_static(b"op"));
+            let req = client.issue(b"op");
             // MACed under the wrong key: the attacker does not know the
             // client's.
             let forged = reply(req.id, 0, b"evil", SEED + 1);
             assert_eq!(client.on_reply(&forged), ClientEvent::Ignored);
+            assert!(!client.authentic(&forged));
             let mut zeroed = reply(req.id, 1, b"evil", SEED);
             zeroed.auth = [0; 32];
             assert_eq!(client.on_reply(&zeroed), ClientEvent::Ignored);
+            assert!(client.authentic(&reply(req.id, 1, b"evil", SEED)));
         }
     }
 
@@ -263,12 +386,12 @@ mod tests {
     fn stale_reply_ignored() {
         for (_, quorum) in SHAPES {
             let mut client = client(quorum);
-            let req1 = client.issue(Bytes::from_static(b"op"));
+            let req1 = client.issue(b"op");
             client.on_reply(&reply(req1.id, 0, b"ok", SEED));
             client.on_reply(&reply(req1.id, 1, b"ok", SEED));
             // Request 2 in flight; a late reply for request 1 is ignored,
             // and request 1's votes do not count toward request 2.
-            let req2 = client.issue(Bytes::from_static(b"op2"));
+            let req2 = client.issue(b"op2");
             assert_eq!(client.on_reply(&reply(req1.id, 2, b"ok", SEED)), ClientEvent::Ignored);
             assert_eq!(client.on_reply(&reply(req2.id, 2, b"ok", SEED)), ClientEvent::Pending);
         }
@@ -277,10 +400,9 @@ mod tests {
     #[test]
     fn timestamps_increase() {
         for (_, quorum) in SHAPES {
-            let mut client = client(quorum).starting_at(Timestamp(100));
-            let r1 = client.issue(Bytes::from_static(b"a"));
-            client.abort_in_flight();
-            let r2 = client.issue(Bytes::from_static(b"b"));
+            let mut client = client(quorum).with_depth(2).starting_at(Timestamp(100));
+            let r1 = client.issue(b"a");
+            let r2 = client.issue(b"b");
             assert_eq!(r1.id.timestamp, Timestamp(100));
             assert!(r2.id.timestamp > r1.id.timestamp);
         }
@@ -288,10 +410,79 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "in flight")]
-    fn double_issue_panics() {
+    fn issuing_past_the_depth_panics() {
         let mut client = client(2);
-        let _ = client.issue(Bytes::from_static(b"a"));
-        let _ = client.issue(Bytes::from_static(b"b"));
+        let _ = client.issue(b"a");
+        let _ = client.issue(b"b");
+    }
+
+    #[test]
+    fn requests_complete_out_of_order_at_depth() {
+        for (n, quorum) in SHAPES {
+            let mut client = client(quorum).with_depth(3);
+            let reqs: Vec<Request> =
+                (0..3).map(|i| client.issue_at(Bytes::new(), false, i.into(), i)).collect();
+            assert_eq!(client.room(), 0);
+            // The last one completes first, handing back its issue time
+            // and tag; the others stay in flight.
+            assert_eq!(client.complete(&reply(reqs[2].id, 0, b"c", SEED)), None);
+            let done = client.complete(&reply(reqs[2].id, n - 1, b"c", SEED)).unwrap();
+            assert_eq!((done.result, done.issued_at, done.tag), (Bytes::from_static(b"c"), 2, 2));
+            assert_eq!((client.in_flight(), client.room()), (2, 1));
+            // A vote for one request is no vote for another.
+            assert_eq!(client.on_reply(&reply(reqs[0].id, 1, b"a", SEED)), ClientEvent::Pending);
+            assert_eq!(client.on_reply(&reply(reqs[1].id, 1, b"a", SEED)), ClientEvent::Pending);
+            assert_eq!(
+                client.on_reply(&reply(reqs[0].id, 2, b"a", SEED)),
+                ClientEvent::Completed(Bytes::from_static(b"a"))
+            );
+            assert_eq!(client.in_flight(), 1);
+        }
+    }
+
+    #[test]
+    fn a_stale_request_falls_due_for_every_replica() {
+        for (n, quorum) in SHAPES {
+            let mut client = client(quorum).with_depth(2).resending_after(5);
+            let first = client.issue_at(Bytes::from_static(b"a"), false, 0, 0);
+            let second = client.issue_at(Bytes::from_static(b"b"), false, 3, 0);
+            assert!(client.due(4).is_empty());
+            assert_eq!(client.next_due(), Some(5));
+            assert_eq!(client.due(5), vec![first.clone()]);
+            // Sent again at 5: the next round falls due at 8 (the
+            // second request) and 10 (the first).
+            assert_eq!(client.next_due(), Some(8));
+            assert_eq!(client.due(9), vec![second.clone()]);
+            assert_eq!(client.due(10), vec![first.clone()]);
+            // A completed request is never due again.
+            client.on_reply(&reply(first.id, 0, b"ok", SEED));
+            client.on_reply(&reply(first.id, n - 1, b"ok", SEED));
+            assert_eq!(client.due(100), vec![second]);
+        }
+        // Without a resend period nothing is ever due.
+        let mut client = client(2);
+        client.issue(b"a");
+        assert!(client.due(u64::MAX - 1).is_empty());
+    }
+
+    #[test]
+    fn the_primary_moves_with_the_view_authentic_replies_name() {
+        for (n, quorum) in SHAPES {
+            let mut client = client(quorum).with_depth(2);
+            assert_eq!(client.primary(n as usize), 0);
+            let first = client.issue(b"a");
+            let second = client.issue(b"b");
+            // A forged reply naming a later view moves nothing.
+            client.on_reply(&reply_in(5, first.id, 1, b"ok", SEED + 1));
+            assert_eq!(client.primary(n as usize), 0);
+            // An authentic one does, even before its request completes.
+            client.on_reply(&reply_in(1, first.id, 1, b"ok", SEED));
+            assert_eq!(client.primary(n as usize), 1);
+            // An older view named later does not move it back.
+            client.on_reply(&reply_in(0, second.id, 2, b"ok", SEED));
+            client.on_reply(&reply_in(n as u64 + 2, second.id, 0, b"ok", SEED));
+            assert_eq!(client.primary(n as usize), 2);
+        }
     }
 
     fn request_id() -> RequestId {

@@ -10,7 +10,7 @@
 //! application, written once: the exactly-once [`ReplyCache`] an
 //! executing replica keeps (and the checkpoint-state format it travels
 //! in), and the client end of the service — [`QuorumTracker`] and the
-//! closed-loop [`LockstepClient`].
+//! one sans-IO [`Client`] every runtime hosts.
 //!
 //! Determinism is the contract: every correct replica executes the same
 //! operations in the same order and must reach bit-identical state, so
@@ -42,7 +42,7 @@ use splitbft_types::Digest;
 use std::fmt;
 
 pub use blockchain::{Block, Blockchain};
-pub use client::{ClientEvent, LockstepClient, QuorumTracker};
+pub use client::{Client, ClientEvent, Completion, QuorumTracker};
 pub use counter::CounterApp;
 pub use kvs::{KeyValueStore, KvOp, KvResult};
 pub use replies::{Cached, ReplyCache};

@@ -1,6 +1,7 @@
 //! The SplitBFT client: attestation, session-key installation and
-//! request/result encryption around the shared [`LockstepClient`], which
-//! authenticates requests and collects the reply quorum.
+//! request/result encryption around the one [`Client`], which
+//! authenticates requests and collects the reply quorum. A plaintext
+//! client of a SplitBFT cluster is a bare [`Client`].
 //!
 //! Paper §4, step 1: "the client first attests to the execution and
 //! preparation enclave verifying their genuineness and SGX support. When
@@ -12,15 +13,13 @@
 use crate::exec::{REPLY_AAD, REQ_AAD};
 use crate::scheme::compartment_measurement;
 use bytes::Bytes;
-use splitbft_app::{ClientEvent, LockstepClient};
+use splitbft_app::{Client, ClientEvent};
 use splitbft_crypto::aead::{open, seal, AeadKey};
 use splitbft_crypto::digest_bytes;
 use splitbft_crypto::sig::{dh_public, dh_shared};
 use splitbft_tee::attest::{AttestationError, PlatformAuthority, Quote};
 use splitbft_types::wire::Encode;
-use splitbft_types::{
-    ClientId, ClusterConfig, CompartmentKind, PublicKey, Reply, Request, Timestamp,
-};
+use splitbft_types::{ClientId, ClusterConfig, CompartmentKind, PublicKey, Reply, Request};
 
 /// Wrapping nonce for session-key installation (must match the Execution
 /// compartment).
@@ -30,13 +29,10 @@ const WRAP_NONCE: u64 = 0;
 #[derive(Debug)]
 pub struct SplitBftClient {
     /// Request authentication and the `f + 1` reply quorum.
-    inner: LockstepClient,
+    inner: Client,
     session_key_bytes: [u8; 32],
     session: AeadKey,
     dh_secret: u64,
-    /// When `false`, requests are sent in plaintext (the non-confidential
-    /// deployment used for like-for-like performance comparison).
-    encrypt: bool,
 }
 
 impl SplitBftClient {
@@ -50,28 +46,11 @@ impl SplitBftClient {
             digest_bytes(&[b"client-dh".as_slice(), &client_seed.to_le_bytes()].concat());
         let dh_secret = u64::from_le_bytes(dh_digest.0[..8].try_into().expect("8 bytes"));
         SplitBftClient {
-            inner: LockstepClient::new(config.reply_quorum(), id, master_seed),
+            inner: Client::new(config.reply_quorum(), id, master_seed),
             session: AeadKey::new(&session_key_bytes),
             session_key_bytes,
             dh_secret,
-            encrypt: true,
         }
-    }
-
-    /// Disables request encryption (plaintext mode, used by performance
-    /// comparisons where the baseline has no confidentiality either).
-    #[must_use]
-    pub fn with_plaintext(mut self) -> Self {
-        self.encrypt = false;
-        self
-    }
-
-    /// Resumes this client identity at `timestamp` (see
-    /// [`LockstepClient::starting_at`]).
-    #[must_use]
-    pub fn starting_at(mut self, timestamp: Timestamp) -> Self {
-        self.inner = self.inner.starting_at(timestamp);
-        self
     }
 
     /// This client's id.
@@ -108,34 +87,29 @@ impl SplitBftClient {
         Ok((dh_public(self.dh_secret), wrapped))
     }
 
-    /// Issues the next request; the operation is encrypted under the
-    /// session key unless plaintext mode is enabled.
+    /// Issues the next request, its operation encrypted under the
+    /// session key.
     ///
     /// # Panics
     ///
     /// Panics if a request is already in flight (closed-loop contract).
     pub fn issue(&mut self, op: &[u8]) -> Request {
-        if !self.encrypt {
-            return self.inner.issue(Bytes::copy_from_slice(op));
-        }
         // The deterministic nonce is the request's own timestamp.
         let nonce = self.inner.next_request_id().timestamp.0;
-        self.inner.issue_payload(Bytes::from(seal(&self.session, nonce, REQ_AAD, op)), true)
+        self.inner.issue_at(Bytes::from(seal(&self.session, nonce, REQ_AAD, op)), true, 0, 0)
     }
 
     /// Delivers one replica reply; completes on `f + 1` matching results
-    /// (decrypting them if the request was confidential).
+    /// that decrypt. A quorum may agree on a result that does not — the
+    /// request executed as a no-op, say before the session key was
+    /// installed — and that is [`ClientEvent::Undecryptable`].
     pub fn on_reply(&mut self, reply: &Reply) -> ClientEvent {
         match self.inner.on_reply(reply) {
-            ClientEvent::Completed(winner) if reply.encrypted || self.encrypt => {
-                // A quorum may agree on a result the client cannot
-                // decrypt: the request was executed as a no-op (e.g.
-                // before the session key was installed) — surface the raw
-                // bytes.
+            ClientEvent::Completed(winner) => {
                 let nonce = reply.request.timestamp.0;
                 match open(&self.session, nonce, REPLY_AAD, &winner) {
                     Ok(plain) => ClientEvent::Completed(Bytes::from(plain)),
-                    Err(_) => ClientEvent::Completed(winner),
+                    Err(_) => ClientEvent::Undecryptable(winner),
                 }
             }
             event => event,
@@ -146,15 +120,6 @@ impl SplitBftClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn plaintext_mode_issues_plain_requests() {
-        let cfg = ClusterConfig::new(4).unwrap();
-        let mut c = SplitBftClient::new(cfg, ClientId(0), 1, 2).with_plaintext();
-        let req = c.issue(b"op-bytes");
-        assert!(!req.encrypted);
-        assert_eq!(&req.op[..], b"op-bytes");
-    }
 
     #[test]
     fn encrypted_mode_hides_the_operation() {

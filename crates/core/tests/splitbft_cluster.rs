@@ -9,7 +9,7 @@ mod shared;
 
 use bytes::Bytes;
 use shared::{heal, isolate, replicas, time_out, Stack};
-use splitbft_app::{Application, CounterApp, KeyValueStore, KvOp};
+use splitbft_app::{Application, Client, CounterApp, KeyValueStore, KvOp};
 use splitbft_core::ecall::ECALL_HANDLE;
 use splitbft_core::{
     enclave_signer, ClientEvent, CompartmentInput, CompartmentOutput, EnclaveAdapter,
@@ -152,6 +152,33 @@ fn confidential_client_roundtrip_with_attestation() {
         assert!(!reply.encrypted);
         assert_eq!(&reply.result[..], splitbft_app::NOOP_RESULT);
     }
+}
+
+#[test]
+fn a_quorum_result_the_client_cannot_open_is_not_completed() {
+    // The refused client of the round trip above: its key never
+    // installs, so every replica executes its request as a no-op and
+    // answers in plaintext. Those replies agree, but they are no result
+    // of the operation the client sent.
+    let mut cluster = cluster(4, 128, KeyValueStore::new);
+    let authority = PlatformAuthority::from_seed(7);
+    let mut refused = SplitBftClient::new(ClusterConfig::new(4).unwrap(), ClientId(6), SEED, 98);
+    for i in 0..4 {
+        let quote = cluster.replica_mut(i).attestation_quote(&authority);
+        let (dh_pub, mut wrapped) =
+            refused.attest_execution_enclave(&authority.public_key(), &quote).unwrap();
+        wrapped[0] ^= 1;
+        assert!(cluster.replica_mut(i).install_session_key(ClientId(6), dh_pub, wrapped).is_err());
+    }
+    let get = refused.issue(&KvOp::get(b"secret-key").encode_op());
+    cluster.submit(0, std::slice::from_ref(&get));
+    let replies = std::mem::take(&mut cluster.replies);
+    assert_eq!(replies.iter().filter(|r| r.request == get.id).count(), 4);
+    let events: Vec<ClientEvent> = replies.iter().map(|reply| refused.on_reply(reply)).collect();
+    assert!(!events.iter().any(|e| matches!(e, ClientEvent::Completed(_))), "{events:?}");
+    // The quorum is still reported once, as what it is.
+    let noop = ClientEvent::Undecryptable(Bytes::from_static(splitbft_app::NOOP_RESULT));
+    assert_eq!(events.iter().filter(|e| **e == noop).count(), 1, "{events:?}");
 }
 
 #[test]
@@ -564,7 +591,7 @@ fn corrupting_exec_enclave_cannot_forge_accepted_replies() {
         FaultPlan::immediate(FaultKind::CorruptOcalls { xor: 0x55 }),
     );
     let cfg = ClusterConfig::new(4).unwrap();
-    let mut client = SplitBftClient::new(cfg, ClientId(0), SEED, 1).with_plaintext();
+    let mut client = Client::new(cfg.reply_quorum(), ClientId(0), SEED);
     let req = client.issue(b"inc");
     cluster.submit(0, &[req]);
 

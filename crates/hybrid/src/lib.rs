@@ -37,5 +37,4 @@ pub mod usig;
 pub use config::HybridConfig;
 pub use message::{HybridMessage, HybridPrepare, HybridCommit};
 pub use replica::HybridReplica;
-pub use splitbft_app::{ClientEvent, LockstepClient};
 pub use usig::{FaultyUsig, Usig, UsigError, UsigTrait, UsigUi, UsigVerifier};

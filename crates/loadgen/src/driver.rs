@@ -1,37 +1,39 @@
 //! Closed- and open-loop workload drivers.
 //!
 //! A driver runs `clients` concurrent client threads against a deployed
-//! cluster. Each thread owns one [`TcpClient`] connection
-//! fan-out and keeps up to `pipeline` requests outstanding (closed
-//! loop), or issues on a fixed schedule regardless of completions (open
-//! loop, the offered-load mode that reveals saturation). Completion —
-//! `f + 1` MAC-verified matching replies — is detected per request by a
-//! [`QuorumTracker`]; latencies land in a per-thread [`LatencyHistogram`]
-//! and are merged when the run ends.
+//! cluster. Each thread owns one [`TcpClient`] connection fan-out and
+//! one [`Client`], which keeps up to `pipeline` requests outstanding
+//! (closed loop), or issues on a fixed schedule regardless of
+//! completions (open loop, the offered-load mode that reveals
+//! saturation). The [`Client`] detects completion — `f + 1`
+//! MAC-verified matching replies — per request; latencies land in a
+//! per-thread [`LatencyHistogram`] and are merged when the run ends.
 //!
 //! # Threads
 //!
 //! One per client. Its loop sends everything due as one `REQUESTS`
-//! frame, then waits in [`TcpClient::poll`] and feeds each reply to its
-//! request's tracker as it is read, so a burst of completions is counted
-//! before the next pass refills the pipeline — with all of them.
+//! frame, then waits in [`TcpClient::poll`] and feeds each reply to the
+//! client as it is read, so a burst of completions is counted before
+//! the next pass refills the pipeline — with all of them.
 //!
-//! Retransmission follows the PBFT client rule: a request outstanding
-//! longer than `retry_every` is re-broadcast to every reachable replica
-//! (replicas that executed it answer from their reply cache). After the
+//! Routing and retransmission are the [`Client`]'s, on a clock of
+//! nanoseconds since the run started. New requests go to the primary of
+//! the highest view an authentic reply named — replica 0 until a reply
+//! names a later view — or to every reachable replica if that one cannot
+//! be written. A request outstanding longer than `retry_every` falls due
+//! and is re-broadcast to every reachable replica (the PBFT client rule;
+//! replicas that executed it answer from their reply cache). After the
 //! measurement window the driver drains: it stops issuing and waits up
 //! to `drain_timeout` for stragglers, counting whatever never completes
 //! as timed out.
 
 use crate::hist::{LatencyHistogram, Windows};
-use crate::quorum::QuorumTracker;
 use crate::workload::Workload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use splitbft_crypto::client_mac_key;
+use splitbft_app::Client;
 use splitbft_net::client::TcpClient;
-use splitbft_types::{ClientId, Request, RequestId, Timestamp};
-use std::collections::BTreeMap;
+use splitbft_types::{ClientId, Timestamp};
 use std::io;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -230,15 +232,6 @@ struct ClientStats {
     per_shard_completed: Vec<u64>,
 }
 
-/// One request awaiting its reply quorum, filed under its timestamp.
-struct Flight {
-    request: Request,
-    last_sent: Instant,
-    issued_at: Instant,
-    shard: u32,
-    tracker: QuorumTracker,
-}
-
 impl ClientStats {
     /// Counts one completion of a request for `shard`, `latency` after
     /// it was issued and `at` into the run.
@@ -259,24 +252,31 @@ fn client_loop(
     open_period: Option<Duration>,
     index: usize,
 ) -> io::Result<ClientStats> {
-    let client = ClientId(CLIENT_ID_BASE + index as u32);
-    let mac = client_mac_key(config.master_seed, client);
+    let id = ClientId(CLIENT_ID_BASE + index as u32);
     let mut rng = StdRng::seed_from_u64(
         config.master_seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(index as u64 + 1),
     );
-    let mut tcp = TcpClient::connect(client, &config.addrs, CONNECT_TIMEOUT)?;
+    let mut tcp = TcpClient::connect(id, &config.addrs, CONNECT_TIMEOUT)?;
 
     // Wall-clock timestamps: replicas dedupe requests by each client's
     // last-seen timestamp, so a rerun reusing an id must start above
     // everything it ever issued.
-    let mut next_ts = SystemTime::now()
+    let first_timestamp = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_micros() as u64)
         .unwrap_or(1)
         .max(1);
+    // The open loop issues regardless of completions: no depth bounds it.
+    let depth = if open_period.is_some() { usize::MAX } else { config.pipeline };
+    let resend_after = u64::try_from(config.retry_every.as_nanos()).unwrap_or(u64::MAX);
+    let mut client = Client::new(config.reply_quorum, id, config.master_seed)
+        .with_depth(depth)
+        .resending_after(resend_after)
+        .starting_at(Timestamp(first_timestamp));
 
-    let pipeline = config.pipeline.max(1);
+    // The client's clock: nanoseconds since `start`.
     let start = Instant::now();
+    let clock = || start.elapsed().as_nanos() as u64;
     let deadline = start + config.duration;
     let hard_stop = deadline + config.drain_timeout;
     // Open loop: this client covers every `period`, staggered so the
@@ -292,100 +292,73 @@ fn client_loop(
         windows: Windows::new(WINDOW),
         per_shard_completed: vec![0; config.shards.max(1) as usize],
     };
-    let mut inflight: BTreeMap<u64, Flight> = BTreeMap::new();
-
-    // Builds `count` authenticated requests, sends them as one REQUESTS
-    // frame (client-side batching — the mirror of the replicas'
-    // send-path batching), then files each with its quorum tracker.
-    let mut issue = |count: usize,
-                     tcp: &mut TcpClient,
-                     inflight: &mut BTreeMap<u64, Flight>,
-                     stats: &mut ClientStats|
-     -> io::Result<()> {
-        if count == 0 {
-            return Ok(());
-        }
-        let issued_at = Instant::now();
-        let mut batch = Vec::with_capacity(count);
-        let mut shards = Vec::with_capacity(count);
-        for offset in 0..count {
-            let timestamp = Timestamp(next_ts);
-            next_ts += 1;
-            // Each request in the coalesced frame keeps its own workload
-            // sequence number (blockchain ops embed it to stay distinct).
-            let sequence = stats.issued + offset as u64;
-            let (op, shard) = config.workload.next_op_sharded(&mut rng, sequence, config.shards);
-            let id = RequestId { client, timestamp };
-            let auth = mac.request_tag(id, &op, false);
-            batch.push(Request { id, op, encrypted: false, auth });
-            shards.push(shard.0);
-        }
-        // The view-0 primary first; every reachable replica if it cannot
-        // be written.
-        tcp.send_to(0, &batch).or_else(|_| tcp.send_all(&batch))?;
-        for (request, shard) in batch.into_iter().zip(shards) {
-            let tracker = QuorumTracker::new(mac.clone(), config.reply_quorum);
-            let flight = Flight { request, last_sent: issued_at, issued_at, shard, tracker };
-            inflight.insert(flight.request.id.timestamp.0, flight);
-        }
-        stats.issued += count as u64;
-        Ok(())
-    };
 
     loop {
-        // Issue phase: everything due right now goes out in one frame.
-        match open_period {
-            None => {
-                if Instant::now() < deadline {
-                    let want = pipeline.saturating_sub(inflight.len());
-                    issue(want, &mut tcp, &mut inflight, &mut stats)?;
-                }
-            }
+        // Issue phase: everything due right now goes out in one
+        // REQUESTS frame (client-side batching — the mirror of the
+        // replicas' send-path batching), each request tagged with its
+        // shard.
+        let count = match open_period {
+            None if Instant::now() < deadline => client.room(),
+            None => 0,
             Some(period) => {
                 let mut due = 0;
                 while next_issue <= Instant::now() && Instant::now() < deadline {
                     due += 1;
                     next_issue += period;
                 }
-                issue(due, &mut tcp, &mut inflight, &mut stats)?;
+                due
             }
+        };
+        if count > 0 {
+            let now = clock();
+            let batch: Vec<_> = (0..count)
+                .map(|offset| {
+                    // Each request in the coalesced frame keeps its own
+                    // workload sequence number (blockchain ops embed it
+                    // to stay distinct).
+                    let sequence = stats.issued + offset as u64;
+                    let (op, shard) =
+                        config.workload.next_op_sharded(&mut rng, sequence, config.shards);
+                    client.issue_at(op, false, now, shard.0)
+                })
+                .collect();
+            let primary = client.primary(config.addrs.len());
+            tcp.send_to(primary, &batch).or_else(|_| tcp.send_all(&batch))?;
+            stats.issued += count as u64;
         }
 
         let now = Instant::now();
-        if inflight.is_empty() && now >= deadline {
+        if client.in_flight() == 0 && now >= deadline {
             break;
         }
         // Past the drain window, or with every replica hung up, nothing
         // in flight will complete.
         if now >= hard_stop || tcp.connected() == 0 {
-            stats.timed_out += inflight.len() as u64;
+            stats.timed_out += client.in_flight() as u64;
             break;
         }
 
-        // Read whatever replies are ready, feeding each to its request's
-        // tracker (bounded so retransmission and open-loop scheduling
-        // stay responsive). Replies beyond a quorum find no flight.
+        // Read whatever replies are ready, feeding each to the client
+        // (bounded so retransmission and open-loop scheduling stay
+        // responsive). Replies beyond a quorum complete nothing.
         let mut wait = Duration::from_millis(20).min(hard_stop - now);
         if open_period.is_some() && now < deadline {
             wait = wait.min(next_issue.saturating_duration_since(now));
         }
         tcp.poll(wait.max(Duration::from_micros(200)), |reply| {
-            let timestamp = reply.request.timestamp.0;
-            let Some(flight) = inflight.get_mut(&timestamp) else { return };
-            if flight.request.id == reply.request && flight.tracker.on_reply(&reply).is_some() {
-                stats.record(flight.issued_at.elapsed(), start.elapsed(), flight.shard);
-                inflight.remove(&timestamp);
+            if let Some(done) = client.complete(&reply) {
+                let now = clock();
+                let (latency, at) = (now - done.issued_at, now);
+                stats.record(Duration::from_nanos(latency), Duration::from_nanos(at), done.tag);
             }
         });
 
         // Retransmit stragglers (at-most-once transport: loss recovery
         // is the client's job).
-        let now = Instant::now();
-        for flight in inflight.values_mut() {
-            if now.duration_since(flight.last_sent) >= config.retry_every {
-                let _ = tcp.send_all(std::slice::from_ref(&flight.request));
-                flight.last_sent = now;
-            }
+        let due = client.due(clock());
+        if !due.is_empty() {
+            let _ = tcp.send_all(&due);
         }
     }
 
@@ -399,7 +372,7 @@ mod tests {
     use splitbft_crypto::ClientMacKeys;
     use splitbft_net::{EventedNode, NodeConfig};
     use splitbft_net::transport::{Protocol, ProtocolOutput};
-    use splitbft_types::{ReplicaId, Reply, View};
+    use splitbft_types::{ReplicaId, Reply, Request, View};
 
     /// A single-"replica" protocol that executes nothing but answers
     /// every authentic request with a correctly MACed reply, so the

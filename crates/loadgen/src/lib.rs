@@ -16,9 +16,9 @@
 //! - [`workload`]: operation generators for the counter, key-value
 //!   store (keyspace / value-size / read-ratio knobs) and blockchain
 //!   applications.
-//! - [`quorum`]: per-request `f + 1` MAC-verified reply-quorum
-//!   tracking — the acceptance rule all three protocols share, freed
-//!   from the lock-step client state machines.
+//! - [`QuorumTracker`]: per-request `f + 1` MAC-verified reply-quorum
+//!   tracking — the acceptance rule all three protocols share, from
+//!   `splitbft-app`, whose `Client` each driver thread runs.
 //! - [`hist`]: allocation-light log-bucketed latency histogram and
 //!   windowed throughput tracking (re-exported from `splitbft-obs`, so
 //!   the node-side metrics registry shares the bucket scheme).
@@ -54,12 +54,11 @@ pub mod driver;
 pub mod hist {
     pub use splitbft_obs::hist::{LatencyHistogram, Windows};
 }
-pub mod quorum;
 pub mod report;
 pub mod workload;
 
 pub use driver::{DriverConfig, LoadMode, LoadStats};
 pub use hist::{LatencyHistogram, Windows};
-pub use quorum::QuorumTracker;
 pub use report::{BatchSummary, BenchReport, DurabilitySummary, LatencySummary};
+pub use splitbft_app::QuorumTracker;
 pub use workload::Workload;

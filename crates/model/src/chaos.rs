@@ -30,7 +30,7 @@
 //! checkpoint, so even its first victim has a WAL to recover from.
 //!
 //! The oracle is what a client sees. A request completes on `f + 1`
-//! matching MAC-verified replies ([`LockstepClient`]); the counter
+//! matching MAC-verified replies ([`Client`]); the counter
 //! returns its post-increment value, so no two accepted requests may
 //! carry the same one ([`Oracle`]). That catches a fork and a rollback
 //! after a restart alike. Nothing reads a wall clock, so a schedule
@@ -42,9 +42,8 @@ pub use schedule::{FaultStep, Phase, Schedule};
 
 use crate::byzantine::{ByzantineMessage, ByzantineProtocol};
 use bytes::Bytes;
-use splitbft_app::{ClientEvent, CounterApp, LockstepClient};
+use splitbft_app::{Client, ClientEvent, CounterApp};
 use splitbft_core::SplitBftReplica;
-use splitbft_crypto::{client_mac_key, MacKey};
 use splitbft_hybrid::{HybridConfig, HybridReplica, Usig};
 use splitbft_net::lockstep::Cluster;
 use splitbft_net::{FaultPlan, Protocol};
@@ -54,8 +53,7 @@ use splitbft_store::{replica_sealing_identity, DurableProtocol};
 use splitbft_tee::{CostModel, ExecMode};
 use splitbft_types::status::StatusEvent;
 use splitbft_types::{
-    ClientId, ClusterConfig, FaultCommand, ReplicaId, Reply, Request, RequestId,
-    ShardId, Timestamp,
+    ClientId, ClusterConfig, FaultCommand, ReplicaId, Reply, RequestId, ShardId, Timestamp,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -393,8 +391,8 @@ const WARM_UP_COMMITS: u64 = CHECKPOINT_INTERVAL + 1;
 /// final advance check may take.
 const AWAIT_STEPS: u64 = 150;
 
-/// Periods the client waits for a reply quorum before it rebroadcasts
-/// the request to every replica.
+/// Periods the client waits for a reply quorum before its request is
+/// due again, for every replica: the client's `resend_after`.
 const RETRANSMIT_STEPS: u64 = 2;
 
 /// Requests the client completes back to back before the next period.
@@ -514,13 +512,8 @@ where
 /// The cluster, the closed-loop client and the oracle of one run.
 struct Driver<Q: Protocol> {
     cluster: Cluster<Q>,
-    client: LockstepClient,
-    mac: MacKey,
-    /// The request in flight and the period it was last sent in.
-    in_flight: Option<(Request, u64)>,
-    /// The highest view an accepted reply carried: the client's guess
-    /// at the primary.
-    view: u64,
+    /// One request in flight, its clock the stall-timer periods.
+    client: Client,
     /// Stall-timer periods elapsed.
     periods: u64,
     /// The stack is the hybrid and its fixed primary is down.
@@ -553,10 +546,7 @@ fn drive<Q: Protocol>(
     let quorum = deployment.stack.f(n).map_err(io::Error::other)? + 1;
     let mut driver = Driver {
         cluster,
-        client: LockstepClient::new(quorum, CLIENT, SEED),
-        mac: client_mac_key(SEED, CLIENT),
-        in_flight: None,
-        view: 0,
+        client: Client::new(quorum, CLIENT, SEED).resending_after(RETRANSMIT_STEPS),
         periods: 0,
         fixed_primary_down: false,
         hybrid: deployment.stack == Stack::Hybrid,
@@ -687,7 +677,7 @@ impl<Q: Protocol> Driver<Q> {
     /// keeping one request in flight.
     fn sleep(&mut self, periods: u64) {
         for _ in 0..periods {
-            if self.in_flight.is_none() {
+            if self.client.room() > 0 {
                 self.issue();
             }
             self.period();
@@ -701,7 +691,7 @@ impl<Q: Protocol> Driver<Q> {
         let deadline = self.periods + AWAIT_STEPS;
         let mut burst = 0;
         while !done(self) {
-            if self.in_flight.is_none() && burst < BURST {
+            if self.client.room() > 0 && burst < BURST {
                 self.issue();
                 burst += 1;
             } else if self.periods < deadline {
@@ -716,27 +706,23 @@ impl<Q: Protocol> Driver<Q> {
 
     /// Issues the next `inc` to the replica the client believes leads.
     fn issue(&mut self) {
-        let request = self.client.issue(Bytes::from_static(b"inc"));
-        let primary = (self.view % self.cluster.n() as u64) as usize;
+        let request = self.client.issue_at(Bytes::from_static(b"inc"), false, self.periods, 0);
+        let primary = self.client.primary(self.cluster.n());
         self.cluster.submit(primary, std::slice::from_ref(&request));
-        self.in_flight = Some((request, self.periods));
         self.read_replies();
     }
 
-    /// One stall-timer period of virtual time, then the client's
-    /// retransmission rule: after [`RETRANSMIT_STEPS`] periods without
-    /// a quorum, the request goes to every replica.
+    /// One stall-timer period of virtual time, then every replica gets
+    /// what the client holds due again.
     fn period(&mut self) {
         self.cluster.advance(TICK);
         self.cluster.tick();
         self.periods += 1;
         self.read_replies();
-        let Some((request, sent)) = &mut self.in_flight else { return };
-        if self.periods - *sent >= RETRANSMIT_STEPS {
-            *sent = self.periods;
-            let request = request.clone();
+        let due = self.client.due(self.periods);
+        if !due.is_empty() {
             for i in 0..self.cluster.n() {
-                self.cluster.submit(i, std::slice::from_ref(&request));
+                self.cluster.submit(i, &due);
             }
             self.read_replies();
         }
@@ -746,28 +732,15 @@ impl<Q: Protocol> Driver<Q> {
     fn read_replies(&mut self) {
         for reply in std::mem::take(&mut self.cluster.replies) {
             if let Some((victim, fresh)) = self.rejoin {
-                let tag = self.mac.reply_tag(
-                    reply.view,
-                    reply.request,
-                    reply.replica,
-                    &reply.result,
-                    reply.encrypted,
-                );
                 self.rejoined |= reply.replica == victim
                     && reply.request.timestamp >= fresh
-                    && tag == reply.auth;
+                    && self.client.authentic(&reply);
             }
-            match self.client.on_reply(&reply) {
-                ClientEvent::Completed(result) => {
-                    self.view = self.view.max(reply.view.0);
-                    self.in_flight = None;
-                    self.commits += 1;
-                    if let Err(violation) = self.oracle.accept(reply.request, result) {
-                        self.violations.push(violation);
-                    }
+            if let ClientEvent::Completed(result) = self.client.on_reply(&reply) {
+                self.commits += 1;
+                if let Err(violation) = self.oracle.accept(reply.request, result) {
+                    self.violations.push(violation);
                 }
-                ClientEvent::Pending => self.view = self.view.max(reply.view.0),
-                ClientEvent::Ignored => {}
             }
             self.replies.push(reply);
         }

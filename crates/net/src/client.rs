@@ -1,10 +1,10 @@
 //! The socket client: one connection per replica, replies read on the
 //! caller's thread.
 //!
-//! The client is transport only — pair it with a client state machine
-//! (`splitbft-app`'s `LockstepClient`, `splitbft-core`'s confidential
-//! `SplitBftClient` around it) or a bare `QuorumTracker`, which own
-//! authentication, retransmission and reply-quorum logic.
+//! The client is transport only — pair it with the client state machine
+//! (`splitbft-app`'s `Client`, or `splitbft-core`'s confidential
+//! `SplitBftClient` around one), which owns authentication, routing to
+//! the primary, retransmission and the reply quorum.
 //!
 //! # Threads
 //!

@@ -63,9 +63,7 @@
 pub mod bench;
 
 use bytes::Bytes;
-use splitbft_app::{
-    Application, Blockchain, ClientEvent, CounterApp, KeyValueStore, LockstepClient,
-};
+use splitbft_app::{Application, Blockchain, Client, ClientEvent, CounterApp, KeyValueStore};
 use splitbft_core::SplitBftReplica;
 use splitbft_hybrid::{HybridConfig, HybridReplica, Usig};
 use splitbft_net::transport::{BatchPolicy, Protocol};
@@ -850,18 +848,20 @@ fn invalid<E: fmt::Display>(e: E) -> io::Error {
 }
 
 /// Runs a closed-loop client against the cluster: `count` sequential
-/// `op` requests to the view-0 primary, awaiting the reply quorum for
-/// each. Returns the result of every completed request.
+/// `op` requests, each to the primary its replies name (replica 0 until
+/// a view change; every reachable replica if that one cannot be
+/// written), awaiting the reply quorum for each. Returns the result of
+/// every completed request.
 ///
 /// The transport is at-most-once (peer links and reply rings drop under
 /// failure and explicitly rely on client retransmission to recover), so
-/// while a request lacks its quorum it is *periodically* retransmitted
-/// to every reachable replica — the PBFT client rule. Periodic matters:
-/// against an alive-but-faulty primary the first broadcast arms the
-/// backups' request-aware timers, the resulting view change clears
-/// their pending evidence, and only a *later* retransmission hands the
-/// request to the new primary. Replicas that already executed it
-/// re-send their cached reply.
+/// while a request lacks its quorum the [`Client`] makes it due again
+/// *periodically* for every reachable replica — the PBFT client rule.
+/// Periodic matters: against an alive-but-faulty primary the first
+/// broadcast arms the backups' request-aware timers, the resulting view
+/// change clears their pending evidence, and only a *later*
+/// retransmission hands the request to the new primary. Replicas that
+/// already executed it re-send their cached reply.
 pub fn run_client(
     file: &ClusterFile,
     protocol: ProtocolKind,
@@ -880,19 +880,21 @@ pub fn run_client(
         .map_or(1, |d| d.as_micros() as u64)
         .max(1);
     let reply_quorum = fault_tolerance_for(protocol, file.n())? + 1;
-    let mut client = LockstepClient::new(reply_quorum, client_id, file.seed)
+    let resend_every = Duration::from_secs(2).min(timeout / 2).max(Duration::from_millis(100));
+    // The client's clock: nanoseconds since `start`.
+    let start = Instant::now();
+    let clock = || start.elapsed().as_nanos() as u64;
+    let mut client = Client::new(reply_quorum, client_id, file.seed)
+        .resending_after(resend_every.as_nanos() as u64)
         .starting_at(splitbft_types::Timestamp(now));
     let mut tcp = TcpClient::connect(client_id, &file.addrs(), timeout)?;
     let mut results = Vec::with_capacity(count);
     for i in 0..count {
-        let request = client.issue(Bytes::copy_from_slice(op));
-        // Primary first; fall back to broadcast if it was unreachable.
-        if tcp.send_to(0, std::slice::from_ref(&request)).is_err() {
+        let request = client.issue_at(Bytes::copy_from_slice(op), false, clock(), 0);
+        if tcp.send_to(client.primary(file.n()), std::slice::from_ref(&request)).is_err() {
             tcp.send_all(std::slice::from_ref(&request))?;
         }
         let deadline = Instant::now() + timeout;
-        let resend_every = Duration::from_secs(2).min(timeout / 2).max(Duration::from_millis(100));
-        let mut resend_at = Instant::now() + resend_every;
         let result = loop {
             let now = Instant::now();
             if now >= deadline {
@@ -901,12 +903,13 @@ pub fn run_client(
                     format!("request {i} timed out after {timeout:?}"),
                 ));
             }
-            if now >= resend_at {
-                resend_at = now + resend_every;
-                tcp.send_all(std::slice::from_ref(&request))?;
+            let due = client.due(clock());
+            if !due.is_empty() {
+                tcp.send_all(&due)?;
             }
-            let wait = deadline.min(resend_at);
-            if let Some(reply) = tcp.recv_timeout(wait.saturating_duration_since(now)) {
+            let due_in = client.next_due().map_or(u64::MAX, |at| at.saturating_sub(clock()));
+            let wait = deadline.saturating_duration_since(now).min(Duration::from_nanos(due_in));
+            if let Some(reply) = tcp.recv_timeout(wait) {
                 if let ClientEvent::Completed(result) = client.on_reply(&reply) {
                     break result;
                 }

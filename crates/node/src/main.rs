@@ -10,8 +10,8 @@
 //!
 //! `serve` hosts one replica of the cluster over the framed TCP
 //! transport (one readiness-loop thread) and runs until killed.
-//! `client` drives sequential requests at the view-0 primary and
-//! prints each agreed result. `bench` launches a localhost cluster of
+//! `client` drives sequential requests at the primary its replies name
+//! (replica 0 until a view change) and prints each agreed result. `bench` launches a localhost cluster of
 //! one protocol inside its own process, measures it and writes
 //! `BENCH_<name>.json` reports (see the `splitbft_node::bench` module
 //! docs). See `docs/ARCHITECTURE.md`

@@ -14,9 +14,6 @@
 //! - [`replica::Replica`] — the per-replica state machine, driven
 //!   through its `Protocol` impl (from `splitbft-net`): feed it messages,
 //!   client requests and timer events, route the returned outputs.
-//! - [`LockstepClient`] (from `splitbft-app`, shared by all three stacks)
-//!   — issues authenticated requests and collects `f + 1` matching
-//!   replies.
 //! - [`batcher::Batcher`] — size/timeout request batching (untrusted-side
 //!   logic per principle P1).
 //! - [`log`], [`votes`], [`checkpoint`], [`viewchange`], [`verify`] — the
@@ -54,7 +51,6 @@ pub use batcher::Batcher;
 pub use checkpoint::CheckpointTracker;
 pub use log::{MessageLog, Proposals, Slot};
 pub use replica::{make_request, Replica, Status, CATCH_UP_CHUNK_SLOTS};
-pub use splitbft_app::{ClientEvent, LockstepClient};
 pub use verify::{SignerScheme, REPLICA_SCHEME};
 pub use viewchange::{
     plan_new_view, validate_new_view, NewViewPlan, PendingRequests, ViewChangeTracker, ViewTimer,

@@ -7,11 +7,11 @@ mod shared;
 
 use bytes::Bytes;
 use shared::{heal, isolate, replicas, time_out, Stack};
-use splitbft_app::{Application, CounterApp, KeyValueStore, KvOp};
+use splitbft_app::{Application, Client, ClientEvent, CounterApp, KeyValueStore, KvOp};
 use splitbft_crypto::KeyPair;
 use splitbft_net::lockstep::Cluster;
 use splitbft_net::transport::{Protocol, ProtocolOutput};
-use splitbft_pbft::{make_request, ClientEvent, LockstepClient, Replica, Status};
+use splitbft_pbft::{make_request, Replica, Status};
 use splitbft_types::wire::encode;
 use splitbft_types::{
     Checkpoint, CheckpointCertificate, ClientId, ClusterConfig, ConsensusMessage,
@@ -64,7 +64,7 @@ fn single_request_executes_on_all_replicas() {
 fn client_collects_reply_quorum() {
     let cfg = ClusterConfig::new(4).unwrap();
     let mut cluster = cluster(4, 128, KeyValueStore::new);
-    let mut client = LockstepClient::new(cfg.reply_quorum(), ClientId(3), SEED);
+    let mut client = Client::new(cfg.reply_quorum(), ClientId(3), SEED);
     let req = client.issue(KvOp::put(b"k", b"v").encode_op());
     cluster.submit(0, &[req]);
 

@@ -17,11 +17,11 @@
 use crate::estimate::{self, EcallWork, Input};
 use crate::metrics::Metrics;
 pub use crate::workload::AppKind;
-use crate::workload::SimClient;
+use crate::workload;
 use crate::Ns;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use splitbft_app::{Application, Blockchain, KeyValueStore};
+use splitbft_app::{Application, Blockchain, Client, KeyValueStore};
 use splitbft_core::SplitBftReplica;
 use splitbft_net::lockstep::{Cluster, Delivery};
 use splitbft_net::{Protocol, ProtocolGauges};
@@ -29,7 +29,8 @@ use splitbft_pbft::{Batcher, Replica as PbftReplica};
 use splitbft_tee::{CostModel, ExecMode, TransitionStats};
 use splitbft_types::wire::{decode, Encode, FRAME_HEADER_LEN};
 use splitbft_types::{
-    BatchConfig, ClusterConfig, CompartmentKind, ConsensusMessage, ReplicaId, Reply, Request,
+    BatchConfig, ClientId, ClusterConfig, CompartmentKind, ConsensusMessage, ReplicaId, Reply,
+    Request,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -326,7 +327,7 @@ struct Sim<'c, P: Protocol, C, S> {
     /// jitter must not reorder one client's requests, or a timestamp
     /// regression would make replicas silently drop the older request.
     last_arrival: Vec<Ns>,
-    clients: Vec<SimClient>,
+    clients: Vec<Client>,
     batcher: Batcher,
     /// Closed batches not yet ordered, oldest first: a primary whose
     /// watermark window is full refuses a batch, and the batch waits —
@@ -345,6 +346,7 @@ where
     S: Fn(Option<&ConsensusMessage>) -> usize,
 {
     fn new(cfg: &'c SimConfig, cluster: Cluster<P>, threads: usize, charge: C, sender: S) -> Self {
+        let client = |i: usize| Client::new(config().reply_quorum(), ClientId(i as u32), cfg.seed);
         Sim {
             cfg,
             cluster,
@@ -355,9 +357,7 @@ where
             sent: 0,
             inboxes: vec![VecDeque::new(); N_REPLICAS],
             last_arrival: vec![0; cfg.clients],
-            clients: (0..cfg.clients)
-                .map(|i| SimClient::new(&config(), i, cfg.seed, cfg.app, cfg.payload))
-                .collect(),
+            clients: (0..cfg.clients).map(|i| client(i).with_depth(cfg.outstanding)).collect(),
             batcher: Batcher::new(cfg.batch),
             batches: VecDeque::new(),
             refused_at: None,
@@ -411,7 +411,9 @@ where
     /// Client `client` issues a request at `now`; it reaches the primary
     /// one link delay later, behind the client's previous one.
     fn issue(&mut self, client: usize, now: Ns) {
-        let request = self.clients[client].issue(now);
+        let issuer = &mut self.clients[client];
+        let op = workload::op(self.cfg.app, issuer.next_request_id(), self.cfg.payload);
+        let request = issuer.issue_at(op, false, now, 0);
         let delay = link_delay_ns(request.encoded_len(), &mut self.rng);
         let at = (now + delay).max(self.last_arrival[client] + 1);
         self.last_arrival[client] = at;
@@ -428,8 +430,8 @@ where
 
     fn on_reply(&mut self, now: Ns, reply: &Reply) {
         let client = reply.request.client.as_usize();
-        if let Some(latency) = self.clients[client].on_reply(now, reply) {
-            self.metrics.record_completion(now, latency);
+        if let Some(done) = self.clients[client].complete(reply) {
+            self.metrics.record_completion(now, now - done.issued_at);
             if now < self.cfg.duration_ns {
                 self.issue(client, now); // wind down: stop issuing, let the tail drain
             }

@@ -189,7 +189,11 @@ impl Wal {
     /// contents: the longest valid record prefix is returned and any
     /// torn tail is truncated off the file before new appends.
     pub fn open(path: &Path) -> io::Result<(Wal, Vec<Vec<u8>>)> {
-        let mut file = OpenOptions::new().read(true).write(true).create(true).open(path)?;
+        // Never truncate on open: the records on disk are what recovery
+        // reads first, and only the torn tail past the longest valid
+        // prefix is cut off, below.
+        let mut file =
+            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
         let (records, valid_len) = scan(&bytes);

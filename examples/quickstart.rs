@@ -29,10 +29,9 @@ fn main() {
         )
     }));
 
-    // A plaintext-mode client (see the `confidentiality` example for the
+    // A plaintext client (see the `confidentiality` example for the
     // encrypted path with attestation).
-    let mut client =
-        SplitBftClient::new(config.clone(), ClientId(1), MASTER_SEED, 7).with_plaintext();
+    let mut client = Client::new(config.reply_quorum(), ClientId(1), MASTER_SEED);
 
     let ops: Vec<(&str, bytes::Bytes)> = vec![
         ("PUT city=Braunschweig", KvOp::put(b"city", b"Braunschweig").encode_op()),
@@ -44,9 +43,10 @@ fn main() {
 
     for (label, op) in ops {
         let request = client.issue(&op);
-        // Clients send to the current primary (replica 0 in view 0);
-        // `submit` returns once the cluster has nothing left to deliver.
-        cluster.submit(0, &[request]);
+        // Clients send to the primary of the latest view they heard of
+        // (replica 0 in view 0); `submit` returns once the cluster has
+        // nothing left to deliver.
+        cluster.submit(client.primary(config.n()), &[request]);
 
         // Collect replies until f + 1 match.
         let result = cluster

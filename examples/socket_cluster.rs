@@ -66,10 +66,9 @@ fn main() {
 
     // Step 3: connect a client. The TCP client dials *every* replica —
     // replies must come from f + 1 distinct replicas to count — while
-    // the protocol client (`SplitBftClient`) owns request authentication
-    // and the reply-quorum rule.
-    let mut protocol_client =
-        SplitBftClient::new(config.clone(), ClientId(1), MASTER_SEED, 7).with_plaintext();
+    // the protocol client (`Client`) owns request authentication and
+    // the reply-quorum rule.
+    let mut protocol_client = Client::new(config.reply_quorum(), ClientId(1), MASTER_SEED);
     let mut tcp = TcpClient::connect(ClientId(1), &addrs, Duration::from_secs(10))
         .expect("connect client");
 
@@ -82,12 +81,13 @@ fn main() {
     ];
 
     for (label, op) in ops {
-        // Requests go to the view-0 primary (replica 0). From there the
-        // Preparation compartments order the batch, Confirmation
-        // certifies it, and Execution runs it and replies — all across
-        // sockets.
+        // Requests go to the primary the client knows of (replica 0 in
+        // view 0). From there the Preparation compartments order the
+        // batch, Confirmation certifies it, and Execution runs it and
+        // replies — all across sockets.
         let request = protocol_client.issue(&op);
-        tcp.send_to(0, &[request]).expect("send request");
+        let primary = protocol_client.primary(config.n());
+        tcp.send_to(primary, &[request]).expect("send request");
 
         let result = loop {
             let reply = tcp.recv_timeout(Duration::from_secs(10)).expect("reply before timeout");

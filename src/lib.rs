@@ -63,7 +63,7 @@ pub use splitbft_types as types;
 /// The most common imports, for examples and downstream users.
 pub mod prelude {
     pub use splitbft_app::{
-        Application, Blockchain, ClientEvent, CounterApp, KeyValueStore, KvOp, LockstepClient,
+        Application, Blockchain, Client, ClientEvent, CounterApp, KeyValueStore, KvOp,
     };
     pub use splitbft_core::{SplitBftClient, SplitBftReplica};
     pub use splitbft_hybrid::{HybridConfig, HybridReplica, Usig};

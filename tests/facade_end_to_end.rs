@@ -3,6 +3,7 @@
 //! the same stall timer and state-transfer client the socket runtime
 //! runs, on one thread and a virtual clock.
 
+use splitbft::net::ProtocolGauges;
 use splitbft::prelude::*;
 use splitbft::types::{FaultCommand, Reply, Request};
 
@@ -61,7 +62,7 @@ fn splitbft_replica<A: Application>(id: ReplicaId, app: A) -> SplitBftReplica<A>
 #[test]
 fn splitbft_kvs_on_lockstep() {
     let config = ClusterConfig::new(N).unwrap();
-    let mut client = SplitBftClient::new(config, ClientId(9), SEED, 1).with_plaintext();
+    let mut client = Client::new(config.reply_quorum(), ClientId(9), SEED);
     let mut cluster = cluster(|id| splitbft_replica(id, KeyValueStore::new()));
 
     for i in 0..5u32 {
@@ -77,7 +78,7 @@ fn splitbft_kvs_on_lockstep() {
 #[test]
 fn pbft_counter_on_lockstep() {
     let config = ClusterConfig::new(N).unwrap();
-    let mut client = LockstepClient::new(config.reply_quorum(), ClientId(2), SEED);
+    let mut client = Client::new(config.reply_quorum(), ClientId(2), SEED);
     let mut cluster =
         cluster(|id| PbftReplica::new(ClusterConfig::new(N).unwrap(), id, SEED, CounterApp::new()));
     let request = client.issue(bytes::Bytes::from_static(b"inc"));
@@ -99,7 +100,7 @@ fn splitbft_survives_view_change_on_lockstep() {
     // their request-aware timers fire, they move to view 1 (or beyond)
     // without replica 0, and the new primary serves the request.
     let config = ClusterConfig::new(N).unwrap();
-    let mut client = SplitBftClient::new(config, ClientId(5), SEED, 3).with_plaintext();
+    let mut client = Client::new(config.reply_quorum(), ClientId(5), SEED);
     let mut cluster = cluster(|id| splitbft_replica(id, CounterApp::new()));
     isolate_primary(&mut cluster);
 
@@ -131,7 +132,7 @@ fn kvs_holding(bytes: usize) -> KeyValueStore {
 /// the `NewView` larger than `MAX_FRAME_LEN` and the view change could
 /// not be delivered.
 fn view_change_with_a_large_state<P: Protocol>(
-    mut client: LockstepClient,
+    mut client: Client,
     make: impl Fn(ReplicaId, ClusterConfig, KeyValueStore) -> P,
 ) {
     const STATE: usize = 4 << 20;
@@ -164,7 +165,7 @@ fn view_change_with_a_large_state<P: Protocol>(
 fn pbft_changes_view_with_a_large_state() {
     let quorum = ClusterConfig::new(N).unwrap().reply_quorum();
     view_change_with_a_large_state(
-        LockstepClient::new(quorum, ClientId(11), SEED),
+        Client::new(quorum, ClientId(11), SEED),
         |id, config, kvs| PbftReplica::new(config, id, SEED, kvs),
     );
 }
@@ -173,10 +174,89 @@ fn pbft_changes_view_with_a_large_state() {
 fn splitbft_changes_view_with_a_large_state() {
     let quorum = ClusterConfig::new(N).unwrap().reply_quorum();
     view_change_with_a_large_state(
-        LockstepClient::new(quorum, ClientId(12), SEED),
+        Client::new(quorum, ClientId(12), SEED),
         |id, config, kvs| {
             let (mode, cost) = (ExecMode::Hardware, CostModel::paper_calibrated());
             SplitBftReplica::new(config, id, SEED, kvs, mode, cost)
         },
     );
+}
+
+/// Stall-timer periods a request waits for its quorum before the client
+/// holds it due again, for every replica (the fault catalog's period).
+const RESEND_PERIODS: u64 = 2;
+
+/// Replica `i`'s current view.
+fn view_of<P: Protocol>(cluster: &Cluster<P>, i: usize) -> u64 {
+    let mut gauges = ProtocolGauges::default();
+    cluster.replica(i).probe_gauges(&mut gauges);
+    gauges.shard_views[0]
+}
+
+/// The lockstep cluster as the client's runtime, its clock counting
+/// stall-timer periods: issues `op` to the client's primary, then runs
+/// one period at a time, sending whatever the client holds due to every
+/// replica, until a reply completes it. Returns the view the completing
+/// reply named and how many times the request went out again.
+fn serve<P: Protocol>(
+    cluster: &mut Cluster<P>,
+    client: &mut Client,
+    clock: &mut u64,
+    op: &'static [u8],
+) -> Option<(View, usize)> {
+    let request = client.issue_at(bytes::Bytes::from_static(op), false, *clock, 0);
+    cluster.submit(client.primary(N), &[request]);
+    let mut resent = 0;
+    for _ in 0..30 {
+        for reply in std::mem::take(&mut cluster.replies) {
+            if let ClientEvent::Completed(_) = client.on_reply(&reply) {
+                return Some((reply.view, resent));
+            }
+        }
+        cluster.tick();
+        *clock += 1;
+        let due = client.due(*clock);
+        if !due.is_empty() {
+            resent += due.len();
+            (0..N).for_each(|i| cluster.submit(i, &due));
+        }
+    }
+    None
+}
+
+/// Cuts replica 0 off until its peers install view 1 without it, then
+/// heals the cut. Replica 0 is up again but no longer the primary, and
+/// backups do not forward requests: a client that kept sending to
+/// replica 0 would reach replica 1 only once each request fell due for
+/// every replica. The client follows the view its replies name instead,
+/// so every later request completes on its first send.
+fn a_view_change_that_leaves_replica_0_up<P: Protocol>(make: impl Fn(ReplicaId) -> P) {
+    let quorum = ClusterConfig::new(N).unwrap().reply_quorum();
+    let mut client = Client::new(quorum, ClientId(13), SEED).resending_after(RESEND_PERIODS);
+    let mut cluster = cluster(make);
+    let mut clock = 0;
+    isolate_primary(&mut cluster);
+    let (view, _) = serve(&mut cluster, &mut client, &mut clock, b"inc")
+        .expect("the view change completes the first request");
+    assert_eq!(view, View(1));
+    assert!((1..N).all(|i| view_of(&cluster, i) == 1), "view 1 is installed");
+    cluster.faults.apply(FaultCommand::HealAll);
+
+    for i in 0..5 {
+        let (view, resent) = serve(&mut cluster, &mut client, &mut clock, b"inc")
+            .unwrap_or_else(|| panic!("request {i} did not complete"));
+        assert_eq!((view, resent), (View(1), 0), "request {i}");
+    }
+}
+
+#[test]
+fn pbft_follows_a_view_change_that_leaves_replica_0_up() {
+    a_view_change_that_leaves_replica_0_up(|id| {
+        PbftReplica::new(ClusterConfig::new(N).unwrap(), id, SEED, CounterApp::new())
+    });
+}
+
+#[test]
+fn splitbft_follows_a_view_change_that_leaves_replica_0_up() {
+    a_view_change_that_leaves_replica_0_up(|id| splitbft_replica(id, CounterApp::new()));
 }

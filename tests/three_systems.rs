@@ -393,7 +393,7 @@ fn fault_model_ordering_matches_table_1() {
 fn hybrid_client_completes_against_hybrid_cluster() {
     let mut cluster = hybrid().cluster();
     let quorum = HybridConfig::new(3).unwrap().reply_quorum();
-    let mut client = LockstepClient::new(quorum, ClientId(0), SEED);
+    let mut client = Client::new(quorum, ClientId(0), SEED);
     cluster.submit(0, &[client.issue(Bytes::from_static(b"inc"))]);
 
     let mut completed = false;
