@@ -11,7 +11,7 @@
 use crate::{AppError, Application, NOOP_RESULT};
 use bytes::Bytes;
 use splitbft_crypto::digest_of;
-use splitbft_types::wire::{encode, Decode, Encode, Reader};
+use splitbft_types::wire::{encode, Decode, Encode, Reader, Sink};
 use splitbft_types::Digest;
 
 /// Transactions per block, as in the paper's evaluation.
@@ -112,12 +112,10 @@ impl Application for Blockchain {
         Bytes::from(receipt)
     }
 
-    fn snapshot(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.height.encode_to(&mut buf);
-        self.head.encode_to(&mut buf);
-        self.pending.encode_to(&mut buf);
-        buf
+    fn write_snapshot<S: Sink>(&self, out: &mut S) {
+        self.height.encode_to(out);
+        self.head.encode_to(out);
+        self.pending.encode_to(out);
     }
 
     fn restore(&mut self, snapshot: &[u8]) -> Result<(), AppError> {

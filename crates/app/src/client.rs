@@ -115,10 +115,42 @@ struct Flight {
     tag: u32,
 }
 
+/// The views authentic replies named, one entry per replica: the `f + 1`
+/// highest per-replica views, so the table never holds more than `f + 1`
+/// entries however many replica ids replies claim.
+///
+/// Its lowest entry, once it has `f + 1`, is the highest view that `f + 1`
+/// distinct replicas named (or exceeded): no entry is above what its
+/// replica named, and an entry leaves only when `f + 1` others are at
+/// least as high.
+#[derive(Debug, Clone, Default)]
+struct NamedViews(Vec<(ReplicaId, u64)>);
+
+impl NamedViews {
+    /// Notes that `replica` named `view`; returns the highest view `quorum`
+    /// distinct replicas have named, once there are that many.
+    fn note(&mut self, replica: ReplicaId, view: u64, quorum: usize) -> Option<u64> {
+        match self.0.iter_mut().find(|(named_by, _)| *named_by == replica) {
+            Some((_, highest)) => *highest = (*highest).max(view),
+            None => {
+                self.0.push((replica, view));
+                if self.0.len() > quorum {
+                    if let Some(lowest) = (0..self.0.len()).min_by_key(|&i| self.0[i].1) {
+                        self.0.swap_remove(lowest);
+                    }
+                }
+            }
+        }
+        (self.0.len() >= quorum).then(|| self.0.iter().map(|(_, view)| *view).min()).flatten()
+    }
+}
+
 /// The service client: up to `depth` requests in flight, each completing
 /// on `f + 1` matching authentic replies, each due again for every
 /// replica once `resend_after` passes without its quorum (the PBFT
-/// client rule), and each first sent to the replica it believes leads.
+/// client rule), and each first sent to the replica it believes leads:
+/// the primary of a view `f + 1` distinct replicas named, so at least one
+/// correct replica reached it.
 ///
 /// Each request carries one caller tag, handed back on completion (the
 /// load generator's shard).
@@ -130,8 +162,11 @@ pub struct Client {
     depth: usize,
     resend_after: u64,
     next_timestamp: Timestamp,
-    /// The highest view an authentic reply to one of its requests named.
+    /// The highest view `f + 1` distinct replicas named in authentic
+    /// replies to its requests.
     view: u64,
+    /// What each replica named, for the rule above.
+    named: NamedViews,
     flights: BTreeMap<Timestamp, Flight>,
 }
 
@@ -148,6 +183,7 @@ impl Client {
             resend_after: u64::MAX,
             next_timestamp: Timestamp(1),
             view: 0,
+            named: NamedViews::default(),
             flights: BTreeMap::new(),
         }
     }
@@ -199,7 +235,9 @@ impl Client {
     }
 
     /// The replica a new request goes to in a cluster of `n`: the
-    /// primary of the highest view an authentic reply named.
+    /// primary of the highest view that `f + 1` distinct replicas named in
+    /// authentic replies. One faulty replica naming any view it likes
+    /// moves nothing.
     pub fn primary(&self, n: usize) -> usize {
         (self.view % n.max(1) as u64) as usize
     }
@@ -286,7 +324,9 @@ impl Client {
         if flight.request.id != reply.request || !authentic(&self.mac, reply) {
             return None;
         }
-        self.view = self.view.max(reply.view.0);
+        if let Some(view) = self.named.note(reply.replica, reply.view.0, self.quorum) {
+            self.view = self.view.max(view);
+        }
         let Some(result) = flight.votes.count(reply, self.quorum) else {
             return Some(None);
         };
@@ -472,16 +512,68 @@ mod tests {
             assert_eq!(client.primary(n as usize), 0);
             let first = client.issue(b"a");
             let second = client.issue(b"b");
-            // A forged reply naming a later view moves nothing.
+            // Forged replies naming a later view move nothing.
             client.on_reply(&reply_in(5, first.id, 1, b"ok", SEED + 1));
+            client.on_reply(&reply_in(5, first.id, 2, b"ok", SEED + 1));
             assert_eq!(client.primary(n as usize), 0);
-            // An authentic one does, even before its request completes.
+            // Authentic ones from f + 1 replicas do, even before the
+            // request completes, and across requests.
             client.on_reply(&reply_in(1, first.id, 1, b"ok", SEED));
+            client.on_reply(&reply_in(1, second.id, 2, b"other", SEED));
             assert_eq!(client.primary(n as usize), 1);
             // An older view named later does not move it back.
-            client.on_reply(&reply_in(0, second.id, 2, b"ok", SEED));
-            client.on_reply(&reply_in(n as u64 + 2, second.id, 0, b"ok", SEED));
+            client.on_reply(&reply_in(0, second.id, 0, b"ok", SEED));
+            client.on_reply(&reply_in(0, second.id, 1, b"ok", SEED));
+            assert_eq!(client.primary(n as usize), 1);
+            // The view adopted is the highest that f + 1 named or exceeded.
+            let third = client.issue(b"c");
+            client.on_reply(&reply_in(n as u64 + 2, third.id, 0, b"ok", SEED));
+            client.on_reply(&reply_in(n as u64 + 9, third.id, 2, b"ok", SEED));
             assert_eq!(client.primary(n as usize), 2);
+        }
+    }
+
+    #[test]
+    fn f_replicas_naming_a_high_view_move_nothing_and_f_plus_1_do() {
+        for (n, quorum) in SHAPES {
+            let f = quorum - 1;
+            for view in [3, 5, u64::MAX] {
+                let mut client = client(quorum).with_depth(2);
+                let req = client.issue(b"op");
+                // f faulty replicas, each naming the view more than once.
+                for replica in 0..f as u32 {
+                    for _ in 0..3 {
+                        client.on_reply(&reply_in(view, req.id, n - 1 - replica, b"x", SEED));
+                    }
+                }
+                // Replies from the others naming the current view.
+                client.on_reply(&reply_in(0, req.id, 0, b"ok", SEED));
+                assert_eq!(client.primary(n as usize), 0, "f replicas named view {view}");
+                // One more replica naming it makes f + 1.
+                let next = client.issue(b"op2");
+                client.on_reply(&reply_in(view, next.id, 0, b"ok", SEED));
+                let expected = (view % u64::from(n)) as usize;
+                assert_eq!(client.primary(n as usize), expected, "f + 1 replicas named view {view}");
+            }
+        }
+    }
+
+    #[test]
+    fn replies_claiming_many_replica_ids_keep_the_view_table_at_f_plus_1() {
+        for (n, quorum) in SHAPES {
+            let mut client = client(quorum);
+            let req = client.issue(b"op");
+            let key = client_mac_key(SEED, req.id.client);
+            for replica in (0..1_000).map(ReplicaId) {
+                // Every result differs, so the request never completes.
+                let (view, result) = (View(u64::from(replica.0 % 7)), Bytes::from(replica.0.to_le_bytes().to_vec()));
+                let auth = key.reply_tag(view, req.id, replica, &result, false);
+                client.on_reply(&Reply { view, request: req.id, replica, result, encrypted: false, auth });
+            }
+            assert_eq!(client.in_flight(), 1);
+            assert_eq!(client.named.0.len(), quorum);
+            // 6 is the highest view at least f + 1 of those ids named.
+            assert_eq!(client.primary(n as usize), (6 % n) as usize);
         }
     }
 

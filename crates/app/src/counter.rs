@@ -3,6 +3,7 @@
 
 use crate::{AppError, Application, NOOP_RESULT};
 use bytes::Bytes;
+use splitbft_types::wire::Sink;
 
 /// A replicated counter. Operation `b"inc"` increments and returns the new
 /// value (little-endian u64); `b"read"` returns the current value;
@@ -36,8 +37,8 @@ impl Application for CounterApp {
         }
     }
 
-    fn snapshot(&self) -> Vec<u8> {
-        self.value.to_le_bytes().to_vec()
+    fn write_snapshot<S: Sink>(&self, out: &mut S) {
+        out.put(&self.value.to_le_bytes());
     }
 
     fn restore(&mut self, snapshot: &[u8]) -> Result<(), AppError> {

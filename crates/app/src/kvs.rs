@@ -7,7 +7,7 @@
 
 use crate::{AppError, Application, NOOP_RESULT};
 use bytes::Bytes;
-use splitbft_types::wire::{decode, encode};
+use splitbft_types::wire::{decode, encode, Encode, Sink};
 use std::collections::BTreeMap;
 
 /// A key-value store operation.
@@ -147,10 +147,14 @@ impl Application for KeyValueStore {
         }
     }
 
-    fn snapshot(&self) -> Vec<u8> {
-        let entries: Vec<(Bytes, Bytes)> =
-            self.map.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        encode(&entries)
+    /// The entries in key order, encoded as the `Vec<(Bytes, Bytes)>`
+    /// they restore from, written straight from the map.
+    fn write_snapshot<S: Sink>(&self, out: &mut S) {
+        (self.map.len() as u32).encode_to(out);
+        for (key, value) in &self.map {
+            key.encode_to(out);
+            value.encode_to(out);
+        }
     }
 
     fn restore(&mut self, snapshot: &[u8]) -> Result<(), AppError> {

@@ -38,6 +38,7 @@ pub mod kvs;
 pub mod replies;
 
 use bytes::Bytes;
+use splitbft_types::wire::{Encode, Sink};
 use splitbft_types::Digest;
 use std::fmt;
 
@@ -45,7 +46,7 @@ pub use blockchain::{Block, Blockchain};
 pub use client::{Client, ClientEvent, Completion, QuorumTracker};
 pub use counter::CounterApp;
 pub use kvs::{KeyValueStore, KvOp, KvResult};
-pub use replies::{Cached, ReplyCache};
+pub use replies::{Cached, CheckpointState, ReplyCache};
 
 /// Errors surfaced by applications (snapshot restore only; execution never
 /// fails — malformed operations execute as deterministic no-ops, as the
@@ -67,7 +68,16 @@ impl fmt::Display for AppError {
 impl std::error::Error for AppError {}
 
 /// A deterministic replicated state machine.
-pub trait Application: Send {
+///
+/// `Clone` is how checkpoints hold state: a checkpoint keeps a clone of
+/// the application frozen at its sequence number
+/// ([`replies::CheckpointState`]), not the snapshot's bytes. Clones must
+/// therefore be cheap in memory — share immutable payloads (`Bytes`
+/// values are reference-counted) rather than copy them — so a frozen
+/// copy costs the containers, not the data. What it does keep alive is
+/// every value the live state overwrites after the checkpoint, until a
+/// newer checkpoint is stable: at most one more copy of the state.
+pub trait Application: Clone + Send {
     /// Executes one operation and returns its result.
     ///
     /// Must be deterministic, and must treat malformed input as a
@@ -75,9 +85,17 @@ pub trait Application: Send {
     /// panicking: in the byzantine model, clients *will* submit garbage.
     fn execute(&mut self, op: &[u8]) -> Bytes;
 
-    /// A canonical serialization of the full state, used for checkpoints
-    /// and state transfer.
-    fn snapshot(&self) -> Vec<u8>;
+    /// Writes the canonical serialization of the full state to `out`:
+    /// the snapshot carried by checkpoints and state transfer. Streamed,
+    /// so a digest hashes the state and a seal or transfer encodes it
+    /// without an intermediate copy.
+    fn write_snapshot<S: Sink>(&self, out: &mut S);
+
+    /// The canonical serialization as one buffer, allocated once at its
+    /// final size ([`Application::write_snapshot`] into a `Vec`).
+    fn snapshot(&self) -> Vec<u8> {
+        Snapshot(self).to_wire()
+    }
 
     /// Replaces the state from a snapshot produced by
     /// [`Application::snapshot`].
@@ -87,10 +105,9 @@ pub trait Application: Send {
     /// [`AppError::BadSnapshot`] if the bytes are not a valid snapshot.
     fn restore(&mut self, snapshot: &[u8]) -> Result<(), AppError>;
 
-    /// Digest of the canonical snapshot; embedded in `Checkpoint`
-    /// messages.
+    /// Digest of the canonical snapshot, streamed into SHA-256.
     fn state_digest(&self) -> Digest {
-        splitbft_crypto::digest_bytes(&self.snapshot())
+        splitbft_crypto::digest_of(&Snapshot(self))
     }
 
     /// Blobs the hosting enclave must persist via ocall (e.g. finished
@@ -102,6 +119,16 @@ pub trait Application: Send {
 
     /// Approximate heap usage, for EPC accounting.
     fn memory_usage(&self) -> usize;
+}
+
+/// An application's snapshot as an [`Encode`] value: it writes exactly
+/// the bytes of [`Application::write_snapshot`], with no length prefix.
+struct Snapshot<'a, A>(&'a A);
+
+impl<A: Application> Encode for Snapshot<'_, A> {
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        self.0.write_snapshot(out);
+    }
 }
 
 /// The deterministic result returned for a malformed operation.

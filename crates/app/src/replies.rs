@@ -15,13 +15,20 @@
 //! The bytes must be **identical on every correct replica**, so a cached
 //! reply is reduced to its replica-independent core `(client, timestamp,
 //! result)`; the sender id, view and MAC are rebuilt by whoever restores.
+//!
+//! A checkpoint does not keep those bytes. It keeps a
+//! [`CheckpointState`]: a clone of the application frozen at the
+//! checkpoint (sharing every `Bytes` value with the live state) beside
+//! the cache's cores, which *encodes* to the format above. A digest
+//! streams that encoding into SHA-256; the bytes themselves exist only
+//! while a checkpoint is sealed to disk or sent to a lagging peer.
 
-use crate::Application;
+use crate::{Application, Snapshot};
 use bytes::Bytes;
-use splitbft_crypto::ClientMacKeys;
-use splitbft_types::wire::{Decode, Encode, Reader, WireError};
+use splitbft_crypto::{digest_of, ClientMacKeys};
+use splitbft_types::wire::{Decode, Encode, Reader, Sink, WireError};
 use splitbft_types::{
-    ClientId, ProtocolError, ReplicaId, Reply, Request, RequestId, Timestamp, View,
+    ClientId, Digest, ProtocolError, ReplicaId, Reply, Request, RequestId, Timestamp, View,
 };
 use std::collections::BTreeMap;
 
@@ -121,21 +128,22 @@ impl ReplyCache {
         reply
     }
 
-    /// The canonical checkpoint state: `snapshot` (the application's)
-    /// followed by the replica-independent core of the cache.
+    /// The replica-independent cores of the cached replies, in client
+    /// order.
+    fn cores(&self) -> impl ExactSizeIterator<Item = (&ClientId, &Timestamp, &Bytes)> {
+        self.last_replies.iter().map(|(client, reply)| (client, &reply.request.timestamp, &reply.result))
+    }
+
+    /// The canonical checkpoint state: `snapshot` (an application's, as
+    /// bytes) followed by the replica-independent core of the cache.
     pub fn encode_state(&self, snapshot: &[u8]) -> Vec<u8> {
-        let replies: Vec<ReplyCore> = self
-            .last_replies
-            .iter()
-            .map(|(client, reply)| (*client, reply.request.timestamp, reply.result.clone()))
-            .collect();
-        // Sized exactly: a snapshot can be megabytes, and growing into it
-        // would hold twice that.
-        let mut state = Vec::with_capacity(4 + snapshot.len() + replies.encoded_len());
-        (snapshot.len() as u32).encode_to(&mut state);
-        state.extend_from_slice(snapshot);
-        replies.encode_to(&mut state);
-        state
+        StateOf { snapshot: RawSnapshot(snapshot), replies: self }.to_wire()
+    }
+
+    /// Digest of the canonical checkpoint state of `app` and this cache,
+    /// streamed into SHA-256: no byte of the state is materialised.
+    pub fn state_digest(&self, app: &impl Application) -> Digest {
+        digest_of(&StateOf { snapshot: Snapshot(app), replies: self })
     }
 
     /// Replaces `app`'s state and this cache from checkpoint-state bytes.
@@ -165,6 +173,81 @@ impl ReplyCache {
             self.record(keys, view, replica, RequestId { client, timestamp }, result, false);
         }
         Ok(())
+    }
+}
+
+/// The one writer of the checkpoint-state format: `u32` snapshot length
+/// (counted by a pass that copies nothing), the snapshot, then the reply
+/// cores as the `Vec<(ClientId, Timestamp, Bytes)>` they decode as.
+fn write_state<'r, S: Sink>(
+    snapshot: &impl Encode,
+    replies: impl ExactSizeIterator<Item = (&'r ClientId, &'r Timestamp, &'r Bytes)>,
+    out: &mut S,
+) {
+    (snapshot.encoded_len() as u32).encode_to(out);
+    snapshot.encode_to(out);
+    (replies.len() as u32).encode_to(out);
+    for (client, timestamp, result) in replies {
+        client.encode_to(out);
+        timestamp.encode_to(out);
+        result.encode_to(out);
+    }
+}
+
+/// Snapshot bytes already encoded, written as they are.
+struct RawSnapshot<'a>(&'a [u8]);
+
+impl Encode for RawSnapshot<'_> {
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        out.put(self.0);
+    }
+}
+
+/// A snapshot and a live cache, borrowed, as they would be checkpointed.
+struct StateOf<'a, P> {
+    snapshot: P,
+    replies: &'a ReplyCache,
+}
+
+impl<P: Encode> Encode for StateOf<'_, P> {
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        write_state(&self.snapshot, self.replies.cores(), out);
+    }
+}
+
+/// The checkpoint state frozen at one sequence number: a clone of the
+/// application and the cores of the reply cache. The clone shares every
+/// `Bytes` value with the live state, so holding one costs the
+/// application's containers, not its data — except that a value the live
+/// state overwrites stays alive here until this checkpoint is dropped,
+/// which bounds the extra memory by one copy of the state.
+///
+/// It [encodes](Encode) to exactly the bytes
+/// [`ReplyCache::encode_state`] builds from the application's snapshot,
+/// so its digest (`digest_of`, which streams the encoding into SHA-256)
+/// is the checkpoint digest every stack votes on, and the bytes it writes
+/// are what a checkpoint seal or a state transfer carries.
+#[derive(Debug, Clone)]
+pub struct CheckpointState<A> {
+    app: A,
+    replies: Vec<ReplyCore>,
+}
+
+impl<A: Application> CheckpointState<A> {
+    /// Freezes the current state of `app` and `replies`.
+    pub fn capture(app: &A, replies: &ReplyCache) -> Self {
+        let replies = replies
+            .cores()
+            .map(|(client, timestamp, result)| (*client, *timestamp, result.clone()))
+            .collect();
+        CheckpointState { app: app.clone(), replies }
+    }
+}
+
+impl<A: Application> Encode for CheckpointState<A> {
+    fn encode_to<S: Sink>(&self, out: &mut S) {
+        let replies = self.replies.iter().map(|(client, timestamp, result)| (client, timestamp, result));
+        write_state(&Snapshot(&self.app), replies, out);
     }
 }
 
@@ -254,6 +337,41 @@ mod tests {
 
         state.truncate(state.len() - 2);
         assert!(cache.restore_state(&state, &mut app, &keys, View(0), ReplicaId(0)).is_err());
+    }
+
+    /// The frozen state writes the bytes `encode_state` builds from the
+    /// application's snapshot, and digests them, for every application.
+    fn frozen_state_encodes_as_the_snapshot_bytes<A: Application>(mut app: A, ops: &[&[u8]]) {
+        let mut cache = ReplyCache::new();
+        for (ts, op) in (1..).zip(ops) {
+            let result = app.execute(op);
+            let keys = ClientMacKeys::new(SEED);
+            cache.record(&keys, View(0), ReplicaId(0), id(ts as u32 % 3, ts), result, false);
+        }
+        let bytes = cache.encode_state(&app.snapshot());
+        let frozen = CheckpointState::capture(&app, &cache);
+        assert_eq!(frozen.to_wire(), bytes);
+        assert_eq!(frozen.encoded_len(), bytes.len());
+        assert_eq!(digest_of(&frozen), splitbft_crypto::digest_bytes(&bytes));
+        assert_eq!(cache.state_digest(&app), digest_of(&frozen));
+
+        // Later execution moves the live state, never the frozen one.
+        app.execute(ops[0]);
+        record(&mut cache, id(7, 99), b"later");
+        assert_eq!(frozen.to_wire(), bytes);
+        assert_ne!(cache.state_digest(&app), digest_of(&frozen));
+    }
+
+    #[test]
+    fn a_frozen_state_encodes_as_the_snapshot_bytes_of_every_app() {
+        use crate::{Blockchain, KeyValueStore, KvOp};
+        let (put, del) = (KvOp::put(b"k", b"v").encode_op(), KvOp::delete(b"k").encode_op());
+        let put2 = KvOp::put(b"other", &[7; 300]).encode_op();
+        frozen_state_encodes_as_the_snapshot_bytes(KeyValueStore::new(), &[&put, &put2, &del, &put]);
+        frozen_state_encodes_as_the_snapshot_bytes(CounterApp::new(), &[b"inc", b"inc", b"read"]);
+        let txs: Vec<Vec<u8>> = (0..7u8).map(|i| vec![i; 10]).collect();
+        let txs: Vec<&[u8]> = txs.iter().map(Vec::as_slice).collect();
+        frozen_state_encodes_as_the_snapshot_bytes(Blockchain::new(), &txs);
     }
 
     #[test]

@@ -184,7 +184,7 @@ impl ConfirmationCompartment {
         // Early drop: once this slot's Commit is out, further prepares are
         // redundant — skip the (expensive) signature verification. This is
         // the optimization that keeps Confirmation ecalls short.
-        if self.slots.get(&seq).map_or(false, |s| s.commit_sent) {
+        if self.slots.get(&seq).is_some_and(|s| s.commit_sent) {
             return Ok(());
         }
         verify_signed_from(&self.registry, &p, (SPLITBFT_SCHEME.preparer)(p.payload.replica))?;

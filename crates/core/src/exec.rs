@@ -7,8 +7,12 @@
 //! per principle P3 because both touch the application state — plus the
 //! duplicated checkpoint GC handler (9) and `NewView` application (7').
 //!
-//! A checkpoint vote carries the state digest; the snapshot itself stays
-//! in this enclave, beside its checkpoint tracker. The only way
+//! A checkpoint vote carries the state digest; the state itself stays in
+//! this enclave, beside its checkpoint tracker, as a frozen clone of the
+//! application ([`CheckpointState`]) that shares its payloads with the
+//! live one — not as encoded bytes. The encoding is written out only
+//! when the broker asks for [`ExecutionCompartment::durable_checkpoint`]
+//! to seal it or serve it to a lagging peer. The only way
 //! application state enters from outside is
 //! [`CompartmentInput::InstallSnapshot`], which takes a snapshot just when
 //! this enclave's own stable certificate vouches for its digest.
@@ -22,7 +26,7 @@
 use crate::ecall::{CompartmentInput, CompartmentOutput};
 use crate::scheme::{compartment_measurement, enclave_signer, SPLITBFT_SCHEME};
 use bytes::Bytes;
-use splitbft_app::{Application, Cached, ReplyCache};
+use splitbft_app::{Application, Cached, CheckpointState, ReplyCache};
 use splitbft_crypto::aead::{open, seal, AeadKey};
 use splitbft_crypto::sig::{dh_public, dh_shared};
 use splitbft_crypto::{digest_bytes, digest_of, ClientMacKeys, KeyPair, KeyRegistry};
@@ -77,8 +81,9 @@ pub struct ExecutionCompartment<A> {
     view: View,
     /// The `in_exec` log.
     slots: BTreeMap<SeqNum, ExecSlot>,
-    /// Private checkpoint tracker.
-    checkpoints: CheckpointTracker,
+    /// Private checkpoint tracker, holding this enclave's frozen state at
+    /// each of its checkpoints from the stable one upward.
+    checkpoints: CheckpointTracker<CheckpointState<A>>,
     /// Highest executed slot.
     last_exec: SeqNum,
     /// The application state — the paper notes this dominates the
@@ -143,9 +148,9 @@ impl<A: Application> ExecutionCompartment<A> {
         &self.app
     }
 
-    /// Digest of the canonical checkpointable state.
+    /// Digest of the canonical checkpointable state, streamed.
     pub fn state_digest(&self) -> Digest {
-        digest_bytes(&self.checkpoint_state_bytes())
+        self.replies.state_digest(&self.app)
     }
 
     /// The current stable checkpoint — certificate, then this enclave's
@@ -305,7 +310,7 @@ impl<A: Application> ExecutionCompartment<A> {
             self.seal_persisted_blobs(outputs);
             self.last_exec = next;
 
-            if next.0 % self.config.checkpoint_interval == 0 {
+            if next.0.is_multiple_of(self.config.checkpoint_interval) {
                 self.emit_checkpoint(next, outputs);
             }
         }
@@ -396,11 +401,6 @@ impl<A: Application> ExecutionCompartment<A> {
 
     // --- checkpointing -----------------------------------------------------
 
-    /// The canonical checkpoint state (see [`ReplyCache::encode_state`]).
-    fn checkpoint_state_bytes(&self) -> Vec<u8> {
-        self.replies.encode_state(&self.app.snapshot())
-    }
-
     /// The one place application state is replaced wholesale: installs
     /// `snapshot` as the state after `seq`, if this enclave's own tracker
     /// admits it ([`CheckpointTracker::admit_snapshot`]: under the stable
@@ -421,16 +421,18 @@ impl<A: Application> ExecutionCompartment<A> {
             self.replica,
         )?;
         self.last_exec = seq;
-        self.checkpoints.retain_snapshot(seq, certified, snapshot.clone());
+        let state = CheckpointState::capture(&self.app, &self.replies);
+        self.checkpoints.retain_snapshot(seq, certified, state);
         self.apply_stable(seq);
         Ok(())
     }
 
     /// Handler (8): generate the periodic checkpoint. Only Execution
     /// holds the application state, so only it originates `Checkpoint`s.
-    /// The snapshot stays here; the vote carries its digest alone.
+    /// The frozen state stays here; the vote carries its digest alone.
     fn emit_checkpoint(&mut self, seq: SeqNum, outputs: &mut Vec<CompartmentOutput>) {
-        let ckpt = self.checkpoints.vote_on(seq, self.replica, self.checkpoint_state_bytes());
+        let state = CheckpointState::capture(&self.app, &self.replies);
+        let ckpt = self.checkpoints.vote_on(seq, self.replica, state);
         let signed = self.keypair.sign_payload(ckpt, self.signer);
         if let Some(cert) = self.checkpoints.insert(signed.clone(), &self.config) {
             outputs.push(self.apply_stable(cert.seq()));

@@ -20,7 +20,7 @@ use crate::conf::ConfirmationCompartment;
 use crate::ecall::{CompartmentInput, CompartmentOutput, ECALL_HANDLE, OCALL_OUTPUT};
 use crate::exec::ExecutionCompartment;
 use crate::prep::PreparationCompartment;
-use crate::suffix::SuffixRing;
+use crate::suffix::{SuffixRing, DEFAULT_SUFFIX_CAP};
 use bytes::Bytes;
 use splitbft_app::Application;
 use splitbft_net::transport::{Protocol, ProtocolGauges, ProtocolOutput};
@@ -146,6 +146,7 @@ impl<A: Application> SplitBftReplica<A> {
         let prep = PreparationCompartment::new(config.clone(), id, master_seed);
         let conf = ConfirmationCompartment::new(config.clone(), id, master_seed);
         let exec = ExecutionCompartment::new(config.clone(), id, master_seed, app);
+        let suffix = SuffixRing::for_cluster(DEFAULT_SUFFIX_CAP, config.n());
         SplitBftReplica {
             id,
             config,
@@ -157,7 +158,7 @@ impl<A: Application> SplitBftReplica<A> {
             durable: Vec::new(),
             durable_enabled: false,
             dispatch: Dispatch::default(),
-            suffix: SuffixRing::default(),
+            suffix,
         }
     }
 

@@ -18,9 +18,12 @@
 //! checkpoints garbage-collect everything at or below them, and only
 //! the horizon `(stable, stable + cap]` is ever admitted — which both
 //! bounds the ring structurally at `cap` slots and refuses far-future
-//! garbage no checkpoint would ever GC. GC is the only thing that ever
-//! drops a committed certificate, and it only drops at or below the
-//! stable sequence number.
+//! garbage no checkpoint would ever GC. Within a slot the tables are
+//! sized to the cluster: one commit vote per replica id in `0..n` (a
+//! forged vote from any other id is refused before it allocates) and at
+//! most [`MAX_SLOT_PROPOSALS`] candidate proposals. GC is the only thing
+//! that ever drops a committed certificate, and it only drops at or
+//! below the stable sequence number.
 //!
 //! [`SuffixRing::messages_from`] serves the retained suffix to a peer
 //! over `STATE_RESPONSE`: the peer replays the messages through its
@@ -28,7 +31,8 @@
 //! corrupt ring (the broker is compromisable by design) costs liveness
 //! only, never safety.
 
-use splitbft_types::{ConsensusMessage, Digest, ReplicaId, SeqNum, View};
+use splitbft_pbft::VoteSet;
+use splitbft_types::{Commit, ConsensusMessage, Digest, PrePrepare, SeqNum, Signed, View};
 use std::collections::BTreeMap;
 
 /// Default capacity (= admission-horizon length): comfortably above
@@ -52,13 +56,14 @@ pub const NEW_VIEW_SLACK: u64 = 16;
 /// One slot's harvested messages.
 #[derive(Debug, Clone, Default)]
 struct SuffixSlot {
-    /// Proposals keyed by the *recomputed* digest of their batch (never
+    /// Proposals, each beside the *recomputed* digest of its batch (never
     /// the digest the message claims), so the commit point can select
-    /// the batch that actually committed.
-    pre_prepares: BTreeMap<Digest, ConsensusMessage>,
+    /// the batch that actually committed. At most
+    /// [`MAX_SLOT_PROPOSALS`], one per digest.
+    pre_prepares: Vec<(Digest, Signed<PrePrepare>)>,
     /// Commit votes by sender, pruned to the committed digest once the
     /// slot commits.
-    commits: BTreeMap<ReplicaId, ConsensusMessage>,
+    commits: VoteSet<Signed<Commit>>,
     /// Set (with the committed digest) when Execution reports the slot
     /// committed; only committed slots are served.
     committed: Option<Digest>,
@@ -73,6 +78,8 @@ pub struct SuffixRing {
     /// it is retained or ever re-admitted.
     stable: SeqNum,
     cap: usize,
+    /// Cluster size: commit votes are kept for replica ids in `0..n`.
+    n: usize,
     /// The highest-view `NewView` observed, retained across GC: a peer
     /// that was down during a view change rejects every message of the
     /// new view until it processes this (self-certifying) message, so
@@ -81,23 +88,32 @@ pub struct SuffixRing {
 }
 
 impl SuffixRing {
-    /// An empty ring retaining at most `cap` slots.
-    pub fn new(cap: usize) -> Self {
+    /// An empty ring retaining at most `cap` slots for a cluster of `n`
+    /// replicas.
+    pub fn for_cluster(cap: usize, n: usize) -> Self {
         SuffixRing {
             slots: BTreeMap::new(),
             stable: SeqNum(0),
             cap: cap.max(1),
+            n,
             latest_new_view: None,
         }
+    }
+
+    /// An empty ring retaining at most `cap` slots for the smallest
+    /// cluster, `n = 4` ([`SuffixRing::for_cluster`] names `n`).
+    pub fn new(cap: usize) -> Self {
+        SuffixRing::for_cluster(cap, 4)
     }
 
     /// Harvests one message flowing through the broker (inbound from
     /// the network or broadcast by a local compartment). Only
     /// `PrePrepare`, `Commit`, and `NewView` are retained; slots at or
-    /// below the stable checkpoint or beyond the horizon are refused,
-    /// and a `NewView` claiming more than [`NEW_VIEW_SLACK`] above
-    /// `current_view` (the broker's Execution-compartment view) is an
-    /// unverifiable forgery and ignored.
+    /// below the stable checkpoint or beyond the horizon are refused, and
+    /// so is a `Commit` naming a voter outside the cluster. A `NewView`
+    /// claiming more than [`NEW_VIEW_SLACK`] above `current_view` (the
+    /// broker's Execution-compartment view) is an unverifiable forgery
+    /// and ignored.
     ///
     /// Returns the recomputed batch digest when `msg` is a
     /// `PrePrepare` — it is computed here anyway, so the broker can
@@ -119,18 +135,18 @@ impl SuffixRing {
                 // view by the NewView leading the suffix — rejects the
                 // old-view copy as WrongView. Serving stale views would
                 // defeat the log path exactly under primary kills.
-                match slot.pre_prepares.get(&digest) {
-                    Some(ConsensusMessage::PrePrepare(held))
-                        if held.payload.view >= view => {}
-                    _ if slot.pre_prepares.len() >= MAX_SLOT_PROPOSALS
-                        && !slot.pre_prepares.contains_key(&digest) =>
-                    {
-                        // Flood guard: keep the candidates already held
-                        // rather than let distinct-digest forgeries grow
-                        // the slot without bound.
-                    }
-                    _ => {
-                        slot.pre_prepares.insert(digest, msg.clone());
+                let full = slot.pre_prepares.len() >= MAX_SLOT_PROPOSALS;
+                match slot.pre_prepares.iter_mut().find(|(held, _)| *held == digest) {
+                    Some((_, held)) if held.payload.view >= view => {}
+                    Some((_, held)) => *held = pp.clone(),
+                    // Flood guard: keep the candidates already held rather
+                    // than let distinct-digest forgeries grow the slot
+                    // without bound.
+                    None if full => {}
+                    None => {
+                        // Honest traffic brings one proposal per slot.
+                        slot.pre_prepares.reserve_exact(1);
+                        slot.pre_prepares.push((digest, pp.clone()));
                     }
                 }
                 Some(digest)
@@ -140,15 +156,21 @@ impl SuffixRing {
                 let view = c.payload.view;
                 let voter = c.payload.replica;
                 let vote_digest = c.payload.digest;
-                let Some(slot) = self.admit(seq) else { return None };
+                // Unverified input: an id outside the cluster is refused
+                // before it can open a slot or take a place in one.
+                if voter.as_usize() >= self.n {
+                    return None;
+                }
+                let n = self.n;
+                let slot = self.admit(seq)?;
                 if slot.committed.is_some_and(|d| d != vote_digest) {
                     return None; // vote for a digest that lost: useless to peers
                 }
                 // Same latest-view-wins rule per voter.
-                match slot.commits.get(&voter) {
-                    Some(ConsensusMessage::Commit(held)) if held.payload.view >= view => {}
+                match slot.commits.get(voter) {
+                    Some(held) if held.payload.view >= view => {}
                     _ => {
-                        slot.commits.insert(voter, msg.clone());
+                        slot.commits.insert(voter, c.clone(), n);
                     }
                 }
                 None
@@ -192,10 +214,8 @@ impl SuffixRing {
     pub fn mark_committed(&mut self, seq: SeqNum, digest: Digest) {
         let Some(slot) = self.slots.get_mut(&seq) else { return };
         slot.committed = Some(digest);
-        slot.pre_prepares.retain(|d, _| *d == digest);
-        slot.commits.retain(|_, msg| {
-            matches!(msg, ConsensusMessage::Commit(c) if c.payload.digest == digest)
-        });
+        slot.pre_prepares.retain(|(d, _)| *d == digest);
+        slot.commits.retain(|c| c.payload.digest == digest);
     }
 
     /// Garbage-collects at a stable checkpoint: every slot at or below
@@ -241,10 +261,9 @@ impl SuffixRing {
             if served >= chunk {
                 break;
             }
-            let Some(digest) = slot.committed else { continue };
-            let Some(pp) = slot.pre_prepares.get(&digest) else { continue };
-            msgs.push(pp.clone());
-            msgs.extend(slot.commits.values().cloned());
+            let Some(pp) = slot.committed_proposal() else { continue };
+            msgs.push(ConsensusMessage::PrePrepare(pp.clone()));
+            msgs.extend(slot.commits.values().cloned().map(ConsensusMessage::Commit));
             served += 1;
         }
         msgs
@@ -268,15 +287,17 @@ impl SuffixRing {
     /// `true` if `seq` is retained as a committed certificate (both the
     /// committed proposal and at least one vote are present).
     pub fn holds_committed(&self, seq: SeqNum) -> bool {
-        self.slots.get(&seq).is_some_and(|slot| {
-            slot.committed
-                .is_some_and(|d| slot.pre_prepares.contains_key(&d) && !slot.commits.is_empty())
-        })
+        self.slots
+            .get(&seq)
+            .is_some_and(|slot| slot.committed_proposal().is_some() && !slot.commits.is_empty())
     }
 }
 
-impl Default for SuffixRing {
-    fn default() -> Self {
-        SuffixRing::new(DEFAULT_SUFFIX_CAP)
+impl SuffixSlot {
+    /// The proposal whose batch hashes to the committed digest, once the
+    /// slot committed and if it was harvested.
+    fn committed_proposal(&self) -> Option<&Signed<PrePrepare>> {
+        let digest = self.committed?;
+        self.pre_prepares.iter().find(|(d, _)| *d == digest).map(|(_, pp)| pp)
     }
 }

@@ -347,3 +347,31 @@ fn byzantine_substitute_proposals_never_shadow_the_committed_batch() {
         "votes for the losing digest leaked into the suffix"
     );
 }
+
+#[test]
+fn commits_from_voters_outside_the_cluster_are_not_retained() {
+    // The broker harvests before any verification, so a voter id is
+    // whatever the sender wrote. A ring for four replicas keeps one vote
+    // for each of ids 0..4: forged ids neither grow a slot nor open one.
+    let mut ring = SuffixRing::new(16);
+    let (pp, digest) = pre_prepare(3);
+    ring.observe(&pp, View(0));
+    for forged in (4..1_000u32).chain([u32::MAX]) {
+        ring.observe(&commit(3, digest, forged), View(0));
+        ring.observe(&commit(5, digest, forged), View(0));
+    }
+    assert_eq!(ring.len(), 1, "a forged voter opened a slot");
+    for replica in 0..3u32 {
+        ring.observe(&commit(3, digest, replica), View(0));
+    }
+    ring.mark_committed(SeqNum(3), digest);
+    let votes: Vec<u32> = ring
+        .messages_from(SeqNum(0))
+        .iter()
+        .filter_map(|m| match m {
+            ConsensusMessage::Commit(c) => Some(c.payload.replica.0),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(votes, [0, 1, 2], "only the cluster's own voters are retained and served");
+}

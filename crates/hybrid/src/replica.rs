@@ -3,9 +3,10 @@
 use crate::config::HybridConfig;
 use crate::message::{HybridCommit, HybridMessage, HybridPrepare};
 use crate::usig::{UsigTrait, UsigVerifier};
-use splitbft_app::{Application, Cached, ReplyCache};
+use splitbft_app::{Application, Cached, CheckpointState, ReplyCache};
 use splitbft_crypto::{digest_bytes, digest_of, ClientMacKeys};
 use splitbft_net::transport::{Protocol, ProtocolOutput};
+use splitbft_types::wire::Encode;
 use splitbft_types::{
     Digest, DurableCheckpoint, DurableEvent, ProtocolError, ReplicaId, Request, RequestBatch,
     SeqNum, View,
@@ -48,10 +49,10 @@ pub struct HybridReplica<A, U> {
     app: A,
     /// Cached last reply per client.
     replies: ReplyCache,
-    /// Latest durable snapshot `(counter, state bytes)`, refreshed every
+    /// Latest durable snapshot `(counter, frozen state)`, refreshed every
     /// [`HYBRID_CHECKPOINT_INTERVAL`] executions while durable events
-    /// are enabled.
-    last_snapshot: Option<(u64, Vec<u8>)>,
+    /// are enabled. Encoded only when sealed or served.
+    last_snapshot: Option<(u64, CheckpointState<A>)>,
     /// Durable consensus events buffered for a durable runtime's WAL.
     durable: Vec<DurableEvent>,
     durable_enabled: bool,
@@ -108,7 +109,7 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
     /// Digest of the application state, for divergence checks in tests
     /// and experiments.
     pub fn state_digest(&self) -> Digest {
-        splitbft_crypto::digest_bytes(&self.app.snapshot())
+        self.app.state_digest()
     }
 
     fn verify_request(&mut self, req: &Request) -> bool {
@@ -197,7 +198,7 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
     fn try_execute(&mut self, out: &mut Out) {
         loop {
             let next = self.last_exec + 1;
-            let ready = self.slots.get(&next).map_or(false, |s| {
+            let ready = self.slots.get(&next).is_some_and(|s| {
                 s.batch.is_some() && s.committers.len() >= self.config.commit_quorum()
             });
             if !ready {
@@ -247,13 +248,13 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
 
     /// Takes the periodic durable snapshot at interval boundaries.
     fn maybe_snapshot(&mut self, executed: u64) {
-        if !self.durable_enabled || executed % HYBRID_CHECKPOINT_INTERVAL != 0 {
+        if !self.durable_enabled || !executed.is_multiple_of(HYBRID_CHECKPOINT_INTERVAL) {
             return;
         }
         // Identical on every correct replica at the same counter value,
         // which is what lets a recovering replica demand `f + 1` peer
         // agreement on the digest.
-        self.last_snapshot = Some((executed, self.replies.encode_state(&self.app.snapshot())));
+        self.last_snapshot = Some((executed, CheckpointState::capture(&self.app, &self.replies)));
         self.durable.push(DurableEvent::StableCheckpoint { seq: SeqNum(executed) });
     }
 }
@@ -350,25 +351,24 @@ where
         self.verifier.resync();
         match event {
             DurableEvent::CounterIssued { counter } => self.usig.advance_to(counter),
-            DurableEvent::Committed { seq, batch } => {
-                if seq.0 == self.last_exec + 1 {
-                    // Replies are cached for duplicate suppression, but
-                    // nobody is listening yet.
-                    self.execute_batch(&batch, &mut Vec::new());
-                    self.last_exec = seq.0;
-                }
+            // Replies are cached for duplicate suppression, but nobody
+            // is listening yet.
+            DurableEvent::Committed { seq, batch } if seq.0 == self.last_exec + 1 => {
+                self.execute_batch(&batch, &mut Vec::new());
+                self.last_exec = seq.0;
             }
             _ => {}
         }
     }
 
-    /// The latest durable snapshot, if one was taken.
+    /// The latest durable snapshot, if one was taken, encoded.
     fn durable_checkpoint(&self) -> Option<DurableCheckpoint> {
         let (seq, state) = self.last_snapshot.as_ref()?;
+        let state = state.to_wire();
         Some(DurableCheckpoint {
             seq: SeqNum(*seq),
-            digest: digest_bytes(state),
-            state: bytes::Bytes::from(state.clone()),
+            digest: digest_bytes(&state),
+            state: state.into(),
         })
     }
 
@@ -394,7 +394,7 @@ where
         self.replies.restore_state(&cp.state, &mut self.app, &self.client_keys, self.view, self.id)?;
         self.last_exec = cp.seq.0;
         self.slots = self.slots.split_off(&(cp.seq.0 + 1));
-        self.last_snapshot = Some((cp.seq.0, cp.state.to_vec()));
+        self.last_snapshot = Some((cp.seq.0, CheckpointState::capture(&self.app, &self.replies)));
         self.verifier.resync();
         Ok(())
     }

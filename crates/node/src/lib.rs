@@ -697,8 +697,11 @@ pub fn reply_quorum_for(protocol: ProtocolKind, n: usize) -> io::Result<usize> {
 /// processes; the lock releases when the returned handle drops.
 pub fn e2e_cluster_lock() -> std::fs::File {
     let path = std::env::temp_dir().join("splitbft-e2e-cluster.lock");
+    // Never truncated: the file is only a lock, and another process may
+    // hold it open.
     let file = std::fs::OpenOptions::new()
         .create(true)
+        .truncate(false)
         .read(true)
         .write(true)
         .open(&path)

@@ -7,14 +7,21 @@
 //! "compartments keep the Checkpoints and discard messages for sequence
 //! numbers before the checkpoint, even if they are received later".
 //!
-//! Votes carry the digest only. The snapshot a replica took when it
-//! voted stays beside its tracker ([`CheckpointTracker::retain_snapshot`])
-//! until a newer checkpoint is stable, and moves only when asked for: into
-//! the sealed checkpoint file, or to a lagging peer over `STATE_TRANSFER`.
+//! Votes carry the digest only. What a replica checkpointed stays beside
+//! its tracker ([`CheckpointTracker::retain_snapshot`]) until a newer
+//! checkpoint is stable, and it is kept as *state*, not bytes: the
+//! executing stacks retain a [`splitbft_app::CheckpointState`], a frozen
+//! clone of the application that shares its payloads with the live one —
+//! the copy-on-write checkpoints of Castro and Liskov's PBFT (TOCS 2002,
+//! §5.3). Its digest streams the encoding into SHA-256, and the encoding
+//! is written out only when asked for: into the sealed checkpoint file,
+//! or to a lagging peer over `STATE_TRANSFER`
+//! ([`CheckpointTracker::durable_checkpoint`]). The tracker is generic over
+//! what it retains; a compartment that holds no state retains `()`.
 
 use crate::votes::VoteSet;
 use bytes::Bytes;
-use splitbft_crypto::digest_bytes;
+use splitbft_crypto::{digest_bytes, digest_of};
 use splitbft_types::wire::{Decode, Encode, Reader};
 use splitbft_types::{
     Checkpoint, CheckpointCertificate, ClusterConfig, Digest, DurableCheckpoint, ProtocolError,
@@ -60,25 +67,26 @@ pub fn split_durable_checkpoint(
     Ok((cert, snapshot))
 }
 
-/// Collects checkpoint votes and detects stability.
+/// Collects checkpoint votes and detects stability, and keeps the
+/// holder's own checkpointed state `S` (see the module docs).
 #[derive(Debug, Clone)]
-pub struct CheckpointTracker {
+pub struct CheckpointTracker<S = ()> {
     /// Votes by sequence number, then sender.
     pending: BTreeMap<SeqNum, VoteSet<Signed<Checkpoint>>>,
     /// Proof of the current stable checkpoint (genesis initially).
     stable: CheckpointCertificate,
-    /// The holder's own snapshots and their digests, from the stable
-    /// point upward (empty in a compartment that holds no state).
-    snapshots: BTreeMap<SeqNum, (Digest, Bytes)>,
+    /// The holder's own checkpointed states and their digests, from the
+    /// stable point upward (empty in a compartment that holds no state).
+    snapshots: BTreeMap<SeqNum, (Digest, S)>,
 }
 
-impl Default for CheckpointTracker {
+impl<S> Default for CheckpointTracker<S> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl CheckpointTracker {
+impl<S> CheckpointTracker<S> {
     /// A tracker at the genesis checkpoint.
     pub fn new() -> Self {
         CheckpointTracker {
@@ -107,18 +115,10 @@ impl CheckpointTracker {
         check_window(self.stable_seq(), seq, window)
     }
 
-    /// The holder's vote for its own `state` after `seq`: the state is
-    /// hashed once and kept here ([`CheckpointTracker::retain_snapshot`]);
-    /// the vote carries the digest and an empty `snapshot`.
-    pub fn vote_on(&mut self, seq: SeqNum, replica: ReplicaId, state: Vec<u8>) -> Checkpoint {
-        let state_digest = digest_bytes(&state);
-        self.retain_snapshot(seq, state_digest, state.into());
-        Checkpoint { seq, state_digest, replica, snapshot: Bytes::new() }
-    }
-
-    /// Keeps the holder's own `snapshot` (hashing to `digest`) of the
-    /// state after `seq`, until a checkpoint above `seq` is stable.
-    pub fn retain_snapshot(&mut self, seq: SeqNum, digest: Digest, snapshot: Bytes) {
+    /// Keeps the holder's own `snapshot` (whose encoding hashes to
+    /// `digest`) of the state after `seq`, until a checkpoint above `seq`
+    /// is stable.
+    pub fn retain_snapshot(&mut self, seq: SeqNum, digest: Digest, snapshot: S) {
         if seq >= self.stable.seq() {
             self.snapshots.insert(seq, (digest, snapshot));
         }
@@ -128,7 +128,7 @@ impl CheckpointTracker {
     /// retained at the stable sequence number, if that hashes to the
     /// certified digest. `None` at genesis, and while the holder has not
     /// reached (or disagrees with) the stable checkpoint.
-    pub fn stable_snapshot(&self) -> Option<&Bytes> {
+    pub fn stable_snapshot(&self) -> Option<&S> {
         let certified = self.stable.state_digest()?;
         let (digest, snapshot) = self.snapshots.get(&self.stable.seq())?;
         (*digest == certified).then_some(snapshot)
@@ -168,22 +168,6 @@ impl CheckpointTracker {
             ));
         }
         Ok(certified)
-    }
-
-    /// The stable checkpoint as it is sealed to disk and served to
-    /// lagging peers: the certificate (`2f + 1` votes by digest)
-    /// followed by the holder's snapshot, once. `None` at genesis and
-    /// while the holder has no snapshot of the stable state.
-    pub fn durable_checkpoint(&self) -> Option<DurableCheckpoint> {
-        let snapshot = self.stable_snapshot()?;
-        let mut state = Vec::with_capacity(self.stable.encoded_len() + snapshot.len());
-        self.stable.encode_to(&mut state);
-        state.extend_from_slice(snapshot);
-        Some(DurableCheckpoint {
-            seq: self.stable.seq(),
-            digest: self.stable.state_digest()?,
-            state: state.into(),
-        })
     }
 
     /// Installs an externally validated certificate (from a `NewView` or a
@@ -246,10 +230,52 @@ impl CheckpointTracker {
     }
 }
 
+impl<S: Encode> CheckpointTracker<S> {
+    /// The holder's vote for its own `state` after `seq`: the state's
+    /// encoding is hashed as it streams, and the state is kept here
+    /// ([`CheckpointTracker::retain_snapshot`]); the vote carries the
+    /// digest and an empty `snapshot`.
+    pub fn vote_on(&mut self, seq: SeqNum, replica: ReplicaId, state: S) -> Checkpoint {
+        let state_digest = digest_of(&state);
+        self.retain_snapshot(seq, state_digest, state);
+        Checkpoint { seq, state_digest, replica, snapshot: Bytes::new() }
+    }
+
+    /// The stable checkpoint as it is sealed to disk and served to
+    /// lagging peers: the certificate (`2f + 1` votes by digest)
+    /// followed by the encoding of the holder's snapshot, once — the only
+    /// place that encoding is written out. `None` at genesis and while
+    /// the holder has no snapshot of the stable state.
+    pub fn durable_checkpoint(&self) -> Option<DurableCheckpoint> {
+        let snapshot = self.stable_snapshot()?;
+        let mut state = Vec::with_capacity(self.stable.encoded_len() + snapshot.encoded_len());
+        self.stable.encode_to(&mut state);
+        snapshot.encode_to(&mut state);
+        Some(DurableCheckpoint {
+            seq: self.stable.seq(),
+            digest: self.stable.state_digest()?,
+            state: state.into(),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use splitbft_types::wire::Sink;
     use splitbft_types::{Signature, SignerId};
+
+    /// A retained state that encodes as the bytes it names.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Raw(&'static [u8]);
+
+    impl Encode for Raw {
+        fn encode_to<S: Sink>(&self, out: &mut S) {
+            out.put(self.0);
+        }
+    }
+
+    type Tracker = CheckpointTracker<Raw>;
 
     fn cfg() -> ClusterConfig {
         ClusterConfig::new(4).unwrap()
@@ -271,7 +297,7 @@ mod tests {
     #[test]
     fn quorum_makes_checkpoint_stable() {
         let c = cfg();
-        let mut t = CheckpointTracker::new();
+        let mut t = Tracker::new();
         assert_eq!(t.stable_seq(), SeqNum(0));
         assert!(t.insert(vote(10, 1, 0), &c).is_none());
         assert!(t.insert(vote(10, 1, 1), &c).is_none());
@@ -283,7 +309,7 @@ mod tests {
     #[test]
     fn mismatched_digests_do_not_form_quorum() {
         let c = cfg();
-        let mut t = CheckpointTracker::new();
+        let mut t = Tracker::new();
         assert!(t.insert(vote(10, 1, 0), &c).is_none());
         assert!(t.insert(vote(10, 2, 1), &c).is_none());
         assert!(t.insert(vote(10, 3, 2), &c).is_none());
@@ -294,7 +320,7 @@ mod tests {
     #[test]
     fn byzantine_minority_cannot_block_stability() {
         let c = cfg();
-        let mut t = CheckpointTracker::new();
+        let mut t = Tracker::new();
         assert!(t.insert(vote(10, 9, 3), &c).is_none()); // wrong digest
         assert!(t.insert(vote(10, 1, 0), &c).is_none());
         assert!(t.insert(vote(10, 1, 1), &c).is_none());
@@ -304,7 +330,7 @@ mod tests {
     #[test]
     fn duplicate_votes_count_once() {
         let c = cfg();
-        let mut t = CheckpointTracker::new();
+        let mut t = Tracker::new();
         assert!(t.insert(vote(10, 1, 0), &c).is_none());
         assert!(t.insert(vote(10, 1, 0), &c).is_none());
         assert!(t.insert(vote(10, 1, 0), &c).is_none());
@@ -314,7 +340,7 @@ mod tests {
     #[test]
     fn old_votes_ignored_after_stability() {
         let c = cfg();
-        let mut t = CheckpointTracker::new();
+        let mut t = Tracker::new();
         for r in 0..3 {
             t.insert(vote(10, 1, r), &c);
         }
@@ -327,7 +353,7 @@ mod tests {
     #[test]
     fn pending_votes_below_new_stable_are_discarded() {
         let c = cfg();
-        let mut t = CheckpointTracker::new();
+        let mut t = Tracker::new();
         t.insert(vote(5, 1, 0), &c);
         t.insert(vote(10, 2, 0), &c);
         t.insert(vote(10, 2, 1), &c);
@@ -340,9 +366,9 @@ mod tests {
     #[test]
     fn install_certificate_only_advances() {
         let c = cfg();
-        let mut t = CheckpointTracker::new();
+        let mut t = Tracker::new();
         let cert10 = {
-            let mut t2 = CheckpointTracker::new();
+            let mut t2 = Tracker::new();
             t2.insert(vote(10, 1, 0), &c);
             t2.insert(vote(10, 1, 1), &c);
             t2.insert(vote(10, 1, 2), &c).unwrap()
@@ -355,7 +381,7 @@ mod tests {
         assert_eq!(t.stable_seq(), SeqNum(10));
     }
 
-    fn stabilize(t: &mut CheckpointTracker, seq: u64, digest: u8) {
+    fn stabilize(t: &mut Tracker, seq: u64, digest: u8) {
         for r in 0..3 {
             t.insert(vote(seq, digest, r), &cfg());
         }
@@ -365,21 +391,21 @@ mod tests {
     #[test]
     fn own_snapshots_are_kept_from_the_stable_point_upward() {
         let digest = |d: u8| Digest::from_bytes([d; 32]);
-        let mut t = CheckpointTracker::new();
+        let mut t = Tracker::new();
         assert!(t.durable_checkpoint().is_none(), "genesis has nothing to seal");
-        t.retain_snapshot(SeqNum(10), digest(1), Bytes::from_static(b"ten"));
-        t.retain_snapshot(SeqNum(20), digest(2), Bytes::from_static(b"twenty"));
+        t.retain_snapshot(SeqNum(10), digest(1), Raw(b"ten"));
+        t.retain_snapshot(SeqNum(20), digest(2), Raw(b"twenty"));
         assert!(t.stable_snapshot().is_none(), "nothing is stable yet");
 
         stabilize(&mut t, 10, 1);
-        assert_eq!(t.stable_snapshot().map(|s| &s[..]), Some(&b"ten"[..]));
+        assert_eq!(t.stable_snapshot().map(|s| s.0), Some(&b"ten"[..]));
 
         // The next stable point drops the older snapshot and keeps its own.
         stabilize(&mut t, 20, 2);
-        assert_eq!(t.stable_snapshot().map(|s| &s[..]), Some(&b"twenty"[..]));
+        assert_eq!(t.stable_snapshot().map(|s| s.0), Some(&b"twenty"[..]));
         assert_eq!(t.snapshots.len(), 1);
         // A snapshot from before the stable point is not worth keeping.
-        t.retain_snapshot(SeqNum(10), digest(1), Bytes::from_static(b"ten"));
+        t.retain_snapshot(SeqNum(10), digest(1), Raw(b"ten"));
         assert_eq!(t.snapshots.len(), 1);
     }
 
@@ -387,7 +413,7 @@ mod tests {
     fn a_snapshot_is_admitted_only_under_the_stable_certificate_and_ahead_of_execution() {
         let state = b"state after ten";
         let certified = digest_bytes(state);
-        let mut t = CheckpointTracker::new();
+        let mut t = Tracker::new();
         assert!(t.admit_snapshot(SeqNum(0), SeqNum(0), state).is_err(), "genesis certifies nothing");
         for r in 0..3 {
             let mut vote = vote(10, 0, r);
@@ -402,8 +428,8 @@ mod tests {
 
     #[test]
     fn a_holder_that_disagrees_with_the_quorum_has_no_stable_snapshot() {
-        let mut t = CheckpointTracker::new();
-        t.retain_snapshot(SeqNum(10), Digest::from_bytes([9; 32]), Bytes::from_static(b"mine"));
+        let mut t = Tracker::new();
+        t.retain_snapshot(SeqNum(10), Digest::from_bytes([9; 32]), Raw(b"mine"));
         stabilize(&mut t, 10, 1);
         assert!(t.stable_snapshot().is_none());
         assert!(t.durable_checkpoint().is_none());
@@ -411,8 +437,8 @@ mod tests {
 
     #[test]
     fn durable_checkpoint_is_the_certificate_then_the_snapshot() {
-        let mut t = CheckpointTracker::new();
-        t.retain_snapshot(SeqNum(10), Digest::from_bytes([1; 32]), Bytes::from_static(b"state"));
+        let mut t = Tracker::new();
+        t.retain_snapshot(SeqNum(10), Digest::from_bytes([1; 32]), Raw(b"state"));
         stabilize(&mut t, 10, 1);
         let cp = t.durable_checkpoint().expect("stable and held");
         assert_eq!((cp.seq, cp.digest), (SeqNum(10), Digest::from_bytes([1; 32])));

@@ -179,7 +179,7 @@ impl MessageLog {
     /// matching prepares from distinct replicas other than the proposer,
     /// all in `view`.
     pub fn prepared(&self, seq: SeqNum, view: View, config: &ClusterConfig) -> bool {
-        self.matching_prepares(seq, view).map_or(false, |n| n >= config.prepare_quorum())
+        self.matching_prepares(seq, view).is_some_and(|n| n >= config.prepare_quorum())
     }
 
     fn matching_prepares(&self, seq: SeqNum, view: View) -> Option<usize> {

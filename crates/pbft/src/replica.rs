@@ -31,9 +31,8 @@ use crate::verify::{
 use crate::viewchange::{
     plan_new_view, validate_new_view, NewViewPlan, PendingRequests, ViewChangeTracker, ViewTimer,
 };
-use bytes::Bytes;
-use splitbft_app::{Application, Cached, ReplyCache};
-use splitbft_crypto::{client_mac_key, digest_bytes, digest_of, ClientMacKeys, KeyPair, KeyRegistry};
+use splitbft_app::{Application, Cached, CheckpointState, ReplyCache};
+use splitbft_crypto::{client_mac_key, digest_of, ClientMacKeys, KeyPair, KeyRegistry};
 use splitbft_net::transport::{Protocol, ProtocolGauges, ProtocolOutput};
 use splitbft_types::{
     Checkpoint, ClientId, ClusterConfig, Commit, ConsensusMessage, Digest, DurableCheckpoint,
@@ -80,7 +79,9 @@ pub struct Replica<A> {
     view: View,
     status: Status,
     log: MessageLog,
-    checkpoints: CheckpointTracker,
+    /// Checkpoint votes, and this replica's frozen state at each of its
+    /// own checkpoints from the stable one upward.
+    checkpoints: CheckpointTracker<CheckpointState<A>>,
     view_changes: ViewChangeTracker,
     /// Highest-view prepare certificate per slot, kept across view changes
     /// for inclusion in `ViewChange` messages.
@@ -193,7 +194,7 @@ impl<A: Application> Replica<A> {
     /// Digest of the current checkpointable state (application snapshot
     /// plus reply cache).
     pub fn state_digest(&self) -> Digest {
-        digest_bytes(&self.checkpoint_state_bytes())
+        self.replies.state_digest(&self.app)
     }
 
     /// The cluster configuration.
@@ -323,7 +324,7 @@ impl<A: Application> Replica<A> {
         self.log.insert_pre_prepare(pp)?;
         self.record(|| DurableEvent::Accepted { view, seq, digest });
 
-        if !self.is_primary() && !self.log.slot(seq).map_or(false, |s| s.prepare_sent) {
+        if !self.is_primary() && !self.log.slot(seq).is_some_and(|s| s.prepare_sent) {
             let prepare = self.keypair.sign_payload(
                 Prepare { view, seq, digest, replica: self.id },
                 self.signer,
@@ -417,7 +418,7 @@ impl<A: Application> Replica<A> {
             self.log.slot_mut(next).pre_prepare = Some(pp);
             self.last_exec = next;
 
-            if next.0 % self.config.checkpoint_interval == 0 {
+            if next.0.is_multiple_of(self.config.checkpoint_interval) {
                 self.emit_checkpoint(next, out);
             }
         }
@@ -453,11 +454,6 @@ impl<A: Application> Replica<A> {
 
     // --- checkpointing ----------------------------------------------------
 
-    /// The canonical checkpoint state (see [`ReplyCache::encode_state`]).
-    fn checkpoint_state_bytes(&self) -> Vec<u8> {
-        self.replies.encode_state(&self.app.snapshot())
-    }
-
     /// The one place application state is replaced wholesale: installs
     /// `snapshot` as the state after `seq`, if the tracker admits it
     /// ([`CheckpointTracker::admit_snapshot`]).
@@ -478,15 +474,18 @@ impl<A: Application> Replica<A> {
         if self.next_seq < seq {
             self.next_seq = seq;
         }
-        self.checkpoints.retain_snapshot(seq, certified, Bytes::copy_from_slice(snapshot));
+        let state = CheckpointState::capture(&self.app, &self.replies);
+        self.checkpoints.retain_snapshot(seq, certified, state);
         self.collect_log_garbage();
         Ok(())
     }
 
-    /// Takes the periodic snapshot: it stays here, beside the tracker,
-    /// and the broadcast vote carries its digest alone.
+    /// Takes the periodic checkpoint: the state, frozen, stays here
+    /// beside the tracker, and the broadcast vote carries its digest
+    /// alone.
     fn emit_checkpoint(&mut self, seq: SeqNum, out: &mut Out) {
-        let ckpt = self.checkpoints.vote_on(seq, self.id, self.checkpoint_state_bytes());
+        let state = CheckpointState::capture(&self.app, &self.replies);
+        let ckpt = self.checkpoints.vote_on(seq, self.id, state);
         let signed = self.keypair.sign_payload(ckpt, self.signer);
         if let Some(cert) = self.checkpoints.insert(signed.clone(), &self.config) {
             self.apply_stable_checkpoint(cert.seq());

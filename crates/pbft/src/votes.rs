@@ -67,6 +67,15 @@ impl<T> VoteSet<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Drops every vote `keep` refuses; the table keeps its size.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        for vote in &mut self.votes {
+            if vote.as_ref().is_some_and(|v| !keep(v)) {
+                *vote = None;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -98,6 +107,17 @@ mod tests {
         assert!(!votes.insert(ReplicaId(4), 4, 4));
         assert_eq!(votes.values().copied().collect::<Vec<_>>(), [3]);
         assert_eq!(votes.votes.capacity(), 4, "one allocation, of exactly n entries");
+    }
+
+    #[test]
+    fn retain_drops_the_refused_votes_only() {
+        let mut votes = VoteSet::new();
+        for replica in 0..4 {
+            votes.insert(ReplicaId(replica), replica, 4);
+        }
+        votes.retain(|v| v % 2 == 1);
+        assert_eq!(votes.values().copied().collect::<Vec<_>>(), [1, 3]);
+        assert_eq!(votes.get(ReplicaId(2)), None);
     }
 
     #[test]

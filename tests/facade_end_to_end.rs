@@ -205,7 +205,19 @@ fn serve<P: Protocol>(
     op: &'static [u8],
 ) -> Option<(View, usize)> {
     let request = client.issue_at(bytes::Bytes::from_static(op), false, *clock, 0);
-    cluster.submit(client.primary(N), &[request]);
+    cluster.submit(client.primary(cluster.n()), &[request]);
+    settle(cluster, client, clock)
+}
+
+/// Runs `cluster` one stall-timer period at a time, sending whatever the
+/// client holds due to every replica, until a reply completes a request.
+/// Returns the view the completing reply named and how many times a
+/// request went out again.
+fn settle<P: Protocol>(
+    cluster: &mut Cluster<P>,
+    client: &mut Client,
+    clock: &mut u64,
+) -> Option<(View, usize)> {
     let mut resent = 0;
     for _ in 0..30 {
         for reply in std::mem::take(&mut cluster.replies) {
@@ -218,7 +230,7 @@ fn serve<P: Protocol>(
         let due = client.due(*clock);
         if !due.is_empty() {
             resent += due.len();
-            (0..N).for_each(|i| cluster.submit(i, &due));
+            (0..cluster.n()).for_each(|i| cluster.submit(i, &due));
         }
     }
     None
@@ -259,4 +271,64 @@ fn pbft_follows_a_view_change_that_leaves_replica_0_up() {
 #[test]
 fn splitbft_follows_a_view_change_that_leaves_replica_0_up() {
     a_view_change_that_leaves_replica_0_up(|id| splitbft_replica(id, CounterApp::new()));
+}
+
+/// One faulty replica, before the client's first request completes, sends
+/// it one authentic reply naming a view no correct replica is in — any
+/// replica can, since each holds the client's MAC key. Backups do not
+/// forward requests, so a client that followed that view would send every
+/// later request to a replica that drops it and complete it only once it
+/// fell due for every replica. It follows only a view `f + 1` replicas
+/// named instead: every request completes in view 0 on its first send.
+fn one_faulty_replica_cannot_steer_the_client<P: Protocol>(
+    reply_quorum: usize,
+    faulty: u32,
+    views: [u64; 3],
+    make: impl Fn(ReplicaId) -> P,
+) {
+    for (client_id, view) in (20..).zip(views) {
+        let mut cluster = Cluster::new((0..=faulty).map(|i| make(ReplicaId(i))));
+        let mut client =
+            Client::new(reply_quorum, ClientId(client_id), SEED).resending_after(RESEND_PERIODS);
+        let mut clock = 0;
+        let first = client.issue_at(bytes::Bytes::from_static(b"inc"), false, clock, 0);
+        let (named, replica, result) = (View(view), ReplicaId(faulty), bytes::Bytes::from_static(b"?"));
+        let auth = splitbft::crypto::client_mac_key(SEED, first.id.client)
+            .reply_tag(named, first.id, replica, &result, false);
+        let forged = Reply { view: named, request: first.id, replica, result, encrypted: false, auth };
+        assert_eq!(client.on_reply(&forged), ClientEvent::Pending, "the forged reply is authentic");
+        cluster.submit(client.primary(cluster.n()), &[first]);
+        settle(&mut cluster, &mut client, &mut clock).expect("the first request completes");
+
+        for i in 0..5 {
+            let (completed_in, resent) = serve(&mut cluster, &mut client, &mut clock, b"inc")
+                .unwrap_or_else(|| panic!("request {i} did not complete"));
+            assert_eq!((completed_in, resent), (View(0), 0), "view {view} named, request {i}");
+        }
+    }
+}
+
+#[test]
+fn pbft_clients_are_not_steered_by_one_faulty_replica() {
+    let quorum = ClusterConfig::new(N).unwrap().reply_quorum();
+    one_faulty_replica_cannot_steer_the_client(quorum, 3, [3, 5, u64::MAX], |id| {
+        PbftReplica::new(ClusterConfig::new(N).unwrap(), id, SEED, CounterApp::new())
+    });
+}
+
+#[test]
+fn splitbft_clients_are_not_steered_by_one_faulty_replica() {
+    let quorum = ClusterConfig::new(N).unwrap().reply_quorum();
+    one_faulty_replica_cannot_steer_the_client(quorum, 3, [3, 5, u64::MAX], |id| {
+        splitbft_replica(id, CounterApp::new())
+    });
+}
+
+#[test]
+fn hybrid_clients_are_not_steered_by_one_faulty_replica() {
+    // n = 3: views whose primary is replica 1 or 2, not 0.
+    let config = HybridConfig::new(3).unwrap();
+    one_faulty_replica_cannot_steer_the_client(config.reply_quorum(), 2, [4, 5, u64::MAX - 1], |id| {
+        HybridReplica::new(config.clone(), id, SEED, Usig::new(SEED, id), CounterApp::new())
+    });
 }
